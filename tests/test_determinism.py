@@ -161,6 +161,95 @@ CONFIGS = {
 }
 
 
+# ---------------------------------------------------------------- lossy pins
+#
+# The three EXPECTED pins above are loss-free (``timeouts == 0``, zero
+# drops), so they fence none of the loss-recovery code. The rows below
+# pin runs whose 60 kB ports overflow under a 32 kB incast without PFC:
+# per run 1-19 timeouts, up to 1 878 fast retransmits and 2-15 761
+# drops, so SACK-hole detection, dup-ACK early retransmit, RACK aging,
+# go-back-N rewind and the RTO path all fire, with and without TLT.
+#
+# Pin history: captured at commit 3874c51 (PR 13), *before* the two
+# transport families were moved onto one reliable-delivery core, on
+# both backends (identical). Nothing has been re-captured since.
+
+LOSSY_FIELDS = (
+    "duration_ns",
+    "events",
+    "timeouts",
+    "fast_retransmits",
+    "ecn_marks",
+    "pause_frames",
+    "resume_frames",
+    "drops_green",
+    "drops_red",
+    "drop_bytes",
+    "green_data_packets",
+    "red_data_packets",
+    "clocking_packets",
+    "flow_count",
+    "incomplete",
+    "fct_fg_sum",
+    "fct_bg_sum",
+    "rtt_fg_sum",
+    "rtt_bg_sum",
+    "delivery_sum",
+    "queue_samples",
+    "queue_sample_sum",
+)
+
+
+def lossy_config(name: str) -> ScenarioConfig:
+    """``"<transport>[_tlt]_s<seed>"`` -> the lossy scenario it names."""
+    head, seed = name.rsplit("_s", 1)
+    tlt = head.endswith("_tlt")
+    return ScenarioConfig(
+        transport=head[: -len("_tlt")] if tlt else head, tlt=tlt, pfc=False,
+        scale=TINY, seed=int(seed), audit=False,
+        incast_flow_size=32 * 1024, buffer_per_port=60 * 1024,
+    )
+
+
+# One row per config, values in LOSSY_FIELDS order.
+LOSSY_ROWS = {
+    "dctcp_s1": (103013001, 506116, 2, 24, 0, 0, 0, 3544, 0, 1513024, 0, 0, 0, 40, 0, 2326324, 44104483, 33500472, 9819661750, 10937219615, 743, 33307371),
+    "dctcp_s2": (102458094, 150313, 2, 0, 0, 0, 0, 93, 0, 139187, 0, 0, 0, 40, 0, 3254782, 24473442, 43142046, 2142582974, 2904782966, 77, 4961854),
+    "dctcp_s3": (102854021, 129225, 3, 4, 0, 0, 0, 398, 0, 584369, 0, 0, 0, 40, 0, 2273148, 34048423, 32837682, 912353242, 2966698588, 44, 2126680),
+    "dctcp_tlt_s1": (103013001, 507322, 3, 26, 0, 0, 0, 2575, 982, 1635689, 141, 41933, 32, 40, 0, 2326644, 52403871, 33504492, 9897819770, 11340266440, 748, 33325474),
+    "dctcp_tlt_s2": (102458094, 150731, 2, 0, 0, 0, 0, 2, 92, 139236, 112, 10804, 33, 40, 0, 3254356, 24473430, 43144992, 2142591514, 2904794452, 76, 4968414),
+    "dctcp_tlt_s3": (102854021, 128997, 1, 4, 0, 0, 0, 10, 388, 584369, 124, 8961, 39, 40, 0, 2273378, 11582011, 32840886, 916981324, 1055722762, 42, 2125270),
+    "dcqcn_s2": (102458094, 296540, 10, 0, 23, 0, 0, 553, 0, 561648, 0, 0, 0, 40, 0, 33662804, 14634297, 35782907, 981572920, 25164284612, 103, 4591112),
+    "dcqcn_s3": (102854021, 208859, 12, 0, 32, 0, 0, 1091, 0, 1107791, 0, 0, 0, 40, 0, 41315757, 8002410, 21443272, 241694203, 623614595, 113, 5378939),
+    "dcqcn_tlt_s2": (102458094, 296540, 10, 0, 23, 0, 0, 30, 523, 561648, 303, 22711, 0, 40, 0, 33662804, 14634297, 35782907, 981572920, 25164284612, 103, 4591112),
+    "dcqcn_tlt_s3": (102854021, 208859, 12, 0, 32, 0, 0, 57, 1034, 1107791, 219, 14188, 0, 40, 0, 41315757, 8002410, 21443272, 241694203, 623614595, 113, 5378939),
+    "dcqcn-sack_s1": (103013001, 850839, 19, 1878, 126, 0, 0, 15761, 0, 8680847, 0, 0, 0, 40, 0, 66035955, 47636144, 24967078, 9987839372, 14987367327, 546, 28864531),
+    "dcqcn-sack_s2": (102458094, 237141, 9, 310, 21, 0, 0, 548, 0, 556408, 0, 0, 0, 40, 0, 37663698, 5833431, 35898349, 936741513, 1141620540, 80, 3924456),
+    "dcqcn-sack_s3": (102854021, 203567, 13, 87, 31, 0, 0, 1011, 0, 1043943, 0, 0, 0, 40, 0, 49358332, 7780356, 23783544, 256311918, 496601138, 110, 5345359),
+    "dcqcn-sack_tlt_s1": (103013001, 850839, 19, 1878, 126, 0, 0, 8584, 7177, 8680847, 3556, 67240, 0, 40, 0, 66035955, 47636144, 24967078, 9987839372, 14987367327, 546, 28864531),
+    "dcqcn-sack_tlt_s2": (102458094, 237141, 9, 310, 21, 0, 0, 102, 446, 556408, 589, 15684, 0, 40, 0, 37663698, 5833431, 35898349, 936741513, 1141620540, 80, 3924456),
+    "dcqcn-sack_tlt_s3": (102854021, 203567, 13, 87, 31, 0, 0, 34, 977, 1043943, 268, 13363, 0, 40, 0, 49358332, 7780356, 23783544, 256311918, 496601138, 110, 5345359),
+    "irn_s2": (102458094, 235140, 10, 18, 10, 0, 0, 120, 0, 106644, 0, 0, 0, 40, 0, 20661717, 5171963, 21970169, 184869608, 264050743, 72, 2563783),
+    "irn_s3": (102854021, 199047, 12, 3, 10, 0, 0, 38, 0, 24196, 0, 0, 0, 40, 0, 24445226, 3749192, 23702931, 133926171, 202219841, 87, 2255323),
+    "irn_tlt_s2": (102458094, 241092, 10, 30, 9, 0, 0, 28, 100, 116016, 445, 15810, 412, 40, 0, 20708570, 5342487, 22052388, 187723905, 271148239, 72, 2644597),
+    "irn_tlt_s3": (102854021, 203817, 5, 27, 13, 0, 0, 17, 37, 42184, 376, 12632, 348, 40, 0, 11119629, 3787501, 23254316, 136779396, 192209082, 92, 2344659),
+    "hpcc_s2": (102458094, 234118, 12, 13, 0, 0, 0, 107, 0, 94532, 0, 0, 0, 40, 0, 49319608, 4986621, 22750826, 143570101, 353070812, 35, 875358),
+    "hpcc_s3": (102854021, 198140, 16, 3, 0, 0, 0, 54, 0, 38060, 0, 0, 0, 40, 0, 65267252, 3981546, 24218022, 111500870, 283018528, 76, 876971),
+    "hpcc_tlt_s2": (102458094, 242093, 14, 20, 0, 0, 0, 29, 79, 95116, 577, 15790, 537, 40, 0, 57358750, 5227413, 23036991, 147480437, 313649476, 46, 918910),
+    "hpcc_tlt_s3": (102854021, 204749, 16, 12, 0, 0, 0, 29, 23, 37940, 472, 12625, 432, 40, 0, 65268184, 4076704, 24208973, 112113703, 283538198, 91, 880655),
+}
+
+LOSSY_EXPECTED = {name: dict(zip(LOSSY_FIELDS, row)) for name, row in LOSSY_ROWS.items()}
+LOSSY_CONFIGS = {name: (lambda name=name: lossy_config(name)) for name in LOSSY_ROWS}
+
+
+@pytest.mark.parametrize("name", sorted(LOSSY_ROWS))
+def test_lossy_fingerprint_matches_pinned_recovery_behaviour(name):
+    actual = fingerprint(lossy_config(name))
+    assert tuple(actual) == LOSSY_FIELDS
+    assert actual == LOSSY_EXPECTED[name]
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_fingerprint_matches_pre_optimization_engine(name):
     assert fingerprint(CONFIGS[name]()) == EXPECTED[name]

@@ -35,8 +35,12 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 sys.path.insert(0, os.path.join(REPO, "tests"))
 
-#: EXPECTED configs that the sharded executor reproduces bit-for-bit.
-SHARDABLE = ("dctcp_tlt", "dcqcn_pfc", "hpcc_tlt")
+#: Pinned configs that the sharded executor reproduces bit-for-bit: the
+#: three loss-free EXPECTED pins plus one lossy pin per recovery flavour
+#: (byte-stream SACK, PSN selective repeat, go-back-N) so drops,
+#: retransmissions and RTOs cross shard boundaries too.
+SHARDABLE = ("dctcp_tlt", "dcqcn_pfc", "hpcc_tlt",
+             "dctcp_tlt_s3", "irn_tlt_s3", "dcqcn_s3")
 
 
 def main(argv=None) -> int:
@@ -57,7 +61,11 @@ def main(argv=None) -> int:
     if args.inline:
         os.environ["TLT_SHARD_INLINE"] = "1"
 
-    from test_determinism import CONFIGS, EXPECTED, fingerprint
+    import test_determinism as pins
+
+    fingerprint = pins.fingerprint
+    CONFIGS = {**pins.CONFIGS, **pins.LOSSY_CONFIGS}
+    EXPECTED = {**pins.EXPECTED, **pins.LOSSY_EXPECTED}
 
     names = [n for n in args.configs.split(",") if n]
     unknown = [n for n in names if n not in CONFIGS]
