@@ -99,7 +99,11 @@ class RoceSender:
         self.lost_queue: Deque[int] = deque()
         self._highest_sacked = 0  # highest SACKed PSN bound (exclusive)
         self._scan_hint = 0  # first PSN possibly unresolved below SACK
-        self._retx_inflight: set = set()  # retransmitted PSNs awaiting ACK
+        # Retransmitted PSNs awaiting ACK: an insertion-ordered dict, not
+        # a set, so the RACK re-mark loop in _detect_losses() queues
+        # same-pass losses in retransmission order rather than in
+        # CPython hash-slot order (same reason as ByteStreamSender).
+        self._retx_inflight: dict = {}
 
         self.rate_ctrl = DcqcnRateControl(self.engine, config) if use_dcqcn else None
         self.hpcc = HpccController(config) if use_hpcc else None
@@ -203,7 +207,7 @@ class RoceSender:
             st.retx_count += 1
             self.record.retx_bytes += payload
             if self.recovery == "sack":
-                self._retx_inflight.add(psn)
+                self._retx_inflight[psn] = None
                 self._arm_rack_timer()
         else:
             st.first_tx_ns = now
@@ -329,7 +333,7 @@ class RoceSender:
                 self.stats.add_delivery_sample(now - st.first_tx_ns)
             st.acked = True
             st.lost = False
-            self._retx_inflight.discard(psn)
+            self._retx_inflight.pop(psn, None)
         self.snd_una = ack
         if self._scan_hint < ack:
             self._scan_hint = ack
@@ -354,7 +358,7 @@ class RoceSender:
                 if not st.delivered and st.first_tx_ns >= 0:
                     st.delivered = True
                     self.stats.add_delivery_sample(now - st.first_tx_ns)
-                self._retx_inflight.discard(psn)
+                self._retx_inflight.pop(psn, None)
                 newly += 1
         return newly
 
@@ -394,7 +398,7 @@ class RoceSender:
             for psn in list(self._retx_inflight):
                 st = self.states[psn]
                 if st.acked or st.sacked or st.lost:
-                    self._retx_inflight.discard(psn)
+                    self._retx_inflight.pop(psn, None)
                     continue
                 if psn < highest and st.last_tx_ns + srtt <= now:
                     self._mark_lost(psn)
@@ -438,7 +442,7 @@ class RoceSender:
         if st.in_pipe:
             st.in_pipe = False
             self.pipe -= self.payload_of(psn) + HEADER_BYTES
-        self._retx_inflight.discard(psn)
+        self._retx_inflight.pop(psn, None)
         self.lost_queue.append(psn)
 
     # ------------------------------------------------------------- timers

@@ -166,13 +166,20 @@ CONFIGS = {
 # The three EXPECTED pins above are loss-free (``timeouts == 0``, zero
 # drops), so they fence none of the loss-recovery code. The rows below
 # pin runs whose 60 kB ports overflow under a 32 kB incast without PFC:
-# per run 1-19 timeouts, up to 1 878 fast retransmits and 2-15 761
+# per run 1-19 timeouts, up to 1 907 fast retransmits and 2-16 325
 # drops, so SACK-hole detection, dup-ACK early retransmit, RACK aging,
 # go-back-N rewind and the RTO path all fire, with and without TLT.
 #
 # Pin history: captured at commit 3874c51 (PR 13), *before* the two
 # transport families were moved onto one reliable-delivery core, on
-# both backends (identical). Nothing has been re-captured since.
+# both backends (identical). Re-captured ONCE, and only the two
+# ``dcqcn-sack`` seed-1 rows: ``RoceSender._retx_inflight`` was a set
+# of PSNs, so retransmissions re-marked in one _detect_losses() pass
+# were queued in CPython hash-slot order; it became an insertion-
+# ordered dict (what ByteStreamSender already used) and those two runs
+# — the only pinned ones that re-mark several aged retransmissions in
+# one pass — moved. The other 22 rows and EXPECTED did not. The
+# extraction of the shared core that followed moved nothing.
 
 LOSSY_FIELDS = (
     "duration_ns",
@@ -223,10 +230,10 @@ LOSSY_ROWS = {
     "dcqcn_s3": (102854021, 208859, 12, 0, 32, 0, 0, 1091, 0, 1107791, 0, 0, 0, 40, 0, 41315757, 8002410, 21443272, 241694203, 623614595, 113, 5378939),
     "dcqcn_tlt_s2": (102458094, 296540, 10, 0, 23, 0, 0, 30, 523, 561648, 303, 22711, 0, 40, 0, 33662804, 14634297, 35782907, 981572920, 25164284612, 103, 4591112),
     "dcqcn_tlt_s3": (102854021, 208859, 12, 0, 32, 0, 0, 57, 1034, 1107791, 219, 14188, 0, 40, 0, 41315757, 8002410, 21443272, 241694203, 623614595, 113, 5378939),
-    "dcqcn-sack_s1": (103013001, 850839, 19, 1878, 126, 0, 0, 15761, 0, 8680847, 0, 0, 0, 40, 0, 66035955, 47636144, 24967078, 9987839372, 14987367327, 546, 28864531),
+    "dcqcn-sack_s1": (103013001, 855346, 19, 1907, 126, 0, 0, 16325, 0, 8838790, 0, 0, 0, 40, 0, 74679985, 49343461, 26906902, 11160130788, 16390770178, 564, 30561589),
     "dcqcn-sack_s2": (102458094, 237141, 9, 310, 21, 0, 0, 548, 0, 556408, 0, 0, 0, 40, 0, 37663698, 5833431, 35898349, 936741513, 1141620540, 80, 3924456),
     "dcqcn-sack_s3": (102854021, 203567, 13, 87, 31, 0, 0, 1011, 0, 1043943, 0, 0, 0, 40, 0, 49358332, 7780356, 23783544, 256311918, 496601138, 110, 5345359),
-    "dcqcn-sack_tlt_s1": (103013001, 850839, 19, 1878, 126, 0, 0, 8584, 7177, 8680847, 3556, 67240, 0, 40, 0, 66035955, 47636144, 24967078, 9987839372, 14987367327, 546, 28864531),
+    "dcqcn-sack_tlt_s1": (103013001, 855346, 19, 1907, 126, 0, 0, 9032, 7293, 8838790, 3642, 67590, 0, 40, 0, 74679985, 49343461, 26906902, 11160130788, 16390770178, 564, 30561589),
     "dcqcn-sack_tlt_s2": (102458094, 237141, 9, 310, 21, 0, 0, 102, 446, 556408, 589, 15684, 0, 40, 0, 37663698, 5833431, 35898349, 936741513, 1141620540, 80, 3924456),
     "dcqcn-sack_tlt_s3": (102854021, 203567, 13, 87, 31, 0, 0, 34, 977, 1043943, 268, 13363, 0, 40, 0, 49358332, 7780356, 23783544, 256311918, 496601138, 110, 5345359),
     "irn_s2": (102458094, 235140, 10, 18, 10, 0, 0, 120, 0, 106644, 0, 0, 0, 40, 0, 20661717, 5171963, 21970169, 184869608, 264050743, 72, 2563783),
