@@ -1,5 +1,8 @@
 """Datacenter transports implemented from scratch on the simulator.
 
+Both families inherit one reliable-delivery core,
+:mod:`repro.transport.reliable` (scoreboard, SACK, loss detection, RTO).
+
 TCP family (byte-stream, window-based):
   - :mod:`repro.transport.tcp` — TCP NewReno with SACK and dup-ACK
     threshold 1 (early retransmit),

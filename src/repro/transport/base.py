@@ -1,10 +1,12 @@
 """Shared transport machinery and the window-based byte-stream base.
 
-:class:`ByteStreamSender` / :class:`ByteStreamReceiver` implement the
-mechanics every TCP-family transport shares: a segment scoreboard with
-SACK, dup-ACK-threshold-1 early retransmit, Linux-style RTO handling
-with exponential backoff, and NewReno-style recovery. Congestion
-control variants (Reno, DCTCP) override the ``cc_*`` hooks.
+:class:`ByteStreamSender` / :class:`ByteStreamReceiver` implement what
+every TCP-family transport shares on top of the reliable-delivery core
+(:mod:`repro.transport.reliable`: segment scoreboard with SACK,
+dup-ACK-threshold-1 early retransmit, RTO with exponential backoff):
+MSS segmentation, the congestion window, NewReno-style recovery, TLP
+and the optional handshake. Congestion control variants (Reno, DCTCP)
+override the ``cc_*`` hooks.
 
 TLT hooks (``tlt`` on the sender, ``tlt_rx`` on the receiver) are
 optional objects provided by :mod:`repro.core.window`; when absent the
@@ -14,14 +16,13 @@ transport behaves exactly like the baseline protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional
-
-from collections import deque
+from typing import Callable, List, Optional
 
 from repro.net.node import Host
 from repro.net.packet import Color, Packet, PacketKind, TltMark, alloc_packet
 from repro.sim.units import MICROS, MILLIS
 from repro.stats.collector import FlowRecord, NetStats
+from repro.transport.reliable import Entry, ReliableSender
 from repro.transport.rto import FixedRto, RtoEstimator
 from repro.transport.sack import ReceiverBuffer
 
@@ -105,50 +106,6 @@ class TransportConfig:
         return RtoEstimator(self.rto_min_ns, self.rto_max_ns)
 
 
-class Segment:
-    """Sender-side scoreboard entry for one transmitted segment."""
-
-    __slots__ = (
-        "start",
-        "end",
-        "size",
-        "acked",
-        "sacked",
-        "lost",
-        "in_pipe",
-        "retx_count",
-        "first_tx_ns",
-        "last_tx_ns",
-        "delivered",
-    )
-
-    def __init__(self, start: int, end: int):
-        self.start = start
-        self.end = end
-        self.size = end - start  # bounds are fixed for the segment's life
-        self.acked = False
-        self.sacked = False
-        self.lost = False
-        self.in_pipe = False
-        self.retx_count = 0
-        self.first_tx_ns = -1
-        self.last_tx_ns = -1
-        self.delivered = False  # delivery-time sample recorded
-
-    def __repr__(self) -> str:  # pragma: no cover
-        flags = "".join(
-            c
-            for c, f in (
-                ("A", self.acked),
-                ("S", self.sacked),
-                ("L", self.lost),
-                ("P", self.in_pipe),
-            )
-            if f
-        )
-        return f"Seg[{self.start},{self.end}){flags}"
-
-
 class ByteStreamReceiver:
     """Receives a byte stream, ACKs every data packet, generates SACK."""
 
@@ -188,7 +145,7 @@ class ByteStreamReceiver:
                 self.record.end_rx_ns = self.engine.now
             if spec.on_complete_rx is not None:
                 spec.on_complete_rx(self.record)
-        # _send_ack, inlined: one ACK per delivered data packet.
+        # One ACK per delivered data packet.
         config = self.config
         ack = alloc_packet(
             spec.flow_id, spec.dst, spec.src, PacketKind.ACK, 0, 0, buffer.rcv_nxt
@@ -216,31 +173,14 @@ class ByteStreamReceiver:
         syn_ack.mark = TltMark.CONTROL
         self.host.send(syn_ack)
 
-    def _send_ack(self, data_packet: Packet) -> None:
-        """Out-of-line ACK generation (kept for subclasses and tests;
-        the DATA path in :meth:`on_packet` inlines this)."""
-        spec = self.spec
-        buffer = self.buffer
-        ack = alloc_packet(
-            spec.flow_id, spec.dst, spec.src, PacketKind.ACK, 0, 0, buffer.rcv_nxt
-        )
-        ack.sack = buffer.sack_blocks() if buffer.intervals else ()
-        ack.ecn_echo = data_packet.ce
-        ack.ts_echo = data_packet.ts_sent
-        ack.tclass = self.config.traffic_class
-        # Pure ACKs are control packets: always important (green).
-        ack.color = Color.GREEN
-        ack.mark = TltMark.CONTROL
-        if self.tlt_rx is not None:
-            self.tlt_rx.mark_ack(ack)
-        elif self.config.plain_color is not None:
-            ack.color = self.config.plain_color
-            ack.mark = TltMark.NONE
-        self.host.send(ack)
 
+class ByteStreamSender(ReliableSender):
+    """Window-based reliable sender (base for TCP/DCTCP and variants).
 
-class ByteStreamSender:
-    """Window-based reliable sender (base for TCP/DCTCP and variants)."""
+    Scoreboard entries are MSS-aligned segments (``stride = mss``,
+    ``weight`` = payload bytes). ``snd_una`` stays byte-granular: 1-byte
+    clock probes make cumulative ACKs non-MSS-aligned.
+    """
 
     #: overridden by subclasses for reporting
     name = "bytestream"
@@ -252,59 +192,27 @@ class ByteStreamSender:
         config: TransportConfig,
         stats: NetStats,
     ):
-        self.host = host
-        self.spec = spec
-        self.config = config
-        self.stats = stats
-        self.engine = host.engine
-        self.record = stats.new_flow(
-            spec.flow_id, spec.src, spec.dst, spec.size, spec.start_ns, spec.group
-        )
-
         mss = config.mss
+        super().__init__(host, spec, config, stats, stride=mss, rto=config.make_rto())
         self.mss = mss
         self.snd_una = 0
         self.snd_nxt = 0
         self.cwnd = config.init_cwnd_segments * mss
         self.ssthresh = 1 << 60
-        self.pipe = 0
-        self.dupacks = 0
         self.in_recovery = False
         self.recover_point = 0
-        self.segments: List[Segment] = []
-        self._head = 0  # index of first not-fully-acked segment
-        self.lost_queue: Deque[Segment] = deque()
         self._ca_acc = 0  # congestion-avoidance byte accumulator
-        self._highest_sacked = 0  # highest SACKed sequence seen
-        self._scan_hint = 0  # first index possibly unresolved below SACK
-        # Retransmitted segments awaiting ACK. An insertion-ordered dict,
-        # not a set: Segment hashes by identity, so set iteration order
-        # would depend on heap addresses — the RACK re-mark loop in
-        # _detect_losses() would then retransmit same-pass losses in a
-        # process-dependent order. Dict iteration is insertion
-        # (= retransmission) order, a pure function of simulation state.
-        self._retx_inflight: dict = {}
         if config.max_cwnd_bytes is not None:
             self.max_cwnd = config.max_cwnd_bytes
         else:
             bdp = config.link_rate_bps * config.base_rtt_ns // 8 // 1_000_000_000
             self.max_cwnd = max(4 * bdp, 64 * mss)
 
-        self.rto = config.make_rto()
-        self._rto_deadline: Optional[int] = None
-        self._rto_event = None
         self._pto_event = None
         self._probe_outstanding = False
 
         self.tlt = None  # set by repro.core.window.TltWindowSender
-        self.started = False
         self.established = False  # True once the (optional) handshake ends
-        self.completed = False
-
-        host.register_endpoint(spec.flow_id, self)
-        # Handle kept so a sharded run can neuter the inert sender
-        # replica on a non-owning shard (repro.sim.sharding).
-        self._start_event = self.engine.schedule_at(spec.start_ns, self.start)
 
     # ------------------------------------------------------------------ start
 
@@ -349,27 +257,9 @@ class ByteStreamSender:
 
     # ------------------------------------------------------------ send path
 
-    def _next_candidate(self):
-        """Peek the next thing to send: a lost segment or new data.
-
-        Returns ``("retx", segment)``, ``("new", length)`` or None.
-        """
-        while self.lost_queue:
-            seg = self.lost_queue[0]
-            if seg.acked or seg.sacked or not seg.lost:
-                self.lost_queue.popleft()
-                continue
-            return ("retx", seg)
-        if self.snd_nxt < self.spec.size:
-            return ("new", min(self.mss, self.spec.size - self.snd_nxt))
-        return None
-
     def try_send(self) -> int:
-        """Send as much as the window allows; returns packets sent.
-
-        Open-coded version of the :meth:`_next_candidate` walk — this
-        runs once per ACK, and the tuple returns showed up in profiles.
-        """
+        """Send as much as the window allows — lost segments first,
+        then new data; returns packets sent. Runs once per ACK."""
         if not self.started or not self.established or self.completed:
             return 0
         sent = 0
@@ -378,17 +268,9 @@ class ByteStreamSender:
         mss = self.mss
         spec_size = self.spec.size
         while True:
-            # Retransmissions first (same policy as _next_candidate).
-            seg = None
-            while lost_queue:
-                head = lost_queue[0]
-                if head.acked or head.sacked or not head.lost:
-                    lost_queue.popleft()
-                    continue
-                seg = head
-                break
+            seg = self._next_lost() if lost_queue else None
             if seg is not None:
-                if self.pipe + seg.size > cwnd:
+                if self.pipe + seg.weight > cwnd:
                     break
                 lost_queue.popleft()
             else:
@@ -398,29 +280,24 @@ class ByteStreamSender:
                 size = mss if mss < remaining else remaining
                 if self.pipe + size > cwnd:
                     break
-                seg = Segment(self.snd_nxt, self.snd_nxt + size)
-                self.segments.append(seg)
-                self.snd_nxt = seg.end
+                seg = self._new_segment(size)
             self._transmit(seg)
             sent += 1
         return sent
 
-    def _transmit(self, seg: Segment, clock_mark: bool = False) -> None:
+    def _new_segment(self, size: int) -> Entry:
+        seg = Entry(self.snd_nxt, self.snd_nxt + size, size)
+        self.entries.append(seg)
+        self.snd_nxt = seg.end
+        return seg
+
+    def _transmit(self, seg: Entry, clock_mark: bool = False) -> None:
         now = self.engine.now
-        size = seg.size
+        size = seg.weight
         record = self.record
-        is_retx = seg.first_tx_ns >= 0
+        is_retx = self._record_tx(seg, now)
         if is_retx:
-            seg.retx_count += 1
-            seg.lost = False
             record.retx_bytes += size
-            self._retx_inflight[seg] = None
-        else:
-            seg.first_tx_ns = now
-        seg.last_tx_ns = now
-        if not seg.in_pipe:
-            seg.in_pipe = True
-            self.pipe += size
 
         spec = self.spec
         config = self.config
@@ -438,29 +315,21 @@ class ByteStreamSender:
             if clock_mark:
                 tlt.mark_clock_data(packet)
             else:
-                tlt.mark_data(packet, self._is_last_allowed(seg))
+                tlt.mark_data(packet, self._is_last_allowed())
         elif config.plain_color is not None:
             packet.color = config.plain_color
         self.host.send(packet)
         self._arm_rto()
         self._arm_pto()
 
-    def _is_last_allowed(self, just_sent: Segment) -> bool:
+    def _is_last_allowed(self) -> bool:
         """True when no further send can follow right now (window edge
-        or end of data) — the packet at the tail of the current burst.
-
-        Open-coded :meth:`_next_candidate` walk (including its stale-
-        entry cleanup); this runs once per TLT-marked transmission.
-        """
-        lost_queue = self.lost_queue
-        if just_sent.end >= self.spec.size and not lost_queue:
-            return True
-        while lost_queue:
-            head = lost_queue[0]
-            if head.acked or head.sacked or not head.lost:
-                lost_queue.popleft()
-                continue
-            return self.pipe + head.size > self.cwnd
+        or end of data) — the packet just built is the tail of the
+        current burst. Mirrors the choice :meth:`try_send` makes next;
+        runs once per TLT-marked transmission."""
+        head = self._next_lost() if self.lost_queue else None
+        if head is not None:
+            return self.pipe + head.weight > self.cwnd
         remaining = self.spec.size - self.snd_nxt
         if remaining <= 0:
             return True
@@ -498,7 +367,7 @@ class ByteStreamSender:
             self.snd_una = ack
             self.dupacks = 0
             self._probe_outstanding = False
-            self._advance_head(ack)
+            self._ack_to(ack)
             if self.in_recovery and ack >= self.recover_point:
                 self.in_recovery = False
             self._restart_rto()
@@ -534,156 +403,8 @@ class ByteStreamSender:
         if tlt is not None:
             tlt.after_ack()
 
-    def _advance_head(self, ack: int) -> None:
-        segs = self.segments
-        idx = self._head
-        n = len(segs)
-        now = self.engine.now
-        pipe_drop = 0
-        retx_pop = self._retx_inflight.pop
-        add_sample = self.stats.add_delivery_sample
-        while idx < n:
-            seg = segs[idx]
-            if seg.end > ack:
-                break
-            if seg.in_pipe:
-                seg.in_pipe = False
-                pipe_drop += seg.size
-            if not seg.delivered:
-                seg.delivered = True
-                add_sample(now - seg.first_tx_ns)
-            seg.acked = True
-            seg.lost = False
-            retx_pop(seg, None)
-            idx += 1
-        if pipe_drop:
-            self.pipe -= pipe_drop
-        self._head = idx
-        if self._scan_hint < idx:
-            self._scan_hint = idx
-
-    def _apply_sack(self, blocks) -> int:
-        """Mark SACKed segments. Segments are MSS-aligned, so a block's
-        first segment index is ``lo // mss`` — no window scan needed."""
-        if not blocks:
-            return 0
-        newly = 0
-        now = self.engine.now
-        segs = self.segments
-        mss = self.mss
-        head = self._head
-        n = len(segs)
-        pipe_drop = 0
-        retx_pop = self._retx_inflight.pop
-        add_sample = self.stats.add_delivery_sample
-        for lo, hi in blocks:
-            if hi > self._highest_sacked:
-                self._highest_sacked = hi
-            idx = lo // mss
-            if idx < head:
-                idx = head
-            while idx < n:
-                seg = segs[idx]
-                if seg.start >= hi:
-                    break
-                if not (seg.acked or seg.sacked) and seg.start >= lo and seg.end <= hi:
-                    seg.sacked = True
-                    seg.lost = False
-                    if seg.in_pipe:
-                        seg.in_pipe = False
-                        pipe_drop += seg.size
-                    if not seg.delivered:
-                        seg.delivered = True
-                        add_sample(now - seg.first_tx_ns)
-                    retx_pop(seg, None)
-                    newly += seg.size
-                idx += 1
-        if pipe_drop:
-            self.pipe -= pipe_drop
-        return newly
-
-    def _outstanding(self):
-        """Iterate segments at/after the head (not cumulatively acked)."""
-        segs = self.segments
-        for idx in range(self._head, len(segs)):
-            yield segs[idx]
-
-    def _detect_losses(self) -> None:
-        """Mark holes lost (dup-ACK threshold 1 / SACK-based).
-
-        Three rules, each amortized O(1) per segment transition:
-
-        1. never-retransmitted segments below the highest SACK are holes
-           (scanned once thanks to the resolved-prefix hint);
-        2. on a duplicate ACK the head-of-line segment is a hole
-           (early retransmit, dup-ACK threshold 1);
-        3. a *retransmitted* segment is only re-marked once it has aged
-           a full SRTT below the highest SACK (RACK-style) — re-marking
-           it on every ACK would spuriously retransmit in-flight data.
-        """
-        now = self.engine.now
-        srtt = self.rto.srtt or self.config.base_rtt_ns
-        marked = 0
-        segs = self.segments
-        n = len(segs)
-        highest = self._highest_sacked
-
-        idx = max(self._head, self._scan_hint)
-        while idx < n:
-            seg = segs[idx]
-            if seg.end > highest:
-                break
-            if not (seg.acked or seg.sacked or seg.lost) and seg.retx_count == 0:
-                self._mark_lost(seg)
-                marked += 1
-            idx += 1
-        self._scan_hint = idx
-
-        if self.dupacks >= self.config.dupack_threshold and self._head < n:
-            head_seg = segs[self._head]
-            if not (head_seg.acked or head_seg.sacked or head_seg.lost):
-                if head_seg.retx_count == 0 or head_seg.last_tx_ns + srtt <= now:
-                    self._mark_lost(head_seg)
-                    marked += 1
-
-        if self._retx_inflight:
-            for seg in list(self._retx_inflight):
-                if seg.acked or seg.sacked or seg.lost:
-                    self._retx_inflight.pop(seg, None)
-                    continue
-                if seg.end <= highest and seg.last_tx_ns + srtt <= now:
-                    self._mark_lost(seg)
-                    marked += 1
-
-        if marked:
-            self._enter_recovery()
-
-    def _mark_lost(self, seg: Segment) -> None:
-        if seg.lost or seg.acked or seg.sacked:
-            return
-        seg.lost = True
-        if seg.in_pipe:
-            seg.in_pipe = False
-            self.pipe -= seg.size
-        self._retx_inflight.pop(seg, None)
-        self.lost_queue.append(seg)
-
-    def mark_lost_sent_before(self, tx_time_ns: int) -> int:
-        """TLT echo-based loss detection: everything transmitted at or
-        before ``tx_time_ns`` that is still unacknowledged is lost
-        (§5.1, 'guaranteed fast loss detection'). Returns bytes marked."""
-        marked = 0
-        for seg in self._outstanding():
-            if seg.acked or seg.sacked or seg.lost:
-                continue
-            if seg.last_tx_ns >= 0 and seg.last_tx_ns <= tx_time_ns and seg.in_pipe:
-                self._mark_lost(seg)
-                marked += seg.size
-        if marked:
-            self._enter_recovery()
-        return marked
-
-    def _enter_recovery(self) -> None:
+    def _on_loss_detected(self, marked: List[Entry]) -> None:
+        """Enter NewReno fast recovery (once per window of data)."""
         if self.in_recovery:
             return
         self.in_recovery = True
@@ -693,48 +414,9 @@ class ByteStreamSender:
 
     # --------------------------------------------------------------- timers
 
-    def _arm_rto(self) -> None:
-        if self._rto_deadline is None:
-            self._restart_rto()
-
-    def _restart_rto(self) -> None:
-        self._rto_deadline = self.engine.now + self.rto.current
-        if self._rto_event is None:
-            self._rto_event = self.engine.schedule_timer_at(self._rto_deadline, self._rto_fire)
-
-    def _cancel_rto(self) -> None:
-        self._rto_deadline = None
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
-
-    def _rto_fire(self) -> None:
-        self._rto_event = None
-        if self.completed or self._rto_deadline is None:
-            return
-        now = self.engine.now
-        if now < self._rto_deadline:
-            self._rto_event = self.engine.schedule_timer_at(self._rto_deadline, self._rto_fire)
-            return
-        if self.snd_una >= self.spec.size:
-            return
-        self._on_timeout()
-
     def _on_timeout(self) -> None:
-        self.record.timeouts += 1
-        self.stats.timeouts += 1
-        if self.stats.audit_ring is not None:
-            self.stats.audit_ring.record(
-                "rto_fire", flow=self.spec.flow_id, time_ns=self.engine.now,
-                info=self.rto.current,
-            )
-        if self.stats.on_rto_fire is not None:
-            self.stats.on_rto_fire(self.spec.flow_id, self.rto.current)
-        self.rto.backoff()
         if not self.established:
             # SYN (or SYN-ACK) lost: retransmit the SYN.
-            self._rto_deadline = self.engine.now + self.rto.current
-            self._rto_event = self.engine.schedule_timer_at(self._rto_deadline, self._rto_fire)
             self._send_syn()
             return
         self.dupacks = 0
@@ -744,11 +426,7 @@ class ByteStreamSender:
         self._ca_acc = 0
         self.in_recovery = True
         self.recover_point = self.snd_nxt
-        for seg in self._outstanding():
-            if not (seg.acked or seg.sacked):
-                self._mark_lost(seg)
-        self._rto_deadline = self.engine.now + self.rto.current
-        self._rto_event = self.engine.schedule_timer_at(self._rto_deadline, self._rto_fire)
+        self._mark_all_lost()
         self.try_send()
 
     # -------------------------------------------------------------- TLP
@@ -756,8 +434,7 @@ class ByteStreamSender:
     def _arm_pto(self) -> None:
         if not self.config.tlp_enabled or self._probe_outstanding:
             return
-        srtt = self.rto.srtt or self.config.base_rtt_ns
-        pto = max(2 * srtt, self.config.tlp_pto_min_ns)
+        pto = max(2 * self._srtt(), self.config.tlp_pto_min_ns)
         pto = min(pto, self.rto.current)
         if self._pto_event is not None:
             self._pto_event.cancel()
@@ -773,14 +450,10 @@ class ByteStreamSender:
         # outstanding segment.
         self._probe_outstanding = True
         if self.snd_nxt < self.spec.size:
-            size = min(self.mss, self.spec.size - self.snd_nxt)
-            seg = Segment(self.snd_nxt, self.snd_nxt + size)
-            self.segments.append(seg)
-            self.snd_nxt = seg.end
-            self._transmit(seg)
+            self._transmit(self._new_segment(min(self.mss, self.spec.size - self.snd_nxt)))
             return
-        for idx in range(len(self.segments) - 1, self._head - 1, -1):
-            seg = self.segments[idx]
+        for idx in range(len(self.entries) - 1, self._head - 1, -1):
+            seg = self.entries[idx]
             if not (seg.acked or seg.sacked):
                 self._transmit(seg)
                 return
@@ -790,42 +463,6 @@ class ByteStreamSender:
     def is_all_acked(self) -> bool:
         """True when every byte of the flow has been acknowledged."""
         return self.snd_una >= self.spec.size
-
-    def has_unrepaired_loss(self) -> bool:
-        while self.lost_queue:
-            seg = self.lost_queue[0]
-            if seg.acked or seg.sacked or not seg.lost:
-                self.lost_queue.popleft()
-                continue
-            return True
-        return False
-
-    def outstanding_bytes(self) -> int:
-        return self.snd_nxt - self.snd_una
-
-    def clock_retransmit(self) -> int:
-        """Important ACK-clocking, 1-MSS flavor: retransmit the first
-        lost segment (or the first unacked one when nothing is marked
-        lost). The caller (TLT controller) marks the packet.
-        Returns the number of bytes sent."""
-        seg: Optional[Segment] = None
-        while self.lost_queue:
-            head = self.lost_queue[0]
-            if head.acked or head.sacked or not head.lost:
-                self.lost_queue.popleft()
-                continue
-            seg = head
-            self.lost_queue.popleft()
-            break
-        if seg is None:
-            for cand in self._outstanding():
-                if not (cand.acked or cand.sacked):
-                    seg = cand
-                    break
-        if seg is None:
-            return 0
-        self._transmit(seg, clock_mark=True)
-        return seg.size
 
     def clock_one_byte(self) -> None:
         """Important ACK-clocking, 1-byte flavor: resend the first

@@ -24,8 +24,7 @@ controller (§5.2).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional
+from typing import List, Optional
 
 from repro.net.node import Host
 from repro.net.packet import Color, HEADER_BYTES, Packet, PacketKind, TltMark, alloc_packet
@@ -35,28 +34,20 @@ from repro.stats.collector import FlowRecord, NetStats
 from repro.transport.base import FlowSpec, TransportConfig
 from repro.transport.dcqcn import DcqcnRateControl
 from repro.transport.hpcc import HpccController
+from repro.transport.reliable import Entry, ReliableSender
 from repro.transport.rto import FixedRto
 from repro.transport.sack import ReceiverBuffer
 
 
-class PState:
-    """Per-PSN scoreboard entry."""
+class RoceSender(ReliableSender):
+    """Rate- and/or window-limited PSN sender.
 
-    __slots__ = ("acked", "sacked", "lost", "in_pipe", "first_tx_ns", "last_tx_ns", "retx_count", "delivered")
-
-    def __init__(self) -> None:
-        self.acked = False
-        self.sacked = False
-        self.lost = False
-        self.in_pipe = False
-        self.first_tx_ns = -1
-        self.last_tx_ns = -1
-        self.retx_count = 0
-        self.delivered = False
-
-
-class RoceSender:
-    """Rate- and/or window-limited PSN sender."""
+    Scoreboard entries are single PSNs (``stride = 1``, ``weight`` =
+    payload + header), so ``len(self.entries)`` is the highest PSN + 1
+    ever sent. Go-back-N mode keeps the scoreboard for ``pipe`` and
+    delivery samples but retransmits from ``snd_ptr`` instead of the
+    lost queue.
+    """
 
     name = "roce"
 
@@ -74,36 +65,19 @@ class RoceSender:
     ):
         if recovery not in ("sack", "gbn"):
             raise ValueError(f"unknown recovery mode {recovery!r}")
-        self.host = host
-        self.spec = spec
-        self.config = config
-        self.stats = stats
-        self.engine = host.engine
-        self.recovery = recovery
-        self.record = stats.new_flow(
-            spec.flow_id, spec.src, spec.dst, spec.size, spec.start_ns, spec.group
+        super().__init__(
+            host, spec, config, stats, stride=1, rto=FixedRto(rto_ns, config.rto_max_ns)
         )
+        self.recovery = recovery
 
         payload = config.packet_payload
         self.payload = payload
         self.npkts = max(1, -(-spec.size // payload))
         self._last_payload = spec.size - (self.npkts - 1) * payload
-        self.states: List[PState] = [PState() for _ in range(self.npkts)]
 
         self.snd_una = 0  # first unacked PSN
         self.snd_next = 0  # next new PSN
         self.snd_ptr = 0  # go-back-N transmit pointer
-        self.snd_max = 0  # highest PSN+1 ever sent
-        self.pipe = 0
-        self.dupacks = 0
-        self.lost_queue: Deque[int] = deque()
-        self._highest_sacked = 0  # highest SACKed PSN bound (exclusive)
-        self._scan_hint = 0  # first PSN possibly unresolved below SACK
-        # Retransmitted PSNs awaiting ACK: an insertion-ordered dict, not
-        # a set, so the RACK re-mark loop in _detect_losses() queues
-        # same-pass losses in retransmission order rather than in
-        # CPython hash-slot order (same reason as ByteStreamSender).
-        self._retx_inflight: dict = {}
 
         self.rate_ctrl = DcqcnRateControl(self.engine, config) if use_dcqcn else None
         self.hpcc = HpccController(config) if use_hpcc else None
@@ -111,20 +85,10 @@ class RoceSender:
         self._next_tx_time = 0
         self._send_event = None
 
-        self.rto = FixedRto(rto_ns, config.rto_max_ns)
-        self._rto_deadline: Optional[int] = None
-        self._rto_event = None
         self._rack_event = None  # reorder timer re-marking aged retx
 
         self.tlt = None  # window-based TLT controller (irn/hpcc)
         self.tlt_rate = None  # rate-based TLT controller (dcqcn variants)
-        self.started = False
-        self.completed = False
-
-        host.register_endpoint(spec.flow_id, self)
-        # Handle kept so a sharded run can neuter the inert sender
-        # replica on a non-owning shard (repro.sim.sharding).
-        self._start_event = self.engine.schedule_at(spec.start_ns, self.start)
 
     # -------------------------------------------------------------- lifecycle
 
@@ -145,15 +109,12 @@ class RoceSender:
     # ------------------------------------------------------------- send engine
 
     def _next_candidate(self) -> Optional[int]:
+        """The next PSN to send: rewind pointer, lost packet or new data."""
         if self.recovery == "gbn":
             return self.snd_ptr if self.snd_ptr < self.npkts else None
-        while self.lost_queue:
-            psn = self.lost_queue[0]
-            st = self.states[psn]
-            if st.acked or st.sacked or not st.lost:
-                self.lost_queue.popleft()
-                continue
-            return psn
+        lost = self._next_lost() if self.lost_queue else None
+        if lost is not None:
+            return lost.start
         return self.snd_next if self.snd_next < self.npkts else None
 
     def effective_window(self) -> Optional[int]:
@@ -195,29 +156,20 @@ class RoceSender:
                 self.snd_next += 1
             else:
                 self.lost_queue.popleft()
-        self._transmit(psn)
+        entries = self.entries
+        if psn == len(entries):  # first transmission of this PSN
+            entries.append(Entry(psn, psn + 1, size))
+        self._transmit(entries[psn])
         self._schedule_send()
 
-    def _transmit(self, psn: int, clock_mark: bool = False) -> None:
+    def _transmit(self, entry: Entry, clock_mark: bool = False) -> None:
         now = self.engine.now
-        st = self.states[psn]
-        is_retx = st.first_tx_ns >= 0
-        payload = self.payload_of(psn)
+        psn = entry.start
+        payload = entry.weight - HEADER_BYTES
+        is_retx = self._record_tx(entry, now)
         if is_retx:
-            st.retx_count += 1
             self.record.retx_bytes += payload
-            if self.recovery == "sack":
-                self._retx_inflight[psn] = None
-                self._arm_rack_timer()
-        else:
-            st.first_tx_ns = now
-        st.last_tx_ns = now
-        st.lost = False
-        if not st.in_pipe:
-            st.in_pipe = True
-            self.pipe += payload + HEADER_BYTES
-        if psn + 1 > self.snd_max:
-            self.snd_max = psn + 1
+            self._arm_rack_timer()
 
         packet = alloc_packet(
             self.spec.flow_id, self.spec.src, self.spec.dst, PacketKind.DATA,
@@ -235,7 +187,7 @@ class RoceSender:
             if clock_mark:
                 self.tlt.mark_clock_data(packet)
             else:
-                self.tlt.mark_data(packet, self._is_last_allowed(psn))
+                self.tlt.mark_data(packet, self._is_last_allowed())
         elif self.tlt_rate is not None:
             self.tlt_rate.mark_data(packet, psn, is_retx)
 
@@ -247,7 +199,7 @@ class RoceSender:
                 packet.size, max(self.rate_ctrl.rate_bps, self.config.min_rate_bps)
             )
 
-    def _is_last_allowed(self, just_sent: int) -> bool:
+    def _is_last_allowed(self) -> bool:
         nxt = self._next_candidate()
         if nxt is None:
             return True
@@ -276,13 +228,11 @@ class RoceSender:
             self.rto.on_rtt_sample(rtt)
             self.stats.add_rtt_sample(rtt, self.spec.group)
 
-        newly_acked = 0
         if packet.ack > self.snd_una:
-            newly_acked = packet.ack - self.snd_una
             self._advance_una(packet.ack)
             self.dupacks = 0
             self._restart_rto()
-        elif packet.ack == self.snd_una and self.snd_una < self.snd_max:
+        elif packet.ack == self.snd_una and self.snd_una < len(self.entries):
             self.dupacks += 1
 
         sacked = self._apply_sack(packet.sack) if self.recovery == "sack" else 0
@@ -297,6 +247,7 @@ class RoceSender:
             self.dupacks >= self.config.dupack_threshold or sacked
         ):
             self._detect_losses()
+            self._arm_rack_timer()
 
         if self.is_all_acked():
             self._complete()
@@ -313,8 +264,8 @@ class RoceSender:
             self._advance_una(expected)
         if self.recovery == "gbn" and expected < self.snd_ptr:
             self.snd_ptr = expected
-            if self.tlt_rate is not None and self.snd_max > expected:
-                self.tlt_rate.on_retx_round(expected, self.snd_max - 1)
+            if self.tlt_rate is not None and len(self.entries) > expected:
+                self.tlt_rate.on_retx_round(expected, len(self.entries) - 1)
         self._restart_rto()
         if self.is_all_acked():
             self._complete()
@@ -322,96 +273,26 @@ class RoceSender:
         self._schedule_send()
 
     def _advance_una(self, ack: int) -> None:
-        now = self.engine.now
-        for psn in range(self.snd_una, min(ack, self.npkts)):
-            st = self.states[psn]
-            if st.in_pipe:
-                st.in_pipe = False
-                self.pipe -= self.payload_of(psn) + HEADER_BYTES
-            if not st.delivered and st.first_tx_ns >= 0:
-                st.delivered = True
-                self.stats.add_delivery_sample(now - st.first_tx_ns)
-            st.acked = True
-            st.lost = False
-            self._retx_inflight.pop(psn, None)
+        self._ack_to(ack)
         self.snd_una = ack
-        if self._scan_hint < ack:
-            self._scan_hint = ack
 
-    def _apply_sack(self, blocks) -> int:
-        if not blocks:
-            return 0
-        newly = 0
-        now = self.engine.now
-        for lo, hi in blocks:
-            if hi > self._highest_sacked:
-                self._highest_sacked = hi
-            for psn in range(max(lo, self.snd_una), min(hi, self.snd_max)):
-                st = self.states[psn]
-                if st.acked or st.sacked:
-                    continue
-                st.sacked = True
-                st.lost = False
-                if st.in_pipe:
-                    st.in_pipe = False
-                    self.pipe -= self.payload_of(psn) + HEADER_BYTES
-                if not st.delivered and st.first_tx_ns >= 0:
-                    st.delivered = True
-                    self.stats.add_delivery_sample(now - st.first_tx_ns)
-                self._retx_inflight.pop(psn, None)
-                newly += 1
-        return newly
-
-    def _detect_losses(self) -> None:
-        """Selective-mode loss detection, mirroring the byte-stream
-        sender: never-retransmitted holes below the highest SACK are
-        marked once (resolved-prefix scan); a retransmitted packet is
-        only re-marked after aging one SRTT (RACK-style) so in-flight
-        retransmissions are not spuriously re-sent on every ACK."""
-        now = self.engine.now
-        srtt = self.rto.srtt or self.config.base_rtt_ns
-        highest = self._highest_sacked
-        first = None
-        last = None
-
-        psn = max(self.snd_una, self._scan_hint)
-        while psn < min(highest, self.snd_max):
-            st = self.states[psn]
-            if not (st.acked or st.sacked or st.lost) and st.retx_count == 0:
-                self._mark_lost(psn)
-                if first is None:
-                    first = psn
-                last = psn
-            psn += 1
-        self._scan_hint = psn
-
-        if self.dupacks >= self.config.dupack_threshold and self.snd_una < self.snd_max:
-            st = self.states[self.snd_una]
-            if not (st.acked or st.sacked or st.lost):
-                if st.retx_count == 0 or st.last_tx_ns + srtt <= now:
-                    self._mark_lost(self.snd_una)
-                    if first is None:
-                        first = self.snd_una
-                    last = max(last, self.snd_una) if last is not None else self.snd_una
-
-        if self._retx_inflight:
-            for psn in list(self._retx_inflight):
-                st = self.states[psn]
-                if st.acked or st.sacked or st.lost:
-                    self._retx_inflight.pop(psn, None)
-                    continue
-                if psn < highest and st.last_tx_ns + srtt <= now:
-                    self._mark_lost(psn)
-                    if first is None or psn < first:
-                        first = psn
-                    if last is None or psn > last:
-                        last = psn
-
-        if first is not None:
-            self.stats.fast_retransmits += 1
-            if self.tlt_rate is not None:
-                self.tlt_rate.on_retx_round(first, last)
-        self._arm_rack_timer()
+    def _on_loss_detected(self, marked: List[Entry]) -> None:
+        """A fast-retransmit round starts; rate-based TLT protects its
+        first and last PSN."""
+        self.stats.fast_retransmits += 1
+        if self.tlt_rate is not None:
+            psns = [entry.start for entry in marked]
+            first = min(psns)
+            if (
+                first == self.snd_una
+                and psns[0] != first
+                and self.dupacks >= self.config.dupack_threshold
+            ):
+                # Pinned behaviour, not intent: a head marked by the
+                # dup-ACK rule *after* SACK holes in the same pass has
+                # never lowered the round's first PSN.
+                first = min(psn for psn in psns if psn != first)
+            self.tlt_rate.on_retx_round(first, max(psns))
 
     def _arm_rack_timer(self) -> None:
         """RACK-style reorder timer: a retransmission below the highest
@@ -423,140 +304,37 @@ class RoceSender:
             return
         if self._rack_event is not None:
             return
-        srtt = self.rto.srtt or self.config.base_rtt_ns
-        self._rack_event = self.engine.schedule_timer(srtt + 1, self._rack_fire)
+        self._rack_event = self.engine.schedule_timer(self._srtt() + 1, self._rack_fire)
 
     def _rack_fire(self) -> None:
         self._rack_event = None
         if self.completed:
             return
         self._detect_losses()
-        self._schedule_send()
         self._arm_rack_timer()
-
-    def _mark_lost(self, psn: int) -> None:
-        st = self.states[psn]
-        if st.lost or st.acked or st.sacked:
-            return
-        st.lost = True
-        if st.in_pipe:
-            st.in_pipe = False
-            self.pipe -= self.payload_of(psn) + HEADER_BYTES
-        self._retx_inflight.pop(psn, None)
-        self.lost_queue.append(psn)
+        self._schedule_send()
 
     # ------------------------------------------------------------- timers
 
-    def _arm_rto(self) -> None:
-        if self._rto_deadline is None:
-            self._restart_rto()
-
-    def _restart_rto(self) -> None:
-        self._rto_deadline = self.engine.now + self.rto.current
-        if self._rto_event is None:
-            self._rto_event = self.engine.schedule_timer_at(self._rto_deadline, self._rto_fire)
-
-    def _rto_fire(self) -> None:
-        self._rto_event = None
-        if self.completed or self._rto_deadline is None:
-            return
-        if self.engine.now < self._rto_deadline:
-            self._rto_event = self.engine.schedule_timer_at(self._rto_deadline, self._rto_fire)
-            return
-        if self.is_all_acked():
-            return
-        self._on_timeout()
-
     def _on_timeout(self) -> None:
-        self.record.timeouts += 1
-        self.stats.timeouts += 1
-        if self.stats.audit_ring is not None:
-            self.stats.audit_ring.record(
-                "rto_fire", flow=self.spec.flow_id, time_ns=self.engine.now,
-                info=self.rto.current,
-            )
-        if self.stats.on_rto_fire is not None:
-            self.stats.on_rto_fire(self.spec.flow_id, self.rto.current)
-        self.rto.backoff()
         self.dupacks = 0
         first = None
-        last = None
         if self.recovery == "gbn":
             self.snd_ptr = self.snd_una
-            if self.snd_max > self.snd_una:
-                first, last = self.snd_una, self.snd_max - 1
+            if len(self.entries) > self.snd_una:
+                first, last = self.snd_una, len(self.entries) - 1
         else:
-            for psn in range(self.snd_una, self.snd_max):
-                st = self.states[psn]
-                if not (st.acked or st.sacked) and not st.lost:
-                    self._mark_lost(psn)
-                    if first is None:
-                        first = psn
-                    last = psn
+            marked = self._mark_all_lost()
+            if marked:
+                first, last = marked[0].start, marked[-1].start
         if first is not None and self.tlt_rate is not None:
             self.tlt_rate.on_retx_round(first, last)
-        self._rto_deadline = self.engine.now + self.rto.current
-        self._rto_event = self.engine.schedule_timer_at(self._rto_deadline, self._rto_fire)
         self._schedule_send()
 
     # ------------------------------------------------------- TLT interface
 
-    def has_unrepaired_loss(self) -> bool:
-        while self.lost_queue:
-            psn = self.lost_queue[0]
-            st = self.states[psn]
-            if st.acked or st.sacked or not st.lost:
-                self.lost_queue.popleft()
-                continue
-            return True
-        return False
-
-    def mark_lost_sent_before(self, tx_time: int) -> int:
-        marked = 0
-        first = None
-        last = None
-        for psn in range(self.snd_una, self.snd_max):
-            st = self.states[psn]
-            if st.acked or st.sacked or st.lost:
-                continue
-            if 0 <= st.last_tx_ns <= tx_time and st.in_pipe:
-                self._mark_lost(psn)
-                marked += self.payload_of(psn)
-                if first is None:
-                    first = psn
-                last = psn
-        if first is not None:
-            self.stats.fast_retransmits += 1
-            if self.tlt_rate is not None:
-                self.tlt_rate.on_retx_round(first, last)
-        return marked
-
     def try_send(self) -> None:
         self._schedule_send()
-
-    def clock_retransmit(self) -> int:
-        """Important ACK-clocking for RoCE: inject the first lost (or
-        first unacked) packet immediately, bypassing window and pacing."""
-        psn = None
-        while self.lost_queue:
-            head = self.lost_queue[0]
-            st = self.states[head]
-            if st.acked or st.sacked or not st.lost:
-                self.lost_queue.popleft()
-                continue
-            psn = head
-            self.lost_queue.popleft()
-            break
-        if psn is None:
-            for cand in range(self.snd_una, self.snd_max):
-                st = self.states[cand]
-                if not (st.acked or st.sacked):
-                    psn = cand
-                    break
-        if psn is None:
-            return 0
-        self._transmit(psn, clock_mark=True)
-        return self.payload_of(psn)
 
     def clock_one_byte(self) -> None:
         """RoCE cannot segment a PSN — the minimal clocking unit is a
@@ -569,10 +347,7 @@ class RoceSender:
         if self.completed:
             return
         self.completed = True
-        self._rto_deadline = None
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
+        self._cancel_rto()
         if self._send_event is not None:
             self._send_event.cancel()
             self._send_event = None
