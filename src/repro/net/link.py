@@ -12,7 +12,7 @@ it — capturing the bound receive method at schedule time would silently
 bypass anything installed mid-flight. Heap entries stay bare 4-tuples
 (the raw-tuple fast path of ``Engine.schedule_anon``).
 
-Batched delivery (default): frames a port puts on the wire are queued
+Batched delivery: frames a port puts on the wire are queued
 in a per-port in-flight FIFO ``(arrival_ns, wire_seq, kind, payload)``
 and the engine heap holds *at most one* entry per port — keyed by the
 FIFO head's ``(arrival_ns, wire_seq)`` — whose callback
@@ -23,14 +23,12 @@ monotone (serialization orders emissions; the propagation delay is
 constant), no foreign heap key can sort strictly between two
 consecutive in-flight entries of one port, and the per-port
 ``WIRE_SEQ_BASE`` bands are disjoint — so the burst pops in exactly
-the ``(time, wire_seq)`` order the unbatched path would have used
+the ``(time, wire_seq)`` order one heap entry per frame would give
 (property-tested in ``tests/test_link_batching.py``). The invariant is
 *deque non-empty ⇔ drain entry armed*: emitters arm the head when they
 append to an empty deque, and the drain re-arms the next head *before*
 dispatching, so re-entrant emissions during dispatch observe a covered
-deque. Set ``TLT_LINK_BATCH=0`` (or :func:`set_batching`) to fall back
-to the historical one-heap-entry-per-frame path; both paths are
-fingerprint-identical.
+deque.
 
 PFC PAUSE/RESUME frames are delivered out-of-band: they are tiny, are
 sent at the highest priority on real hardware, and modeling them as
@@ -47,7 +45,6 @@ which is where a cut fiber actually loses them.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
@@ -66,20 +63,6 @@ FRAME_PAUSE = 1
 
 #: Shared empty args tuple for drain heap entries.
 _EMPTY: tuple = ()
-
-_BATCH = os.environ.get("TLT_LINK_BATCH", "1") != "0"
-
-
-def set_batching(enabled: bool) -> None:
-    """Select batched (default) or legacy per-frame delivery for ports
-    constructed *after* this call. Used by tests and benchmarks to A/B
-    the two paths; both are fingerprint-identical."""
-    global _BATCH
-    _BATCH = bool(enabled)
-
-
-def batching_enabled() -> bool:
-    return _BATCH
 
 
 class Port:
@@ -108,7 +91,6 @@ class Port:
         "_inflight",
         "_tx_cb",
         "_drain_cb",
-        "_batched",
         "_equeue",
     )
 
@@ -129,9 +111,9 @@ class Port:
         self.paused_ns = 0
         self._pause_started = 0
         self._pause_timer = None
-        # Bound `peer._deliver`, cached at connect() time. The batched
-        # path resolves the peer inline instead, but sharding and the
-        # legacy path still schedule through this trampoline.
+        # Bound `peer._deliver`, cached at connect() time. _drain()
+        # resolves the peer inline instead; sharding schedules
+        # cross-shard arrivals through this trampoline.
         self._peer_deliver = None
         # Next heap key for frames this port puts on the wire:
         # WIRE_SEQ_BASE + (construction rank << 33) + frames emitted.
@@ -158,9 +140,7 @@ class Port:
         # not a per-call method resolution — so the compiled backend
         # can substitute a C kernel per port; repro.sim.sharding
         # rebinds it after retargeting a port to CutPort.
-        batched = _BATCH
-        self._batched = batched
-        self._tx_cb = self._tx_done if batched else self._tx_done_direct
+        self._tx_cb = self._tx_done
         # The engine's heap list, cached: both engines bind it once at
         # construction and compact it in place (the run loop aliases it
         # the same way), so the list object is stable for the lifetime
@@ -193,7 +173,7 @@ class Port:
         )
 
     def _tx_done(self, packet: "Packet") -> None:
-        """Serialization finished: put the frame on the wire (batched)."""
+        """Serialization finished: put the frame on the wire."""
         engine = self.engine
         queue = self._equeue
         if self._peer_deliver is not None:
@@ -245,8 +225,8 @@ class Port:
                 if inflight:
                     nxt = inflight[0]
                     heappush(self._equeue, (nxt[0], nxt[1], self._drain_cb, _EMPTY))
-                # Each frame is logically one delivery event; keep
-                # events_processed identical to the unbatched path.
+                # Each frame is logically one delivery event:
+                # events_processed counts frames, not drain calls.
                 engine._events_processed += len(due) - 1
                 peer = self.peer
                 for kind, payload in due:
@@ -265,42 +245,13 @@ class Port:
         else:
             peer.owner.receive_pause(payload, peer)
 
-    def _tx_done_direct(self, packet: "Packet") -> None:
-        """Legacy per-frame delivery (``TLT_LINK_BATCH=0``): one heap
-        entry per frame, scheduled through the peer's trampoline."""
-        engine = self.engine
-        queue = self._equeue
-        deliver = self._peer_deliver
-        if deliver is not None:
-            seq = self.wire_seq
-            self.wire_seq = seq + 1
-            heappush(
-                queue,
-                (engine.now + self.delay_ns, seq, deliver, (packet,)),
-            )
-        self.busy = False
-        if self.paused or self.down:
-            return
-        packet = self.owner.poll(self)
-        if packet is None:
-            return
-        self.busy = True
-        self.tx_bytes += packet.size
-        self.tx_packets += 1
-        seq = engine._seq
-        engine._seq = seq + 1
-        heappush(
-            queue,
-            (engine.now + tx_time_ns(packet.size, self.rate_bps), seq, self._tx_cb, (packet,)),
-        )
-
     def _deliver(self, packet: "Packet") -> None:
         """Hand an arriving packet to the owning device.
 
-        The legacy/sharding propagation callback (``self`` is the
-        *receiving* side's port; the batched path dispatches from
-        :meth:`_drain` on the transmitting side instead, with identical
-        delivery-time resolution of ``owner.receive``).
+        The sharding propagation callback (``self`` is the *receiving*
+        side's port; an unsharded run dispatches from :meth:`_drain` on
+        the transmitting side instead, with identical delivery-time
+        resolution of ``owner.receive``).
         """
         self.owner.receive(packet, self)
 
@@ -319,23 +270,15 @@ class Port:
 
     def send_pause(self, duration_ns: int) -> None:
         """Send a PFC PAUSE (or RESUME when duration is 0) to the peer."""
-        peer = self.peer
-        if peer is None:
+        if self.peer is None:
             return
-        engine = self.engine
         seq = self.wire_seq
         self.wire_seq = seq + 1
-        arrival = engine.now + self.delay_ns
-        if self._batched:
-            inflight = self._inflight
-            if not inflight:
-                heappush(self._equeue, (arrival, seq, self._drain_cb, _EMPTY))
-            inflight.append((arrival, seq, FRAME_PAUSE, duration_ns))
-        else:
-            heappush(
-                self._equeue,
-                (arrival, seq, peer.owner.receive_pause, (duration_ns, peer)),
-            )
+        arrival = self.engine.now + self.delay_ns
+        inflight = self._inflight
+        if not inflight:
+            heappush(self._equeue, (arrival, seq, self._drain_cb, _EMPTY))
+        inflight.append((arrival, seq, FRAME_PAUSE, duration_ns))
 
     def apply_pause(self, duration_ns: int) -> None:
         """React to a received PAUSE frame on this (transmitting) port."""

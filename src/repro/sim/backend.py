@@ -203,7 +203,7 @@ def optimize_network(net) -> int:
         bound += 1
     for device in list(net.hosts) + list(net.switches):
         for port in device.ports:
-            if type(port) is Port and port._batched:
+            if type(port) is Port:
                 kernel = ck.PortKernel(port)
                 port._tx_cb = kernel.tx_done
                 port._drain_cb = kernel.drain

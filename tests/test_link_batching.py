@@ -10,18 +10,18 @@ FIFO head's ``(arrival_ns, wire_seq)``. These tests pin down:
   field reorder cannot slip through as "just a refactor";
 - the *armed iff non-empty* invariant of the in-flight deque;
 - the ordering property the whole design rests on: for any emission
-  schedule, including adversarial same-nanosecond bursts, the batched
-  path delivers frames at exactly the ``(time, wire_seq)`` pop order of
-  the legacy one-heap-entry-per-frame path, with an identical
-  events-processed count.
+  schedule, including adversarial same-nanosecond bursts, frames are
+  delivered in the ``(time, wire_seq)`` pop order one heap entry per
+  frame would give — every frame exactly one propagation delay after
+  its emission, same-nanosecond frames in emission order — and
+  ``events_processed`` counts one event per frame, not per drain call.
 """
 
 import random
 
 import pytest
 
-from repro.net import link
-from repro.net.link import FRAME_PACKET, FRAME_PAUSE, Port, connect, set_batching
+from repro.net.link import FRAME_PACKET, FRAME_PAUSE, Port, connect
 from repro.sim.engine import WIRE_SEQ_BASE, Engine
 from repro.sim.units import tx_time_ns
 
@@ -56,16 +56,8 @@ class _FramePacket:
         self.label = label
 
 
-@pytest.fixture(autouse=True)
-def _restore_batching():
-    prev = link.batching_enabled()
-    yield
-    set_batching(prev)
-
-
-def _link(batched):
+def _link():
     """A unidirectional a->b link with stub devices on both ends."""
-    set_batching(batched)
     engine = Engine()
     tx, rx = _Device(engine), _Device(engine)
     a = Port(engine, tx, 0, RATE, DELAY)
@@ -78,7 +70,7 @@ def _link(batched):
 
 
 def test_serialization_heap_entry_layout():
-    engine, a, _rx = _link(batched=True)
+    engine, a, _rx = _link()
     packet = _FramePacket("p0")
     a.owner.poll = lambda port: packet  # one packet, then busy stays set
     a.kick()
@@ -92,7 +84,7 @@ def test_serialization_heap_entry_layout():
 
 
 def test_inflight_entry_and_drain_arming_layout():
-    engine, a, _rx = _link(batched=True)
+    engine, a, _rx = _link()
     packet = _FramePacket("p0")
     first_seq = a.wire_seq
     assert first_seq >= WIRE_SEQ_BASE  # per-port band above engine seqs
@@ -112,7 +104,7 @@ def test_inflight_entry_and_drain_arming_layout():
 
 
 def test_pause_frame_rides_the_inflight_fifo():
-    engine, a, _rx = _link(batched=True)
+    engine, a, _rx = _link()
     seq = a.wire_seq
     a.send_pause(500)
     assert list(a._inflight) == [(engine.now + DELAY, seq, FRAME_PAUSE, 500)]
@@ -122,7 +114,7 @@ def test_pause_frame_rides_the_inflight_fifo():
 def test_drain_rearms_before_emptying():
     # armed iff non-empty: after draining the head, the next head must
     # be re-armed; after draining everything, no drain entry remains.
-    engine, a, rx = _link(batched=True)
+    engine, a, rx = _link()
     a._tx_cb(_FramePacket("p0"))
     engine.run(max_events=1)
     assert not a._inflight and not engine._queue
@@ -132,14 +124,14 @@ def test_drain_rearms_before_emptying():
 # -- delivery-order property -------------------------------------------------
 
 
-def _run_schedule(batched, schedule):
+def _run_schedule(schedule):
     """Emit ``schedule`` on one port; return (delivery log, event count).
 
-    ``schedule`` is a list of ``(emit_ns, kind, label)``; emissions are
-    scheduled before the run in list order, so both arms emit with
-    identical engine sequence numbers.
+    ``schedule`` is a list of ``(emit_ns, kind, label)`` sorted by time;
+    emissions are scheduled before the run in list order, so same-ns
+    emissions fire — and take wire sequence numbers — in list order.
     """
-    engine, a, rx = _link(batched)
+    engine, a, rx = _link()
     for emit_ns, kind, label in schedule:
         if kind == "data":
             engine.schedule_anon(emit_ns, a._tx_cb, _FramePacket(label))
@@ -167,16 +159,14 @@ def _random_schedule(rng, frames):
 def test_batched_matches_unbatched_pop_order(seed):
     rng = random.Random(seed)
     schedule = _random_schedule(rng, frames=40)
-    batched_log, batched_events = _run_schedule(True, schedule)
-    unbatched_log, unbatched_events = _run_schedule(False, schedule)
-    assert batched_log == unbatched_log
-    # The drain compensates events_processed per burst frame, so the
-    # two paths agree on the engine's event count as well.
-    assert batched_events == unbatched_events
-    # Sanity on the property itself: delivery times are monotone and
-    # every frame arrived exactly one propagation delay after emission.
-    assert [t for t, _, _ in batched_log] == sorted(t for t, _, _ in batched_log)
-    assert len(batched_log) == len(schedule)
+    log, events = _run_schedule(schedule)
+    # One heap entry per frame, keyed (emit_ns + DELAY, wire_seq), pops
+    # in schedule order: arrival times are monotone in emission time and
+    # wire sequence numbers are handed out in emission order.
+    assert log == [(emit_ns + DELAY, kind, label) for emit_ns, kind, label in schedule]
+    # One emission event plus one delivery event per frame: the drain
+    # compensates events_processed for every extra frame of a burst.
+    assert events == 2 * len(schedule)
 
 
 def test_same_ns_burst_delivers_in_wire_sequence_order():
@@ -184,7 +174,7 @@ def test_same_ns_burst_delivers_in_wire_sequence_order():
     # single drain call must deliver them in emission (wire-seq) order.
     schedule = [(10, "data", "a"), (10, "pause", 500), (10, "data", "b"),
                 (10, "data", "c"), (10, "pause", 0)]
-    log, _ = _run_schedule(True, schedule)
+    log, _ = _run_schedule(schedule)
     assert log == [(10 + DELAY, "data", "a"), (10 + DELAY, "pause", 500),
                    (10 + DELAY, "data", "b"), (10 + DELAY, "data", "c"),
                    (10 + DELAY, "pause", 0)]
