@@ -14,9 +14,8 @@ still open or stragglers remain" — the same predicate the Fig-11 queue
 sampler uses, so telemetry never extends a run), until an optional
 ``duration_ns`` elapses, or until :meth:`Sampler.stop`.
 
-:class:`LinkUtilization` lives here now — it predates the framework
-(as ``repro.stats.timeseries.LinkUtilization``, still importable from
-there as a thin alias) and keeps its original standalone API.
+:class:`LinkUtilization` predates the framework and keeps its original
+standalone API.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.engine import Engine
+from repro.transport.reliable import ReliableSender
 
 #: ``emit(stream, row)`` — receives one flat dict per sampled series.
 EmitFn = Callable[[str, Dict], None]
@@ -195,12 +195,13 @@ class PfcStateSampler(Sampler):
 class FlowStateSampler(Sampler):
     """Per-flow sender state: cwnd/rate, in-flight bytes, TLT and RTO arming.
 
-    Works across both families by duck-typing the sender objects
-    registered in each host's endpoint demux table: the TCP byte-stream
-    family exposes ``cwnd``; the RoCE family exposes ``rate_ctrl``
-    (DCQCN) or ``hpcc.window``. Completed flows stop being sampled. At
-    most ``max_flows`` senders are sampled per tick (deterministic
-    host-then-flow order) to bound the per-tick cost at large scale.
+    Samples every :class:`~repro.transport.reliable.ReliableSender` in
+    each host's endpoint demux table; the family-specific columns are
+    duck-typed: the TCP byte-stream family exposes ``cwnd``; the RoCE
+    family exposes ``rate_ctrl`` (DCQCN) or ``hpcc.window``. Completed
+    flows stop being sampled. At most ``max_flows`` senders are sampled
+    per tick (deterministic host-then-flow order) to bound the per-tick
+    cost at large scale.
     """
 
     stream = "flow"
@@ -219,15 +220,15 @@ class FlowStateSampler(Sampler):
 
     @staticmethod
     def _row(sender) -> Optional[Dict]:
-        spec = getattr(sender, "spec", None)
-        pipe = getattr(sender, "pipe", None)
-        if spec is None or pipe is None or getattr(sender, "completed", True):
-            return None
+        if not isinstance(sender, ReliableSender) or sender.completed:
+            return None  # receivers share the demux table
+        # Core state is read directly: a renamed attribute must raise,
+        # not silently empty the stream or pin rto_armed at 0.
         row: Dict = {
-            "flow": spec.flow_id,
-            "group": getattr(sender.record, "group", "") if hasattr(sender, "record") else "",
-            "inflight": pipe,
-            "rto_armed": int(getattr(sender, "_rto_deadline", None) is not None),
+            "flow": sender.spec.flow_id,
+            "group": sender.record.group,
+            "inflight": sender.pipe,
+            "rto_armed": int(sender.rto_armed),
         }
         cwnd = getattr(sender, "cwnd", None)
         if cwnd is None:
@@ -376,10 +377,10 @@ class LinkLoadSampler(Sampler):
 class LinkUtilization(Sampler):
     """Periodic utilization sampling of one port (standalone API).
 
-    The original ``repro.stats.timeseries.LinkUtilization``, rebased on
-    the sampler framework (timer wheel instead of the event heap; same
-    firing order by the engine's contract). Kept for callers that want
-    an in-memory series for one port rather than a telemetry stream.
+    Predates the sampler framework and was rebased on it (timer wheel
+    instead of the event heap; same firing order by the engine's
+    contract). Kept for callers that want an in-memory series for one
+    port rather than a telemetry stream.
     """
 
     stream = "link"

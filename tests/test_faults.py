@@ -373,24 +373,3 @@ def test_any_random_schedule_keeps_green_congestion_drops_zero(chaos_seed):
     assert len(result.faults.applied) == len(spec["events"])
     assert stats.drops_green == 0
     assert stats.drops_fault == stats.drops_fault_green + stats.drops_fault_red
-
-
-def test_net_faults_shim_emits_deprecation_warning():
-    """The repro.net.faults compatibility shim warns on import and
-    still re-exports the real repro.faults names."""
-    import importlib
-    import warnings
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        import repro.net.faults as shim
-
-        # Reload so the warning fires even if the shim was already
-        # imported earlier in the session.
-        importlib.reload(shim)
-    assert any(
-        issubclass(w.category, DeprecationWarning)
-        and "repro.faults" in str(w.message)
-        for w in caught
-    )
-    assert shim.FaultInjector is FaultInjector

@@ -106,20 +106,12 @@ def test_labels_arity_checked():
 
 
 def test_sampler_interval_validation():
+    assert issubclass(LinkUtilization, Sampler)
     net = small_star()
     with pytest.raises(ValueError):
         LinkUtilization(net.engine, net.hosts[0].ports[0], interval_ns=0)
     with pytest.raises(ValueError):
         TelemetryConfig.from_spec({"interval_ns": -5})
-
-
-def test_timeseries_alias_is_the_telemetry_sampler():
-    """Satellite: repro.stats.timeseries.LinkUtilization folded into the
-    sampler framework; the old import path is a thin alias."""
-    from repro.stats import timeseries
-
-    assert timeseries.LinkUtilization is LinkUtilization
-    assert issubclass(LinkUtilization, Sampler)
 
 
 def test_telemetry_samplers_stop_when_engine_drains(tmp_path):
@@ -139,19 +131,28 @@ def test_telemetry_samplers_stop_when_engine_drains(tmp_path):
     assert "queue" in summary["streams"] or "link" in summary["streams"]
 
 
-def test_flow_sampler_reads_sender_state(tmp_path):
+@pytest.mark.parametrize("transport", ["dctcp", "irn"])
+def test_flow_sampler_reads_sender_state(tmp_path, transport):
+    """Both families, under loss: the sampler reads ``pipe`` and
+    ``rto_armed`` off the shared reliable-delivery core, so a flow with
+    data outstanding must show up with its RTO armed."""
+    from repro.faults import FaultInjector
+
     net = small_star()
     telemetry = Telemetry(
         net, TelemetryConfig(out_dir=str(tmp_path), interval_ns=5_000,
                              report=False, prometheus=False, jsonl=False)
     ).install()
-    run_flow(net, "dctcp", size=500_000)
+    injector = FaultInjector(net.switches[0], 0.02, stats=net.stats)
+    run_flow(net, transport, size=500_000)
     telemetry.finalize()
+    assert injector.corrupted > 0
     rows = telemetry.samples["flow"]
     assert rows
     assert all(row["cwnd"] > 0 for row in rows)
     assert any(row["inflight"] > 0 for row in rows)
     assert all(row["rto_armed"] in (0, 1) for row in rows)
+    assert any(row["rto_armed"] == 1 for row in rows)
 
 
 # -- flight recorder ----------------------------------------------------------

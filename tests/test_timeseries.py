@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.stats.timeseries import LinkUtilization
+from repro.telemetry import LinkUtilization
 from repro.transport.base import FlowSpec, TransportConfig
 from repro.transport.registry import create_flow
 
