@@ -31,6 +31,8 @@ bit-for-bit through that change, pinning that only the RED RNG
 plumbing moved.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.experiments.scale import TINY
@@ -181,30 +183,8 @@ CONFIGS = {
 # one pass — moved. The other 22 rows and EXPECTED did not. The
 # extraction of the shared core that followed moved nothing.
 
-LOSSY_FIELDS = (
-    "duration_ns",
-    "events",
-    "timeouts",
-    "fast_retransmits",
-    "ecn_marks",
-    "pause_frames",
-    "resume_frames",
-    "drops_green",
-    "drops_red",
-    "drop_bytes",
-    "green_data_packets",
-    "red_data_packets",
-    "clocking_packets",
-    "flow_count",
-    "incomplete",
-    "fct_fg_sum",
-    "fct_bg_sum",
-    "rtt_fg_sum",
-    "rtt_bg_sum",
-    "delivery_sum",
-    "queue_samples",
-    "queue_sample_sum",
-)
+#: Same field set, same order, as the EXPECTED pins above.
+LOSSY_FIELDS = tuple(EXPECTED["dctcp_tlt"])
 
 
 def lossy_config(name: str) -> ScenarioConfig:
@@ -247,7 +227,7 @@ LOSSY_ROWS = {
 }
 
 LOSSY_EXPECTED = {name: dict(zip(LOSSY_FIELDS, row)) for name, row in LOSSY_ROWS.items()}
-LOSSY_CONFIGS = {name: (lambda name=name: lossy_config(name)) for name in LOSSY_ROWS}
+LOSSY_CONFIGS = {name: partial(lossy_config, name) for name in LOSSY_ROWS}
 
 
 @pytest.mark.parametrize("name", sorted(LOSSY_ROWS))

@@ -131,28 +131,28 @@ def test_telemetry_samplers_stop_when_engine_drains(tmp_path):
     assert "queue" in summary["streams"] or "link" in summary["streams"]
 
 
-@pytest.mark.parametrize("transport", ["dctcp", "irn"])
-def test_flow_sampler_reads_sender_state(tmp_path, transport):
+def test_flow_sampler_reads_sender_state(tmp_path):
     """Both families, under loss: the sampler reads ``pipe`` and
     ``rto_armed`` off the shared reliable-delivery core, so a flow with
     data outstanding must show up with its RTO armed."""
     from repro.faults import FaultInjector
 
-    net = small_star()
-    telemetry = Telemetry(
-        net, TelemetryConfig(out_dir=str(tmp_path), interval_ns=5_000,
-                             report=False, prometheus=False, jsonl=False)
-    ).install()
-    injector = FaultInjector(net.switches[0], 0.02, stats=net.stats)
-    run_flow(net, transport, size=500_000)
-    telemetry.finalize()
-    assert injector.corrupted > 0
-    rows = telemetry.samples["flow"]
-    assert rows
-    assert all(row["cwnd"] > 0 for row in rows)
-    assert any(row["inflight"] > 0 for row in rows)
-    assert all(row["rto_armed"] in (0, 1) for row in rows)
-    assert any(row["rto_armed"] == 1 for row in rows)
+    for transport in ("dctcp", "irn"):
+        net = small_star()
+        telemetry = Telemetry(
+            net, TelemetryConfig(out_dir=str(tmp_path / transport), interval_ns=5_000,
+                                 report=False, prometheus=False, jsonl=False)
+        ).install()
+        injector = FaultInjector(net.switches[0], 0.02, stats=net.stats)
+        run_flow(net, transport, size=500_000)
+        telemetry.finalize()
+        assert injector.corrupted > 0
+        rows = telemetry.samples["flow"]
+        assert rows
+        assert all(row["cwnd"] > 0 for row in rows)
+        assert any(row["inflight"] > 0 for row in rows)
+        assert all(row["rto_armed"] in (0, 1) for row in rows)
+        assert any(row["rto_armed"] == 1 for row in rows)
 
 
 # -- flight recorder ----------------------------------------------------------
