@@ -1,13 +1,15 @@
-"""Admission-policy dispatch overhead on the switch hot path.
+"""What an admission-policy *decision* costs on the switch hot path.
 
-The default configuration (``admission=None``) must keep the open-coded
-fast path: the policy choice is bound at switch construction, never
-branched per packet. These benchmarks put the default path and the
-semantically identical generic dispatch (``admission="ch-static-k"``)
-side by side on the same incast kernel as
+The switch has one admission pipeline; ``SwitchConfig.admission``
+selects only the decision inside it (one ``is None`` test per packet).
+These benchmarks put the open-coded default decision
+(``admission=None``) and the semantically identical policy object
+(``admission="ch-static-k"``: ``color_threshold`` + ``admit``, two
+method calls per packet) side by side on the same incast kernel as
 ``test_incast_simulation_rate`` — the default must stay within noise of
-``BENCH_baseline.json``, and the dispatch variant documents what the
-policy lab pays for its flexibility.
+``BENCH_baseline.json``, and the explicit one documents what the
+policy lab pays for asking an object. Everything after admission is the
+same code for both.
 """
 
 from repro.core.config import TltConfig
@@ -38,12 +40,12 @@ def _run_incast(admission):
 
 
 def test_default_policy_incast_rate(benchmark, record_events):
-    """The production path: open-coded Choudhury–Hahne + static-K."""
+    """The production decision: open-coded Choudhury–Hahne + static-K."""
     events = benchmark(_run_incast, None)
     record_events(benchmark, events)
 
 
 def test_explicit_policy_dispatch_incast_rate(benchmark, record_events):
-    """The same math through the generic AdmissionPolicy dispatch."""
+    """The same math asked of the ``ChoudhuryHahne`` policy object."""
     events = benchmark(_run_incast, "ch-static-k")
     record_events(benchmark, events)

@@ -37,6 +37,7 @@ or simply ``ScenarioConfig(audit=True)`` / ``tlt-experiment --audit``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -56,6 +57,12 @@ class AuditConfig:
     ring_size: int = 4096
     #: When set, an AuditError also writes its JSON report here.
     dump_path: Optional[str] = None
+
+    @classmethod
+    def from_env(cls) -> "AuditConfig":
+        """The config every environment-enabled audit (``--audit`` /
+        ``TLT_AUDIT``) runs with: ``TLT_AUDIT_DUMP`` names the dump."""
+        return cls(dump_path=os.environ.get("TLT_AUDIT_DUMP") or None)
 
 
 class Auditor:
@@ -166,6 +173,18 @@ class Auditor:
                         f"{switch.name}: unjustified color drop of flow "
                         f"{packet.flow_id} (red {queue.red_bytes} + {size} "
                         f"within K {k})"
+                    )
+                # §5.3 incremental deployment: legacy traffic in a class
+                # outside color_classes is never red-dropped (the class
+                # is clamped the way Switch._receive clamps it).
+                classes = switch.config.color_classes
+                nclasses = len(switch._port_queues[queue.port_no])
+                tclass = packet.tclass if 0 <= packet.tclass < nclasses else 0
+                if classes is not None and tclass not in classes:
+                    violations.append(
+                        f"{switch.name}: color drop of flow {packet.flow_id} "
+                        f"in traffic class {tclass}, outside color_classes "
+                        f"{classes}"
                     )
         if reason == "pool" and buffer.used + size <= buffer.capacity:
             violations.append(

@@ -34,9 +34,9 @@ def run_one(transport: str = "dctcp", tlt: bool = False, seed: int = 1,
                         admission=admission)
     auditor = None
     if os.environ.get("TLT_AUDIT", "") not in ("", "0"):
-        from repro.audit import Auditor
+        from repro.audit import AuditConfig, Auditor
 
-        auditor = Auditor(net).install()
+        auditor = Auditor(net, AuditConfig.from_env()).install()
     tconfig = testbed_transport_config()
     tlt_cfg = maybe_tlt(tlt)
 

@@ -464,7 +464,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     net = build_network(config)
     auditor = None
     if config.audit_enabled:
-        auditor = Auditor(net, AuditConfig(dump_path=os.environ.get("TLT_AUDIT_DUMP") or None))
+        auditor = Auditor(net, AuditConfig.from_env())
         auditor.install()
     fault_controller = None
     fault_spec = config.resolved_faults()

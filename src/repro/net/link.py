@@ -239,7 +239,7 @@ class Port:
         peer = self.peer
         if kind == FRAME_PACKET:
             # Resolved here, at delivery time, so the packet traverses
-            # whatever interceptor chain / data-path variant is
+            # whatever interceptor chain / data-path binding is
             # installed when it lands (see module docstring).
             peer.owner.receive(payload, peer)
         else:

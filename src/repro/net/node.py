@@ -9,8 +9,8 @@ the wire and its receive implementation. Loss models
 (:class:`repro.sim.trace.PacketTracer`) and test drop filters all
 install through :meth:`Device.add_interceptor` instead of
 monkey-patching ``device.receive`` — so they compose in a defined
-order, survive the switch rebinding its audited/fast data-path
-variants, and can be added or removed mid-run.
+order, survive the switch rebinding its data path (auditor attach and
+detach, compiled-kernel binding), and can be added or removed mid-run.
 
 The chain is compiled into nested closures whenever it changes: with no
 interceptors installed, ``device.receive`` *is* the base implementation
@@ -92,8 +92,9 @@ class Device:
         """Register (or swap) the base receive implementation.
 
         The interceptor chain is preserved across swaps — this is how
-        :meth:`repro.switchsim.switch.Switch.set_auditor` rebinds its
-        fast/audited variants without dropping installed interceptors.
+        :meth:`repro.switchsim.switch.Switch.set_auditor` swaps the
+        compiled kernel and the Python pipeline without dropping
+        installed interceptors.
         """
         self._base_receive = fn
         self._rebuild_receive()

@@ -147,8 +147,7 @@ def run_service(config) -> "ScenarioResult":
     net = build_network(config)
     auditor = None
     if config.audit_enabled:
-        auditor = Auditor(net, AuditConfig(
-            dump_path=os.environ.get("TLT_AUDIT_DUMP") or None))
+        auditor = Auditor(net, AuditConfig.from_env())
         auditor.install()
     fault_controller = None
     if fault_spec is not None:

@@ -11,8 +11,9 @@
  *   - CEvent   -- the cancellation handle (interops with TimerWheel).
  *   - SwitchKernel / HostKernel / PortKernel -- per-instance kernels
  *     bound by repro.sim.backend.optimize_network; each exposes
- *     KernelMethod callables that shadow the pure-Python methods
- *     (switch._receive_fast, host.send, port._tx_cb, ...).
+ *     KernelMethod callables bound in place of the pure-Python methods
+ *     (Switch._receive/_poll via Switch._bind_data_path, host.send,
+ *     port._tx_cb, ...).
  *
  * Determinism contract: every arithmetic decision below transcribes the
  * pure-Python fast path statement by statement -- same comparison
@@ -2425,8 +2426,8 @@ static PyTypeObject PortKernelType = {
 
 static PyObject *PortCls;             /* repro.net.link.Port */
 static PyObject *s_port_no;           /* "port_no" */
-static PyObject *s_receive_fast_name; /* "_receive_fast" */
-static PyObject *s_poll_fast_name;    /* "_poll_fast" */
+static PyObject *s_receive_name;      /* "_receive" */
+static PyObject *s_poll_name;         /* "_poll" */
 
 #define COLOR_RED 1LL
 #define KIND_DATA 0LL
@@ -2450,7 +2451,7 @@ c_switch_receive(SwitchKernelObject *sk, PyObject *packet, PyObject *in_port)
 {
     /* Non-Port ingress (test doubles): take the pure path. */
     if (!PyObject_TypeCheck(in_port, (PyTypeObject *)PortCls)) {
-        PyObject *r = sw_call_pure(sk->sw, s_receive_fast_name, packet, in_port);
+        PyObject *r = sw_call_pure(sk->sw, s_receive_name, packet, in_port);
         if (r == NULL)
             return -1;
         Py_DECREF(r);
@@ -2811,7 +2812,7 @@ c_switch_poll(SwitchKernelObject *sk, PyObject *port)
 {
     /* Non-Port callers (test doubles): take the pure path. */
     if (!PyObject_TypeCheck(port, (PyTypeObject *)PortCls))
-        return sw_call_pure(sk->sw, s_poll_fast_name, port, NULL);
+        return sw_call_pure(sk->sw, s_poll_name, port, NULL);
 
     long long pno;
     if (slot_ll(port, P_port_no, &pno) < 0)
@@ -4077,8 +4078,8 @@ PyInit__ckernel(void)
     INTERN(s_pool_str, "pool");
     INTERN(s_dynamic_str, "dynamic");
     INTERN(s_port_no, "port_no");
-    INTERN(s_receive_fast_name, "_receive_fast");
-    INTERN(s_poll_fast_name, "_poll_fast");
+    INTERN(s_receive_name, "_receive");
+    INTERN(s_poll_name, "_poll");
     INTERN(s_kw_seq, "seq");
     INTERN(s_kw_payload, "payload");
     INTERN(s_kw_ack, "ack");

@@ -6,7 +6,9 @@ exist in two implementations behind this module:
 
 ``pure``
     The reference implementation (:class:`repro.sim.engine.Engine` and
-    the Python methods of ``repro.net.link`` / ``repro.switchsim``).
+    the Python methods of ``repro.net.link`` / ``repro.switchsim``;
+    the switch has one admission pipeline, ``Switch._receive`` /
+    ``Switch._poll``).
     Zero dependencies, always available, and the semantic baseline the
     determinism fingerprints are pinned against.
 
@@ -167,17 +169,21 @@ def optimize_network(net) -> int:
     """Bind compiled kernels onto a freshly built network.
 
     Called at the end of every topology builder. On the ``pure``
-    backend (or for devices the compiled fast path does not cover —
-    non-default admission policies keep their Python pipeline) this
-    binds nothing. Returns the number of objects that received compiled
-    kernels (used by tests and the profiler's backend note).
+    backend this binds nothing. Returns the number of objects that
+    received compiled kernels (used by tests and the profiler's
+    backend note). What is bound, per device (the full table is in
+    ``docs/PERFORMANCE.md``):
 
-    Kernel binding is shadowing, not replacement: the Python methods
-    stay reachable on the class, ``Switch.set_auditor`` still swaps the
-    audited Python variants in and out, and ``repro.sim.sharding``
-    rebinds ``port._tx_cb`` after retargeting a cut port to
-    :class:`~repro.sim.sharding.CutPort` (compiled kernels are bound
-    only to exact :class:`~repro.net.link.Port` instances).
+    - switches with the default admission (``admission is None``) get
+      a ``SwitchKernel``; ``Switch._bind_data_path`` makes its
+      ``receive``/``poll`` the data path while no auditor is installed
+      and the Python ``_receive``/``_poll`` otherwise. Explicit
+      admission policies never get a kernel;
+    - hosts get ``HostKernel.send``/``poll``/``sink``;
+    - exact :class:`~repro.net.link.Port` instances get
+      ``PortKernel.tx_done``/``drain`` (``repro.sim.sharding`` rebinds
+      ``port._tx_cb`` after retargeting a cut port to
+      :class:`~repro.sim.sharding.CutPort`).
     """
     if current_backend() != "compiled":
         _unbind_fast_alloc()
@@ -186,13 +192,9 @@ def optimize_network(net) -> int:
     _bind_fast_alloc(ck)
     bound = 0
     for switch in net.switches:
-        if switch._default_policy:
-            kernel = ck.SwitchKernel(switch)
-            switch._receive_fast = kernel.receive
-            switch._poll_fast = kernel.poll
-            # Rebuild the active receive/poll bindings through the
-            # normal path so the audited variants keep working.
-            switch.set_auditor(switch.audit)
+        if switch.config.admission is None:
+            switch._kernel = ck.SwitchKernel(switch)
+            switch._bind_data_path()
             bound += 1
     for host in net.hosts:
         kernel = ck.HostKernel(host)

@@ -312,9 +312,7 @@ class _ShardWorker:
                     port._tx_cb = port._tx_done
 
         if config.audit_enabled:
-            self.auditor = Auditor(
-                net, AuditConfig(dump_path=os.environ.get("TLT_AUDIT_DUMP") or None)
-            )
+            self.auditor = Auditor(net, AuditConfig.from_env())
             self.auditor.install()
 
         fault_spec = config.resolved_faults()

@@ -8,9 +8,9 @@ so the decision is now an :class:`AdmissionPolicy` chosen per switch
 via ``SwitchConfig.admission``:
 
 - ``"ch-static-k"`` (:class:`ChoudhuryHahne`) — the paper's default.
-  With ``admission=None`` the switch keeps its open-coded fast paths;
-  with the explicit name it runs the same math through the generic
-  dispatch (the two are fingerprint-identical, pinned by tests).
+  With ``admission=None`` the switch's one admission pipeline keeps
+  this decision open-coded; with the explicit name it asks this object
+  for the same math (fingerprint-identical, pinned by tests).
 - ``"bshare"`` (:class:`BShare`) — queueing-delay-driven sharing: a
   port may buffer at most ``rate * target_delay`` bytes, so admission
   bounds worst-case queueing delay rather than buffer share.
@@ -21,6 +21,11 @@ via ``SwitchConfig.admission``:
 - ``"adaptive-k"`` (:class:`AdaptiveK`) — CH admission plus a
   controller on the engine's timer wheel that retunes K from live
   per-queue occupancy (the same state the telemetry samplers export).
+
+A policy supplies only the *decision* — K and admit/drop. The buffer
+and queue accounting, ECN marking and PFC after admission are the
+switch's, shared by every policy; that is sound because :meth:`admit`
+fixes the pool-exhaustion check for all of them (do not override it).
 
 Contract: ``admit`` is called *before* any state changes and must not
 mutate anything — the auditor re-evaluates it at drop time to verify
@@ -109,8 +114,8 @@ class AdmissionPolicy:
 class ChoudhuryHahne(AdmissionPolicy):
     """The paper's MMU: dynamic threshold ``alpha * (B - used)``.
 
-    Byte-for-byte the math of the switch's open-coded fast path — the
-    fingerprint-parity tests hold the two together.
+    Byte-for-byte the math of the switch's open-coded default decision —
+    the fingerprint-parity tests hold the two together.
     """
 
     name = "ch-static-k"
@@ -162,19 +167,13 @@ class BShare(AdmissionPolicy):
             for no, limit in enumerate(self._port_limit) if limit <= 0
         ]
 
-    def describe(self) -> Dict:
-        row = super().describe()
-        row["policy"] = self.name
-        return row
-
-
 class FairQ(AdmissionPolicy):
     """Fair allocation: split the pool evenly over backlogged ports.
 
     A port may buffer at most ``capacity / max(1, busy_ports)`` bytes,
     counting the target port as busy — the fair-share discipline of the
     FairQ line of work, applied to buffer admission. The busy-port scan
-    is O(ports); this is a lab policy, not the default fast path.
+    is O(ports); this is a lab policy, not the default decision.
     """
 
     name = "fairq"
@@ -338,8 +337,9 @@ POLICIES: Dict[str, Type[AdmissionPolicy]] = {
 def make_policy(spec) -> AdmissionPolicy:
     """Instantiate the policy for one switch from a declarative spec.
 
-    ``None`` -> the default :class:`ChoudhuryHahne` (the switch also
-    keeps its open-coded fast path in that case); a string -> the named
+    ``None`` -> the default :class:`ChoudhuryHahne` (the switch decides
+    open-coded in that case and the auditor uses the instance as its
+    reference); a string -> the named
     policy with default parameters; a dict -> ``{"name": ..., params}``.
     A fresh instance is returned per call: policy state is always
     per-switch even when many switches share one ``SwitchConfig``.

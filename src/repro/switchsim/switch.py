@@ -60,10 +60,10 @@ class SwitchConfig:
       replicas, which is what makes the RoCE family shardable).
     - ``admission`` is a policy *spec* (``None`` | name | dict — see
       :func:`repro.switchsim.policy.make_policy`), never an instance.
-      ``None`` keeps the default Choudhury–Hahne + static-K on the
-      open-coded fast paths; any explicit spec binds the generic
-      policy-dispatch variants at construction instead (no per-packet
-      branch either way).
+      ``None`` keeps the default Choudhury–Hahne + static-K decision
+      open-coded in the one admission pipeline; any explicit spec asks
+      the policy object for K and admit/drop instead. Everything after
+      admission (accounting, ECN, PFC) is shared.
     - ``path_selection`` is likewise a *spec* (``None`` | name | dict —
       see :func:`repro.net.routing.make_fib`), resolved into a fresh
       per-switch FIB at construction: ``None`` keeps the default
@@ -120,25 +120,21 @@ class Switch(Device):
             else config.ecn
         )
         # Admission policy, one instance per switch. ``admission=None``
-        # keeps the default Choudhury–Hahne + static-K semantics on the
-        # open-coded fast paths below; an explicit spec dispatches
-        # through the policy object instead. The choice is bound here,
-        # at construction — never re-tested per packet.
+        # keeps the default Choudhury–Hahne + static-K *decision*
+        # open-coded in ``_receive`` (the form the C ``SwitchKernel``
+        # mirrors and the fingerprints were captured on); an explicit
+        # spec asks the policy object instead. ``self.policy`` is a
+        # ``ChoudhuryHahne`` even on default switches: the auditor
+        # re-evaluates it as the reference for every drop.
         self.policy = make_policy(config.admission).bind(self)
-        self._default_policy = config.admission is None
         # Local drop counters (stats also aggregates network-wide).
         self.drops_red = 0
         self.drops_green = 0
-        # Optional runtime invariant auditor (repro.audit.Auditor).
-        # The data path comes in two variants — with and without audit
-        # hooks — registered as the *base* receive implementation so an
-        # un-audited run never tests ``audit is None`` per packet, and
-        # so interceptors survive audit toggling.
+        # Optional runtime invariant auditor (repro.audit.Auditor) and
+        # optional compiled kernel (repro.sim.backend.optimize_network).
         self.audit = None
-        self._set_base_receive(
-            self._receive_fast if self._default_policy else self._receive_policy_fast
-        )
-        self.poll = self._poll_fast
+        self._kernel = None
+        self._bind_data_path()
 
     # -- construction ------------------------------------------------------------
 
@@ -174,38 +170,33 @@ class Switch(Device):
     def set_auditor(self, auditor) -> None:
         """Attach (or detach, with ``None``) the runtime auditor.
 
-        Swaps the audited or the hook-free data-path variant in as the
-        *base* receive implementation. Interceptors installed via
-        :meth:`Device.add_interceptor` (``FaultInjector``,
-        ``PacketTracer``, test taps) are preserved across the swap, in
-        order — audit can be toggled at any point without disconnecting
-        them.
+        Interceptors installed via :meth:`Device.add_interceptor`
+        (``FaultInjector``, ``PacketTracer``, test taps) are preserved,
+        in order — audit can be toggled at any point without
+        disconnecting them.
         """
         self.audit = auditor
-        if auditor is None:
-            self._set_base_receive(
-                self._receive_fast if self._default_policy
-                else self._receive_policy_fast
-            )
-            self.poll = self._poll_fast
+        self._bind_data_path()
+
+    def _bind_data_path(self) -> None:
+        """Bind ``receive``/``poll``: the compiled kernel's methods iff
+        one is attached (``optimize_network`` attaches kernels only to
+        default-admission switches) and no auditor is installed — the
+        kernel has no audit hooks — else the Python pipeline below.
+        Always through ``_set_base_receive`` so interceptors survive.
+        Bound methods only: both end up inside pickled checkpoints.
+        """
+        kernel = self._kernel
+        if kernel is not None and self.audit is None:
+            self._set_base_receive(kernel.receive)
+            self.poll = kernel.poll
         else:
-            self._set_base_receive(
-                self._receive_audited if self._default_policy
-                else self._receive_policy_audited
-            )
-            self.poll = self._poll_audited
+            self._set_base_receive(self._receive)
+            self.poll = self._poll
 
     # -- data path ---------------------------------------------------------------
-    #
-    # _receive_fast/_receive_audited (and _poll_fast/_poll_audited) are
-    # the same pipeline; the audited variants add the auditor hook
-    # calls. Keep the pairs in sync when changing admission logic —
-    # and keep _receive_policy_fast/_receive_policy_audited (the
-    # generic AdmissionPolicy dispatch) semantically identical: with
-    # the default ChoudhuryHahne policy all four must produce the same
-    # fingerprints (pinned by tests/test_policy.py).
 
-    def _receive_fast(self, packet: Packet, in_port: Port) -> None:
+    def _receive(self, packet: Packet, in_port: Port) -> None:
         # Fib.lookup, open-coded for the single-path common case.
         fib = self.fib
         try:
@@ -224,40 +215,48 @@ class Switch(Device):
             tclass = packet.tclass if 0 <= packet.tclass < nclasses else 0
             queue = port_queues[tclass]
         size = packet.size
+        config = self.config
+        # An explicit admission spec swaps only the *decision* (K and
+        # admit/drop); everything after admission is shared.
+        policy = None if config.admission is None else self.policy
 
         # 1. Color-aware dropping of unimportant packets.
-        k = self.config.color_threshold_bytes
+        k = config.color_threshold_bytes if policy is None else policy.color_threshold(queue)
         if (
             k is not None
             and packet.color == Color.RED
             and queue.red_bytes + size > k
-            and (self.config.color_classes is None or tclass in self.config.color_classes)
+            and (config.color_classes is None or tclass in config.color_classes)
         ):
             self._drop(packet, "color", queue)
             return
 
-        # 2. Dynamic-threshold admission (per-port occupancy across classes).
+        # 2. Admission (per-port occupancy across classes).
         port_occupancy = (
             queue.occupancy if nclasses == 1 else sum(q.occupancy for q in port_queues)
         )
         buf = self.buffer
         used = buf.used
-        if self.pfc is None:
-            # SharedBuffer.admits, open-coded.
-            if used + size > buf.capacity:
-                self._drop(packet, "pool", queue, port_occupancy)
-                return
-            if port_occupancy >= buf.alpha * (buf.capacity - used):
-                self._drop(packet, "dynamic", queue, port_occupancy)
-                return
+        pfc = self.pfc
+        if policy is not None:
+            reason = policy.admit(queue, port_occupancy, size, pfc is not None)
+        elif used + size > buf.capacity:
+            reason = "pool"
+        elif pfc is None and port_occupancy >= buf.alpha * (buf.capacity - used):
+            # SharedBuffer.admits, open-coded. With PFC the class is
+            # lossless: only true pool exhaustion (above) drops.
+            reason = "dynamic"
         else:
-            # Lossless class: only true pool exhaustion drops.
-            if used + size > buf.capacity:
-                self._drop(packet, "pool", queue, port_occupancy)
-                return
+            reason = None
+        if reason is not None:
+            self._drop(packet, reason, queue, port_occupancy)
+            return
 
-        # SharedBuffer.reserve + EgressQueue.push, open-coded (the
-        # capacity check above makes overcommit impossible here).
+        # SharedBuffer.reserve + EgressQueue.push, open-coded, for every
+        # policy. Overcommit is impossible here without reserve()'s
+        # assert: the default decision checked the pool just above, and
+        # AdmissionPolicy.admit fixes the same pool-exhaustion check for
+        # every policy (none of the registered ones overrides admit).
         used += size
         buf.used = used
         if used > buf.peak_used:
@@ -272,6 +271,11 @@ class Switch(Device):
                 queue.max_red_bytes = red
         if occupancy > queue.max_occupancy:
             queue.max_occupancy = occupancy
+        # Hook position is behaviour (the EventRing order feeds flight
+        # dumps): after the queue accounting, before ECN marking.
+        audit = self.audit
+        if audit is not None:
+            audit.on_enqueue(self, packet, egress_no)
 
         # 3. ECN marking on the instantaneous (post-enqueue) queue length.
         ecn = self.ecn
@@ -286,228 +290,14 @@ class Switch(Device):
                 self.stats.ecn_marks += 1
 
         # 4. PFC ingress accounting.
-        if self.pfc is not None:
-            self.pfc.on_admit(in_port.port_no, size)
+        if pfc is not None:
+            pfc.on_admit(in_port.port_no, size)
 
         port = self.ports[egress_no]
         if not port.busy and not port.paused:
             port.kick()
 
-    def _receive_audited(self, packet: Packet, in_port: Port) -> None:
-        # Fib.lookup, open-coded for the single-path common case.
-        fib = self.fib
-        try:
-            routes = fib._routes[packet.dst]
-        except KeyError:
-            raise RoutingError(self.switch_id, packet.dst) from None
-        egress_no = (
-            routes[0] if len(routes) == 1 else fib.lookup(packet.dst, packet.flow_id)
-        )
-        port_queues = self._port_queues[egress_no]
-        nclasses = len(port_queues)
-        if nclasses == 1:
-            tclass = 0
-            queue = port_queues[0]
-        else:
-            tclass = packet.tclass if 0 <= packet.tclass < nclasses else 0
-            queue = port_queues[tclass]
-        size = packet.size
-
-        # 1. Color-aware dropping of unimportant packets.
-        k = self.config.color_threshold_bytes
-        if (
-            k is not None
-            and packet.color == Color.RED
-            and queue.red_bytes + size > k
-            and (self.config.color_classes is None or tclass in self.config.color_classes)
-        ):
-            self._drop(packet, "color", queue)
-            return
-
-        # 2. Dynamic-threshold admission (per-port occupancy across classes).
-        port_occupancy = (
-            queue.occupancy if nclasses == 1 else sum(q.occupancy for q in port_queues)
-        )
-        buf = self.buffer
-        used = buf.used
-        if self.pfc is None:
-            # SharedBuffer.admits, open-coded.
-            if used + size > buf.capacity:
-                self._drop(packet, "pool", queue, port_occupancy)
-                return
-            if port_occupancy >= buf.alpha * (buf.capacity - used):
-                self._drop(packet, "dynamic", queue, port_occupancy)
-                return
-        else:
-            # Lossless class: only true pool exhaustion drops.
-            if used + size > buf.capacity:
-                self._drop(packet, "pool", queue, port_occupancy)
-                return
-
-        # SharedBuffer.reserve + EgressQueue.push, open-coded (the
-        # capacity check above makes overcommit impossible here).
-        used += size
-        buf.used = used
-        if used > buf.peak_used:
-            buf.peak_used = used
-        queue.items.append((packet, in_port.port_no))
-        occupancy = queue.occupancy + size
-        queue.occupancy = occupancy
-        if packet.color == Color.RED:
-            red = queue.red_bytes + size
-            queue.red_bytes = red
-            if red > queue.max_red_bytes:
-                queue.max_red_bytes = red
-        if occupancy > queue.max_occupancy:
-            queue.max_occupancy = occupancy
-        self.audit.on_enqueue(self, packet, egress_no)
-
-        # 3. ECN marking on the instantaneous (post-enqueue) queue length.
-        ecn = self.ecn
-        if ecn is not None and packet.ecn_capable and not packet.ce:
-            # StepEcn.should_mark, open-coded for the common scheme.
-            if (
-                occupancy > ecn.k_bytes
-                if type(ecn) is StepEcn
-                else ecn.should_mark(occupancy)
-            ):
-                packet.ce = True
-                self.stats.ecn_marks += 1
-
-        # 4. PFC ingress accounting.
-        if self.pfc is not None:
-            self.pfc.on_admit(in_port.port_no, size)
-
-        port = self.ports[egress_no]
-        if not port.busy and not port.paused:
-            port.kick()
-
-    # _receive_policy_fast/_receive_policy_audited: the same admission
-    # pipeline routed through an explicit AdmissionPolicy (bound when
-    # ``SwitchConfig.admission`` is set). Enqueue accounting goes
-    # through the canonical SharedBuffer.reserve / EgressQueue.push —
-    # the parity tests hold these and the open-coded variants above to
-    # identical counters and identical ECN boundary semantics
-    # (post-enqueue occupancy, mark strictly above K).
-
-    def _receive_policy_fast(self, packet: Packet, in_port: Port) -> None:
-        fib = self.fib
-        try:
-            routes = fib._routes[packet.dst]
-        except KeyError:
-            raise RoutingError(self.switch_id, packet.dst) from None
-        egress_no = (
-            routes[0] if len(routes) == 1 else fib.lookup(packet.dst, packet.flow_id)
-        )
-        port_queues = self._port_queues[egress_no]
-        nclasses = len(port_queues)
-        if nclasses == 1:
-            tclass = 0
-            queue = port_queues[0]
-        else:
-            tclass = packet.tclass if 0 <= packet.tclass < nclasses else 0
-            queue = port_queues[tclass]
-        size = packet.size
-        policy = self.policy
-
-        # 1. Color-aware dropping of unimportant packets.
-        k = policy.color_threshold(queue)
-        if (
-            k is not None
-            and packet.color == Color.RED
-            and queue.red_bytes + size > k
-            and (self.config.color_classes is None or tclass in self.config.color_classes)
-        ):
-            self._drop(packet, "color", queue)
-            return
-
-        # 2. Policy admission (per-port occupancy across classes).
-        port_occupancy = (
-            queue.occupancy if nclasses == 1 else sum(q.occupancy for q in port_queues)
-        )
-        reason = policy.admit(queue, port_occupancy, size, self.pfc is not None)
-        if reason is not None:
-            self._drop(packet, reason, queue, port_occupancy)
-            return
-
-        self.buffer.reserve(size)
-        queue.push(packet, in_port.port_no)
-
-        # 3. ECN marking on the instantaneous (post-enqueue) queue length.
-        ecn = self.ecn
-        if ecn is not None and packet.ecn_capable and not packet.ce:
-            if ecn.should_mark(queue.occupancy):
-                packet.ce = True
-                self.stats.ecn_marks += 1
-
-        # 4. PFC ingress accounting.
-        if self.pfc is not None:
-            self.pfc.on_admit(in_port.port_no, size)
-
-        port = self.ports[egress_no]
-        if not port.busy and not port.paused:
-            port.kick()
-
-    def _receive_policy_audited(self, packet: Packet, in_port: Port) -> None:
-        fib = self.fib
-        try:
-            routes = fib._routes[packet.dst]
-        except KeyError:
-            raise RoutingError(self.switch_id, packet.dst) from None
-        egress_no = (
-            routes[0] if len(routes) == 1 else fib.lookup(packet.dst, packet.flow_id)
-        )
-        port_queues = self._port_queues[egress_no]
-        nclasses = len(port_queues)
-        if nclasses == 1:
-            tclass = 0
-            queue = port_queues[0]
-        else:
-            tclass = packet.tclass if 0 <= packet.tclass < nclasses else 0
-            queue = port_queues[tclass]
-        size = packet.size
-        policy = self.policy
-
-        # 1. Color-aware dropping of unimportant packets.
-        k = policy.color_threshold(queue)
-        if (
-            k is not None
-            and packet.color == Color.RED
-            and queue.red_bytes + size > k
-            and (self.config.color_classes is None or tclass in self.config.color_classes)
-        ):
-            self._drop(packet, "color", queue)
-            return
-
-        # 2. Policy admission (per-port occupancy across classes).
-        port_occupancy = (
-            queue.occupancy if nclasses == 1 else sum(q.occupancy for q in port_queues)
-        )
-        reason = policy.admit(queue, port_occupancy, size, self.pfc is not None)
-        if reason is not None:
-            self._drop(packet, reason, queue, port_occupancy)
-            return
-
-        self.buffer.reserve(size)
-        queue.push(packet, in_port.port_no)
-        self.audit.on_enqueue(self, packet, egress_no)
-
-        # 3. ECN marking on the instantaneous (post-enqueue) queue length.
-        ecn = self.ecn
-        if ecn is not None and packet.ecn_capable and not packet.ce:
-            if ecn.should_mark(queue.occupancy):
-                packet.ce = True
-                self.stats.ecn_marks += 1
-
-        # 4. PFC ingress accounting.
-        if self.pfc is not None:
-            self.pfc.on_admit(in_port.port_no, size)
-
-        port = self.ports[egress_no]
-        if not port.busy and not port.paused:
-            port.kick()
-
-    def _poll_fast(self, port: Port) -> Optional[Packet]:
+    def _poll(self, port: Port) -> Optional[Packet]:
         port_queues = self._port_queues[port.port_no]
         nclasses = len(port_queues)
         if nclasses == 1:
@@ -539,52 +329,10 @@ class Switch(Device):
         buf.used -= packet.size
         if buf.used < 0:
             raise AssertionError("shared buffer under-run")
-        if self.pfc is not None:
-            self.pfc.on_release(ingress_no, packet.size)
-        if (
-            self.config.int_enabled
-            and packet.kind == PacketKind.DATA
-            and packet.int_records is not None
-        ):
-            qlen = sum(q.occupancy for q in port_queues)
-            packet.add_int_record(
-                IntRecord(qlen, port.tx_bytes, self.engine.now, port.rate_bps)
-            )
-        return packet
-
-    def _poll_audited(self, port: Port) -> Optional[Packet]:
-        port_queues = self._port_queues[port.port_no]
-        nclasses = len(port_queues)
-        if nclasses == 1:
-            # EgressQueue.pop, open-coded.
-            queue = port_queues[0]
-            if not queue.items:
-                return None
-            entry = queue.items.popleft()
-            psize = entry[0].size
-            queue.occupancy -= psize
-            queue.dequeued_bytes += psize
-            if entry[0].color == Color.RED:
-                queue.red_bytes -= psize
-        else:
-            start = self._rr[port.port_no]
-            entry = None
-            for offset in range(nclasses):
-                idx = (start + offset) % nclasses
-                queue = port_queues[idx]
-                entry = queue.pop()
-                if entry is not None:
-                    self._rr[port.port_no] = (idx + 1) % nclasses
-                    break
-        if entry is None:
-            return None
-        packet, ingress_no = entry
-        # SharedBuffer.release, open-coded (keeps the under-run check).
-        buf = self.buffer
-        buf.used -= packet.size
-        if buf.used < 0:
-            raise AssertionError("shared buffer under-run")
-        self.audit.on_dequeue(self, packet, port.port_no)
+        # After the buffer release, before pfc.on_release (ring order).
+        audit = self.audit
+        if audit is not None:
+            audit.on_dequeue(self, packet, port.port_no)
         if self.pfc is not None:
             self.pfc.on_release(ingress_no, packet.size)
         if (
@@ -610,7 +358,6 @@ class Switch(Device):
             self.drops_red += 1
         else:
             self.drops_green += 1
-        # Drops are off the fast path; a plain None-check suffices here.
         if self.audit is not None:
             self.audit.on_drop(self, packet, queue, reason, port_occupancy)
         # The switch is the packet's terminal point: recycle it.

@@ -5,7 +5,7 @@ Four pieces, wired end to end through ``ScenarioConfig(telemetry=...)``
 
 - a **metrics registry** (:mod:`repro.telemetry.registry`) whose
   disabled path costs zero on the hot loop (bind-at-construction null
-  metrics, like the auditor's fast/audited ``Switch`` variants);
+  metrics);
 - **engine-clocked samplers** (:mod:`repro.telemetry.samplers`) on the
   timer wheel — queue depth by color vs K, shared-buffer occupancy,
   PFC pause state, per-flow cwnd/rate/in-flight/RTO-armed, link

@@ -1,9 +1,8 @@
 """Metrics registry: counters, gauges and histograms with label tuples.
 
-The registry follows the bind-at-construction discipline the rest of
-the hot path uses (see the auditor's fast/audited ``Switch`` variants):
-callers ask the registry for a metric **once**, at construction time,
-and hold the returned handle. A disabled registry hands out the shared
+The registry binds at construction: callers ask it for a metric
+**once**, at construction time, and hold the returned handle. A
+disabled registry hands out the shared
 :data:`NULL_METRIC` singleton whose methods are empty — the instrumented
 code path then costs one no-op attribute call, and nothing at all when
 the caller skips instrumentation entirely because telemetry is off.

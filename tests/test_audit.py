@@ -175,6 +175,26 @@ def test_detects_unjustified_red_color_drop():
     assert "unjustified color drop" in str(excinfo.value)
 
 
+def test_detects_color_drop_outside_color_classes():
+    # §5.3: legacy traffic in its own class is never red-dropped, however
+    # far past K that class's red occupancy is.
+    net = small_star(color_threshold_bytes=500, num_traffic_classes=2,
+                     color_classes=(0,))
+    _audited(net)
+    switch = net.switches[0]
+    legacy = _data_packet(Color.RED)
+    legacy.tclass = 1
+    with pytest.raises(AuditError) as excinfo:
+        switch._drop(legacy, "color", switch.queue_for(1, tclass=1))
+    assert "outside color_classes" in str(excinfo.value)
+    # The same drop in the TLT-enabled class is faithful, and so is an
+    # out-of-range class, which the pipeline clamps to class 0.
+    for tclass in (0, 7):
+        packet = _data_packet(Color.RED)
+        packet.tclass = tclass
+        switch._drop(packet, "color", switch.queue_for(1, tclass=0))
+
+
 def test_detects_phantom_pool_drop():
     # A "pool exhausted" drop while the pool still has room is a lie.
     net = small_star()

@@ -67,6 +67,28 @@ def test_fig13_rows():
     assert all(r["answered"] == 152 for r in rows)
 
 
+def test_fig13_audit_honours_dump_env(monkeypatch, tmp_path):
+    # fig13 builds its own network, so it attaches its own auditor: it
+    # must be the one every other --audit run gets (AuditConfig.from_env),
+    # or a fig13 violation leaves no dump for the CI artifact upload.
+    from repro.audit import Auditor
+    from repro.experiments import fig13_mixed_traffic as exp
+
+    dump = str(tmp_path / "audit_dump.json")
+    monkeypatch.setenv("TLT_AUDIT", "1")
+    monkeypatch.setenv("TLT_AUDIT_DUMP", dump)
+    dump_paths = []
+    final_check = Auditor.final_check
+
+    def recording_final_check(self):
+        dump_paths.append(self.config.dump_path)
+        final_check(self)
+
+    monkeypatch.setattr(Auditor, "final_check", recording_final_check)
+    assert exp.run_one()["answered"] == 152
+    assert dump_paths == [dump]
+
+
 def test_fig16_rows():
     from repro.experiments import fig16_delivery_cdf as exp
 

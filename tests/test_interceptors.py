@@ -12,7 +12,7 @@ import pytest
 from repro.audit import Auditor
 from repro.faults import FaultInjector
 from repro.net.node import Interceptor
-from repro.net.packet import PacketKind
+from repro.net.packet import Packet, PacketKind
 from tests.util import PacketTap, run_flow, small_star
 
 
@@ -46,11 +46,11 @@ def test_empty_chain_is_the_base_implementation():
     uninstrumented hot path pays zero indirection."""
     net = small_star()
     switch = net.switches[0]
-    assert switch.receive == switch._receive_fast
+    assert switch.receive is switch._base_receive
     tap = PacketTap(switch, lambda p: None)
-    assert switch.receive != switch._receive_fast
+    assert switch.receive is not switch._base_receive
     switch.remove_interceptor(tap)
-    assert switch.receive == switch._receive_fast
+    assert switch.receive is switch._base_receive
 
 
 def test_interceptors_run_in_install_order():
@@ -121,22 +121,75 @@ def test_audit_toggle_preserves_interceptors():
     log = []
     recorder = Recorder("tap", log)
     switch.add_interceptor(recorder)
+    unaudited_base = switch._base_receive
 
     auditor = Auditor(net).install()
-    assert switch._base_receive == switch._receive_audited
+    # Audited runs always take the Python pipeline (the only one with
+    # hooks), whatever base the backend had bound before.
+    assert switch._base_receive == switch._receive
     assert switch.interceptors == (recorder,)
     run_flow(net, "tcp", size=2_000)
     seen_audited = len(log)
     assert seen_audited > 0
 
     auditor.detach()
-    assert switch._base_receive == switch._receive_fast
-    from repro.net.packet import Packet
-
+    assert switch._base_receive == unaudited_base  # swapped back
+    assert switch.interceptors == (recorder,)
     net.hosts[0].send(Packet(net.new_flow_id(), 0, 1, PacketKind.DATA, seq=0,
                              payload=1000))
     net.engine.run(until=net.engine.now + 1_000_000)
     assert len(log) == seen_audited + 1  # still connected on the fast path
+
+
+def test_compiled_binding_follows_audit_and_admission():
+    """What ``Switch._bind_data_path`` binds on the compiled backend:
+    the kernel's methods iff a kernel is attached and no auditor is
+    installed, the one Python pipeline otherwise."""
+    from types import SimpleNamespace
+
+    from repro.sim import backend
+
+    if not backend.compiled_available():
+        pytest.skip("compiled backend not built")
+    backend.set_backend("compiled")
+    try:
+        net = small_star(buffer_bytes=20_000)
+        explicit = small_star(admission="ch-static-k").switches[0]
+    finally:
+        backend.set_backend(None)
+    switch = net.switches[0]
+    kernel = switch._kernel
+
+    def on_kernel():
+        return (switch._base_receive == kernel.receive
+                and switch.receive == kernel.receive
+                and switch.poll == kernel.poll)
+
+    def on_python():
+        return (switch._base_receive == switch._receive
+                and switch.poll == switch._poll)
+
+    assert kernel is not None and on_kernel()
+    auditor = Auditor(net).install()
+    assert on_python()
+    auditor.detach()
+    assert on_kernel()
+
+    # Explicit admission policies never get a kernel.
+    assert explicit._kernel is None
+    assert explicit._base_receive == explicit._receive
+    assert explicit.poll == explicit._poll
+
+    # Non-Port doubles: the kernel looks Switch._receive/_poll up by
+    # name on the type and runs the Python pipeline.
+    double = SimpleNamespace(port_no=0)
+    switch.ports[2].busy = True  # block egress so the packet stays queued
+    packet = Packet(net.new_flow_id(), 0, 2, PacketKind.DATA, seq=0, payload=1000)
+    kernel.receive(packet, double)
+    assert switch.queue_for(2).occupancy == packet.size
+    assert switch.buffer.used == packet.size
+    assert kernel.poll(SimpleNamespace(port_no=2)) is packet
+    assert switch.buffer.used == 0
 
 
 def test_injector_survives_audit_toggle():
@@ -155,8 +208,6 @@ def test_in_flight_packet_hits_interceptor_installed_after_send():
     net = small_star()
     switch = net.switches[0]
     host = net.hosts[0]
-    from repro.net.packet import Packet
-
     packet = Packet(net.new_flow_id(), 0, 1, PacketKind.DATA, seq=0, payload=1000)
     host.send(packet)  # serializes + schedules delivery
     sink = Sink()

@@ -2,13 +2,14 @@
 
 Three groups:
 
-- **Parity** — the open-coded default fast path and the generic
-  ``AdmissionPolicy`` dispatch must be indistinguishable when the
-  policy is Choudhury–Hahne + static-K: identical counters on crafted
-  traffic, identical whole-scenario determinism fingerprints, and
-  identical ECN boundary behaviour, across all four receive variants
-  (fast/audited × open-coded/policy). This is what lets the switch
-  keep its hot path while the policy lab rides the same pipeline.
+- **Parity** — the switch has one admission pipeline; the open-coded
+  default decision and an explicit ``AdmissionPolicy`` must be
+  indistinguishable when the policy is Choudhury–Hahne + static-K:
+  identical counters on crafted traffic, identical whole-scenario
+  determinism fingerprints, identical ECN boundary behaviour, and
+  accounting equal to the canonical ``SharedBuffer``/``EgressQueue``
+  methods — in all four configurations (default/explicit × audited or
+  not). This is what lets the policy lab ride the production pipeline.
 - **Policies** — spec parsing, per-switch instantiation, the adaptive-K
   controller's retune/clamp behaviour, and the per-switch name-seeded
   ECN RNG streams.
@@ -34,8 +35,9 @@ from repro.switchsim.policy import (
     TinyBuffer,
     make_policy,
 )
+from repro.switchsim.queue import EgressQueue
 from tests.test_determinism import EXPECTED, fingerprint
-from tests.util import small_star
+from tests.util import PacketTap, small_star
 
 
 def _data(flow, src, dst, payload=1452, color=Color.GREEN, seq=0, ecn=False):
@@ -85,7 +87,7 @@ def test_every_registered_policy_builds_a_switch():
         assert net.switches[0].policy.invariants() == []
 
 
-# -- parity: open-coded default vs generic policy dispatch --------------------
+# -- parity: open-coded default decision vs explicit policy ------------------
 
 
 def _drive_mixed_burst(net):
@@ -146,36 +148,67 @@ def test_default_and_policy_paths_produce_identical_counters(audited):
 
 
 def test_explicit_ch_policy_matches_pinned_fingerprint():
-    # The strongest parity statement: a whole TINY scenario through the
-    # generic dispatch reproduces the open-coded path's pinned
-    # fingerprint bit-for-bit.
+    # The strongest parity statement: a whole TINY scenario deciding
+    # through the policy object reproduces the open-coded decision's
+    # pinned fingerprint bit-for-bit.
     base = dict(transport="dctcp", tlt=True, scale=TINY, seed=3, audit=False)
     explicit = fingerprint(ScenarioConfig(admission="ch-static-k", **base))
     assert explicit == EXPECTED["dctcp_tlt"]
 
 
-def test_shared_buffer_canonical_methods_match_open_coded_accounting():
-    # The open-coded enqueue/dequeue arithmetic in Switch must agree
-    # with SharedBuffer.reserve/release (which the policy path uses).
-    canonical = SharedBuffer(10_000)
-    used = peak = 0
-    for size in (3_000, 4_000, -5_000, 2_500, -4_500):
-        if size >= 0:
-            canonical.reserve(size)
-            used += size
-            peak = max(peak, used)
-        else:
-            canonical.release(-size)
-            used += size
-        assert (canonical.used, canonical.peak_used) == (used, peak)
-    canonical.release(canonical.used)
+@pytest.mark.parametrize("admission", [None, "ch-static-k"])
+@pytest.mark.parametrize("audited", [False, True])
+def test_shared_buffer_canonical_methods_match_open_coded_accounting(
+        admission, audited, no_packet_pool):
+    # The open-coded enqueue/dequeue arithmetic of the one pipeline
+    # (shared by default and explicit policies) must agree with the
+    # canonical SharedBuffer.reserve/release + EgressQueue.push/pop:
+    # replay what a real switch admitted and dequeued, in order, through
+    # fresh canonical objects and compare every counter.
+    net = _parity_net(admission, audited)
+    sw = net.switches[0]
+    log = []  # ("in" | "out", packet) in event order
+    PacketTap(sw, lambda packet: log.append(("in", packet)))
+    dequeue = sw.poll  # looked up per call by Port and PortKernel alike
+
+    def poll(port):
+        packet = dequeue(port)
+        if packet is not None:
+            log.append(("out", packet))
+        return packet
+
+    sw.poll = poll
+    _drive_mixed_burst(net)
+
+    # Everything admitted was dequeued by the time the run drained.
+    admitted = {id(packet) for kind, packet in log if kind == "out"}
+    buffer = SharedBuffer(sw.config.buffer_bytes, sw.config.alpha)
+    queue = EgressQueue(2)
+    for kind, packet in log:
+        if kind == "out":
+            popped, _ = queue.pop()
+            assert popped is packet
+            buffer.release(packet.size)
+        elif id(packet) in admitted:
+            buffer.reserve(packet.size)
+            queue.push(packet, packet.src)
+    assert len(queue) == 0
+    real = sw.queue_for(2)
+    assert (sw.buffer.used, sw.buffer.peak_used) == (buffer.used, buffer.peak_used)
+    for field in ("occupancy", "red_bytes", "max_occupancy", "max_red_bytes",
+                  "dequeued_bytes"):
+        assert getattr(real, field) == getattr(queue, field), field
+    # The burst exercised drops, marks, red and green, or this is vacuous.
+    assert sw.drops_red > 0 and net.stats.ecn_marks > 0
+    assert queue.max_red_bytes > 0 and queue.dequeued_bytes > queue.max_red_bytes
+    # The canonical methods keep their own guards.
     with pytest.raises(AssertionError):
-        canonical.release(1)
+        buffer.release(1)
     with pytest.raises(AssertionError):
         SharedBuffer(100).reserve(101)
 
 
-# -- parity: ECN boundary semantics across all four receive variants ---------
+# -- parity: ECN boundary semantics in all four configurations --------------
 
 
 def _mark_pattern(net, payload=952, count=3):
@@ -196,7 +229,7 @@ def _mark_pattern(net, payload=952, count=3):
 def test_step_ecn_boundary_identical_across_variants(admission, audited):
     # Packets are 1000 B on the wire; K_ECN = 2000. Marking is on the
     # post-enqueue occupancy, strictly above K: 1000 no, 2000 (== K)
-    # no, 3000 yes — in every receive variant.
+    # no, 3000 yes — in every configuration of the pipeline.
     net = small_star(ecn=StepEcn(2_000), admission=admission)
     if audited:
         Auditor(net).install()
@@ -207,7 +240,7 @@ def test_step_ecn_boundary_identical_across_variants(admission, audited):
 def test_red_ecn_boundary_identical_across_variants(admission):
     # RedEcn boundaries: occupancy == k_min never marks, == k_max
     # force-marks; neither consumes an RNG draw, so the stream state is
-    # untouched by boundary traffic in both receive variants.
+    # untouched by boundary traffic under either decision.
     rng = random.Random(9)
     ecn = RedEcn(1_000, 2_000, 0.5, rng)
     net = small_star(ecn=ecn, admission=admission)
