@@ -69,7 +69,7 @@ class KvClient:
         self._callbacks: Dict[int, Any] = {}
         self._next_op = 0
         server.register_client(self)
-        node.on_message(self._on_reply)
+        node.on_message(self._on_reply, client_tag=self.tag)
 
     # -- operations ---------------------------------------------------------------
 

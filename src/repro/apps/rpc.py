@@ -39,8 +39,12 @@ class MessageDelivery:
     def __call__(self, record) -> None:
         dst = self.dst
         dst.messages_received += 1
+        meta = self.meta
         for handler in dst.handlers:
-            handler(self.src_host_id, self.size, self.meta)
+            handler(self.src_host_id, self.size, meta)
+        handler = dst.client_handlers.get(meta.get("client_tag"))
+        if handler is not None:
+            handler(self.src_host_id, self.size, meta)
 
 
 class RpcNode:
@@ -60,6 +64,7 @@ class RpcNode:
         self.config = config or TransportConfig()
         self.tlt = tlt
         self.handlers: list = []
+        self.client_handlers: Dict[int, Handler] = {}
         self.messages_received = 0
         self._next_client_tag = 0
 
@@ -72,10 +77,15 @@ class RpcNode:
         self._next_client_tag += 1
         return tag
 
-    def on_message(self, handler: Handler) -> None:
-        """Register an arrival handler; all registered handlers run for
-        every message (each filters on ``meta``)."""
-        self.handlers.append(handler)
+    def on_message(self, handler: Handler, client_tag: Optional[int] = None) -> None:
+        """Register an arrival handler. It runs for every message (and
+        filters on ``meta``) — or, given a ``client_tag`` from
+        :meth:`alloc_client_tag`, only for messages whose ``meta``
+        carries that tag: the replies to one client's operations."""
+        if client_tag is None:
+            self.handlers.append(handler)
+        else:
+            self.client_handlers[client_tag] = handler
 
     def send(
         self,

@@ -31,7 +31,7 @@ admission context in hand.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.net.packet import Color
 
@@ -98,7 +98,7 @@ def check_pfc_consistency(net) -> List[str]:
         if pfc is None:
             continue
         total = 0
-        for port_no, count in pfc.ingress_bytes.items():
+        for port_no, count in enumerate(pfc.ingress_bytes):
             total += count
             if count < 0:
                 violations.append(
@@ -109,8 +109,8 @@ def check_pfc_consistency(net) -> List[str]:
                 f"{switch.name}: sum of PFC ingress_bytes {total} != "
                 f"SharedBuffer.used {switch.buffer.used}"
             )
-        for port_no, asserted in pfc.asserted.items():
-            count = pfc.ingress_bytes.get(port_no, 0)
+        for port_no, asserted in enumerate(pfc.asserted):
+            count = pfc.ingress_bytes[port_no]
             if asserted:
                 if count <= pfc.xon:
                     violations.append(
@@ -153,9 +153,15 @@ def check_flow_ledger(net) -> List[str]:
     # Retired records (service runs prune completed flows for O(1)
     # stats memory) fold their timeout counts into this aggregate.
     total_timeouts = getattr(stats, "retired_timeouts", 0)
+    incomplete: Dict[Optional[str], int] = {None: 0}  # group (None: all) -> by scan
     for record in stats.flows.values():
         total_timeouts += record.timeouts
         label = f"flow {record.flow_id}"
+        if record.end_rx_ns is None:
+            incomplete[None] += 1
+            incomplete[record.group] = incomplete.get(record.group, 0) + 1
+        else:
+            incomplete.setdefault(record.group, 0)
         if record.tx_bytes < 0 or record.retx_bytes < 0:
             violations.append(
                 f"{label}: negative byte counter (tx={record.tx_bytes}, "
@@ -196,6 +202,14 @@ def check_flow_ledger(net) -> List[str]:
             violations.append(
                 f"{label}: end_ack_ns {record.end_ack_ns} before "
                 f"end_rx_ns {record.end_rx_ns}"
+            )
+    # NetStats counts liveness where it changes instead of scanning:
+    # incomplete == sum over groups of (live - completed).
+    for group, scanned in incomplete.items():
+        if stats.incomplete_flows(group) != scanned:
+            violations.append(
+                f"flow ledger: incomplete_flows({group!r}) counts "
+                f"{stats.incomplete_flows(group)}, a scan of the records {scanned}"
             )
     if total_timeouts != stats.timeouts:
         violations.append(

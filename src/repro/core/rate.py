@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Optional, Set
 
 from repro.core.config import TltConfig
-from repro.core.marks import apply_acl
+from repro.core.marks import _GREEN_MARKS
 from repro.net.packet import Color, Packet, TltMark
 from repro.stats.collector import NetStats
 
@@ -36,23 +36,24 @@ class TltRateSender:
 
     def mark_data(self, packet: Packet, psn: int, is_retx: bool) -> None:
         """Decide the mark for an outgoing data packet."""
-        important = False
+        periodic_n = self.config.periodic_n
         if psn == self.sender.npkts - 1:
-            important = True  # last packet of the message
+            packet.mark = TltMark.IMPORTANT_DATA  # last packet of the message
         elif psn in self.round_edges:
-            important = True  # edge of a retransmission round
+            packet.mark = TltMark.IMPORTANT_DATA  # edge of a retransmission round
             self.round_edges.discard(psn)
-        elif self.config.periodic_n and (psn + 1) % self.config.periodic_n == 0:
-            important = True  # periodic marking for long flows
-        if important:
-            packet.mark = TltMark.IMPORTANT_DATA
-        apply_acl(packet)
-        if packet.color == Color.GREEN:
-            self.stats.green_data_packets += 1
-            self.stats.green_data_bytes += packet.payload
+        elif periodic_n and (psn + 1) % periodic_n == 0:
+            packet.mark = TltMark.IMPORTANT_DATA  # periodic marking for long flows
+        # apply_acl, open-coded: once per data transmission.
+        stats = self.stats
+        if packet.mark in _GREEN_MARKS:
+            packet.color = Color.GREEN
+            stats.green_data_packets += 1
+            stats.green_data_bytes += packet.payload
         else:
-            self.stats.red_data_packets += 1
-            self.stats.red_data_bytes += packet.payload
+            packet.color = Color.RED
+            stats.red_data_packets += 1
+            stats.red_data_bytes += packet.payload
 
     def on_retx_round(self, first_psn: int, last_psn: int) -> None:
         """A retransmission round starts: protect its first and last packet."""

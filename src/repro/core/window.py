@@ -54,14 +54,15 @@ class TltWindowSender:
         self.config = config
         self.stats = stats
         self.state = _SendState.IMPORTANT  # mark the initial window's tail
-        self._pending_echo_ts: Optional[int] = None
         sender.tlt = self
 
     # -- transmit-side hooks -----------------------------------------------------
 
-    def mark_data(self, packet: Packet, last_allowed: bool) -> None:
-        """Mark a regular data packet; called for every transmission."""
-        if self.state is _SendState.IMPORTANT and last_allowed:
+    def mark_data(self, packet: Packet) -> None:
+        """Mark a regular data packet; called for every transmission.
+        The tail of the burst (the sender's ``_is_last_allowed``) takes
+        the important mark, asked only while there is one to place."""
+        if self.state is _SendState.IMPORTANT and self.sender._is_last_allowed():
             packet.mark = TltMark.IMPORTANT_DATA
             self.state = _SendState.IDLE
         # apply_acl + _count, inlined: once per data transmission.
@@ -94,15 +95,22 @@ class TltWindowSender:
 
     # -- receive-side hooks -----------------------------------------------------
 
-    def on_ack(self, packet: Packet) -> bool:
-        """First look at an incoming ACK. False ⇒ drop at the TLT layer."""
-        if packet.mark == TltMark.IMPORTANT_ECHO:
+    def on_ack(self, packet: Packet) -> Optional[int]:
+        """First look at an incoming ACK. None ⇒ drop at the TLT layer.
+
+        Otherwise the send time the ACK echoes, -1 when it is no echo.
+        An echo's timestamp is the important packet's send time:
+        everything sent up to then and still outstanding is lost (FIFO
+        paths — anything older must have arrived earlier). The sender
+        runs that detection (``mark_lost_sent_before``) after it has
+        applied the cumulative ACK and SACK blocks, before its recovery
+        decisions.
+        """
+        mark = packet.mark
+        if mark == TltMark.IMPORTANT_ECHO:
             self.state = _SendState.IMPORTANT
-            # The echo's timestamp is the important packet's send time:
-            # everything sent up to then and still outstanding is lost
-            # (FIFO paths — anything older must have arrived earlier).
-            self._pending_echo_ts = packet.ts_echo
-        elif packet.mark == TltMark.IMPORTANT_CLOCK_ECHO:
+            return packet.ts_echo
+        if mark == TltMark.IMPORTANT_CLOCK_ECHO:
             self.state = _SendState.IMPORTANT
             if packet.ack <= self.sender.snd_una:
                 # Suppress the duplicate ACK (Appendix A) — but still run
@@ -112,18 +120,9 @@ class TltWindowSender:
                 self.sender.mark_lost_sent_before(packet.ts_echo)
                 self.sender.try_send()
                 self.after_ack()
-                return False
-            self._pending_echo_ts = packet.ts_echo
-        return True
-
-    def on_ack_post(self, packet: Packet) -> None:
-        """Runs after cumulative ACK/SACK were applied, before recovery
-        decisions — performs echo-based loss detection."""
-        if self._pending_echo_ts is None:
-            return
-        boundary = self._pending_echo_ts
-        self._pending_echo_ts = None
-        self.sender.mark_lost_sent_before(boundary)
+                return None
+            return packet.ts_echo
+        return -1
 
     def after_ack(self) -> None:
         """Runs after the transport finished its send attempts: if the

@@ -45,7 +45,7 @@ from repro.switchsim.ecn import RedEcn, StepEcn
 from repro.switchsim.pfc import PfcConfig
 from repro.switchsim.switch import SwitchConfig
 from repro.transport.base import FlowSpec, TransportConfig
-from repro.transport.registry import create_flow
+from repro.transport.registry import create_flow, resolve_config
 from repro.experiments.scale import SMALL, Scale
 from repro.workload.background import BackgroundTraffic
 from repro.workload.distributions import DISTRIBUTIONS
@@ -425,7 +425,7 @@ def make_transport_config(config: ScenarioConfig) -> TransportConfig:
     )
     if config.transport_overrides:
         tconfig = replace(tconfig, **config.transport_overrides)
-    return tconfig
+    return resolve_config(config.transport, tconfig)
 
 
 def _telemetry_run_id(config: ScenarioConfig) -> str:
@@ -526,12 +526,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     # Periodic queue-length sampling (Fig 11). Runs until the traffic
     # window closes (plus while stragglers remain).
     queue_samples: list = []
+    queues = [queue for switch in net.switches for queue in switch.queues]
 
     def sample_queues() -> None:
-        for switch in net.switches:
-            for queue in switch.queues:
-                if queue.occupancy:
-                    queue_samples.append(queue.occupancy)
+        for queue in queues:
+            if queue.occupancy:
+                queue_samples.append(queue.occupancy)
         if net.engine.now < end_of_traffic or net.stats.incomplete_flows():
             net.engine.schedule(config.queue_sample_interval_ns, sample_queues)
 

@@ -1672,6 +1672,7 @@ typedef struct {
     CEngineObject *engine;
     PyObject *routes;            /* fib._routes dict (mutated in place) */
     PyObject *fib_lookup;        /* bound fib.lookup */
+    long long ecmp_switch_id;    /* fib.switch_id when lookup is the static hash, else -1 */
     PyObject *buffer;
     PyObject *stats;
     PyObject *ports;             /* device.ports list */
@@ -2425,11 +2426,26 @@ static PyTypeObject PortKernelType = {
 /* -- SwitchKernel ---------------------------------------------------------- */
 
 static PyObject *PortCls;             /* repro.net.link.Port */
+static PyObject *FibCls;              /* repro.net.routing.Fib */
+static PyObject *FibLookupFn;         /* Fib.lookup as defined at import */
 static PyObject *s_port_no;           /* "port_no" */
 static PyObject *s_receive_name;      /* "_receive" */
 static PyObject *s_poll_name;         /* "_poll" */
 
 #define COLOR_RED 1LL
+
+/* repro.net.routing.ecmp_index for fanout > 1: zlib.crc32 of the key's
+ * four little-endian bytes, mod fanout. CRC-32 is reflected, so the
+ * word is xor-ed in whole and its 32 bits shifted out. */
+static inline Py_ssize_t
+ecmp_index_static(long long flow_id, long long switch_id, Py_ssize_t fanout)
+{
+    uint32_t crc = ~(uint32_t)((uint64_t)flow_id * 2654435761ULL
+                               + (uint64_t)switch_id * 40503ULL);
+    for (int bit = 0; bit < 32; bit++)
+        crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    return (Py_ssize_t)(~crc % (uint32_t)fanout);
+}
 #define KIND_DATA 0LL
 
 /* Fall back to the pure class implementation (exotic port doubles). */
@@ -2473,6 +2489,16 @@ c_switch_receive(SwitchKernelObject *sk, PyObject *packet, PyObject *in_port)
     long long egress;
     if (PyTuple_CheckExact(routes) && PyTuple_GET_SIZE(routes) == 1) {
         egress = PyLong_AsLongLong(PyTuple_GET_ITEM(routes, 0));
+        if (egress == -1 && PyErr_Occurred())
+            return -1;
+    }
+    else if (sk->ecmp_switch_id >= 0 && PyTuple_CheckExact(routes) &&
+             PyTuple_GET_SIZE(routes) > 1) {
+        long long flow_id;
+        if (slot_ll(packet, K_flow_id, &flow_id) < 0)
+            return -1;
+        egress = PyLong_AsLongLong(PyTuple_GET_ITEM(routes, ecmp_index_static(
+            flow_id, sk->ecmp_switch_id, PyTuple_GET_SIZE(routes))));
         if (egress == -1 && PyErr_Occurred())
             return -1;
     }
@@ -3123,10 +3149,29 @@ sk_init(SwitchKernelObject *self, PyObject *args, PyObject *kwargs)
     }
     Py_XSETREF(self->routes, routes);
     PyObject *lookup = PyObject_GetAttr(fib, s_lookup);
-    Py_DECREF(fib);
-    if (lookup == NULL)
+    if (lookup == NULL) {
+        Py_DECREF(fib);
         return -1;
+    }
     Py_XSETREF(self->fib_lookup, lookup);
+    /* The static hash is open-coded only for an exact Fib whose lookup
+     * nobody replaced; every other selector keeps the call. */
+    self->ecmp_switch_id = -1;
+    if (Py_IS_TYPE(fib, (PyTypeObject *)FibCls) && PyMethod_Check(lookup) &&
+        PyMethod_GET_FUNCTION(lookup) == FibLookupFn) {
+        PyObject *sid = PyObject_GetAttrString(fib, "switch_id");
+        if (sid == NULL) {
+            Py_DECREF(fib);
+            return -1;
+        }
+        self->ecmp_switch_id = PyLong_AsLongLong(sid);
+        Py_DECREF(sid);
+        if (self->ecmp_switch_id == -1 && PyErr_Occurred()) {
+            Py_DECREF(fib);
+            return -1;
+        }
+    }
+    Py_DECREF(fib);
 
     PyObject *o;
     if ((o = PyObject_GetAttr(sw, s_buffer)) == NULL)
@@ -4014,6 +4059,9 @@ PyInit__ckernel(void)
         PyErr_SetString(PyExc_TypeError, "repro.net.link.Port must be a class");
         return NULL;
     }
+    if ((FibCls = import_attr("repro.net.routing", "Fib")) == NULL ||
+        (FibLookupFn = PyObject_GetAttrString(FibCls, "lookup")) == NULL)
+        return NULL;
 
     if ((GcGetThreshold = import_attr("gc", "get_threshold")) == NULL ||
         (GcSetThreshold = import_attr("gc", "set_threshold")) == NULL ||

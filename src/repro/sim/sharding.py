@@ -408,6 +408,11 @@ class _ShardWorker:
         # (via ``stop_sampler``) at the barrier after the tick where the
         # single-core sampler would have stopped. Lookahead guarantees
         # that pending tick cannot fire before the revocation arrives.
+        self._sampled_queues = [
+            (sw_idx, q_idx, queue)
+            for sw_idx, switch in enumerate(net.switches)
+            for q_idx, queue in enumerate(switch.queues)
+        ]
         self._sampler_event = engine.schedule(
             config.queue_sample_interval_ns, self._sample_queues
         )
@@ -488,11 +493,10 @@ class _ShardWorker:
         tick = self.sample_ticks
         self.sample_ticks = tick + 1
         samples = self.queue_samples
-        for sw_idx, switch in enumerate(self.net.switches):
-            for q_idx, queue in enumerate(switch.queues):
-                occ = queue.occupancy
-                if occ:
-                    samples.append((tick, sw_idx, q_idx, occ))
+        for sw_idx, q_idx, queue in self._sampled_queues:
+            occ = queue.occupancy
+            if occ:
+                samples.append((tick, sw_idx, q_idx, occ))
         if not self._sampler_stopped:
             self._sampler_event = self.engine.schedule(
                 self.config.queue_sample_interval_ns, self._sample_queues
@@ -808,7 +812,7 @@ def _merge(config, payloads: List[Dict], duration_ns: int):
         record.tx_bytes = t[10]
         record.final_rto_ns = t[11]
         record.final_srtt_ns = t[12]
-        stats.flows[fid] = record
+        stats.add_flow(record)
 
     # Reservoirs: each sample is recorded by exactly one shard (RTT by
     # the live sender, delivery by the live receiver), so shard-order

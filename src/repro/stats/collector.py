@@ -8,14 +8,30 @@ experiments read it after the run.
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional
 
 from repro.net.packet import Color, PacketKind
 from repro.stats.percentile import summarize
 
 
+class GroupTally:
+    """Live (not retired) and completed flow records of one group."""
+
+    __slots__ = ("live", "completed")
+
+    def __init__(self) -> None:
+        self.live = 0
+        self.completed = 0
+
+
 class FlowRecord:
-    """Lifecycle record of one flow."""
+    """Lifecycle record of one flow.
+
+    ``end_rx_ns`` is counted at the write: once the record belongs to a
+    :class:`NetStats` (:meth:`NetStats.add_flow`), every assignment
+    moves that group's :class:`GroupTally`, whoever assigns.
+    """
 
     __slots__ = (
         "flow_id",
@@ -24,7 +40,8 @@ class FlowRecord:
         "size",
         "start_ns",
         "group",
-        "end_rx_ns",
+        "_end_rx_ns",
+        "_tally",
         "end_ack_ns",
         "timeouts",
         "retx_bytes",
@@ -40,7 +57,8 @@ class FlowRecord:
         self.size = size
         self.start_ns = start_ns
         self.group = group  # "fg" (foreground/incast) or "bg" (background)
-        self.end_rx_ns: Optional[int] = None  # receiver has every byte
+        self._end_rx_ns: Optional[int] = None  # receiver has every byte
+        self._tally: Optional[GroupTally] = None  # set while in NetStats.flows
         self.end_ack_ns: Optional[int] = None  # sender saw everything acked
         self.timeouts = 0
         self.retx_bytes = 0
@@ -48,16 +66,25 @@ class FlowRecord:
         self.final_rto_ns: Optional[int] = None
         self.final_srtt_ns: Optional[int] = None
 
+    def _set_end_rx_ns(self, value: Optional[int]) -> None:
+        tally = self._tally
+        if tally is not None:
+            tally.completed += (value is not None) - (self._end_rx_ns is not None)
+        self._end_rx_ns = value
+
+    #: When the receiver had every byte. Reads stay a C-level slot read.
+    end_rx_ns = property(attrgetter("_end_rx_ns"), _set_end_rx_ns)
+
     @property
     def completed(self) -> bool:
-        return self.end_rx_ns is not None
+        return self._end_rx_ns is not None
 
     @property
     def fct_ns(self) -> Optional[int]:
         """Flow completion time: flow start until the receiver has all bytes."""
-        if self.end_rx_ns is None:
+        if self._end_rx_ns is None:
             return None
-        return self.end_rx_ns - self.start_ns
+        return self._end_rx_ns - self.start_ns
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -161,7 +188,10 @@ class NetStats:
         self.rtt_samples_fg = Reservoir(MAX_SAMPLES, seed=f"{seed}:rtt_fg")
         self.rtt_samples_bg = Reservoir(MAX_SAMPLES, seed=f"{seed}:rtt_bg")
         self.delivery_samples = Reservoir(MAX_SAMPLES, seed=f"{seed}:delivery")
+        #: Live records. Written only through :meth:`add_flow` /
+        #: :meth:`retire_flow`, which keep ``_tallies`` in step.
         self.flows: Dict[int, FlowRecord] = {}
+        self._tallies: Dict[str, GroupTally] = {}
         # Retired-flow aggregates: million-request service runs
         # (repro.service) retire completed FlowRecords so ``flows``
         # stays O(live flows); the totals below keep the derived
@@ -184,9 +214,28 @@ class NetStats:
     # -- flow bookkeeping ------------------------------------------------------
 
     def new_flow(self, flow_id: int, src: int, dst: int, size: int, start_ns: int, group: str) -> FlowRecord:
-        record = FlowRecord(flow_id, src, dst, size, start_ns, group)
-        self.flows[flow_id] = record
+        return self.add_flow(FlowRecord(flow_id, src, dst, size, start_ns, group))
+
+    def add_flow(self, record: FlowRecord) -> FlowRecord:
+        """Adopt ``record`` (complete or not), replacing any record of
+        the same flow id."""
+        old = self.flows.get(record.flow_id)
+        if old is not None:
+            self._release(old)
+        tally = self._tallies.get(record.group)
+        if tally is None:
+            tally = self._tallies[record.group] = GroupTally()
+        tally.live += 1
+        tally.completed += record._end_rx_ns is not None
+        record._tally = tally
+        self.flows[record.flow_id] = record
         return record
+
+    def _release(self, record: FlowRecord) -> None:
+        tally = record._tally
+        tally.live -= 1
+        tally.completed -= record._end_rx_ns is not None
+        record._tally = None
 
     def retire_flow(self, flow_id: int) -> bool:
         """Drop a *completed* flow's record, folding it into the
@@ -199,9 +248,10 @@ class NetStats:
         (see :mod:`repro.stats.streaming`). Returns True on retire.
         """
         record = self.flows.get(flow_id)
-        if record is None or record.end_rx_ns is None:
+        if record is None or record._end_rx_ns is None:
             return False
         del self.flows[flow_id]
+        self._release(record)
         self.foreign_src_flows.discard(flow_id)
         group = record.group
         self.retired_flows[group] = self.retired_flows.get(group, 0) + 1
@@ -209,12 +259,10 @@ class NetStats:
         self.retired_timeouts += record.timeouts
         return True
 
-    def add_rtt_sample(self, rtt_ns: int, group: str) -> None:
-        samples = self.rtt_samples_fg if group == "fg" else self.rtt_samples_bg
-        samples.add(rtt_ns)
-
-    def add_delivery_sample(self, delivery_ns: int) -> None:
-        self.delivery_samples.add(delivery_ns)
+    def rtt_samples(self, group: str) -> Reservoir:
+        """The RTT reservoir flows of ``group`` feed (senders bind its
+        ``add`` once; nothing replaces the reservoirs during a run)."""
+        return self.rtt_samples_fg if group == "fg" else self.rtt_samples_bg
 
     def count_drop(self, packet) -> None:
         """Account one switch drop, split by color and packet kind."""
@@ -269,11 +317,18 @@ class NetStats:
                 + self.retired_flows.get(group, 0))
 
     def incomplete_flows(self, group: Optional[str] = None) -> int:
-        return sum(
-            1
-            for r in self.flows.values()
-            if not r.completed and (group is None or r.group == group)
-        )
+        """Live flows whose receiver lacks bytes, in O(groups), exact.
+
+        Invariant: ``incomplete == sum over groups of live - completed``
+        of the records in ``flows``; the tallies move where a record
+        enters (:meth:`add_flow`), completes (``end_rx_ns`` is set, by
+        anyone) or leaves (:meth:`retire_flow`). Polled every sample
+        tick by the drive loops, so it must not scan ``flows``.
+        """
+        if group is None:
+            return sum(t.live - t.completed for t in self._tallies.values())
+        tally = self._tallies.get(group)
+        return tally.live - tally.completed if tally is not None else 0
 
     def timeouts_per_1k_flows(self) -> float:
         flows = self.flow_count()

@@ -12,7 +12,7 @@ ingress port stalls, whatever its egress.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.sim.units import tx_time_ns
 
@@ -55,8 +55,10 @@ class PfcEngine:
         self.engine = switch.engine
         self.xoff = xoff_bytes
         self.xon = xon_bytes
-        self.ingress_bytes: Dict[int, int] = {}
-        self.asserted: Dict[int, bool] = {}
+        # Indexed by ingress port number (the switch is finalized: its
+        # ports are all there); read twice per packet.
+        self.ingress_bytes: List[int] = [0] * len(switch.ports)
+        self.asserted: List[bool] = [False] * len(switch.ports)
         self._refresh_events: Dict[int, object] = {}
         self.pause_frames_sent = 0
         self.resume_frames_sent = 0
@@ -66,15 +68,15 @@ class PfcEngine:
     # -- accounting ------------------------------------------------------------
 
     def on_admit(self, ingress_port_no: int, size: int) -> None:
-        total = self.ingress_bytes.get(ingress_port_no, 0) + size
+        total = self.ingress_bytes[ingress_port_no] + size
         self.ingress_bytes[ingress_port_no] = total
-        if total >= self.xoff and not self.asserted.get(ingress_port_no, False):
+        if total >= self.xoff and not self.asserted[ingress_port_no]:
             self._assert_pause(ingress_port_no)
 
     def on_release(self, ingress_port_no: int, size: int) -> None:
-        total = self.ingress_bytes.get(ingress_port_no, 0) - size
+        total = self.ingress_bytes[ingress_port_no] - size
         self.ingress_bytes[ingress_port_no] = total
-        if total <= self.xon and self.asserted.get(ingress_port_no, False):
+        if total <= self.xon and self.asserted[ingress_port_no]:
             self._deassert_pause(ingress_port_no)
 
     # -- pause frames ----------------------------------------------------------
@@ -84,7 +86,7 @@ class PfcEngine:
         self._send_pause(port_no)
 
     def _send_pause(self, port_no: int) -> None:
-        if not self.asserted.get(port_no, False):
+        if not self.asserted[port_no]:
             return
         port = self.switch.ports[port_no]
         duration = max_pause_ns(port.rate_bps)
@@ -95,7 +97,7 @@ class PfcEngine:
             self.audit_ring.record(
                 "pfc_pause", device=self.switch.name, port=port_no,
                 time_ns=self.engine.now,
-                info=self.ingress_bytes.get(port_no, 0),
+                info=self.ingress_bytes[port_no],
             )
         # Refresh before the quanta expire, as real switches do while
         # the ingress stays above XOFF.
@@ -114,5 +116,5 @@ class PfcEngine:
             self.audit_ring.record(
                 "pfc_resume", device=self.switch.name, port=port_no,
                 time_ns=self.engine.now,
-                info=self.ingress_bytes.get(port_no, 0),
+                info=self.ingress_bytes[port_no],
             )

@@ -181,7 +181,7 @@ class PfcStateSampler(Sampler):
             paused_count = 0
             pfc = getattr(device, "pfc", None)
             for port in device.ports:
-                asserted = bool(pfc.asserted.get(port.port_no, False)) if pfc else False
+                asserted = pfc.asserted[port.port_no] if pfc else False
                 if not (port.paused or asserted):
                     continue
                 paused_count += port.paused

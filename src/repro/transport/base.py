@@ -274,22 +274,19 @@ class ByteStreamSender(ReliableSender):
                     break
                 lost_queue.popleft()
             else:
-                remaining = spec_size - self.snd_nxt
+                snd_nxt = self.snd_nxt
+                remaining = spec_size - snd_nxt
                 if remaining <= 0:
                     break
                 size = mss if mss < remaining else remaining
                 if self.pipe + size > cwnd:
                     break
-                seg = self._new_segment(size)
+                seg = Entry(snd_nxt, snd_nxt + size, size)
+                self.entries.append(seg)
+                self.snd_nxt = seg.end
             self._transmit(seg)
             sent += 1
         return sent
-
-    def _new_segment(self, size: int) -> Entry:
-        seg = Entry(self.snd_nxt, self.snd_nxt + size, size)
-        self.entries.append(seg)
-        self.snd_nxt = seg.end
-        return seg
 
     def _transmit(self, seg: Entry, clock_mark: bool = False) -> None:
         now = self.engine.now
@@ -315,18 +312,20 @@ class ByteStreamSender(ReliableSender):
             if clock_mark:
                 tlt.mark_clock_data(packet)
             else:
-                tlt.mark_data(packet, self._is_last_allowed())
+                tlt.mark_data(packet)
         elif config.plain_color is not None:
             packet.color = config.plain_color
         self.host.send(packet)
-        self._arm_rto()
-        self._arm_pto()
+        if self._rto_deadline is None:
+            self._restart_rto()
+        if config.tlp_enabled and not self._probe_outstanding:
+            self._arm_pto()
 
     def _is_last_allowed(self) -> bool:
         """True when no further send can follow right now (window edge
         or end of data) — the packet just built is the tail of the
         current burst. Mirrors the choice :meth:`try_send` makes next;
-        runs once per TLT-marked transmission."""
+        the TLT controller asks while it has an important mark to place."""
         head = self._next_lost() if self.lost_queue else None
         if head is not None:
             return self.pipe + head.weight > self.cwnd
@@ -347,8 +346,11 @@ class ByteStreamSender(ReliableSender):
                 self._on_syn_ack(packet)
             return
         tlt = self.tlt
-        if tlt is not None and not tlt.on_ack(packet):
-            return  # Important Clock Echo suppressed below snd_una
+        echo_ts = -1
+        if tlt is not None:
+            echo_ts = tlt.on_ack(packet)
+            if echo_ts is None:
+                return  # Important Clock Echo suppressed below snd_una
         now = self.engine.now
 
         # Timestamp-based RTT sample (Karn-safe: echo carries the actual
@@ -357,7 +359,7 @@ class ByteStreamSender(ReliableSender):
         if ts_echo > 0:
             rtt = now - ts_echo
             self.rto.on_rtt_sample(rtt)
-            self.stats.add_rtt_sample(rtt, self.spec.group)
+            self._add_rtt_sample(rtt)
 
         newly_acked = 0
         ack = packet.ack
@@ -374,21 +376,29 @@ class ByteStreamSender(ReliableSender):
         elif ack == snd_una and snd_una < self.snd_nxt:
             self.dupacks += 1
 
-        sacked_bytes = self._apply_sack(packet.sack)
+        sack = packet.sack
+        sacked_bytes = self._apply_sack(sack) if sack else 0
 
-        if tlt is not None:
+        if echo_ts >= 0:
             # Echo-based loss detection runs once the ACK/SACK state is
             # current, so freshly acknowledged segments are not marked.
-            tlt.on_ack_post(packet)
+            self.mark_lost_sent_before(echo_ts)
 
         config = self.config
-        # ECN echo processing (DCTCP overrides).
-        if packet.ecn_echo and config.ecn:
-            self.cc_on_ecn_echo(newly_acked)
-        self.cc_after_ack(newly_acked)
-
+        self.cc_on_ack(newly_acked, packet.ecn_echo and config.ecn)
         if newly_acked and not self.in_recovery:
-            self.cc_on_ack_increase(newly_acked)
+            # Reno growth: slow start below ssthresh, else 1 MSS per
+            # RTT; capped at ``max_cwnd`` (the receive-window role).
+            mss = self.mss
+            if self.cwnd < self.ssthresh:
+                self.cwnd += newly_acked if newly_acked < mss else mss
+            else:
+                self._ca_acc += mss * newly_acked
+                if self._ca_acc >= self.cwnd:
+                    self._ca_acc -= self.cwnd
+                    self.cwnd += mss
+            if self.cwnd > self.max_cwnd:
+                self.cwnd = self.max_cwnd
 
         # Loss detection: dup-ACK threshold (1 = early retransmit) or
         # SACK holes below the highest SACKed sequence.
@@ -432,8 +442,8 @@ class ByteStreamSender(ReliableSender):
     # -------------------------------------------------------------- TLP
 
     def _arm_pto(self) -> None:
-        if not self.config.tlp_enabled or self._probe_outstanding:
-            return
+        """(Re)arm the probe timer; :meth:`_transmit` calls it while
+        TLP is on and no probe is outstanding."""
         pto = max(2 * self._srtt(), self.config.tlp_pto_min_ns)
         pto = min(pto, self.rto.current)
         if self._pto_event is not None:
@@ -450,7 +460,11 @@ class ByteStreamSender(ReliableSender):
         # outstanding segment.
         self._probe_outstanding = True
         if self.snd_nxt < self.spec.size:
-            self._transmit(self._new_segment(min(self.mss, self.spec.size - self.snd_nxt)))
+            size = min(self.mss, self.spec.size - self.snd_nxt)
+            seg = Entry(self.snd_nxt, self.snd_nxt + size, size)
+            self.entries.append(seg)
+            self.snd_nxt = seg.end
+            self._transmit(seg)
             return
         for idx in range(len(self.entries) - 1, self._head - 1, -1):
             seg = self.entries[idx]
@@ -482,30 +496,16 @@ class ByteStreamSender(ReliableSender):
 
     # ------------------------------------------------------- CC hooks
 
-    def cc_on_ack_increase(self, newly_acked: int) -> None:
-        """Reno growth: slow start below ssthresh, else 1 MSS per RTT;
-        capped at ``max_cwnd`` (the receive-window role)."""
-        if self.cwnd < self.ssthresh:
-            self.cwnd += min(newly_acked, self.mss)
-        else:
-            self._ca_acc += self.mss * newly_acked
-            if self._ca_acc >= self.cwnd:
-                self._ca_acc -= self.cwnd
-                self.cwnd += self.mss
-        if self.cwnd > self.max_cwnd:
-            self.cwnd = self.max_cwnd
-
     def cc_on_loss(self) -> None:
         """Reno halving on entering fast recovery."""
         self.ssthresh = max(self.cwnd // 2, 2 * self.mss)
         self.cwnd = self.ssthresh
         self._ca_acc = 0
 
-    def cc_on_ecn_echo(self, newly_acked: int) -> None:
-        """ECN reaction; vanilla TCP treats it like loss (once per window)."""
-
-    def cc_after_ack(self, newly_acked: int) -> None:
-        """Per-ACK hook for subclasses (e.g. DCTCP fraction tracking)."""
+    def cc_on_ack(self, newly_acked: int, ecn_echo: bool) -> None:
+        """Per-ACK hook, before window growth (DCTCP: marked-fraction
+        tracking and the ECN reaction; ``ecn_echo`` is only ever true
+        when the flow negotiated ECT)."""
 
     # ------------------------------------------------------------- completion
 

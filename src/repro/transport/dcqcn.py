@@ -27,6 +27,7 @@ class DcqcnRateControl:
         self.on_rate_change = on_rate_change
         self.rc = float(config.link_rate_bps)  # current rate
         self.rt = float(config.link_rate_bps)  # target rate
+        self.rate_bps = config.link_rate_bps  # int(rc): the sender paces every packet by it
         self.alpha = 1.0
         self.time_stage = 0
         self.byte_stage = 0
@@ -52,10 +53,6 @@ class DcqcnRateControl:
         self._alpha_event = None
         self._rate_event = None
 
-    @property
-    def rate_bps(self) -> int:
-        return int(self.rc)
-
     # -- congestion feedback ---------------------------------------------------
 
     def on_cnp(self) -> None:
@@ -63,6 +60,7 @@ class DcqcnRateControl:
         g = self.config.dcqcn_g
         self.rt = self.rc
         self.rc = max(self.rc * (1 - self.alpha / 2), self.config.min_rate_bps)
+        self.rate_bps = int(self.rc)
         self.alpha = (1 - g) * self.alpha + g
         self.time_stage = 0
         self.byte_stage = 0
@@ -129,6 +127,7 @@ class DcqcnRateControl:
         self.rt = min(self.rt, float(self.config.link_rate_bps))
         self.rc = (self.rt + self.rc) / 2
         self.rc = min(self.rc, float(self.config.link_rate_bps))
+        self.rate_bps = int(self.rc)
         self._notify()
 
     def _notify(self) -> None:

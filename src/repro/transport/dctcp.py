@@ -34,7 +34,16 @@ class DctcpSender(ByteStreamSender):
 
     # -- hooks ------------------------------------------------------------------
 
-    def cc_after_ack(self, newly_acked: int) -> None:
+    def cc_on_ack(self, newly_acked: int, ecn_echo: bool) -> None:
+        if ecn_echo:
+            self._acked_marked += newly_acked
+            # One proportional reduction per window of data.
+            if self.snd_una > self._cwr_window_end:
+                self._cwr_window_end = self.snd_nxt
+                new_cwnd = int(self.cwnd * (1 - self.alpha / 2))
+                self.cwnd = max(new_cwnd, self.mss)
+                self.ssthresh = self.cwnd
+                self._ca_acc = 0
         self._acked_total += newly_acked
         if self.snd_una >= self._obs_window_end:
             if self._acked_total > 0:
@@ -44,16 +53,6 @@ class DctcpSender(ByteStreamSender):
             self._acked_total = 0
             self._acked_marked = 0
             self._obs_window_end = self.snd_nxt
-
-    def cc_on_ecn_echo(self, newly_acked: int) -> None:
-        self._acked_marked += newly_acked
-        # One proportional reduction per window of data.
-        if self.snd_una > self._cwr_window_end:
-            self._cwr_window_end = self.snd_nxt
-            new_cwnd = int(self.cwnd * (1 - self.alpha / 2))
-            self.cwnd = max(new_cwnd, self.mss)
-            self.ssthresh = self.cwnd
-            self._ca_acc = 0
 
 
 class DctcpReceiver(ByteStreamReceiver):

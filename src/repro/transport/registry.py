@@ -27,7 +27,6 @@ def _tcp_pair(net: Network, spec: FlowSpec, config: TransportConfig):
 def _dctcp_pair(net: Network, spec: FlowSpec, config: TransportConfig):
     from repro.transport.dctcp import DctcpReceiver, DctcpSender
 
-    config = replace(config, ecn=True)
     sender = DctcpSender(net.host(spec.src), spec, config, net.stats)
     receiver = DctcpReceiver(net.host(spec.dst), spec, config, net.stats)
     return sender, receiver
@@ -56,6 +55,17 @@ TRANSPORTS = {
 WINDOW_TLT = {"tcp", "dctcp", "irn", "hpcc"}
 
 
+def resolve_config(name: str, config: Optional[TransportConfig] = None) -> TransportConfig:
+    """The config flows of transport ``name`` run with (DCTCP sets
+    ECT). Returns ``config`` itself when it already is resolved, so a
+    run that resolves once shares one object between all its flows;
+    transports only ever read it."""
+    config = config or TransportConfig()
+    if name == "dctcp" and not config.ecn:
+        config = replace(config, ecn=True)
+    return config
+
+
 def create_flow(
     name: str,
     net: Network,
@@ -66,8 +76,7 @@ def create_flow(
     """Create sender and receiver for ``spec``; optionally attach TLT."""
     if name not in TRANSPORTS:
         raise KeyError(f"unknown transport {name!r}; choose from {sorted(TRANSPORTS)}")
-    config = config or TransportConfig()
-    sender, receiver = TRANSPORTS[name](net, spec, config)
+    sender, receiver = TRANSPORTS[name](net, spec, resolve_config(name, config))
     if tlt is not None:
         if name in WINDOW_TLT:
             from repro.core.window import attach_window_tlt

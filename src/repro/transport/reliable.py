@@ -112,6 +112,9 @@ class ReliableSender:
         self.record = stats.new_flow(
             spec.flow_id, spec.src, spec.dst, spec.size, spec.start_ns, spec.group
         )
+        # One sample per ACK and per delivered entry: straight to the reservoir.
+        self._add_rtt_sample = stats.rtt_samples(spec.group).add
+        self._add_delivery_sample = stats.delivery_samples.add
 
         self.stride = stride
         self.entries: List[Entry] = []
@@ -179,7 +182,7 @@ class ReliableSender:
         now = self.engine.now
         pipe_drop = 0
         retx_pop = self._retx_inflight.pop
-        add_sample = self.stats.add_delivery_sample
+        add_sample = self._add_delivery_sample
         while idx < n:
             entry = entries[idx]
             if entry.end > seq:
@@ -215,7 +218,7 @@ class ReliableSender:
         n = len(entries)
         pipe_drop = 0
         retx_pop = self._retx_inflight.pop
-        add_sample = self.stats.add_delivery_sample
+        add_sample = self._add_delivery_sample
         for lo, hi in blocks:
             if hi > self._highest_sacked:
                 self._highest_sacked = hi
@@ -292,21 +295,23 @@ class ReliableSender:
                     marked.append(entry)
 
         if self._retx_inflight:
-            for entry in list(self._retx_inflight):
-                if entry.acked or entry.sacked or entry.lost:
-                    self._retx_inflight.pop(entry, None)
-                    continue
+            # Everything in flight again is unresolved (ACK, SACK and
+            # marking all remove it); _mark_lost edits the dict, so
+            # collect the aged entries before marking them.
+            first_aged = len(marked)
+            for entry in self._retx_inflight:
                 if entry.end <= highest and entry.last_tx_ns + srtt <= now:
-                    self._mark_lost(entry)
                     marked.append(entry)
+            for idx in range(first_aged, len(marked)):
+                self._mark_lost(marked[idx])
 
         if marked:
             self._on_loss_detected(marked)
         return marked
 
     def _mark_lost(self, entry: Entry) -> None:
-        if entry.lost or entry.acked or entry.sacked:
-            return
+        """Queue ``entry`` for retransmission; the caller has checked
+        that it is neither acked, SACKed nor already lost."""
         entry.lost = True
         if entry.in_pipe:
             entry.in_pipe = False

@@ -100,54 +100,46 @@ class RoceSender(ReliableSender):
             self.rate_ctrl.start()
         self._schedule_send()
 
-    def payload_of(self, psn: int) -> int:
-        return self._last_payload if psn == self.npkts - 1 else self.payload
-
     def is_all_acked(self) -> bool:
         return self.snd_una >= self.npkts
 
     # ------------------------------------------------------------- send engine
 
-    def _next_candidate(self) -> Optional[int]:
-        """The next PSN to send: rewind pointer, lost packet or new data."""
+    def _next_sendable(self) -> Optional[int]:
+        """The PSN to send now — rewind pointer, lost packet or new data
+        — or None when there is none or the window (HPCC's, or the
+        static cap) has no room for it. The one place that decides; the
+        send engine asks it before scheduling and again when it fires."""
         if self.recovery == "gbn":
-            return self.snd_ptr if self.snd_ptr < self.npkts else None
-        lost = self._next_lost() if self.lost_queue else None
-        if lost is not None:
-            return lost.start
-        return self.snd_next if self.snd_next < self.npkts else None
-
-    def effective_window(self) -> Optional[int]:
-        if self.hpcc is not None:
-            return self.hpcc.window
-        return self.window_cap_bytes
-
-    def _window_blocked(self, size: int) -> bool:
-        window = self.effective_window()
-        if window is None:
-            return False
-        return self.pipe + size > window and self.pipe > 0
+            psn = self.snd_ptr
+        else:
+            lost = self._next_lost() if self.lost_queue else None
+            psn = lost.start if lost is not None else self.snd_next
+        if psn >= self.npkts:
+            return None
+        hpcc = self.hpcc
+        window = hpcc.window if hpcc is not None else self.window_cap_bytes
+        if window is not None and self.pipe > 0:
+            payload = self._last_payload if psn == self.npkts - 1 else self.payload
+            if self.pipe + payload + HEADER_BYTES > window:
+                return None  # resumed on the next ACK
+        return psn
 
     def _schedule_send(self) -> None:
         if self._send_event is not None or self.completed or not self.started:
             return
-        psn = self._next_candidate()
-        if psn is None:
+        if self._next_sendable() is None:
             return
-        if self._window_blocked(self.payload_of(psn) + HEADER_BYTES):
-            return  # resumed on the next ACK
-        at = max(self.engine.now, self._next_tx_time)
+        now = self.engine.now
+        at = now if now > self._next_tx_time else self._next_tx_time
         self._send_event = self.engine.schedule_at(at, self._send_fire)
 
     def _send_fire(self) -> None:
         self._send_event = None
         if self.completed:
             return
-        psn = self._next_candidate()
+        psn = self._next_sendable()
         if psn is None:
-            return
-        size = self.payload_of(psn) + HEADER_BYTES
-        if self._window_blocked(size):
             return
         if self.recovery == "gbn":
             self.snd_ptr += 1
@@ -158,7 +150,8 @@ class RoceSender(ReliableSender):
                 self.lost_queue.popleft()
         entries = self.entries
         if psn == len(entries):  # first transmission of this PSN
-            entries.append(Entry(psn, psn + 1, size))
+            payload = self._last_payload if psn == self.npkts - 1 else self.payload
+            entries.append(Entry(psn, psn + 1, payload + HEADER_BYTES))
         self._transmit(entries[psn])
         self._schedule_send()
 
@@ -166,44 +159,45 @@ class RoceSender(ReliableSender):
         now = self.engine.now
         psn = entry.start
         payload = entry.weight - HEADER_BYTES
+        record = self.record
         is_retx = self._record_tx(entry, now)
         if is_retx:
-            self.record.retx_bytes += payload
+            record.retx_bytes += payload
             self._arm_rack_timer()
 
+        spec = self.spec
+        config = self.config
         packet = alloc_packet(
-            self.spec.flow_id, self.spec.src, self.spec.dst, PacketKind.DATA,
-            seq=psn, payload=payload,
+            spec.flow_id, spec.src, spec.dst, PacketKind.DATA, psn, payload
         )
         packet.ecn_capable = True
         packet.ts_sent = now
-        packet.tclass = self.config.traffic_class
+        packet.tclass = config.traffic_class
         packet.is_retx = is_retx
         if self.hpcc is not None:
             packet.int_records = []  # request INT telemetry
-        self.record.tx_bytes += payload
+        record.tx_bytes += payload
 
         if self.tlt is not None:
             if clock_mark:
                 self.tlt.mark_clock_data(packet)
             else:
-                self.tlt.mark_data(packet, self._is_last_allowed())
+                self.tlt.mark_data(packet)
         elif self.tlt_rate is not None:
             self.tlt_rate.mark_data(packet, psn, is_retx)
 
         self.host.send(packet)
-        self._arm_rto()
-        if self.rate_ctrl is not None:
-            self.rate_ctrl.on_bytes_sent(packet.size)
+        if self._rto_deadline is None:
+            self._restart_rto()
+        rate_ctrl = self.rate_ctrl
+        if rate_ctrl is not None:
+            rate_ctrl.on_bytes_sent(packet.size)
             self._next_tx_time = now + tx_time_ns(
-                packet.size, max(self.rate_ctrl.rate_bps, self.config.min_rate_bps)
+                packet.size, max(rate_ctrl.rate_bps, config.min_rate_bps)
             )
 
     def _is_last_allowed(self) -> bool:
-        nxt = self._next_candidate()
-        if nxt is None:
-            return True
-        return self._window_blocked(self.payload_of(nxt) + HEADER_BYTES)
+        return self._next_sendable() is None
 
     # ------------------------------------------------------------ receive path
 
@@ -220,25 +214,31 @@ class RoceSender(ReliableSender):
         if packet.kind != PacketKind.ACK:
             return
 
-        if self.tlt is not None and not self.tlt.on_ack(packet):
-            return
+        tlt = self.tlt
+        echo_ts = -1
+        if tlt is not None:
+            echo_ts = tlt.on_ack(packet)
+            if echo_ts is None:
+                return
         now = self.engine.now
         if packet.ts_echo > 0:
             rtt = now - packet.ts_echo
             self.rto.on_rtt_sample(rtt)
-            self.stats.add_rtt_sample(rtt, self.spec.group)
+            self._add_rtt_sample(rtt)
 
-        if packet.ack > self.snd_una:
-            self._advance_una(packet.ack)
+        ack = packet.ack
+        if ack > self.snd_una:
+            self._ack_to(ack)
+            self.snd_una = ack
             self.dupacks = 0
             self._restart_rto()
-        elif packet.ack == self.snd_una and self.snd_una < len(self.entries):
+        elif ack == self.snd_una and ack < len(self.entries):
             self.dupacks += 1
 
         sacked = self._apply_sack(packet.sack) if self.recovery == "sack" else 0
 
-        if self.tlt is not None:
-            self.tlt.on_ack_post(packet)
+        if echo_ts >= 0:
+            self.mark_lost_sent_before(echo_ts)
 
         if self.hpcc is not None:
             self.hpcc.on_ack(packet, self.snd_next)
@@ -249,19 +249,20 @@ class RoceSender(ReliableSender):
             self._detect_losses()
             self._arm_rack_timer()
 
-        if self.is_all_acked():
+        if self.snd_una >= self.npkts:
             self._complete()
             return
 
         self._schedule_send()
-        if self.tlt is not None:
-            self.tlt.after_ack()
+        if tlt is not None:
+            tlt.after_ack()
 
     def _on_nack(self, packet: Packet) -> None:
         """Go-back-N: rewind to the receiver's expected PSN."""
         expected = packet.ack
         if expected > self.snd_una:
-            self._advance_una(expected)
+            self._ack_to(expected)
+            self.snd_una = expected
         if self.recovery == "gbn" and expected < self.snd_ptr:
             self.snd_ptr = expected
             if self.tlt_rate is not None and len(self.entries) > expected:
@@ -271,10 +272,6 @@ class RoceSender(ReliableSender):
             self._complete()
             return
         self._schedule_send()
-
-    def _advance_una(self, ack: int) -> None:
-        self._ack_to(ack)
-        self.snd_una = ack
 
     def _on_loss_detected(self, marked: List[Entry]) -> None:
         """A fast-retransmit round starts; rate-based TLT protects its

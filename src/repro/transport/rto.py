@@ -21,9 +21,16 @@ def _div_rtz(value: int, divisor: int) -> int:
 
 
 class RtoEstimator:
-    """Tracks SRTT/RTTVAR and produces the current RTO."""
+    """Tracks SRTT/RTTVAR and produces the current RTO.
 
-    __slots__ = ("rto_min", "rto_max", "granularity", "srtt", "rttvar", "backoff_count")
+    ``base_rto`` (the RTO before backoff) and ``current`` (with
+    exponential backoff) are plain attributes, rewritten where their
+    inputs change (:meth:`on_rtt_sample`, :meth:`backoff`): senders
+    read them on every ACK.
+    """
+
+    __slots__ = ("rto_min", "rto_max", "granularity", "srtt", "rttvar", "backoff_count",
+                 "base_rto", "current", "_base_max")
 
     def __init__(
         self,
@@ -39,6 +46,8 @@ class RtoEstimator:
         self.srtt = 0  # 0 means "no sample yet"
         self.rttvar = 0
         self.backoff_count = 0
+        self._base_max = rto_max  # base_rto is clamped to [rto_min, _base_max]
+        self.base_rto = self.current = rto_min  # conservative default before any sample
 
     def on_rtt_sample(self, rtt_ns: int) -> None:
         """Feed one RTT measurement (Karn-safe samples only)."""
@@ -58,25 +67,21 @@ class RtoEstimator:
             d = rtt_ns - srtt
             self.srtt += d // 8 if d >= 0 else -(-d // 8)
         self.backoff_count = 0
-
-    @property
-    def base_rto(self) -> int:
-        """RTO before backoff."""
-        if self.srtt == 0:
-            return self.rto_min  # conservative default before any sample
-        rto = self.srtt + max(self.granularity, 4 * self.rttvar)
-        return min(max(rto, self.rto_min), self.rto_max)
-
-    @property
-    def current(self) -> int:
-        """RTO including exponential backoff."""
-        rto = self.base_rto << self.backoff_count
-        return min(rto, self.rto_max)
+        rto = 4 * self.rttvar
+        if rto < self.granularity:
+            rto = self.granularity
+        rto += self.srtt
+        if rto < self.rto_min:
+            rto = self.rto_min
+        elif rto > self._base_max:
+            rto = self._base_max
+        self.base_rto = self.current = rto
 
     def backoff(self) -> None:
         """Double the RTO after a timeout (capped by rto_max)."""
         if (self.base_rto << self.backoff_count) < self.rto_max:
             self.backoff_count += 1
+            self.current = min(self.base_rto << self.backoff_count, self.rto_max)
 
 
 class FixedRto(RtoEstimator):
@@ -86,10 +91,8 @@ class FixedRto(RtoEstimator):
     never change the timeout; backoff still applies.
     """
 
+    __slots__ = ()
+
     def __init__(self, rto_ns: int, rto_max: int = 1_000 * MILLIS):
         super().__init__(rto_min=rto_ns, rto_max=rto_max)
-        self._fixed = rto_ns
-
-    @property
-    def base_rto(self) -> int:
-        return self._fixed
+        self._base_max = rto_ns  # clamped to [rto_ns, rto_ns]

@@ -37,23 +37,26 @@ class ReceiverBuffer:
             self.rcv_nxt = end
             return end - before
 
-        # Merge into the island list.
-        merged: List[Tuple[int, int]] = []
-        placed = False
-        for lo, hi in self.intervals:
-            if hi < start or lo > end:
-                merged.append((lo, hi))
-            else:
-                start = min(start, lo)
-                end = max(end, hi)
-        if not placed:
-            merged.append((start, end))
-        merged.sort()
-        self.intervals = merged
+        # Merge into the island list, in place: the islands it touches
+        # or overlaps are one run of the sorted list.
+        intervals = self.intervals
+        n = len(intervals)
+        first = 0
+        while first < n and intervals[first][1] < start:
+            first += 1
+        last = first
+        while last < n and intervals[last][0] <= end:
+            lo, hi = intervals[last]
+            if lo < start:
+                start = lo
+            if hi > end:
+                end = hi
+            last += 1
+        intervals[first:last] = [(start, end)]
 
         # Advance the cumulative point across now-contiguous islands.
-        while self.intervals and self.intervals[0][0] <= self.rcv_nxt:
-            lo, hi = self.intervals.pop(0)
+        while intervals and intervals[0][0] <= self.rcv_nxt:
+            lo, hi = intervals.pop(0)
             if hi > self.rcv_nxt:
                 self.rcv_nxt = hi
         return self.rcv_nxt - before

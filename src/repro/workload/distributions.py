@@ -33,6 +33,7 @@ class EmpiricalCdf:
             raise ValueError("last CDF point must have probability 1.0")
         self.name = name
         self.points: List[Tuple[int, float]] = [(int(s), float(p)) for s, p in points]
+        self._means: Dict[Tuple[int, int], float] = {}
 
     def sample(self, rng: random.Random) -> int:
         """Draw one flow size."""
@@ -50,12 +51,16 @@ class EmpiricalCdf:
         return self.points[-1][0]
 
     def mean(self, samples: int = 200_000, seed: int = 7) -> float:
-        """Monte-Carlo mean of the distribution."""
-        rng = random.Random(seed)
-        total = 0
-        for _ in range(samples):
-            total += self.sample(rng)
-        return total / samples
+        """Monte-Carlo mean of the distribution: a pure function of
+        ``(samples, seed)``, so it is drawn once and remembered."""
+        mean = self._means.get((samples, seed))
+        if mean is None:
+            rng = random.Random(seed)
+            total = 0
+            for _ in range(samples):
+                total += self.sample(rng)
+            mean = self._means[(samples, seed)] = total / samples
+        return mean
 
 
 #: Web search (DCTCP [17]); calibrated to a ~1.7 MB mean.

@@ -63,15 +63,15 @@ def test_dctcp_reduces_proportionally_not_by_half():
     sender, _ = create_flow("dctcp", net, spec, config)
     windows = []
 
-    original = sender.cc_on_ecn_echo
+    original = sender.cc_on_ack
 
-    def spy(newly_acked):
+    def spy(newly_acked, ecn_echo):
         before = sender.cwnd
-        original(newly_acked)
+        original(newly_acked, ecn_echo)
         if sender.cwnd != before:
             windows.append((before, sender.cwnd))
 
-    sender.cc_on_ecn_echo = spy
+    sender.cc_on_ack = spy
     # A competing flow to build the queue.
     spec2 = FlowSpec(flow_id=net.new_flow_id(), src=1, dst=2, size=3_000_000)
     create_flow("dctcp", net, spec2, config)

@@ -86,3 +86,24 @@ def test_validation_rejects_bad_tables():
         EmpiricalCdf("unsorted", [(100, 0.5), (50, 1.0)])
     with pytest.raises(ValueError):
         EmpiricalCdf("short", [(100, 0.9)])  # doesn't reach 1.0
+
+
+def test_mean_is_memoised_per_samples_and_seed():
+    """``BackgroundTraffic`` asks for the same Monte-Carlo mean on every
+    run: it is drawn once per ``(samples, seed)``, returns the identical
+    float afterwards, and never touches a caller's RNG stream."""
+    cdf = EmpiricalCdf("two-knots", [(1_000, 0.5), (100_000, 1.0)])
+
+    def drawn(samples, seed):  # the uncached computation
+        rng = random.Random(seed)
+        return sum(cdf.sample(rng) for _ in range(samples)) / samples
+
+    caller = random.Random(3)
+    before = caller.getstate(), random.getstate()
+    first = cdf.mean(samples=500, seed=7)
+    assert first == drawn(500, 7)
+    assert cdf.mean(samples=500, seed=7) == first  # bit-identical on repeat
+    assert cdf.mean(samples=500, seed=8) == drawn(500, 8)
+    assert cdf.mean(samples=400, seed=7) == drawn(400, 7)
+    assert cdf.mean(samples=500, seed=7) == first  # other keys did not disturb it
+    assert (caller.getstate(), random.getstate()) == before

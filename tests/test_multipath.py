@@ -22,6 +22,7 @@ drift — find out why the event sequence moved.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments.scale import TINY
 from repro.experiments.scenarios import ScenarioConfig
@@ -352,3 +353,46 @@ EXPECTED_FAT_TREE = {
 @pytest.mark.parametrize("selection", sorted(EXPECTED_FAT_TREE))
 def test_fat_tree_selector_fingerprints(selection):
     assert fingerprint(_tiny("fat_tree", selection)) == EXPECTED_FAT_TREE[selection]
+
+
+# ------------------------------------------- the compiled kernel's static hash
+
+
+def _egress_taken(fanout: int, switch_id: int, flow_id: int, override: bool):
+    """Egress port a compiled switch picks for one packet, and what
+    ``Fib.lookup`` says, on a star whose route to host 0 is rewritten
+    to ``fanout`` candidates."""
+    from repro.net.packet import Packet, PacketKind
+    from repro.sim import backend
+    from tests.util import small_star
+
+    backend.set_backend("compiled")
+    try:
+        net = small_star(num_hosts=fanout + 1)
+        switch = net.switches[0]
+        switch.fib.switch_id = switch_id
+        switch.fib.add_route(0, tuple(range(1, fanout + 1)))
+        calls = []
+        if override:  # any replaced lookup keeps the call into Python
+            lookup = switch.fib.lookup
+            switch.fib.lookup = lambda dst, fid: calls.append(fid) or lookup(dst, fid)
+        switch._kernel = type(switch._kernel)(switch)
+        switch._bind_data_path()
+    finally:
+        backend.set_backend(None)
+    switch.receive(Packet(flow_id, 1, 0, PacketKind.DATA, payload=100), switch.ports[0])
+    (taken,) = [p.port_no for p in switch.ports if switch.queue_for(p.port_no).max_occupancy]
+    return taken, Fib.lookup(switch.fib, 0, flow_id), calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(flow_id=st.integers(0, 2**40), switch_id=st.integers(0, 2**20),
+       fanout=st.integers(2, 7), override=st.booleans())
+def test_compiled_static_hash_matches_ecmp_index(flow_id, switch_id, fanout, override):
+    from repro.sim import backend
+
+    if not backend.compiled_available():
+        pytest.skip("compiled backend not built")
+    taken, expected, calls = _egress_taken(fanout, switch_id, flow_id, override)
+    assert taken == expected == 1 + ecmp_index(flow_id, switch_id, fanout)
+    assert calls == ([flow_id] if override else [])

@@ -28,7 +28,7 @@ def test_xoff_crossing_asserts_pause():
     in_port = net.host(0).port.peer
     for i in range(5):
         switch.receive(_data(9, 0, 2, seq=i), in_port)
-    assert switch.pfc.asserted.get(in_port.port_no)
+    assert switch.pfc.asserted[in_port.port_no]
     assert switch.pfc.pause_frames_sent >= 1
 
 
@@ -39,7 +39,7 @@ def test_xon_crossing_sends_resume():
     for i in range(5):
         switch.receive(_data(9, 0, 2, seq=i), in_port)
     net.engine.run(until=10_000_000)  # queue drains to host 2
-    assert not switch.pfc.asserted.get(in_port.port_no)
+    assert not switch.pfc.asserted[in_port.port_no]
     assert switch.pfc.resume_frames_sent >= 1
     assert switch.pfc.ingress_bytes[in_port.port_no] == 0
 
@@ -67,5 +67,5 @@ def test_per_ingress_isolation():
     for i in range(5):
         switch.receive(_data(9, 0, 2, seq=i), port0)
     port1 = net.host(1).port.peer
-    assert switch.pfc.asserted.get(port0.port_no)
-    assert not switch.pfc.asserted.get(port1.port_no, False)
+    assert switch.pfc.asserted[port0.port_no]
+    assert not switch.pfc.asserted[port1.port_no]

@@ -1,6 +1,7 @@
 """Tests for RTO estimation (Linux-style SRTT/RTTVAR)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.units import MICROS, MILLIS
 from repro.transport.rto import FixedRto, RtoEstimator
@@ -122,3 +123,31 @@ def test_fixed_rto_still_backs_off():
     rto = FixedRto(160 * MICROS)
     rto.backoff()
     assert rto.current == 320 * MICROS
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fixed=st.booleans(),
+    ops=st.lists(st.one_of(st.integers(-5, 50 * MILLIS), st.none()), max_size=60),
+)
+def test_cached_rto_equals_recomputed_formula(fixed, ops):
+    """``base_rto``/``current`` are attributes rewritten where their
+    inputs change; after any sample/backoff sequence they must equal
+    the formulas they used to be computed from on every read."""
+    rto = (FixedRto(160 * MICROS, rto_max=20 * MILLIS) if fixed
+           else RtoEstimator(rto_min=1 * MILLIS, rto_max=20 * MILLIS))
+
+    def recomputed_base():
+        if fixed:
+            return 160 * MICROS
+        if rto.srtt == 0:
+            return rto.rto_min
+        return min(max(rto.srtt + max(rto.granularity, 4 * rto.rttvar), rto.rto_min), rto.rto_max)
+
+    for op in ops:
+        if op is None:
+            rto.backoff()
+        else:
+            rto.on_rtt_sample(op)
+        assert rto.base_rto == recomputed_base()
+        assert rto.current == min(recomputed_base() << rto.backoff_count, rto.rto_max)

@@ -126,3 +126,40 @@ def test_property_random_permutation_completes(order, seed):
         buf.on_data(seg * 10, 10)
     assert buf.rcv_nxt == (max(full) + 1) * 10
     assert buf.sack_blocks() == ()
+
+
+def _reference_on_data(rcv_nxt, intervals, seq, length):
+    """The merge ``ReceiverBuffer.on_data`` used before it inserted in
+    place (rebuild the island list, append, sort); returns the new
+    ``(rcv_nxt, intervals)``."""
+    start, end = seq, seq + length
+    if length <= 0 or end <= rcv_nxt:
+        return rcv_nxt, intervals
+    start = max(start, rcv_nxt)
+    if start <= rcv_nxt and not intervals:
+        return end, intervals
+    merged = []
+    for lo, hi in intervals:
+        if hi < start or lo > end:
+            merged.append((lo, hi))
+        else:
+            start, end = min(start, lo), max(end, hi)
+    merged.append((start, end))
+    merged.sort()
+    while merged and merged[0][0] <= rcv_nxt:
+        lo, hi = merged.pop(0)
+        rcv_nxt = max(rcv_nxt, hi)
+    return rcv_nxt, merged
+
+
+@given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 12)), max_size=80))
+def test_in_place_merge_matches_rebuild_and_sort(arrivals):
+    """Any arrival order, with duplicates, overlaps and adjacent pieces."""
+    buf = ReceiverBuffer()
+    rcv_nxt, intervals = 0, []
+    for seq, length in arrivals:
+        before = buf.rcv_nxt
+        advanced = buf.on_data(seq, length)
+        rcv_nxt, intervals = _reference_on_data(rcv_nxt, intervals, seq, length)
+        assert (buf.rcv_nxt, buf.intervals) == (rcv_nxt, intervals)
+        assert advanced == rcv_nxt - before

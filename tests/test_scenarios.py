@@ -103,3 +103,39 @@ def test_summary_row_keys():
                 "pause_per_1k", "pause_fraction", "important_loss_rate",
                 "important_fraction", "incomplete"):
         assert key in row
+
+
+@pytest.mark.parametrize("transport", ["tcp", "dctcp", "dcqcn", "dcqcn-sack", "irn", "hpcc"])
+def test_flows_share_one_config_and_never_write_it(monkeypatch, transport):
+    """The transport config is resolved once per run and shared by all
+    flows (one object, not one copy per flow), so a transport that
+    wrote to ``self.config`` would change every other flow's."""
+    from repro.experiments import scenarios
+    from repro.transport.base import TransportConfig
+
+    class Guarded(TransportConfig):
+        sealed = False
+
+        def __setattr__(self, name, value):
+            assert not self.sealed, f"a transport wrote config.{name}"
+            super().__setattr__(name, value)
+
+    real = scenarios.make_transport_config
+    made = []
+
+    def make(config):
+        plain = real(config)
+        guarded = Guarded(**{name: getattr(plain, name) for name in plain.__dataclass_fields__})
+        guarded.sealed = True
+        made.append(guarded)
+        return guarded
+
+    monkeypatch.setattr(scenarios, "make_transport_config", make)
+    result = run_scenario(fast_config(transport=transport, tlt=True, audit=False, shards=1,
+                                      incast_flow_size=64_000, buffer_per_port=40_000))
+    (shared,) = made
+    assert shared.ecn == (transport == "dctcp")
+    endpoints = [ep for host in result.net.hosts for ep in host.endpoints.values()]
+    assert len(endpoints) == 2 * result.stats.flow_count()
+    assert all(ep.config is shared for ep in endpoints)
+    assert result.stats.incomplete_flows() == 0

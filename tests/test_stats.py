@@ -1,8 +1,16 @@
 """Tests for the stats collector and percentile helpers."""
 
+import pickle
+from types import SimpleNamespace
+
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
 from repro.net.packet import Color, Packet, PacketKind
 from repro.stats.collector import NetStats, Reservoir
 from repro.stats.percentile import percentile, summarize
+from repro.transport.base import ByteStreamReceiver, FlowSpec, TransportConfig
+from repro.transport.roce import RoceReceiver
 
 
 def _packet(color: Color, kind: PacketKind, size: int) -> Packet:
@@ -125,8 +133,8 @@ def test_sample_reservoir_caps(monkeypatch):
     monkeypatch.setattr(collector, "MAX_SAMPLES", 10)
     stats = NetStats()
     for i in range(100):
-        stats.add_rtt_sample(i, "fg")
-        stats.add_delivery_sample(i)
+        stats.rtt_samples("fg").add(i)
+        stats.delivery_samples.add(i)
     assert len(stats.rtt_samples_fg) == 10
     assert len(stats.delivery_samples) == 10
     assert stats.rtt_samples_fg.seen == 100
@@ -180,3 +188,118 @@ def test_goodput():
     # 1 MB over 1 ms => 8 Gbps.
     assert stats.goodput_bps("bg", 1_000_000) == 8e9
     assert stats.goodput_bps("bg", 0) == 0.0
+
+
+# -- incomplete_flows() is counted, not scanned ----------------------------------
+
+
+def _scan_incomplete(stats, group=None):
+    """The scan ``NetStats.incomplete_flows`` replaced."""
+    return sum(1 for r in stats.flows.values()
+               if r.end_rx_ns is None and (group is None or r.group == group))
+
+
+def _shard_payload(stats, flows, foreign):
+    """What one shard worker hands ``repro.sim.sharding._merge``."""
+    from repro.sim import sharding
+
+    return {
+        "counters": {name: getattr(stats, name) for name in sharding._COUNTER_FIELDS},
+        "flows": flows,
+        "foreign": foreign,
+        "reservoirs": {name: ([], 0) for name in sharding._RESERVOIR_FIELDS},
+        "queue_samples": [], "ticks": 0, "events": 0, "artifacts": 0,
+        "paused_ns": 0, "path_churn": [0, 0], "port_count": 0, "now": 0,
+    }
+
+
+class LivenessMachine(RuleBasedStateMachine):
+    """Every writer of flow liveness that exists: ``new_flow``, both
+    receivers, direct assignment of ``end_rx_ns`` (also twice, also
+    back to None), ``retire_flow``, a pickle round trip (checkpoint)
+    and the sharded merge, which builds records outside ``new_flow``."""
+
+    GROUPS = ("fg", "bg", "other")
+
+    def __init__(self):
+        super().__init__()
+        self.stats = NetStats()
+        self.engine = SimpleNamespace(now=0)
+        self.host = SimpleNamespace(engine=self.engine, send=lambda packet: None,
+                                    register_endpoint=lambda flow_id, endpoint: None)
+        self.next_id = 0
+
+    def _pick(self, data):
+        return data.draw(st.sampled_from(sorted(self.stats.flows)))
+
+    @rule(group=st.sampled_from(GROUPS), reuse_id=st.booleans())
+    def new_flow(self, group, reuse_id):
+        flow_id = self.next_id - 1 if reuse_id and self.next_id else self.next_id
+        self.next_id = max(self.next_id, flow_id + 1)
+        self.stats.new_flow(flow_id, 0, 1, 1000, self.engine.now, group)
+
+    @precondition(lambda self: self.stats.flows)
+    @rule(data=st.data(), family=st.sampled_from(("bytestream", "roce")))
+    def receiver_completes(self, data, family):
+        flow_id = self._pick(data)
+        self.engine.now += 7
+        spec = FlowSpec(flow_id=flow_id, src=0, dst=1, size=1000)
+        config = TransportConfig()
+        if family == "bytestream":
+            receiver = ByteStreamReceiver(self.host, spec, config, self.stats)
+        else:
+            receiver = RoceReceiver(self.host, spec, config, self.stats)
+        receiver.on_packet(Packet(flow_id, 0, 1, PacketKind.DATA, seq=0, payload=1000))
+        assert self.stats.flows[flow_id].end_rx_ns == self.engine.now
+
+    @precondition(lambda self: self.stats.flows)
+    @rule(data=st.data(), value=st.one_of(st.none(), st.integers(0, 10**9)))
+    def assign_directly(self, data, value):
+        self.stats.flows[self._pick(data)].end_rx_ns = value
+
+    @precondition(lambda self: self.stats.flows)
+    @rule(data=st.data())
+    def retire(self, data):
+        flow_id = self._pick(data)
+        completed = self.stats.flows[flow_id].completed
+        assert self.stats.retire_flow(flow_id) == completed
+        assert (flow_id in self.stats.flows) != completed
+
+    @rule()
+    def checkpoint_round_trip(self):
+        self.stats = pickle.loads(pickle.dumps(self.stats, pickle.HIGHEST_PROTOCOL))
+
+    @rule(data=st.data())
+    def sharded_merge(self, data):
+        """Split the records over two shards (cross-shard flows leave
+        their ``end_rx_ns`` in the other shard's inert replica) and
+        continue on the merged collector."""
+        from repro.experiments.scenarios import ScenarioConfig
+        from repro.sim.sharding import _merge
+
+        rows = [(r.flow_id, r.src, r.dst, r.size, r.start_ns, r.group, r.end_rx_ns,
+                 r.end_ack_ns, r.timeouts, r.retx_bytes, r.tx_bytes, r.final_rto_ns,
+                 r.final_srtt_ns) for r in self.stats.flows.values()]
+        crossing = {row[0] for row in rows if data.draw(st.booleans())}
+        owner = [row[:6] + (None,) + row[7:] if row[0] in crossing else row for row in rows]
+        replica = [row for row in rows if row[0] in crossing]
+        before = {g: _scan_incomplete(self.stats, g) for g in (None,) + self.GROUPS}
+        merged = _merge(ScenarioConfig(), [
+            _shard_payload(self.stats, owner, []),
+            _shard_payload(NetStats(), replica, sorted(crossing)),
+        ], duration_ns=0).stats
+        assert {g: merged.incomplete_flows(g) for g in before} == before
+        merged.retired_flows = dict(self.stats.retired_flows)
+        self.stats = merged
+
+    @invariant()
+    def counted_equals_scanned(self):
+        for group in (None,) + self.GROUPS:
+            assert self.stats.incomplete_flows(group) == _scan_incomplete(self.stats, group)
+        assert self.stats.flow_count() == len(self.stats.flows) + sum(
+            self.stats.retired_flows.values())
+
+
+LivenessMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None)
+test_incomplete_flows_counts_equal_the_scan = LivenessMachine.TestCase

@@ -19,6 +19,10 @@ class FakeSender:
         self.spec = type("S", (), {"size": 10_000})()
         self.calls = []
         self._loss = False
+        self.last_allowed = False
+
+    def _is_last_allowed(self):
+        return self.last_allowed
 
     def is_all_acked(self):
         return self.snd_una >= self.spec.size
@@ -66,13 +70,14 @@ def test_initial_state_is_important():
 
 
 def test_mark_data_consumes_state_only_on_last_allowed():
-    _, controller = make_controller()
+    sender, controller = make_controller()
     pkt = data_packet()
-    controller.mark_data(pkt, last_allowed=False)
+    controller.mark_data(pkt)
     assert pkt.mark == TltMark.NONE and pkt.color == Color.RED
     assert controller.state is _SendState.IMPORTANT
     pkt2 = data_packet()
-    controller.mark_data(pkt2, last_allowed=True)
+    sender.last_allowed = True
+    controller.mark_data(pkt2)
     assert pkt2.mark == TltMark.IMPORTANT_DATA and pkt2.color == Color.GREEN
     assert controller.state is _SendState.IDLE
 
@@ -80,17 +85,19 @@ def test_mark_data_consumes_state_only_on_last_allowed():
 def test_echo_rearms_and_schedules_loss_detection():
     sender, controller = make_controller()
     controller.state = _SendState.IDLE
-    assert controller.on_ack(ack_packet(TltMark.IMPORTANT_ECHO, ts_echo=777))
+    # The echoed send time is handed to the sender, which runs the
+    # detection once its ACK/SACK state is current.
+    assert controller.on_ack(ack_packet(TltMark.IMPORTANT_ECHO, ts_echo=777)) == 777
     assert controller.state is _SendState.IMPORTANT
-    controller.on_ack_post(ack_packet(TltMark.IMPORTANT_ECHO, ts_echo=777))
-    assert ("mark_lost_before", 777) in sender.calls
+    assert controller.on_ack(ack_packet(TltMark.CONTROL, ts_echo=777)) == -1
+    assert sender.calls == []
 
 
 def test_clock_echo_below_una_suppressed_but_detected():
     sender, controller = make_controller()
     sender.snd_una = 100
     keep = controller.on_ack(ack_packet(TltMark.IMPORTANT_CLOCK_ECHO, ack=100, ts_echo=9))
-    assert keep is False
+    assert keep is None
     assert ("mark_lost_before", 9) in sender.calls
     assert controller.state is _SendState.IMPORTANT
 
@@ -98,7 +105,7 @@ def test_clock_echo_below_una_suppressed_but_detected():
 def test_clock_echo_above_una_passes():
     sender, controller = make_controller()
     sender.snd_una = 100
-    assert controller.on_ack(ack_packet(TltMark.IMPORTANT_CLOCK_ECHO, ack=101))
+    assert controller.on_ack(ack_packet(TltMark.IMPORTANT_CLOCK_ECHO, ack=101)) == 123
 
 
 def test_after_ack_clocks_one_byte_without_loss():
