@@ -7,8 +7,9 @@ host-independent, so it can gate: one tiny ``incast-star``-shaped
 DCTCP+TLT run under ``sys.setprofile`` must stay inside a budget set
 about 10 % above the count this file was written at (3.05 on CPython
 3.11, 4.58 at the parent commit; newer interpreters inline
-comprehensions and count fewer). A per-tick scan, a per-flow config copy or a per-ACK helper chain coming
-back shows here long before it shows in a timing.
+comprehensions and count fewer). A per-tick scan, a per-flow config
+copy or a per-ACK helper chain coming back shows here long before it
+shows in a timing.
 """
 
 import os

@@ -14,7 +14,8 @@ selectors and the fat-tree introduced with the multipath layer:
 
 Pin history: all four captured at PR 9 on both the pure and compiled
 backends (bit-equal — the compiled switch kernel defers multi-candidate
-lookups to the Python selector) and across ``--shards 1/2/4`` for the
+lookups to the Python selector, except the static hash of an exact
+``Fib``, which it open-codes) and across ``--shards 1/2/4`` for the
 leaf-spine configs. As in ``test_determinism``, do NOT refresh these on
 drift — find out why the event sequence moved.
 """
