@@ -59,26 +59,24 @@ def _drive(net, emulator, hard_cap_ns: int,
     """Run the engine until the emulator finishes (or the cap trips),
     optionally saving one checkpoint at ``checkpoint_at_ns``."""
     engine = net.engine
+    # Frees the previous run's cyclic garbage before this one grows
+    # (see run_scenario); the engine runs with the collector off.
     gc.collect()
-    gc.freeze()
-    try:
-        if (checkpoint_path is not None and checkpoint_at_ns is not None
-                and engine.now < checkpoint_at_ns and not emulator.finished):
-            engine.run(until=min(checkpoint_at_ns, hard_cap_ns))
-            ckpt.save(checkpoint_path, net, extra=extra_state,
-                      key=checkpoint_key)
-        while (not emulator.finished and engine.pending
-               and engine.now < hard_cap_ns):
-            # Window boundaries are absolute multiples of _WINDOW_NS
-            # (not now + window): a restored run resumes mid-window at
-            # the checkpoint time, and relative windows would make it
-            # sample the finished-predicate at different boundaries
-            # than the uninterrupted run — stopping at a different sim
-            # time and breaking fingerprint equality.
-            boundary = (engine.now // _WINDOW_NS + 1) * _WINDOW_NS
-            engine.run(until=min(boundary, hard_cap_ns))
-    finally:
-        gc.unfreeze()
+    if (checkpoint_path is not None and checkpoint_at_ns is not None
+            and engine.now < checkpoint_at_ns and not emulator.finished):
+        engine.run(until=min(checkpoint_at_ns, hard_cap_ns))
+        ckpt.save(checkpoint_path, net, extra=extra_state,
+                  key=checkpoint_key)
+    while (not emulator.finished and engine.pending
+           and engine.now < hard_cap_ns):
+        # Window boundaries are absolute multiples of _WINDOW_NS
+        # (not now + window): a restored run resumes mid-window at
+        # the checkpoint time, and relative windows would make it
+        # sample the finished-predicate at different boundaries
+        # than the uninterrupted run — stopping at a different sim
+        # time and breaking fingerprint equality.
+        boundary = (engine.now // _WINDOW_NS + 1) * _WINDOW_NS
+        engine.run(until=min(boundary, hard_cap_ns))
 
 
 def _finish(config, net, emulator, auditor, telemetry) -> "ScenarioResult":

@@ -14,6 +14,13 @@
  *     KernelMethod callables bound in place of the pure-Python methods
  *     (Switch._receive/_poll via Switch._bind_data_path, host.send,
  *     port._tx_cb, ...).
+ *   - Inside HostKernel.sink, the per-packet work of a byte-stream flow:
+ *     c_receiver_on_packet (DATA -> receive buffer -> ACK) and
+ *     c_sender_on_packet (ACK -> scoreboard, loss detection, RTO, window
+ *     growth). Each transcribes the repro.transport methods it stands in
+ *     for and is gated, per packet and before it changes anything, on
+ *     those still being the functions captured at import; congestion
+ *     control, the TLT controller and the send path stay Python calls.
  *
  * Determinism contract: every arithmetic decision below transcribes the
  * pure-Python fast path statement by statement -- same comparison
@@ -65,14 +72,28 @@ static PyObject *MarkNONEObj, *ColorGREENObj;
 static PyObject *AckBytesObj, *CnpBytesObj;  /* cached size ints */
 static long long HeaderBytesLL;
 
-/* Receiver fast path (c_receiver_on_packet): in-order DATA delivery to
- * a stock ByteStreamReceiver, handled without entering Python. */
+/* Receiver path (c_receiver_on_packet): DATA delivery to a stock
+ * ByteStreamReceiver, handled without entering Python. */
 static PyObject *BSReceiverOnPacket;  /* ByteStreamReceiver.on_packet */
 static PyObject *TltWindowReceiverCls, *ReceiverBufferCls;
 static PyObject *RecvIMPORTANTObj, *RecvIMPCLOCKObj, *RecvIDLEObj;
 static PyObject *KindACKObj;
 static PyObject *MarkIMPDATAObj, *MarkIMPCLOCKDATAObj;
 static PyObject *MarkIMPECHOObj, *MarkIMPCLOCKECHOObj, *MarkCONTROLObj;
+
+/* Sender path (c_sender_on_packet): the methods it transcribes, as the
+ * byte-stream sender classes define them at import. A sender keeps the
+ * C path while its type resolves every name to the captured function
+ * and its instance dict holds none of them. */
+#define N_CORE 8
+static const char *const CoreMethodNames[N_CORE] = {
+    "on_packet", "_ack_to", "_apply_sack", "_detect_losses",
+    "mark_lost_sent_before", "_mark_lost", "_restart_rto", "_srtt"};
+static PyObject *CoreNames[N_CORE], *CoreFns[N_CORE];
+static PyObject *TltOnAckFn;          /* TltWindowSender.on_ack */
+static PyObject *RtoSampleFn;         /* RtoEstimator.on_rtt_sample */
+static PyObject *ReservoirAddFn;      /* Reservoir.add */
+static PyTypeObject *EntryCls, *RtoEstimatorCls, *FixedRtoCls, *ReservoirCls;
 
 /* Interned attribute-name strings. */
 static PyObject *s_kick, *s_flush, *s_add, *s_receive, *s_receive_pause,
@@ -89,6 +110,20 @@ static PyObject *s_kick, *s_flush, *s_add, *s_receive, *s_receive_pause,
     *s_plain_color, *s_size_attr, *s_src_attr, *s_dst_attr,
     *s_flow_id_attr, *s_host_attr, *s_send_attr;
 
+/* Sender-path attribute and method names: sn_<name>. */
+#define SENDER_NAMES(X)                                                      \
+    X(completed) X(tlt) X(rto) X(entries) X(lost_queue) X(pipe) X(snd_una)   \
+    X(snd_nxt) X(dupacks) X(stride) X(cwnd) X(ssthresh) X(mss) X(max_cwnd)   \
+    X(in_recovery) X(recover_point) X(_head) X(_scan_hint)                   \
+    X(_highest_sacked) X(_retx_inflight) X(_add_rtt_sample)                  \
+    X(_add_delivery_sample) X(_probe_outstanding) X(_rto_deadline)           \
+    X(_rto_event) X(_rto_fire) X(_ca_acc) X(on_ack) X(after_ack)             \
+    X(cc_on_ack) X(_on_loss_detected) X(_complete) X(try_send)               \
+    X(on_rtt_sample) X(current) X(srtt) X(dupack_threshold) X(base_rtt_ns)
+#define X(n) static PyObject *sn_##n;
+SENDER_NAMES(X)
+#undef X
+
 /* __slots__ offsets (resolved at import from the Python types). */
 static Py_ssize_t P_engine, P_owner, P_port_no, P_peer, P_rate_bps,
     P_delay_ns, P_busy, P_paused, P_down, P_tx_bytes, P_tx_packets,
@@ -98,6 +133,17 @@ static Py_ssize_t K_flow_id, K_dst, K_kind, K_size, K_tclass,
     K_src, K_seq, K_payload, K_ack, K_sack, K_ecn_echo, K_mark,
     K_is_retx, K_ts_sent, K_ts_echo, K_int_echo;
 static Py_ssize_t R_rcv_nxt, R_intervals, R_last_seq;  /* ReceiverBuffer */
+/* reliable.Entry: int fields (first/last_tx_ns use -1 for "never") and flags. */
+enum { EN_START, EN_END, EN_WEIGHT, EN_RETX_COUNT, EN_FIRST_TX, EN_LAST_TX, EN_COUNT };
+enum { EF_ACKED, EF_SACKED, EF_LOST, EF_IN_PIPE, EF_DELIVERED, EF_COUNT };
+static const char *const EntryIntNames[EN_COUNT] = {
+    "start", "end", "weight", "retx_count", "first_tx_ns", "last_tx_ns"};
+static const char *const EntryFlagNames[EF_COUNT] = {
+    "acked", "sacked", "lost", "in_pipe", "delivered"};
+static Py_ssize_t EntryIntOff[EN_COUNT], EntryFlagOff[EF_COUNT];
+static Py_ssize_t T_rto_min, T_granularity, T_srtt, T_rttvar, T_backoff_count,
+    T_base_rto, T_current, T_base_max;                 /* RtoEstimator */
+static Py_ssize_t V_capacity, V_seen, V_samples;       /* Reservoir */
 static Py_ssize_t Q_items, Q_occupancy, Q_red_bytes, Q_max_occupancy,
     Q_max_red_bytes, Q_dequeued_bytes;
 static Py_ssize_t B_capacity, B_alpha, B_used, B_peak_used;
@@ -227,6 +273,28 @@ ll_read_fast(PyObject *o, long long *out)
     default:
         return 0;
     }
+}
+
+/* ll_read_fast for values that may be negative (the -1 "never sent"
+ * and "no echo" sentinels); still never raises. */
+static inline int
+ll_read_signed(PyObject *o, long long *out)
+{
+    if (ll_read_fast(o, out))
+        return 1;
+    if (!PyLong_CheckExact(o))
+        return 0;
+    int overflow;
+    *out = PyLong_AsLongLongAndOverflow(o, &overflow);
+    return !overflow;
+}
+
+/* ll_read_fast on a slot that may be unset. */
+static inline int
+slot_fast(PyObject *obj, Py_ssize_t off, long long *out)
+{
+    PyObject *v = GETSLOT(obj, off);
+    return v != NULL && ll_read_fast(v, out);
 }
 
 static int
@@ -2375,37 +2443,10 @@ pk_init(PortKernelObject *self, PyObject *args, PyObject *kwargs)
     return 0;
 }
 
-static PyObject *
-pk_get_tx_done(PortKernelObject *self, void *closure)
-{
-    if (self->tx_done_m == NULL)
-        Py_RETURN_NONE;
-    Py_INCREF(self->tx_done_m);
-    return self->tx_done_m;
-}
-
-static PyObject *
-pk_get_drain(PortKernelObject *self, void *closure)
-{
-    if (self->drain_m == NULL)
-        Py_RETURN_NONE;
-    Py_INCREF(self->drain_m);
-    return self->drain_m;
-}
-
-static PyObject *
-pk_get_port(PortKernelObject *self, void *closure)
-{
-    if (self->port == NULL)
-        Py_RETURN_NONE;
-    Py_INCREF(self->port);
-    return self->port;
-}
-
-static PyGetSetDef pk_getset[] = {
-    {"tx_done", (getter)pk_get_tx_done, NULL, NULL, NULL},
-    {"drain", (getter)pk_get_drain, NULL, NULL, NULL},
-    {"port", (getter)pk_get_port, NULL, NULL, NULL},
+static PyMemberDef pk_members[] = {
+    {"tx_done", T_OBJECT, offsetof(PortKernelObject, tx_done_m), READONLY, NULL},
+    {"drain", T_OBJECT, offsetof(PortKernelObject, drain_m), READONLY, NULL},
+    {"port", T_OBJECT, offsetof(PortKernelObject, port), READONLY, NULL},
     {NULL},
 };
 
@@ -2420,7 +2461,7 @@ static PyTypeObject PortKernelType = {
     .tp_dealloc = (destructor)pk_dealloc,
     .tp_traverse = (traverseproc)pk_traverse,
     .tp_clear = (inquiry)pk_clear,
-    .tp_getset = pk_getset,
+    .tp_members = pk_members,
 };
 
 /* -- SwitchKernel ---------------------------------------------------------- */
@@ -3211,37 +3252,10 @@ sk_init(SwitchKernelObject *self, PyObject *args, PyObject *kwargs)
     return 0;
 }
 
-static PyObject *
-sk_get_receive(SwitchKernelObject *self, void *closure)
-{
-    if (self->receive_m == NULL)
-        Py_RETURN_NONE;
-    Py_INCREF(self->receive_m);
-    return self->receive_m;
-}
-
-static PyObject *
-sk_get_poll(SwitchKernelObject *self, void *closure)
-{
-    if (self->poll_m == NULL)
-        Py_RETURN_NONE;
-    Py_INCREF(self->poll_m);
-    return self->poll_m;
-}
-
-static PyObject *
-sk_get_switch(SwitchKernelObject *self, void *closure)
-{
-    if (self->sw == NULL)
-        Py_RETURN_NONE;
-    Py_INCREF(self->sw);
-    return self->sw;
-}
-
-static PyGetSetDef sk_getset[] = {
-    {"receive", (getter)sk_get_receive, NULL, NULL, NULL},
-    {"poll", (getter)sk_get_poll, NULL, NULL, NULL},
-    {"switch", (getter)sk_get_switch, NULL, NULL, NULL},
+static PyMemberDef sk_members[] = {
+    {"receive", T_OBJECT, offsetof(SwitchKernelObject, receive_m), READONLY, NULL},
+    {"poll", T_OBJECT, offsetof(SwitchKernelObject, poll_m), READONLY, NULL},
+    {"switch", T_OBJECT, offsetof(SwitchKernelObject, sw), READONLY, NULL},
     {NULL},
 };
 
@@ -3256,7 +3270,7 @@ static PyTypeObject SwitchKernelType = {
     .tp_dealloc = (destructor)sk_dealloc,
     .tp_traverse = (traverseproc)sk_traverse,
     .tp_clear = (inquiry)sk_clear,
-    .tp_getset = sk_getset,
+    .tp_members = sk_members,
 };
 
 /* -- HostKernel ------------------------------------------------------------ */
@@ -3293,50 +3307,47 @@ c_host_poll(HostKernelObject *hk, PyObject *port)
 static PyObject *mod_alloc_packet(PyObject *module, PyObject *const *args,
                                   Py_ssize_t nargs, PyObject *kwnames);
 
+/* getattr(obj, name) as a small non-negative int; raises when it is not. */
+static int
+attr_ll(PyObject *obj, PyObject *name, long long *out)
+{
+    PyObject *v = PyObject_GetAttr(obj, name);
+    if (v == NULL)
+        return -1;
+    int ok = ll_read_fast(v, out);
+    Py_DECREF(v);
+    if (!ok)
+        PyErr_Format(PyExc_TypeError, "compiled backend: %U is not a small int", name);
+    return ok ? 0 : -1;
+}
+
 /* DATA delivery to a stock ByteStreamReceiver, without entering
- * Python: TLT receive hook, scoreboard update, and the per-packet ACK
- * (alloc + SACK blocks + mark + send through this host's own kernel).
- * Covers the arrival shapes whose scoreboard update is a single edit —
- * cumulative advance, a fresh island past the tail, a contiguous tail
- * extension — which is the bulk of both the steady state and the
- * post-drop regime (each sender's stream keeps arriving in order, so a
- * hole turns into one tail island growing by one MSS per packet).
+ * Python: TLT receive hook, ReceiverBuffer.on_data in full (stale
+ * duplicates, head fills, arrivals inside or between islands), and the
+ * per-packet ACK (alloc + SACK blocks + mark + send through this
+ * host's own kernel).
  *
- * Returns 1 when handled, 0 to defer to the Python on_packet (any
- * deviation: subclass/instance overrides, a wrapped host.send, stale
- * duplicates, arrivals that merge or swallow islands, non-
- * TltWindowReceiver controllers, the completion transition), and -1 on
- * error. All eligibility checks run before any mutation so the Python
- * path can always take over from untouched state. */
+ * Returns 1 when handled, 0 to defer to the Python on_packet (subclass
+ * or instance overrides, a wrapped host.send, a non-TltWindowReceiver
+ * controller, an island list on_data could not have left behind, the
+ * completion transition), and -1 on error. All eligibility checks run
+ * before any mutation so the Python path can always take over from
+ * untouched state. */
 static int
 c_receiver_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
 {
-    if (Py_TYPE(packet) != (PyTypeObject *)PacketCls)
+    /* The endpoint must use the stock receive pipeline. Looked up per
+     * packet, so monkeypatching a receiver class mid-run is honored;
+     * and before the instance dict is asked for, which materializes
+     * it: endpoints of other families keep their inline attributes. */
+    if (_PyType_Lookup(Py_TYPE(ep), s_on_packet) != BSReceiverOnPacket)
         return 0;
-    if (GETSLOT(packet, K_kind) != KindDATAObj)
-        return 0;
-
-    /* The endpoint must use the stock receive pipeline. The type
-     * lookup runs per packet (no verdict cache) so monkeypatching a
-     * receiver class mid-run is honored. */
     PyObject **dictptr = _PyObject_GetDictPtr(ep);
     if (dictptr == NULL || *dictptr == NULL || !PyDict_CheckExact(*dictptr))
         return 0;
     PyObject *d = *dictptr;  /* borrowed */
-    PyObject *v = PyDict_GetItemWithError(d, s_on_packet);
-    if (v != NULL)
+    if (PyDict_GetItemWithError(d, s_on_packet) != NULL)
         return 0;  /* per-instance override */
-    if (PyErr_Occurred())
-        return -1;
-    PyObject *fn = PyObject_GetAttr((PyObject *)Py_TYPE(ep), s_on_packet);
-    if (fn == NULL) {
-        PyErr_Clear();
-        return 0;
-    }
-    int stock = (fn == BSReceiverOnPacket);
-    Py_DECREF(fn);
-    if (!stock)
-        return 0;
 
     PyObject *tlt_rx = PyDict_GetItemWithError(d, s_tlt_rx);
     PyObject *buffer = PyDict_GetItemWithError(d, s_buffer);
@@ -3364,88 +3375,59 @@ c_receiver_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
         return 0;
 
     long long seq, payload, rcv_nxt;
-    if (!ll_read_fast(GETSLOT(packet, K_seq), &seq) ||
-        !ll_read_fast(GETSLOT(packet, K_payload), &payload))
-        return 0;
-    if (payload <= 0)
-        return 0;
     PyObject *intervals = GETSLOT(buffer, R_intervals);
-    if (intervals == NULL || !PyList_CheckExact(intervals))
+    if (!slot_fast(packet, K_seq, &seq) || !slot_fast(packet, K_payload, &payload) ||
+        payload <= 0 || !slot_fast(buffer, R_rcv_nxt, &rcv_nxt) ||
+        intervals == NULL || !PyList_CheckExact(intervals))
         return 0;
-    Py_ssize_t nislands = PyList_GET_SIZE(intervals);
-    if (!ll_read_fast(GETSLOT(buffer, R_rcv_nxt), &rcv_nxt))
-        return 0;
-    long long end = seq + payload;
-    if (end <= rcv_nxt)
-        return 0;  /* stale duplicate */
 
-    /* Classify against ReceiverBuffer.on_data's branches. Islands are
-     * disjoint, sorted, never adjacent, strictly above rcv_nxt; any
-     * arrival needing the general merge/swallow loop falls back. */
-    enum {
-        SHAPE_INORDER,        /* seq <= rcv_nxt, no islands */
-        SHAPE_INORDER_AHEAD,  /* seq <= rcv_nxt, stays below the 1st island */
-        SHAPE_NEW_ISLAND,     /* seq > rcv_nxt, strictly beyond the tail */
-        SHAPE_EXTEND_TAIL     /* seq > rcv_nxt, contiguous with the tail */
-    } shape;
-    long long tail_lo = 0;
-    if (seq <= rcv_nxt) {
-        if (nislands == 0)
-            shape = SHAPE_INORDER;
-        else {
-            PyObject *first = PyList_GET_ITEM(intervals, 0);
-            long long first_lo;
-            if (!PyTuple_CheckExact(first) || PyTuple_GET_SIZE(first) != 2 ||
-                !ll_read_fast(PyTuple_GET_ITEM(first, 0), &first_lo))
-                return 0;
-            if (end >= first_lo)
-                return 0;  /* merges or swallows an island */
-            shape = SHAPE_INORDER_AHEAD;
-        }
-    } else {
-        if (nislands == 0)
-            shape = SHAPE_NEW_ISLAND;
-        else {
-            PyObject *tail = PyList_GET_ITEM(intervals, nislands - 1);
-            long long tail_hi;
-            if (!PyTuple_CheckExact(tail) || PyTuple_GET_SIZE(tail) != 2 ||
-                !ll_read_fast(PyTuple_GET_ITEM(tail, 0), &tail_lo) ||
-                !ll_read_fast(PyTuple_GET_ITEM(tail, 1), &tail_hi))
-                return 0;
-            if (seq == tail_hi)
-                shape = SHAPE_EXTEND_TAIL;
-            else if (seq > tail_hi)
-                shape = SHAPE_NEW_ISLAND;
-            else
-                return 0;  /* overlaps an island or lands between islands */
-        }
-    }
-
-    int done_true;
-    if (done == Py_True)
-        done_true = 1;
-    else if (done == Py_False)
-        done_true = 0;
-    else {
-        done_true = PyObject_IsTrue(done);
-        if (done_true < 0)
-            return -1;
-    }
-    if (!done_true) {
-        PyObject *szo = PyObject_GetAttr(spec, s_size_attr);
-        if (szo == NULL)
-            return -1;
-        long long spec_size;
-        int ok = ll_read_fast(szo, &spec_size);
-        Py_DECREF(szo);
-        if (!ok)
+    /* ReceiverBuffer.on_data's merge, computed on the side: the run
+     * [first, last) of islands the arrival touches or overlaps and the
+     * island [start, end) that replaces it. The islands must be what
+     * on_data leaves behind: (lo, hi) int pairs, sorted, never
+     * adjacent, all above rcv_nxt. */
+    long long start = seq > rcv_nxt ? seq : rcv_nxt, end = seq + payload;
+    int stale = end <= rcv_nxt;  /* stale duplicate: only last_seq moves */
+    Py_ssize_t n = PyList_GET_SIZE(intervals), first = 0, last = 0;
+    long long lo, hi, prev_hi = rcv_nxt;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *island = PyList_GET_ITEM(intervals, i);
+        if (!PyTuple_CheckExact(island) || PyTuple_GET_SIZE(island) != 2 ||
+            !ll_read_fast(PyTuple_GET_ITEM(island, 0), &lo) ||
+            !ll_read_fast(PyTuple_GET_ITEM(island, 1), &hi) ||
+            lo <= prev_hi || hi <= lo)
             return 0;
-        /* The in-order shapes advance rcv_nxt to `end`; the others
-         * leave it alone. Either way, a completion transition (or any
-         * inconsistent already-complete state) goes through Python. */
-        long long nxt_after =
-            (shape == SHAPE_INORDER || shape == SHAPE_INORDER_AHEAD) ? end : rcv_nxt;
-        if (nxt_after >= spec_size)
+        prev_hi = hi;
+        if (stale || last != i)
+            continue;  /* the run has ended */
+        if (first == i && hi < start) {
+            first = last = i + 1;  /* wholly below the arrival */
+        } else if (lo <= end) {
+            if (lo < start)
+                start = lo;
+            if (hi > end)
+                end = hi;
+            last = i + 1;
+        }
+    }
+    /* on_data's advance loop, decided here: with every island above
+     * rcv_nxt and apart from the next, the merged island is consumed
+     * iff it starts at rcv_nxt (then first == 0), and nothing after it
+     * can be. */
+    int advances = !stale && start <= rcv_nxt;
+
+    int done_true = PyObject_IsTrue(done);
+    if (done_true < 0)
+        return -1;
+    if (!done_true) {
+        /* The completion transition (or any inconsistent
+         * already-complete state) goes through Python. */
+        long long spec_size;
+        if (attr_ll(spec, s_size_attr, &spec_size) < 0) {
+            PyErr_Clear();
+            return 0;
+        }
+        if ((advances ? end : rcv_nxt) >= spec_size)
             return 0;
     }
 
@@ -3454,94 +3436,68 @@ c_receiver_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
     /* TltWindowReceiver.on_data, inlined (enum members are singletons). */
     if (tlt_rx != Py_None) {
         PyObject *mark = GETSLOT(packet, K_mark);
-        if (mark == MarkIMPDATAObj) {
-            if (PyObject_SetAttr(tlt_rx, s_state, RecvIMPORTANTObj) < 0)
-                return -1;
-        } else if (mark == MarkIMPCLOCKDATAObj) {
-            if (PyObject_SetAttr(tlt_rx, s_state, RecvIMPCLOCKObj) < 0)
-                return -1;
-        }
+        PyObject *state = mark == MarkIMPDATAObj        ? RecvIMPORTANTObj
+                          : mark == MarkIMPCLOCKDATAObj ? RecvIMPCLOCKObj
+                                                        : NULL;
+        if (state != NULL && PyObject_SetAttr(tlt_rx, s_state, state) < 0)
+            return -1;
     }
 
-    /* ReceiverBuffer.on_data, specialized per shape. */
     slot_store_obj(buffer, R_last_seq, GETSLOT(packet, K_seq));
-    PyObject *endo = PyLong_FromLongLong(end);
-    if (endo == NULL)
-        return -1;
-    if (shape == SHAPE_INORDER || shape == SHAPE_INORDER_AHEAD) {
-        /* Cumulative advance; in the AHEAD case the islands stay put
-         * (the merge loop would insert [rcv_nxt, end) at the front and
-         * the swallow loop would immediately pop it back out). */
-        PyObject *old = GETSLOT(buffer, R_rcv_nxt);
-        Py_INCREF(endo);
-        GETSLOT(buffer, R_rcv_nxt) = endo;
-        Py_XDECREF(old);
-    } else if (shape == SHAPE_NEW_ISLAND) {
-        PyObject *island = PyTuple_Pack(2, GETSLOT(packet, K_seq), endo);
-        if (island == NULL) {
-            Py_DECREF(endo);
+    if (advances) {
+        if (slot_store_ll(buffer, R_rcv_nxt, end) < 0 ||
+            (last > 0 && PyList_SetSlice(intervals, 0, last, NULL) < 0))
             return -1;
-        }
-        int rc = PyList_Append(intervals, island);
-        Py_DECREF(island);
-        if (rc < 0) {
-            Py_DECREF(endo);
+    } else if (!stale) {
+        /* intervals[first:last] = [(start, end)] */
+        PyObject *island = Py_BuildValue("(LL)", start, end);
+        if (island == NULL)
             return -1;
+        int rc;
+        if (last == first) {
+            rc = PyList_Insert(intervals, first, island);
+            Py_DECREF(island);
+        } else {
+            rc = PyList_SetItem(intervals, first, island);  /* steals island */
+            if (rc == 0 && last - first > 1)
+                rc = PyList_SetSlice(intervals, first + 1, last, NULL);
         }
-        nislands += 1;
-    } else { /* SHAPE_EXTEND_TAIL: [tail_lo, tail_hi) + [tail_hi, end) */
-        PyObject *tail = PyList_GET_ITEM(intervals, nislands - 1);
-        PyObject *island = PyTuple_Pack(2, PyTuple_GET_ITEM(tail, 0), endo);
-        if (island == NULL) {
-            Py_DECREF(endo);
+        if (rc < 0)
             return -1;
-        }
-        if (PyList_SetItem(intervals, nislands - 1, island) < 0) {
-            Py_DECREF(endo);
-            return -1;
-        }
     }
+    n = PyList_GET_SIZE(intervals);
 
-    /* _send_ack: alloc_packet(flow_id, dst, src, ACK, 0, 0, rcv_nxt). */
-    PyObject *acknum = GETSLOT(buffer, R_rcv_nxt); /* post-update, borrowed */
-    PyObject *fido = PyObject_GetAttr(spec, s_flow_id_attr);
-    PyObject *dsto = fido ? PyObject_GetAttr(spec, s_dst_attr) : NULL;
-    PyObject *srco = dsto ? PyObject_GetAttr(spec, s_src_attr) : NULL;
-    if (srco == NULL) {
-        Py_XDECREF(fido);
-        Py_XDECREF(dsto);
-        Py_DECREF(endo);
-        return -1;
-    }
-    PyObject *aargs[7] = {fido, dsto, srco, KindACKObj, LLZero, LLZero, acknum};
-    PyObject *ack = mod_alloc_packet(NULL, aargs, 7, NULL);
-    Py_DECREF(fido);
-    Py_DECREF(dsto);
-    Py_DECREF(srco);
-    Py_DECREF(endo);
+    /* The ACK: alloc_packet(flow_id, dst, src, ACK, 0, 0, rcv_nxt). */
+    PyObject *aargs[7] = {PyObject_GetAttr(spec, s_flow_id_attr),
+                          PyObject_GetAttr(spec, s_dst_attr),
+                          PyObject_GetAttr(spec, s_src_attr),
+                          KindACKObj, LLZero, LLZero, GETSLOT(buffer, R_rcv_nxt)};
+    PyObject *ack = (aargs[0] == NULL || aargs[1] == NULL || aargs[2] == NULL)
+                        ? NULL : mod_alloc_packet(NULL, aargs, 7, NULL);
+    for (int i = 0; i < 3; i++)
+        Py_XDECREF(aargs[i]);
     if (ack == NULL)
         return -1;
-    /* ack.sack = sack_blocks() when islands are outstanding: the island
-     * holding last_seq first (the tail for the out-of-order shapes; in
-     * the INORDER_AHEAD case no island holds it), then list order,
-     * capped at 3. INORDER leaves the allocator's (). */
-    if (shape != SHAPE_INORDER && nislands > 0) {
-        Py_ssize_t nb = nislands < 3 ? nislands : 3;
+    /* ack.sack = sack_blocks() while islands are outstanding: the
+     * island holding last_seq first (RFC 2018: the one just merged,
+     * unless it was consumed), then list order, at most 3. With no
+     * island the allocator's () stays. */
+    if (n > 0) {
+        Py_ssize_t recent = (stale || advances) ? -1 : first, nb = 0, order[3];
+        if (recent >= 0)
+            order[nb++] = recent;
+        for (Py_ssize_t i = 0; i < n && nb < 3; i++)
+            if (i != recent)
+                order[nb++] = i;
         PyObject *sack = PyTuple_New(nb);
         if (sack == NULL) {
             Py_DECREF(ack);
             return -1;
         }
-        Py_ssize_t bi = 0;
-        if (shape != SHAPE_INORDER_AHEAD) {
-            PyObject *recent = PyList_GET_ITEM(intervals, nislands - 1);
-            Py_INCREF(recent);
-            PyTuple_SET_ITEM(sack, bi++, recent);
-        }
-        for (Py_ssize_t ii = 0; bi < nb; ii++) {
-            PyObject *block = PyList_GET_ITEM(intervals, ii);
+        for (Py_ssize_t bi = 0; bi < nb; bi++) {
+            PyObject *block = PyList_GET_ITEM(intervals, order[bi]);
             Py_INCREF(block);
-            PyTuple_SET_ITEM(sack, bi++, block);
+            PyTuple_SET_ITEM(sack, bi, block);
         }
         slot_store_obj(ack, K_sack, sack);
         Py_DECREF(sack);
@@ -3560,26 +3516,17 @@ c_receiver_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
     if (tlt_rx != Py_None) {
         /* TltWindowReceiver.mark_ack + apply_acl (echo marks are green). */
         PyObject *state = PyObject_GetAttr(tlt_rx, s_state);
-        if (state == NULL) {
+        PyObject *echo = state == RecvIMPORTANTObj  ? MarkIMPECHOObj
+                         : state == RecvIMPCLOCKObj ? MarkIMPCLOCKECHOObj
+                                                    : NULL;
+        Py_XDECREF(state);
+        if (echo != NULL)
+            slot_store_obj(ack, K_mark, echo);
+        if (state == NULL ||
+            (echo != NULL && PyObject_SetAttr(tlt_rx, s_state, RecvIDLEObj) < 0)) {
             Py_DECREF(ack);
             return -1;
         }
-        if (state == RecvIMPORTANTObj) {
-            slot_store_obj(ack, K_mark, MarkIMPECHOObj);
-            if (PyObject_SetAttr(tlt_rx, s_state, RecvIDLEObj) < 0) {
-                Py_DECREF(state);
-                Py_DECREF(ack);
-                return -1;
-            }
-        } else if (state == RecvIMPCLOCKObj) {
-            slot_store_obj(ack, K_mark, MarkIMPCLOCKECHOObj);
-            if (PyObject_SetAttr(tlt_rx, s_state, RecvIDLEObj) < 0) {
-                Py_DECREF(state);
-                Py_DECREF(ack);
-                return -1;
-            }
-        }
-        Py_DECREF(state);
     } else {
         PyObject *pc = PyObject_GetAttr(config, s_plain_color);
         if (pc == NULL) {
@@ -3597,6 +3544,578 @@ c_receiver_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
     return status < 0 ? -1 : 1;
 }
 
+/* -- The byte-stream sender's ACK path --------------------------------------
+ *
+ * c_sender_on_packet transcribes ByteStreamSender.on_packet for ACKs, with
+ * the reliable-delivery core's methods named in CoreMethodNames, the stock
+ * RtoEstimator.on_rtt_sample and a Reservoir.add below capacity inlined.
+ * repro.transport stays the reference: the pure backend and every hand-back
+ * run it. What stays a Python call, made by name where on_packet makes it:
+ * tlt.on_ack, _on_loss_detected, cc_on_ack, _complete, try_send,
+ * tlt.after_ack. Sender state lives in the instance dict and is read from
+ * it again after every call that can run transport code. */
+
+/* Whether `tp` resolves every CoreNames[i] to the function captured at
+ * import. Asked per packet (each lookup is a hit in the interpreter's
+ * method cache): a verdict kept any longer than the type's version tag
+ * would leave a class monkeypatched mid-run on the C path. */
+static int
+sender_type_is_stock(PyTypeObject *tp)
+{
+    for (int i = 0; i < N_CORE; i++)
+        if (_PyType_Lookup(tp, CoreNames[i]) != CoreFns[i])
+            return 0;
+    return 1;
+}
+
+/* Small non-negative int from an instance dict (the keys are interned
+ * strs, so the lookup cannot raise). While eligibility is being decided
+ * a miss returns 0; once the packet is ours (`strict`) it raises. */
+static int
+dict_ll(PyObject *d, PyObject *name, long long *out, int strict)
+{
+    PyObject *v = PyDict_GetItemWithError(d, name);
+    if (v != NULL && ll_read_fast(v, out))
+        return 1;
+    if (strict)
+        PyErr_Format(PyExc_TypeError,
+                     "compiled ACK path: sender.%U is missing or not a small int", name);
+    return 0;
+}
+
+static int
+dict_truth(PyObject *d, PyObject *name)
+{
+    PyObject *v = PyDict_GetItemWithError(d, name);
+    if (v != NULL)
+        return PyObject_IsTrue(v);
+    PyErr_Format(PyExc_AttributeError, "compiled ACK path: sender has no %U", name);
+    return -1;
+}
+
+static int
+dict_set_ll(PyObject *d, PyObject *name, long long v)
+{
+    PyObject *o = PyLong_FromLongLong(v);
+    int rc = o == NULL ? -1 : PyDict_SetItem(d, name, o);
+    Py_XDECREF(o);
+    return rc;
+}
+
+/* obj.name(a, b), result dropped; a or both may be NULL. */
+static int
+call_method(PyObject *obj, PyObject *name, PyObject *a, PyObject *b)
+{
+    PyObject *r = PyObject_CallMethodObjArgs(obj, name, a, b, NULL);
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
+}
+
+/* rto.on_rtt_sample(rtt): RtoEstimator.on_rtt_sample inlined for the two
+ * stock estimator types, the call for anything else. */
+static int
+c_rtt_sample(PyObject *rto, long long rtt)
+{
+    long long srtt, rttvar, granularity, rto_min, base_max;
+    PyTypeObject *tp = Py_TYPE(rto);
+    if ((tp != RtoEstimatorCls && tp != FixedRtoCls) ||
+        _PyType_Lookup(tp, sn_on_rtt_sample) != RtoSampleFn ||
+        !slot_fast(rto, T_srtt, &srtt) || !slot_fast(rto, T_rttvar, &rttvar) ||
+        !slot_fast(rto, T_granularity, &granularity) ||
+        !slot_fast(rto, T_rto_min, &rto_min) || !slot_fast(rto, T_base_max, &base_max)) {
+        PyObject *v = PyLong_FromLongLong(rtt);
+        int rc = v == NULL ? -1 : call_method(rto, sn_on_rtt_sample, v, NULL);
+        Py_XDECREF(v);
+        return rc;
+    }
+    if (rtt <= 0)
+        rtt = 1;
+    if (srtt == 0) {
+        srtt = rtt;
+        rttvar = rtt / 2;
+    } else {  /* C division rounds toward zero, as _div_rtz does */
+        long long delta = srtt > rtt ? srtt - rtt : rtt - srtt;
+        rttvar += (delta - rttvar) / 4;
+        srtt += (rtt - srtt) / 8;
+    }
+    long long base = 4 * rttvar < granularity ? granularity : 4 * rttvar;
+    base += srtt;
+    base = base < rto_min ? rto_min : base > base_max ? base_max : base;
+    if (slot_store_ll(rto, T_srtt, srtt) < 0 || slot_store_ll(rto, T_rttvar, rttvar) < 0 ||
+        slot_store_ll(rto, T_base_rto, base) < 0)
+        return -1;
+    slot_store_obj(rto, T_backoff_count, LLZero);
+    slot_store_obj(rto, T_current, GETSLOT(rto, T_base_rto));
+    return 0;
+}
+
+/* adder(value) for the sender's bound _add_rtt_sample and
+ * _add_delivery_sample: Reservoir.add's append inlined while the
+ * reservoir is below capacity, the call otherwise (at capacity it draws
+ * from the reservoir's seeded RNG). */
+static int
+c_sample_add(PyObject *adder, long long value)
+{
+    PyObject *v = PyLong_FromLongLong(value), *samples;
+    long long capacity, seen;
+    int rc = -1;
+    if (v == NULL)
+        return -1;
+    if (PyMethod_Check(adder) && PyMethod_GET_FUNCTION(adder) == ReservoirAddFn &&
+        Py_TYPE(PyMethod_GET_SELF(adder)) == ReservoirCls &&
+        (samples = GETSLOT(PyMethod_GET_SELF(adder), V_samples)) != NULL &&
+        PyList_CheckExact(samples) &&
+        slot_fast(PyMethod_GET_SELF(adder), V_capacity, &capacity) &&
+        slot_fast(PyMethod_GET_SELF(adder), V_seen, &seen) &&
+        PyList_GET_SIZE(samples) < capacity) {
+        if (slot_store_ll(PyMethod_GET_SELF(adder), V_seen, seen + 1) == 0)
+            rc = list_append_fast(samples, v);
+    } else {
+        Py_INCREF(adder);  /* held across the call, as a Python caller would */
+        PyObject *r = PyObject_CallOneArg(adder, v);
+        Py_DECREF(adder);
+        Py_XDECREF(r);
+        rc = r == NULL ? -1 : 0;
+    }
+    Py_DECREF(v);
+    return rc;
+}
+
+/* One scoreboard entry, read whole. Raises unless it is a stock Entry
+ * holding ints: nothing in the transports builds anything else. */
+typedef struct {
+    long long n[EN_COUNT];
+    int f[EF_COUNT];
+} EntryView;
+
+static int
+entry_load(PyObject *entry, EntryView *ev)
+{
+    int ok = Py_TYPE(entry) == EntryCls;
+    for (int i = 0; ok && i < EN_COUNT; i++) {
+        PyObject *v = GETSLOT(entry, EntryIntOff[i]);
+        ok = v != NULL && ll_read_signed(v, &ev->n[i]);
+    }
+    for (int i = 0; ok && i < EF_COUNT; i++) {
+        PyObject *v = GETSLOT(entry, EntryFlagOff[i]);
+        ok = v != NULL && (ev->f[i] = PyObject_IsTrue(v)) >= 0;
+    }
+    if (!ok && !PyErr_Occurred())
+        PyErr_SetString(PyExc_TypeError,
+                        "compiled ACK path: scoreboard entry is not a stock Entry");
+    return ok ? 0 : -1;
+}
+
+#define ENTRY_SET(entry, flag, truth) slot_store_bool(entry, EntryFlagOff[flag], truth)
+#define ENTRY_OPEN(ev) (!((ev).f[EF_ACKED] || (ev).f[EF_SACKED] || (ev).f[EF_LOST]))
+
+/* The scoreboard of one sender: borrowed from its instance dict, valid
+ * until the next call that can run transport code. `pipe` is written
+ * back by sb_flush_pipe, at the latest before such a call. */
+typedef struct {
+    PyObject *d;
+    PyObject *entries, *retx, *lost_queue, *add_delivery;
+    Py_ssize_t n;            /* len(entries) */
+    long long head, pipe, pipe_stored, now;
+    PyObject *marked;        /* owned: entries marked lost, NULL while empty */
+} Scoreboard;
+
+static int
+sb_load(Scoreboard *sb, PyObject *d, int strict)
+{
+    sb->d = d;
+    sb->entries = PyDict_GetItemWithError(d, sn_entries);
+    sb->retx = PyDict_GetItemWithError(d, sn__retx_inflight);
+    sb->lost_queue = PyDict_GetItemWithError(d, sn_lost_queue);
+    sb->add_delivery = PyDict_GetItemWithError(d, sn__add_delivery_sample);
+    if (sb->entries == NULL || !PyList_CheckExact(sb->entries) || sb->retx == NULL ||
+        !PyDict_CheckExact(sb->retx) || sb->lost_queue == NULL || sb->add_delivery == NULL) {
+        if (strict)
+            PyErr_SetString(PyExc_TypeError,
+                            "compiled ACK path: a callback replaced the scoreboard");
+        return 0;
+    }
+    sb->n = PyList_GET_SIZE(sb->entries);
+    if (!dict_ll(d, sn__head, &sb->head, strict) || !dict_ll(d, sn_pipe, &sb->pipe, strict))
+        return 0;
+    sb->pipe_stored = sb->pipe;
+    return 1;
+}
+
+static int
+sb_flush_pipe(Scoreboard *sb)
+{
+    if (sb->pipe == sb->pipe_stored)
+        return 0;
+    sb->pipe_stored = sb->pipe;
+    return dict_set_ll(sb->d, sn_pipe, sb->pipe);
+}
+
+/* `if entry.in_pipe: entry.in_pipe = False; pipe -= entry.weight`, then
+ * `_retx_inflight.pop(entry, None)`: the tail of every entry transition. */
+static int
+sb_leave_pipe(Scoreboard *sb, PyObject *entry, const EntryView *ev)
+{
+    if (ev->f[EF_IN_PIPE]) {
+        ENTRY_SET(entry, EF_IN_PIPE, 0);
+        sb->pipe -= ev->n[EN_WEIGHT];
+    }
+    if (PyDict_GET_SIZE(sb->retx) == 0)
+        return 0;
+    int has = PyDict_Contains(sb->retx, entry);
+    return has <= 0 ? has : PyDict_DelItem(sb->retx, entry);
+}
+
+/* What _ack_to (flag EF_ACKED) and _apply_sack (EF_SACKED) do to an
+ * entry that has just been acknowledged. */
+static int
+sb_resolve(Scoreboard *sb, PyObject *entry, const EntryView *ev, int flag)
+{
+    if (!ev->f[EF_DELIVERED]) {
+        ENTRY_SET(entry, EF_DELIVERED, 1);
+        if (c_sample_add(sb->add_delivery, sb->now - ev->n[EN_FIRST_TX]) < 0)
+            return -1;
+    }
+    ENTRY_SET(entry, flag, 1);
+    ENTRY_SET(entry, EF_LOST, 0);
+    return sb_leave_pipe(sb, entry, ev);
+}
+
+/* `self._mark_lost(entry); marked.append(entry)` */
+static int
+sb_mark_lost(Scoreboard *sb, PyObject *entry, const EntryView *ev)
+{
+    ENTRY_SET(entry, EF_LOST, 1);
+    if (sb_leave_pipe(sb, entry, ev) < 0 ||
+        call_method(sb->lost_queue, s_append, entry, NULL) < 0 ||
+        (sb->marked == NULL && (sb->marked = PyList_New(0)) == NULL))
+        return -1;
+    return PyList_Append(sb->marked, entry);
+}
+
+/* `if marked: self._on_loss_detected(marked)` */
+static int
+sb_on_loss(Scoreboard *sb, PyObject *ep)
+{
+    if (sb_flush_pipe(sb) < 0)
+        return -1;
+    if (sb->marked == NULL)
+        return 0;
+    int rc = call_method(ep, sn__on_loss_detected, sb->marked, NULL);
+    Py_CLEAR(sb->marked);
+    return rc;
+}
+
+/* _detect_losses(), on a freshly loaded scoreboard; `dup_rule` is
+ * `self.dupacks >= self.config.dupack_threshold`. */
+static int
+sb_detect_losses(Scoreboard *sb, PyObject *ep, long long srtt, int dup_rule)
+{
+    long long scan_hint, highest;
+    EntryView ev;
+    PyObject *entry;
+    if (!dict_ll(sb->d, sn__scan_hint, &scan_hint, 1) ||
+        !dict_ll(sb->d, sn__highest_sacked, &highest, 1))
+        return -1;
+    /* 1. never-retransmitted holes below the highest SACK */
+    Py_ssize_t idx = sb->head > scan_hint ? sb->head : scan_hint;
+    for (; idx < sb->n; idx++) {
+        entry = PyList_GET_ITEM(sb->entries, idx);
+        if (entry_load(entry, &ev) < 0)
+            return -1;
+        if (ev.n[EN_END] > highest)
+            break;
+        if (ENTRY_OPEN(ev) && ev.n[EN_RETX_COUNT] == 0 && sb_mark_lost(sb, entry, &ev) < 0)
+            return -1;
+    }
+    if (idx != scan_hint && dict_set_ll(sb->d, sn__scan_hint, idx) < 0)
+        return -1;
+    /* 2. on a duplicate ACK the head-of-line entry */
+    if (dup_rule && sb->head < sb->n) {
+        entry = PyList_GET_ITEM(sb->entries, sb->head);
+        if (entry_load(entry, &ev) < 0 ||
+            (ENTRY_OPEN(ev) &&
+             (ev.n[EN_RETX_COUNT] == 0 || ev.n[EN_LAST_TX] + srtt <= sb->now) &&
+             sb_mark_lost(sb, entry, &ev) < 0))
+            return -1;
+    }
+    /* 3. retransmissions aged a full SRTT below the highest SACK; over a
+     * snapshot of the keys, because marking edits the dict */
+    if (PyDict_GET_SIZE(sb->retx) > 0) {
+        PyObject *inflight = PyDict_Keys(sb->retx);
+        int rc = inflight == NULL ? -1 : 0;
+        for (Py_ssize_t i = 0; rc == 0 && i < PyList_GET_SIZE(inflight); i++) {
+            entry = PyList_GET_ITEM(inflight, i);
+            rc = entry_load(entry, &ev);
+            if (rc == 0 && ev.n[EN_END] <= highest && ev.n[EN_LAST_TX] + srtt <= sb->now)
+                rc = sb_mark_lost(sb, entry, &ev);
+        }
+        Py_XDECREF(inflight);
+        if (rc < 0)
+            return -1;
+    }
+    return sb_on_loss(sb, ep);
+}
+
+/* An ACK for a stock byte-stream sender (see the section comment).
+ * Returns 1 when handled, 0 to hand the untouched state to the Python
+ * on_packet, -1 on error. Past the eligibility block a value of a type
+ * the transcription cannot use raises instead: nothing can be handed
+ * back once tlt.on_ack has run. */
+static int
+c_sender_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
+{
+    /* Type before instance dict: asking for the dict materializes it,
+     * and endpoints of other families keep their inline attributes. */
+    if (!sender_type_is_stock(Py_TYPE(ep)))
+        return 0;
+    PyObject **dictptr = _PyObject_GetDictPtr(ep);
+    if (dictptr == NULL || *dictptr == NULL || !PyDict_CheckExact(*dictptr))
+        return 0;
+    PyObject *d = *dictptr;  /* borrowed; ep is held by the caller */
+    for (int i = 0; i < N_CORE; i++)
+        if (PyDict_GetItemWithError(d, CoreNames[i]) != NULL)
+            return 0;  /* per-instance override or spy */
+
+    PyObject *completed = PyDict_GetItemWithError(d, sn_completed);
+    /* held[]: what the transcription keeps using across calls into Python */
+    PyObject *held[4] = {PyDict_GetItemWithError(d, sn_tlt), PyDict_GetItemWithError(d, sn_rto),
+                         PyDict_GetItemWithError(d, s_config), PyDict_GetItemWithError(d, s_spec)};
+    PyObject *tlt = held[0], *rto = held[1], *config = held[2], *spec = held[3];
+    PyObject *sack = GETSLOT(packet, K_sack), *ecn_echo = GETSLOT(packet, K_ecn_echo);
+    Scoreboard sb;
+    long long ack, ts_echo, snd_una, snd_nxt, dupacks, stride, scan_hint, highest;
+    if (completed == NULL || tlt == NULL || rto == NULL || config == NULL || spec == NULL ||
+        PyDict_GetItemWithError(d, s_engine) != (PyObject *)hk->engine ||
+        !sb_load(&sb, d, 0) || !slot_fast(packet, K_ack, &ack) ||
+        !slot_fast(packet, K_ts_echo, &ts_echo) || !dict_ll(d, sn_snd_una, &snd_una, 0) ||
+        !dict_ll(d, sn_snd_nxt, &snd_nxt, 0) || !dict_ll(d, sn_dupacks, &dupacks, 0) ||
+        !dict_ll(d, sn_stride, &stride, 0) || stride <= 0 ||
+        !dict_ll(d, sn__scan_hint, &scan_hint, 0) ||
+        !dict_ll(d, sn__highest_sacked, &highest, 0) ||
+        ecn_echo == NULL || sack == NULL || !PyTuple_CheckExact(sack))
+        return 0;
+    /* SACK blocks: (lo, hi) pairs of small ints, any number of them. */
+    Py_ssize_t nblocks = PyTuple_GET_SIZE(sack);
+    long long lo, hi;
+    for (Py_ssize_t i = 0; i < nblocks; i++) {
+        PyObject *block = PyTuple_GET_ITEM(sack, i);
+        if (!PyTuple_CheckExact(block) || PyTuple_GET_SIZE(block) != 2 ||
+            !ll_read_fast(PyTuple_GET_ITEM(block, 0), &lo) ||
+            !ll_read_fast(PyTuple_GET_ITEM(block, 1), &hi))
+            return 0;
+    }
+    int status = PyObject_IsTrue(completed);
+    if (status != 0)
+        return status;  /* completed: on_packet returns at once */
+    /* The TLT controller's first look must be the stock one: it leaves
+     * the sender alone unless it returns None, so what was read above
+     * still holds after it. */
+    PyObject *tlt_on_ack = NULL;
+    if (tlt != Py_None) {
+        if ((tlt_on_ack = PyObject_GetAttr(tlt, sn_on_ack)) == NULL)
+            return -1;
+        if (!PyMethod_Check(tlt_on_ack) || PyMethod_GET_SELF(tlt_on_ack) != tlt ||
+            PyMethod_GET_FUNCTION(tlt_on_ack) != TltOnAckFn) {
+            Py_DECREF(tlt_on_ack);
+            return 0;
+        }
+    }
+
+    /* -- eligibility established; the packet is ours ----------------------- */
+
+    status = -1;
+    sb.marked = NULL;
+    sb.now = hk->engine->now;
+    for (int i = 0; i < 4; i++)
+        Py_INCREF(held[i]);
+    EntryView ev;
+    PyObject *entry;
+
+    long long echo_ts = -1;
+    if (tlt_on_ack != NULL) {
+        PyObject *r = PyObject_CallOneArg(tlt_on_ack, packet);
+        if (r == NULL)
+            goto done;
+        /* None: an Important Clock Echo suppressed below snd_una.
+         * Otherwise packet.ts_echo (read above) or -1. */
+        int suppressed = r == Py_None || !ll_read_signed(r, &echo_ts);
+        Py_DECREF(r);
+        if (suppressed)
+            goto handled;
+    }
+
+    /* Timestamp-based RTT sample. */
+    if (ts_echo > 0) {
+        PyObject *add_rtt;
+        if (c_rtt_sample(rto, sb.now - ts_echo) < 0)
+            goto done;
+        if ((add_rtt = PyDict_GetItemWithError(d, sn__add_rtt_sample)) == NULL) {
+            PyErr_SetString(PyExc_AttributeError, "compiled ACK path: no _add_rtt_sample");
+            goto done;
+        }
+        if (c_sample_add(add_rtt, sb.now - ts_echo) < 0)
+            goto done;
+    }
+
+    long long newly_acked = 0;
+    if (ack > snd_una) {
+        newly_acked = ack - snd_una;
+        if (dict_set_ll(d, sn_snd_una, ack) < 0 ||
+            (dupacks != 0 && PyDict_SetItem(d, sn_dupacks, LLZero) < 0) ||
+            PyDict_SetItem(d, sn__probe_outstanding, Py_False) < 0)
+            goto done;
+        dupacks = 0;
+        /* _ack_to(ack) */
+        long long head = sb.head;
+        for (; sb.head < sb.n; sb.head++) {
+            entry = PyList_GET_ITEM(sb.entries, sb.head);
+            if (entry_load(entry, &ev) < 0)
+                goto done;
+            if (ev.n[EN_END] > ack)
+                break;
+            if (sb_resolve(&sb, entry, &ev, EF_ACKED) < 0)
+                goto done;
+        }
+        if (sb_flush_pipe(&sb) < 0 ||
+            (sb.head != head && dict_set_ll(d, sn__head, sb.head) < 0) ||
+            (scan_hint < sb.head && dict_set_ll(d, sn__scan_hint, sb.head) < 0))
+            goto done;
+        int in_recovery = dict_truth(d, sn_in_recovery);
+        long long recover_point, current;
+        if (in_recovery < 0 ||
+            (in_recovery && (!dict_ll(d, sn_recover_point, &recover_point, 1) ||
+                             (ack >= recover_point &&
+                              PyDict_SetItem(d, sn_in_recovery, Py_False) < 0))))
+            goto done;
+        /* _restart_rto() */
+        if (attr_ll(rto, sn_current, &current) < 0 ||
+            dict_set_ll(d, sn__rto_deadline, sb.now + current) < 0)
+            goto done;
+        if (PyDict_GetItemWithError(d, sn__rto_event) == Py_None) {
+            PyObject *fire = PyObject_GetAttr(ep, sn__rto_fire);
+            PyObject *event = fire == NULL ? NULL : cengine_schedule_timer_common(
+                hk->engine, sb.now + current, fire, EmptyTuple);
+            int rc = event == NULL ? -1 : PyDict_SetItem(d, sn__rto_event, event);
+            Py_XDECREF(fire);
+            Py_XDECREF(event);
+            if (rc < 0)
+                goto done;
+        }
+    } else if (ack == snd_una && snd_una < snd_nxt) {
+        if (dict_set_ll(d, sn_dupacks, ++dupacks) < 0)
+            goto done;
+    }
+
+    /* _apply_sack(packet.sack) */
+    long long sacked_bytes = 0, highest_seen = highest;
+    for (Py_ssize_t i = 0; i < nblocks; i++) {
+        PyObject *block = PyTuple_GET_ITEM(sack, i);
+        ll_read_fast(PyTuple_GET_ITEM(block, 0), &lo);
+        ll_read_fast(PyTuple_GET_ITEM(block, 1), &hi);
+        if (hi > highest)
+            highest = hi;
+        Py_ssize_t idx = lo / stride < sb.head ? sb.head : lo / stride;
+        for (; idx < sb.n; idx++) {
+            entry = PyList_GET_ITEM(sb.entries, idx);
+            if (entry_load(entry, &ev) < 0)
+                goto done;
+            if (ev.n[EN_START] >= hi)
+                break;
+            if (ev.f[EF_ACKED] || ev.f[EF_SACKED] || ev.n[EN_START] < lo || ev.n[EN_END] > hi)
+                continue;
+            if (sb_resolve(&sb, entry, &ev, EF_SACKED) < 0)
+                goto done;
+            sacked_bytes += ev.n[EN_END] - ev.n[EN_START];
+        }
+    }
+    if (sb_flush_pipe(&sb) < 0 ||
+        (highest != highest_seen && dict_set_ll(d, sn__highest_sacked, highest) < 0))
+        goto done;
+
+    /* mark_lost_sent_before(echo_ts): echo-based loss detection, once
+     * the ACK/SACK state is current. */
+    if (echo_ts >= 0) {
+        for (Py_ssize_t idx = sb.head; idx < sb.n; idx++) {
+            entry = PyList_GET_ITEM(sb.entries, idx);
+            if (entry_load(entry, &ev) < 0 ||
+                (ENTRY_OPEN(ev) && ev.f[EF_IN_PIPE] && ev.n[EN_LAST_TX] <= echo_ts &&
+                 sb_mark_lost(&sb, entry, &ev) < 0))
+                goto done;
+        }
+        if (sb_on_loss(&sb, ep) < 0)
+            goto done;
+    }
+
+    /* cc_on_ack(newly_acked, packet.ecn_echo and config.ecn) */
+    int echoed = PyObject_IsTrue(ecn_echo);
+    PyObject *newly = echoed < 0 ? NULL : PyLong_FromLongLong(newly_acked);
+    PyObject *ecn = newly == NULL ? NULL : echoed ? PyObject_GetAttr(config, s_ecn)
+                                                  : Py_NewRef(ecn_echo);
+    int rc = ecn == NULL ? -1 : call_method(ep, sn_cc_on_ack, newly, ecn);
+    Py_XDECREF(newly);
+    Py_XDECREF(ecn);
+    if (rc < 0)
+        goto done;
+    int in_recovery = newly_acked ? dict_truth(d, sn_in_recovery) : 1;
+    if (in_recovery < 0)
+        goto done;
+    if (!in_recovery) {
+        /* Reno growth: slow start below ssthresh, else 1 MSS per RTT;
+         * capped at max_cwnd. */
+        long long cwnd, ssthresh, mss, max_cwnd, ca_acc, grown;
+        if (!dict_ll(d, sn_cwnd, &cwnd, 1) || !dict_ll(d, sn_ssthresh, &ssthresh, 1) ||
+            !dict_ll(d, sn_mss, &mss, 1) || !dict_ll(d, sn_max_cwnd, &max_cwnd, 1))
+            goto done;
+        grown = cwnd;
+        if (cwnd < ssthresh)
+            grown += newly_acked < mss ? newly_acked : mss;
+        else {
+            if (!dict_ll(d, sn__ca_acc, &ca_acc, 1))
+                goto done;
+            ca_acc += mss * newly_acked;
+            if (ca_acc >= cwnd) {
+                ca_acc -= cwnd;
+                grown += mss;
+            }
+            if (dict_set_ll(d, sn__ca_acc, ca_acc) < 0)
+                goto done;
+        }
+        if (grown > max_cwnd)
+            grown = max_cwnd;
+        if (grown != cwnd && dict_set_ll(d, sn_cwnd, grown) < 0)
+            goto done;
+    }
+
+    /* Loss detection: dup-ACK threshold or SACK holes. */
+    long long threshold, size, srtt;
+    if (!dict_ll(d, sn_dupacks, &dupacks, 1) ||
+        attr_ll(config, sn_dupack_threshold, &threshold) < 0)
+        goto done;
+    if ((dupacks >= threshold || sacked_bytes) &&
+        (attr_ll(rto, sn_srtt, &srtt) < 0 ||  /* _srtt() */
+         (srtt == 0 && attr_ll(config, sn_base_rtt_ns, &srtt) < 0) ||
+         !sb_load(&sb, d, 1) || sb_detect_losses(&sb, ep, srtt, dupacks >= threshold) < 0))
+        goto done;
+
+    if (!dict_ll(d, sn_snd_una, &snd_una, 1) || attr_ll(spec, s_size_attr, &size) < 0)
+        goto done;
+    if (snd_una >= size) {
+        if (call_method(ep, sn__complete, NULL, NULL) < 0)
+            goto done;
+    } else if (call_method(ep, sn_try_send, NULL, NULL) < 0 ||
+               (tlt != Py_None && call_method(tlt, sn_after_ack, NULL, NULL) < 0))
+        goto done;
+handled:
+    status = 1;
+done:
+    Py_XDECREF(sb.marked);
+    Py_XDECREF(tlt_on_ack);
+    for (int i = 0; i < 4; i++)
+        Py_DECREF(held[i]);
+    return status;
+}
+
 static int
 c_host_sink(HostKernelObject *hk, PyObject *packet, PyObject *in_port)
 {
@@ -3611,20 +4130,21 @@ c_host_sink(HostKernelObject *hk, PyObject *packet, PyObject *in_port)
         return -1;
     if (ep != NULL && ep != Py_None) {
         Py_INCREF(ep);
-        int handled = c_receiver_on_packet(hk, ep, packet);
-        if (handled < 0) {
-            Py_DECREF(ep);
-            return -1;
+        /* DATA to the receiver path, ACKs to the sender path, anything
+         * else (SYN, SYN-ACK, FIN, the RoCE kinds) to Python. */
+        int handled = 0;
+        if (Py_TYPE(packet) == (PyTypeObject *)PacketCls) {
+            PyObject *kind = GETSLOT(packet, K_kind);
+            if (kind == KindDATAObj)
+                handled = c_receiver_on_packet(hk, ep, packet);
+            else if (kind == KindACKObj)
+                handled = c_sender_on_packet(hk, ep, packet);
         }
-        if (!handled) {
-            PyObject *r = PyObject_CallMethodObjArgs(ep, s_on_packet, packet, NULL);
-            if (r == NULL) {
-                Py_DECREF(ep);
-                return -1;
-            }
-            Py_DECREF(r);
-        }
+        if (handled == 0)
+            handled = call_method(ep, s_on_packet, packet, NULL);
         Py_DECREF(ep);
+        if (handled < 0)
+            return -1;
     }
     /* recycle(packet), open-coded; _pool_enabled is re-read per call
      * (tests toggle it via set_pooling). */
@@ -3761,47 +4281,11 @@ hk_init(HostKernelObject *self, PyObject *args, PyObject *kwargs)
     return 0;
 }
 
-static PyObject *
-hk_get_send(HostKernelObject *self, void *closure)
-{
-    if (self->send_m == NULL)
-        Py_RETURN_NONE;
-    Py_INCREF(self->send_m);
-    return self->send_m;
-}
-
-static PyObject *
-hk_get_poll(HostKernelObject *self, void *closure)
-{
-    if (self->poll_m == NULL)
-        Py_RETURN_NONE;
-    Py_INCREF(self->poll_m);
-    return self->poll_m;
-}
-
-static PyObject *
-hk_get_sink(HostKernelObject *self, void *closure)
-{
-    if (self->sink_m == NULL)
-        Py_RETURN_NONE;
-    Py_INCREF(self->sink_m);
-    return self->sink_m;
-}
-
-static PyObject *
-hk_get_host(HostKernelObject *self, void *closure)
-{
-    if (self->host == NULL)
-        Py_RETURN_NONE;
-    Py_INCREF(self->host);
-    return self->host;
-}
-
-static PyGetSetDef hk_getset[] = {
-    {"send", (getter)hk_get_send, NULL, NULL, NULL},
-    {"poll", (getter)hk_get_poll, NULL, NULL, NULL},
-    {"sink", (getter)hk_get_sink, NULL, NULL, NULL},
-    {"host", (getter)hk_get_host, NULL, NULL, NULL},
+static PyMemberDef hk_members[] = {
+    {"send", T_OBJECT, offsetof(HostKernelObject, send_m), READONLY, NULL},
+    {"poll", T_OBJECT, offsetof(HostKernelObject, poll_m), READONLY, NULL},
+    {"sink", T_OBJECT, offsetof(HostKernelObject, sink_m), READONLY, NULL},
+    {"host", T_OBJECT, offsetof(HostKernelObject, host), READONLY, NULL},
     {NULL},
 };
 
@@ -3816,7 +4300,7 @@ static PyTypeObject HostKernelType = {
     .tp_dealloc = (destructor)hk_dealloc,
     .tp_traverse = (traverseproc)hk_traverse,
     .tp_clear = (inquiry)hk_clear,
-    .tp_getset = hk_getset,
+    .tp_members = hk_members,
 };
 
 /* ---------------------------------------------------------------------------
@@ -4144,6 +4628,9 @@ PyInit__ckernel(void)
     INTERN(s_flow_id_attr, "flow_id");
     INTERN(s_host_attr, "host");
     INTERN(s_send_attr, "send");
+#define X(n) INTERN(sn_##n, #n);
+    SENDER_NAMES(X)
+#undef X
 
     /* Slot offsets (resolved, not assumed, so reordering __slots__ in
      * the Python classes can never silently corrupt the fast path). */
@@ -4268,6 +4755,55 @@ PyInit__ckernel(void)
     if (resolve_slot(ReceiverBufferCls, "rcv_nxt", &R_rcv_nxt) < 0 ||
         resolve_slot(ReceiverBufferCls, "intervals", &R_intervals) < 0 ||
         resolve_slot(ReceiverBufferCls, "last_seq", &R_last_seq) < 0)
+        return NULL;
+
+    /* Collaborators for the sender path. */
+    if ((cls = import_attr("repro.transport.base", "ByteStreamSender")) == NULL)
+        return NULL;
+    for (int i = 0; i < N_CORE; i++) {
+        INTERN(CoreNames[i], CoreMethodNames[i]);
+        if ((CoreFns[i] = PyObject_GetAttr(cls, CoreNames[i])) == NULL)
+            return NULL;
+    }
+    Py_DECREF(cls);
+    if ((cls = import_attr("repro.core.window", "TltWindowSender")) == NULL)
+        return NULL;
+    TltOnAckFn = PyObject_GetAttr(cls, sn_on_ack);
+    Py_DECREF(cls);
+    if (TltOnAckFn == NULL)
+        return NULL;
+    if ((cls = import_attr("repro.transport.reliable", "Entry")) == NULL)
+        return NULL;
+    EntryCls = (PyTypeObject *)cls;
+    for (int i = 0; i < EN_COUNT; i++)
+        if (resolve_slot(cls, EntryIntNames[i], &EntryIntOff[i]) < 0)
+            return NULL;
+    for (int i = 0; i < EF_COUNT; i++)
+        if (resolve_slot(cls, EntryFlagNames[i], &EntryFlagOff[i]) < 0)
+            return NULL;
+    if ((cls = import_attr("repro.transport.rto", "FixedRto")) == NULL)
+        return NULL;
+    FixedRtoCls = (PyTypeObject *)cls;
+    if ((cls = import_attr("repro.transport.rto", "RtoEstimator")) == NULL)
+        return NULL;
+    RtoEstimatorCls = (PyTypeObject *)cls;
+    if ((RtoSampleFn = PyObject_GetAttr(cls, sn_on_rtt_sample)) == NULL ||
+        resolve_slot(cls, "rto_min", &T_rto_min) < 0 ||
+        resolve_slot(cls, "granularity", &T_granularity) < 0 ||
+        resolve_slot(cls, "srtt", &T_srtt) < 0 ||
+        resolve_slot(cls, "rttvar", &T_rttvar) < 0 ||
+        resolve_slot(cls, "backoff_count", &T_backoff_count) < 0 ||
+        resolve_slot(cls, "base_rto", &T_base_rto) < 0 ||
+        resolve_slot(cls, "current", &T_current) < 0 ||
+        resolve_slot(cls, "_base_max", &T_base_max) < 0)
+        return NULL;
+    if ((cls = import_attr("repro.stats.collector", "Reservoir")) == NULL)
+        return NULL;
+    ReservoirCls = (PyTypeObject *)cls;
+    if ((ReservoirAddFn = PyObject_GetAttr(cls, s_add)) == NULL ||
+        resolve_slot(cls, "capacity", &V_capacity) < 0 ||
+        resolve_slot(cls, "seen", &V_seen) < 0 ||
+        resolve_slot(cls, "_samples", &V_samples) < 0)
         return NULL;
 
     if ((cls = import_attr("repro.switchsim.queue", "EgressQueue")) == NULL)

@@ -1,14 +1,15 @@
 """Hot-path backend selection: pure-Python vs compiled kernels.
 
 The simulator's inner loops — the engine event loop, link
-serialization/delivery, and the switch enqueue/dequeue/MMU fast path —
+serialization/delivery, the switch enqueue/dequeue/MMU fast path, and
+what a byte-stream endpoint does per arriving DATA or ACK packet —
 exist in two implementations behind this module:
 
 ``pure``
     The reference implementation (:class:`repro.sim.engine.Engine` and
-    the Python methods of ``repro.net.link`` / ``repro.switchsim``;
-    the switch has one admission pipeline, ``Switch._receive`` /
-    ``Switch._poll``).
+    the Python methods of ``repro.net.link`` / ``repro.switchsim`` /
+    ``repro.transport``; the switch has one admission pipeline,
+    ``Switch._receive`` / ``Switch._poll``).
     Zero dependencies, always available, and the semantic baseline the
     determinism fingerprints are pinned against.
 
@@ -179,7 +180,12 @@ def optimize_network(net) -> int:
       ``receive``/``poll`` the data path while no auditor is installed
       and the Python ``_receive``/``_poll`` otherwise. Explicit
       admission policies never get a kernel;
-    - hosts get ``HostKernel.send``/``poll``/``sink``;
+    - hosts get ``HostKernel.send``/``poll``/``sink``. The sink also
+      runs the per-packet work of stock byte-stream endpoints (DATA at
+      a ``ByteStreamReceiver``, ACKs at a ``ByteStreamSender``) in C,
+      checking on every packet that the endpoint still uses the
+      ``repro.transport`` methods it transcribes; those stay the
+      reference, and run whenever the check fails;
     - exact :class:`~repro.net.link.Port` instances get
       ``PortKernel.tx_done``/``drain`` (``repro.sim.sharding`` rebinds
       ``port._tx_cb`` after retargeting a cut port to

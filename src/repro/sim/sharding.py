@@ -217,7 +217,7 @@ class _ShardWorker:
     :func:`_worker_main` over a pipe) or inline in the coordinator.
     ``setup()`` mirrors the assembly phase of ``run_scenario`` —
     network, auditor, faults, transports, workloads, sampler,
-    telemetry, GC freeze — then the coordinator steps it with
+    telemetry, collector off — then the coordinator steps it with
     ``window()`` and collects ``finish()``.
     """
 
@@ -436,8 +436,7 @@ class _ShardWorker:
                 self.telemetry.attach_faults(self.fault_controller)
 
         if self.manage_gc:
-            gc.collect()
-            gc.freeze()
+            gc.collect()  # the previous run's garbage; see run_scenario
             self._gc_saved = (gc.get_threshold(), gc.isenabled())
             gc.set_threshold(*_GC_RUN_THRESHOLDS)
             gc.disable()
@@ -515,7 +514,6 @@ class _ShardWorker:
             return
         thresholds, was_enabled = self._gc_saved
         self._gc_saved = None
-        gc.unfreeze()
         gc.set_threshold(*thresholds)
         if was_enabled:
             gc.enable()
@@ -881,7 +879,6 @@ def run_scenario_sharded(config, num_shards: int):
             return
         thresholds, was_enabled = gc_saved
         gc_saved = None
-        gc.unfreeze()
         gc.set_threshold(*thresholds)
         if was_enabled:
             gc.enable()
@@ -899,10 +896,9 @@ def run_scenario_sharded(config, num_shards: int):
             for handle in handles:
                 handle.send(("setup",))
             metas = [handle.recv() for handle in handles]
-            # One freeze for all inline shards (the per-process dance
-            # run_scenario does, hoisted around the barrier loop).
+            # Collector off for all inline shards (what Engine.run does
+            # per call, hoisted around the barrier loop).
             gc.collect()
-            gc.freeze()
             gc_saved = (gc.get_threshold(), gc.isenabled())
             gc.set_threshold(*_GC_RUN_THRESHOLDS)
             gc.disable()

@@ -1,0 +1,480 @@
+"""``HostKernel.sink`` against the Python transports it transcribes.
+
+On the compiled backend the host kernel keeps a byte-stream flow's DATA
+and ACK arrivals in C (``c_receiver_on_packet``, ``c_sender_on_packet``
+in ``repro/sim/_ckernelmodule.c``); ``repro.transport`` stays the
+reference. Three kinds of test, all on a 2-host star whose switch
+swallows every packet, so that an endpoint sees only the packets the
+test hands to ``host.receive``:
+
+- differential: the same Hypothesis-drawn arrival stream on ``pure`` and
+  on ``compiled``, all endpoint state compared after every packet;
+- hand-back: each eligibility rule has a case that fails if C runs the
+  packet anyway, and the callbacks that stay Python see the calls the
+  Python ``on_packet`` makes;
+- coverage: the arrival shapes the kernel claims do not enter the Python
+  ``on_packet``.
+"""
+
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import TltConfig
+from repro.core.window import TltWindowReceiver, attach_window_tlt
+from repro.net.packet import Color, Packet, PacketKind, TltMark
+from repro.sim import backend
+from repro.transport.base import (
+    ByteStreamReceiver,
+    ByteStreamSender,
+    FlowSpec,
+    TransportConfig,
+)
+from repro.transport.dctcp import DctcpReceiver, DctcpSender
+from repro.transport.registry import resolve_config
+from repro.transport.reliable import Entry
+from repro.transport.rto import RtoEstimator
+from tests.util import DropFilter, small_star
+
+pytestmark = pytest.mark.skipif(
+    not backend.compiled_available(), reason="compiled backend not built")
+
+MSS = 1460
+PACKET_FIELDS = ("kind", "seq", "payload", "size", "ack", "sack", "mark", "color", "is_retx",
+                 "ts_sent", "ts_echo", "ecn_echo", "ecn_capable", "tclass")
+
+
+def fields(packet):
+    return tuple(getattr(packet, name) for name in PACKET_FIELDS)
+
+
+class World:
+    """One flow 0 -> 1 on a 2-host star of the given backend."""
+
+    def __init__(self, backend_name, tlt, size=40 * MSS + 7, sender_cls=DctcpSender,
+                 with_sender=True, config=None):
+        backend.set_backend(backend_name)
+        try:
+            self.net = small_star(2)
+        finally:
+            backend.set_backend(None)
+        self.wire = DropFilter(self.net.switches[0])  # keeps what it drops
+        self.wire.add(lambda packet: True)
+        self.engine = self.net.engine
+        self.stats = self.net.stats
+        self.spec = FlowSpec(1, 0, 1, size, group="fg")
+        config = resolve_config("dctcp" if issubclass(sender_cls, DctcpSender) else "tcp", config)
+        self.sender = None
+        if with_sender:
+            self.sender = sender_cls(self.net.host(0), self.spec, config, self.stats)
+        self.receiver = DctcpReceiver(self.net.host(1), self.spec, config, self.stats)
+        if tlt and with_sender:
+            attach_window_tlt(self.sender, self.receiver, TltConfig(), self.stats)
+        elif tlt:
+            TltWindowReceiver(self.receiver, self.stats)
+        self.engine.run(until=1_000)  # the sender starts and fills its window
+
+    def advance(self, dt):
+        self.engine.run(until=self.engine.now + dt)
+
+    def ack(self, ack, sack=(), mark=TltMark.CONTROL, ts_echo=0, ecn_echo=False):
+        packet = Packet(1, 1, 0, PacketKind.ACK, 0, 0, ack)
+        packet.sack = sack
+        packet.mark = mark
+        packet.color = Color.GREEN
+        packet.ts_echo = ts_echo
+        packet.ecn_echo = ecn_echo
+        host = self.net.host(0)
+        host.receive(packet, host.port)
+
+    def data(self, seq, payload, mark=TltMark.NONE, ce=False):
+        packet = Packet(1, 0, 1, PacketKind.DATA, seq, payload)
+        packet.mark = mark
+        packet.ce = ce
+        packet.ts_sent = self.engine.now
+        host = self.net.host(1)
+        host.receive(packet, host.port)
+
+    def sender_state(self):
+        s = self.sender
+        rto = s.rto
+        event = s._rto_event
+        state = {name: getattr(s, name) for name in (
+            "pipe", "_head", "_scan_hint", "_highest_sacked", "snd_una", "snd_nxt", "dupacks",
+            "cwnd", "ssthresh", "in_recovery", "recover_point", "_ca_acc", "alpha",
+            "_acked_total", "_acked_marked", "_obs_window_end", "_cwr_window_end",
+            "_probe_outstanding", "_rto_deadline", "completed")}
+        state.update(
+            entries=[tuple(getattr(e, name) for name in Entry.__slots__) for e in s.entries],
+            lost_queue=[e.start for e in s.lost_queue],
+            retx_inflight=[e.start for e in s._retx_inflight],
+            rto=(rto.srtt, rto.rttvar, rto.base_rto, rto.current, rto.backoff_count),
+            rto_event=None if event is None else (event.time, event.seq),
+            tlt=None if s.tlt is None else s.tlt.state,
+            rtt_samples=(self.stats.rtt_samples("fg").seen, list(self.stats.rtt_samples("fg"))),
+            delivery=(self.stats.delivery_samples.seen, list(self.stats.delivery_samples)),
+            counters=(self.stats.fast_retransmits, self.stats.timeouts,
+                      self.stats.green_data_packets, self.stats.red_data_packets,
+                      self.stats.clocking_packets, s.record.retx_bytes, s.record.tx_bytes,
+                      s.record.end_ack_ns),
+            now=self.engine.now,
+            events=self.engine.events_processed,
+            nic=[fields(p) for p in self.net.host(0).nic.queue],
+            wire=[fields(p) for p in self.wire.dropped],
+        )
+        return state
+
+    def receiver_state(self):
+        buffer = self.receiver.buffer
+        return {
+            "rcv_nxt": buffer.rcv_nxt, "intervals": list(buffer.intervals),
+            "last_seq": buffer.last_seq, "done": self.receiver.done,
+            "tlt_rx": None if self.receiver.tlt_rx is None else self.receiver.tlt_rx.state,
+            "nic": [fields(p) for p in self.net.host(1).nic.queue],
+            "wire": [fields(p) for p in self.wire.dropped],
+        }
+
+
+def python_calls(code, fn):
+    """How often ``fn()`` enters the Python function with this code object."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+SENDER_ON_PACKET = ByteStreamSender.on_packet.__code__
+RECEIVER_ON_PACKET = ByteStreamReceiver.on_packet.__code__
+
+
+# ------------------------------------------------------ sender: differential
+
+ECHO_MARKS = (TltMark.CONTROL, TltMark.CONTROL, TltMark.IMPORTANT_ECHO,
+              TltMark.IMPORTANT_CLOCK_ECHO)
+
+ack_step = st.tuples(
+    st.integers(0, 120_000),                                     # time to advance, ns
+    st.sampled_from(("advance", "advance", "dup", "stale")),     # cumulative ACK shape
+    st.integers(1, 4 * MSS),                                     # ... and its distance
+    st.lists(st.tuples(st.integers(-MSS, 14 * MSS),              # SACK blocks, relative to
+                       st.integers(1, 4 * MSS)), max_size=3),    # snd_una: offset, length
+    st.sampled_from(ECHO_MARKS),
+    st.one_of(st.none(), st.integers(0, 400_000)),               # age of ts_echo (None: no echo)
+    st.booleans(),                                               # ECN echo
+)
+
+
+def play_acks(backend_name, tlt, tlp, steps):
+    world = World(backend_name, tlt, config=TransportConfig(tlp_enabled=tlp))
+    sender = world.sender
+    states = [world.sender_state()]
+    for dt, shape, distance, blocks, mark, age, ecn in steps:
+        world.advance(dt)
+        una = sender.snd_una
+        if shape == "advance":
+            ack = min(una + distance, sender.snd_nxt)
+        elif shape == "dup":
+            ack = una
+        else:
+            ack = max(0, una - distance)
+        # Unaligned, overlapping, below snd_una and beyond snd_nxt all occur.
+        sack = tuple((max(0, una + off), max(0, una + off) + length) for off, length in blocks)
+        ts_echo = 0 if age is None else max(1, world.engine.now - age)
+        world.ack(ack, sack, mark, ts_echo, ecn)
+        states.append(world.sender_state())
+    world.advance(50_000)  # whatever is still being serialized reaches the wire
+    states.append(world.sender_state())
+    return states
+
+
+@pytest.mark.parametrize("tlt,tlp", [(False, False), (True, False), (False, True)])
+@settings(max_examples=150, deadline=None)
+@given(st.lists(ack_step, min_size=1, max_size=40))
+def test_ack_stream_leaves_the_same_sender_on_both_backends(tlt, tlp, steps):
+    expected = play_acks("pure", tlt, tlp, steps)
+    got = play_acks("compiled", tlt, tlp, steps)
+    for step, (want, have) in enumerate(zip(expected, got)):
+        for key in want:
+            assert have[key] == want[key], f"after step {step}: {key}"
+
+
+def lossy_exchange(world):
+    """A fixed exchange that reaches every transcribed branch. Segment 3
+    is marked lost three times: as a hole below the SACKed range, as a
+    retransmission aged a full SRTT (RACK, on an advancing ACK with new
+    SACK), and as the aged head on a duplicate ACK. Then recovery ends,
+    the window grows in congestion avoidance, and an ECN echo cuts it."""
+    sender = world.sender
+    world.ack(MSS, ts_echo=world.engine.now - 500)
+    world.ack(MSS, sack=((2 * MSS, 3 * MSS), (4 * MSS, 9 * MSS)), ts_echo=world.engine.now - 400)
+    world.advance(300_000)
+    world.ack(3 * MSS, sack=((4 * MSS, 10 * MSS),), mark=TltMark.IMPORTANT_ECHO,
+              ts_echo=world.engine.now - 300_000)  # echoes what was sent before the pause
+    world.ack(3 * MSS, ts_echo=world.engine.now - 200)
+    world.advance(300_000)
+    world.ack(3 * MSS, mark=TltMark.IMPORTANT_CLOCK_ECHO, ts_echo=world.engine.now - 100)
+    world.ack(sender.recover_point, ts_echo=world.engine.now - 50)
+    world.ack(sender.snd_una + MSS + 3, ecn_echo=True, ts_echo=world.engine.now - 40)
+
+
+#: ACKs of ``lossy_exchange``, and how many of them get past a TLT
+#: controller (it suppresses the clock echo that repeats ``snd_una``).
+ACKS, ACKS_PAST_TLT = 7, 6
+
+
+@pytest.mark.parametrize("tlt", [False, True])
+def test_stock_sender_acks_stay_out_of_python_on_packet(tlt):
+    world = World("compiled", tlt)
+    assert python_calls(SENDER_ON_PACKET, lambda: lossy_exchange(world)) == 0
+    reference = World("pure", tlt)
+    assert python_calls(SENDER_ON_PACKET, lambda: lossy_exchange(reference)) == ACKS
+    assert world.sender_state() == reference.sender_state()
+    sender = world.sender
+    assert max(entry.retx_count for entry in sender.entries) == 3
+    assert world.stats.fast_retransmits == 1 and not sender.in_recovery
+    assert sender._ca_acc > 0 and sender.cwnd < 5 * MSS and sender.alpha < 0.9
+
+
+# ------------------------------------------------- sender: eligibility rules
+
+
+def run_both(prepare, sender_cls=DctcpSender):
+    """Play ``lossy_exchange`` on both backends, TLT attached, after
+    ``prepare(world)``; returns the two worlds, the compiled one first."""
+    worlds = []
+    for name in ("compiled", "pure"):
+        world = World(name, True, sender_cls=sender_cls)
+        world.prepared = prepare(world)
+        world.python_on_packet = python_calls(SENDER_ON_PACKET, lambda: lossy_exchange(world))
+        worlds.append(world)
+    assert worlds[0].sender_state() == worlds[1].sender_state()
+    return worlds
+
+
+def test_instance_on_packet_override_gets_python():
+    def prepare(world):
+        seen = []
+        original = world.sender.on_packet
+        world.sender.on_packet = lambda packet: (seen.append(packet.ack), original(packet))
+        return seen
+
+    compiled, pure = run_both(prepare)
+    assert compiled.prepared == pure.prepared and len(compiled.prepared) == ACKS
+
+
+def test_instance_spy_on_an_inlined_method_gets_python():
+    def prepare(world):
+        seen = []
+        original = world.sender._detect_losses
+        world.sender._detect_losses = lambda: seen.append(world.engine.now) or original()
+        return seen
+
+    compiled, pure = run_both(prepare)
+    assert compiled.prepared == pure.prepared and compiled.prepared
+    assert compiled.python_on_packet == ACKS
+
+
+class CountingMarks(DctcpSender):
+    """A subclass overriding one of the inlined methods (as
+    ``tests/test_reliable_core.py``'s ``Core`` does)."""
+
+    def _mark_lost(self, entry):
+        self.marked_starts = getattr(self, "marked_starts", []) + [entry.start]
+        super()._mark_lost(entry)
+
+
+def test_subclass_overriding_an_inlined_method_gets_python():
+    compiled, pure = run_both(lambda world: None, sender_cls=CountingMarks)
+    assert compiled.sender.marked_starts == pure.sender.marked_starts
+    assert compiled.sender.marked_starts and compiled.python_on_packet == ACKS
+
+
+def test_class_patched_mid_run_gets_python(monkeypatch):
+    world = World("compiled", True)
+    assert python_calls(SENDER_ON_PACKET, lambda: world.ack(MSS)) == 0
+    seen = []
+    original = ByteStreamSender._restart_rto
+    monkeypatch.setattr(ByteStreamSender, "_restart_rto",
+                        lambda self: seen.append(self.snd_una) or original(self))
+    assert python_calls(SENDER_ON_PACKET, lambda: world.ack(2 * MSS)) == 1
+    assert seen == [2 * MSS]
+    monkeypatch.undo()
+    assert python_calls(SENDER_ON_PACKET, lambda: world.ack(3 * MSS)) == 0
+
+
+class LoggingRto(RtoEstimator):
+    __slots__ = ("log",)
+
+    def on_rtt_sample(self, rtt_ns):
+        self.log.append(rtt_ns)
+        super().on_rtt_sample(rtt_ns)
+
+
+def test_non_stock_rto_gets_its_on_rtt_sample_called():
+    def prepare(world):
+        rto = LoggingRto(world.sender.rto.rto_min, world.sender.rto.rto_max)
+        rto.log = []
+        world.sender.rto = rto
+        return rto.log
+
+    compiled, pure = run_both(prepare)
+    assert compiled.prepared == pure.prepared and len(compiled.prepared) == ACKS_PAST_TLT
+    assert compiled.python_on_packet == 0  # the call is made from C
+
+
+def test_reservoir_at_capacity_gets_the_call():
+    def prepare(world):
+        world.stats.rtt_samples("fg").capacity = 2
+        world.stats.delivery_samples.capacity = 3
+
+    compiled, pure = run_both(prepare)
+    for world in (compiled, pure):
+        assert len(world.stats.rtt_samples("fg")) == 2
+        assert world.stats.rtt_samples("fg").seen == ACKS_PAST_TLT
+        assert len(world.stats.delivery_samples) == 3 and world.stats.delivery_samples.seen > 3
+    assert (compiled.stats.rtt_samples("fg")._rng.getstate()
+            == pure.stats.rtt_samples("fg")._rng.getstate())
+    assert compiled.python_on_packet == 0
+
+
+def test_rebound_sample_adder_gets_the_call():
+    def prepare(world):
+        seen = []
+        world.sender._add_rtt_sample = seen.append
+        return seen
+
+    compiled, pure = run_both(prepare)
+    assert compiled.prepared == pure.prepared and len(compiled.prepared) == ACKS_PAST_TLT
+    assert compiled.python_on_packet == 0
+
+
+def test_python_callbacks_see_the_calls_on_packet_makes():
+    def prepare(world):
+        calls = []
+        sender, tlt = world.sender, world.sender.tlt
+        for owner, name in ((sender, "cc_on_ack"), (sender, "_on_loss_detected"),
+                            (sender, "try_send"), (sender, "_complete"), (tlt, "after_ack")):
+            def spy(*args, _name=name, _original=getattr(owner, name)):
+                calls.append((_name, world.engine.now, tuple(
+                    [e.start for e in a] if isinstance(a, list) else a for a in args)))
+                return _original(*args)
+            setattr(owner, name, spy)
+        return calls
+
+    compiled, pure = run_both(prepare)
+    assert compiled.prepared == pure.prepared
+    assert compiled.python_on_packet == 0  # spies on what stays Python keep the C path
+    by_name = {}
+    for name, _, args in compiled.prepared:
+        by_name.setdefault(name, []).append(args)
+    assert len(by_name["cc_on_ack"]) == ACKS_PAST_TLT  # exactly one per ACK
+    assert (MSS, False) in by_name["cc_on_ack"] and (MSS + 3, True) in by_name["cc_on_ack"]
+    # ... and the controller's own call for the ACK it suppressed.
+    assert len(by_name["after_ack"]) == ACKS and by_name["_on_loss_detected"]
+
+
+def test_ecn_echo_reaches_cc_only_when_the_flow_negotiated_ect():
+    seen = {}
+    for name in ("compiled", "pure"):
+        world = World(name, False, sender_cls=ByteStreamSender)  # plain TCP: ECT off
+        assert not world.sender.config.ecn
+        seen[name] = calls = []
+        world.sender.cc_on_ack = lambda newly, ecn_echo, calls=calls: calls.append((newly, ecn_echo))
+        assert python_calls(SENDER_ON_PACKET, lambda: world.ack(MSS, ecn_echo=True)) == (
+            0 if name == "compiled" else 1)
+    assert seen["compiled"] == seen["pure"] == [(MSS, False)]
+
+
+def test_completion_and_acks_after_it():
+    for name in ("compiled", "pure"):
+        world = World(name, True, size=3 * MSS)
+        done = []
+        world.spec.on_complete_ack = done.append
+        calls = python_calls(SENDER_ON_PACKET, lambda: (
+            world.ack(3 * MSS, ts_echo=world.engine.now - 10), world.ack(3 * MSS)))
+        assert calls == (0 if name == "compiled" else 2)
+        assert done == [world.sender.record] and world.sender.completed
+        assert world.sender._rto_deadline is None and world.sender.dupacks == 0
+
+
+# ---------------------------------------------------------------- receiver
+
+
+arrival = st.tuples(st.integers(0, 60), st.integers(0, 12),
+                    st.sampled_from((TltMark.NONE, TltMark.NONE, TltMark.IMPORTANT_DATA,
+                                     TltMark.IMPORTANT_CLOCK_DATA)),
+                    st.booleans())
+
+
+def play_data(backend_name, tlt, arrivals, size):
+    world = World(backend_name, tlt, size=size, with_sender=False)
+    states = []
+    for seq, length, mark, ce in arrivals:
+        world.data(seq * 10, length * 10, mark if tlt else TltMark.NONE, ce)
+        world.advance(10_000)  # the ACK reaches the switch
+        states.append(world.receiver_state())
+    return states
+
+
+@pytest.mark.parametrize("tlt", [False, True])
+@settings(max_examples=100, deadline=None)
+@given(st.lists(arrival, max_size=80), st.sampled_from((400, 10_000)))
+def test_data_stream_leaves_the_same_receiver_on_both_backends(tlt, arrivals, size):
+    """``test_sack.py``'s arrival strategy (any order, duplicates,
+    overlaps, adjacent pieces, empty payloads) through the host sink:
+    scoreboard and every ACK's ``ack``/``sack``/``mark``/echoes."""
+    expected = play_data("pure", tlt, arrivals, size)
+    got = play_data("compiled", tlt, arrivals, size)
+    for step, (want, have) in enumerate(zip(expected, got)):
+        assert have == want, f"after arrival {step}"
+
+
+def test_lossy_arrival_shapes_stay_out_of_python_on_packet():
+    world = World("compiled", True, with_sender=False)
+
+    def arrivals():
+        world.data(0, 100)                                  # in order
+        world.data(300, 100)                                # new island
+        world.data(600, 100, TltMark.IMPORTANT_DATA)        # second island
+        world.data(450, 50)                                 # between islands
+        world.data(400, 50)                                 # joins two pieces
+        world.data(320, 30)                                 # inside an island
+        world.data(0, 100)                                  # stale duplicate
+        world.data(100, 250)                                # fills the head hole, swallows
+        world.data(250, 500)                                # swallows the rest
+
+    assert python_calls(RECEIVER_ON_PACKET, arrivals) == 0
+    assert world.receiver.buffer.rcv_nxt == 750 and world.receiver.buffer.intervals == []
+
+
+def test_wrapped_host_send_gets_the_python_receiver():
+    world = World("compiled", False, with_sender=False)
+    host = world.net.host(1)
+    sent = []
+    original = host.send
+    host.send = lambda packet: (sent.append(packet.ack), original(packet))
+    assert python_calls(RECEIVER_ON_PACKET, lambda: (world.data(0, 100), world.data(300, 100))) == 2
+    assert sent == [100, 100]
+    host.send = original
+    assert python_calls(RECEIVER_ON_PACKET, lambda: world.data(100, 100)) == 0
+
+
+def test_completion_transition_gets_the_python_receiver():
+    world = World("compiled", False, size=200, with_sender=False)
+    done = []
+    world.spec.on_complete_rx = done.append
+    assert python_calls(RECEIVER_ON_PACKET, lambda: world.data(0, 100)) == 0
+    assert python_calls(RECEIVER_ON_PACKET, lambda: world.data(100, 100)) == 1
+    assert world.receiver.done and len(done) == 1
+    assert python_calls(RECEIVER_ON_PACKET, lambda: world.data(100, 100)) == 0  # duplicate after
