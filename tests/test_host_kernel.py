@@ -390,7 +390,7 @@ def test_ecn_echo_reaches_cc_only_when_the_flow_negotiated_ect():
         world = World(name, False, sender_cls=ByteStreamSender)  # plain TCP: ECT off
         assert not world.sender.config.ecn
         seen[name] = calls = []
-        world.sender.cc_on_ack = lambda newly, ecn_echo, calls=calls: calls.append((newly, ecn_echo))
+        world.sender.cc_on_ack = lambda newly, echo, calls=calls: calls.append((newly, echo))
         assert python_calls(SENDER_ON_PACKET, lambda: world.ack(MSS, ecn_echo=True)) == (
             0 if name == "compiled" else 1)
     assert seen["compiled"] == seen["pure"] == [(MSS, False)]
