@@ -8,19 +8,24 @@
  *     real PyList (so link.py, the timer wheel and sharding can keep
  *     pushing entries with Python heapq), same GC-threshold dance, same
  *     end-of-run clock rule, same attribution hook.
- *   - CEvent   -- the cancellation handle (interops with TimerWheel).
+ *   - CEvent   -- the cancellation handle (interops with TimerWheel);
+ *     built by the engine only, read-only from Python but for in_wheel.
  *   - SwitchKernel / HostKernel / PortKernel -- per-instance kernels
  *     bound by repro.sim.backend.optimize_network; each exposes
  *     KernelMethod callables bound in place of the pure-Python methods
  *     (Switch._receive/_poll via Switch._bind_data_path, host.send,
  *     port._tx_cb, ...).
  *   - Inside HostKernel.sink, the per-packet work of a byte-stream flow:
- *     c_receiver_on_packet (DATA -> receive buffer -> ACK) and
+ *     c_receiver_on_packet (DATA -> receive buffer -> completion -> ACK),
  *     c_sender_on_packet (ACK -> scoreboard, loss detection, RTO, window
- *     growth). Each transcribes the repro.transport methods it stands in
- *     for and is gated, per packet and before it changes anything, on
- *     those still being the functions captured at import; congestion
- *     control, the TLT controller and the send path stay Python calls.
+ *     growth) and c_sender_burst (try_send -> _transmit -> TLT mark_data ->
+ *     host.send), which cengine_dispatch also enters in place of a flow's
+ *     start() event. Each transcribes the repro.transport / repro.core
+ *     methods it stands in for and is gated, per packet or per burst and
+ *     before it changes anything, on those still being the functions
+ *     captured at import; congestion control, the TLT controller's ACK
+ *     side and clocking, _on_timeout and the completion callbacks stay
+ *     Python calls.
  *
  * Determinism contract: every arithmetic decision below transcribes the
  * pure-Python fast path statement by statement -- same comparison
@@ -33,16 +38,25 @@
  * Mutable-attribute rules (why some things are cached and others are
  * re-read per call): objects assigned once in __init__/finalize before
  * optimize_network runs (fib, fib._routes, buffer, stats, ports, pfc,
- * _drop, config object, host.nic.queue, host.endpoints, port._inflight)
- * are cached; attributes experiments reassign after build
+ * config object, host.nic.queue, host.endpoints, port._inflight) are
+ * cached; attributes experiments reassign after build
  * (switch._port_queues, switch._rr -- see ext_incremental.py -- plus
- * switch.ecn and every config *field*) are fetched on every call.
+ * switch.ecn, switch.audit, switch._drop and every config *field*) are
+ * fetched on every call.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
 #include <time.h>
+
+/* ll_read_fast reads Py_SIZE(v) and v->ob_digit[], CPython 3.11's int
+ * layout; 3.12 replaced it (long_value.lv_tag) and no 3.12 interpreter
+ * has been there to test a port on. A best-effort install then falls back
+ * to the pure backend with this message. */
+#if PY_VERSION_HEX >= 0x030C0000
+#error "repro.sim._ckernel supports CPython up to 3.11 (PyLongObject layout); use the pure backend"
+#endif
 
 #define NEVER_LL (1LL << 62)
 #define COMPACT_MIN_DEAD_C 64
@@ -75,6 +89,7 @@ static long long HeaderBytesLL;
 /* Receiver path (c_receiver_on_packet): DATA delivery to a stock
  * ByteStreamReceiver, handled without entering Python. */
 static PyObject *BSReceiverOnPacket;  /* ByteStreamReceiver.on_packet */
+static PyObject *ReceiverRecordProp;  /* ByteStreamReceiver.record, the property */
 static PyObject *TltWindowReceiverCls, *ReceiverBufferCls;
 static PyObject *RecvIMPORTANTObj, *RecvIMPCLOCKObj, *RecvIDLEObj;
 static PyObject *KindACKObj;
@@ -95,6 +110,23 @@ static PyObject *RtoSampleFn;         /* RtoEstimator.on_rtt_sample */
 static PyObject *ReservoirAddFn;      /* Reservoir.add */
 static PyTypeObject *EntryCls, *RtoEstimatorCls, *FixedRtoCls, *ReservoirCls;
 
+/* Send path (c_sender_burst): a second name set, asked where a burst
+ * begins. start() is the last one, asked only of a flow's start event. */
+#define N_BURST 7
+static const char *const BurstMethodNames[N_BURST] = {
+    "try_send", "_transmit", "_is_last_allowed", "_record_tx", "_next_lost",
+    "_restart_rto", "start"};
+static PyObject *BurstNames[N_BURST], *BurstFns[N_BURST];
+#define SenderStartFn (BurstFns[N_BURST - 1])
+static PyObject *TltMarkDataFn, *TltAfterAckFn;  /* TltWindowSender's */
+static PyObject *EntryInitFn;         /* Entry.__init__ */
+static PyObject *SendIMPORTANTObj, *SendIDLEObj;  /* core.window._SendState */
+static PyObject *ColorREDObj, *s_init, *s_alloc_packet;
+static PyObject *TransportBaseDict;   /* vars(repro.transport.base) */
+static PyObject *AllocPacketC;        /* this module's alloc_packet */
+static PyTypeObject *TltWindowSenderCls, *FlowRecordCls, *NetStatsCls, *DequeCls;
+static Py_ssize_t F_retx_bytes, F_tx_bytes;            /* FlowRecord */
+
 /* Interned attribute-name strings. */
 static PyObject *s_kick, *s_flush, *s_add, *s_receive, *s_receive_pause,
     *s_poll, *s_append, *s_popleft, *s_port_queues, *s_rr, *s_ecn,
@@ -103,8 +135,7 @@ static PyObject *s_kick, *s_flush, *s_add, *s_receive, *s_receive_pause,
     *s_qualname, *s_live, *s_pool_enabled, *s_fib, *s_routes, *s_lookup,
     *s_buffer, *s_stats, *s_ports, *s_drop_m, *s_config, *s_pfc,
     *s_on_admit, *s_on_release, *s_engine, *s_nic, *s_queue_attr,
-    *s_endpoints, *s_port_attr, *s_cancelled, *s_fn, *s_args, *s_in_wheel,
-    *s_color_str, *s_pool_str, *s_dynamic_str,
+    *s_endpoints, *s_port_attr, *s_color_str, *s_pool_str, *s_dynamic_str,
     *s_kw_seq, *s_kw_payload, *s_kw_ack, *s_kw_size,
     *s_tlt_rx, *s_done, *s_spec, *s_state, *s_traffic_class,
     *s_plain_color, *s_size_attr, *s_src_attr, *s_dst_attr,
@@ -119,7 +150,10 @@ static PyObject *s_kick, *s_flush, *s_add, *s_receive, *s_receive_pause,
     X(_add_delivery_sample) X(_probe_outstanding) X(_rto_deadline)           \
     X(_rto_event) X(_rto_fire) X(_ca_acc) X(on_ack) X(after_ack)             \
     X(cc_on_ack) X(_on_loss_detected) X(_complete) X(try_send)               \
-    X(on_rtt_sample) X(current) X(srtt) X(dupack_threshold) X(base_rtt_ns)
+    X(on_rtt_sample) X(current) X(srtt) X(dupack_threshold) X(base_rtt_ns)   \
+    X(started) X(established) X(record) X(_arm_pto) X(mark_data) X(sender)   \
+    X(tlp_enabled) X(handshake) X(green_data_packets) X(green_data_bytes)    \
+    X(red_data_packets) X(red_data_bytes) X(end_rx_ns) X(on_complete_rx) X(flows)
 #define X(n) static PyObject *sn_##n;
 SENDER_NAMES(X)
 #undef X
@@ -488,6 +522,8 @@ static PyTypeObject KernelMethodType;
 /* Defined with the KernelMethod type below; lets the event loop jump
  * straight into a kernel's C entry point without call machinery. */
 static int km_invoke_fast(PyObject *fn, PyObject *fargs);
+/* Defined with the host kernel's send path: a flow's start() event. */
+static int c_sender_start(PyObject *ep);
 
 typedef struct {
     PyObject_HEAD
@@ -502,45 +538,7 @@ typedef struct {
     int running;
 } CEngineObject;
 
-static int cengine_note_cancel_internal(CEngineObject *self, PyObject *event);
-
-static PyObject *
-cevent_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    CEventObject *self = (CEventObject *)type->tp_alloc(type, 0);
-    if (self == NULL)
-        return NULL;
-    self->time = 0;
-    self->seq = 0;
-    self->fn = NULL;
-    self->args = NULL;
-    self->engine = NULL;
-    self->cancelled = 0;
-    self->in_wheel = 0;
-    return (PyObject *)self;
-}
-
-static int
-cevent_init(CEventObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"time", "seq", "fn", "args", "engine", NULL};
-    long long time, seq;
-    PyObject *fn, *fargs, *engine = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LLOO|O", kwlist,
-                                     &time, &seq, &fn, &fargs, &engine))
-        return -1;
-    self->time = time;
-    self->seq = seq;
-    Py_INCREF(fn);
-    Py_XSETREF(self->fn, fn);
-    Py_INCREF(fargs);
-    Py_XSETREF(self->args, fargs);
-    Py_INCREF(engine);
-    Py_XSETREF(self->engine, engine);
-    self->cancelled = 0;
-    self->in_wheel = 0;
-    return 0;
-}
+static int cengine_note_cancel_internal(CEngineObject *self, CEventObject *event);
 
 /* Free list of exact CEvent instances: the simulator churns through
  * one Event per schedule()/timer, so recycling the GC header is a
@@ -619,53 +617,11 @@ cevent_cancel(CEventObject *self, PyObject *Py_UNUSED(ignored))
     if (self->cancelled)
         Py_RETURN_NONE;
     self->cancelled = 1;
-    if (self->engine != NULL && self->engine != Py_None) {
-        if (Py_TYPE(self->engine) == &CEngineType) {
-            if (cengine_note_cancel_internal((CEngineObject *)self->engine,
-                                             (PyObject *)self) < 0)
-                return NULL;
-        }
-        else {
-            PyObject *r = PyObject_CallMethod(self->engine, "_note_cancel",
-                                              "O", (PyObject *)self);
-            if (r == NULL)
-                return NULL;
-            Py_DECREF(r);
-        }
-    }
+    /* cevent_make is the only constructor: the engine is a CEngine */
+    if (self->engine != NULL &&
+        cengine_note_cancel_internal((CEngineObject *)self->engine, self) < 0)
+        return NULL;
     Py_RETURN_NONE;
-}
-
-static PyObject *
-cevent_richcompare(PyObject *a, PyObject *b, int op)
-{
-    if (op != Py_LT || !CEvent_CheckExact(a)) {
-        Py_RETURN_NOTIMPLEMENTED;
-    }
-    long long bt, bs;
-    if (CEvent_CheckExact(b)) {
-        bt = ((CEventObject *)b)->time;
-        bs = ((CEventObject *)b)->seq;
-    }
-    else {
-        PyObject *to = PyObject_GetAttrString(b, "time");
-        if (to == NULL)
-            return NULL;
-        bt = PyLong_AsLongLong(to);
-        Py_DECREF(to);
-        if (bt == -1 && PyErr_Occurred())
-            return NULL;
-        PyObject *so = PyObject_GetAttrString(b, "seq");
-        if (so == NULL)
-            return NULL;
-        bs = PyLong_AsLongLong(so);
-        Py_DECREF(so);
-        if (bs == -1 && PyErr_Occurred())
-            return NULL;
-    }
-    CEventObject *ea = (CEventObject *)a;
-    int lt = (ea->time != bt) ? (ea->time < bt) : (ea->seq < bs);
-    return PyBool_FromLong(lt);
 }
 
 static PyObject *
@@ -685,102 +641,17 @@ cevent_repr(CEventObject *self)
     return r;
 }
 
-static PyObject *
-cevent_get_cancelled(CEventObject *self, void *closure)
-{
-    return PyBool_FromLong(self->cancelled);
-}
-
-static int
-cevent_set_cancelled(CEventObject *self, PyObject *value, void *closure)
-{
-    int t = PyObject_IsTrue(value);
-    if (t < 0)
-        return -1;
-    self->cancelled = (char)t;
-    return 0;
-}
-
-static PyObject *
-cevent_get_in_wheel(CEventObject *self, void *closure)
-{
-    return PyBool_FromLong(self->in_wheel);
-}
-
-static int
-cevent_set_in_wheel(CEventObject *self, PyObject *value, void *closure)
-{
-    int t = PyObject_IsTrue(value);
-    if (t < 0)
-        return -1;
-    self->in_wheel = (char)t;
-    return 0;
-}
-
-static PyObject *
-cevent_get_time(CEventObject *self, void *closure)
-{
-    return PyLong_FromLongLong(self->time);
-}
-
-static int
-cevent_set_time(CEventObject *self, PyObject *value, void *closure)
-{
-    long long v = PyLong_AsLongLong(value);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    self->time = v;
-    return 0;
-}
-
-static PyObject *
-cevent_get_seq(CEventObject *self, void *closure)
-{
-    return PyLong_FromLongLong(self->seq);
-}
-
-static int
-cevent_set_seq(CEventObject *self, PyObject *value, void *closure)
-{
-    long long v = PyLong_AsLongLong(value);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    self->seq = v;
-    return 0;
-}
-
-static PyObject *
-cevent_get_fn(CEventObject *self, void *closure)
-{
-    PyObject *v = self->fn ? self->fn : Py_None;
-    Py_INCREF(v);
-    return v;
-}
-
-static PyObject *
-cevent_get_args(CEventObject *self, void *closure)
-{
-    PyObject *v = self->args ? self->args : Py_None;
-    Py_INCREF(v);
-    return v;
-}
-
-static PyObject *
-cevent_get_engine(CEventObject *self, void *closure)
-{
-    PyObject *v = self->engine ? self->engine : Py_None;
-    Py_INCREF(v);
-    return v;
-}
-
-static PyGetSetDef cevent_getset[] = {
-    {"time", (getter)cevent_get_time, (setter)cevent_set_time, NULL, NULL},
-    {"seq", (getter)cevent_get_seq, (setter)cevent_set_seq, NULL, NULL},
-    {"fn", (getter)cevent_get_fn, NULL, NULL, NULL},
-    {"args", (getter)cevent_get_args, NULL, NULL, NULL},
-    {"engine", (getter)cevent_get_engine, NULL, NULL, NULL},
-    {"cancelled", (getter)cevent_get_cancelled, (setter)cevent_set_cancelled, NULL, NULL},
-    {"in_wheel", (getter)cevent_get_in_wheel, (setter)cevent_set_in_wheel, NULL, NULL},
+/* Read-only but for in_wheel, which the (Python) timer wheel flips;
+ * heap entries are (time, seq, event) tuples, so nothing compares or
+ * re-times an event. fn/args/engine read None once cleared. */
+static PyMemberDef cevent_members[] = {
+    {"time", T_LONGLONG, offsetof(CEventObject, time), READONLY, NULL},
+    {"seq", T_LONGLONG, offsetof(CEventObject, seq), READONLY, NULL},
+    {"fn", T_OBJECT, offsetof(CEventObject, fn), READONLY, NULL},
+    {"args", T_OBJECT, offsetof(CEventObject, args), READONLY, NULL},
+    {"engine", T_OBJECT, offsetof(CEventObject, engine), READONLY, NULL},
+    {"cancelled", T_BOOL, offsetof(CEventObject, cancelled), READONLY, NULL},
+    {"in_wheel", T_BOOL, offsetof(CEventObject, in_wheel), 0, NULL},
     {NULL},
 };
 
@@ -796,20 +667,31 @@ static PyTypeObject CEventType = {
     .tp_basicsize = sizeof(CEventObject),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_doc = "A scheduled callback (compiled engine's Event).",
-    .tp_new = cevent_new,
-    .tp_init = (initproc)cevent_init,
     .tp_dealloc = (destructor)cevent_dealloc,
     .tp_traverse = (traverseproc)cevent_traverse,
     .tp_clear = (inquiry)cevent_clear,
-    .tp_richcompare = cevent_richcompare,
     .tp_repr = (reprfunc)cevent_repr,
     .tp_methods = cevent_methods,
-    .tp_getset = cevent_getset,
+    .tp_members = cevent_members,
 };
 
 /* ---------------------------------------------------------------------------
  * CEngine -- drop-in compiled Engine.
  * ------------------------------------------------------------------------- */
+
+/* The event of a (time, seq, event) heap entry. Only this engine's own
+ * schedule calls and its timer wheel push such entries, so it is a
+ * CEvent; anything else raises. */
+static CEventObject *
+heap_event(PyObject *entry)
+{
+    PyObject *ev = PyTuple_GET_ITEM(entry, 2);
+    if (CEvent_CheckExact(ev))
+        return (CEventObject *)ev;
+    PyErr_Format(PyExc_TypeError, "CEngine heap holds a %.100s where a CEvent belongs",
+                 Py_TYPE(ev)->tp_name);
+    return NULL;
+}
 
 static int
 cengine_compact(CEngineObject *self)
@@ -823,20 +705,10 @@ cengine_compact(CEngineObject *self)
         PyObject *e = PyList_GET_ITEM(queue, i);
         int keep = 1;
         if (PyTuple_CheckExact(e) && PyTuple_GET_SIZE(e) == 3) {
-            PyObject *ev = PyTuple_GET_ITEM(e, 2);
-            if (CEvent_CheckExact(ev)) {
-                keep = !((CEventObject *)ev)->cancelled;
-            }
-            else {
-                PyObject *c = PyObject_GetAttr(ev, s_cancelled);
-                if (c == NULL)
-                    goto fail;
-                int t = PyObject_IsTrue(c);
-                Py_DECREF(c);
-                if (t < 0)
-                    goto fail;
-                keep = !t;
-            }
+            CEventObject *ev = heap_event(e);
+            if (ev == NULL)
+                goto fail;
+            keep = !ev->cancelled;
         }
         if (keep && PyList_Append(kept, e) < 0)
             goto fail;
@@ -852,22 +724,9 @@ fail:
 }
 
 static int
-cengine_note_cancel_internal(CEngineObject *self, PyObject *event)
+cengine_note_cancel_internal(CEngineObject *self, CEventObject *event)
 {
-    int in_wheel;
-    if (CEvent_CheckExact(event)) {
-        in_wheel = ((CEventObject *)event)->in_wheel;
-    }
-    else {
-        PyObject *v = PyObject_GetAttr(event, s_in_wheel);
-        if (v == NULL)
-            return -1;
-        in_wheel = PyObject_IsTrue(v);
-        Py_DECREF(v);
-        if (in_wheel < 0)
-            return -1;
-    }
-    if (in_wheel) {
+    if (event->in_wheel) {
         PyObject *live = PyObject_GetAttr(self->wheel, s_live);
         if (live == NULL)
             return -1;
@@ -917,21 +776,10 @@ cengine_peek_internal(CEngineObject *self, long long *out, int *have)
             PyObject *head = PyList_GET_ITEM(queue, 0);
             if (!(PyTuple_CheckExact(head) && PyTuple_GET_SIZE(head) == 3))
                 break;
-            PyObject *ev = PyTuple_GET_ITEM(head, 2);
-            int cancelled;
-            if (CEvent_CheckExact(ev)) {
-                cancelled = ((CEventObject *)ev)->cancelled;
-            }
-            else {
-                PyObject *c = PyObject_GetAttr(ev, s_cancelled);
-                if (c == NULL)
-                    return -1;
-                cancelled = PyObject_IsTrue(c);
-                Py_DECREF(c);
-                if (cancelled < 0)
-                    return -1;
-            }
-            if (!cancelled)
+            CEventObject *ev = heap_event(head);
+            if (ev == NULL)
+                return -1;
+            if (!ev->cancelled)
                 break;
             PyObject *popped = heap_pop(queue);
             if (popped == NULL)
@@ -999,6 +847,14 @@ cengine_dispatch(PyObject *fn, PyObject *fargs, PyObject *attr)
     if (attr == NULL || attr == Py_None) {
         if (Py_TYPE(fn) == &KernelMethodType && PyTuple_CheckExact(fargs))
             return km_invoke_fast(fn, fargs);
+        /* A byte-stream flow's start(): the initial window leaves from C
+         * when the host kernel can run it, else the call below. */
+        if (PyMethod_Check(fn) && PyMethod_GET_FUNCTION(fn) == SenderStartFn &&
+            PyTuple_CheckExact(fargs) && PyTuple_GET_SIZE(fargs) == 0) {
+            int started = c_sender_start(PyMethod_GET_SELF(fn));
+            if (started != 0)
+                return started < 0 ? -1 : 0;
+        }
         res = call_with_tuple(fn, fargs);
         if (res == NULL)
             return -1;
@@ -1144,58 +1000,27 @@ cengine_run_common(CEngineObject *self, int until_given, long long until,
                 break;
             }
             PyObject *fn, *fargs;
-            PyObject *owned_fn = NULL, *owned_args = NULL;
             if (PyTuple_GET_SIZE(entry) == 4) {
                 fn = PyTuple_GET_ITEM(entry, 2);
                 fargs = PyTuple_GET_ITEM(entry, 3);
             }
             else {
-                PyObject *ev = PyTuple_GET_ITEM(entry, 2);
-                if (CEvent_CheckExact(ev)) {
-                    CEventObject *cev = (CEventObject *)ev;
-                    if (cev->cancelled) {
-                        self->heap_dead -= 1;
-                        Py_DECREF(entry);
-                        continue;
-                    }
-                    fn = cev->fn;
-                    fargs = cev->args;
+                CEventObject *ev = heap_event(entry);
+                if (ev == NULL) {
+                    Py_DECREF(entry);
+                    status = -1;
+                    break;
                 }
-                else {
-                    PyObject *c = PyObject_GetAttr(ev, s_cancelled);
-                    if (c == NULL) {
-                        Py_DECREF(entry);
-                        status = -1;
-                        break;
-                    }
-                    int t = PyObject_IsTrue(c);
-                    Py_DECREF(c);
-                    if (t < 0) {
-                        Py_DECREF(entry);
-                        status = -1;
-                        break;
-                    }
-                    if (t) {
-                        self->heap_dead -= 1;
-                        Py_DECREF(entry);
-                        continue;
-                    }
-                    owned_fn = PyObject_GetAttr(ev, s_fn);
-                    owned_args = owned_fn ? PyObject_GetAttr(ev, s_args) : NULL;
-                    if (owned_args == NULL) {
-                        Py_XDECREF(owned_fn);
-                        Py_DECREF(entry);
-                        status = -1;
-                        break;
-                    }
-                    fn = owned_fn;
-                    fargs = owned_args;
+                if (ev->cancelled) {
+                    self->heap_dead -= 1;
+                    Py_DECREF(entry);
+                    continue;
                 }
+                fn = ev->fn;
+                fargs = ev->args;
             }
             self->now = time;
             int r = cengine_dispatch(fn, fargs, attr);
-            Py_XDECREF(owned_fn);
-            Py_XDECREF(owned_args);
             Py_DECREF(entry);
             if (r < 0) {
                 status = -1;
@@ -1479,22 +1304,6 @@ cengine_schedule_timer_at(CEngineObject *self, PyObject *const *args, Py_ssize_t
 /* -- CEngine misc methods -------------------------------------------------- */
 
 static PyObject *
-cengine_note_cancel(CEngineObject *self, PyObject *event)
-{
-    if (cengine_note_cancel_internal(self, event) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-cengine_compact_method(CEngineObject *self, PyObject *Py_UNUSED(ignored))
-{
-    if (cengine_compact(self) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 cengine_peek_time(CEngineObject *self, PyObject *Py_UNUSED(ignored))
 {
     long long t;
@@ -1576,44 +1385,6 @@ cengine_dealloc(CEngineObject *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-#define LL_GETSET(name, field)                                              \
-    static PyObject *cengine_get_##name(CEngineObject *s, void *c)          \
-    { return PyLong_FromLongLong(s->field); }                               \
-    static int cengine_set_##name(CEngineObject *s, PyObject *v, void *c)   \
-    {                                                                       \
-        long long x = PyLong_AsLongLong(v);                                 \
-        if (x == -1 && PyErr_Occurred()) return -1;                         \
-        s->field = x;                                                       \
-        return 0;                                                           \
-    }
-
-LL_GETSET(now, now)
-LL_GETSET(seq, seq)
-LL_GETSET(events_processed, events_processed)
-LL_GETSET(heap_dead, heap_dead)
-LL_GETSET(wheel_min, wheel_min)
-LL_GETSET(port_rank, port_rank)
-
-static PyObject *
-cengine_get_queue(CEngineObject *self, void *closure)
-{
-    Py_INCREF(self->queue);
-    return self->queue;
-}
-
-static PyObject *
-cengine_get_wheel(CEngineObject *self, void *closure)
-{
-    Py_INCREF(self->wheel);
-    return self->wheel;
-}
-
-static PyObject *
-cengine_get_running(CEngineObject *self, void *closure)
-{
-    return PyBool_FromLong(self->running);
-}
-
 static PyObject *
 cengine_get_pending(CEngineObject *self, void *closure)
 {
@@ -1642,22 +1413,25 @@ cengine_get_pending_total(CEngineObject *self, void *closure)
 }
 
 static PyGetSetDef cengine_getset[] = {
-    {"now", (getter)cengine_get_now, (setter)cengine_set_now, NULL, NULL},
-    {"_seq", (getter)cengine_get_seq, (setter)cengine_set_seq, NULL, NULL},
-    {"_events_processed", (getter)cengine_get_events_processed,
-     (setter)cengine_set_events_processed, NULL, NULL},
-    {"events_processed", (getter)cengine_get_events_processed, NULL, NULL, NULL},
-    {"_heap_dead", (getter)cengine_get_heap_dead, (setter)cengine_set_heap_dead,
-     NULL, NULL},
-    {"_wheel_min", (getter)cengine_get_wheel_min, (setter)cengine_set_wheel_min,
-     NULL, NULL},
-    {"_port_rank", (getter)cengine_get_port_rank, (setter)cengine_set_port_rank,
-     NULL, NULL},
-    {"_queue", (getter)cengine_get_queue, NULL, NULL, NULL},
-    {"_wheel", (getter)cengine_get_wheel, NULL, NULL, NULL},
-    {"_running", (getter)cengine_get_running, NULL, NULL, NULL},
     {"pending", (getter)cengine_get_pending, NULL, NULL, NULL},
     {"pending_total", (getter)cengine_get_pending_total, NULL, NULL, NULL},
+    {NULL},
+};
+
+/* The Engine attributes link.py, the timer wheel and sharding read and
+ * write directly. */
+#define ENGINE_LL(name, field, flags) \
+    {name, T_LONGLONG, offsetof(CEngineObject, field), flags, NULL}
+static PyMemberDef cengine_members[] = {
+    ENGINE_LL("now", now, 0),
+    ENGINE_LL("_seq", seq, 0),
+    ENGINE_LL("_events_processed", events_processed, 0),
+    ENGINE_LL("events_processed", events_processed, READONLY),
+    ENGINE_LL("_heap_dead", heap_dead, 0),
+    ENGINE_LL("_wheel_min", wheel_min, 0),
+    ENGINE_LL("_port_rank", port_rank, 0),
+    {"_queue", T_OBJECT, offsetof(CEngineObject, queue), READONLY, NULL},
+    {"_wheel", T_OBJECT, offsetof(CEngineObject, wheel), READONLY, NULL},
     {NULL},
 };
 
@@ -1680,8 +1454,6 @@ static PyMethodDef cengine_methods[] = {
      "Process exactly one (non-cancelled) event."},
     {"peek_time", (PyCFunction)cengine_peek_time, METH_NOARGS,
      "Timestamp of the next live event, or None when idle."},
-    {"_note_cancel", (PyCFunction)cengine_note_cancel, METH_O, NULL},
-    {"_compact", (PyCFunction)cengine_compact_method, METH_NOARGS, NULL},
     {NULL},
 };
 
@@ -1697,6 +1469,7 @@ static PyTypeObject CEngineType = {
     .tp_traverse = (traverseproc)cengine_traverse,
     .tp_clear = (inquiry)cengine_clear_gc,
     .tp_methods = cengine_methods,
+    .tp_members = cengine_members,
     .tp_getset = cengine_getset,
 };
 
@@ -1744,7 +1517,6 @@ typedef struct {
     PyObject *buffer;
     PyObject *stats;
     PyObject *ports;             /* device.ports list */
-    PyObject *drop;              /* bound switch._drop */
     PyObject *config;            /* config object; fields read per call */
     PyObject *pfc;               /* PfcEngine or None */
     PyObject *pfc_on_admit, *pfc_on_release;  /* bound, or NULL when no PFC */
@@ -1767,6 +1539,8 @@ static PyTypeObject PortKernelType;
 static PyTypeObject SwitchKernelType;
 static PyTypeObject HostKernelType;
 
+static int dict_add(PyObject *d, PyObject *name, long long delta);
+static int attr_ll(PyObject *obj, PyObject *name, long long *out);
 static int c_switch_receive(SwitchKernelObject *sk, PyObject *packet, PyObject *in_port);
 static PyObject *c_switch_poll(SwitchKernelObject *sk, PyObject *port);
 static int c_host_send(HostKernelObject *hk, PyObject *packet);
@@ -1796,6 +1570,8 @@ km_new_internal(PyObject *kernel, int which, const char *qualname)
     return (PyObject *)self;
 }
 
+/* A call from Python: the two polls return their packet, everything
+ * else goes the event loop's way and returns None. */
 static PyObject *
 km_call(KernelMethodObject *self, PyObject *args, PyObject *kwargs)
 {
@@ -1803,66 +1579,19 @@ km_call(KernelMethodObject *self, PyObject *args, PyObject *kwargs)
         PyErr_SetString(PyExc_TypeError, "kernel methods take no keyword arguments");
         return NULL;
     }
-    Py_ssize_t n = PyTuple_GET_SIZE(args);
-    switch (self->which) {
-    case KM_SWITCH_RECEIVE:
-        if (n != 2)
-            break;
-        if (c_switch_receive((SwitchKernelObject *)self->kernel,
-                             PyTuple_GET_ITEM(args, 0),
-                             PyTuple_GET_ITEM(args, 1)) < 0)
-            return NULL;
-        Py_RETURN_NONE;
-    case KM_SWITCH_POLL:
-        if (n != 1)
-            break;
-        return c_switch_poll((SwitchKernelObject *)self->kernel,
-                             PyTuple_GET_ITEM(args, 0));
-    case KM_HOST_SEND:
-        if (n != 1)
-            break;
-        if (c_host_send((HostKernelObject *)self->kernel,
-                        PyTuple_GET_ITEM(args, 0)) < 0)
-            return NULL;
-        Py_RETURN_NONE;
-    case KM_HOST_POLL:
-        if (n != 1)
-            break;
-        return c_host_poll((HostKernelObject *)self->kernel,
-                           PyTuple_GET_ITEM(args, 0));
-    case KM_HOST_SINK:
-        if (n != 2)
-            break;
-        if (c_host_sink((HostKernelObject *)self->kernel,
-                        PyTuple_GET_ITEM(args, 0),
-                        PyTuple_GET_ITEM(args, 1)) < 0)
-            return NULL;
-        Py_RETURN_NONE;
-    case KM_PORT_TX_DONE:
-        if (n != 1)
-            break;
-        if (c_port_tx_done((PortKernelObject *)self->kernel,
-                           PyTuple_GET_ITEM(args, 0)) < 0)
-            return NULL;
-        Py_RETURN_NONE;
-    case KM_PORT_DRAIN:
-        if (n != 0)
-            break;
-        if (c_port_drain((PortKernelObject *)self->kernel) < 0)
-            return NULL;
-        Py_RETURN_NONE;
-    default:
-        PyErr_SetString(PyExc_SystemError, "corrupt kernel method");
+    if (PyTuple_GET_SIZE(args) == 1 && self->which == KM_SWITCH_POLL)
+        return c_switch_poll((SwitchKernelObject *)self->kernel, PyTuple_GET_ITEM(args, 0));
+    if (PyTuple_GET_SIZE(args) == 1 && self->which == KM_HOST_POLL)
+        return c_host_poll((HostKernelObject *)self->kernel, PyTuple_GET_ITEM(args, 0));
+    if (km_invoke_fast((PyObject *)self, args) < 0)
         return NULL;
-    }
-    PyErr_Format(PyExc_TypeError, "%U: wrong number of arguments", self->qualname);
-    return NULL;
+    Py_RETURN_NONE;
 }
 
 /* Event-loop fast path: dispatch a scheduled kernel method straight to
  * its C entry point (no argument tuple re-packing, no call protocol).
- * Behavior matches km_call exactly; results of poll-style methods are
- * discarded like any event callback's return value. */
+ * Results of poll-style methods are discarded like any event callback's
+ * return value. */
 static int
 km_invoke_fast(PyObject *fn, PyObject *fargs)
 {
@@ -1886,28 +1615,19 @@ km_invoke_fast(PyObject *fn, PyObject *fargs)
                                 PyTuple_GET_ITEM(fargs, 0),
                                 PyTuple_GET_ITEM(fargs, 1));
     case KM_SWITCH_POLL:
+    case KM_HOST_POLL:
         if (n != 1)
             break;
-        res = c_switch_poll((SwitchKernelObject *)self->kernel,
-                            PyTuple_GET_ITEM(fargs, 0));
-        if (res == NULL)
-            return -1;
-        Py_DECREF(res);
-        return 0;
+        res = self->which == KM_SWITCH_POLL
+            ? c_switch_poll((SwitchKernelObject *)self->kernel, PyTuple_GET_ITEM(fargs, 0))
+            : c_host_poll((HostKernelObject *)self->kernel, PyTuple_GET_ITEM(fargs, 0));
+        Py_XDECREF(res);
+        return res == NULL ? -1 : 0;
     case KM_HOST_SEND:
         if (n != 1)
             break;
         return c_host_send((HostKernelObject *)self->kernel,
                            PyTuple_GET_ITEM(fargs, 0));
-    case KM_HOST_POLL:
-        if (n != 1)
-            break;
-        res = c_host_poll((HostKernelObject *)self->kernel,
-                          PyTuple_GET_ITEM(fargs, 0));
-        if (res == NULL)
-            return -1;
-        Py_DECREF(res);
-        return 0;
     case KM_HOST_SINK:
         if (n != 2)
             break;
@@ -1945,41 +1665,8 @@ km_dealloc(KernelMethodObject *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-static PyObject *
-km_get_qualname(KernelMethodObject *self, void *closure)
-{
-    Py_INCREF(self->qualname);
-    return self->qualname;
-}
-
-static PyObject *
-km_get_name(KernelMethodObject *self, void *closure)
-{
-    /* Last dotted component of the qualname. */
-    Py_ssize_t len = PyUnicode_GET_LENGTH(self->qualname);
-    Py_ssize_t dot = PyUnicode_FindChar(self->qualname, '.', 0, len, -1);
-    if (dot < 0)
-        return km_get_qualname(self, closure);
-    return PyUnicode_Substring(self->qualname, dot + 1, len);
-}
-
-static PyObject *
-km_get_self(KernelMethodObject *self, void *closure)
-{
-    Py_INCREF(self->kernel);
-    return self->kernel;
-}
-
-static PyObject *
-km_repr(KernelMethodObject *self)
-{
-    return PyUnicode_FromFormat("<compiled kernel method %U>", self->qualname);
-}
-
-static PyGetSetDef km_getset[] = {
-    {"__qualname__", (getter)km_get_qualname, NULL, NULL, NULL},
-    {"__name__", (getter)km_get_name, NULL, NULL, NULL},
-    {"__self__", (getter)km_get_self, NULL, NULL, NULL},
+static PyMemberDef km_members[] = {  /* the profiler's attribution key */
+    {"__qualname__", T_OBJECT, offsetof(KernelMethodObject, qualname), READONLY, NULL},
     {NULL},
 };
 
@@ -1993,8 +1680,7 @@ static PyTypeObject KernelMethodType = {
     .tp_dealloc = (destructor)km_dealloc,
     .tp_traverse = (traverseproc)km_traverse,
     .tp_clear = (inquiry)km_clear,
-    .tp_repr = (reprfunc)km_repr,
-    .tp_getset = km_getset,
+    .tp_members = km_members,
 };
 
 /* -- shared kernel helpers -------------------------------------------------- */
@@ -2467,9 +2153,12 @@ static PyTypeObject PortKernelType = {
 /* -- SwitchKernel ---------------------------------------------------------- */
 
 static PyObject *PortCls;             /* repro.net.link.Port */
+static PyObject *SwitchDropFn;        /* Switch._drop */
+static PyObject *CountDropFn;         /* NetStats.count_drop */
+static PyObject *s_audit, *s_count_drop, *s_drop_bytes;
+static PyObject *s_drops[2][3];       /* NetStats drop counters: [red][all, data, ctrl] */
 static PyObject *FibCls;              /* repro.net.routing.Fib */
 static PyObject *FibLookupFn;         /* Fib.lookup as defined at import */
-static PyObject *s_port_no;           /* "port_no" */
 static PyObject *s_receive_name;      /* "_receive" */
 static PyObject *s_poll_name;         /* "_poll" */
 
@@ -2501,6 +2190,73 @@ sw_call_pure(PyObject *sw, PyObject *name, PyObject *a, PyObject *b)
         : PyObject_CallFunctionObjArgs(fn, sw, a, NULL);
     Py_DECREF(fn);
     return r;
+}
+
+/* recycle(packet), open-coded; _pool_enabled is re-read per call
+ * (tests toggle it via set_pooling). */
+static int
+c_recycle(PyObject *packet)
+{
+    int pooled = slot_truth(packet, K_pooled);
+    if (pooled)
+        return pooled < 0 ? -1 : 0;
+    PyObject *pe = PyObject_GetAttr(PacketModule, s_pool_enabled);
+    if (pe == NULL)
+        return -1;
+    int enabled = PyObject_IsTrue(pe);
+    Py_DECREF(pe);
+    if (enabled <= 0)
+        return enabled;
+    slot_store_bool(packet, K_pooled, 1);
+    return PyList_GET_SIZE(PacketPool) < POOL_MAX_C ? PyList_Append(PacketPool, packet) : 0;
+}
+
+/* obj.name += 1 through the attribute protocol (a Switch keeps its
+ * inline values). */
+static int
+attr_incr(PyObject *obj, PyObject *name)
+{
+    long long v;
+    if (attr_ll(obj, name, &v) < 0)
+        return -1;
+    PyObject *nv = PyLong_FromLongLong(v + 1);
+    int rc = nv == NULL ? -1 : PyObject_SetAttr(obj, name, nv);
+    Py_XDECREF(nv);
+    return rc;
+}
+
+/* self._drop(packet, reason, queue[, port_occupancy]), resolved at the
+ * drop as the Python pipeline resolves it. Open-coded -- NetStats.count_drop,
+ * the switch's own two counters, recycle -- while that is the stock method
+ * of this switch, no auditor is attached (audit is toggled mid-run) and
+ * stats is a plain NetStats counting the stock way; the call otherwise. */
+static int
+c_switch_drop(SwitchKernelObject *sk, PyObject *packet, PyObject *reason, PyObject *queue,
+              PyObject *occupancy, long long size, int red)
+{
+    PyObject *stats = sk->stats, **counters = NULL;
+    PyObject *audit = PyObject_GetAttr(sk->sw, s_audit);
+    PyObject *drop = audit == NULL ? NULL : PyObject_GetAttr(sk->sw, s_drop_m);
+    Py_XDECREF(audit);
+    if (drop == NULL)
+        return -1;
+    int stock = audit == Py_None && PyMethod_Check(drop) && PyMethod_GET_SELF(drop) == sk->sw &&
+                PyMethod_GET_FUNCTION(drop) == SwitchDropFn && Py_TYPE(stats) == NetStatsCls &&
+                _PyType_Lookup(NetStatsCls, s_count_drop) == CountDropFn &&
+                (counters = _PyObject_GetDictPtr(stats)) != NULL && *counters != NULL &&
+                PyDict_GetItemWithError(*counters, s_count_drop) == NULL;
+    PyObject *r = stock ? Py_NewRef(Py_None) : PyObject_CallFunctionObjArgs(
+        drop, packet, reason, queue, occupancy, NULL);
+    Py_DECREF(drop);
+    Py_XDECREF(r);
+    if (!stock)
+        return r == NULL ? -1 : 0;
+    PyObject *const *names = s_drops[red];  /* drops_<color>, _data, _ctrl */
+    int ctrl = GETSLOT(packet, K_kind) != KindDATAObj;
+    if (dict_add(*counters, s_drop_bytes, size) < 0 || dict_add(*counters, names[0], 1) < 0 ||
+        dict_add(*counters, names[1 + ctrl], 1) < 0 || attr_incr(sk->sw, names[0]) < 0)
+        return -1;
+    return c_recycle(packet);
 }
 
 static int
@@ -2629,13 +2385,9 @@ c_switch_receive(SwitchKernelObject *sk, PyObject *packet, PyObject *in_port)
                 }
                 if (in_cc) {
                     Py_DECREF(kobj);
-                    PyObject *r = PyObject_CallFunctionObjArgs(
-                        sk->drop, packet, s_color_str, queue, NULL);
+                    int rc = c_switch_drop(sk, packet, s_color_str, queue, NULL, size, 1);
                     Py_DECREF(pqf);
-                    if (r == NULL)
-                        return -1;
-                    Py_DECREF(r);
-                    return 0;
+                    return rc;
                 }
             }
         }
@@ -2680,14 +2432,10 @@ c_switch_receive(SwitchKernelObject *sk, PyObject *packet, PyObject *in_port)
             PyObject *occo = PyLong_FromLongLong(port_occ);
             if (occo == NULL)
                 goto fail;
-            PyObject *r = PyObject_CallFunctionObjArgs(
-                sk->drop, packet, reason, queue, occo, NULL);
+            int rc = c_switch_drop(sk, packet, reason, queue, occo, size, color == COLOR_RED);
             Py_DECREF(occo);
             Py_DECREF(pqf);
-            if (r == NULL)
-                return -1;
-            Py_DECREF(r);
-            return 0;
+            return rc;
         }
 
         /* SharedBuffer.reserve + EgressQueue.push, open-coded. */
@@ -3117,7 +2865,6 @@ sk_traverse(SwitchKernelObject *self, visitproc visit, void *arg)
     Py_VISIT(self->buffer);
     Py_VISIT(self->stats);
     Py_VISIT(self->ports);
-    Py_VISIT(self->drop);
     Py_VISIT(self->config);
     Py_VISIT(self->pfc);
     Py_VISIT(self->pfc_on_admit);
@@ -3137,7 +2884,6 @@ sk_clear(SwitchKernelObject *self)
     Py_CLEAR(self->buffer);
     Py_CLEAR(self->stats);
     Py_CLEAR(self->ports);
-    Py_CLEAR(self->drop);
     Py_CLEAR(self->config);
     Py_CLEAR(self->pfc);
     Py_CLEAR(self->pfc_on_admit);
@@ -3224,9 +2970,6 @@ sk_init(SwitchKernelObject *self, PyObject *args, PyObject *kwargs)
     if ((o = PyObject_GetAttr(sw, s_ports)) == NULL)
         return -1;
     Py_XSETREF(self->ports, o);
-    if ((o = PyObject_GetAttr(sw, s_drop_m)) == NULL)
-        return -1;
-    Py_XSETREF(self->drop, o);
     if ((o = PyObject_GetAttr(sw, s_config)) == NULL)
         return -1;
     Py_XSETREF(self->config, o);
@@ -3307,6 +3050,18 @@ c_host_poll(HostKernelObject *hk, PyObject *port)
 static PyObject *mod_alloc_packet(PyObject *module, PyObject *const *args,
                                   Py_ssize_t nargs, PyObject *kwnames);
 
+/* Whether `host` is this kernel's and still sends through it: a wrapped
+ * or re-bound host.send (fault injection, tracing) forces Python. */
+static int
+kernel_sends_for(HostKernelObject *hk, PyObject *host)
+{
+    if (host != hk->host)
+        return 0;
+    PyObject *send = PyObject_GetAttr(host, s_send_attr);
+    Py_XDECREF(send);
+    return send == NULL ? -1 : send == hk->send_m;
+}
+
 /* getattr(obj, name) as a small non-negative int; raises when it is not. */
 static int
 attr_ll(PyObject *obj, PyObject *name, long long *out)
@@ -3321,6 +3076,123 @@ attr_ll(PyObject *obj, PyObject *name, long long *out)
     return ok ? 0 : -1;
 }
 
+/* The completion edge of ByteStreamReceiver.on_packet: done, the record's
+ * end_rx_ns (through the property: its setter moves the group tally the
+ * liveness counters rest on) and the flow's on_complete_rx callback.
+ * `self.record` is stats.flows.get(flow_id). */
+static int
+c_receiver_complete(HostKernelObject *hk, PyObject *d, PyObject *spec, PyObject *flows)
+{
+    PyObject *fid = PyObject_GetAttr(spec, s_flow_id_attr);
+    PyObject *record = NULL, *now = NULL, *callback = NULL, *r = NULL;
+    if (fid == NULL || PyDict_SetItem(d, s_done, Py_True) < 0)
+        goto out;
+    if ((record = PyDict_GetItemWithError(flows, fid)) == NULL) {
+        if (PyErr_Occurred())
+            goto out;
+        record = Py_None;
+    }
+    Py_INCREF(record);
+    if (record != Py_None &&
+        ((now = PyLong_FromLongLong(hk->engine->now)) == NULL ||
+         PyObject_SetAttr(record, sn_end_rx_ns, now) < 0))
+        goto out;
+    if ((callback = PyObject_GetAttr(spec, sn_on_complete_rx)) != NULL)
+        r = callback == Py_None ? Py_NewRef(Py_None) : PyObject_CallOneArg(callback, record);
+out:
+    Py_XDECREF(fid);
+    Py_XDECREF(record);
+    Py_XDECREF(now);
+    Py_XDECREF(callback);
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
+}
+
+/* The ACK every delivered DATA packet gets, built and sent through this
+ * host's kernel. held[] is {tlt_rx, buffer, spec, config}; `recent` is
+ * the island the arrival was merged into, -1 when none remains. */
+static int
+c_receiver_ack(HostKernelObject *hk, PyObject *packet, PyObject **held, Py_ssize_t recent)
+{
+    PyObject *tlt_rx = held[0], *buffer = held[1], *spec = held[2], *config = held[3];
+    PyObject *intervals = GETSLOT(buffer, R_intervals);
+    if (intervals == NULL || !PyList_CheckExact(intervals)) {
+        PyErr_SetString(PyExc_TypeError, "compiled receiver path: buffer.intervals replaced");
+        return -1;
+    }
+    Py_ssize_t n = PyList_GET_SIZE(intervals);
+    /* alloc_packet(flow_id, dst, src, ACK, 0, 0, rcv_nxt) */
+    PyObject *aargs[7] = {PyObject_GetAttr(spec, s_flow_id_attr),
+                          PyObject_GetAttr(spec, s_dst_attr),
+                          PyObject_GetAttr(spec, s_src_attr),
+                          KindACKObj, LLZero, LLZero, GETSLOT(buffer, R_rcv_nxt)};
+    PyObject *ack = (aargs[0] == NULL || aargs[1] == NULL || aargs[2] == NULL)
+                        ? NULL : mod_alloc_packet(NULL, aargs, 7, NULL);
+    for (int i = 0; i < 3; i++)
+        Py_XDECREF(aargs[i]);
+    if (ack == NULL)
+        return -1;
+    /* ack.sack = sack_blocks() while islands are outstanding: the
+     * island holding last_seq first (RFC 2018: the one just merged,
+     * unless it was consumed), then list order, at most 3. With no
+     * island the allocator's () stays. */
+    if (n > 0) {
+        Py_ssize_t nb = 0, order[3];
+        if (recent >= 0 && recent < n)
+            order[nb++] = recent;
+        for (Py_ssize_t i = 0; i < n && nb < 3; i++)
+            if (i != recent)
+                order[nb++] = i;
+        PyObject *sack = PyTuple_New(nb);
+        if (sack == NULL)
+            goto fail;
+        for (Py_ssize_t bi = 0; bi < nb; bi++) {
+            PyObject *block = PyList_GET_ITEM(intervals, order[bi]);
+            Py_INCREF(block);
+            PyTuple_SET_ITEM(sack, bi, block);
+        }
+        slot_store_obj(ack, K_sack, sack);
+        Py_DECREF(sack);
+    }
+    slot_store_obj(ack, K_ecn_echo, GETSLOT(packet, K_ce));
+    slot_store_obj(ack, K_ts_echo, GETSLOT(packet, K_ts_sent));
+    PyObject *tc = PyObject_GetAttr(config, s_traffic_class);
+    if (tc == NULL)
+        goto fail;
+    slot_store_obj(ack, K_tclass, tc);
+    Py_DECREF(tc);
+    /* Pure ACKs are control packets: green from the allocator already. */
+    slot_store_obj(ack, K_mark, MarkCONTROLObj);
+    if (tlt_rx != Py_None) {
+        /* TltWindowReceiver.mark_ack + apply_acl (echo marks are green). */
+        PyObject *state = PyObject_GetAttr(tlt_rx, s_state);
+        PyObject *echo = state == RecvIMPORTANTObj  ? MarkIMPECHOObj
+                         : state == RecvIMPCLOCKObj ? MarkIMPCLOCKECHOObj
+                                                    : NULL;
+        Py_XDECREF(state);
+        if (echo != NULL)
+            slot_store_obj(ack, K_mark, echo);
+        if (state == NULL ||
+            (echo != NULL && PyObject_SetAttr(tlt_rx, s_state, RecvIDLEObj) < 0))
+            goto fail;
+    } else {
+        PyObject *pc = PyObject_GetAttr(config, s_plain_color);
+        if (pc == NULL)
+            goto fail;
+        if (pc != Py_None) {
+            slot_store_obj(ack, K_color, pc);
+            slot_store_obj(ack, K_mark, MarkNONEObj);
+        }
+        Py_DECREF(pc);
+    }
+    int status = c_host_send(hk, ack);
+    Py_DECREF(ack);
+    return status;
+fail:
+    Py_DECREF(ack);
+    return -1;
+}
+
 /* DATA delivery to a stock ByteStreamReceiver, without entering
  * Python: TLT receive hook, ReceiverBuffer.on_data in full (stale
  * duplicates, head fills, arrivals inside or between islands), and the
@@ -3329,10 +3201,10 @@ attr_ll(PyObject *obj, PyObject *name, long long *out)
  *
  * Returns 1 when handled, 0 to defer to the Python on_packet (subclass
  * or instance overrides, a wrapped host.send, a non-TltWindowReceiver
- * controller, an island list on_data could not have left behind, the
- * completion transition), and -1 on error. All eligibility checks run
- * before any mutation so the Python path can always take over from
- * untouched state. */
+ * controller, an island list on_data could not have left behind, a
+ * completion whose record is not found the stock way), and -1 on error.
+ * All eligibility checks run before any mutation so the Python path can
+ * always take over from untouched state. */
 static int
 c_receiver_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
 {
@@ -3358,21 +3230,12 @@ c_receiver_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
     if (tlt_rx == NULL || buffer == NULL || done == NULL || spec == NULL ||
         config == NULL || rhost == NULL)
         return PyErr_Occurred() ? -1 : 0;
-    if (tlt_rx != Py_None && Py_TYPE(tlt_rx) != (PyTypeObject *)TltWindowReceiverCls)
+    if ((tlt_rx != Py_None && Py_TYPE(tlt_rx) != (PyTypeObject *)TltWindowReceiverCls) ||
+        Py_TYPE(buffer) != (PyTypeObject *)ReceiverBufferCls)
         return 0;
-    if (Py_TYPE(buffer) != (PyTypeObject *)ReceiverBufferCls)
-        return 0;
-    /* The ACK must leave through this kernel's send path; a wrapped or
-     * re-bound host.send (fault injection, tracing) forces Python. */
-    if (rhost != hk->host)
-        return 0;
-    PyObject *hsend = PyObject_GetAttr(rhost, s_send_attr);
-    if (hsend == NULL)
-        return -1;
-    int own_send = (hsend == hk->send_m);
-    Py_DECREF(hsend);
-    if (!own_send)
-        return 0;
+    int own_send = kernel_sends_for(hk, rhost);  /* the ACK leaves through it */
+    if (own_send <= 0)
+        return own_send;
 
     long long seq, payload, rcv_nxt;
     PyObject *intervals = GETSLOT(buffer, R_intervals);
@@ -3416,22 +3279,42 @@ c_receiver_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
      * can be. */
     int advances = !stale && start <= rcv_nxt;
 
-    int done_true = PyObject_IsTrue(done);
-    if (done_true < 0)
+    /* The completion edge: done, the record, the callback. Its own
+     * conditions first: the stock `record` property over a plain dict of
+     * flows, and this host's clock. */
+    int completes = PyObject_IsTrue(done);
+    PyObject *stats, *flows = NULL;
+    long long spec_size;
+    if (completes < 0)
         return -1;
-    if (!done_true) {
-        /* The completion transition (or any inconsistent
-         * already-complete state) goes through Python. */
-        long long spec_size;
+    if ((completes = !completes)) {
         if (attr_ll(spec, s_size_attr, &spec_size) < 0) {
             PyErr_Clear();
             return 0;
         }
-        if ((advances ? end : rcv_nxt) >= spec_size)
+        completes = (advances ? end : rcv_nxt) >= spec_size;
+    }
+    if (completes) {
+        if (_PyType_Lookup(Py_TYPE(ep), sn_record) != ReceiverRecordProp ||
+            PyDict_GetItemWithError(d, s_engine) != (PyObject *)hk->engine ||
+            (stats = PyDict_GetItemWithError(d, s_stats)) == NULL)
             return 0;
+        if ((flows = PyObject_GetAttr(stats, sn_flows)) == NULL)
+            return -1;
+        if (!PyDict_CheckExact(flows)) {
+            Py_DECREF(flows);
+            return 0;
+        }
     }
 
     /* -- eligibility established; mutate ---------------------------------- */
+
+    /* What is used after the completion callback is held across it: it
+     * runs message handlers, which create flows on this very host. */
+    PyObject *held[5] = {tlt_rx, buffer, spec, config, flows};
+    for (int i = 0; i < 4; i++)  /* flows is ours already */
+        Py_INCREF(held[i]);
+    int status = -1;
 
     /* TltWindowReceiver.on_data, inlined (enum members are singletons). */
     if (tlt_rx != Py_None) {
@@ -3440,19 +3323,19 @@ c_receiver_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
                           : mark == MarkIMPCLOCKDATAObj ? RecvIMPCLOCKObj
                                                         : NULL;
         if (state != NULL && PyObject_SetAttr(tlt_rx, s_state, state) < 0)
-            return -1;
+            goto out;
     }
 
     slot_store_obj(buffer, R_last_seq, GETSLOT(packet, K_seq));
     if (advances) {
         if (slot_store_ll(buffer, R_rcv_nxt, end) < 0 ||
             (last > 0 && PyList_SetSlice(intervals, 0, last, NULL) < 0))
-            return -1;
+            goto out;
     } else if (!stale) {
         /* intervals[first:last] = [(start, end)] */
         PyObject *island = Py_BuildValue("(LL)", start, end);
         if (island == NULL)
-            return -1;
+            goto out;
         int rc;
         if (last == first) {
             rc = PyList_Insert(intervals, first, island);
@@ -3463,84 +3346,13 @@ c_receiver_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
                 rc = PyList_SetSlice(intervals, first + 1, last, NULL);
         }
         if (rc < 0)
-            return -1;
+            goto out;
     }
-    n = PyList_GET_SIZE(intervals);
-
-    /* The ACK: alloc_packet(flow_id, dst, src, ACK, 0, 0, rcv_nxt). */
-    PyObject *aargs[7] = {PyObject_GetAttr(spec, s_flow_id_attr),
-                          PyObject_GetAttr(spec, s_dst_attr),
-                          PyObject_GetAttr(spec, s_src_attr),
-                          KindACKObj, LLZero, LLZero, GETSLOT(buffer, R_rcv_nxt)};
-    PyObject *ack = (aargs[0] == NULL || aargs[1] == NULL || aargs[2] == NULL)
-                        ? NULL : mod_alloc_packet(NULL, aargs, 7, NULL);
-    for (int i = 0; i < 3; i++)
-        Py_XDECREF(aargs[i]);
-    if (ack == NULL)
-        return -1;
-    /* ack.sack = sack_blocks() while islands are outstanding: the
-     * island holding last_seq first (RFC 2018: the one just merged,
-     * unless it was consumed), then list order, at most 3. With no
-     * island the allocator's () stays. */
-    if (n > 0) {
-        Py_ssize_t recent = (stale || advances) ? -1 : first, nb = 0, order[3];
-        if (recent >= 0)
-            order[nb++] = recent;
-        for (Py_ssize_t i = 0; i < n && nb < 3; i++)
-            if (i != recent)
-                order[nb++] = i;
-        PyObject *sack = PyTuple_New(nb);
-        if (sack == NULL) {
-            Py_DECREF(ack);
-            return -1;
-        }
-        for (Py_ssize_t bi = 0; bi < nb; bi++) {
-            PyObject *block = PyList_GET_ITEM(intervals, order[bi]);
-            Py_INCREF(block);
-            PyTuple_SET_ITEM(sack, bi, block);
-        }
-        slot_store_obj(ack, K_sack, sack);
-        Py_DECREF(sack);
-    }
-    slot_store_obj(ack, K_ecn_echo, GETSLOT(packet, K_ce));
-    slot_store_obj(ack, K_ts_echo, GETSLOT(packet, K_ts_sent));
-    PyObject *tc = PyObject_GetAttr(config, s_traffic_class);
-    if (tc == NULL) {
-        Py_DECREF(ack);
-        return -1;
-    }
-    slot_store_obj(ack, K_tclass, tc);
-    Py_DECREF(tc);
-    /* Pure ACKs are control packets: green from the allocator already. */
-    slot_store_obj(ack, K_mark, MarkCONTROLObj);
-    if (tlt_rx != Py_None) {
-        /* TltWindowReceiver.mark_ack + apply_acl (echo marks are green). */
-        PyObject *state = PyObject_GetAttr(tlt_rx, s_state);
-        PyObject *echo = state == RecvIMPORTANTObj  ? MarkIMPECHOObj
-                         : state == RecvIMPCLOCKObj ? MarkIMPCLOCKECHOObj
-                                                    : NULL;
-        Py_XDECREF(state);
-        if (echo != NULL)
-            slot_store_obj(ack, K_mark, echo);
-        if (state == NULL ||
-            (echo != NULL && PyObject_SetAttr(tlt_rx, s_state, RecvIDLEObj) < 0)) {
-            Py_DECREF(ack);
-            return -1;
-        }
-    } else {
-        PyObject *pc = PyObject_GetAttr(config, s_plain_color);
-        if (pc == NULL) {
-            Py_DECREF(ack);
-            return -1;
-        }
-        if (pc != Py_None) {
-            slot_store_obj(ack, K_color, pc);
-            slot_store_obj(ack, K_mark, MarkNONEObj);
-        }
-        Py_DECREF(pc);
-    }
-    int status = c_host_send(hk, ack);
-    Py_DECREF(ack);
+    if (!completes || c_receiver_complete(hk, d, spec, flows) == 0)
+        status = c_receiver_ack(hk, packet, held, (stale || advances) ? -1 : first);
+out:
+    for (int i = 0; i < 4 + completes; i++)
+        Py_DECREF(held[i]);
     return status < 0 ? -1 : 1;
 }
 
@@ -3551,9 +3363,10 @@ c_receiver_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
  * RtoEstimator.on_rtt_sample and a Reservoir.add below capacity inlined.
  * repro.transport stays the reference: the pure backend and every hand-back
  * run it. What stays a Python call, made by name where on_packet makes it:
- * tlt.on_ack, _on_loss_detected, cc_on_ack, _complete, try_send,
- * tlt.after_ack. Sender state lives in the instance dict and is read from
- * it again after every call that can run transport code. */
+ * tlt.on_ack, _on_loss_detected, cc_on_ack, _complete, tlt.after_ack while
+ * the Important state is armed, and try_send for a sender c_sender_burst
+ * (below) cannot run. Sender state lives in the instance dict and is read
+ * from it again after every call that can run transport code. */
 
 /* Whether `tp` resolves every CoreNames[i] to the function captured at
  * import. Asked per packet (each lookup is a hit in the interpreter's
@@ -3600,6 +3413,14 @@ dict_set_ll(PyObject *d, PyObject *name, long long v)
     int rc = o == NULL ? -1 : PyDict_SetItem(d, name, o);
     Py_XDECREF(o);
     return rc;
+}
+
+/* d[name] += delta, for a counter that must be there. */
+static int
+dict_add(PyObject *d, PyObject *name, long long delta)
+{
+    long long v;
+    return dict_ll(d, name, &v, 1) ? dict_set_ll(d, name, v + delta) : -1;
 }
 
 /* obj.name(a, b), result dropped; a or both may be NULL. */
@@ -3857,6 +3678,426 @@ sb_detect_losses(Scoreboard *sb, PyObject *ep, long long srtt, int dup_rule)
     return sb_on_loss(sb, ep);
 }
 
+/* _restart_rto(): move the deadline; the timer event is armed once and
+ * re-arms itself (_rto_fire) while a deadline stands. */
+static int
+c_restart_rto(HostKernelObject *hk, PyObject *ep, PyObject *d, PyObject *rto, long long now)
+{
+    long long current;
+    if (attr_ll(rto, sn_current, &current) < 0 ||
+        dict_set_ll(d, sn__rto_deadline, now + current) < 0)
+        return -1;
+    if (PyDict_GetItemWithError(d, sn__rto_event) != Py_None)
+        return 0;
+    PyObject *fire = PyObject_GetAttr(ep, sn__rto_fire);
+    PyObject *event = fire == NULL ? NULL : cengine_schedule_timer_common(
+        hk->engine, now + current, fire, EmptyTuple);
+    int rc = event == NULL ? -1 : PyDict_SetItem(d, sn__rto_event, event);
+    Py_XDECREF(fire);
+    Py_XDECREF(event);
+    return rc;
+}
+
+/* -- The byte-stream sender's send path --------------------------------------
+ *
+ * c_sender_burst transcribes ByteStreamSender.try_send with _next_lost,
+ * Entry creation, _transmit, _record_tx, _is_last_allowed,
+ * TltWindowSender.mark_data and the first-transmit _restart_rto. It runs
+ * where on_packet calls try_send and, through cengine_dispatch, in place of
+ * a flow's start() event. A burst is a clean call boundary: a sender or
+ * controller it cannot transcribe gets try_send (or start) by name, on
+ * untouched state. _arm_pto stays a call by name, made where _transmit
+ * makes it. Per packet the order is _transmit's: _record_tx, retx_bytes,
+ * alloc, fields, tx_bytes, mark, host.send, _restart_rto, _arm_pto. */
+
+/* Whether `tp` resolves names[i] to fns[i] and the instance dict `d`
+ * shadows none of them. */
+static int
+methods_are_stock(PyTypeObject *tp, PyObject *d, PyObject *const *names,
+                  PyObject *const *fns, int n)
+{
+    for (int i = 0; i < n; i++)
+        if (_PyType_Lookup(tp, names[i]) != fns[i] ||
+            PyDict_GetItemWithError(d, names[i]) != NULL)
+            return 0;
+    return 1;
+}
+
+/* bool(obj.name), -1 on error. */
+static int
+attr_truth(PyObject *obj, PyObject *name)
+{
+    PyObject *v = PyObject_GetAttr(obj, name);
+    int truth = v == NULL ? -1 : PyObject_IsTrue(v);
+    Py_XDECREF(v);
+    return truth;
+}
+
+/* slot += delta on an int slot (FlowRecord.tx_bytes / retx_bytes). */
+static int
+slot_add(PyObject *obj, Py_ssize_t off, long long delta)
+{
+    long long v;
+    return slot_ll(obj, off, &v) < 0 ? -1 : slot_store_ll(obj, off, v + delta);
+}
+
+/* Entry(start, end, weight), through tp_alloc: eligibility has checked
+ * that Entry.__init__ is the one this mirrors. Fills *ev to match; the
+ * -1 of first_tx_ns/last_tx_ns is in the view only, the _record_tx that
+ * follows writes both slots. */
+static PyObject *
+entry_new(PyObject *start, long long end, long long weight, EntryView *ev)
+{
+    PyObject *entry = EntryCls->tp_alloc(EntryCls, 0);
+    if (entry == NULL)
+        return NULL;
+    slot_store_obj(entry, EntryIntOff[EN_START], start);
+    if (slot_store_ll(entry, EntryIntOff[EN_END], end) < 0 ||
+        slot_store_ll(entry, EntryIntOff[EN_WEIGHT], weight) < 0) {
+        Py_DECREF(entry);
+        return NULL;
+    }
+    slot_store_obj(entry, EntryIntOff[EN_RETX_COUNT], LLZero);
+    memset(ev, 0, sizeof *ev);
+    for (int i = 0; i < EF_COUNT; i++)
+        ENTRY_SET(entry, i, 0);
+    ev->n[EN_END] = end;
+    ev->n[EN_WEIGHT] = weight;
+    ev->n[EN_FIRST_TX] = ev->n[EN_LAST_TX] = -1;
+    return entry;
+}
+
+/* _record_tx(entry, now); returns is_retx, -1 on error. */
+static int
+sb_record_tx(Scoreboard *sb, PyObject *entry, const EntryView *ev, PyObject *now)
+{
+    int is_retx = ev->n[EN_FIRST_TX] >= 0;
+    if (is_retx) {
+        if (slot_store_ll(entry, EntryIntOff[EN_RETX_COUNT], ev->n[EN_RETX_COUNT] + 1) < 0 ||
+            PyDict_SetItem(sb->retx, entry, Py_None) < 0)
+            return -1;
+        ENTRY_SET(entry, EF_LOST, 0);
+    } else
+        slot_store_obj(entry, EntryIntOff[EN_FIRST_TX], now);
+    slot_store_obj(entry, EntryIntOff[EN_LAST_TX], now);
+    if (!ev->f[EF_IN_PIPE]) {
+        ENTRY_SET(entry, EF_IN_PIPE, 1);
+        sb->pipe += ev->n[EN_WEIGHT];
+    }
+    return is_retx;
+}
+
+/* One burst. own[] holds what it keeps across the _arm_pto call. */
+enum { BO_TLT, BO_STATS, BO_RECORD, BO_RTO, BO_NOW, BO_FLOW_ID, BO_SRC, BO_DST,
+       BO_ECN, BO_TCLASS, BO_PLAIN, BO_NXT, BO_HEAD, BO_COUNT };
+typedef struct {
+    Scoreboard sb;
+    PyObject *ep, *own[BO_COUNT];
+    PyObject *counters;      /* tlt.stats.__dict__, borrowed from own[BO_STATS] */
+    long long cwnd, mss, spec_size, snd_nxt;
+    int tlp;                 /* config.tlp_enabled */
+    /* burst_peek: own[BO_HEAD] (view in `hev`) or `size` bytes of new data */
+    EntryView hev;
+    long long size;
+    int allowed;
+} Burst;
+
+/* What try_send's loop does next, with _next_lost's side effect (stale
+ * heads leave the queue): retransmit the head of the lost queue, or send
+ * `size` bytes of new data, if the window allows. _is_last_allowed is the
+ * same predicate negated, asked after the previous segment was recorded;
+ * nothing between the two can change the answer, so it is taken once. */
+static int
+burst_peek(Burst *b)
+{
+    Scoreboard *sb = &b->sb;
+    Py_CLEAR(b->own[BO_HEAD]);
+    for (;;) {
+        Py_ssize_t queued = PyObject_Size(sb->lost_queue);
+        if (queued <= 0) {
+            if (queued < 0)
+                return -1;
+            break;
+        }
+        PyObject *entry = PySequence_GetItem(sb->lost_queue, 0);
+        if (entry == NULL || entry_load(entry, &b->hev) < 0) {
+            Py_XDECREF(entry);
+            return -1;
+        }
+        if (b->hev.f[EF_LOST]) {
+            b->own[BO_HEAD] = entry;
+            b->allowed = sb->pipe + b->hev.n[EN_WEIGHT] <= b->cwnd;
+            return 0;
+        }
+        Py_DECREF(entry);
+        if (call_method(sb->lost_queue, s_popleft, NULL, NULL) < 0)
+            return -1;
+    }
+    long long remaining = b->spec_size - b->snd_nxt;
+    b->size = remaining <= 0 ? 0 : b->mss < remaining ? b->mss : remaining;
+    b->allowed = b->size > 0 && sb->pipe + b->size <= b->cwnd;
+    return 0;
+}
+
+/* TltWindowSender.mark_data(packet): the tail of the burst takes the
+ * important mark while the controller has one to place; then apply_acl
+ * and the color counters (of tlt.stats, not the sender's). */
+static int
+burst_mark(Burst *b, PyObject *packet, long long payload)
+{
+    PyObject *tlt = b->own[BO_TLT], *state = PyObject_GetAttr(tlt, s_state);
+    if (state == NULL)
+        return -1;
+    Py_DECREF(state);  /* an enum member: the class keeps it */
+    int important = state == SendIMPORTANTObj && !b->allowed;
+    if (important) {  /* green from the allocator already */
+        slot_store_obj(packet, K_mark, MarkIMPDATAObj);
+        if (PyObject_SetAttr(tlt, s_state, SendIDLEObj) < 0)
+            return -1;
+    } else
+        slot_store_obj(packet, K_color, ColorREDObj);
+    PyObject *pkts = important ? sn_green_data_packets : sn_red_data_packets;
+    PyObject *bytes = important ? sn_green_data_bytes : sn_red_data_bytes;
+    return dict_add(b->counters, pkts, 1) < 0 ? -1 : dict_add(b->counters, bytes, payload);
+}
+
+/* One turn of try_send's loop once burst_peek allowed it: take the
+ * segment, _transmit it, and peek again where mark_data would ask. */
+static int
+burst_transmit(HostKernelObject *hk, Burst *b)
+{
+    Scoreboard *sb = &b->sb;
+    PyObject *d = sb->d, *seg = b->own[BO_HEAD], *now = b->own[BO_NOW], *packet = NULL;
+    EntryView ev = b->hev;
+    if (seg != NULL) {
+        b->own[BO_HEAD] = NULL;  /* the reference is `seg` now */
+        if (call_method(sb->lost_queue, s_popleft, NULL, NULL) < 0)
+            goto fail;
+    } else {
+        /* seg = Entry(snd_nxt, snd_nxt + size, size); entries.append(seg);
+         * self.snd_nxt = seg.end */
+        seg = entry_new(b->own[BO_NXT], b->snd_nxt + b->size, b->size, &ev);
+        if (seg == NULL)
+            return -1;
+        PyObject *end = GETSLOT(seg, EntryIntOff[EN_END]);
+        if (list_append_fast(sb->entries, seg) < 0 || PyDict_SetItem(d, sn_snd_nxt, end) < 0)
+            goto fail;
+        Py_SETREF(b->own[BO_NXT], Py_NewRef(end));
+        sb->n++;
+        b->snd_nxt += b->size;
+    }
+    long long size = ev.n[EN_WEIGHT];
+    int is_retx = sb_record_tx(sb, seg, &ev, now);
+    if (is_retx < 0 || (is_retx && slot_add(b->own[BO_RECORD], F_retx_bytes, size) < 0))
+        goto fail;
+    PyObject *args[6] = {b->own[BO_FLOW_ID], b->own[BO_SRC], b->own[BO_DST], KindDATAObj,
+                         GETSLOT(seg, EntryIntOff[EN_START]),
+                         GETSLOT(seg, EntryIntOff[EN_WEIGHT])};
+    if ((packet = mod_alloc_packet(NULL, args, 6, NULL)) == NULL)
+        goto fail;
+    slot_store_obj(packet, K_ecn_capable, b->own[BO_ECN]);
+    slot_store_obj(packet, K_ts_sent, now);
+    slot_store_obj(packet, K_tclass, b->own[BO_TCLASS]);
+    slot_store_obj(packet, K_is_retx, is_retx ? Py_True : Py_False);
+    if (slot_add(b->own[BO_RECORD], F_tx_bytes, size) < 0 || burst_peek(b) < 0)
+        goto fail;
+    if (b->own[BO_TLT] != Py_None) {
+        if (burst_mark(b, packet, size) < 0)
+            goto fail;
+    } else if (b->own[BO_PLAIN] != Py_None)
+        slot_store_obj(packet, K_color, b->own[BO_PLAIN]);
+    if (c_host_send(hk, packet) < 0)
+        goto fail;
+    Py_CLEAR(packet);
+    Py_CLEAR(seg);
+    if (PyDict_GetItemWithError(d, sn__rto_deadline) == Py_None &&
+        c_restart_rto(hk, b->ep, d, b->own[BO_RTO], sb->now) < 0)
+        return -1;
+    if (b->tlp) {
+        int probing = dict_truth(d, sn__probe_outstanding);
+        /* _arm_pto() can run anything: flush before, read again after */
+        if (probing < 0 ||
+            (!probing && (sb_flush_pipe(sb) < 0 ||
+                          call_method(b->ep, sn__arm_pto, NULL, NULL) < 0 ||
+                          !sb_load(sb, d, 1) || burst_peek(b) < 0)))
+            return -1;
+    }
+    return 0;
+fail:
+    Py_XDECREF(packet);
+    Py_XDECREF(seg);
+    return -1;
+}
+
+/* The collaborators of a burst, all checked before anything changes:
+ * 1 with b->own[] filled, 0 for try_send by name (the caller releases
+ * own[] either way), -1 on error. */
+static int
+burst_prepare(HostKernelObject *hk, Burst *b, PyObject *spec, int starting)
+{
+    PyObject *d = b->sb.d, *ep = b->ep, **own = b->own;
+    PyObject *record = PyDict_GetItemWithError(d, sn_record);
+    PyObject *tlt = PyDict_GetItemWithError(d, sn_tlt), *rto = PyDict_GetItemWithError(d, sn_rto);
+    PyObject *config = PyDict_GetItemWithError(d, s_config);
+    long long v;
+    if (record == NULL || Py_TYPE(record) != FlowRecordCls || tlt == NULL || rto == NULL ||
+        config == NULL || !slot_fast(record, F_tx_bytes, &v) ||
+        !slot_fast(record, F_retx_bytes, &v) ||
+        PyDict_GetItemWithError(d, sn__rto_deadline) == NULL ||
+        PyDict_GetItemWithError(TransportBaseDict, s_alloc_packet) != AllocPacketC ||
+        _PyType_Lookup(EntryCls, s_init) != EntryInitFn)
+        return 0;
+    int own_send = kernel_sends_for(hk, PyDict_GetItemWithError(d, s_host_attr));
+    if (own_send <= 0)
+        return own_send;
+    own[BO_RECORD] = Py_NewRef(record);
+    own[BO_NXT] = Py_NewRef(PyDict_GetItemWithError(d, sn_snd_nxt));  /* read by the caller */
+    own[BO_RTO] = Py_NewRef(rto);
+    own[BO_TLT] = Py_NewRef(tlt);
+    if (tlt != Py_None) {
+        /* an exact TltWindowSender of this sender, marking with the stock
+         * mark_data; its four attributes stay inline values */
+        if (Py_TYPE(tlt) != TltWindowSenderCls)
+            return 0;
+        PyObject *mark = PyObject_GetAttr(tlt, sn_mark_data);
+        PyObject *owner = mark == NULL ? NULL : PyObject_GetAttr(tlt, sn_sender);
+        int stock = owner == ep && PyMethod_Check(mark) && PyMethod_GET_SELF(mark) == tlt &&
+                    PyMethod_GET_FUNCTION(mark) == TltMarkDataFn;
+        Py_XDECREF(mark);
+        Py_XDECREF(owner);
+        if (owner == NULL || (own[BO_STATS] = PyObject_GetAttr(tlt, s_stats)) == NULL)
+            return -1;
+        PyObject **statsdict = Py_TYPE(own[BO_STATS]) == NetStatsCls
+                                   ? _PyObject_GetDictPtr(own[BO_STATS]) : NULL;
+        if (!stock || statsdict == NULL || *statsdict == NULL)
+            return 0;
+        b->counters = *statsdict;
+    }
+    int handshake = starting ? attr_truth(config, sn_handshake) : 0;
+    if (handshake)
+        return handshake < 0 ? -1 : 0;  /* start() sends the SYN */
+    if ((b->tlp = attr_truth(config, sn_tlp_enabled)) < 0 ||
+        (own[BO_ECN] = PyObject_GetAttr(config, s_ecn)) == NULL ||
+        (own[BO_TCLASS] = PyObject_GetAttr(config, s_traffic_class)) == NULL ||
+        (own[BO_PLAIN] = PyObject_GetAttr(config, s_plain_color)) == NULL ||
+        (own[BO_FLOW_ID] = PyObject_GetAttr(spec, s_flow_id_attr)) == NULL ||
+        (own[BO_SRC] = PyObject_GetAttr(spec, s_src_attr)) == NULL ||
+        (own[BO_DST] = PyObject_GetAttr(spec, s_dst_attr)) == NULL ||
+        (own[BO_NOW] = PyLong_FromLongLong(b->sb.now)) == NULL)
+        return -1;
+    return 1;
+}
+
+/* try_send() for a stock sender; with `starting`, start()'s
+ * `started = True; established = True` first. Returns 1 when done, 0 for
+ * the call by name (nothing has changed), -1 on error. */
+static int
+c_sender_burst(HostKernelObject *hk, PyObject *ep, PyObject *d, int starting)
+{
+    if (!methods_are_stock(Py_TYPE(ep), d, BurstNames, BurstFns, N_BURST - !starting))
+        return 0;
+    PyObject *started = PyDict_GetItemWithError(d, sn_started);
+    PyObject *established = PyDict_GetItemWithError(d, sn_established);
+    PyObject *completed = PyDict_GetItemWithError(d, sn_completed);
+    PyObject *spec = PyDict_GetItemWithError(d, s_spec), *size;
+    Burst b;
+    memset(&b, 0, sizeof b);
+    b.ep = ep;
+    if (started == NULL || established == NULL || completed == NULL || spec == NULL ||
+        PyDict_GetItemWithError(d, s_engine) != (PyObject *)hk->engine)
+        return 0;
+    int is_started = PyObject_IsTrue(started), is_completed = PyObject_IsTrue(completed);
+    int is_established = starting ? 1 : PyObject_IsTrue(established);
+    if (is_started < 0 || is_completed < 0 || is_established < 0)
+        return -1;
+    if (starting ? is_started : (!is_started || !is_established || is_completed))
+        return !starting;  /* try_send returns 0; a second start() is Python's */
+    if (!sb_load(&b.sb, d, 0) || Py_TYPE(b.sb.lost_queue) != DequeCls ||
+        !dict_ll(d, sn_cwnd, &b.cwnd, 0) || !dict_ll(d, sn_mss, &b.mss, 0) ||
+        !dict_ll(d, sn_snd_nxt, &b.snd_nxt, 0))
+        return 0;
+    if ((size = PyObject_GetAttr(spec, s_size_attr)) == NULL)
+        return -1;
+    int sized = ll_read_fast(size, &b.spec_size);
+    Py_DECREF(size);
+    if (!sized)
+        return 0;
+    b.sb.now = hk->engine->now;
+    /* Most ACKs open no window: with an empty lost queue that is known
+     * already, and nothing would change. */
+    if (!starting && PyObject_Size(b.sb.lost_queue) == 0) {
+        long long left = b.spec_size - b.snd_nxt;
+        if (left <= 0 || b.sb.pipe + (b.mss < left ? b.mss : left) > b.cwnd)
+            return 1;
+    }
+    Py_INCREF(spec);
+    int status = burst_prepare(hk, &b, spec, starting);
+    Py_DECREF(spec);
+    if (status <= 0)
+        goto done;
+    status = -1;
+    if (starting && (PyDict_SetItem(d, sn_started, Py_True) < 0 ||
+                     PyDict_SetItem(d, sn_established, Py_True) < 0))
+        goto done;
+    if (!is_completed) {
+        if (burst_peek(&b) < 0)
+            goto done;
+        while (b.allowed)
+            if (burst_transmit(hk, &b) < 0)
+                goto done;
+        if (sb_flush_pipe(&b.sb) < 0)
+            goto done;
+    }
+    status = 1;
+done:
+    for (int i = 0; i < BO_COUNT; i++)
+        Py_XDECREF(b.own[i]);
+    return status;
+}
+
+/* A flow's start() event (cengine_dispatch). The host kernel is found
+ * from the sender: host.send must be the send method of the kernel of
+ * that very host. 1 when handled, 0 for the plain call of start(). */
+static int
+c_sender_start(PyObject *ep)
+{
+    PyObject **dictptr = _PyObject_GetDictPtr(ep);
+    if (dictptr == NULL || *dictptr == NULL || !PyDict_CheckExact(*dictptr))
+        return 0;
+    PyObject *host = PyDict_GetItemWithError(*dictptr, s_host_attr);
+    PyObject *send = host == NULL ? NULL : PyObject_GetAttr(host, s_send_attr);
+    if (send == NULL)
+        return host == NULL ? 0 : -1;
+    HostKernelObject *hk = NULL;
+    if (Py_TYPE(send) == &KernelMethodType && ((KernelMethodObject *)send)->which == KM_HOST_SEND)
+        hk = (HostKernelObject *)((KernelMethodObject *)send)->kernel;
+    int status = (hk != NULL && hk->host == host) ? c_sender_burst(hk, ep, *dictptr, 1) : 0;
+    Py_DECREF(send);  /* held until here: it keeps the kernel alive */
+    return status;
+}
+
+/* tlt.after_ack(): the stock one returns at once unless the Important
+ * state is still armed (one ACK in ten), so only then is it called. */
+static int
+c_tlt_after_ack(PyObject *tlt)
+{
+    PyObject *after = PyObject_GetAttr(tlt, sn_after_ack), *state = NULL;
+    if (after == NULL)
+        return -1;
+    int stock = PyMethod_Check(after) && PyMethod_GET_SELF(after) == tlt &&
+                PyMethod_GET_FUNCTION(after) == TltAfterAckFn;
+    if (stock && (state = PyObject_GetAttr(tlt, s_state)) == NULL) {
+        Py_DECREF(after);
+        return -1;
+    }
+    Py_XDECREF(state);
+    PyObject *r = (stock && state != SendIMPORTANTObj) ? Py_NewRef(Py_None)
+                                                       : PyObject_CallNoArgs(after);
+    Py_DECREF(after);
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
+}
+
 /* An ACK for a stock byte-stream sender (see the section comment).
  * Returns 1 when handled, 0 to hand the untouched state to the Python
  * on_packet, -1 on error. Past the eligibility block a value of a type
@@ -3982,26 +4223,14 @@ c_sender_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
             (scan_hint < sb.head && dict_set_ll(d, sn__scan_hint, sb.head) < 0))
             goto done;
         int in_recovery = dict_truth(d, sn_in_recovery);
-        long long recover_point, current;
+        long long recover_point;
         if (in_recovery < 0 ||
             (in_recovery && (!dict_ll(d, sn_recover_point, &recover_point, 1) ||
                              (ack >= recover_point &&
                               PyDict_SetItem(d, sn_in_recovery, Py_False) < 0))))
             goto done;
-        /* _restart_rto() */
-        if (attr_ll(rto, sn_current, &current) < 0 ||
-            dict_set_ll(d, sn__rto_deadline, sb.now + current) < 0)
+        if (c_restart_rto(hk, ep, d, rto, sb.now) < 0)
             goto done;
-        if (PyDict_GetItemWithError(d, sn__rto_event) == Py_None) {
-            PyObject *fire = PyObject_GetAttr(ep, sn__rto_fire);
-            PyObject *event = fire == NULL ? NULL : cengine_schedule_timer_common(
-                hk->engine, sb.now + current, fire, EmptyTuple);
-            int rc = event == NULL ? -1 : PyDict_SetItem(d, sn__rto_event, event);
-            Py_XDECREF(fire);
-            Py_XDECREF(event);
-            if (rc < 0)
-                goto done;
-        }
     } else if (ack == snd_una && snd_una < snd_nxt) {
         if (dict_set_ll(d, sn_dupacks, ++dupacks) < 0)
             goto done;
@@ -4103,9 +4332,12 @@ c_sender_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
     if (snd_una >= size) {
         if (call_method(ep, sn__complete, NULL, NULL) < 0)
             goto done;
-    } else if (call_method(ep, sn_try_send, NULL, NULL) < 0 ||
-               (tlt != Py_None && call_method(tlt, sn_after_ack, NULL, NULL) < 0))
-        goto done;
+    } else {
+        int sent = c_sender_burst(hk, ep, d, 0);
+        if (sent < 0 || (sent == 0 && call_method(ep, sn_try_send, NULL, NULL) < 0) ||
+            (tlt != Py_None && c_tlt_after_ack(tlt) < 0))
+            goto done;
+    }
 handled:
     status = 1;
 done:
@@ -4146,27 +4378,7 @@ c_host_sink(HostKernelObject *hk, PyObject *packet, PyObject *in_port)
         if (handled < 0)
             return -1;
     }
-    /* recycle(packet), open-coded; _pool_enabled is re-read per call
-     * (tests toggle it via set_pooling). */
-    int pooled = slot_truth(packet, K_pooled);
-    if (pooled)
-        return pooled < 0 ? -1 : 0;
-    PyObject *pe = PyObject_GetAttr(PacketModule, s_pool_enabled);
-    if (pe == NULL)
-        return -1;
-    int enabled = PyObject_IsTrue(pe);
-    Py_DECREF(pe);
-    if (enabled < 0)
-        return -1;
-    if (!enabled)
-        return 0;
-    if (slot_store_bool(packet, K_pooled, 1) < 0)
-        return -1;
-    if (PyList_GET_SIZE(PacketPool) < 4096) {
-        if (PyList_Append(PacketPool, packet) < 0)
-            return -1;
-    }
-    return 0;
+    return c_recycle(packet);
 }
 
 static int
@@ -4321,23 +4533,6 @@ mod_set_attribution(PyObject *Py_UNUSED(module), PyObject *arg)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-mod_build_info(PyObject *Py_UNUSED(module), PyObject *Py_UNUSED(ignored))
-{
-    return Py_BuildValue("{s:s, s:i, s:s}",
-                         "backend", "compiled",
-                         "abi_version", 1,
-                         "compiler",
-#if defined(__GNUC__)
-                         "gcc"
-#elif defined(__clang__)
-                         "clang"
-#else
-                         "unknown"
-#endif
-                         );
-}
-
 /* Pool-aware Packet allocator, mirroring repro.net.packet.alloc_packet.
  *
  * The fast path handles exactly the call shapes the transports use:
@@ -4459,8 +4654,6 @@ mod_alloc_packet(PyObject *Py_UNUSED(module), PyObject *const *args,
 static PyMethodDef module_methods[] = {
     {"set_attribution", mod_set_attribution, METH_O,
      "Install (or clear, with None) the per-callback attribution table."},
-    {"build_info", mod_build_info, METH_NOARGS,
-     "Build metadata for the compiled backend."},
     {"alloc_packet", (PyCFunction)(void (*)(void))mod_alloc_packet,
      METH_FASTCALL | METH_KEYWORDS,
      "Pool-aware Packet constructor (compiled fast path)."},
@@ -4602,14 +4795,9 @@ PyInit__ckernel(void)
     INTERN(s_queue_attr, "queue");
     INTERN(s_endpoints, "endpoints");
     INTERN(s_port_attr, "port");
-    INTERN(s_cancelled, "cancelled");
-    INTERN(s_fn, "fn");
-    INTERN(s_args, "args");
-    INTERN(s_in_wheel, "in_wheel");
     INTERN(s_color_str, "color");
     INTERN(s_pool_str, "pool");
     INTERN(s_dynamic_str, "dynamic");
-    INTERN(s_port_no, "port_no");
     INTERN(s_receive_name, "_receive");
     INTERN(s_poll_name, "_poll");
     INTERN(s_kw_seq, "seq");
@@ -4737,8 +4925,9 @@ PyInit__ckernel(void)
     if ((cls = import_attr("repro.transport.base", "ByteStreamReceiver")) == NULL)
         return NULL;
     BSReceiverOnPacket = PyObject_GetAttr(cls, s_on_packet);
+    ReceiverRecordProp = PyObject_GetAttrString(cls, "record");
     Py_DECREF(cls);
-    if (BSReceiverOnPacket == NULL)
+    if (BSReceiverOnPacket == NULL || ReceiverRecordProp == NULL)
         return NULL;
     if ((TltWindowReceiverCls = import_attr("repro.core.window", "TltWindowReceiver")) == NULL)
         return NULL;
@@ -4806,6 +4995,60 @@ PyInit__ckernel(void)
         resolve_slot(cls, "_samples", &V_samples) < 0)
         return NULL;
 
+    /* Collaborators for the send path. */
+    if ((cls = import_attr("repro.transport.base", "ByteStreamSender")) == NULL)
+        return NULL;
+    for (int i = 0; i < N_BURST; i++) {
+        INTERN(BurstNames[i], BurstMethodNames[i]);
+        if ((BurstFns[i] = PyObject_GetAttr(cls, BurstNames[i])) == NULL)
+            return NULL;
+    }
+    Py_DECREF(cls);
+    if ((cls = import_attr("repro.core.window", "TltWindowSender")) == NULL)
+        return NULL;
+    TltWindowSenderCls = (PyTypeObject *)cls;
+    if ((TltMarkDataFn = PyObject_GetAttr(cls, sn_mark_data)) == NULL ||
+        (TltAfterAckFn = PyObject_GetAttr(cls, sn_after_ack)) == NULL)
+        return NULL;
+    if ((cls = import_attr("repro.core.window", "_SendState")) == NULL)
+        return NULL;
+    SendIMPORTANTObj = PyObject_GetAttrString(cls, "IMPORTANT");
+    SendIDLEObj = PyObject_GetAttrString(cls, "IDLE");
+    Py_DECREF(cls);
+    INTERN(s_init, "__init__");
+    INTERN(s_alloc_packet, "alloc_packet");
+    if (SendIMPORTANTObj == NULL || SendIDLEObj == NULL ||
+        (ColorREDObj = import_attr("repro.net.packet", "Color")) == NULL ||
+        (EntryInitFn = PyObject_GetAttr((PyObject *)EntryCls, s_init)) == NULL ||
+        (DequeCls = (PyTypeObject *)import_attr("collections", "deque")) == NULL ||
+        (NetStatsCls = (PyTypeObject *)import_attr("repro.stats.collector", "NetStats")) == NULL ||
+        (cls = import_attr("repro.stats.collector", "FlowRecord")) == NULL)
+        return NULL;
+    FlowRecordCls = (PyTypeObject *)cls;
+    Py_SETREF(ColorREDObj, PyObject_GetAttrString(ColorREDObj, "RED"));
+    if (ColorREDObj == NULL || resolve_slot(cls, "retx_bytes", &F_retx_bytes) < 0 ||
+        resolve_slot(cls, "tx_bytes", &F_tx_bytes) < 0 ||
+        (cls = PyImport_ImportModule("repro.transport.base")) == NULL)
+        return NULL;
+    TransportBaseDict = Py_NewRef(PyModule_GetDict(cls));
+    Py_DECREF(cls);
+
+    /* Collaborators for the switch's open-coded drop. */
+    static const char *const drop_names[2][3] = {
+        {"drops_green", "drops_green_data", "drops_green_ctrl"},
+        {"drops_red", "drops_red_data", "drops_red_ctrl"}};
+    for (int i = 0; i < 6; i++)
+        INTERN(s_drops[i / 3][i % 3], drop_names[i / 3][i % 3]);
+    INTERN(s_audit, "audit");
+    INTERN(s_count_drop, "count_drop");
+    INTERN(s_drop_bytes, "drop_bytes");
+    if ((SwitchDropFn = import_attr("repro.switchsim.switch", "Switch")) == NULL ||
+        (CountDropFn = PyObject_GetAttr((PyObject *)NetStatsCls, s_count_drop)) == NULL)
+        return NULL;
+    Py_SETREF(SwitchDropFn, PyObject_GetAttr(SwitchDropFn, s_drop_m));
+    if (SwitchDropFn == NULL)
+        return NULL;
+
     if ((cls = import_attr("repro.switchsim.queue", "EgressQueue")) == NULL)
         return NULL;
     bad = (resolve_slot(cls, "items", &Q_items) < 0 ||
@@ -4870,7 +5113,8 @@ PyInit__ckernel(void)
     Py_INCREF(&HostKernelType);
     if (PyModule_AddObject(module, "HostKernel", (PyObject *)&HostKernelType) < 0)
         goto error;
-    if (PyModule_AddIntConstant(module, "NEVER", (long)NEVER_LL) < 0)
+    if (PyModule_AddIntConstant(module, "NEVER", (long)NEVER_LL) < 0 ||
+        (AllocPacketC = PyObject_GetAttr(module, s_alloc_packet)) == NULL)
         goto error;
     return module;
 error:

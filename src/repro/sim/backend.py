@@ -2,8 +2,8 @@
 
 The simulator's inner loops — the engine event loop, link
 serialization/delivery, the switch enqueue/dequeue/MMU fast path, and
-what a byte-stream endpoint does per arriving DATA or ACK packet —
-exist in two implementations behind this module:
+what a byte-stream endpoint does per arriving DATA or ACK packet and
+per burst it sends — exist in two implementations behind this module:
 
 ``pure``
     The reference implementation (:class:`repro.sim.engine.Engine` and
@@ -182,10 +182,15 @@ def optimize_network(net) -> int:
       admission policies never get a kernel;
     - hosts get ``HostKernel.send``/``poll``/``sink``. The sink also
       runs the per-packet work of stock byte-stream endpoints (DATA at
-      a ``ByteStreamReceiver``, ACKs at a ``ByteStreamSender``) in C,
-      checking on every packet that the endpoint still uses the
-      ``repro.transport`` methods it transcribes; those stay the
-      reference, and run whenever the check fails;
+      a ``ByteStreamReceiver``, completion included; ACKs at a
+      ``ByteStreamSender``, and the burst an ACK clocks out:
+      ``try_send`` → ``_transmit`` → ``TltWindowSender.mark_data``) in
+      C, checking on every packet and at every burst that the endpoint
+      still uses the ``repro.transport``/``repro.core`` methods it
+      transcribes; those stay the reference, and run whenever the
+      check fails. The engine hands a sender's ``start()`` event to the
+      same send path (found through ``sender.host.send``), so the
+      initial window leaves from C as well;
     - exact :class:`~repro.net.link.Port` instances get
       ``PortKernel.tx_done``/``drain`` (``repro.sim.sharding`` rebinds
       ``port._tx_cb`` after retargeting a cut port to

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim import backend
 from repro.sim.engine import Engine, SimulationError
 
 
@@ -246,3 +247,29 @@ def test_gc_state_restored_after_run():
     engine.run()
     assert gc.get_threshold() == thresholds
     assert gc.isenabled() == enabled
+
+
+# -- the compiled engine is a drop-in: the same contract, test by test -------
+
+ENGINE_CONTRACT = sorted(name for name in dir() if name.startswith("test_"))
+
+
+@pytest.mark.skipif(not backend.compiled_available(), reason="compiled backend not built")
+@pytest.mark.parametrize("name", ENGINE_CONTRACT)
+def test_compiled_engine_honours_the_engine_contract(name, monkeypatch):
+    """Every test above, with ``Engine`` bound to ``CEngine`` (``step``,
+    ``pending_total``, heap compaction and ``schedule_anon`` are reached by
+    nothing else on the compiled backend: networks are driven by ``run``)."""
+    monkeypatch.setitem(globals(), "Engine", backend._compiled_module().CEngine)
+    globals()[name]()
+
+
+@pytest.mark.skipif(not backend.compiled_available(), reason="compiled backend not built")
+def test_compiled_events_are_built_by_the_engine_only():
+    ck = backend._compiled_module()
+    with pytest.raises(TypeError):
+        ck.CEvent(0, 0, print, ())
+    event = ck.CEngine().schedule(5, print)
+    assert (event.time, event.seq, event.cancelled, event.in_wheel) == (5, 0, False, False)
+    with pytest.raises(AttributeError):
+        event.time = 6  # heap entries carry their own key: nothing re-times an event

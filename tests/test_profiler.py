@@ -4,6 +4,9 @@ import json
 import os
 import pstats
 
+import pytest
+
+from repro.sim import backend as backend_mod
 from repro.sim import engine as engine_mod
 from repro.sim.engine import Engine
 from repro.sim.profiler import Profiler
@@ -127,3 +130,16 @@ def test_link_delivery_attribution(tmp_path):
     assert section["drain_ms"] >= 0
     assert 0.0 <= section["share_of_attributed"] <= 1.0
     assert any(row["callback"].endswith("_drain") for row in section["callbacks"])
+
+
+# -- the compiled engine attributes callbacks the same way -------------------
+
+
+@pytest.mark.skipif(not backend_mod.compiled_available(), reason="compiled backend not built")
+@pytest.mark.parametrize("name", ["test_summary_available_without_write",
+                                  "test_link_delivery_attribution"])
+def test_compiled_engine_attributes_callbacks(name, tmp_path, monkeypatch):
+    """``CEngine`` dispatching under attribution (``--profile``): per-callback
+    calls and time land in the same table, under the same keys."""
+    monkeypatch.setitem(globals(), "Engine", backend_mod._compiled_module().CEngine)
+    globals()[name](tmp_path)

@@ -2,6 +2,7 @@
 
 from repro.core.config import ClockingPolicy, TltConfig
 from repro.net.packet import Color, PacketKind, TltMark
+from repro.sim import backend
 from repro.sim.units import MILLIS
 from repro.transport.base import FlowSpec, TransportConfig
 from repro.transport.registry import create_flow
@@ -72,26 +73,38 @@ def test_important_echo_generated_for_important_data():
 
 def test_one_important_in_flight_invariant():
     """At any instant at most one important (data or echo) packet of a
-    flow is in the network (§5.1)."""
-    net = small_star()
-    events = []
-    switch = net.switches[0]
-    def tapped(packet):
-        if packet.mark in (
-            TltMark.IMPORTANT_DATA,
-            TltMark.IMPORTANT_ECHO,
-            TltMark.IMPORTANT_CLOCK_DATA,
-            TltMark.IMPORTANT_CLOCK_ECHO,
-        ):
-            events.append((net.engine.now, packet.mark, packet.kind))
+    flow is in the network (§5.1). Algorithm 1's invariant, so on every
+    backend that is built, whatever ``TLT_BACKEND`` says: the compiled
+    one places the mark from C."""
+    traces = []
+    for name in backend.available_backends():
+        backend.set_backend(name)
+        try:
+            net = small_star()
+        finally:
+            backend.set_backend(None)
+        events = []
+        switch = net.switches[0]
 
-    PacketTap(switch, tapped)
-    run_flow(net, "tcp", size=300_000, tlt=TltConfig())
-    # Data and echo important events must alternate: an important data
-    # packet is only sent after the previous echo came back.
-    kinds = [k for _, _, k in events]
-    for a, b in zip(kinds, kinds[1:]):
-        assert a != b, "two consecutive important packets of the same kind"
+        def tapped(packet):
+            if packet.mark in (
+                TltMark.IMPORTANT_DATA,
+                TltMark.IMPORTANT_ECHO,
+                TltMark.IMPORTANT_CLOCK_DATA,
+                TltMark.IMPORTANT_CLOCK_ECHO,
+            ):
+                events.append((net.engine.now, packet.mark, packet.kind))
+
+        PacketTap(switch, tapped)
+        run_flow(net, "tcp", size=300_000, tlt=TltConfig())
+        # Data and echo important events must alternate: an important data
+        # packet is only sent after the previous echo came back.
+        kinds = [k for _, _, k in events]
+        assert len(kinds) >= 10
+        for a, b in zip(kinds, kinds[1:]):
+            assert a != b, f"two consecutive important packets of the same kind on {name}"
+        traces.append(events)
+    assert all(trace == traces[0] for trace in traces)
 
 
 def test_tail_loss_recovered_without_timeout():
