@@ -1915,9 +1915,12 @@ c_port_tx_done(PortKernelObject *pk, PyObject *packet)
     return r;
 }
 
-/* Port._drain(): deliver this port's due in-flight burst. Mirrors the
- * pure method exactly: pop the head, re-arm the next head *before*
- * dispatching, compensate events_processed for bursts. */
+/* Port._drain(): deliver this port's due in-flight frame. Mirrors the
+ * pure method: pop the head, re-arm the next head *before* dispatching;
+ * a same-ns burst is handed to the pure method whole. */
+static PyObject *PortDrainFn;         /* Port._drain */
+static PyObject *s_appendleft;
+
 static int
 c_port_drain(PortKernelObject *pk)
 {
@@ -1957,68 +1960,17 @@ c_port_drain(PortKernelObject *pk)
             goto fail_head;
         }
         if (na == arrival) {
-            /* Same-ns burst: collect every due frame, re-arm, deliver. */
+            /* Same-ns burst (only a PFC frame can share an arrival ns with
+             * data: serialization separates the rest; none in 290 000
+             * drains of roce-leafspine): the pure method's, on the FIFO
+             * as it was. */
             Py_DECREF(nxt);
-            PyObject *due = PyList_New(0);
-            if (due == NULL)
-                goto fail_head;
-            if (PyList_Append(due, head) < 0) {
-                Py_DECREF(due);
-                goto fail_head;
-            }
-            Py_CLEAR(head);
-            for (;;) {
-                Py_ssize_t m = PyObject_Size(pk->inflight);
-                if (m < 0)
-                    goto fail_due;
-                if (m == 0)
-                    break;
-                PyObject *peek = PySequence_GetItem(pk->inflight, 0);
-                if (peek == NULL)
-                    goto fail_due;
-                long long pa = PyLong_AsLongLong(PyTuple_GET_ITEM(peek, 0));
-                if (pa == -1 && PyErr_Occurred()) {
-                    Py_DECREF(peek);
-                    goto fail_due;
-                }
-                if (pa != arrival) {
-                    /* Re-arm the next head before dispatching. */
-                    PyObject *entry = PyTuple_Pack(4, PyTuple_GET_ITEM(peek, 0),
-                                                   PyTuple_GET_ITEM(peek, 1),
-                                                   pk->drain_m, EmptyTuple);
-                    Py_DECREF(peek);
-                    if (entry == NULL)
-                        goto fail_due;
-                    int pr = heap_push(eng->queue, entry);
-                    Py_DECREF(entry);
-                    if (pr < 0)
-                        goto fail_due;
-                    break;
-                }
-                Py_DECREF(peek);
-                PyObject *e = PyObject_CallNoArgs(pk->in_popleft);
-                if (e == NULL)
-                    goto fail_due;
-                int ar = PyList_Append(due, e);
-                Py_DECREF(e);
-                if (ar < 0)
-                    goto fail_due;
-            }
-            eng->events_processed += (long long)PyList_GET_SIZE(due) - 1;
-            for (Py_ssize_t i = 0; i < PyList_GET_SIZE(due); i++) {
-                PyObject *e = PyList_GET_ITEM(due, i);
-                long long kind = PyLong_AsLongLong(PyTuple_GET_ITEM(e, 2));
-                if (kind == -1 && PyErr_Occurred())
-                    goto fail_due;
-                if (c_deliver_frame(peer, kind, PyTuple_GET_ITEM(e, 3)) < 0)
-                    goto fail_due;
-            }
-            Py_DECREF(due);
+            PyObject *r = PyObject_CallMethodObjArgs(pk->inflight, s_appendleft, head, NULL);
+            Py_SETREF(r, r == NULL ? NULL : PyObject_CallOneArg(PortDrainFn, pk->port));
+            Py_XDECREF(r);
+            Py_DECREF(head);
             Py_DECREF(peer);
-            return 0;
-        fail_due:
-            Py_DECREF(due);
-            goto fail_head;
+            return r == NULL ? -1 : 0;
         }
         /* Spaced frames: re-arm the next head, then deliver this one. */
         PyObject *entry = PyTuple_Pack(4, PyTuple_GET_ITEM(nxt, 0),
@@ -4736,6 +4688,9 @@ PyInit__ckernel(void)
         PyErr_SetString(PyExc_TypeError, "repro.net.link.Port must be a class");
         return NULL;
     }
+    INTERN(s_appendleft, "appendleft");
+    if ((PortDrainFn = PyObject_GetAttrString(PortCls, "_drain")) == NULL)
+        return NULL;
     if ((FibCls = import_attr("repro.net.routing", "Fib")) == NULL ||
         (FibLookupFn = PyObject_GetAttrString(FibCls, "lookup")) == NULL)
         return NULL;

@@ -271,5 +271,6 @@ def test_compiled_events_are_built_by_the_engine_only():
         ck.CEvent(0, 0, print, ())
     event = ck.CEngine().schedule(5, print)
     assert (event.time, event.seq, event.cancelled, event.in_wheel) == (5, 0, False, False)
+    assert repr(event) == "<CEvent t=5 #0 print>"
     with pytest.raises(AttributeError):
         event.time = 6  # heap entries carry their own key: nothing re-times an event

@@ -22,6 +22,7 @@ import random
 import pytest
 
 from repro.net.link import FRAME_PACKET, FRAME_PAUSE, Port, connect
+from repro.sim import backend
 from repro.sim.engine import WIRE_SEQ_BASE, Engine
 from repro.sim.units import tx_time_ns
 
@@ -178,3 +179,34 @@ def test_same_ns_burst_delivers_in_wire_sequence_order():
     assert log == [(10 + DELAY, "data", "a"), (10 + DELAY, "pause", 500),
                    (10 + DELAY, "data", "b"), (10 + DELAY, "data", "c"),
                    (10 + DELAY, "pause", 0)]
+
+
+# -- the compiled port kernel ------------------------------------------------
+
+
+def _compiled_link():
+    """``_link`` on a ``CEngine`` with ``PortKernel``s bound, as
+    ``optimize_network`` binds them."""
+    ck = backend._compiled_module()
+    engine = ck.CEngine()
+    tx, rx = _Device(engine), _Device(engine)
+    a = Port(engine, tx, 0, RATE, DELAY)
+    b = Port(engine, rx, 0, RATE, DELAY)
+    connect(a, b)
+    for port in (a, b):
+        kernel = ck.PortKernel(port)
+        port._tx_cb, port._drain_cb = kernel.tx_done, kernel.drain
+    return engine, a, rx
+
+
+@pytest.mark.skipif(not backend.compiled_available(), reason="compiled backend not built")
+@pytest.mark.parametrize("seed", range(5))
+def test_port_kernel_delivers_like_the_pure_port(seed, monkeypatch):
+    """The schedules above through ``CEngine`` + ``PortKernel``: spaced
+    frames are delivered from C, a same-ns burst (on a network only a PFC
+    frame beside data) is handed to the pure ``Port._drain`` whole. No
+    benchmark workload and no other tier-1 test produces one."""
+    monkeypatch.setitem(globals(), "_link", _compiled_link)
+    test_batched_matches_unbatched_pop_order(seed)
+    test_same_ns_burst_delivers_in_wire_sequence_order()
+    test_pause_frame_rides_the_inflight_fifo()
