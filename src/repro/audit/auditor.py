@@ -32,12 +32,12 @@ Usage::
     ... run ...
     auditor.final_check()
 
-or simply ``ScenarioConfig(audit=True)`` / ``tlt-experiment --audit``.
+or simply ``ScenarioConfig(audit=True)`` / ``tlt-experiment --audit``
+(``repro.experiments.scenarios.attach_auditor`` / ``finish_run``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -57,12 +57,6 @@ class AuditConfig:
     ring_size: int = 4096
     #: When set, an AuditError also writes its JSON report here.
     dump_path: Optional[str] = None
-
-    @classmethod
-    def from_env(cls) -> "AuditConfig":
-        """The config every environment-enabled audit (``--audit`` /
-        ``TLT_AUDIT``) runs with: ``TLT_AUDIT_DUMP`` names the dump."""
-        return cls(dump_path=os.environ.get("TLT_AUDIT_DUMP") or None)
 
 
 class Auditor:

@@ -35,7 +35,6 @@ from repro.version import __version__
 CACHE_SCHEMA = 1
 
 ENV_CACHE_DIR = "TLT_CACHE_DIR"
-ENV_CODE_VERSION = "TLT_CACHE_VERSION"
 
 _code_version_memo: Optional[str] = None
 
@@ -50,13 +49,10 @@ def default_cache_dir() -> Path:
 def code_version() -> str:
     """Version string mixed into every fingerprint.
 
-    ``TLT_CACHE_VERSION`` env override > git HEAD of the source tree >
-    package ``__version__``. Memoised per process.
+    Git HEAD of the source tree, else package ``__version__``.
+    Memoised per process.
     """
     global _code_version_memo
-    override = os.environ.get(ENV_CODE_VERSION)
-    if override:
-        return override
     if _code_version_memo is None:
         _code_version_memo = _git_head() or f"pkg-{__version__}"
     return _code_version_memo

@@ -14,7 +14,15 @@ from typing import Dict, List, Sequence
 
 from repro.core.config import TltConfig
 from repro.experiments.common import print_table, resolve_scale
-from repro.experiments.scenarios import ScenarioConfig, build_network, make_transport_config
+from repro.experiments.scenarios import (
+    ScenarioConfig,
+    attach_auditor,
+    build_network,
+    drain,
+    finish_run,
+    make_transport_config,
+    run_control,
+)
 from repro.faults import FaultInjector
 from repro.sim.units import KB, MILLIS
 from repro.transport.base import FlowSpec
@@ -30,6 +38,7 @@ COLUMNS = ["corruption_rate", "fg_p99_ms", "timeouts_per_1k", "corrupted_green",
 def _run(rate: float, scale, seed: int = 1) -> Dict:
     config = ScenarioConfig(transport="dctcp", tlt=True, scale=scale, seed=seed)
     net = build_network(config)
+    auditor = attach_auditor(net, run_control(config))
     # Each injector draws from a stream derived from the scenario seed
     # and the device name: different seeds corrupt different packet
     # sets (so --seeds sweeps measure real variance), the same seed is
@@ -54,9 +63,8 @@ def _run(rate: float, scale, seed: int = 1) -> Dict:
     )
     incast.schedule()
     horizon = incast.specs[-1].start_ns + 100 * MILLIS
-    net.engine.run(until=horizon)
-    while net.stats.incomplete_flows() and net.engine.now < 3 * horizon and net.engine.pending:
-        net.engine.run(until=net.engine.now + 50 * MILLIS)
+    drain(net, horizon, 3 * horizon)
+    finish_run(auditor)
 
     stats = net.stats
     return {

@@ -22,7 +22,15 @@ from typing import Dict, List
 
 from repro.core.config import TltConfig
 from repro.experiments.common import print_table, resolve_scale
-from repro.experiments.scenarios import ScenarioConfig, build_network, make_transport_config
+from repro.experiments.scenarios import (
+    ScenarioConfig,
+    attach_auditor,
+    build_network,
+    drain,
+    finish_run,
+    make_transport_config,
+    run_control,
+)
 from repro.sim.units import KB, MILLIS
 from repro.transport.base import FlowSpec
 from repro.transport.registry import create_flow
@@ -54,6 +62,7 @@ def _run(deployment: str, scale, seed: int = 1) -> Dict:
             switch._rr = [0] * len(switch.ports)
         elif deployment == "no-tlt":
             switch.config.color_threshold_bytes = None
+    auditor = attach_auditor(net, run_control(config))
 
     from dataclasses import replace
 
@@ -98,9 +107,8 @@ def _run(deployment: str, scale, seed: int = 1) -> Dict:
     incast.schedule()
 
     horizon = background.end_of_arrivals_ns + 100 * MILLIS
-    net.engine.run(until=horizon)
-    while net.stats.incomplete_flows() and net.engine.now < 3 * horizon and net.engine.pending:
-        net.engine.run(until=net.engine.now + 50 * MILLIS)
+    drain(net, horizon, 3 * horizon)
+    finish_run(auditor)
 
     def group_stats(flow_ids: List[int]):
         records = [net.stats.flows[f] for f in flow_ids]

@@ -8,12 +8,12 @@ costing the background flow only ~5.6% goodput.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List
 
 from repro.apps.kvstore import KvClient, KvServer
 from repro.apps.rpc import RpcNode
 from repro.experiments.common import print_table
+from repro.experiments.scenarios import attach_auditor, finish_run, run_control
 from repro.experiments.testbed import build_testbed, maybe_tlt, testbed_transport_config
 from repro.stats.percentile import percentile
 from repro.transport.base import FlowSpec
@@ -32,11 +32,7 @@ def run_one(transport: str = "dctcp", tlt: bool = False, seed: int = 1,
     # Hosts: 0 = bg sender, 1..8 = web servers, 9 = cache node.
     net = build_testbed(num_hosts=10, transport=transport, tlt=tlt, seed=seed,
                         admission=admission)
-    auditor = None
-    if os.environ.get("TLT_AUDIT", "") not in ("", "0"):
-        from repro.audit import AuditConfig, Auditor
-
-        auditor = Auditor(net, AuditConfig.from_env()).install()
+    auditor = attach_auditor(net, run_control())
     tconfig = testbed_transport_config()
     tlt_cfg = maybe_tlt(tlt)
 
@@ -65,8 +61,7 @@ def run_one(transport: str = "dctcp", tlt: bool = False, seed: int = 1,
 
     net.engine.schedule_at(start_ns, burst)
     net.engine.run(until=2_000_000_000)
-    if auditor is not None:
-        auditor.final_check()
+    finish_run(auditor)
 
     fg_times = [t for c in clients for t in c.response_times]
     bg_end = bg_done.get("end", net.engine.now)

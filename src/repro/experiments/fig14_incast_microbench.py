@@ -16,6 +16,7 @@ import numpy as np
 from repro.apps.kvstore import KvClient, KvServer
 from repro.apps.rpc import RpcNode
 from repro.experiments.common import print_table
+from repro.experiments.scenarios import attach_auditor, finish_run, run_control
 from repro.experiments.testbed import build_testbed, maybe_tlt, testbed_transport_config
 from repro.sim.units import MICROS, MILLIS
 from repro.stats.percentile import percentile
@@ -32,6 +33,7 @@ def run_one(transport: str, scheme: str, flows: int, seed: int = 1,
     tlt = scheme == "tlt"
     rto_min = 200 * MICROS if scheme == "rto200us" else 4 * MILLIS
     net = build_testbed(num_hosts=NUM_SERVERS + 1, transport=transport, tlt=tlt, seed=seed)
+    auditor = attach_auditor(net, run_control())
     tconfig = testbed_transport_config(rto_min_ns=rto_min)
     tlt_cfg = maybe_tlt(tlt)
 
@@ -51,6 +53,7 @@ def run_one(transport: str, scheme: str, flows: int, seed: int = 1,
     for r in range(runs):
         net.engine.schedule_at(r * 100 * MILLIS, burst)
     net.engine.run(until=(runs + 1) * 100 * MILLIS)
+    finish_run(auditor)
 
     times = [t for c in clients for t in c.response_times]
     return {

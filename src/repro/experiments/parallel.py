@@ -42,10 +42,14 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments import perf
 from repro.experiments.cache import ResultCache, fingerprint
-from repro.experiments.scenarios import ScenarioConfig, ScenarioResult, run_scenario
+from repro.experiments.scenarios import (
+    ScenarioConfig,
+    ScenarioResult,
+    run_control,
+    run_scenario,
+)
 
 ENV_JOBS = "TLT_JOBS"
-ENV_START_METHOD = "TLT_MP_START"
 
 #: How often the scheduler polls worker pipes (seconds).
 _POLL_INTERVAL_S = 0.05
@@ -109,33 +113,24 @@ class Job:
     metrics: Optional[str] = None  # "module:qualname" reducer reference
 
     def cache_key(self) -> str:
-        config = replace(self.config, seed=self.seed)
-        # Fold the *resolved* fault schedule into the key: a spec that
-        # arrives via the TLT_FAULTS env file is invisible to the config
-        # dataclass, and stale cache hits across different fault specs
-        # would silently mix chaos runs with clean ones.
-        faults = config.resolved_faults()
-        if faults != config.faults:
-            config = replace(config, faults=faults)
-        # Telemetry is deliberately *not* folded in (contrast faults
-        # above): it is an observation, not a result — attaching
-        # samplers changes no simulation observable, so a telemetry run
-        # and a plain run share one cache entry. Corollary: a cache hit
-        # re-simulates nothing and emits no telemetry (--no-cache
-        # forces fresh streams).
-        if config.telemetry is not None:
-            config = replace(config, telemetry=None)
-        # Sharding is likewise an execution strategy, not a scenario
-        # input: a sharded run is bit-identical to the single-core run
-        # by contract, so both share one cache entry.
-        if config.shards is not None:
-            config = replace(config, shards=None)
-        # Checkpointing rides the same rule: a checkpointed run
-        # continues bit-identically after restore by contract, so the
-        # checkpoint directory is execution strategy, not identity.
-        # (The full exclusion rule lives in docs/API.md.)
-        if config.checkpoint is not None:
-            config = replace(config, checkpoint=None)
+        # What the key leaves out is how a run is executed or watched,
+        # never what it simulates (the rule and the table: docs/API.md,
+        # "Run control"):
+        # - the fault schedule is folded in *resolved*: a spec that
+        #   arrives via the TLT_FAULTS file is invisible to the config
+        #   dataclass, and stale hits across different fault specs would
+        #   silently mix chaos runs with clean ones;
+        # - telemetry is an observation: attaching samplers changes no
+        #   simulation observable, so a telemetry run and a plain run
+        #   share one entry. Corollary: a cache hit re-simulates nothing
+        #   and emits no telemetry (--no-cache forces fresh streams);
+        # - a sharded run is bit-identical to the single-core run, and a
+        #   checkpointed run continues bit-identically after restore,
+        #   both by contract: execution strategy, not identity.
+        config = replace(
+            self.config, seed=self.seed, faults=run_control(self.config).faults,
+            telemetry=None, shards=None, checkpoint=None,
+        )
         return fingerprint(config, self.seed, self.metrics)
 
 
@@ -226,12 +221,8 @@ def _worker_entry(conn, job: Job) -> None:
 
 
 def _mp_context():
-    methods = mp.get_all_start_methods()
-    preferred = os.environ.get(ENV_START_METHOD)
-    if preferred and preferred in methods:
-        return mp.get_context(preferred)
     # fork is markedly cheaper and keeps test-defined metrics importable.
-    return mp.get_context("fork" if "fork" in methods else "spawn")
+    return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
 
 
 def _stop_worker(proc) -> None:

@@ -243,10 +243,12 @@ def main(argv=None) -> int:
         print("--seeds must be >= 1", file=sys.stderr)
         return 2
 
+    # Run control travels through the environment, so that pool workers
+    # (fork or spawn) and the figure modules, which build their own
+    # configs, see it; scenarios.run_control is where it is read, and
+    # docs/API.md ("Run control") says which of it is in cache keys.
     if args.audit:
-        # Via the environment so pool workers (fork or spawn) inherit it.
         os.environ["TLT_AUDIT"] = "1"
-
     if args.faults:
         from repro.faults.schedule import FaultSchedule
 
@@ -255,28 +257,15 @@ def main(argv=None) -> int:
         except (OSError, ValueError, KeyError) as exc:
             print(f"--faults {args.faults}: {exc}", file=sys.stderr)
             return 2
-        # Via the environment so pool workers inherit it; the resolved
-        # spec is folded into result-cache keys (Job.cache_key).
         os.environ["TLT_FAULTS"] = os.path.abspath(args.faults)
-
     if args.telemetry:
-        # Via the environment so pool workers inherit it. Telemetry is
-        # excluded from cache keys (observation, not result).
         os.environ["TLT_TELEMETRY"] = os.path.abspath(args.telemetry)
-
     if args.checkpoint:
-        # Via the environment so pool workers inherit it. Like
-        # telemetry and shards, a checkpoint is execution strategy,
-        # not a scenario input: cache keys ignore it.
         os.environ["TLT_CHECKPOINT"] = os.path.abspath(args.checkpoint)
-
     if args.shards is not None:
         if args.shards < 1:
             print("--shards must be >= 1", file=sys.stderr)
             return 2
-        # Via the environment so ScenarioConfig.resolved_shards picks it
-        # up in pool workers too. Like telemetry, sharding is an
-        # execution strategy, not a scenario input: cache keys ignore it.
         os.environ["TLT_SHARDS"] = str(args.shards)
 
     if args.profile:

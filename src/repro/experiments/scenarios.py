@@ -21,14 +21,17 @@ Paper defaults encoded here:
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
 import os
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.audit import AuditConfig, AuditError, Auditor
 from repro.core.config import TltConfig
+from repro.experiments.cache import encode_value
 from repro.experiments.perf import TALLY
 from repro.faults.schedule import FaultController, FaultSchedule
 from repro.net.topology import (
@@ -148,35 +151,10 @@ class ScenarioConfig:
     enable_background: bool = True
     enable_incast: bool = True
 
-    # Run control.
     seed: int = 1
-    #: Split the fabric across this many conservative-lookahead shard
-    #: workers (:mod:`repro.sim.sharding`). ``None`` defers to the
-    #: ``TLT_SHARDS`` environment variable (set by ``--shards``), which
-    #: also reaches pool workers. Sharding is an execution strategy,
-    #: not a scenario input — results are bit-identical by contract —
-    #: so it is excluded from result-cache keys.
-    shards: Optional[int] = None
     drain_ns: int = 100 * MILLIS
     hard_cap_ns: Optional[int] = None
     queue_sample_interval_ns: int = 20 * MICROS
-    #: Run with the runtime invariant auditor attached. ``None`` defers
-    #: to the ``TLT_AUDIT`` environment variable (set by ``--audit``),
-    #: which also reaches pool workers and keeps cache keys stable.
-    audit: Optional[bool] = None
-    #: Fault-schedule spec (the :class:`repro.faults.FaultSchedule` JSON
-    #: form). ``None`` defers to the ``TLT_FAULTS`` environment variable
-    #: (a spec file path, set by ``--faults``), which also reaches pool
-    #: workers; the resolved spec is folded into cache keys.
-    faults: Optional[Dict] = None
-    #: Telemetry spec (:class:`repro.telemetry.TelemetryConfig` dict
-    #: form, or just an output-directory string). ``None`` defers to the
-    #: ``TLT_TELEMETRY`` environment variable (an output directory, set
-    #: by ``--telemetry``), which also reaches pool workers. Telemetry
-    #: is an observation, not a result: it is *excluded* from
-    #: result-cache keys, and samplers never perturb the simulation —
-    #: determinism fingerprints are bit-identical with it on.
-    telemetry: Optional[Dict] = None
     #: Service-emulator spec (:class:`repro.service.ServiceSpec` dict
     #: form). When set, :func:`run_scenario` dispatches to
     #: :func:`repro.service.run.run_service`: the workload is the
@@ -184,14 +162,29 @@ class ScenarioConfig:
     #: background+incast mix. Part of the result identity, folded into
     #: cache keys like any other field.
     service: Optional[Dict] = None
+
+    # Run control: how the run is executed and watched, not what it
+    # simulates. ``None`` = not said here: :func:`run_control` then
+    # asks the ``TLT_*`` variable the CLI flag of the same name sets
+    # (which also reaches pool workers), else off. Results are
+    # bit-identical by contract with any of them, so only ``audit``
+    # (as a field) and the resolved ``faults`` are in result-cache
+    # keys; the table is in docs/API.md, "Run control".
+    #: Split the fabric across this many conservative-lookahead shard
+    #: workers (:mod:`repro.sim.sharding`).
+    shards: Optional[int] = None
+    #: Run with the runtime invariant auditor attached.
+    audit: Optional[bool] = None
+    #: Fault-schedule spec (the :class:`repro.faults.FaultSchedule` JSON
+    #: form; ``TLT_FAULTS`` names a spec file).
+    faults: Optional[Dict] = None
+    #: Telemetry spec (:class:`repro.telemetry.TelemetryConfig` dict
+    #: form, or just an output-directory string). Samplers never
+    #: perturb the simulation.
+    telemetry: Optional[Dict] = None
     #: Checkpoint spec: ``{"dir": path, "at_ns": sim-time}`` (``at_ns``
     #: optional — defaults to the midpoint of the arrival span), or just
-    #: a directory string. ``None`` defers to the ``TLT_CHECKPOINT``
-    #: environment variable (a directory, set by ``--checkpoint``).
-    #: Checkpointing is an execution strategy, not a scenario input —
-    #: restore continues bit-identically by contract — so it is
-    #: *excluded* from result-cache keys (same rule as telemetry and
-    #: shards; see docs/API.md). Pure backend only; service runs only.
+    #: a directory string. Pure backend only; service runs only.
     checkpoint: Optional[object] = None
 
     # -- derived ----------------------------------------------------------------
@@ -225,70 +218,6 @@ class ScenarioConfig:
     @property
     def bdp_bytes(self) -> int:
         return self.link_rate_bps * self.base_rtt_ns // 8 // 1_000_000_000
-
-    @property
-    def resolved_shards(self) -> int:
-        if self.shards is not None:
-            return max(1, int(self.shards))
-        try:
-            return max(1, int(os.environ.get("TLT_SHARDS", "1")))
-        except ValueError:
-            return 1
-
-    @property
-    def audit_enabled(self) -> bool:
-        if self.audit is not None:
-            return self.audit
-        return os.environ.get("TLT_AUDIT", "") not in ("", "0")
-
-    def resolved_faults(self) -> Optional[Dict]:
-        """The fault-schedule spec for this run, canonicalized, or None.
-
-        An explicit ``faults`` spec on the config wins; otherwise
-        ``TLT_FAULTS`` names a spec file to load.
-        """
-        if self.faults is not None:
-            return FaultSchedule.from_spec(self.faults).to_spec()
-        path = os.environ.get("TLT_FAULTS", "")
-        if not path:
-            return None
-        return FaultSchedule.load(path).to_spec()
-
-    def resolved_telemetry(self) -> Optional[Dict]:
-        """The telemetry spec for this run, canonicalized, or None.
-
-        An explicit ``telemetry`` spec on the config wins; otherwise
-        ``TLT_TELEMETRY`` names an output directory.
-        """
-        from repro.telemetry import TelemetryConfig
-
-        if self.telemetry is not None:
-            return TelemetryConfig.from_spec(self.telemetry).to_spec()
-        out_dir = os.environ.get("TLT_TELEMETRY", "")
-        if not out_dir:
-            return None
-        return TelemetryConfig.from_spec(out_dir).to_spec()
-
-    def resolved_checkpoint(self) -> Optional[Dict]:
-        """The checkpoint spec for this run, canonicalized, or None.
-
-        An explicit ``checkpoint`` spec on the config wins; otherwise
-        ``TLT_CHECKPOINT`` names a directory. Canonical form is
-        ``{"dir": str, "at_ns": Optional[int]}``.
-        """
-        spec = self.checkpoint
-        if spec is None:
-            directory = os.environ.get("TLT_CHECKPOINT", "")
-            if not directory:
-                return None
-            spec = directory
-        if isinstance(spec, str):
-            return {"dir": spec, "at_ns": None}
-        if isinstance(spec, dict) and "dir" in spec:
-            return {"dir": spec["dir"], "at_ns": spec.get("at_ns")}
-        raise ValueError(
-            f"checkpoint spec must be a directory or {{'dir', 'at_ns'}} "
-            f"dict, got {spec!r}")
 
     @property
     def resolved_color_threshold(self) -> Optional[int]:
@@ -435,92 +364,213 @@ def _telemetry_run_id(config: ScenarioConfig) -> str:
     uses (telemetry itself stripped — it must not name its own files),
     so parallel workers and reruns agree without coordination.
     """
-    import hashlib
-    import json
-
-    from repro.experiments.cache import encode_value
-
     blob = json.dumps(encode_value(replace(config, telemetry=None)), sort_keys=True)
     digest = hashlib.sha256(blob.encode()).hexdigest()[:8]
     tag = f"{config.transport}_tlt" if config.tlt else config.transport
     return f"{tag}_s{config.seed}_{digest}"
 
 
-def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Build, run and measure one scenario."""
-    if config.service is not None:
-        # Service runs replace the whole traffic layer (open-loop
-        # request stream instead of background+incast), so they take
-        # their own drive loop; sharding does not apply to them.
-        from repro.service.run import run_service
+@dataclass(frozen=True)
+class RunControl:
+    """How one run is executed and watched, resolved by :func:`run_control`
+    (specs in canonical form): nothing here changes what is simulated."""
 
-        return run_service(config)
-    shards = config.resolved_shards
-    if shards > 1 and config.topology == "leaf_spine":
-        from repro.sim.sharding import run_scenario_sharded
+    shards: int = 1
+    audit: bool = False
+    audit_dump: Optional[str] = None  # an AuditError also writes its report here
+    faults: Optional[Dict] = None
+    telemetry: Optional[Dict] = None
+    checkpoint: Optional[Dict] = None  # {"dir": str, "at_ns": Optional[int]}
 
-        return run_scenario_sharded(config, shards)
-    wall_started = time.perf_counter()
-    net = build_network(config)
-    auditor = None
-    if config.audit_enabled:
-        auditor = Auditor(net, AuditConfig.from_env())
-        auditor.install()
-    fault_controller = None
-    fault_spec = config.resolved_faults()
-    if fault_spec is not None:
-        fault_controller = FaultSchedule.from_spec(fault_spec).install(net)
-    tconfig = make_transport_config(config)
-    tlt_cfg = config.tlt_config if config.tlt else None
 
-    def create(spec: FlowSpec) -> None:
-        create_flow(config.transport, net, spec, tconfig, tlt_cfg)
+def run_control(config: Optional[ScenarioConfig] = None) -> RunControl:
+    """Resolve run control: explicit config field > ``TLT_*`` variable > off.
 
-    end_of_traffic = 0
+    The one place the six variables are read (the CLI sets them so that
+    pool workers and the figure modules, which build their own configs,
+    see them); harnesses and shard worker processes receive the result.
+    ``config=None`` is the environment alone, for the modules that
+    build their own network.
+    """
+    def said(name: str, variable: str):
+        value = getattr(config, name, None)
+        return value if value is not None else os.environ.get(variable) or None
+
+    try:
+        shards = max(1, int(said("shards", "TLT_SHARDS") or 1))
+    except ValueError:  # a malformed TLT_SHARDS
+        shards = 1
+    audit = said("audit", "TLT_AUDIT")
+    if isinstance(audit, str):  # the variable: on unless "0"
+        audit = audit != "0"
+    faults = getattr(config, "faults", None)
+    if faults is not None:
+        faults = FaultSchedule.from_spec(faults).to_spec()
+    elif os.environ.get("TLT_FAULTS"):  # not a spec but a spec file
+        faults = FaultSchedule.load(os.environ["TLT_FAULTS"]).to_spec()
+    telemetry = said("telemetry", "TLT_TELEMETRY")
+    if telemetry is not None:
+        from repro.telemetry import TelemetryConfig
+
+        telemetry = TelemetryConfig.from_spec(telemetry).to_spec()
+    checkpoint = said("checkpoint", "TLT_CHECKPOINT")
+    if isinstance(checkpoint, str):
+        checkpoint = {"dir": checkpoint, "at_ns": None}
+    elif isinstance(checkpoint, dict) and "dir" in checkpoint:
+        checkpoint = {"dir": checkpoint["dir"], "at_ns": checkpoint.get("at_ns")}
+    elif checkpoint is not None:
+        raise ValueError(
+            f"checkpoint spec must be a directory or {{'dir', 'at_ns'}} "
+            f"dict, got {checkpoint!r}")
+    return RunControl(
+        shards, bool(audit), os.environ.get("TLT_AUDIT_DUMP") or None,
+        faults, telemetry, checkpoint,
+    )
+
+
+# -- the run harness ---------------------------------------------------------------
+#
+# run_scenario, run_service, the shard worker and the figure modules
+# that build their own network all assemble a run from these functions,
+# in this order, which is behaviour (the auditor's first tick and every
+# fault event draw an engine ``seq``; ``events_processed`` is in every
+# pin): network -> attach_auditor -> install_faults -> transport config
+# -> schedule_traffic -> queue sampler -> attach_telemetry ->
+# gc.collect() -> drive -> finish_run.
+
+
+def attach_auditor(net: Network, control: RunControl) -> Optional[Auditor]:
+    """The invariant auditor every audited run gets, installed."""
+    if not control.audit:
+        return None
+    return Auditor(net, AuditConfig(dump_path=control.audit_dump)).install()
+
+
+def install_faults(net: Network, control: RunControl,
+                   arm=FaultController.install) -> Optional[FaultController]:
+    """The run's fault schedule on ``net``; ``arm(controller)`` puts its
+    events on the engine (a shard arms only those it owns)."""
+    if control.faults is None:
+        return None
+    controller = FaultController(net, FaultSchedule.from_spec(control.faults))
+    arm(controller)
+    return controller
+
+
+def schedule_traffic(config: ScenarioConfig, net: Network, create) -> Tuple[int, int]:
+    """Schedule the background + incast mix; ``create(spec)`` makes each
+    flow. Returns (time of the last arrival, number of flows)."""
+    scale = config.scale
+    end_of_traffic = flows = 0
     if config.enable_background:
         background = BackgroundTraffic(
-            net,
-            DISTRIBUTIONS[config.workload],
-            create,
-            load=config.load,
-            num_flows=config.bg_flows if config.bg_flows is not None else config.scale.bg_flows,
+            net, DISTRIBUTIONS[config.workload], create, load=config.load,
+            num_flows=config.bg_flows if config.bg_flows is not None else scale.bg_flows,
             link_rate_bps=config.link_rate_bps,
         )
         background.schedule()
-        end_of_traffic = max(end_of_traffic, background.end_of_arrivals_ns)
+        flows += len(background.specs)
+        end_of_traffic = background.end_of_arrivals_ns
 
     if config.enable_incast:
-        scale = config.scale
-        events = (
-            config.incast_events if config.incast_events is not None else scale.incast_events
-        )
         per_sender = (
             config.incast_flows_per_sender
             if config.incast_flows_per_sender is not None
             else scale.incast_flows_per_sender
         )
         interval = IncastTraffic.interval_for_share(
-            config.fg_share,
-            config.load,
-            scale.num_hosts,
-            config.link_rate_bps,
-            config.incast_flow_size,
-            per_sender,
-            scale.num_hosts - 1,
+            config.fg_share, config.load, scale.num_hosts, config.link_rate_bps,
+            config.incast_flow_size, per_sender, scale.num_hosts - 1,
         )
         incast = IncastTraffic(
-            net,
-            create,
-            flow_size=config.incast_flow_size,
-            flows_per_sender=per_sender,
-            num_events=events,
-            interval_ns=interval,
-            start_ns=200 * MICROS,
+            net, create, flow_size=config.incast_flow_size, flows_per_sender=per_sender,
+            num_events=(
+                config.incast_events if config.incast_events is not None
+                else scale.incast_events
+            ),
+            interval_ns=interval, start_ns=200 * MICROS,
         )
         incast.schedule()
+        flows += len(incast.specs)
         if incast.specs:
             end_of_traffic = max(end_of_traffic, incast.specs[-1].start_ns)
+    return end_of_traffic, flows
 
+
+def attach_telemetry(config: ScenarioConfig, net: Network, control: RunControl,
+                     active, faults: Optional[FaultController] = None,
+                     run_id_suffix: str = ""):
+    """The run's :class:`repro.telemetry.Telemetry`, installed, or None.
+
+    ``active`` is the harness's own liveness rule, so telemetry never
+    extends a run; its samplers only read state, so every simulation
+    observable stays bit-identical.
+    """
+    if control.telemetry is None:
+        return None
+    from repro.telemetry import Telemetry
+
+    telemetry = Telemetry(net, control.telemetry, scenario=config,
+                          run_id=_telemetry_run_id(config) + run_id_suffix)
+    telemetry.install(active=active)
+    if faults is not None:
+        telemetry.attach_faults(faults)
+    return telemetry
+
+
+def finish_run(auditor: Optional[Auditor], telemetry=None,
+               error: Optional[BaseException] = None) -> None:
+    """End a run: the auditor's final check (unless ``error`` already
+    ended the drive), then telemetry closed. An :class:`AuditError`,
+    from either, is first snapshotted by the flight recorder (sample
+    window + audit trace); the caller re-raises what it passed in."""
+    try:
+        if error is None and auditor is not None:
+            auditor.final_check()
+    except AuditError as violation:
+        error = violation
+        raise
+    finally:
+        if telemetry is not None:
+            if isinstance(error, AuditError):
+                telemetry.on_audit_error(error)
+            telemetry.finalize()
+
+
+def drain(net: Network, horizon_ns: int, hard_cap_ns: int) -> None:
+    """Run to the horizon, then in 50 ms steps while flows are
+    incomplete, events remain and the hard cap is not reached."""
+    engine = net.engine
+    engine.run(until=horizon_ns)
+    while net.stats.incomplete_flows() and engine.now < hard_cap_ns and engine.pending:
+        engine.run(until=min(engine.now + 50 * MILLIS, hard_cap_ns))
+
+
+def run_scenario(config: ScenarioConfig) -> ScenarioResult:
+    """Build, run and measure one scenario."""
+    control = run_control(config)
+    if config.service is not None:
+        # Service runs replace the whole traffic layer (open-loop
+        # request stream instead of background+incast), so they take
+        # their own drive loop; sharding does not apply to them.
+        from repro.service.run import run_service
+
+        return run_service(config, control)
+    if control.shards > 1 and config.topology == "leaf_spine":
+        from repro.sim.sharding import run_scenario_sharded
+
+        return run_scenario_sharded(config, control)
+    wall_started = time.perf_counter()
+    net = build_network(config)
+    auditor = attach_auditor(net, control)
+    faults = install_faults(net, control)
+    tconfig = make_transport_config(config)
+    tlt_cfg = config.tlt_config if config.tlt else None
+
+    def create(spec: FlowSpec) -> None:
+        create_flow(config.transport, net, spec, tconfig, tlt_cfg)
+
+    end_of_traffic, _flows = schedule_traffic(config, net, create)
     horizon = end_of_traffic + config.drain_ns
 
     # Periodic queue-length sampling (Fig 11). Runs until the traffic
@@ -537,27 +587,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     net.engine.schedule(config.queue_sample_interval_ns, sample_queues)
 
-    # Telemetry rides the same liveness rule as the sampler above, so
-    # attaching it never extends a run; its samplers only read state,
-    # so every simulation observable stays bit-identical.
-    telemetry = None
-    telemetry_spec = config.resolved_telemetry()
-    if telemetry_spec is not None:
-        from repro.telemetry import Telemetry, TelemetryConfig
-
-        telemetry_config = TelemetryConfig.from_spec(telemetry_spec)
-        telemetry = Telemetry(
-            net, telemetry_config, scenario=config,
-            run_id=telemetry_config.run_id or _telemetry_run_id(config),
-        )
-        telemetry.install(
-            active=lambda: net.engine.now < end_of_traffic
-            or bool(net.stats.incomplete_flows())
-        )
-        if fault_controller is not None:
-            telemetry.attach_faults(fault_controller)
-
-    hard_cap = config.hard_cap_ns or (horizon + 10 * config.drain_ns)
+    # Telemetry rides the same liveness rule as the sampler above.
+    telemetry = attach_telemetry(
+        config, net, control,
+        lambda: net.engine.now < end_of_traffic or bool(net.stats.incomplete_flows()),
+        faults,
+    )
     # One full collection before the run; the engine switches the
     # collector off while it runs. It is 9-15 ms (4-14 % of a benchmark
     # sub-run's CPU), half of it freeing the previous run's 15-29 k
@@ -566,27 +601,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     # 41 MB, for 3 % less CPU).
     gc.collect()
     try:
-        net.engine.run(until=horizon)
-        while (
-            net.stats.incomplete_flows()
-            and net.engine.now < hard_cap
-            and net.engine.pending
-        ):
-            net.engine.run(until=min(net.engine.now + 50 * MILLIS, hard_cap))
-
-        if auditor is not None:
-            auditor.final_check()
-    except AuditError as error:
-        # Post-mortem: snapshot the sample window + audit trace before
-        # the violation propagates.
-        if telemetry is not None:
-            telemetry.on_audit_error(error)
+        drain(net, horizon, config.hard_cap_ns or (horizon + 10 * config.drain_ns))
+    except BaseException as error:
+        finish_run(auditor, telemetry, error)
         raise
-    finally:
-        if telemetry is not None:
-            telemetry.finalize()
+    finish_run(auditor, telemetry)
     TALLY.add(net.engine.events_processed, time.perf_counter() - wall_started)
     return ScenarioResult(
-        config, net, net.engine.now, queue_samples, auditor, fault_controller,
-        telemetry,
-    )
+        config, net, net.engine.now, queue_samples, auditor, faults, telemetry)

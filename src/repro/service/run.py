@@ -7,17 +7,24 @@ emulator, drive the engine until every request completes, and return a
 :class:`ScenarioResult` whose ``service`` field carries the emulator
 for SLO reduction.
 
-Checkpointing: with ``ScenarioConfig.checkpoint`` resolved (or
-``TLT_CHECKPOINT`` set), the run pauses at a quiescent sim-time
-boundary — ``at_ns``, defaulting to the midpoint of the arrival span —
-pickles the whole simulation (:mod:`repro.sim.checkpoint`) and
-continues; :func:`resume_service` picks the file up and runs to
-completion. The resumed run's :func:`service_fingerprint` is
-**bit-for-bit equal** to the uninterrupted run's — the gate
-``tools/check_service_checkpoint.py`` and ``tests/test_checkpoint.py``
-enforce. Telemetry (open file handles) and fault schedules
-(interceptor closures) cannot pickle and are refused up front when a
-checkpoint is requested.
+The run is assembled from the harness functions of
+:mod:`repro.experiments.scenarios` (auditor, faults, telemetry,
+``finish_run``), in the same order; the service run's own are the
+emulator in place of the traffic mix, its latency sampler, the
+checkpoint and the SLO artifacts.
+
+Checkpointing: with a checkpoint in the run control it receives
+(``ScenarioConfig.checkpoint`` or ``TLT_CHECKPOINT``), the run pauses
+at a quiescent sim-time boundary — ``at_ns``, defaulting to the
+midpoint of the arrival span — pickles the whole simulation
+(:mod:`repro.sim.checkpoint`) and continues; :func:`resume_service`
+picks the file up and runs to completion. The resumed run's
+:func:`service_fingerprint` is **bit-for-bit equal** to the
+uninterrupted run's — the gate ``tools/check_service_checkpoint.py``
+and ``tests/test_checkpoint.py`` enforce. Telemetry (open file
+handles), fault schedules (interceptor closures) and the compiled
+backend's engine cannot pickle and are refused up front, before the
+network is built, when a checkpoint is requested.
 """
 
 from __future__ import annotations
@@ -25,77 +32,64 @@ from __future__ import annotations
 import gc
 import os
 import time
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
-from repro.audit import AuditConfig, AuditError, Auditor
+from repro.experiments.parallel import Job
 from repro.experiments.perf import TALLY
+from repro.experiments.scenarios import (
+    ScenarioResult,
+    attach_auditor,
+    attach_telemetry,
+    build_network,
+    finish_run,
+    install_faults,
+    make_transport_config,
+)
 from repro.service.emulator import ServiceEmulator
 from repro.service.slo import render_slo_report, slo_report
 from repro.service.spec import ServiceSpec
 from repro.sim import checkpoint as ckpt
+from repro.sim.backend import create_engine
 from repro.sim.units import MILLIS
 
 #: Engine-drive window between completion checks.
 _WINDOW_NS = 10 * MILLIS
 
 
-def _scenario_key(config) -> str:
-    """The run's identity fingerprint (checkpoint/telemetry/shards
-    stripped — the cache-key exclusion rule, see docs/API.md)."""
-    from repro.experiments.parallel import Job
-
-    return Job(0, config, config.seed).cache_key()
-
-
-def _expected_span_ns(spec: ServiceSpec) -> int:
-    return int(spec.requests / spec.rate_rps * 1e9)
-
-
-def _drive(net, emulator, hard_cap_ns: int,
-           checkpoint_at_ns: Optional[int] = None,
-           checkpoint_path: Optional[str] = None,
-           checkpoint_key: Optional[str] = None,
-           extra_state: Optional[Dict] = None) -> None:
+def _run_out(config, net, emulator, auditor, faults, telemetry, hard_cap_ns: int,
+             wall_started: float, checkpoint_at_ns: Optional[int] = None,
+             save: Optional[Callable[[], None]] = None) -> ScenarioResult:
     """Run the engine until the emulator finishes (or the cap trips),
-    optionally saving one checkpoint at ``checkpoint_at_ns``."""
+    calling ``save()`` once at ``checkpoint_at_ns`` when given; finish
+    the observers; reduce. The second half of a fresh run and all of a
+    resumed one."""
     engine = net.engine
+    started_events = engine.events_processed
     # Frees the previous run's cyclic garbage before this one grows
     # (see run_scenario); the engine runs with the collector off.
     gc.collect()
-    if (checkpoint_path is not None and checkpoint_at_ns is not None
-            and engine.now < checkpoint_at_ns and not emulator.finished):
-        engine.run(until=min(checkpoint_at_ns, hard_cap_ns))
-        ckpt.save(checkpoint_path, net, extra=extra_state,
-                  key=checkpoint_key)
-    while (not emulator.finished and engine.pending
-           and engine.now < hard_cap_ns):
-        # Window boundaries are absolute multiples of _WINDOW_NS
-        # (not now + window): a restored run resumes mid-window at
-        # the checkpoint time, and relative windows would make it
-        # sample the finished-predicate at different boundaries
-        # than the uninterrupted run — stopping at a different sim
-        # time and breaking fingerprint equality.
-        boundary = (engine.now // _WINDOW_NS + 1) * _WINDOW_NS
-        engine.run(until=min(boundary, hard_cap_ns))
-
-
-def _finish(config, net, emulator, auditor, telemetry) -> "ScenarioResult":
-    from repro.experiments.scenarios import ScenarioResult
-
     try:
-        if auditor is not None:
-            auditor.final_check()
-    except AuditError as error:
-        if telemetry is not None:
-            telemetry.on_audit_error(error)
+        if save is not None and engine.now < checkpoint_at_ns and not emulator.finished:
+            engine.run(until=min(checkpoint_at_ns, hard_cap_ns))
+            save()
+        while (not emulator.finished and engine.pending
+               and engine.now < hard_cap_ns):
+            # Window boundaries are absolute multiples of _WINDOW_NS
+            # (not now + window): a restored run resumes mid-window at
+            # the checkpoint time, and relative windows would make it
+            # sample the finished-predicate at different boundaries
+            # than the uninterrupted run — stopping at a different sim
+            # time and breaking fingerprint equality.
+            boundary = (engine.now // _WINDOW_NS + 1) * _WINDOW_NS
+            engine.run(until=min(boundary, hard_cap_ns))
+    except BaseException as error:
+        finish_run(auditor, telemetry, error)
         raise
-    finally:
-        if telemetry is not None:
-            telemetry.finalize()
+    TALLY.add(engine.events_processed - started_events,
+              time.perf_counter() - wall_started)
+    finish_run(auditor, telemetry)
     result = ScenarioResult(
-        config, net, net.engine.now, [], auditor, None, telemetry,
-        service=emulator,
-    )
+        config, net, engine.now, [], auditor, faults, telemetry, service=emulator)
     if telemetry is not None:
         _write_slo_artifacts(telemetry, result)
     return result
@@ -120,36 +114,29 @@ def _write_slo_artifacts(telemetry, result) -> None:
         handle.write(render_html(text, title="TLT service SLO report"))
 
 
-def run_service(config) -> "ScenarioResult":
-    """Build, run and measure one service scenario."""
-    from repro.experiments.scenarios import (
-        build_network,
-        make_transport_config,
-    )
-    from repro.faults.schedule import FaultSchedule
-
+def run_service(config, control) -> ScenarioResult:
+    """Build, run and measure one service scenario under the resolved
+    run ``control`` (:func:`repro.experiments.scenarios.run_scenario`
+    dispatches here)."""
     spec = ServiceSpec.from_spec(config.service)
-    checkpoint_spec = config.resolved_checkpoint()
-    fault_spec = config.resolved_faults()
-    telemetry_spec = config.resolved_telemetry()
-    if checkpoint_spec is not None and telemetry_spec is not None:
-        raise ckpt.CheckpointError(
-            "checkpointing a telemetry-attached run is unsupported: the "
-            "JSONL stream holds open file handles that cannot pickle")
-    if checkpoint_spec is not None and fault_spec is not None:
-        raise ckpt.CheckpointError(
-            "checkpointing a faulted run is unsupported: fault "
-            "interceptors are closures that cannot pickle")
+    checkpoint_spec = control.checkpoint
+    if checkpoint_spec is not None:
+        if control.telemetry is not None:
+            raise ckpt.CheckpointError(
+                "checkpointing a telemetry-attached run is unsupported: the "
+                "JSONL stream holds open file handles that cannot pickle")
+        if control.faults is not None:
+            raise ckpt.CheckpointError(
+                "checkpointing a faulted run is unsupported: fault "
+                "interceptors are closures that cannot pickle")
+        # The engine this run would be built on: refused now, with
+        # the text of the save, not after simulating up to it.
+        ckpt.require_pure_engine(create_engine())
 
     wall_started = time.perf_counter()
     net = build_network(config)
-    auditor = None
-    if config.audit_enabled:
-        auditor = Auditor(net, AuditConfig.from_env())
-        auditor.install()
-    fault_controller = None
-    if fault_spec is not None:
-        fault_controller = FaultSchedule.from_spec(fault_spec).install(net)
+    auditor = attach_auditor(net, control)
+    faults = install_faults(net, control)
 
     tconfig = make_transport_config(config)
     tlt_cfg = config.tlt_config if config.tlt else None
@@ -157,69 +144,44 @@ def run_service(config) -> "ScenarioResult":
                                seed=config.seed)
     emulator.start()
 
-    telemetry = None
-    if telemetry_spec is not None:
-        from repro.experiments.scenarios import _telemetry_run_id
-        from repro.telemetry import Telemetry, TelemetryConfig
+    telemetry = attach_telemetry(config, net, control, emulator.active, faults)
+    if telemetry is not None:
         from repro.telemetry.samplers import ServiceLatencySampler
 
-        telemetry_config = TelemetryConfig.from_spec(telemetry_spec)
-        telemetry = Telemetry(
-            net, telemetry_config, scenario=config,
-            run_id=telemetry_config.run_id or _telemetry_run_id(config))
-        telemetry.install(active=emulator.active)
         telemetry.samplers.append(ServiceLatencySampler(
-            emulator, telemetry_config.interval_ns, emit=telemetry.emit,
+            emulator, telemetry.config.interval_ns, emit=telemetry.emit,
             active=emulator.active))
-        if fault_controller is not None:
-            telemetry.attach_faults(fault_controller)
 
-    span = _expected_span_ns(spec)
+    span = int(spec.requests / spec.rate_rps * 1e9)  # expected arrival span
     hard_cap = config.hard_cap_ns or (3 * span + 10 * config.drain_ns)
-    checkpoint_path = checkpoint_key = None
-    checkpoint_at = None
+    checkpoint_at = save = None
     if checkpoint_spec is not None:
-        checkpoint_path = ckpt.default_path(checkpoint_spec["dir"])
-        checkpoint_key = _scenario_key(config)
-        checkpoint_at = checkpoint_spec.get("at_ns") or span // 2
-    started_events = net.engine.events_processed
-    try:
-        _drive(net, emulator, hard_cap,
-               checkpoint_at_ns=checkpoint_at,
-               checkpoint_path=checkpoint_path,
-               checkpoint_key=checkpoint_key,
-               extra_state={"emulator": emulator, "config": config,
-                            "auditor": auditor,
-                            "hard_cap_ns": hard_cap})
-    except AuditError as error:
-        if telemetry is not None:
-            telemetry.on_audit_error(error)
-            telemetry.finalize()
-        raise
-    TALLY.add(net.engine.events_processed - started_events,
-              time.perf_counter() - wall_started)
-    return _finish(config, net, emulator, auditor, telemetry)
+        path = ckpt.default_path(checkpoint_spec["dir"])
+        # The run's identity: the cache key, run control stripped.
+        key = Job(0, config, config.seed).cache_key()
+        extra = {"emulator": emulator, "config": config, "auditor": auditor,
+                 "hard_cap_ns": hard_cap}
+        checkpoint_at = checkpoint_spec["at_ns"] or span // 2
+
+        def save() -> None:
+            ckpt.save(path, net, extra=extra, key=key)
+
+    return _run_out(config, net, emulator, auditor, faults, telemetry, hard_cap,
+                    wall_started, checkpoint_at, save)
 
 
-def resume_service(path: str, expect_key: Optional[str] = None) -> "ScenarioResult":
+def resume_service(path: str, expect_key: Optional[str] = None) -> ScenarioResult:
     """Load a service checkpoint and run it to completion.
 
     The returned result's :func:`service_fingerprint` equals the
     uninterrupted run's bit-for-bit (the determinism gate).
     """
     payload = ckpt.load(path, expect_key=expect_key)
-    net = payload["state"]["net"]
     extra = payload["state"]["extra"]
-    emulator = extra["emulator"]
-    config = extra["config"]
-    auditor = extra.get("auditor")
-    hard_cap = extra["hard_cap_ns"]
-    wall_started = time.perf_counter()
-    started_events = net.engine.events_processed
-    _drive(net, emulator, hard_cap)
-    TALLY.add(net.engine.events_processed - started_events,
-              time.perf_counter() - wall_started)
-    return _finish(config, net, emulator, auditor, None)
+    # The auditor was restored with the network, still installed.
+    return _run_out(extra["config"], payload["state"]["net"], extra["emulator"],
+                    extra.get("auditor"), faults=None, telemetry=None,
+                    hard_cap_ns=extra["hard_cap_ns"], wall_started=time.perf_counter())
 
 
 def service_fingerprint(result) -> Dict:

@@ -48,7 +48,7 @@ class CheckpointError(RuntimeError):
     """Checkpoint could not be taken, written, read or validated."""
 
 
-def _require_pure_engine(engine) -> None:
+def require_pure_engine(engine) -> None:
     from repro.sim.engine import Engine
 
     if not isinstance(engine, Engine):
@@ -69,7 +69,7 @@ def save(path: str, net, extra: Optional[Dict[str, Any]] = None,
     match, so a resumed run can never silently continue a *different*
     scenario. Returns the final path (written atomically).
     """
-    _require_pure_engine(net.engine)
+    require_pure_engine(net.engine)
     payload = {
         "schema": CHECKPOINT_SCHEMA,
         "version": __version__,

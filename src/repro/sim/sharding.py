@@ -19,7 +19,11 @@ fingerprint bit-for-bit (CI-enforced, ``tests/test_determinism.py``):
 - **Full topology replica per shard.** Every worker builds the entire
   network with identical construction order, names, seeds and RNG
   registry, and runs the *identical* workload ``schedule()`` — flow
-  ids, specs and RNG draws agree across shards by construction.
+  ids, specs and RNG draws agree across shards by construction. The
+  replica is assembled by the same harness functions as a single-core
+  run (``repro.experiments.scenarios``: auditor, faults, traffic,
+  telemetry, ``finish_run``), not by a copy of them, under the run
+  control the coordinator resolved.
   Ownership (ToR ``i`` -> shard ``i % N``, spine ``j`` -> shard
   ``(num_tors + j) % N``, hosts follow their ToR) only decides which
   devices carry live traffic; unowned replicas are inert because every
@@ -82,10 +86,24 @@ from bisect import bisect_left, insort
 from heapq import heappush
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.audit import AuditError
+from repro.experiments.perf import TALLY
+from repro.experiments.scenarios import (
+    ScenarioResult,
+    attach_auditor,
+    attach_telemetry,
+    build_network,
+    finish_run,
+    install_faults,
+    make_transport_config,
+    schedule_traffic,
+)
 from repro.net.link import Port
 from repro.net.packet import packet_from_wire, packet_to_wire, recycle
 from repro.sim.engine import _GC_RUN_THRESHOLDS
-from repro.sim.units import MICROS, MILLIS, tx_time_ns
+from repro.sim.units import MILLIS, tx_time_ns
+from repro.stats.collector import FlowRecord, NetStats
+from repro.transport.registry import create_flow
 
 #: Outbox/staged message kinds.
 MSG_PACKET = 0
@@ -121,6 +139,24 @@ _COUNTER_FIELDS = (
 )
 
 _RESERVOIR_FIELDS = ("rtt_samples_fg", "rtt_samples_bg", "delivery_samples")
+
+
+def _collector_off() -> tuple:
+    """One full collection (the previous run's garbage; see
+    run_scenario), then the collector off: what ``Engine.run`` does per
+    call, held across the barrier loop. Returns what to restore."""
+    gc.collect()
+    saved = (gc.get_threshold(), gc.isenabled())
+    gc.set_threshold(*_GC_RUN_THRESHOLDS)
+    gc.disable()
+    return saved
+
+
+def _collector_back(saved: Optional[tuple]) -> None:
+    if saved is not None:
+        gc.set_threshold(*saved[0])
+        if saved[1]:
+            gc.enable()
 
 
 class ShardPlan:
@@ -215,22 +251,27 @@ class _ShardWorker:
 
     Lives either in a forked worker process (driven by
     :func:`_worker_main` over a pipe) or inline in the coordinator.
-    ``setup()`` mirrors the assembly phase of ``run_scenario`` —
-    network, auditor, faults, transports, workloads, sampler,
-    telemetry, collector off — then the coordinator steps it with
+    ``setup()`` assembles the replica from the harness functions of
+    :mod:`repro.experiments.scenarios`, in ``run_scenario``'s order;
+    what is the shard's own goes in as arguments: which fault events it
+    arms, a ``create`` that filters by ownership, a sampler the
+    coordinator stops, the ``_sh<i>`` telemetry run id. ``control`` is
+    the coordinator's resolved run control: a worker process reads no
+    run-control variable. The coordinator steps the worker with
     ``window()`` and collects ``finish()``.
     """
 
     def __init__(
         self,
         config,
-        num_shards: int,
+        control,
         shard_index: int,
         manage_gc: bool = True,
         backend: Optional[str] = None,
     ):
         self.config = config
-        self.num_shards = num_shards
+        self.control = control
+        self.num_shards = control.shards
         self.shard_index = shard_index
         self.manage_gc = manage_gc
         # The coordinator's resolved backend: every shard must run the
@@ -245,25 +286,10 @@ class _ShardWorker:
         self._sampler_stopped = False
         self._sampler_event = None
         self._gc_saved = None
-        self.auditor = None
-        self.telemetry = None
-        self.fault_controller = None
 
     # -- assembly ---------------------------------------------------------------
 
     def setup(self) -> Dict:
-        from repro.audit import AuditConfig, Auditor
-        from repro.experiments.scenarios import (
-            _telemetry_run_id,
-            build_network,
-            make_transport_config,
-        )
-        from repro.faults.schedule import FaultController, FaultSchedule
-        from repro.transport.registry import create_flow
-        from repro.workload.background import BackgroundTraffic
-        from repro.workload.distributions import DISTRIBUTIONS
-        from repro.workload.incast import IncastTraffic
-
         config = self.config
         if config.topology != "leaf_spine":
             raise ValueError(
@@ -311,20 +337,8 @@ class _ShardWorker:
                     # it so the outbox override actually runs.
                     port._tx_cb = port._tx_done
 
-        if config.audit_enabled:
-            self.auditor = Auditor(net, AuditConfig.from_env())
-            self.auditor.install()
-
-        fault_spec = config.resolved_faults()
-        if fault_spec is not None:
-            schedule = FaultSchedule.from_spec(fault_spec)
-            controller = self.fault_controller = FaultController(net, schedule)
-            for event in schedule.events:
-                involved, primary = self._fault_shards(event)
-                if mine == primary:
-                    engine.schedule_at(event.time_ns, controller._apply, event)
-                elif mine in involved:
-                    engine.schedule_at(event.time_ns, self._apply_secondary_fault, event)
+        self.auditor = attach_auditor(net, self.control)
+        self.fault_controller = install_faults(net, self.control, self._arm_faults)
 
         tconfig = make_transport_config(config)
         tlt_cfg = config.tlt_config if config.tlt else None
@@ -348,57 +362,7 @@ class _ShardWorker:
                 sender._start_event.cancel()
                 net.stats.foreign_src_flows.add(spec.flow_id)
 
-        end_of_traffic = 0
-        total_flows = 0
-        if config.enable_background:
-            background = BackgroundTraffic(
-                net,
-                DISTRIBUTIONS[config.workload],
-                create,
-                load=config.load,
-                num_flows=config.bg_flows
-                if config.bg_flows is not None
-                else config.scale.bg_flows,
-                link_rate_bps=config.link_rate_bps,
-            )
-            background.schedule()
-            total_flows += len(background.specs)
-            end_of_traffic = max(end_of_traffic, background.end_of_arrivals_ns)
-
-        if config.enable_incast:
-            events = (
-                config.incast_events
-                if config.incast_events is not None
-                else scale.incast_events
-            )
-            per_sender = (
-                config.incast_flows_per_sender
-                if config.incast_flows_per_sender is not None
-                else scale.incast_flows_per_sender
-            )
-            interval = IncastTraffic.interval_for_share(
-                config.fg_share,
-                config.load,
-                scale.num_hosts,
-                config.link_rate_bps,
-                config.incast_flow_size,
-                per_sender,
-                scale.num_hosts - 1,
-            )
-            incast = IncastTraffic(
-                net,
-                create,
-                flow_size=config.incast_flow_size,
-                flows_per_sender=per_sender,
-                num_events=events,
-                interval_ns=interval,
-                start_ns=200 * MICROS,
-            )
-            incast.schedule()
-            total_flows += len(incast.specs)
-            if incast.specs:
-                end_of_traffic = max(end_of_traffic, incast.specs[-1].start_ns)
-
+        end_of_traffic, total_flows = schedule_traffic(config, net, create)
         self.end_of_traffic = end_of_traffic
         horizon = end_of_traffic + config.drain_ns
 
@@ -417,29 +381,14 @@ class _ShardWorker:
             config.queue_sample_interval_ns, self._sample_queues
         )
 
-        telemetry_spec = config.resolved_telemetry()
-        if telemetry_spec is not None:
-            from repro.telemetry import Telemetry, TelemetryConfig
-
-            telemetry_config = TelemetryConfig.from_spec(telemetry_spec)
-            base_run_id = telemetry_config.run_id or _telemetry_run_id(config)
-            self.telemetry = Telemetry(
-                net,
-                telemetry_config,
-                scenario=config,
-                run_id=f"{base_run_id}_sh{mine}",
-            )
-            self.telemetry.install(
-                active=lambda: engine.now < end_of_traffic or not self._sampler_stopped
-            )
-            if self.fault_controller is not None:
-                self.telemetry.attach_faults(self.fault_controller)
+        self.telemetry = attach_telemetry(
+            config, net, self.control,
+            lambda: engine.now < end_of_traffic or not self._sampler_stopped,
+            self.fault_controller, run_id_suffix=f"_sh{mine}",
+        )
 
         if self.manage_gc:
-            gc.collect()  # the previous run's garbage; see run_scenario
-            self._gc_saved = (gc.get_threshold(), gc.isenabled())
-            gc.set_threshold(*_GC_RUN_THRESHOLDS)
-            gc.disable()
+            self._gc_saved = _collector_off()
 
         return {
             "backend": backend_mod.current_backend(),
@@ -481,6 +430,16 @@ class _ShardWorker:
                     involved.add(plan.device_owner(port.peer.owner))
         return involved, primary
 
+    def _arm_faults(self, controller) -> None:
+        engine = self.engine
+        mine = self.shard_index
+        for event in controller.schedule.events:
+            involved, primary = self._fault_shards(event)
+            if mine == primary:
+                engine.schedule_at(event.time_ns, controller._apply, event)
+            elif mine in involved:
+                engine.schedule_at(event.time_ns, self._apply_secondary_fault, event)
+
     def _apply_secondary_fault(self, event) -> None:
         self.artifact_events += 1
         self.fault_controller._apply(event)
@@ -509,15 +468,6 @@ class _ShardWorker:
             self._sampler_event.cancel()
             self._sampler_event = None
 
-    def _restore_gc(self) -> None:
-        if self._gc_saved is None:
-            return
-        thresholds, was_enabled = self._gc_saved
-        self._gc_saved = None
-        gc.set_threshold(*thresholds)
-        if was_enabled:
-            gc.enable()
-
     # -- stepping ---------------------------------------------------------------
 
     def window(self, until: int, messages: List[tuple], stop_sampler: bool) -> Dict:
@@ -542,7 +492,11 @@ class _ShardWorker:
             else:
                 peer = port.peer
                 heappush(queue, (t, seq, peer.owner.receive_pause, (payload, peer)))
-        engine.run_window(until)
+        try:
+            engine.run_window(until)
+        except BaseException as error:
+            self._finish_observers(error)
+            raise
         out = list(self.outbox)
         del self.outbox[:]  # CutPorts alias this list; clear in place
         done = self.completions
@@ -556,20 +510,13 @@ class _ShardWorker:
 
     # -- teardown ---------------------------------------------------------------
 
-    def finish(self) -> Dict:
-        from repro.audit import AuditError
+    def _finish_observers(self, error: Optional[BaseException] = None) -> None:
+        _collector_back(self._gc_saved)
+        self._gc_saved = None
+        finish_run(self.auditor, self.telemetry, error)
 
-        self._restore_gc()
-        try:
-            if self.auditor is not None:
-                self.auditor.final_check()
-        except AuditError as error:
-            if self.telemetry is not None:
-                self.telemetry.on_audit_error(error)
-            raise
-        finally:
-            if self.telemetry is not None:
-                self.telemetry.finalize()
+    def finish(self) -> Dict:
+        self._finish_observers()
         net = self.net
         stats = net.stats
         flows = [
@@ -620,10 +567,10 @@ class _ShardWorker:
 # -- worker drivers --------------------------------------------------------------
 
 
-def _worker_main(conn, config, num_shards: int, shard_index: int, backend: str) -> None:
+def _worker_main(conn, config, control, shard_index: int, backend: str) -> None:
     """Shard worker process body: setup, then serve barrier commands."""
     try:
-        worker = _ShardWorker(config, num_shards, shard_index, backend=backend)
+        worker = _ShardWorker(config, control, shard_index, backend=backend)
         conn.send(("ready", worker.setup()))
         while True:
             msg = conn.recv()
@@ -635,11 +582,16 @@ def _worker_main(conn, config, num_shards: int, shard_index: int, backend: str) 
                 return
             else:  # "stop" or unknown: exit quietly
                 return
-    except BaseException:
+    except BaseException as error:
         import traceback
 
         try:
-            conn.send(("error", traceback.format_exc(limit=30)))
+            if isinstance(error, AuditError):
+                # Finished by the worker already (flight recorder,
+                # streams); the coordinator raises it again as itself.
+                conn.send(("audit_error", error.to_dict()))
+            else:
+                conn.send(("error", traceback.format_exc(limit=30)))
         except Exception:
             pass
     finally:
@@ -652,12 +604,12 @@ def _worker_main(conn, config, num_shards: int, shard_index: int, backend: str) 
 class _ProcHandle:
     """Pipe-connected shard worker process."""
 
-    def __init__(self, ctx, config, num_shards: int, shard_index: int, backend: str):
+    def __init__(self, ctx, config, control, shard_index: int, backend: str):
         self.shard_index = shard_index
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(
             target=_worker_main,
-            args=(child, config, num_shards, shard_index, backend),
+            args=(child, config, control, shard_index, backend),
             daemon=True,
         )
         self.proc.start()
@@ -680,6 +632,8 @@ class _ProcHandle:
                 f"shard {self.shard_index} worker closed its pipe "
                 f"(exit code {self.proc.exitcode})"
             ) from None
+        if tag == "audit_error":
+            raise AuditError(payload["violations"], payload["trace"], payload["time_ns"])
         if tag == "error":
             raise RuntimeError(
                 f"shard {self.shard_index} worker failed:\n{payload}"
@@ -779,9 +733,6 @@ class _ShardedNetwork:
 
 def _merge(config, payloads: List[Dict], duration_ns: int):
     """Deterministically fold per-shard payloads into one ScenarioResult."""
-    from repro.experiments.scenarios import ScenarioResult
-    from repro.stats.collector import FlowRecord, NetStats
-
     stats = NetStats(seed=config.seed)
     for name in _COUNTER_FIELDS:
         setattr(stats, name, sum(p["counters"][name] for p in payloads))
@@ -853,16 +804,17 @@ def _merge(config, payloads: List[Dict], duration_ns: int):
 # -- coordinator -------------------------------------------------------------------
 
 
-def run_scenario_sharded(config, num_shards: int):
-    """Run one scenario across ``num_shards`` conservative-lookahead shards.
+def run_scenario_sharded(config, control):
+    """Run one scenario across ``control.shards`` conservative-lookahead
+    shards, under the resolved run ``control`` (``run_scenario``
+    dispatches here; the workers receive it and read no environment).
 
     Bit-exact contract: for supported configurations (see module
     docstring) the returned :class:`ScenarioResult` carries the same
     stats, duration, queue samples and event count as
     ``run_scenario(config)`` on a single engine.
     """
-    from repro.experiments.perf import TALLY
-
+    num_shards = control.shards
     if num_shards < 2:
         raise ValueError(f"run_scenario_sharded needs >= 2 shards, got {num_shards}")
     from repro.sim import backend as backend_mod
@@ -872,42 +824,24 @@ def run_scenario_sharded(config, num_shards: int):
     inline = _use_inline()
     handles: List = []
     gc_saved = None
-
-    def restore_gc() -> None:
-        nonlocal gc_saved
-        if gc_saved is None:
-            return
-        thresholds, was_enabled = gc_saved
-        gc_saved = None
-        gc.set_threshold(*thresholds)
-        if was_enabled:
-            gc.enable()
-
     try:
         if inline:
             handles = [
                 _InlineHandle(
-                    _ShardWorker(
-                        config, num_shards, i, manage_gc=False, backend=backend_name
-                    )
+                    _ShardWorker(config, control, i, manage_gc=False, backend=backend_name)
                 )
                 for i in range(num_shards)
             ]
             for handle in handles:
                 handle.send(("setup",))
             metas = [handle.recv() for handle in handles]
-            # Collector off for all inline shards (what Engine.run does
-            # per call, hoisted around the barrier loop).
-            gc.collect()
-            gc_saved = (gc.get_threshold(), gc.isenabled())
-            gc.set_threshold(*_GC_RUN_THRESHOLDS)
-            gc.disable()
+            gc_saved = _collector_off()  # for all inline shards
         else:
             from repro.experiments.parallel import _mp_context
 
             ctx = _mp_context()
             handles = [
-                _ProcHandle(ctx, config, num_shards, i, backend_name)
+                _ProcHandle(ctx, config, control, i, backend_name)
                 for i in range(num_shards)
             ]
             metas = [handle.recv() for handle in handles]
@@ -998,12 +932,13 @@ def run_scenario_sharded(config, num_shards: int):
         while total_flows - completed > 0 and now < hard_cap and any(pendings):
             advance(min(now + 50 * MILLIS, hard_cap))
 
-        restore_gc()
+        _collector_back(gc_saved)
+        gc_saved = None
         for handle in handles:
             handle.send(("fin",))
         payloads = [handle.recv() for handle in handles]
     finally:
-        restore_gc()
+        _collector_back(gc_saved)
         for handle in handles:
             handle.stop()
 

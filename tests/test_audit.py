@@ -284,21 +284,6 @@ def test_scenario_audit_disabled_explicitly():
     assert result.auditor is None
 
 
-def test_audit_env_default(monkeypatch):
-    config = ScenarioConfig(transport="dctcp", scale=FAST)
-    monkeypatch.setenv("TLT_AUDIT", "1")
-    assert config.audit_enabled
-    monkeypatch.setenv("TLT_AUDIT", "0")
-    assert not config.audit_enabled
-    monkeypatch.delenv("TLT_AUDIT")
-    assert not config.audit_enabled
-    # Explicit config beats the environment.
-    monkeypatch.setenv("TLT_AUDIT", "1")
-    assert not ScenarioConfig(audit=False).audit_enabled
-    monkeypatch.delenv("TLT_AUDIT")
-    assert ScenarioConfig(audit=True).audit_enabled
-
-
 def test_fig08_micro_run_passes_audit(monkeypatch):
     # The threshold sweep exercises color-aware dropping, where the
     # green-drop faithfulness check has the most to say.

@@ -104,10 +104,16 @@ def test_compiled_backend_refused(tmp_path, monkeypatch):
     monkeypatch.setenv("TLT_BACKEND", "compiled")
     backend.set_backend("compiled")
     try:
-        from repro.experiments.scenarios import run_scenario
+        from repro.experiments import scenarios
 
+        # Refused next to checkpoint x telemetry/faults, not at the
+        # save: no network is built, so no event is processed.
+        def no_network(config):
+            raise AssertionError("network built before the refusal")
+
+        monkeypatch.setattr(scenarios, "build_network", no_network)
         with pytest.raises(CheckpointError, match="pure backend"):
-            run_scenario(_config(checkpoint=str(tmp_path)))
+            scenarios.run_scenario(_config(checkpoint=str(tmp_path)))
     finally:
         monkeypatch.delenv("TLT_BACKEND")
         backend.set_backend(None)
@@ -130,19 +136,6 @@ def test_checkpoint_with_faults_refused(tmp_path):
     config = _config(checkpoint=str(tmp_path), faults=faults)
     with pytest.raises(CheckpointError, match="fault"):
         run_scenario(config)
-
-
-def test_resolved_checkpoint_forms(monkeypatch):
-    assert _config().resolved_checkpoint() is None
-    assert _config(checkpoint="/tmp/x").resolved_checkpoint() == {
-        "dir": "/tmp/x", "at_ns": None}
-    assert _config(checkpoint={"dir": "/tmp/x", "at_ns": 5}
-                   ).resolved_checkpoint() == {"dir": "/tmp/x", "at_ns": 5}
-    monkeypatch.setenv("TLT_CHECKPOINT", "/tmp/env")
-    assert _config().resolved_checkpoint() == {"dir": "/tmp/env",
-                                               "at_ns": None}
-    with pytest.raises(ValueError):
-        _config(checkpoint=7).resolved_checkpoint()
 
 
 def test_checkpoint_restore_reproduces_uninterrupted_run(tmp_path):

@@ -3,6 +3,7 @@
 Each module's ``run()`` must produce structurally valid rows at a
 minimal scale (the benchmarks exercise them at full scale)."""
 
+import pytest
 
 from repro.experiments.scale import Scale
 
@@ -67,26 +68,62 @@ def test_fig13_rows():
     assert all(r["answered"] == 152 for r in rows)
 
 
-def test_fig13_audit_honours_dump_env(monkeypatch, tmp_path):
-    # fig13 builds its own network, so it attaches its own auditor: it
-    # must be the one every other --audit run gets (AuditConfig.from_env),
-    # or a fig13 violation leaves no dump for the CI artifact upload.
+def _bespoke_point(module: str):
+    """One cheap point of a module that builds its own network."""
+    from repro.experiments import (
+        ext_corruption,
+        ext_incremental,
+        fig12_redis_incast,
+        fig13_mixed_traffic,
+        fig14_incast_microbench,
+    )
+
+    return {
+        "fig12": lambda: fig12_redis_incast.run_one("dctcp", True, 8, bursts=1),
+        "fig13": lambda: fig13_mixed_traffic.run_one(),
+        "fig14": lambda: fig14_incast_microbench.run_one("tcp", "tlt", 8, runs=1),
+        "ext-incremental": lambda: ext_incremental._run("isolated", MICRO),
+        "ext-corruption": lambda: ext_corruption._run(1e-3, MICRO),
+    }[module]
+
+
+@pytest.mark.parametrize("audit", ["1", "0"])
+@pytest.mark.parametrize(
+    "module", ["fig12", "fig13", "fig14", "ext-incremental", "ext-corruption"])
+def test_bespoke_modules_audit_every_network(module, audit, monkeypatch, tmp_path):
+    # These modules build their own networks, so --audit reaches them
+    # only if they attach the shared auditor themselves: the one every
+    # other run gets, with the dump path of the CI artifact upload,
+    # final-checked once per network.
     from repro.audit import Auditor
-    from repro.experiments import fig13_mixed_traffic as exp
+    from repro.net.topology import Network
 
     dump = str(tmp_path / "audit_dump.json")
-    monkeypatch.setenv("TLT_AUDIT", "1")
+    monkeypatch.setenv("TLT_AUDIT", audit)
     monkeypatch.setenv("TLT_AUDIT_DUMP", dump)
-    dump_paths = []
-    final_check = Auditor.final_check
+    networks, installed, final_checked = [], [], []
 
-    def recording_final_check(self):
-        dump_paths.append(self.config.dump_path)
-        final_check(self)
+    def recording(cls, name, record):
+        original = getattr(cls, name)
 
-    monkeypatch.setattr(Auditor, "final_check", recording_final_check)
-    assert exp.run_one()["answered"] == 152
-    assert dump_paths == [dump]
+        def wrapper(self, *args):
+            record.append(self)
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    recording(Network, "__init__", networks)
+    recording(Auditor, "install", installed)
+    recording(Auditor, "final_check", final_checked)
+    assert _bespoke_point(module)()
+    assert networks
+    if audit == "0":
+        assert installed == final_checked == []
+        return
+    assert [auditor.net for auditor in installed] == networks
+    assert final_checked == installed
+    assert all(auditor.config.dump_path == dump for auditor in installed)
+    assert all(auditor.checks_run >= 2 for auditor in installed)
 
 
 def test_fig16_rows():

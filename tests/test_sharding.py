@@ -15,7 +15,7 @@ import pytest
 
 from repro.experiments.parallel import Job
 from repro.experiments.scale import TINY
-from repro.experiments.scenarios import ScenarioConfig, run_scenario
+from repro.experiments.scenarios import RunControl, ScenarioConfig, run_scenario
 from repro.net.packet import Packet, PacketKind, packet_to_wire
 from repro.sim.engine import Engine
 from repro.sim.sharding import MSG_PACKET, CutPort, ShardPlan, _ShardWorker
@@ -45,7 +45,7 @@ def test_sharded_fingerprint_matches_for_hpcc(monkeypatch):
 
 
 def test_shards_one_is_the_plain_single_core_path():
-    # resolved_shards == 1 must not touch the sharding machinery at all.
+    # shards=1 must not touch the sharding machinery at all.
     assert fingerprint(_config(shards=1)) == EXPECTED["dctcp_tlt"]
 
 
@@ -74,6 +74,43 @@ def test_flow_records_match_single_core_for_both_flow_kinds(monkeypatch):
     assert any(src != dst for src, dst in owners), "no cross-shard flow in workload"
 
 
+@pytest.mark.parametrize("inline", ["1", "0"])
+def test_audit_error_in_a_shard_window_is_finished_like_any_other(
+        inline, monkeypatch, tmp_path):
+    """A violation raised inside a shard's window (not its final check)
+    still snapshots the flight recorder and closes that shard's streams,
+    and reaches the caller as the AuditError it is, from an inline
+    worker and through the pipe of a forked one."""
+    import glob
+    import json
+
+    from repro.audit import AuditError
+
+    monkeypatch.setenv("TLT_SHARD_INLINE", inline)
+    window = _ShardWorker.window
+
+    def corrupting_window(self, until, messages, stop_sampler):
+        if self.shard_index == 1 and until >= 300_000:
+            # Bytes no packet backs, on a switch this shard owns: the
+            # next audit tick fails buffer conservation.
+            owned = next(sw for sw in self.net.switches
+                         if self.plan.device_owner(sw) == 1)
+            owned.buffer.used += 1
+        return window(self, until, messages, stop_sampler)
+
+    monkeypatch.setattr(_ShardWorker, "window", corrupting_window)
+    out = str(tmp_path / "tele")
+    with pytest.raises(AuditError) as raised:
+        run_scenario(_config(shards=2, audit=True, telemetry=out))
+    assert any("SharedBuffer.used" in violation for violation in raised.value.violations)
+    assert raised.value.trace
+
+    flights = [json.load(open(path))
+               for path in glob.glob(f"{out}/flight_*_sh1_*.json")]
+    assert [f["trigger"]["kind"] for f in flights].count("audit_error") == 1
+    assert glob.glob(f"{out}/run_*_sh1.prom")  # finalized, not left open
+
+
 def test_cache_key_ignores_shards():
     # Sharding is bit-identical by contract, so a sharded and a plain
     # run must share one result-cache entry.
@@ -97,7 +134,7 @@ def test_shard_plan_round_robins_subtrees():
 def test_lookahead_is_min_cut_link_delay(monkeypatch):
     monkeypatch.setenv("TLT_SHARD_INLINE", "1")
     config = _config()
-    worker = _ShardWorker(config, 2, 0, manage_gc=False)
+    worker = _ShardWorker(config, RunControl(shards=2), 0, manage_gc=False)
     meta = worker.setup()
     assert meta["lookahead"] == config.resolved_link_delay_ns
     # Owned ports with a remote peer became live CutPorts; the rest of
@@ -113,7 +150,7 @@ def test_lookahead_is_min_cut_link_delay(monkeypatch):
 def test_cut_port_outbox_preserves_emission_order(monkeypatch):
     monkeypatch.setenv("TLT_SHARD_INLINE", "1")
     config = _config()
-    worker = _ShardWorker(config, 2, 0, manage_gc=False)
+    worker = _ShardWorker(config, RunControl(shards=2), 0, manage_gc=False)
     worker.setup()
     port = next(p for p in worker.cut_ports if type(p) is CutPort)
     engine = worker.engine
@@ -138,7 +175,7 @@ def test_same_nanosecond_batch_delivered_in_wire_seq_order(monkeypatch):
     emission — not in staging or pipe-arrival order."""
     monkeypatch.setenv("TLT_SHARD_INLINE", "1")
     config = _config()
-    worker = _ShardWorker(config, 2, 0, manage_gc=False)
+    worker = _ShardWorker(config, RunControl(shards=2), 0, manage_gc=False)
     meta = worker.setup()
     # An inbound direction: the TX side lives in the other shard, so
     # its peer (our side) is a live local device.

@@ -229,10 +229,9 @@ def test_scenario_run_produces_schema_valid_telemetry(tmp_path):
 def test_scenario_telemetry_via_environment(tmp_path, monkeypatch):
     out = str(tmp_path / "env-tele")
     monkeypatch.setenv("TLT_TELEMETRY", out)
-    config = _tiny_config()
-    assert config.resolved_telemetry()["out_dir"] == out
-    monkeypatch.delenv("TLT_TELEMETRY")
-    assert config.resolved_telemetry() is None
+    result = run_scenario(_tiny_config())
+    assert result.telemetry.config.out_dir == out
+    assert any(name.endswith(".prom") for name in os.listdir(out))
 
 
 def test_faulted_scenario_dumps_cross_referenced_flight_records(tmp_path):
