@@ -403,11 +403,11 @@ def run_control(config: Optional[ScenarioConfig] = None) -> RunControl:
     audit = said("audit", "TLT_AUDIT")
     if isinstance(audit, str):  # the variable: on unless "0"
         audit = audit != "0"
-    faults = getattr(config, "faults", None)
+    faults, faults_file = getattr(config, "faults", None), os.environ.get("TLT_FAULTS")
     if faults is not None:
         faults = FaultSchedule.from_spec(faults).to_spec()
-    elif os.environ.get("TLT_FAULTS"):  # not a spec but a spec file
-        faults = FaultSchedule.load(os.environ["TLT_FAULTS"]).to_spec()
+    elif faults_file:  # the variable names a spec file, not a spec
+        faults = FaultSchedule.load(faults_file).to_spec()
     telemetry = said("telemetry", "TLT_TELEMETRY")
     if telemetry is not None:
         from repro.telemetry import TelemetryConfig

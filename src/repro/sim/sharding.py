@@ -271,7 +271,6 @@ class _ShardWorker:
     ):
         self.config = config
         self.control = control
-        self.num_shards = control.shards
         self.shard_index = shard_index
         self.manage_gc = manage_gc
         # The coordinator's resolved backend: every shard must run the
@@ -303,7 +302,7 @@ class _ShardWorker:
         engine = self.engine = net.engine
         scale = config.scale
         plan = self.plan = ShardPlan(
-            self.num_shards, scale.num_spines, scale.num_tors, scale.hosts_per_tor
+            self.control.shards, scale.num_spines, scale.num_tors, scale.hosts_per_tor
         )
         mine = self.shard_index
 

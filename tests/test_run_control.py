@@ -7,6 +7,7 @@ here (captured at e55a876, before ``run_control`` existed).
 """
 
 import ast
+import functools
 import json
 from pathlib import Path
 
@@ -159,20 +160,26 @@ def test_run_control_precedence(fields, env, read, expected, monkeypatch, tmp_pa
 SRC = Path(repro.__file__).parent
 
 
+@functools.lru_cache(maxsize=None)
+def _trees():
+    return [(path.relative_to(SRC).as_posix(), ast.parse(path.read_text()))
+            for path in sorted(SRC.rglob("*.py"))]
+
+
 def _functions_with(match):
     """``file:function`` of every innermost function under src/repro with
-    a node ``match`` accepts."""
+    a node ``match(node, file)`` accepts."""
     found = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path, tree in _trees():
         def visit(node, function, path=path):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 function = node.name
-            if match(node, path.relative_to(SRC).as_posix()):
-                found.append(f"{path.relative_to(SRC).as_posix()}:{function}")
+            if match(node, path):
+                found.append(f"{path}:{function}")
             for child in ast.iter_child_nodes(node):
                 visit(child, function)
 
-        visit(ast.parse(path.read_text()), "<module>")
+        visit(tree, "<module>")
     return found
 
 
