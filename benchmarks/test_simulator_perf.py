@@ -127,3 +127,44 @@ def test_packet_alloc_churn(benchmark, record_events):
 
     events = benchmark(run_flows)
     record_events(benchmark, events)
+
+
+def test_flow_lifecycle_rate(benchmark, record_events):
+    """Create -> complete -> release of short flows, as a service run
+    pays it: 4 000 one-segment DCTCP+TLT flows arrive open-loop on a
+    2-host star, each created at its arrival. A finished sender leaves
+    its host's demux table (the receiver stays), so the senders
+    registered at any moment are bounded by the flows in flight, not by
+    the flows run; ``extra_info["flows_per_sec"]`` is the lifecycle rate."""
+    from repro.core.config import TltConfig
+
+    flows, spacing_ns = 4_000, 500
+
+    def run_flows():
+        net = _star(num_hosts=2)
+        engine = net.engine
+        config = TransportConfig(base_rtt_ns=4_000)
+        tlt = TltConfig()
+        peak_senders = 0
+
+        def arrive(flow_id):
+            nonlocal peak_senders
+            spec = FlowSpec(flow_id, flow_id % 2, (flow_id + 1) % 2, 1_000, start_ns=engine.now)
+            create_flow("dctcp", net, spec, config, tlt)
+            # One receiver per flow created so far; the rest are senders.
+            senders = sum(len(host.endpoints) for host in net.hosts) - (flow_id + 1)
+            peak_senders = max(peak_senders, senders)
+            if flow_id + 1 < flows:
+                engine.schedule(spacing_ns, arrive, flow_id + 1)
+
+        engine.schedule(0, arrive, 0)
+        engine.run()
+        assert net.stats.incomplete_flows() == 0
+        assert sum(len(host.endpoints) for host in net.hosts) == flows
+        assert peak_senders <= 32, peak_senders
+        return engine.events_processed
+
+    events = benchmark(run_flows)
+    record_events(benchmark, events)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["flows_per_sec"] = round(flows / benchmark.stats.stats.min)

@@ -26,13 +26,15 @@ the "guaranteed fast loss detection" property of §5.1.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.config import ClockingPolicy, TltConfig
 from repro.core.marks import _GREEN_MARKS, apply_acl
 from repro.net.packet import Color, Packet, TltMark
 from repro.stats.collector import NetStats
-from repro.transport.base import ByteStreamReceiver, ByteStreamSender
+
+if TYPE_CHECKING:  # pragma: no cover - repro.transport.registry imports this module
+    from repro.transport.base import ByteStreamReceiver, ByteStreamSender
 
 
 class _SendState(Enum):

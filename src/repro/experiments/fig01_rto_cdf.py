@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import numpy as np
-
 from repro.experiments.common import print_table, resolve_scale
 from repro.experiments.scenarios import ScenarioConfig, run_scenario
 from repro.sim.units import MICROS
+from repro.stats.percentile import percentiles
 
 PERCENTILES = (10, 25, 50, 75, 90, 99)
+COLUMNS = [f"p{p}" for p in PERCENTILES]
 
 
 def run(scale="small", seed: int = 1) -> List[Dict]:
@@ -39,23 +39,21 @@ def run(scale="small", seed: int = 1) -> List[Dict]:
             if r.group == group and r.final_rto_ns is not None
         ]
         row: Dict = {"group": group, "metric": "rtt_us"}
-        arr = np.asarray(rtts, dtype=float) / 1e3 if rtts else np.array([0.0])
-        for p in PERCENTILES:
-            row[f"p{p}"] = float(np.percentile(arr, p))
+        arr = [rtt / 1e3 for rtt in rtts] or [0.0]
+        row.update(zip(COLUMNS, percentiles(arr, PERCENTILES)))
         rows.append(row)
         row = {"group": group, "metric": "rto_us"}
-        arr = np.asarray(rtos, dtype=float) / 1e3 if rtos else np.array([0.0])
-        for p in PERCENTILES:
-            row[f"p{p}"] = float(np.percentile(arr, p))
-        if group == "fg" and len(arr):
-            row["frac_rto_gt_1.1ms"] = float((arr > 1100).mean())
+        arr = [rto / 1e3 for rto in rtos] or [0.0]
+        row.update(zip(COLUMNS, percentiles(arr, PERCENTILES)))
+        if group == "fg":
+            row["frac_rto_gt_1.1ms"] = sum(rto > 1100 for rto in arr) / len(arr)
         rows.append(row)
     return rows
 
 
 def main(scale="small") -> None:
     rows = run(scale)
-    columns = ["group", "metric"] + [f"p{p}" for p in PERCENTILES] + ["frac_rto_gt_1.1ms"]
+    columns = ["group", "metric"] + COLUMNS + ["frac_rto_gt_1.1ms"]
     print_table(rows, columns, "Figure 1: RTT vs estimated RTO (DCTCP, RTO_min=200us)")
 
 

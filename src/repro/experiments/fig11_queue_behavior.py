@@ -7,10 +7,9 @@ burst-driven maximum, while the median queue stays near/below K_ECN.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import replace
 from typing import Dict, List, Sequence
-
-import numpy as np
 
 from repro.experiments.common import print_table, resolve_scale
 from repro.experiments.scenarios import ScenarioConfig, run_scenario
@@ -49,13 +48,13 @@ def run_queues(scale="small", seed: int = 1) -> List[Dict]:
         result = run_scenario(config)
         max_queue = max(s.max_queue_occupancy() for s in result.net.switches)
         max_red = max(s.max_red_occupancy() for s in result.net.switches)
-        median = float(np.median(result.queue_samples)) if result.queue_samples else 0.0
         rows.append(
             {
                 "scheme": name,
                 "max_queue_kB": max_queue / KB,
                 "max_red_queue_kB": max_red / KB,
-                "median_queue_kB": median / KB,
+                # Mean of the middle pair, not the percentile lerp.
+                "median_queue_kB": statistics.median(result.queue_samples or [0]) / KB,
             }
         )
     return rows

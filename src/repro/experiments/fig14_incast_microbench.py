@@ -11,21 +11,20 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from repro.apps.kvstore import KvClient, KvServer
 from repro.apps.rpc import RpcNode
 from repro.experiments.common import print_table
 from repro.experiments.scenarios import attach_auditor, finish_run, run_control
 from repro.experiments.testbed import build_testbed, maybe_tlt, testbed_transport_config
 from repro.sim.units import MICROS, MILLIS
-from repro.stats.percentile import percentile
+from repro.stats.percentile import percentile, percentiles
 
 DEFAULT_FLOW_COUNTS = (8, 16, 40, 80, 100, 120, 160)
 NUM_SERVERS = 8
 RESPONSE_SIZE = 32_000
 
 COLUMNS = ["transport", "scheme", "flows", "p99_ms", "max_ms", "timeouts"]
+CDF_POINTS = (50, 90, 96, 99, 100)
 
 
 def run_one(transport: str, scheme: str, flows: int, seed: int = 1,
@@ -85,17 +84,17 @@ def run_cdf(scale="small", flows: int = 100, transport: str = "tcp") -> List[Dic
     rows = []
     for scheme in ("rto4ms", "rto200us", "tlt"):
         result = run_one(transport, scheme, flows)
-        times = np.asarray(result["_times"], dtype=float) / 1e6
+        times = [t / 1e6 for t in result["_times"]]
         row = {"scheme": scheme}
-        for p in (50, 90, 96, 99, 100):
-            row[f"p{p}_ms"] = float(np.percentile(times, p)) if len(times) else 0.0
+        for p, value in zip(CDF_POINTS, percentiles(times, CDF_POINTS)):
+            row[f"p{p}_ms"] = value
         rows.append(row)
     return rows
 
 
 def main(scale="small") -> None:
     print_table(run(scale), COLUMNS, "Figure 14: incast microbenchmark (32 kB responses)")
-    print_table(run_cdf(scale), ["scheme", "p50_ms", "p90_ms", "p96_ms", "p99_ms", "p100_ms"],
+    print_table(run_cdf(scale), ["scheme"] + [f"p{p}_ms" for p in CDF_POINTS],
                 "Figure 14c: FCT CDF at 100 flows (TCP)")
 
 

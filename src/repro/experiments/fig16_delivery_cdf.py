@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import numpy as np
-
 from repro.experiments.common import print_table, resolve_scale
 from repro.experiments.scenarios import ScenarioConfig, run_scenario
+from repro.stats.percentile import percentiles
 
 PERCENTILES = (50, 90, 99, 99.9)
 
@@ -28,10 +27,9 @@ def run(scale="small", seed: int = 1, load: float = 0.3) -> List[Dict]:
             incast_flow_size=16_000,
         )
         result = run_scenario(config)
-        samples = np.asarray(result.stats.delivery_samples, dtype=float) / 1e3
+        samples = [ns / 1e3 for ns in result.stats.delivery_samples]
         row: Dict = {"scheme": name}
-        for p in PERCENTILES:
-            row[f"p{p}_us"] = float(np.percentile(samples, p)) if len(samples) else 0.0
+        row.update(zip(COLUMNS[1:], percentiles(samples, PERCENTILES)))
         rows.append(row)
     return rows
 

@@ -594,11 +594,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         faults,
     )
     # One full collection before the run; the engine switches the
-    # collector off while it runs. It is 9-15 ms (4-14 % of a benchmark
-    # sub-run's CPU), half of it freeing the previous run's 15-29 k
-    # cyclic objects: without it back-to-back runs in one process hold
-    # two runs' graphs at the peak (incast-star: 78 MB RSS instead of
-    # 41 MB, for 3 % less CPU).
+    # collector off while it runs. It frees the previous run's network
+    # and receivers (finished senders are gone by reference count):
+    # 1.7-9.2 k objects in 7-12 ms, 4-12 % of a compiled benchmark
+    # sub-run's CPU (docs/PERFORMANCE.md, "Memory"). Without it
+    # back-to-back runs in one process hold two runs' graphs at the peak.
     gc.collect()
     try:
         drain(net, horizon, config.hard_cap_ns or (horizon + 10 * config.drain_ns))

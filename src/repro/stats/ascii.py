@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
+from repro.stats.percentile import histogram, percentiles
 
 
 def ascii_cdf(
@@ -24,8 +24,7 @@ def ascii_cdf(
     """
     if not len(samples):
         return f"{label}: (no samples)"
-    arr = np.asarray(samples, dtype=float)
-    values = [float(np.percentile(arr, p)) for p in points]
+    values = percentiles(samples, points)
     peak = max(values) or 1.0
     lines: List[str] = []
     if label:
@@ -46,8 +45,8 @@ def ascii_histogram(
     """Render a histogram with ``bins`` equal-width buckets."""
     if not len(samples):
         return f"{label}: (no samples)"
-    counts, edges = np.histogram(np.asarray(samples, dtype=float), bins=bins)
-    peak = counts.max() or 1
+    counts, edges = histogram(samples, bins)
+    peak = max(counts) or 1
     lines: List[str] = []
     if label:
         lines.append(label)

@@ -13,7 +13,7 @@ sample sets (unbounded memory) and P² (no merge operation).
   ``gamma``-factor of the value range;
 - a quantile is answered with the bucket's geometric midpoint, which is
   within relative error ``alpha`` (default **1%**) of a true sample at
-  that rank — the documented tolerance tests assert against exact numpy
+  that rank — the documented tolerance tests assert against exact NumPy
   percentiles;
 - memory is O(number of occupied buckets): the full integer-nanosecond
   latency range (1 ns .. ~3 hours) spans fewer than ~1500 buckets at

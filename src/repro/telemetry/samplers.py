@@ -219,9 +219,7 @@ class FlowStateSampler(Sampler):
         super().__init__(net.engine, interval_ns, emit, **kwargs)
 
     @staticmethod
-    def _row(sender) -> Optional[Dict]:
-        if not isinstance(sender, ReliableSender) or sender.completed:
-            return None  # receivers share the demux table
+    def _row(sender) -> Dict:
         # Core state is read directly: a renamed attribute must raise,
         # not silently empty the stream or pin rto_armed at 0.
         row: Dict = {
@@ -255,14 +253,15 @@ class FlowStateSampler(Sampler):
         emitted = 0
         active = 0
         for host in self._hosts:
-            for flow_id in sorted(host.endpoints):
-                row = self._row(host.endpoints[flow_id])
-                if row is None:
-                    continue
-                active += 1
-                if emitted < self.max_flows:
-                    emitted += 1
-                    self.emit(self.stream, row)
+            # One receiver per flow ever received stays in the table:
+            # pick the live senders first, then order those few.
+            live = [endpoint for endpoint in host.endpoints.values()
+                    if isinstance(endpoint, ReliableSender) and not endpoint.completed]
+            live.sort(key=lambda sender: sender.spec.flow_id)
+            active += len(live)
+            for sender in live[:self.max_flows - emitted]:
+                emitted += 1
+                self.emit(self.stream, self._row(sender))
         self._g_active.set(active)
         self._c_sampled.inc(emitted)
 

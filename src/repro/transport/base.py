@@ -524,3 +524,4 @@ class ByteStreamSender(ReliableSender):
             self._send_fin()
         if self.spec.on_complete_ack is not None:
             self.spec.on_complete_ack(self.record)
+        self._release(self.tlt)

@@ -9,45 +9,38 @@ orthogonal add-ons selected via ``TransportConfig.tlp_enabled`` and the
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Optional, Tuple
 
 from repro.core.config import TltConfig
+from repro.core.rate import attach_rate_tlt
+from repro.core.window import attach_window_tlt
 from repro.net.topology import Network
 from repro.transport.base import FlowSpec, TransportConfig
+from repro.transport.dctcp import DctcpReceiver, DctcpSender
+from repro.transport.roce import create_roce_flow
+from repro.transport.tcp import TcpReceiver, TcpSender
 
 
 def _tcp_pair(net: Network, spec: FlowSpec, config: TransportConfig):
-    from repro.transport.tcp import TcpReceiver, TcpSender
-
     sender = TcpSender(net.host(spec.src), spec, config, net.stats)
     receiver = TcpReceiver(net.host(spec.dst), spec, config, net.stats)
     return sender, receiver
 
 
 def _dctcp_pair(net: Network, spec: FlowSpec, config: TransportConfig):
-    from repro.transport.dctcp import DctcpReceiver, DctcpSender
-
     sender = DctcpSender(net.host(spec.src), spec, config, net.stats)
     receiver = DctcpReceiver(net.host(spec.dst), spec, config, net.stats)
     return sender, receiver
 
 
-def _roce_pair(variant: str):
-    def build(net: Network, spec: FlowSpec, config: TransportConfig):
-        from repro.transport.roce import create_roce_flow
-
-        return create_roce_flow(variant, net, spec, config)
-
-    return build
-
-
 TRANSPORTS = {
     "tcp": _tcp_pair,
     "dctcp": _dctcp_pair,
-    "dcqcn": _roce_pair("dcqcn"),
-    "dcqcn-sack": _roce_pair("dcqcn-sack"),
-    "irn": _roce_pair("irn"),
-    "hpcc": _roce_pair("hpcc"),
+    "dcqcn": partial(create_roce_flow, "dcqcn"),
+    "dcqcn-sack": partial(create_roce_flow, "dcqcn-sack"),
+    "irn": partial(create_roce_flow, "irn"),
+    "hpcc": partial(create_roce_flow, "hpcc"),
 }
 
 #: Transports whose TLT flavor is the window-based controller (§5.1);
@@ -78,12 +71,6 @@ def create_flow(
         raise KeyError(f"unknown transport {name!r}; choose from {sorted(TRANSPORTS)}")
     sender, receiver = TRANSPORTS[name](net, spec, resolve_config(name, config))
     if tlt is not None:
-        if name in WINDOW_TLT:
-            from repro.core.window import attach_window_tlt
-
-            attach_window_tlt(sender, receiver, tlt, net.stats)
-        else:
-            from repro.core.rate import attach_rate_tlt
-
-            attach_rate_tlt(sender, receiver, tlt, net.stats)
+        attach = attach_window_tlt if name in WINDOW_TLT else attach_rate_tlt
+        attach(sender, receiver, tlt, net.stats)
     return sender, receiver

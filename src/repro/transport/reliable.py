@@ -143,6 +143,19 @@ class ReliableSender:
         # replica on a non-owning shard (repro.sim.sharding).
         self._start_event = self.engine.schedule_at(spec.start_ns, self.start)
 
+    def _release(self, *controllers) -> None:
+        """Last step of a family's ``_complete``. The sender leaves its
+        host's demux table (the sink recycles a late ACK) and the cycles
+        through its start handle and TLT ``controllers`` are cut, so it
+        is freed with all it owns by reference count: the engine runs
+        with the collector off. Its fields stay readable. The receiver
+        stays: a spurious retransmission may still be in flight."""
+        self.host.unregister_endpoint(self.spec.flow_id)
+        self._start_event = None
+        for controller in controllers:
+            if controller is not None:
+                controller.sender = None
+
     # -------------------------------------------------------- family hooks
 
     def _on_loss_detected(self, marked: List[Entry]) -> None:

@@ -358,6 +358,7 @@ class RoceSender(ReliableSender):
         self.record.final_srtt_ns = self.rto.srtt
         if self.spec.on_complete_ack is not None:
             self.spec.on_complete_ack(self.record)
+        self._release(self.tlt, self.tlt_rate)
 
 
 class RoceReceiver:

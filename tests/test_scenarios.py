@@ -112,6 +112,7 @@ def test_flows_share_one_config_and_never_write_it(monkeypatch, transport):
     wrote to ``self.config`` would change every other flow's."""
     from repro.experiments import scenarios
     from repro.transport.base import TransportConfig
+    from repro.transport.reliable import ReliableSender
 
     class Guarded(TransportConfig):
         sealed = False
@@ -131,11 +132,25 @@ def test_flows_share_one_config_and_never_write_it(monkeypatch, transport):
         return guarded
 
     monkeypatch.setattr(scenarios, "make_transport_config", make)
+    # A finished sender is no longer reachable from the network, so
+    # collect them as they are built.
+    senders = []
+    real_init = ReliableSender.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        senders.append(self)
+
+    monkeypatch.setattr(ReliableSender, "__init__", init)
     result = run_scenario(fast_config(transport=transport, tlt=True, audit=False, shards=1,
                                       incast_flow_size=64_000, buffer_per_port=40_000))
     (shared,) = made
     assert shared.ecn == (transport == "dctcp")
-    endpoints = [ep for host in result.net.hosts for ep in host.endpoints.values()]
-    assert len(endpoints) == 2 * result.stats.flow_count()
-    assert all(ep.config is shared for ep in endpoints)
+    assert all(sender.config is shared for sender in senders)
+    assert len(senders) == result.stats.flow_count()
     assert result.stats.incomplete_flows() == 0
+    # Every sender completed and left its host; the receivers stay.
+    endpoints = [ep for host in result.net.hosts for ep in host.endpoints.values()]
+    assert len(endpoints) == result.stats.flow_count()
+    assert all(ep.config is shared for ep in endpoints)
+    assert not any(isinstance(ep, ReliableSender) for ep in endpoints)

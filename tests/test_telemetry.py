@@ -155,6 +155,39 @@ def test_flow_sampler_reads_sender_state(tmp_path):
         assert any(row["rto_armed"] == 1 for row in rows)
 
 
+def test_flow_sampler_tick_touches_only_live_senders(monkeypatch):
+    """A host that received 10 000 flows keeps 10 000 receivers in its
+    demux table; a tick selects its 3 live senders before it sorts or
+    builds a row, so its cost does not grow with the flows finished."""
+    from repro.telemetry.samplers import FlowStateSampler
+    from repro.transport.base import FlowSpec
+    from repro.transport.registry import create_flow
+
+    net = small_star(2)
+    finished, live = 10_000, (20_003, 20_001, 20_002)
+    for flow_id in range(finished):
+        create_flow("dctcp", net, FlowSpec(flow_id, 0, 1, 1_000, start_ns=flow_id * 400))
+    net.engine.run()
+    assert net.stats.incomplete_flows() == 0 and len(net.host(1).endpoints) == finished
+    for flow_id in live:
+        create_flow("dctcp", net, FlowSpec(flow_id, 1, 0, 50_000_000, start_ns=net.engine.now))
+    net.engine.run(until=net.engine.now + 20_000)
+
+    rows, touched = [], []
+    registry = MetricsRegistry()
+    sampler = FlowStateSampler(net, 1_000, lambda stream, row: rows.append(row), registry,
+                               start=False)
+    build = FlowStateSampler._row
+    monkeypatch.setattr(FlowStateSampler, "_row",
+                        staticmethod(lambda sender: touched.append(sender) or build(sender)))
+    sampler.sample()
+    assert len(touched) == 3
+    assert [row["flow"] for row in rows] == sorted(live)
+    assert all(row["inflight"] > 0 and row["rto_armed"] == 1 for row in rows)
+    assert registry.gauge("tlt_active_flows", "").value == 3
+    assert registry.counter("tlt_flow_samples_total", "").value == 3
+
+
 # -- flight recorder ----------------------------------------------------------
 
 
