@@ -137,7 +137,7 @@ class ResultCache:
                 artifact = json.load(handle)
             if not isinstance(artifact, dict) or artifact.get("key") != key:
                 raise ValueError("artifact/key mismatch")
-            if "row" not in artifact:
+            if "row" not in artifact or "manifest" not in artifact:
                 raise ValueError("truncated artifact")
         except (OSError, ValueError):
             self.misses += 1
@@ -145,19 +145,18 @@ class ResultCache:
         self.hits += 1
         return artifact
 
-    def put(self, key: str, row: Dict, *, seed: Optional[int] = None,
-            events: int = 0, wall_s: float = 0.0) -> Path:
-        """Atomically write one result artifact; returns its path."""
+    def put(self, key: str, row: Dict, *, manifest: Dict,
+            seed: Optional[int] = None) -> Path:
+        """Atomically write one result artifact: the row and the manifest of
+        the run that produced it, code version stamped; returns its path."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         artifact = {
             "key": key,
             "row": row,
             "seed": seed,
-            "events": int(events),
-            "wall_s": float(wall_s),
+            "manifest": {**manifest, "code": code_version()},
             "created_unix": time.time(),
-            "code": code_version(),
         }
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:

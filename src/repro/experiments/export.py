@@ -34,7 +34,7 @@ def rows_to_csv(rows: Iterable[Dict], path: str, columns: Sequence[str] = ()) ->
 
 def write_json(payload: Dict, path: str) -> str:
     """Write a JSON document to ``path`` (directories created); returns
-    the path. Used for ``tlt-experiment bench-report`` artifacts."""
+    the path. Used for the CLI's manifest documents."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:

@@ -38,7 +38,8 @@ COLUMNS = ["corruption_rate", "fg_p99_ms", "timeouts_per_1k", "corrupted_green",
 def _run(rate: float, scale, seed: int = 1) -> Dict:
     config = ScenarioConfig(transport="dctcp", tlt=True, scale=scale, seed=seed)
     net = build_network(config)
-    auditor = attach_auditor(net, run_control(config))
+    control = run_control(config)
+    auditor = attach_auditor(net, control)
     # Each injector draws from a stream derived from the scenario seed
     # and the device name: different seeds corrupt different packet
     # sets (so --seeds sweeps measure real variance), the same seed is
@@ -64,7 +65,7 @@ def _run(rate: float, scale, seed: int = 1) -> Dict:
     incast.schedule()
     horizon = incast.specs[-1].start_ns + 100 * MILLIS
     drain(net, horizon, 3 * horizon)
-    finish_run(auditor)
+    finish_run(net, control, auditor, config=config)
 
     stats = net.stats
     return {

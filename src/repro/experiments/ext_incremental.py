@@ -62,7 +62,8 @@ def _run(deployment: str, scale, seed: int = 1) -> Dict:
             switch._rr = [0] * len(switch.ports)
         elif deployment == "no-tlt":
             switch.config.color_threshold_bytes = None
-    auditor = attach_auditor(net, run_control(config))
+    control = run_control(config)
+    auditor = attach_auditor(net, control)
 
     from dataclasses import replace
 
@@ -108,7 +109,7 @@ def _run(deployment: str, scale, seed: int = 1) -> Dict:
 
     horizon = background.end_of_arrivals_ns + 100 * MILLIS
     drain(net, horizon, 3 * horizon)
-    finish_run(auditor)
+    finish_run(net, control, auditor, config=config)
 
     def group_stats(flow_ids: List[int]):
         records = [net.stats.flows[f] for f in flow_ids]

@@ -2,27 +2,26 @@
 
 Runs one incast-heavy leaf-spine scenario twice — single-core and
 split across N shard workers (:mod:`repro.sim.sharding`) — and
-reports wall time, events/sec and the sharded speedup. The two runs
-are bit-identical by contract, and this benchmark asserts the cheap
+reports, from the two runs' manifests, wall time, events/sec, the
+sharded speedup and why it is what it is: barrier windows, cross-shard
+messages and the busiest shard's CPU seconds. The two runs are
+bit-identical by contract, and this benchmark asserts the cheap
 projection of that contract (same duration, same merged event count)
 on every invocation, so a scaling regression and a determinism
-regression are both visible in ``bench-report`` output.
+regression are both visible in its output.
 
 The default fabric is the paper-scale 96-host leaf-spine (4 spines x
-12 ToRs x 8 hosts) with a benchmark-sized workload: heavy enough that
-per-window barrier costs amortize, light enough for CI. ``--scale
-tiny`` keeps the determinism-suite fabric for smoke use.
+12 ToRs x 8 hosts) with a benchmark-sized workload. ``--scale tiny``
+keeps the determinism-suite fabric for smoke use.
 
-Speedup expectations: on a multi-core runner the sharded run should
-clear 1.5x at 4 shards; on a single hardware core it degrades to
-barrier overhead (<1x) — the ``cores`` field records which situation
-produced the numbers.
+What to expect (ROADMAP item 3 has the measured table): each shard is
+busy about as long as the whole single-engine run, so on 2 cores the
+sharded run is 0.8-1.0x; the ``cores`` field records what ran it.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import replace
 from typing import Dict, List, Optional
 
@@ -35,7 +34,7 @@ SHARD96 = Scale("shard96", num_spines=4, num_tors=12, hosts_per_tor=8,
                 bg_flows=200, incast_events=8, incast_flows_per_sender=8)
 
 COLUMNS = ["mode", "shards", "hosts", "wall_s", "events", "ev_per_s",
-           "speedup", "identical"]
+           "speedup", "identical", "windows", "messages", "shard_cpu_s"]
 
 
 def default_shards() -> int:
@@ -52,22 +51,24 @@ def run(scale="small", seed: int = 1, shards: Optional[int] = None) -> List[Dict
     rows: List[Dict] = []
     signatures = []
     for n in (1, shards):
-        started = time.perf_counter()
         result = run_scenario(replace(base, shards=n))
-        wall_s = time.perf_counter() - started
-        events = result.net.engine.events_processed
-        signatures.append((result.duration_ns, events,
+        manifest = result.manifest
+        shard = manifest.get("shard", {})
+        signatures.append((result.duration_ns, manifest["events"],
                            result.net.stats.timeouts,
                            len(result.net.stats.flows)))
         rows.append({
             "mode": "single" if n == 1 else "sharded",
-            "shards": n,
+            "shards": manifest["shards"],
             "hosts": fabric.num_hosts,
-            "wall_s": round(wall_s, 3),
-            "events": events,
-            "ev_per_s": round(events / wall_s) if wall_s > 0 else None,
+            "wall_s": round(manifest["wall_s"], 3),
+            "events": manifest["events"],
+            "ev_per_s": manifest["events_per_s"],
             "speedup": None,
             "identical": None,
+            "windows": shard.get("windows"),
+            "messages": shard.get("messages"),
+            "shard_cpu_s": max(shard["cpu_s"]) if shard else None,
         })
 
     identical = signatures[0] == signatures[1]

@@ -24,7 +24,8 @@ COLUMNS = ["transport", "tlt", "requests", "p99_ms", "max_ms", "timeouts"]
 
 def run_one(transport: str, tlt: bool, requests: int, bursts: int = 3, seed: int = 1) -> Dict:
     net = build_testbed(num_hosts=10, transport=transport, tlt=tlt, seed=seed)
-    auditor = attach_auditor(net, run_control())
+    control = run_control()
+    auditor = attach_auditor(net, control)
     tier = WebTier(
         net, transport, testbed_transport_config(), maybe_tlt(tlt),
         num_web_servers=8, value_size=32_000,
@@ -33,7 +34,7 @@ def run_one(transport: str, tlt: bool, requests: int, bursts: int = 3, seed: int
     for burst in range(bursts):
         net.engine.schedule_at(burst * 100 * MILLIS, tier.issue_requests, requests)
     net.engine.run(until=(bursts + 1) * 100 * MILLIS)
-    finish_run(auditor)
+    finish_run(net, control, auditor)
     summary = tier.result.summary()
     return {
         "transport": transport,

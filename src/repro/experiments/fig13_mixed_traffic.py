@@ -32,7 +32,8 @@ def run_one(transport: str = "dctcp", tlt: bool = False, seed: int = 1,
     # Hosts: 0 = bg sender, 1..8 = web servers, 9 = cache node.
     net = build_testbed(num_hosts=10, transport=transport, tlt=tlt, seed=seed,
                         admission=admission)
-    auditor = attach_auditor(net, run_control())
+    control = run_control()
+    auditor = attach_auditor(net, control)
     tconfig = testbed_transport_config()
     tlt_cfg = maybe_tlt(tlt)
 
@@ -61,7 +62,7 @@ def run_one(transport: str = "dctcp", tlt: bool = False, seed: int = 1,
 
     net.engine.schedule_at(start_ns, burst)
     net.engine.run(until=2_000_000_000)
-    finish_run(auditor)
+    finish_run(net, control, auditor)
 
     fg_times = [t for c in clients for t in c.response_times]
     bg_end = bg_done.get("end", net.engine.now)

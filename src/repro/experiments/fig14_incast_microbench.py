@@ -32,7 +32,8 @@ def run_one(transport: str, scheme: str, flows: int, seed: int = 1,
     tlt = scheme == "tlt"
     rto_min = 200 * MICROS if scheme == "rto200us" else 4 * MILLIS
     net = build_testbed(num_hosts=NUM_SERVERS + 1, transport=transport, tlt=tlt, seed=seed)
-    auditor = attach_auditor(net, run_control())
+    control = run_control()
+    auditor = attach_auditor(net, control)
     tconfig = testbed_transport_config(rto_min_ns=rto_min)
     tlt_cfg = maybe_tlt(tlt)
 
@@ -52,7 +53,7 @@ def run_one(transport: str, scheme: str, flows: int, seed: int = 1,
     for r in range(runs):
         net.engine.schedule_at(r * 100 * MILLIS, burst)
     net.engine.run(until=(runs + 1) * 100 * MILLIS)
-    finish_run(auditor)
+    finish_run(net, control, auditor)
 
     times = [t for c in clients for t in c.response_times]
     return {

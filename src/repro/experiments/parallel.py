@@ -40,8 +40,8 @@ from importlib import import_module
 from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.experiments import perf
 from repro.experiments.cache import ResultCache, fingerprint
+from repro.experiments.manifest import LOG
 from repro.experiments.scenarios import (
     ScenarioConfig,
     ScenarioResult,
@@ -141,14 +141,17 @@ class JobResult:
     index: int
     row: Optional[Dict] = None
     error: Optional[str] = None
-    events: int = 0
-    wall_s: float = 0.0
-    cached: bool = False
+    #: The run's manifest; on a cache hit the producing run's, marked ``cached``.
+    manifest: Optional[Dict] = None
     attempts: int = 1
 
     @property
     def ok(self) -> bool:
         return self.row is not None and self.error is None
+
+    @property
+    def cached(self) -> bool:
+        return bool(self.manifest and self.manifest.get("cached"))
 
 
 def resolve_metrics(ref: Optional[str]) -> Callable[[ScenarioResult], Dict]:
@@ -188,22 +191,18 @@ def metrics_reference(fn: Optional[Callable]) -> Optional[str]:
 # -- execution ---------------------------------------------------------------
 
 
-def _execute_raw(job: Job) -> Tuple[Dict, int, float]:
-    """Run one job in the current process; returns (row, events, wall_s)."""
-    started = time.perf_counter()
+def _execute_raw(job: Job) -> Tuple[Dict, Dict]:
+    """Run one job in the current process; returns (row, manifest)."""
     result = run_scenario(replace(job.config, seed=job.seed))
-    row = resolve_metrics(job.metrics)(result)
-    return row, result.net.engine.events_processed, time.perf_counter() - started
+    return resolve_metrics(job.metrics)(result), result.manifest
 
 
 def _execute_inline(job: Job) -> JobResult:
-    started = time.perf_counter()
     try:
-        row, events, wall_s = _execute_raw(job)
+        row, manifest = _execute_raw(job)
     except Exception as exc:
-        return JobResult(index=job.index, error=f"{type(exc).__name__}: {exc}",
-                         wall_s=time.perf_counter() - started)
-    return JobResult(index=job.index, row=row, events=events, wall_s=wall_s)
+        return JobResult(index=job.index, error=f"{type(exc).__name__}: {exc}")
+    return JobResult(index=job.index, row=row, manifest=manifest)
 
 
 def _worker_entry(conn, job: Job) -> None:
@@ -280,9 +279,9 @@ def _run_pool(jobs: Sequence[Job], slots: int, timeout_s: Optional[float],
                 proc.join(timeout=5)
                 status, payload = outcome
                 if status == "ok":
-                    row, events, wall_s = payload
-                    done.append(JobResult(index=job.index, row=row, events=events,
-                                          wall_s=wall_s, attempts=attempt))
+                    row, manifest = payload
+                    done.append(JobResult(index=job.index, row=row, manifest=manifest,
+                                          attempts=attempt))
                 elif attempt <= retries:
                     queue.append((job, attempt + 1))
                 else:
@@ -326,32 +325,29 @@ def run_jobs(jobs: Sequence[Job], *, jobs_n: Optional[int] = None,
             key = keys[job.index] = job.cache_key()
             artifact = cache.get(key)
             if artifact is not None:
+                # Still says which backend and code produced the row.
+                manifest = {**artifact["manifest"], "cached": True}
                 results[job.index] = JobResult(
-                    index=job.index, row=artifact["row"],
-                    events=int(artifact.get("events", 0)),
-                    wall_s=float(artifact.get("wall_s", 0.0)), cached=True,
-                )
-                perf.TALLY.add_cached()
+                    index=job.index, row=artifact["row"], manifest=manifest)
+                LOG.append(manifest)
                 continue
         pending.append(job)
 
     if pending:
         if slots <= 1 and timeout_s is None:
-            # Inline serial path: zero process overhead; run_scenario
-            # feeds the perf tally itself.
+            # Inline serial path: zero process overhead; finish_run
+            # logged each manifest in this process already.
             executed = [_execute_inline(job) for job in pending]
         else:
             executed = _run_pool(pending, slots, timeout_s, retries)
-            for res in executed:
-                if res.ok:
-                    perf.TALLY.add(res.events, res.wall_s)
+            LOG.extend(res.manifest for res in executed if res.ok)
+        seeds = {job.index: job.seed for job in pending}
         for res in executed:
             results[res.index] = res
             if res.ok and use_cache:
-                job = next(j for j in pending if j.index == res.index)
                 try:
-                    cache.put(keys[res.index], res.row, seed=job.seed,
-                              events=res.events, wall_s=res.wall_s)
+                    cache.put(keys[res.index], res.row, seed=seeds[res.index],
+                              manifest=res.manifest)
                 except OSError as exc:  # a read-only cache dir must not kill a sweep
                     print(f"warning: could not write result cache: {exc}",
                           file=sys.stderr)

@@ -5,18 +5,17 @@ Usage::
     tlt-experiment list
     tlt-experiment fig05 --scale small
     tlt-experiment fig05 --scale small --seeds 5 --jobs 4
-    tlt-experiment all --scale tiny --jobs 2
-    tlt-experiment bench-report --scale tiny --out BENCH_tiny.json
+    tlt-experiment all --scale tiny --jobs 2 --csv out/
 
 ``--jobs N`` fans seeded runs out over N worker processes (results are
 bit-identical to a serial run), ``--seeds N`` averages seeds 1..N on
 modules that support seed averaging, and completed runs are served
 from the on-disk result cache (disable with ``--no-cache``; see
-``repro.experiments.cache``). ``bench-report`` times every experiment
-and writes a machine-readable ``BENCH_*.json`` with wall time and
-simulated events/sec — the input of ``tools/check_bench_regression.py``.
-``--profile`` wraps a run in :class:`repro.sim.profiler.Profiler` and
-writes ``profile_<id>.pstats`` + ``profile_<id>.json``.
+``repro.experiments.cache``). Every experiment ends with a footer line
+summarising its runs' manifests (:mod:`repro.experiments.manifest`);
+``--csv DIR`` also writes that document as ``DIR/<id>.manifest.json``,
+and ``--profile`` writes it with a per-callback ``callbacks`` section
+as ``profile_<id>.json`` beside a cProfile ``profile_<id>.pstats``.
 """
 
 from __future__ import annotations
@@ -25,14 +24,13 @@ import argparse
 import importlib
 import inspect
 import os
-import platform
 import sys
-import time
-from typing import Dict, List
+from typing import Dict
 
-from repro.experiments import parallel, perf
+from repro.experiments import manifest, parallel
+from repro.experiments.cache import code_version
 from repro.experiments.export import rows_to_csv, write_json
-from repro.version import __version__
+from repro.sim.backend import set_attribution
 
 EXPERIMENTS: Dict[str, str] = {
     "fig01": "repro.experiments.fig01_rto_cdf",
@@ -92,9 +90,33 @@ def _print_rows(module, result) -> None:
         print_table(rows, columns, part)
 
 
+def _callbacks(table: Dict, top: int = 25) -> Dict:
+    """The ``callbacks`` section of ``profile_<id>.json``: the engine's
+    per-callback attribution table, heaviest first, and the share of its
+    time spent in link-delivery drains (one call delivers a whole burst)."""
+    total_ns = sum(ns for _calls, ns in table.values())
+    drain_ns = sum(ns for name, (_calls, ns) in table.items()
+                   if name.rsplit(".", 1)[-1] in ("_drain", "drain"))
+    rows = sorted(table.items(), key=lambda item: item[1][1], reverse=True)
+    return {
+        "events": sum(calls for calls, _ns in table.values()),
+        "drain_share": round(drain_ns / total_ns, 4) if total_ns else 0.0,
+        "rows": [{"callback": name, "calls": calls, "total_ms": round(ns / 1e6, 3)}
+                 for name, (calls, ns) in rows[:top]],
+    }
+
+
+def _footer(doc: Dict) -> str:
+    """The line an experiment ends with, from its manifest document."""
+    runs = f"{doc['runs']} run{'s' * (doc['runs'] != 1)} ({doc['cached_runs']} cached)"
+    return (f"[{doc['experiment']}: {runs}, {doc['backend']}, {doc['events']:,} events, "
+            f"{doc['events_per_s']:,} ev/s, {doc['wall_s']:.1f} s sim wall, "
+            f"peak {doc['peak_rss_mb']:.0f} MB, {doc['code']}]")
+
+
 def _run_one(name: str, args) -> None:
     module = importlib.import_module(EXPERIMENTS[name])
-    started = time.time()
+    manifest.LOG.clear()
 
     def execute() -> None:
         if args.csv or (args.seeds or 1) > 1:
@@ -110,59 +132,27 @@ def _run_one(name: str, args) -> None:
         else:
             module.main(scale=args.scale)
 
+    table: Dict = {}
     if args.profile:
-        from repro.sim.profiler import Profiler
+        import cProfile
 
-        with Profiler(tag=name, out_dir=args.profile_dir) as profiler:
-            execute()
-        print(f"wrote {profiler.pstats_path}")
-        print(f"wrote {profiler.json_path}")
+        profile = cProfile.Profile()
+        set_attribution(table)
+        try:
+            profile.runcall(execute)
+        finally:
+            set_attribution(None)
     else:
         execute()
-    print(f"[{name} completed in {time.time() - started:.1f}s]\n")
-
-
-def _bench_report(names: List[str], args) -> int:
-    """Time every experiment; write wall time + events/sec as JSON."""
-    from repro.sim import backend as backend_mod
-
-    # Resolve once: the whole report runs under one backend, and the
-    # regression gate keys its baseline on this name.
-    active_backend = backend_mod.current_backend()
-    report = {
-        "schema": 1,
-        "scale": args.scale,
-        "jobs": parallel.get_context().jobs,
-        "python": platform.python_version(),
-        "version": __version__,
-        "backend": active_backend,
-        "experiments": {},
-    }
-    total_wall = 0.0
-    for name in names:
-        module = importlib.import_module(EXPERIMENTS[name])
-        perf.TALLY.reset()
-        started = time.perf_counter()
-        _call_run(module, args.scale, args.seeds or 1)
-        wall_s = time.perf_counter() - started
-        total_wall += wall_s
-        snap = perf.TALLY.snapshot()
-        rate = snap["events"] / snap["wall_s"] if snap["wall_s"] > 0 else None
-        report["experiments"][name] = {
-            "wall_s": round(wall_s, 3),
-            "sim_events": snap["events"],
-            "sim_wall_s": round(snap["wall_s"], 3),
-            "runs": snap["runs"],
-            "cached_runs": snap["cached_runs"],
-            "events_per_sec": round(rate) if rate else None,
-            "backend": active_backend,
-        }
-        shown = f"{round(rate):,} events/s" if rate else "cached/no sim"
-        print(f"{name:16s} {active_backend:9s} {wall_s:8.1f}s  {shown}")
-    report["total_wall_s"] = round(total_wall, 3)
-    path = write_json(report, args.out or f"BENCH_{args.scale}.json")
-    print(f"wrote {path}")
-    return 0
+    doc = manifest.summarize(name, manifest.LOG, code_version())
+    if args.profile:
+        base = os.path.join(args.profile_dir, f"profile_{name}")
+        print("wrote", write_json({**doc, "callbacks": _callbacks(table)}, f"{base}.json"))
+        profile.dump_stats(f"{base}.pstats")
+        print(f"wrote {base}.pstats")
+    if args.csv:
+        print("wrote", write_json(doc, f"{args.csv}/{name}.manifest.json"))
+    print(_footer(doc) + "\n")
 
 
 def main(argv=None) -> int:
@@ -171,7 +161,7 @@ def main(argv=None) -> int:
         description="Regenerate the paper's evaluation figures/tables.",
     )
     parser.add_argument("experiment",
-                        help="experiment id (e.g. fig05), 'all', 'list' or 'bench-report'")
+                        help="experiment id (e.g. fig05), 'all' or 'list'")
     parser.add_argument("--scale", default="small",
                         help="tiny | small | medium | paper (default: small)")
     parser.add_argument("--seeds", type=int, default=None, metavar="N",
@@ -190,9 +180,10 @@ def main(argv=None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="profile the run: wraps it in cProfile + the "
                              "engine's per-callback attribution and writes "
-                             "profile_<id>.pstats and profile_<id>.json "
-                             "(forces --jobs 1 and --no-cache so the work "
-                             "actually happens in this process)")
+                             "profile_<id>.pstats and profile_<id>.json (the "
+                             "experiment's manifest document plus a callbacks "
+                             "section; forces --jobs 1 and --no-cache so the "
+                             "work actually happens in this process)")
     parser.add_argument("--profile-dir", default=".", metavar="DIR",
                         help="directory for --profile output files (default: .)")
     parser.add_argument("--audit", action="store_true",
@@ -227,11 +218,9 @@ def main(argv=None) -> int:
                              "sharded execution; orthogonal to --jobs, which "
                              "parallelizes across runs)")
     parser.add_argument("--csv", default=None, metavar="DIR",
-                        help="also write the result rows as CSV files into DIR")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="bench-report output path (default: BENCH_<scale>.json)")
-    parser.add_argument("--only", default=None, metavar="IDS",
-                        help="bench-report: comma-separated subset of experiments")
+                        help="also write the result rows as CSV files, and the "
+                             "experiment's manifest document as "
+                             "<id>.manifest.json, into DIR")
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
@@ -280,14 +269,6 @@ def main(argv=None) -> int:
         cache_dir=args.cache_dir,
         timeout_s=args.timeout,
     )
-
-    if args.experiment == "bench-report":
-        names = args.only.split(",") if args.only else list(EXPERIMENTS)
-        unknown = [n for n in names if n not in EXPERIMENTS]
-        if unknown:
-            print(f"unknown experiment(s): {unknown}; try 'list'", file=sys.stderr)
-            return 2
-        return _bench_report(names, args)
 
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     unknown = [n for n in names if n not in EXPERIMENTS]

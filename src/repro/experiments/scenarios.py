@@ -25,14 +25,13 @@ import hashlib
 import json
 import os
 import random
-import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from repro.audit import AuditConfig, AuditError, Auditor
 from repro.core.config import TltConfig
+from repro.experiments import manifest as run_manifest
 from repro.experiments.cache import encode_value
-from repro.experiments.perf import TALLY
 from repro.faults.schedule import FaultController, FaultSchedule
 from repro.net.topology import (
     Network,
@@ -243,6 +242,8 @@ class ScenarioResult:
     #: The :class:`repro.service.ServiceEmulator` for service runs
     #: (response-time sketches, per-tier breakdown), or None.
     service: Optional[object] = None
+    #: What ran and what it cost: the manifest :func:`finish_run` returned.
+    manifest: Optional[Dict] = None
 
     @property
     def stats(self):
@@ -518,15 +519,28 @@ def attach_telemetry(config: ScenarioConfig, net: Network, control: RunControl,
     return telemetry
 
 
-def finish_run(auditor: Optional[Auditor], telemetry=None,
-               error: Optional[BaseException] = None) -> None:
-    """End a run: the auditor's final check (unless ``error`` already
-    ended the drive), then telemetry closed. An :class:`AuditError`,
+def finish_run(net: Network, control: RunControl, auditor: Optional[Auditor] = None,
+               telemetry=None, error: Optional[BaseException] = None, *,
+               config: Optional[ScenarioConfig] = None,
+               shard: Optional[int] = None) -> Optional[Dict]:
+    """End a run: the auditor's final check, then the run's manifest
+    (built here and nowhere else; logged unless this is one ``shard`` of
+    a run, whose coordinator logs the merged one), then telemetry
+    closed, which writes it beside its streams. A run that ``error``
+    already ended gets neither check nor manifest. An :class:`AuditError`,
     from either, is first snapshotted by the flight recorder (sample
     window + audit trace); the caller re-raises what it passed in."""
+    manifest = None
     try:
-        if error is None and auditor is not None:
-            auditor.final_check()
+        if error is None:
+            if auditor is not None:
+                auditor.final_check()
+            run_id = None
+            if config is not None:  # one digest, shared with the telemetry files
+                run_id = telemetry.run_id if telemetry is not None else _telemetry_run_id(config)
+            manifest = run_manifest.build(net, control, config, run_id, shard)
+            if shard is None:
+                run_manifest.LOG.append(manifest)
     except AuditError as violation:
         error = violation
         raise
@@ -534,7 +548,8 @@ def finish_run(auditor: Optional[Auditor], telemetry=None,
         if telemetry is not None:
             if isinstance(error, AuditError):
                 telemetry.on_audit_error(error)
-            telemetry.finalize()
+            telemetry.finalize(manifest)
+    return manifest
 
 
 def drain(net: Network, horizon_ns: int, hard_cap_ns: int) -> None:
@@ -560,7 +575,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         from repro.sim.sharding import run_scenario_sharded
 
         return run_scenario_sharded(config, control)
-    wall_started = time.perf_counter()
     net = build_network(config)
     auditor = attach_auditor(net, control)
     faults = install_faults(net, control)
@@ -603,9 +617,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     try:
         drain(net, horizon, config.hard_cap_ns or (horizon + 10 * config.drain_ns))
     except BaseException as error:
-        finish_run(auditor, telemetry, error)
+        finish_run(net, control, auditor, telemetry, error)
         raise
-    finish_run(auditor, telemetry)
-    TALLY.add(net.engine.events_processed, time.perf_counter() - wall_started)
-    return ScenarioResult(
-        config, net, net.engine.now, queue_samples, auditor, faults, telemetry)
+    manifest = finish_run(net, control, auditor, telemetry, config=config)
+    return ScenarioResult(config, net, net.engine.now, queue_samples, auditor,
+                          faults, telemetry, manifest=manifest)

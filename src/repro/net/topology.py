@@ -12,6 +12,7 @@ or flowlet selection should win). Path weights are capacity-derived at
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -45,6 +46,13 @@ class Network:
         self.hosts: List[Host] = []
         self.switches: List[Switch] = []
         self._next_flow_id = 1
+        self.stamp()
+
+    def stamp(self) -> None:
+        """Start the clocks of the run manifest (construction; again by
+        ``checkpoint.load``: a resumed run reports its own cost)."""
+        self.started = (time.perf_counter(), time.process_time(),
+                        self.engine.events_processed)
 
     def new_flow_id(self) -> int:
         flow_id = self._next_flow_id

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import gc
 import os
-import time
 from typing import Callable, Dict, Optional
 
 from repro.experiments.parallel import Job
-from repro.experiments.perf import TALLY
 from repro.experiments.scenarios import (
+    RunControl,
     ScenarioResult,
     attach_auditor,
     attach_telemetry,
@@ -56,15 +55,14 @@ from repro.sim.units import MILLIS
 _WINDOW_NS = 10 * MILLIS
 
 
-def _run_out(config, net, emulator, auditor, faults, telemetry, hard_cap_ns: int,
-             wall_started: float, checkpoint_at_ns: Optional[int] = None,
+def _run_out(config, control, net, emulator, auditor, faults, telemetry,
+             hard_cap_ns: int, checkpoint_at_ns: Optional[int] = None,
              save: Optional[Callable[[], None]] = None) -> ScenarioResult:
     """Run the engine until the emulator finishes (or the cap trips),
     calling ``save()`` once at ``checkpoint_at_ns`` when given; finish
     the observers; reduce. The second half of a fresh run and all of a
     resumed one."""
     engine = net.engine
-    started_events = engine.events_processed
     # Frees the previous run's cyclic garbage before this one grows
     # (see run_scenario); the engine runs with the collector off.
     gc.collect()
@@ -83,13 +81,11 @@ def _run_out(config, net, emulator, auditor, faults, telemetry, hard_cap_ns: int
             boundary = (engine.now // _WINDOW_NS + 1) * _WINDOW_NS
             engine.run(until=min(boundary, hard_cap_ns))
     except BaseException as error:
-        finish_run(auditor, telemetry, error)
+        finish_run(net, control, auditor, telemetry, error)
         raise
-    TALLY.add(engine.events_processed - started_events,
-              time.perf_counter() - wall_started)
-    finish_run(auditor, telemetry)
-    result = ScenarioResult(
-        config, net, engine.now, [], auditor, faults, telemetry, service=emulator)
+    manifest = finish_run(net, control, auditor, telemetry, config=config)
+    result = ScenarioResult(config, net, engine.now, [], auditor, faults, telemetry,
+                            service=emulator, manifest=manifest)
     if telemetry is not None:
         _write_slo_artifacts(telemetry, result)
     return result
@@ -133,7 +129,6 @@ def run_service(config, control) -> ScenarioResult:
         # the text of the save, not after simulating up to it.
         ckpt.require_pure_engine(create_engine())
 
-    wall_started = time.perf_counter()
     net = build_network(config)
     auditor = attach_auditor(net, control)
     faults = install_faults(net, control)
@@ -166,8 +161,8 @@ def run_service(config, control) -> ScenarioResult:
         def save() -> None:
             ckpt.save(path, net, extra=extra, key=key)
 
-    return _run_out(config, net, emulator, auditor, faults, telemetry, hard_cap,
-                    wall_started, checkpoint_at, save)
+    return _run_out(config, control, net, emulator, auditor, faults, telemetry,
+                    hard_cap, checkpoint_at, save)
 
 
 def resume_service(path: str, expect_key: Optional[str] = None) -> ScenarioResult:
@@ -178,10 +173,12 @@ def resume_service(path: str, expect_key: Optional[str] = None) -> ScenarioResul
     """
     payload = ckpt.load(path, expect_key=expect_key)
     extra = payload["state"]["extra"]
-    # The auditor was restored with the network, still installed.
-    return _run_out(extra["config"], payload["state"]["net"], extra["emulator"],
-                    extra.get("auditor"), faults=None, telemetry=None,
-                    hard_cap_ns=extra["hard_cap_ns"], wall_started=time.perf_counter())
+    # The auditor was restored with the network, still installed; the
+    # rest of run control cannot be checkpointed (run_service refuses).
+    auditor = extra.get("auditor")
+    return _run_out(extra["config"], RunControl(audit=auditor is not None),
+                    payload["state"]["net"], extra["emulator"], auditor,
+                    faults=None, telemetry=None, hard_cap_ns=extra["hard_cap_ns"])
 
 
 def service_fingerprint(result) -> Dict:

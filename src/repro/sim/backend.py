@@ -39,6 +39,7 @@ import warnings
 from typing import Optional
 
 from repro.net.link import Port
+from repro.sim import engine as engine_mod
 from repro.sim.engine import Engine
 
 #: Names accepted by ``TLT_BACKEND`` / :func:`set_backend`.
@@ -128,6 +129,17 @@ def current_backend() -> str:
     return requested
 
 
+def set_attribution(table: Optional[dict]) -> None:
+    """Install (``None``: clear) the per-callback attribution table,
+    ``{qualname: [calls, total_ns]}``, in both run loops: each honors
+    the hook through its own module global, and a process may run both.
+    Two ``perf_counter_ns`` calls per event while installed, else nothing."""
+    engine_mod.set_attribution(table)
+    ck = _compiled_module()
+    if ck is not None:
+        ck.set_attribution(table)
+
+
 def create_engine():
     """Engine factory: the single construction point for production
     engines (``repro.net.topology._new_network`` and benchmarks)."""
@@ -171,9 +183,8 @@ def optimize_network(net) -> int:
 
     Called at the end of every topology builder. On the ``pure``
     backend this binds nothing. Returns the number of objects that
-    received compiled kernels (used by tests and the profiler's
-    backend note). What is bound, per device (the full table is in
-    ``docs/PERFORMANCE.md``):
+    received compiled kernels (used by tests). What is bound, per
+    device (the full table is in ``docs/PERFORMANCE.md``):
 
     - switches with the default admission (``admission is None``) get
       a ``SwitchKernel``; ``Switch._bind_data_path`` makes its

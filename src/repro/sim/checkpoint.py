@@ -122,6 +122,7 @@ def load(path: str, expect_key: Optional[str] = None) -> Dict[str, Any]:
         raise CheckpointError(
             f"{path}: checkpoint belongs to a different scenario config "
             f"(key {payload.get('key')!r} != expected {expect_key!r})")
+    payload["state"]["net"].stamp()  # the resumed run's own cost, not a stale mark
     return payload
 
 

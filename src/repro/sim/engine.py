@@ -53,7 +53,7 @@ _GC_RUN_THRESHOLDS = (100_000, 20, 20)
 
 #: When not ``None``, ``Engine.run`` attributes wall time per event
 #: callback into this table as ``{qualname: [calls, total_ns]}``. Set
-#: via :func:`set_attribution` (used by :mod:`repro.sim.profiler`).
+#: via :func:`repro.sim.backend.set_attribution` (``tlt-experiment --profile``).
 _ATTRIBUTION: Optional[Dict[str, List[int]]] = None
 
 #: Base of the wire-delivery sequence space. Ordinary events draw
@@ -322,7 +322,7 @@ class Engine:
         The barrier-stepping primitive used by :mod:`repro.sim.sharding`
         worker engines. Semantically :meth:`run`'s ``until`` path — same
         pop loop, same wheel flushing, same end-of-window clock rule —
-        but without the per-call GC threshold dance and profiler
+        but without the per-call GC threshold dance and per-callback
         attribution: a sharded worker steps thousands of small windows
         per run, so per-window setup must be near-zero (the worker
         manages GC once around its whole barrier loop instead).

@@ -87,7 +87,7 @@ from heapq import heappush
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.audit import AuditError
-from repro.experiments.perf import TALLY
+from repro.experiments import manifest as run_manifest
 from repro.experiments.scenarios import (
     ScenarioResult,
     attach_auditor,
@@ -509,13 +509,14 @@ class _ShardWorker:
 
     # -- teardown ---------------------------------------------------------------
 
-    def _finish_observers(self, error: Optional[BaseException] = None) -> None:
+    def _finish_observers(self, error: Optional[BaseException] = None) -> Optional[Dict]:
         _collector_back(self._gc_saved)
         self._gc_saved = None
-        finish_run(self.auditor, self.telemetry, error)
+        return finish_run(self.net, self.control, self.auditor, self.telemetry, error,
+                          config=self.config, shard=self.shard_index)
 
     def finish(self) -> Dict:
-        self._finish_observers()
+        manifest = self._finish_observers()
         net = self.net
         stats = net.stats
         flows = [
@@ -560,6 +561,7 @@ class _ShardWorker:
                 len(d.ports) for d in list(net.switches) + list(net.hosts)
             ),
             "now": self.engine.now,
+            "manifest": manifest,  # this shard's own cost: the coordinator's clock misses it
         }
 
 
@@ -818,7 +820,7 @@ def run_scenario_sharded(config, control):
         raise ValueError(f"run_scenario_sharded needs >= 2 shards, got {num_shards}")
     from repro.sim import backend as backend_mod
 
-    wall_started = time.perf_counter()
+    started = (time.perf_counter(), time.process_time(), 0)  # as Network.stamp
     backend_name = backend_mod.current_backend()
     inline = _use_inline()
     handles: List = []
@@ -874,6 +876,12 @@ def run_scenario_sharded(config, control):
         now = 0
         next_tick = interval
         sampler_alive = True
+        # The manifest's ``shard`` section: barrier windows, cross-shard
+        # packets + PAUSE frames, seconds sending windows and blocked on
+        # each shard's reply (inline shards run inside ``send``).
+        windows = messages = 0
+        send_s = 0.0
+        wait_s = [0.0] * num_shards
 
         def gmin() -> Optional[int]:
             g: Optional[int] = None
@@ -888,20 +896,27 @@ def run_scenario_sharded(config, control):
 
         def issue(until: int) -> None:
             nonlocal now, completed, staged, sampler_alive, next_tick
+            nonlocal windows, messages, send_s
             batches = staged
             staged = [[] for _ in range(num_shards)]
             stop = not sampler_alive
+            windows += 1
+            mark = time.perf_counter()
             for i, handle in enumerate(handles):
                 batch = batches[i]
                 batch.sort()  # (arrival_ns, wire_seq, ...): the heap's own order
                 handle.send(("win", until, batch, stop))
+            send_s += time.perf_counter() - mark
             for i, handle in enumerate(handles):
+                mark = time.perf_counter()
                 reply = handle.recv()
+                wait_s[i] += time.perf_counter() - mark
                 next_times[i] = reply["next"]
                 pendings[i] = reply["pending"]
                 for t_done, _flow_id in reply["done"]:
                     insort(completions, t_done)
                     completed += 1
+                messages += len(reply["out"])
                 for cut_id, t, seq, kind, payload in reply["out"]:
                     staged[route[cut_id]].append((t, seq, cut_id, kind, payload))
             now = until
@@ -942,5 +957,28 @@ def run_scenario_sharded(config, control):
             handle.stop()
 
     result = _merge(config, payloads, duration_ns=now)
-    TALLY.add(result.net.engine.events_processed, time.perf_counter() - wall_started)
+    # One run, one manifest: shard 0's, with the merged run's counts, the
+    # coordinator's clocks and the suffix-less run id.
+    parts = [payload["manifest"] for payload in payloads]
+    stats = result.net.stats
+    merged = result.manifest = {
+        **parts[0],
+        **run_manifest.cost(started, result.net.engine.events_processed),
+        "run_id": parts[0]["run_id"].removesuffix("_sh0"),
+        "flows": stats.flow_count(),
+        "incomplete": stats.incomplete_flows(),
+        "shard": {
+            "windows": windows, "messages": messages, "send_s": round(send_s, 6),
+            "wait_s": [round(seconds, 6) for seconds in wait_s],
+            "cpu_s": [part["cpu_s"] for part in parts],
+            "events": [part["events"] for part in parts],
+        },
+    }
+    merged["peak_rss_mb"] = max(
+        merged["peak_rss_mb"], *(part["peak_rss_mb"] for part in parts))
+    run_manifest.LOG.append(merged)
+    if control.telemetry is not None:
+        from repro.telemetry.core import write_manifest
+
+        write_manifest(control.telemetry["out_dir"], merged)
     return result

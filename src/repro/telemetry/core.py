@@ -105,6 +105,16 @@ class TelemetryConfig:
         return asdict(self)
 
 
+def write_manifest(out_dir: str, manifest: Dict) -> str:
+    """Write a run manifest, stamped with the code version, as
+    ``manifest_<run_id>.json`` beside the run's streams; returns the path."""
+    from repro.experiments.cache import code_version
+    from repro.experiments.export import write_json
+
+    return write_json({**manifest, "code": code_version()},
+                      os.path.join(out_dir, f"manifest_{manifest['run_id']}.json"))
+
+
 class Telemetry:
     """One run's telemetry: registry + samplers + exporters + recorder."""
 
@@ -232,10 +242,23 @@ class Telemetry:
 
     # -- teardown ----------------------------------------------------------------
 
-    def _snapshot_counters(self) -> None:
-        """Mirror the run's headline NetStats totals into the registry
-        so the Prometheus exposition carries end-of-run counters."""
+    def _snapshot_counters(self, manifest: Optional[Dict]) -> None:
+        """Mirror the run's headline NetStats totals, and what its manifest
+        says the simulator was and cost, into the registry for the ``.prom``."""
         stats = self.net.stats
+        if manifest is not None:
+            gauge = self.registry.gauge
+            gauge("tlt_run_wall_seconds", "Run wall time").set(manifest["wall_s"])
+            gauge("tlt_run_cpu_seconds", "Run CPU time").set(manifest["cpu_s"])
+            gauge("tlt_run_peak_rss_bytes", "Process peak RSS").set(
+                int(manifest["peak_rss_mb"] * 1024 * 1024))
+            self.registry.counter(
+                "tlt_run_events_total", "Engine events processed",
+            ).set(manifest["events"])
+            gauge("tlt_run_info", "What produced this snapshot",
+                  ("backend", "shards", "audit")).labels(
+                manifest["backend"], manifest["shards"],
+                str(manifest["audit"]).lower()).set(1)
         for name, help_text, value in (
             ("tlt_timeouts_total", "RTO fires", stats.timeouts),
             ("tlt_fast_retransmits_total", "Fast retransmits", stats.fast_retransmits),
@@ -253,8 +276,9 @@ class Telemetry:
             "tlt_telemetry_samples_total", "Telemetry records emitted",
         ).set(self.emitted)
 
-    def finalize(self) -> Dict:
-        """Stop samplers, write the end-of-run artifacts, close streams."""
+    def finalize(self, manifest: Optional[Dict] = None) -> Dict:
+        """Stop samplers, write the end-of-run artifacts (the run's
+        ``manifest`` among them, when it finished), close streams."""
         if self._finalized:
             return self._summary
         self._finalized = True
@@ -266,7 +290,9 @@ class Telemetry:
         if self._jsonl is not None:
             self._jsonl.close()
             self.files.append(self._jsonl.path)
-        self._snapshot_counters()
+        self._snapshot_counters(manifest)
+        if manifest is not None:
+            self.files.append(write_manifest(config.out_dir, manifest))
         if config.prometheus:
             path = os.path.join(config.out_dir, f"run_{self.run_id}.prom")
             self.files.append(self.registry.write_prometheus(path))

@@ -33,6 +33,11 @@ def pytest_benchmark_doc(rates, backend=None):
     }
 
 
+def baseline_doc(rates, backend="pure"):
+    return {"schema": 2, "backends": {backend: {"benchmarks": {
+        name: {"events_per_sec": rate} for name, rate in rates.items()}}}}
+
+
 def test_load_rates_pytest_benchmark_format(tmp_path):
     path = write(tmp_path / "run.json",
                  pytest_benchmark_doc({"bench_a": (100_000, 50_000.0)}))
@@ -55,16 +60,6 @@ def test_load_rates_without_events_uses_runs_per_sec(tmp_path):
     assert tool.load_rates(path) == {"b": pytest.approx(4.0)}
 
 
-def test_load_rates_bench_report_format(tmp_path):
-    path = write(tmp_path / "BENCH_tiny.json", {
-        "experiments": {
-            "fig05": {"wall_s": 10.0, "events_per_sec": 123_456},
-            "fig11": {"wall_s": 5.0, "events_per_sec": None},  # cached run
-        }
-    })
-    assert tool.load_rates(path) == {"fig05": 123_456.0}
-
-
 def test_load_rates_rejects_unknown_format(tmp_path):
     path = write(tmp_path / "junk.json", {"something": 1})
     with pytest.raises(ValueError):
@@ -75,7 +70,7 @@ def test_gate_passes_within_threshold(tmp_path, capsys):
     current = write(tmp_path / "run.json",
                     pytest_benchmark_doc({"a": (1000, 80_000.0)}))
     baseline = write(tmp_path / "base.json",
-                     {"benchmarks": {"a": {"events_per_sec": 100_000.0}}})
+                     baseline_doc({"a": 100_000.0}))
     assert tool.main([current, baseline, "--threshold", "0.25"]) == 0
     assert "gate passed" in capsys.readouterr().out
 
@@ -84,7 +79,7 @@ def test_gate_fails_beyond_threshold(tmp_path, capsys):
     current = write(tmp_path / "run.json",
                     pytest_benchmark_doc({"a": (1000, 70_000.0)}))
     baseline = write(tmp_path / "base.json",
-                     {"benchmarks": {"a": {"events_per_sec": 100_000.0}}})
+                     baseline_doc({"a": 100_000.0}))
     assert tool.main([current, baseline, "--threshold", "0.25"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -93,7 +88,7 @@ def test_gate_fails_when_benchmark_disappears(tmp_path, capsys):
     current = write(tmp_path / "run.json",
                     pytest_benchmark_doc({"other": (1000, 100_000.0)}))
     baseline = write(tmp_path / "base.json",
-                     {"benchmarks": {"gone": {"events_per_sec": 100_000.0}}})
+                     baseline_doc({"gone": 100_000.0}))
     assert tool.main([current, baseline]) == 1
     out = capsys.readouterr().out
     assert "disappeared" in out
@@ -108,7 +103,7 @@ def test_new_benchmark_is_reported_but_not_gated(tmp_path, capsys):
                     pytest_benchmark_doc({"a": (1000, 100_000.0),
                                           "brand_new": (1000, 5.0)}))
     baseline = write(tmp_path / "base.json",
-                     {"benchmarks": {"a": {"events_per_sec": 100_000.0}}})
+                     baseline_doc({"a": 100_000.0}))
     assert tool.main([current, baseline, "--threshold", "0.25"]) == 0
     out = capsys.readouterr().out
     assert "new" in out
@@ -131,7 +126,7 @@ def test_update_writes_normalized_baseline(tmp_path):
 
 def test_empty_current_run_errors(tmp_path):
     current = write(tmp_path / "run.json", {"benchmarks": []})
-    baseline = write(tmp_path / "base.json", {"benchmarks": {}})
+    baseline = write(tmp_path / "base.json", baseline_doc({}))
     assert tool.main([current, baseline]) == 2
 
 
@@ -147,12 +142,14 @@ def test_run_backend_autodetected_from_extra_info(tmp_path):
     assert rates == {"a": pytest.approx(50_000.0)}
 
 
-def test_run_backend_autodetected_from_bench_report(tmp_path):
-    path = write(tmp_path / "BENCH_tiny.json", {
-        "backend": "compiled",
-        "experiments": {"fig05": {"wall_s": 1.0, "events_per_sec": 10_000}},
-    })
-    assert tool.load_run(path) == ({"fig05": 10_000.0}, "compiled")
+@pytest.mark.parametrize("load", [tool.load_baseline, tool.load_run])
+def test_flat_table_is_no_longer_a_format(load, tmp_path):
+    # The schema-1 baseline / "normalized run" shape: rejected, not
+    # read as pure's numbers.
+    path = write(tmp_path / "flat.json",
+                 {"schema": 1, "benchmarks": {"a": {"events_per_sec": 1.0}}})
+    with pytest.raises(ValueError):
+        load(path)
 
 
 def test_compiled_run_gated_against_compiled_entry(tmp_path, capsys):
@@ -176,14 +173,14 @@ def test_compiled_run_gated_against_compiled_entry(tmp_path, capsys):
 
 
 def test_known_backend_missing_from_baseline_hard_errors(tmp_path, capsys):
-    # A legacy flat baseline only covers pure; gating a compiled run
-    # against it must be a hard error, not a silent pass (or a spurious
+    # A baseline that only covers pure: gating a compiled run against
+    # it must be a hard error, not a silent pass (or a spurious
     # comparison against pure's numbers).
     current = write(tmp_path / "run.json",
                     pytest_benchmark_doc({"a": (1000, 300_000.0)},
                                          backend="compiled"))
     baseline = write(tmp_path / "base.json",
-                     {"benchmarks": {"a": {"events_per_sec": 100_000.0}}})
+                     baseline_doc({"a": 100_000.0}))
     assert tool.main([current, baseline]) == 2
     assert "no entry for backend 'compiled'" in capsys.readouterr().err
 
@@ -193,7 +190,7 @@ def test_unknown_backend_is_reported_but_not_gated(tmp_path, capsys):
                     pytest_benchmark_doc({"a": (1000, 5.0)},
                                          backend="experimental"))
     baseline = write(tmp_path / "base.json",
-                     {"benchmarks": {"a": {"events_per_sec": 100_000.0}}})
+                     baseline_doc({"a": 100_000.0}))
     assert tool.main([current, baseline]) == 0
     assert "not gated" in capsys.readouterr().out
 
@@ -230,20 +227,3 @@ def test_update_preserves_other_backends(tmp_path):
     # Both runs still pass against the merged baseline.
     assert tool.main([pure, str(baseline)]) == 0
     assert tool.main([compiled, str(baseline)]) == 0
-
-
-def test_update_migrates_legacy_flat_baseline(tmp_path):
-    # Recording compiled numbers into a schema-1 file must not discard
-    # the flat table: it becomes the pure entry.
-    baseline = tmp_path / "base.json"
-    write(baseline, {"schema": 1, "source": "old.json",
-                     "benchmarks": {"a": {"events_per_sec": 100_000.0}}})
-    compiled = write(tmp_path / "compiled.json",
-                     pytest_benchmark_doc({"a": (1000, 300_000.0)},
-                                          backend="compiled"))
-    assert tool.main([compiled, str(baseline), "--update"]) == 0
-    saved = json.loads(baseline.read_text())
-    assert saved["backends"]["pure"]["benchmarks"]["a"]["events_per_sec"] == \
-        pytest.approx(100_000.0)
-    assert saved["backends"]["compiled"]["benchmarks"]["a"]["events_per_sec"] == \
-        pytest.approx(300_000.0)

@@ -5,7 +5,12 @@ import json
 import pytest
 
 from repro.core.config import ClockingPolicy, TltConfig
-from repro.experiments.cache import ResultCache, encode_value, fingerprint
+from repro.experiments.cache import (
+    ResultCache,
+    code_version,
+    encode_value,
+    fingerprint,
+)
 from repro.experiments.common import run_averaged
 from repro.experiments.parallel import execution
 from repro.experiments.scale import Scale
@@ -63,11 +68,12 @@ def test_encode_value_canonicalises():
 def test_cache_put_get_round_trip(tmp_path):
     cache = ResultCache(tmp_path)
     key = fingerprint(config(), 1)
-    path = cache.put(key, {"fct": 1.25}, seed=1, events=100, wall_s=0.5)
+    path = cache.put(key, {"fct": 1.25}, seed=1, manifest={"events": 100})
     assert path.exists()
     artifact = cache.get(key)
     assert artifact["row"] == {"fct": 1.25}
-    assert artifact["events"] == 100
+    # The producing run's manifest, stamped with the code version.
+    assert artifact["manifest"] == {"events": 100, "code": code_version()}
     assert len(cache) == 1
     assert cache.hits == 1
 
@@ -84,13 +90,15 @@ def test_cache_miss_and_corrupt_artifacts_return_none(tmp_path):
     assert cache.get(key) is None
     path.write_text(json.dumps({"key": key}))  # truncated: no row
     assert cache.get(key) is None
-    assert cache.misses == 4
+    path.write_text(json.dumps({"key": key, "row": {}}))  # no manifest
+    assert cache.get(key) is None
+    assert cache.misses == 5
 
 
 def test_cache_clear(tmp_path):
     cache = ResultCache(tmp_path)
     for seed in (1, 2, 3):
-        cache.put(fingerprint(config(), seed), {"v": float(seed)})
+        cache.put(fingerprint(config(), seed), {"v": float(seed)}, manifest={})
     assert len(cache) == 3
     assert cache.clear() == 3
     assert len(cache) == 0

@@ -106,21 +106,31 @@ def test_cli_seeds_ignored_on_single_seed_modules(monkeypatch, capsys):
     assert "single-seed" in capsys.readouterr().err
 
 
-def test_cli_bench_report_writes_json(monkeypatch, tmp_path):
-    import json
+def test_cli_footer_names_runs_cached_runs_and_backend(monkeypatch, capsys):
+    from repro.sim.backend import current_backend
 
     monkeypatch.setitem(EXPERIMENTS, "stub", "tests.stub_experiment")
-    out = tmp_path / "BENCH_stub.json"
-    assert main(["bench-report", "--scale", "tiny", "--only", "stub",
-                 "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["scale"] == "tiny"
-    assert "stub" in report["experiments"]
-    entry = report["experiments"]["stub"]
-    assert entry["wall_s"] >= 0
-    assert "events_per_sec" in entry
-    assert report["total_wall_s"] >= 0
+    assert main(["stub", "--scale", "tiny"]) == 0
+    footer = capsys.readouterr().out.strip().splitlines()[-1]
+    assert footer.startswith(f"[stub: 0 runs (0 cached), {current_backend()}, ")
+    assert footer.endswith("]")
 
 
-def test_cli_bench_report_unknown_subset():
-    assert main(["bench-report", "--only", "nope"]) == 2
+def test_cli_csv_writes_the_manifest_document_beside_the_rows(monkeypatch, tmp_path):
+    import json
+
+    from repro.experiments.manifest import SCHEMA
+
+    monkeypatch.setitem(EXPERIMENTS, "stub", "tests.stub_experiment")
+    assert main(["stub", "--scale", "tiny", "--csv", str(tmp_path)]) == 0
+    assert (tmp_path / "stub.csv").exists()
+    doc = json.loads((tmp_path / "stub.manifest.json").read_text())
+    assert doc["schema"] == SCHEMA and doc["experiment"] == "stub"
+    assert doc["runs"] == doc["cached_runs"] == 0 and doc["manifests"] == []
+    assert doc["code"] and doc["backend"]
+
+
+def test_cli_report_flags_are_gone():
+    for flag in ("--out", "--only"):
+        with pytest.raises(SystemExit):
+            main(["fig05", flag, "x"])

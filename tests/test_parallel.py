@@ -51,7 +51,7 @@ def test_run_jobs_returns_submission_order():
     jobs = [Job(i, fast_config(), seed) for i, seed in enumerate((3, 1, 2))]
     results = run_jobs(jobs, jobs_n=3, use_cache=False)
     assert [r.index for r in results] == [0, 1, 2]
-    assert all(r.ok and not r.cached and r.events > 0 for r in results)
+    assert all(r.ok and not r.cached and r.manifest["events"] > 0 for r in results)
 
 
 def test_run_jobs_rejects_duplicate_indices():

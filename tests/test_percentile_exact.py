@@ -101,7 +101,9 @@ def test_empty_input_is_zero():
 
 def test_the_runtime_never_imports_numpy():
     """A fresh interpreter that imports the run and report entry points
-    and runs one TINY scenario has no ``numpy`` in ``sys.modules``."""
+    and runs one TINY scenario has no ``numpy`` in ``sys.modules`` — nor,
+    for its manifest, ``platform``, ``cProfile`` or ``pstats`` (a bench
+    child pays for every module in ``setup_s`` and ``peak_rss_mb``)."""
     code = (
         "import sys\n"
         "import repro.experiments.scenarios, repro.service.run\n"
@@ -110,7 +112,9 @@ def test_the_runtime_never_imports_numpy():
         "from repro.experiments.scenarios import ScenarioConfig, run_scenario\n"
         "result = run_scenario(ScenarioConfig(transport='dctcp', tlt=True, scale=TINY))\n"
         "result.summary_row()\n"
-        "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'numpy')\n"
+        "result.manifest['python']\n"
+        "unwanted = ('numpy', 'platform', 'cProfile', 'pstats')\n"
+        "loaded = sorted(name for name in sys.modules if name.split('.')[0] in unwanted)\n"
         "assert not loaded, loaded\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -1,15 +1,20 @@
-"""Tests for the profiling harness (repro.sim.profiler)."""
+"""Tests for ``tlt-experiment --profile``: a cProfile dump plus the
+experiment's manifest document with the engine's per-callback
+attribution (``repro.sim.backend.set_attribution``) as ``callbacks``."""
 
 import json
-import os
 import pstats
+import sys
+import types
 
 import pytest
 
+from repro.experiments.manifest import SCHEMA
+from repro.experiments.parallel import execution
+from repro.experiments.runner import EXPERIMENTS, _callbacks, main
 from repro.sim import backend as backend_mod
 from repro.sim import engine as engine_mod
 from repro.sim.engine import Engine
-from repro.sim.profiler import Profiler
 
 
 def tick(counter):
@@ -26,81 +31,89 @@ def run_small_sim():
     return engine
 
 
-def test_profiler_writes_pstats_and_json(tmp_path):
-    with Profiler(tag="unit", out_dir=str(tmp_path)) as prof:
-        run_small_sim()
+def profile_cli(body, tmp_path, monkeypatch) -> dict:
+    """``tlt-experiment unit --profile`` with ``body`` as the experiment;
+    returns the parsed ``profile_unit.json``."""
+    module = types.ModuleType("tests._profiled_stub")
+    module.run = lambda scale="small": []
+    module.main = lambda scale="small": body()
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    monkeypatch.setitem(EXPERIMENTS, "unit", module.__name__)
+    with execution():  # --profile forces --jobs 1 --no-cache: not on later tests
+        assert main(["unit", "--profile", "--profile-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "profile_unit.json") as fh:
+        return json.load(fh)
 
-    assert prof.pstats_path == str(tmp_path / "profile_unit.pstats")
-    assert prof.json_path == str(tmp_path / "profile_unit.json")
-    assert os.path.exists(prof.pstats_path)
-    assert os.path.exists(prof.json_path)
+
+def test_profiler_writes_pstats_and_json(tmp_path, monkeypatch):
+    doc = profile_cli(run_small_sim, tmp_path, monkeypatch)
 
     # The pstats dump loads and contains the engine's run loop.
-    stats = pstats.Stats(prof.pstats_path)
+    stats = pstats.Stats(str(tmp_path / "profile_unit.pstats"))
     assert any(name == "run" for (_f, _l, name) in stats.stats)
 
-    with open(prof.json_path) as fh:
-        summary = json.load(fh)
-    assert summary["schema"] == 2
-    assert summary["tag"] == "unit"
-    assert summary["wall_s"] > 0
-    assert summary["events_attributed"] == 500
-    assert summary["hotspots"], "cProfile hotspots missing"
-    callbacks = {row["callback"]: row for row in summary["callbacks"]}
+    assert doc["schema"] == SCHEMA
+    assert doc["experiment"] == "unit"
+    assert doc["callbacks"]["events"] == 500
+    callbacks = {row["callback"]: row for row in doc["callbacks"]["rows"]}
     assert callbacks["tick"]["calls"] == 500
     assert callbacks["tick"]["total_ms"] >= 0
 
 
-def test_attribution_cleared_after_exit(tmp_path):
-    with Profiler(tag="cleanup", out_dir=str(tmp_path)):
-        run_small_sim()
+def test_attribution_cleared_after_exit(tmp_path, monkeypatch):
+    profile_cli(run_small_sim, tmp_path, monkeypatch)
     assert engine_mod._ATTRIBUTION is None
-    # Runs after the profiler exits are not attributed anywhere.
-    before = dict()
+    # Runs after the profiled experiment are not attributed anywhere.
     run_small_sim()
     assert engine_mod._ATTRIBUTION is None
-    assert before == {}
 
 
-def test_attribution_cleared_on_exception(tmp_path):
+def test_attribution_cleared_on_exception(tmp_path, monkeypatch):
     class Boom(RuntimeError):
         pass
 
-    try:
-        with Profiler(tag="boom", out_dir=str(tmp_path)):
-            raise Boom()
-    except Boom:
-        pass
+    def body():
+        raise Boom()
+
+    with pytest.raises(Boom):
+        profile_cli(body, tmp_path, monkeypatch)
     assert engine_mod._ATTRIBUTION is None
-    # No files written for a failed block.
-    assert not os.path.exists(tmp_path / "profile_boom.json")
+    # No files written for a failed experiment.
+    assert not (tmp_path / "profile_unit.json").exists()
 
 
-def test_summary_available_without_write(tmp_path):
-    prof = Profiler(tag="mem", out_dir=str(tmp_path), top=5)
-    with prof:
+def test_summary_available_without_write(tmp_path, monkeypatch):
+    # The section is a function of the table: no file, no CLI.
+    table = {}
+    backend_mod.set_attribution(table)
+    try:
         run_small_sim()
-    summary = prof.summary()
-    assert len(summary["hotspots"]) <= 5
-    assert summary["events_attributed"] == 500
+    finally:
+        backend_mod.set_attribution(None)
+    section = _callbacks(table, top=5)
+    assert len(section["rows"]) <= 5
+    assert section["events"] == 500
 
 
-def test_summary_reports_backend(tmp_path):
-    # A saved profile must say which hot-path backend produced it.
-    from repro.sim import backend as backend_mod
+def test_summary_reports_backend(tmp_path, monkeypatch):
+    # A saved profile must say which hot-path backend produced it, and
+    # account for every event of the runs it covers.
+    from repro.experiments.scale import Scale
+    from repro.experiments.scenarios import ScenarioConfig, run_scenario
 
-    prof = Profiler(tag="backend", out_dir=str(tmp_path))
-    with prof:
-        run_small_sim()
-    section = prof.summary()["backend"]
-    assert section["name"] == backend_mod.current_backend()
-    assert isinstance(section["compiled_available"], bool)
-    assert section["note"]  # every known backend has an explanation
+    micro = Scale("micro", 1, 2, 2, 6, 1, 2)
+    doc = profile_cli(
+        lambda: run_scenario(ScenarioConfig(transport="dctcp", tlt=True, scale=micro)),
+        tmp_path, monkeypatch)
+    assert doc["runs"] == 1 and doc["cached_runs"] == 0
+    assert doc["backend"] == doc["manifests"][0]["backend"] == backend_mod.current_backend()
+    assert doc["events"] == doc["callbacks"]["events"] > 0
+    assert doc["callbacks"]["rows"]
 
 
-def test_link_delivery_attribution(tmp_path):
+def test_link_delivery_attribution(tmp_path, monkeypatch):
     # Batched-drain time is broken out of the callback table: a run
-    # with real link traffic attributes Port._drain under link_delivery.
+    # with real link traffic reports Port._drain's share of it.
     from repro.net.link import Port, connect
 
     class _Sink:
@@ -116,8 +129,7 @@ def test_link_delivery_attribution(tmp_path):
     class _Frame:
         size = 1500
 
-    prof = Profiler(tag="drain", out_dir=str(tmp_path))
-    with prof:
+    def body():
         engine = Engine()
         a = Port(engine, _Sink(), 0, 100_000_000_000, 1_000)
         b = Port(engine, _Sink(), 0, 100_000_000_000, 1_000)
@@ -125,11 +137,11 @@ def test_link_delivery_attribution(tmp_path):
         for i in range(50):
             engine.schedule_anon(i * 10, a._tx_cb, _Frame())
         engine.run()
-    section = prof.summary()["link_delivery"]
-    assert section["drain_calls"] == 50
-    assert section["drain_ms"] >= 0
-    assert 0.0 <= section["share_of_attributed"] <= 1.0
-    assert any(row["callback"].endswith("_drain") for row in section["callbacks"])
+
+    section = profile_cli(body, tmp_path, monkeypatch)["callbacks"]
+    drains = [row for row in section["rows"] if row["callback"].endswith("_drain")]
+    assert sum(row["calls"] for row in drains) == 50
+    assert 0.0 < section["drain_share"] <= 1.0
 
 
 # -- the compiled engine attributes callbacks the same way -------------------
@@ -142,4 +154,4 @@ def test_compiled_engine_attributes_callbacks(name, tmp_path, monkeypatch):
     """``CEngine`` dispatching under attribution (``--profile``): per-callback
     calls and time land in the same table, under the same keys."""
     monkeypatch.setitem(globals(), "Engine", backend_mod._compiled_module().CEngine)
-    globals()[name](tmp_path)
+    globals()[name](tmp_path, monkeypatch)

@@ -259,6 +259,55 @@ def test_scenario_run_produces_schema_valid_telemetry(tmp_path):
     assert sum(counts.values()) == summary["emitted"]
 
 
+def test_telemetry_writes_and_mirrors_the_run_manifest(tmp_path):
+    """The manifest beside the streams, the ``tlt_run_*`` families in the
+    snapshot, and a checker that notices when either is wrong."""
+    from repro.experiments.cache import code_version
+
+    out = str(tmp_path / "tele")
+    result = run_scenario(_tiny_config(audit=False, telemetry={"out_dir": out}))
+    run_id = result.telemetry.run_id
+    assert result.manifest["run_id"] == run_id and result.manifest["telemetry"]
+    path = os.path.join(out, f"manifest_{run_id}.json")
+    with open(path) as handle:
+        assert json.load(handle) == {**result.manifest, "code": code_version()}
+    with open(os.path.join(out, f"run_{run_id}.prom")) as handle:
+        prom = handle.read()
+    backend = result.manifest["backend"]
+    assert f'tlt_run_info{{backend="{backend}",shards="1",audit="false"}} 1' in prom
+    assert f"tlt_run_events_total {result.manifest['events']}\n" in prom
+
+    checker = _load_checker()
+    assert not checker.check_dir(out)[2]
+    with open(path, "w") as handle:
+        json.dump({**result.manifest, "code": "x", "events_per_s": 1}, handle)
+    assert any("events_per_s" in error for error in checker.check_dir(out)[2])
+    with open(path, "w") as handle:
+        json.dump({"schema": checker.SCHEMA}, handle)
+    assert any("missing fields" in error for error in checker.check_dir(out)[2])
+    with open(os.path.join(out, f"run_{run_id}.prom"), "w") as handle:
+        handle.write("# nothing\n")
+    assert any("tlt_run_info" in error for error in checker.check_dir(out)[2])
+
+
+def test_sharded_telemetry_writes_each_shards_manifest_and_the_merged_one(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("TLT_SHARD_INLINE", "1")
+    out = str(tmp_path / "tele")
+    result = run_scenario(_tiny_config(audit=False, shards=2,
+                                       telemetry={"out_dir": out}))
+    run_id = result.manifest["run_id"]
+    assert not run_id.endswith("_sh0")
+    written = {}
+    for suffix in ("", "_sh0", "_sh1"):
+        with open(os.path.join(out, f"manifest_{run_id}{suffix}.json")) as handle:
+            written[suffix] = json.load(handle)
+    assert written[""]["shard"]["events"] == \
+        [written["_sh0"]["events"], written["_sh1"]["events"]]
+    assert written[""]["events"] == result.net.engine.events_processed
+    assert not _load_checker().check_dir(out)[2]
+
+
 def test_scenario_telemetry_via_environment(tmp_path, monkeypatch):
     out = str(tmp_path / "env-tele")
     monkeypatch.setenv("TLT_TELEMETRY", out)

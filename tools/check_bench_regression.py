@@ -16,27 +16,22 @@ backend name::
                   "compiled": {"source": ..., "benchmarks": {...}}}}
 
 The run's backend is auto-detected — pytest-benchmark reports carry
-``extra_info["backend"]`` (stamped by ``benchmarks/conftest.py``) and
-``bench-report`` output carries a top-level ``"backend"`` key — and can
-be overridden with ``--backend``. Runs without any backend annotation
-(legacy reports) are treated as ``pure``, as are legacy schema-1
-baselines with a flat ``"benchmarks"`` table. A *known* backend
-(pure/compiled) with no baseline entry is a hard error — a gate without
-a baseline is no gate — while an unknown/experimental backend name is
-reported ungated, like a freshly added benchmark.
+``extra_info["backend"]`` (stamped by ``benchmarks/conftest.py``) — and
+can be overridden with ``--backend``; a run without the annotation is
+treated as ``pure``. A *known* backend (pure/compiled) with no baseline
+entry is a hard error — a gate without a baseline is no gate — while an
+unknown/experimental backend name is reported ungated, like a freshly
+added benchmark.
 
-Accepted run formats (auto-detected):
-
-- pytest-benchmark ``--benchmark-json`` output — throughput is
-  ``extra_info["events"] / stats.min`` when the benchmark recorded an
-  event count (see ``benchmarks/conftest.py:record_events``), else
-  ``1 / stats.min`` (runs/sec). The fastest round is used rather than
-  the mean: scheduling noise and CPU steal on shared runners only ever
-  add time, so the minimum is the stablest estimate of the code's true
-  cost (and what the stdlib ``timeit`` docs recommend comparing);
-- ``tlt-experiment bench-report`` output (``BENCH_*.json``);
-- a flat normalized table ``{"benchmarks": {name: {"events_per_sec":
-  float}}}`` (the legacy schema-1 baseline format).
+The run is pytest-benchmark ``--benchmark-json`` output, what CI gives
+the gate: throughput is ``extra_info["events"] / stats.min`` when the
+benchmark recorded an event count (see
+``benchmarks/conftest.py:record_events``), else ``1 / stats.min``
+(runs/sec). The fastest round is used rather than the mean: scheduling
+noise and CPU steal on shared runners only ever add time, so the
+minimum is the stablest estimate of the code's true cost (and what the
+stdlib ``timeit`` docs recommend comparing). Any other file, run or
+baseline, is a ``ValueError``.
 
 Usage::
 
@@ -75,92 +70,58 @@ def _read_json(path: str) -> dict:
 
 
 def load_run(path: str) -> Tuple[Dict[str, float], Optional[str]]:
-    """Normalize a run report to ``({name: events_per_sec}, backend)``.
+    """Normalize a pytest-benchmark report to ``({name: events_per_sec},
+    backend)``.
 
     ``backend`` is ``None`` when the report carries no annotation (or
-    when a pytest-benchmark report disagrees with itself).
+    disagrees with itself).
     """
     document = _read_json(path)
-    rates: Dict[str, float] = {}
-    backend: Optional[str] = None
-    if isinstance(document.get("benchmarks"), list):
-        # pytest-benchmark --benchmark-json format.
-        tags = set()
-        for bench in document["benchmarks"]:
-            stats = bench["stats"]
-            # Fastest round: noise on a shared runner is strictly
-            # additive, so min is the stablest estimate of true cost.
-            best = stats.get("min") or stats["mean"]
-            if best <= 0:
-                continue
-            extra = bench.get("extra_info") or {}
-            events = extra.get("events")
-            rates[bench["name"]] = (float(events) if events else 1.0) / best
-            tags.add(extra.get("backend"))
-        if len(tags) == 1:
-            backend = tags.pop()
-    elif isinstance(document.get("benchmarks"), dict):
-        # Normalized flat table (legacy schema-1 baseline format).
-        for name, entry in document["benchmarks"].items():
-            rate = entry["events_per_sec"] if isinstance(entry, dict) else entry
-            if rate:
-                rates[name] = float(rate)
-        backend = document.get("backend")
-    elif isinstance(document.get("experiments"), dict):
-        # tlt-experiment bench-report format.
-        for name, entry in document["experiments"].items():
-            rate = entry.get("events_per_sec")
-            if rate:
-                rates[name] = float(rate)
-        backend = document.get("backend")
-    else:
+    if not isinstance(document.get("benchmarks"), list):
         raise ValueError(f"{path}: unrecognized benchmark report format")
-    return rates, backend
+    rates: Dict[str, float] = {}
+    tags = set()
+    for bench in document["benchmarks"]:
+        stats = bench["stats"]
+        # Fastest round: noise on a shared runner is strictly
+        # additive, so min is the stablest estimate of true cost.
+        best = stats.get("min") or stats["mean"]
+        if best <= 0:
+            continue
+        extra = bench.get("extra_info") or {}
+        events = extra.get("events")
+        rates[bench["name"]] = (float(events) if events else 1.0) / best
+        tags.add(extra.get("backend"))
+    return rates, tags.pop() if len(tags) == 1 else None
 
 
 def load_rates(path: str) -> Dict[str, float]:
-    """Normalize any supported report format to {name: events_per_sec}."""
+    """Normalize a run report to {name: events_per_sec}."""
     return load_run(path)[0]
 
 
-def load_baseline(path: str) -> Dict[str, Dict[str, float]]:
-    """Load a baseline file as ``{backend: {name: events_per_sec}}``.
-
-    Schema-2 files carry the per-backend table directly; legacy
-    schema-1 files (one flat ``"benchmarks"`` table) are interpreted as
-    pure-backend numbers — the only backend that existed when they were
-    written.
-    """
+def _baseline_entries(path: str) -> Dict[str, dict]:
+    """The ``"backends"`` table of a schema-2 baseline file."""
     document = _read_json(path)
-    if isinstance(document.get("backends"), dict):
-        tables: Dict[str, Dict[str, float]] = {}
-        for backend, entry in document["backends"].items():
-            table: Dict[str, float] = {}
-            for name, value in (entry.get("benchmarks") or {}).items():
-                rate = value["events_per_sec"] if isinstance(value, dict) else value
-                if rate:
-                    table[name] = float(rate)
-            tables[backend] = table
-        return tables
-    if isinstance(document.get("benchmarks"), dict):
-        return {"pure": load_rates(path)}
-    raise ValueError(f"{path}: unrecognized baseline format")
+    if not isinstance(document.get("backends"), dict):
+        raise ValueError(f"{path}: unrecognized baseline format")
+    return document["backends"]
+
+
+def load_baseline(path: str) -> Dict[str, Dict[str, float]]:
+    """Load a baseline file as ``{backend: {name: events_per_sec}}``."""
+    return {
+        backend: {name: float(value["events_per_sec"])
+                  for name, value in (entry.get("benchmarks") or {}).items()
+                  if value["events_per_sec"]}
+        for backend, entry in _baseline_entries(path).items()
+    }
 
 
 def write_baseline(rates: Dict[str, float], path: str, source: str,
                    backend: str = "pure") -> None:
     """Record ``rates`` under ``backend``, preserving other backends."""
-    backends: Dict[str, dict] = {}
-    if os.path.exists(path):
-        existing = _read_json(path)
-        if isinstance(existing.get("backends"), dict):
-            backends.update(existing["backends"])
-        elif isinstance(existing.get("benchmarks"), dict):
-            # Migrate a legacy flat baseline: its numbers were pure's.
-            backends["pure"] = {
-                "source": existing.get("source", "unknown"),
-                "benchmarks": existing["benchmarks"],
-            }
+    backends = dict(_baseline_entries(path)) if os.path.exists(path) else {}
     backends[backend] = {
         "source": os.path.basename(source),
         "benchmarks": {
@@ -214,7 +175,7 @@ def compare(current: Dict[str, float], baseline: Dict[str, float],
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("current", help="benchmark run to check "
-                        "(pytest-benchmark or bench-report JSON)")
+                        "(pytest-benchmark --benchmark-json output)")
     parser.add_argument("baseline", help="committed baseline JSON")
     parser.add_argument("--threshold", type=float, default=0.25, metavar="FRAC",
                         help="max tolerated relative throughput drop (default 0.25)")

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Schema-validate telemetry output (JSONL streams + flight dumps).
+"""Schema-validate telemetry output (JSONL streams, flight dumps, run
+manifests and the ``.prom`` snapshot's ``tlt_run_*`` families).
 
 Usage::
 
@@ -9,8 +10,12 @@ Usage::
 For a directory, every ``*.jsonl`` stream in it is validated line by
 line against the record schema (base fields + per-stream required
 fields + value invariants like ``red <= occ``), ``merged.jsonl`` is
-additionally checked for deterministic (seed, t, run, i) ordering, and
-every ``flight_*.json`` dump is checked for the snapshot schema.
+additionally checked for deterministic (seed, t, run, i) ordering,
+every ``flight_*.json`` dump is checked for the snapshot schema, every
+``manifest_*.json`` for the run-manifest schema (the one ``SCHEMA``
+constant, required keys, ``events > 0``, ``events_per_s == events /
+wall_s`` within rounding) and every ``run_*.prom`` for the ``tlt_run_*``
+families that mirror it.
 ``--expect-flight`` fails unless at least one flight dump is present —
 used by CI's faulted telemetry smoke run. Exit status 0 = clean.
 
@@ -27,14 +32,24 @@ import sys
 from typing import Dict, List, Tuple
 
 try:
+    from repro.experiments.manifest import COST_FIELDS, SCHEMA
     from repro.telemetry.samplers import STREAM_FIELDS
     from repro.telemetry.exporters import SCHEMA_VERSION
 except ImportError:  # pragma: no cover - tooling convenience
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+    from repro.experiments.manifest import COST_FIELDS, SCHEMA
     from repro.telemetry.samplers import STREAM_FIELDS
     from repro.telemetry.exporters import SCHEMA_VERSION
 
 BASE_FIELDS = ("t", "i", "run", "seed", "stream")
+#: What every written run manifest carries (identity fields included:
+#: telemetry is attached by harnesses that have a ScenarioConfig).
+MANIFEST_FIELDS = COST_FIELDS + (
+    "run_id", "transport", "tlt", "seed", "scale", "topology", "backend",
+    "shards", "audit", "faults", "telemetry", "checkpoint", "python", "code",
+    "sim_ns", "flows", "incomplete")
+RUN_FAMILIES = ("tlt_run_wall_seconds", "tlt_run_cpu_seconds",
+                "tlt_run_events_total", "tlt_run_peak_rss_bytes", "tlt_run_info")
 
 
 def _check_record(record: Dict, where: str, errors: List[str]) -> None:
@@ -147,6 +162,38 @@ def check_flight(path: str) -> List[str]:
     return errors
 
 
+def check_manifest(path: str) -> List[str]:
+    """Validate one ``manifest_<run_id>.json``."""
+    name = os.path.basename(path)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        return [f"{name}: unreadable ({exc})"]
+    if manifest.get("schema") != SCHEMA:
+        return [f"{name}: schema != {SCHEMA}"]
+    missing = [field for field in MANIFEST_FIELDS if field not in manifest]
+    if missing:
+        return [f"{name}: missing fields {missing}"]
+    errors: List[str] = []
+    if name != f"manifest_{manifest['run_id']}.json":
+        errors.append(f"{name}: run_id {manifest['run_id']!r} names another file")
+    if not manifest["events"] > 0 or not manifest["wall_s"] > 0:
+        errors.append(f"{name}: events and wall_s must be positive")
+    elif abs(manifest["events_per_s"] - manifest["events"] / manifest["wall_s"]) \
+            > 0.5 + 1e-3 * manifest["events_per_s"]:
+        errors.append(f"{name}: events_per_s != events / wall_s")
+    return errors
+
+
+def check_prom(path: str) -> List[str]:
+    """The ``.prom`` snapshot must say what produced it."""
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    return [f"{os.path.basename(path)}: no {family} family"
+            for family in RUN_FAMILIES if f"\n{family}" not in text]
+
+
 def check_dir(out_dir: str) -> Tuple[Dict[str, int], int, List[str]]:
     """Validate a telemetry output directory.
 
@@ -164,6 +211,10 @@ def check_dir(out_dir: str) -> Tuple[Dict[str, int], int, List[str]]:
         elif name.startswith("flight_") and name.endswith(".json"):
             flights += 1
             errors.extend(check_flight(path))
+        elif name.startswith("manifest_") and name.endswith(".json"):
+            errors.extend(check_manifest(path))
+        elif name.startswith("run_") and name.endswith(".prom"):
+            errors.extend(check_prom(path))
     return counts, flights, errors
 
 
