@@ -6,29 +6,23 @@ from repro.experiments.common import format_table
 
 def test_fig14_incast(benchmark, bench_scale):
     counts = (8, 40, 100, 160)
-    rows = benchmark.pedantic(
-        exp.run, kwargs={"scale": bench_scale, "flow_counts": counts},
+    result = benchmark.pedantic(
+        exp.run, kwargs={"scale": bench_scale, "flow_counts": counts, "cdf_flows": 128},
         iterations=1, rounds=1,
     )
     print()
-    print(format_table(rows, exp.COLUMNS, "Figure 14"))
+    for part, (title, columns) in exp.TABLES.items():
+        print(format_table(result[part], columns, title))
+    rows = result["sweep"]
     assert len(rows) == 2 * 3 * len(counts)
     for transport in ("tcp", "dctcp"):
         tlt_rows = [r for r in rows if r["transport"] == transport and r["scheme"] == "tlt"]
         # TLT handles the highest fan-in without a single timeout.
         assert all(r["timeouts"] == 0 for r in tlt_rows)
 
-
-def test_fig14_cdf(benchmark, bench_scale):
-    rows = benchmark.pedantic(
-        exp.run_cdf, kwargs={"scale": bench_scale, "flows": 128},
-        iterations=1, rounds=1,
-    )
-    print()
-    print(format_table(rows, ["scheme", "p50_ms", "p90_ms", "p96_ms", "p99_ms", "p100_ms"],
-                       "Figure 14c: FCT CDF at 128 flows"))
-    tlt = next(r for r in rows if r["scheme"] == "tlt")
-    base = next(r for r in rows if r["scheme"] == "rto4ms")
+    # Panel (c): the FCT CDF at 128 flows.
+    tlt = next(r for r in result["cdf"] if r["scheme"] == "tlt")
+    base = next(r for r in result["cdf"] if r["scheme"] == "rto4ms")
     if base["p99_ms"] > 2.0:  # baseline tail is timeout-dominated
         assert tlt["p99_ms"] < base["p99_ms"]
     else:  # light congestion: TLT must stay in the same ballpark

@@ -1,8 +1,9 @@
 """Experiment harness: one module per figure/table of the paper.
 
-Every ``figXX_*``/``table1_*`` module exposes ``run(scale=...)``
-returning result rows and a ``main()`` that prints them; benchmarks in
-``benchmarks/`` call the same entry points so
+Every registry module exposes ``run(scale, seeds=...)`` returning
+result rows and ``TABLES``, the titles and columns the CLI
+(:mod:`repro.experiments.runner`) prints them under; benchmarks in
+``benchmarks/`` call the same ``run`` so
 ``pytest benchmarks/ --benchmark-only`` regenerates the evaluation.
 """
 

@@ -1,15 +1,14 @@
-"""Shared experiment plumbing: seed-averaged runs and table printing."""
+"""Shared experiment plumbing: the seed-averaged grid of runs and table printing."""
 
 from __future__ import annotations
 
 import statistics
 import sys
-from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.experiments.parallel import Job, metrics_reference, run_jobs
 from repro.experiments.scale import SCALES, Scale
-from repro.experiments.scenarios import ScenarioConfig, ScenarioResult, run_scenario
+from repro.experiments.scenarios import ScenarioConfig, ScenarioResult
 
 
 def resolve_scale(scale) -> Scale:
@@ -18,53 +17,62 @@ def resolve_scale(scale) -> Scale:
     return SCALES[scale]
 
 
-def run_averaged(
-    config: ScenarioConfig,
-    seeds: Sequence[int] = (1,),
-    metrics: Optional[Callable[[ScenarioResult], Dict[str, float]]] = None,
-    *,
-    jobs: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-    timeout_s: Optional[float] = None,
-) -> Dict[str, float]:
-    """Run ``config`` once per seed; return mean (and std as ``k_std``)
-    of every metric. The paper averages five seeded runs.
-
-    Seeds execute through the parallel job runner
-    (:mod:`repro.experiments.parallel`): they fan out over worker
-    processes when the execution context (or ``jobs``) allows, finished
-    results are served from the on-disk cache, and a failed seed is
-    dropped from the average with a warning instead of killing the
-    sweep (all seeds failing raises). ``k_std`` is always emitted —
-    0.0 for single-sample runs — so CSV/JSON schemas are stable across
-    seed counts.
-    """
-    metrics_ref = metrics_reference(metrics)
-    if metrics is not None and metrics_ref is None:
-        # Non-importable reducer (lambda/closure): run serially in this
-        # process. No caching/parallelism — the reducer cannot be
-        # addressed from a worker, nor fingerprinted for the cache.
-        samples = [metrics(run_scenario(replace(config, seed=seed))) for seed in seeds]
-    else:
-        job_list = [Job(index, config, seed, metrics_ref)
-                    for index, seed in enumerate(seeds)]
-        results = run_jobs(job_list, jobs_n=jobs, use_cache=use_cache,
-                           timeout_s=timeout_s)
-        failures = [res for res in results if not res.ok]
-        if failures:
-            detail = "; ".join(
-                f"seed {seeds[res.index]}: {res.error}" for res in failures)
-            if len(failures) == len(results):
-                raise RuntimeError(f"every seed failed: {detail}")
-            print(f"warning: averaging over {len(results) - len(failures)}/"
-                  f"{len(results)} seeds ({detail})", file=sys.stderr)
-        samples = [res.row for res in results if res.ok]
+def average(samples: Sequence[Dict[str, float]]) -> Dict[str, float]:
+    """Mean of every metric over ``samples`` (one dict per seed), and the
+    sample standard deviation as ``k_std`` — 0.0 for a single sample, so
+    CSV/JSON schemas are the same at any seed count."""
     row: Dict[str, float] = {}
     for key in samples[0]:
         values = [s[key] for s in samples]
         row[key] = statistics.fmean(values)
         row[key + "_std"] = statistics.stdev(values) if len(values) > 1 else 0.0
     return row
+
+
+def run_grid(
+    configs: Sequence[ScenarioConfig],
+    seeds: Optional[Sequence[int]],
+    metrics: Optional[Callable[[ScenarioResult], Dict[str, float]]] = None,
+) -> List[Dict[str, float]]:
+    """Run every config once per seed and return one :func:`average` row
+    per config, in the order given. The paper averages five seeded runs.
+
+    The whole grid is **one** :func:`run_jobs` call, so ``--jobs`` fans
+    all of an experiment's runs out at once, finished ones are served
+    from the on-disk cache, and rows are bit-identical at any worker
+    count. ``seeds=None`` runs each config once, under its own seed.
+    ``metrics`` runs inside the worker and is part of the cache key, so
+    it must be importable by name (a lambda or closure is a
+    ``TypeError``). A failed seed is dropped from its point's average
+    with a warning; a point that lost every seed raises.
+    """
+    metrics_ref = metrics_reference(metrics)
+    if metrics is not None and metrics_ref is None:
+        raise TypeError(f"metrics reducer {metrics!r} is not importable by name")
+    grid = [(point, seed) for point, config in enumerate(configs)
+            for seed in (seeds or (config.seed,))]
+    results = run_jobs([Job(index, configs[point], seed, metrics_ref)
+                        for index, (point, seed) in enumerate(grid)])
+    samples: List[List[Dict]] = [[] for _ in configs]
+    failures: List[List[str]] = [[] for _ in configs]
+    for (point, seed), res in zip(grid, results):
+        if res.manifest is not None:
+            # The one logged for this run: manifest.summarize sums the retries.
+            res.manifest["attempts"] = res.attempts
+        if res.ok:
+            samples[point].append(res.row)
+        else:
+            failures[point].append(f"seed {seed}: {res.error}")
+    for point, config in enumerate(configs):
+        if failures[point]:
+            where = f"point {point} ({config.transport}{'+tlt' if config.tlt else ''})"
+            detail = "; ".join(failures[point])
+            if not samples[point]:
+                raise RuntimeError(f"{where}: every seed failed: {detail}")
+            print(f"warning: {where}: averaging over {len(samples[point])}/"
+                  f"{len(samples[point]) + len(failures[point])} seeds ({detail})",
+                  file=sys.stderr)
+    return [average(point_samples) for point_samples in samples]
 
 
 def format_table(rows: Iterable[Dict], columns: Sequence[str], title: str = "") -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.core.config import TltConfig
-from repro.experiments.common import print_table, resolve_scale
+from repro.experiments.common import average, resolve_scale
 from repro.experiments.scenarios import (
     ScenarioConfig,
     attach_auditor,
@@ -33,6 +33,8 @@ DEFAULT_RATES = (0.0, 1e-5, 1e-4, 1e-3, 1e-2)
 
 COLUMNS = ["corruption_rate", "fg_p99_ms", "timeouts_per_1k", "corrupted_green",
            "incomplete"]
+
+TABLES = {"": ("Extension: TLT under non-congestion (corruption) losses", COLUMNS)}
 
 
 def _run(rate: float, scale, seed: int = 1) -> Dict:
@@ -69,7 +71,6 @@ def _run(rate: float, scale, seed: int = 1) -> Dict:
 
     stats = net.stats
     return {
-        "corruption_rate": rate,
         "fg_p99_ms": stats.fct_summary("fg")["p99"] / 1e6,
         "timeouts_per_1k": stats.timeouts_per_1k_flows(),
         "corrupted_green": float(sum(i.corrupted_green for i in injectors)),
@@ -77,16 +78,12 @@ def _run(rate: float, scale, seed: int = 1) -> Dict:
     }
 
 
-def run(scale="small", seed: int = 1,
+def run(scale="small", seeds: Sequence[int] = (1,),
         rates: Sequence[float] = DEFAULT_RATES) -> List[Dict]:
     scale = resolve_scale(scale)
-    return [_run(rate, scale, seed) for rate in rates]
-
-
-def main(scale="small") -> None:
-    print_table(run(scale), COLUMNS,
-                "Extension: TLT under non-congestion (corruption) losses")
-
-
-if __name__ == "__main__":
-    main()
+    rows: List[Dict] = []
+    for rate in rates:
+        row = average([_run(rate, scale, seed) for seed in seeds])
+        row["corruption_rate"] = rate
+        rows.append(row)
+    return rows

@@ -23,7 +23,7 @@ import random
 from dataclasses import replace
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import print_table, resolve_scale, run_averaged
+from repro.experiments.common import resolve_scale, run_grid
 from repro.experiments.scale import Scale
 from repro.experiments.scenarios import ScenarioConfig, build_network
 from repro.faults.schedule import FaultSchedule
@@ -41,6 +41,11 @@ CHAOS_COLUMNS = [
     "chaos_seed", "fault_events", "fault_drops", "timeouts_per_1k",
     "fg_p99_ms", "incomplete",
 ]
+
+TABLES = {
+    "fallback": ("Extension: §5 fallback — TLT vs baseline under corruption", COLUMNS),
+    "chaos": ("Extension: chaos schedules (flaps, storms, bursts) under TLT", CHAOS_COLUMNS),
+}
 
 #: Window faults are placed in for the chaos schedules.
 CHAOS_HORIZON_NS = 2 * MILLIS
@@ -99,54 +104,39 @@ def _no_worse(base: Dict, tlt: Dict) -> float:
 
 def run(scale="small", seeds: Sequence[int] = (1, 2, 3)) -> Dict[str, List[Dict]]:
     scale = resolve_scale(scale)
-    fallback_rows: List[Dict] = []
-    for rate in FAULT_RATES:
-        spec = corruption_spec(scale, rate)
-        base = run_averaged(
-            ScenarioConfig(transport="dctcp", tlt=False, scale=scale, faults=spec),
-            seeds,
-        )
-        tlt = run_averaged(
-            ScenarioConfig(transport="dctcp", tlt=True, scale=scale, faults=spec),
-            seeds,
-        )
-        fallback_rows.append(
-            {
-                "loss_rate": rate,
-                "fct_base_ms": _fct_ms(base),
-                "fct_tlt_ms": _fct_ms(tlt),
-                "timeouts_base": base["timeouts_per_1k"],
-                "timeouts_tlt": tlt["timeouts_per_1k"],
-                "fault_drops": tlt["fault_drops"],
-                "tlt_no_worse": _no_worse(base, tlt),
-            }
-        )
+    # Per rate, the baseline then TLT on the same fault schedule.
+    averaged = run_grid(
+        [ScenarioConfig(transport="dctcp", tlt=tlt, scale=scale,
+                        faults=corruption_spec(scale, rate))
+         for rate in FAULT_RATES for tlt in (False, True)],
+        seeds)
+    fallback_rows = [
+        {
+            "loss_rate": rate,
+            "fct_base_ms": _fct_ms(base),
+            "fct_tlt_ms": _fct_ms(tlt),
+            "timeouts_base": base["timeouts_per_1k"],
+            "timeouts_tlt": tlt["timeouts_per_1k"],
+            "fault_drops": tlt["fault_drops"],
+            "tlt_no_worse": _no_worse(base, tlt),
+        }
+        for rate, base, tlt in zip(FAULT_RATES, averaged[0::2], averaged[1::2])
+    ]
 
-    chaos_rows: List[Dict] = []
+    # One run per seed, each under its own seed-derived schedule.
+    chaos = []
     for seed in seeds:
         config = ScenarioConfig(transport="dctcp", tlt=True, scale=scale, seed=seed)
-        spec = chaos_spec(config, seed)
-        row = run_averaged(replace(config, faults=spec), (seed,))
-        chaos_rows.append(
-            {
-                "chaos_seed": float(seed),
-                "fault_events": float(len(spec["events"])),
-                "fault_drops": row["fault_drops"],
-                "timeouts_per_1k": row["timeouts_per_1k"],
-                "fg_p99_ms": row["fg_p99_ms"],
-                "incomplete": row["incomplete"],
-            }
-        )
+        chaos.append(replace(config, faults=chaos_spec(config, seed)))
+    chaos_rows = [
+        {
+            "chaos_seed": float(config.seed),
+            "fault_events": float(len(config.faults["events"])),
+            "fault_drops": row["fault_drops"],
+            "timeouts_per_1k": row["timeouts_per_1k"],
+            "fg_p99_ms": row["fg_p99_ms"],
+            "incomplete": row["incomplete"],
+        }
+        for config, row in zip(chaos, run_grid(chaos, None))
+    ]
     return {"fallback": fallback_rows, "chaos": chaos_rows}
-
-
-def main(scale="small") -> None:
-    result = run(scale)
-    print_table(result["fallback"], COLUMNS,
-                "Extension: §5 fallback — TLT vs baseline under corruption")
-    print_table(result["chaos"], CHAOS_COLUMNS,
-                "Extension: chaos schedules (flaps, storms, bursts) under TLT")
-
-
-if __name__ == "__main__":
-    main()

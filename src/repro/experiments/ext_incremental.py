@@ -18,10 +18,11 @@ legacy DCTCP, under one shared incast + background mix, comparing
 
 from __future__ import annotations
 
-from typing import Dict, List
+from dataclasses import replace
+from typing import Dict, List, Sequence
 
 from repro.core.config import TltConfig
-from repro.experiments.common import print_table, resolve_scale
+from repro.experiments.common import average, resolve_scale
 from repro.experiments.scenarios import (
     ScenarioConfig,
     attach_auditor,
@@ -31,7 +32,9 @@ from repro.experiments.scenarios import (
     make_transport_config,
     run_control,
 )
+from repro.net.packet import Color
 from repro.sim.units import KB, MILLIS
+from repro.switchsim.queue import EgressQueue
 from repro.transport.base import FlowSpec
 from repro.transport.registry import create_flow
 from repro.workload.background import BackgroundTraffic
@@ -41,21 +44,18 @@ from repro.workload.incast import IncastTraffic
 COLUMNS = ["deployment", "tlt_fg_p99_ms", "legacy_fg_p99_ms",
            "tlt_timeouts", "legacy_timeouts", "drops_red"]
 
+TABLES = {"": ("Extension: incremental deployment (half TLT, half legacy)", COLUMNS)}
+
 
 def _run(deployment: str, scale, seed: int = 1) -> Dict:
     config = ScenarioConfig(transport="dctcp", tlt=True, scale=scale, seed=seed)
-    if deployment == "isolated":
-        # Build with 2 classes; color-aware dropping on class 0 only.
-        config.transport_overrides = {}
-    net_config = config
-    net = build_network(net_config)
+    net = build_network(config)
     for switch in net.switches:
         if deployment == "isolated":
+            # Two classes; color-aware dropping on class 0 only.
             switch.config.num_traffic_classes = 2
             switch.config.color_classes = (0,)
             # Rebuild queues with two classes per existing port.
-            from repro.switchsim.queue import EgressQueue
-
             switch._port_queues = [
                 [EgressQueue(p), EgressQueue(p)] for p in range(len(switch.ports))
             ]
@@ -64,10 +64,6 @@ def _run(deployment: str, scale, seed: int = 1) -> Dict:
             switch.config.color_threshold_bytes = None
     control = run_control(config)
     auditor = attach_auditor(net, control)
-
-    from dataclasses import replace
-
-    from repro.net.packet import Color
 
     tconfig = make_transport_config(config)
     tlt_tconfig = tconfig
@@ -123,7 +119,6 @@ def _run(deployment: str, scale, seed: int = 1) -> Dict:
     tlt_p99, tlt_to = group_stats(tlt_flows)
     legacy_p99, legacy_to = group_stats(legacy_flows)
     return {
-        "deployment": deployment,
         "tlt_fg_p99_ms": tlt_p99,
         "legacy_fg_p99_ms": legacy_p99,
         "tlt_timeouts": float(tlt_to),
@@ -132,19 +127,11 @@ def _run(deployment: str, scale, seed: int = 1) -> Dict:
     }
 
 
-def run(scale="small", seed: int = 1) -> List[Dict]:
+def run(scale="small", seeds: Sequence[int] = (1,)) -> List[Dict]:
     scale = resolve_scale(scale)
-    return [
-        _run("no-tlt", scale, seed),
-        _run("shared-bad", scale, seed),
-        _run("isolated", scale, seed),
-    ]
-
-
-def main(scale="small") -> None:
-    print_table(run(scale), COLUMNS,
-                "Extension: incremental deployment (half TLT, half legacy)")
-
-
-if __name__ == "__main__":
-    main()
+    rows: List[Dict] = []
+    for deployment in ("no-tlt", "shared-bad", "isolated"):
+        row = average([_run(deployment, scale, seed) for seed in seeds])
+        row["deployment"] = deployment
+        rows.append(row)
+    return rows

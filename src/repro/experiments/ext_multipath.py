@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import print_table, resolve_scale, run_averaged
+from repro.experiments.common import resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 from repro.sim.units import MICROS
 
@@ -53,6 +53,12 @@ CHURN_COLUMNS = [
     "mode", "fct_sym_ms", "fct_asym_ms", "timeouts_per_1k", "flowlets",
     "reroutes", "incomplete", "no_worse",
 ]
+
+TABLES = {
+    "modes": ("Extension: selection modes on the asymmetric fat-tree", COLUMNS),
+    "churn": ("Extension: §5 gate under flaps — asymmetric vs symmetric tail",
+              CHURN_COLUMNS),
+}
 
 
 def flap_spec() -> Dict:
@@ -109,51 +115,40 @@ def _config(scale, mode: str, *, tlt: bool, asym: bool, faults=None) -> Scenario
 def run(scale="small", seeds: Sequence[int] = (1, 2, 3)) -> Dict[str, List[Dict]]:
     scale = resolve_scale(scale)
 
-    mode_rows: List[Dict] = []
-    for mode in MODES:
-        base = run_averaged(_config(scale, mode, tlt=False, asym=True), seeds)
-        tlt = run_averaged(_config(scale, mode, tlt=True, asym=True), seeds)
-        mode_rows.append(
-            {
-                "mode": mode,
-                "fct_base_ms": _fct_ms(base),
-                "fct_tlt_ms": _fct_ms(tlt),
-                "timeouts_base": base["timeouts_per_1k"],
-                "timeouts_tlt": tlt["timeouts_per_1k"],
-                "flowlets": tlt["flowlets"],
-                "reroutes": tlt["reroutes"],
-            }
-        )
+    # Per mode, the baseline then TLT on the asymmetric fabric.
+    averaged = run_grid(
+        [_config(scale, mode, tlt=tlt, asym=True) for mode in MODES for tlt in (False, True)],
+        seeds)
+    mode_rows = [
+        {
+            "mode": mode,
+            "fct_base_ms": _fct_ms(base),
+            "fct_tlt_ms": _fct_ms(tlt),
+            "timeouts_base": base["timeouts_per_1k"],
+            "timeouts_tlt": tlt["timeouts_per_1k"],
+            "flowlets": tlt["flowlets"],
+            "reroutes": tlt["reroutes"],
+        }
+        for mode, base, tlt in zip(MODES, averaged[0::2], averaged[1::2])
+    ]
 
+    # Per mode, the symmetric then the asymmetric fabric under the flaps.
     spec = flap_spec()
-    churn_rows: List[Dict] = []
-    for mode in MODES:
-        sym = run_averaged(
-            _config(scale, mode, tlt=True, asym=False, faults=spec), seeds)
-        asym = run_averaged(
-            _config(scale, mode, tlt=True, asym=True, faults=spec), seeds)
-        churn_rows.append(
-            {
-                "mode": mode,
-                "fct_sym_ms": _fct_ms(sym),
-                "fct_asym_ms": _fct_ms(asym),
-                "timeouts_per_1k": asym["timeouts_per_1k"],
-                "flowlets": asym["flowlets"],
-                "reroutes": asym["reroutes"],
-                "incomplete": asym["incomplete"],
-                "no_worse": _no_worse(sym, asym),
-            }
-        )
+    averaged = run_grid(
+        [_config(scale, mode, tlt=True, asym=asym, faults=spec)
+         for mode in MODES for asym in (False, True)],
+        seeds)
+    churn_rows = [
+        {
+            "mode": mode,
+            "fct_sym_ms": _fct_ms(sym),
+            "fct_asym_ms": _fct_ms(asym),
+            "timeouts_per_1k": asym["timeouts_per_1k"],
+            "flowlets": asym["flowlets"],
+            "reroutes": asym["reroutes"],
+            "incomplete": asym["incomplete"],
+            "no_worse": _no_worse(sym, asym),
+        }
+        for mode, sym, asym in zip(MODES, averaged[0::2], averaged[1::2])
+    ]
     return {"modes": mode_rows, "churn": churn_rows}
-
-
-def main(scale="small") -> None:
-    result = run(scale)
-    print_table(result["modes"], COLUMNS,
-                "Extension: selection modes on the asymmetric fat-tree")
-    print_table(result["churn"], CHURN_COLUMNS,
-                "Extension: §5 gate under flaps — asymmetric vs symmetric tail")
-
-
-if __name__ == "__main__":
-    main()

@@ -13,7 +13,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import TltConfig
-from repro.experiments.common import print_table, resolve_scale, run_averaged
+from repro.experiments.common import resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 
 DEFAULT_NS: Sequence[Optional[int]] = (None, 48, 96, 192, 384)
@@ -21,24 +21,14 @@ DEFAULT_NS: Sequence[Optional[int]] = (None, 48, 96, 192, 384)
 COLUMNS = ["periodic_n", "fg_p99_ms", "fg_p999_ms", "bg_avg_ms",
            "important_fraction", "timeouts_per_1k"]
 
+TABLES = {"": ("Extension: periodic marking interval N (vanilla DCQCN + TLT)", COLUMNS)}
+
 
 def run(scale="small", seeds: Sequence[int] = (1,),
         ns: Sequence[Optional[int]] = DEFAULT_NS) -> List[Dict]:
     scale = resolve_scale(scale)
     base = ScenarioConfig(transport="dcqcn", tlt=True, scale=scale)
-    rows: List[Dict] = []
-    for n in ns:
-        config = replace(base, tlt_config=TltConfig(periodic_n=n))
-        row = run_averaged(config, seeds)
+    rows = run_grid([replace(base, tlt_config=TltConfig(periodic_n=n)) for n in ns], seeds)
+    for row, n in zip(rows, ns):
         row["periodic_n"] = "off" if n is None else n
-        rows.append(row)
     return rows
-
-
-def main(scale="small") -> None:
-    print_table(run(scale), COLUMNS,
-                "Extension: periodic marking interval N (vanilla DCQCN + TLT)")
-
-
-if __name__ == "__main__":
-    main()

@@ -30,9 +30,10 @@ the three scenarios — lower is better, rank 1 wins.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments.common import print_table, resolve_scale, run_averaged
+from repro.experiments.common import average, resolve_scale, run_grid
 from repro.experiments.fig13_mixed_traffic import run_one as fig13_run_one
 from repro.experiments.scenarios import ScenarioConfig
 
@@ -40,6 +41,9 @@ COLUMNS = [
     "policy", "fig5_p99_ms", "fig9_p99_ms", "fig13_p99_ms",
     "timeouts_per_1k", "score", "rank",
 ]
+
+TABLES = {"": ("Extension: admission-policy lab (Fig 5/9/13 scenarios, "
+               "fg p99 normalized to per-scenario best)", COLUMNS)}
 
 #: (row label, ``admission`` spec). ``None`` — not ``"ch-static-k"`` —
 #: for the default so the sweep measures the open-coded fast path the
@@ -61,34 +65,28 @@ SCENARIO_KEYS = ("fig5_p99_ms", "fig9_p99_ms", "fig13_p99_ms")
 
 def run(scale="small", seeds: Sequence[int] = (1, 2)) -> List[Dict]:
     scale = resolve_scale(scale)
+    # Per policy, the Fig 5 mix then its Fig 9-style high-load variant.
+    configs: List[ScenarioConfig] = []
+    for _label, spec in POLICY_SPECS:
+        fig5 = ScenarioConfig(transport="dctcp", tlt=True, scale=scale, admission=spec)
+        configs += [fig5, replace(fig5, load=FIG9_LOAD)]
+    averaged = run_grid(configs, seeds)
     rows: List[Dict] = []
-    for label, spec in POLICY_SPECS:
-        fig5 = run_averaged(
-            ScenarioConfig(transport="dctcp", tlt=True, scale=scale,
-                           admission=spec),
-            seeds,
-        )
-        fig9 = run_averaged(
-            ScenarioConfig(transport="dctcp", tlt=True, scale=scale,
-                           load=FIG9_LOAD, admission=spec),
-            seeds,
-        )
-        fig13_p99 = [
-            fig13_run_one("dctcp", True, seed=seed, admission=spec)["fg_p99_ms"]
-            for seed in seeds
-        ]
+    for (label, spec), fig5, fig9 in zip(POLICY_SPECS, averaged[0::2], averaged[1::2]):
+        fig13 = average([fig13_run_one("dctcp", True, seed=seed, admission=spec)
+                         for seed in seeds])
         rows.append({
             "policy": label,
             "fig5_p99_ms": fig5["fg_p99_ms"],
             "fig9_p99_ms": fig9["fg_p99_ms"],
-            "fig13_p99_ms": sum(fig13_p99) / len(fig13_p99),
+            "fig13_p99_ms": fig13["fg_p99_ms"],
             "timeouts_per_1k": (fig5["timeouts_per_1k"]
                                 + fig9["timeouts_per_1k"]) / 2,
         })
 
     # Score: per-scenario p99 normalized to the best policy (so every
     # scenario carries equal weight regardless of its absolute scale),
-    # averaged; rank 1 = lowest score.
+    # averaged; rows come back ranked, rank 1 = lowest score.
     best = {
         key: min(row[key] for row in rows) or 1.0 for key in SCENARIO_KEYS
     }
@@ -96,17 +94,7 @@ def run(scale="small", seeds: Sequence[int] = (1, 2)) -> List[Dict]:
         row["score"] = sum(
             row[key] / best[key] if best[key] else 1.0 for key in SCENARIO_KEYS
         ) / len(SCENARIO_KEYS)
-    for rank, row in enumerate(sorted(rows, key=lambda r: r["score"]), start=1):
+    rows.sort(key=lambda r: r["score"])
+    for rank, row in enumerate(rows, start=1):
         row["rank"] = float(rank)
     return rows
-
-
-def main(scale="small") -> None:
-    rows = run(scale)
-    print_table(sorted(rows, key=lambda r: r["rank"]), COLUMNS,
-                "Extension: admission-policy lab (Fig 5/9/13 scenarios, "
-                "fg p99 normalized to per-scenario best)")
-
-
-if __name__ == "__main__":
-    main()

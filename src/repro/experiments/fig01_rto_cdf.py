@@ -11,51 +11,50 @@ RTO for background and foreground flows.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
-from repro.experiments.common import print_table, resolve_scale
-from repro.experiments.scenarios import ScenarioConfig, run_scenario
+from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.scenarios import ScenarioConfig, ScenarioResult
 from repro.sim.units import MICROS
 from repro.stats.percentile import percentiles
 
 PERCENTILES = (10, 25, 50, 75, 90, 99)
 COLUMNS = [f"p{p}" for p in PERCENTILES]
 
+TABLES = {"": ("Figure 1: RTT vs estimated RTO (DCTCP, RTO_min=200us)",
+               ["group", "metric"] + COLUMNS + ["frac_rto_gt_1.1ms"])}
 
-def run(scale="small", seed: int = 1) -> List[Dict]:
-    config = ScenarioConfig(
-        transport="dctcp",
-        scale=resolve_scale(scale),
-        rto_min_ns=200 * MICROS,
-        seed=seed,
-    )
-    result = run_scenario(config)
+
+def cdf_metrics(result: ScenarioResult) -> Dict[str, float]:
+    """Reducer: the run's four table rows flattened into one, keyed
+    ``<group>.<metric>.<column>``."""
     stats = result.stats
-    rows: List[Dict] = []
+    row: Dict[str, float] = {}
     for group, rtts in (("bg", stats.rtt_samples_bg), ("fg", stats.rtt_samples_fg)):
         rtos = [
             r.final_rto_ns
             for r in stats.flows.values()
             if r.group == group and r.final_rto_ns is not None
         ]
-        row: Dict = {"group": group, "metric": "rtt_us"}
-        arr = [rtt / 1e3 for rtt in rtts] or [0.0]
-        row.update(zip(COLUMNS, percentiles(arr, PERCENTILES)))
-        rows.append(row)
-        row = {"group": group, "metric": "rto_us"}
-        arr = [rto / 1e3 for rto in rtos] or [0.0]
-        row.update(zip(COLUMNS, percentiles(arr, PERCENTILES)))
-        if group == "fg":
-            row["frac_rto_gt_1.1ms"] = sum(rto > 1100 for rto in arr) / len(arr)
-        rows.append(row)
-    return rows
+        for metric, samples in (("rtt_us", rtts), ("rto_us", rtos)):
+            arr = [ns / 1e3 for ns in samples] or [0.0]
+            for column, value in zip(COLUMNS, percentiles(arr, PERCENTILES)):
+                row[f"{group}.{metric}.{column}"] = value
+            if (group, metric) == ("fg", "rto_us"):
+                row["fg.rto_us.frac_rto_gt_1.1ms"] = sum(rto > 1100 for rto in arr) / len(arr)
+    return row
 
 
-def main(scale="small") -> None:
-    rows = run(scale)
-    columns = ["group", "metric"] + COLUMNS + ["frac_rto_gt_1.1ms"]
-    print_table(rows, columns, "Figure 1: RTT vs estimated RTO (DCTCP, RTO_min=200us)")
-
-
-if __name__ == "__main__":
-    main()
+def run(scale="small", seeds: Sequence[int] = (1,)) -> List[Dict]:
+    config = ScenarioConfig(
+        transport="dctcp",
+        scale=resolve_scale(scale),
+        rto_min_ns=200 * MICROS,
+    )
+    [averaged] = run_grid([config], seeds, cdf_metrics)
+    rows: Dict[tuple, Dict] = {}
+    for key, value in averaged.items():
+        group, metric, column = key.split(".", 2)
+        row = rows.setdefault((group, metric), {"group": group, "metric": metric})
+        row[column] = value
+    return list(rows.values())

@@ -11,9 +11,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import print_table, resolve_scale, run_averaged
+from repro.experiments.common import resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 from repro.sim.units import MICROS
+
+TABLES = {"": ("Figure 2: fixed 160us RTO vs 4ms RTO_min (DCTCP, 15% foreground)",
+               ["scheme", "fg_p99_ms", "fg_p999_ms", "bg_avg_ms", "timeouts_per_1k",
+                "timeout_ratio_vs_baseline"])}
 
 
 def run(scale="small", seeds: Sequence[int] = (1,)) -> List[Dict]:
@@ -22,27 +26,11 @@ def run(scale="small", seeds: Sequence[int] = (1,)) -> List[Dict]:
         "baseline_4ms": base,
         "fixed_160us": replace(base, fixed_rto_ns=160 * MICROS),
     }
-    rows = []
-    for name, config in variants.items():
-        row = run_averaged(config, seeds)
+    rows = run_grid(list(variants.values()), seeds)
+    for row, name in zip(rows, variants):
         row["scheme"] = name
-        rows.append(row)
     if rows[0]["timeouts_per_1k"] > 0:
         rows[1]["timeout_ratio_vs_baseline"] = (
             rows[1]["timeouts_per_1k"] / rows[0]["timeouts_per_1k"]
         )
     return rows
-
-
-def main(scale="small") -> None:
-    rows = run(scale)
-    print_table(
-        rows,
-        ["scheme", "fg_p99_ms", "fg_p999_ms", "bg_avg_ms", "timeouts_per_1k",
-         "timeout_ratio_vs_baseline"],
-        "Figure 2: fixed 160us RTO vs 4ms RTO_min (DCTCP, 15% foreground)",
-    )
-
-
-if __name__ == "__main__":
-    main()

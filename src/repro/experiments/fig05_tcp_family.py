@@ -11,31 +11,24 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import print_table, resolve_scale, run_averaged
+from repro.experiments.common import resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.schemes import tcp_schemes
 
 COLUMNS = ["transport", "scheme", "fg_p99_ms", "fg_p999_ms", "bg_avg_ms",
            "timeouts_per_1k", "incomplete"]
 
+TABLES = {"": ("Figure 5: FCT for TCP/DCTCP (40% load, 5% fg, K=400kB)", COLUMNS)}
+
 
 def run(scale="small", seeds: Sequence[int] = (1,), transports=("dctcp", "tcp")) -> List[Dict]:
     scale = resolve_scale(scale)
-    rows: List[Dict] = []
-    for transport in transports:
-        base = ScenarioConfig(transport=transport, scale=scale)
-        for name, config in tcp_schemes(base).items():
-            row = run_averaged(config, seeds)
-            row["transport"] = transport
-            row["scheme"] = name
-            rows.append(row)
+    grid = [
+        (dict(transport=transport, scheme=name), config)
+        for transport in transports
+        for name, config in tcp_schemes(ScenarioConfig(transport=transport, scale=scale)).items()
+    ]
+    rows = run_grid([config for _labels, config in grid], seeds)
+    for row, (labels, _config) in zip(rows, grid):
+        row.update(labels)
     return rows
-
-
-def main(scale="small") -> None:
-    print_table(run(scale), COLUMNS,
-                "Figure 5: FCT for TCP/DCTCP (40% load, 5% fg, K=400kB)")
-
-
-if __name__ == "__main__":
-    main()

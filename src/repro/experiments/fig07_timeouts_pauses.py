@@ -12,17 +12,19 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import print_table, resolve_scale, run_averaged
+from repro.experiments.common import resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 from repro.sim.units import MICROS
 
 COLUMNS = ["transport", "scheme", "timeouts_per_1k", "pause_per_1k",
            "pause_fraction", "important_loss_rate"]
 
+TABLES = {"": ("Figure 7: timeouts, PAUSE frames and paused time per scheme", COLUMNS)}
+
 
 def run(scale="small", seeds: Sequence[int] = (1,), transports=("dctcp", "tcp")) -> List[Dict]:
     scale = resolve_scale(scale)
-    rows: List[Dict] = []
+    grid = []
     for transport in transports:
         base = ScenarioConfig(transport=transport, scale=scale)
         variants = {
@@ -33,18 +35,9 @@ def run(scale="small", seeds: Sequence[int] = (1,), transports=("dctcp", "tcp"))
             "pfc": replace(base, pfc=True),  # pause panels (b), (c)
             "tlt+pfc": replace(base, tlt=True, pfc=True),
         }
-        for name, config in variants.items():
-            row = run_averaged(config, seeds)
-            row["transport"] = transport
-            row["scheme"] = name
-            rows.append(row)
+        grid += [(dict(transport=transport, scheme=name), config)
+                 for name, config in variants.items()]
+    rows = run_grid([config for _labels, config in grid], seeds)
+    for row, (labels, _config) in zip(rows, grid):
+        row.update(labels)
     return rows
-
-
-def main(scale="small") -> None:
-    print_table(run(scale), COLUMNS,
-                "Figure 7: timeouts, PAUSE frames and paused time per scheme")
-
-
-if __name__ == "__main__":
-    main()

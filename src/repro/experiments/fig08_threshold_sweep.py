@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import print_table, resolve_scale, run_averaged
+from repro.experiments.common import resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 from repro.sim.units import KB
 
@@ -19,25 +19,16 @@ DEFAULT_THRESHOLDS = tuple(k * KB for k in (100, 200, 400, 700, 1000))
 COLUMNS = ["pfc", "threshold_kB", "fg_p99_ms", "fg_p999_ms", "bg_avg_ms",
            "timeouts_per_1k", "pause_per_1k", "important_loss_rate"]
 
+TABLES = {"": ("Figure 8: FCT vs color-aware dropping threshold (DCTCP+TLT)", COLUMNS)}
+
 
 def run(scale="small", seeds: Sequence[int] = (1,),
         thresholds: Sequence[int] = DEFAULT_THRESHOLDS) -> List[Dict]:
     scale = resolve_scale(scale)
-    rows: List[Dict] = []
-    for pfc in (False, True):
-        base = ScenarioConfig(transport="dctcp", tlt=True, pfc=pfc, scale=scale)
-        for k in thresholds:
-            row = run_averaged(replace(base, color_threshold_bytes=k), seeds)
-            row["pfc"] = pfc
-            row["threshold_kB"] = k // KB
-            rows.append(row)
+    base = ScenarioConfig(transport="dctcp", tlt=True, scale=scale)
+    grid = [(pfc, k) for pfc in (False, True) for k in thresholds]
+    rows = run_grid([replace(base, pfc=pfc, color_threshold_bytes=k) for pfc, k in grid],
+                    seeds)
+    for row, (pfc, k) in zip(rows, grid):
+        row.update(pfc=pfc, threshold_kB=k // KB)
     return rows
-
-
-def main(scale="small") -> None:
-    print_table(run(scale), COLUMNS,
-                "Figure 8: FCT vs color-aware dropping threshold (DCTCP+TLT)")
-
-
-if __name__ == "__main__":
-    main()

@@ -8,10 +8,9 @@ after which retransmission penalties outweigh the HoL-blocking savings.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import print_table, resolve_scale, run_averaged
+from repro.experiments.common import resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 
 DEFAULT_LOADS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
@@ -19,28 +18,19 @@ DEFAULT_LOADS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 COLUMNS = ["transport", "tlt", "load", "fg_p99_ms", "fg_p999_ms", "bg_avg_ms",
            "pause_per_1k"]
 
+TABLES = {"": ("Figure 9: FCT vs network load (PFC on, with/without TLT)", COLUMNS)}
+
 
 def run(scale="small", seeds: Sequence[int] = (1,),
         loads: Sequence[float] = DEFAULT_LOADS,
         transports=("hpcc", "dctcp")) -> List[Dict]:
     scale = resolve_scale(scale)
-    rows: List[Dict] = []
-    for transport in transports:
-        for tlt in (False, True):
-            base = ScenarioConfig(transport=transport, tlt=tlt, pfc=True, scale=scale)
-            for load in loads:
-                row = run_averaged(replace(base, load=load), seeds)
-                row["transport"] = transport
-                row["tlt"] = tlt
-                row["load"] = load
-                rows.append(row)
+    grid = [(transport, tlt, load)
+            for transport in transports for tlt in (False, True) for load in loads]
+    rows = run_grid(
+        [ScenarioConfig(transport=transport, tlt=tlt, pfc=True, scale=scale, load=load)
+         for transport, tlt, load in grid],
+        seeds)
+    for row, (transport, tlt, load) in zip(rows, grid):
+        row.update(transport=transport, tlt=tlt, load=load)
     return rows
-
-
-def main(scale="small") -> None:
-    print_table(run(scale), COLUMNS,
-                "Figure 9: FCT vs network load (PFC on, with/without TLT)")
-
-
-if __name__ == "__main__":
-    main()

@@ -10,34 +10,24 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import print_table, resolve_scale, run_averaged
+from repro.experiments.common import resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 
 DEFAULT_SHARES = (0.0, 0.02, 0.05, 0.10, 0.15, 0.20)
 
 COLUMNS = ["fg_share", "important_fraction", "important_loss_rate", "fg_p999_ms"]
 
+TABLES = {"": ("Figure 10: fraction of important packets vs foreground share", COLUMNS)}
+
 
 def run(scale="small", seeds: Sequence[int] = (1,),
         shares: Sequence[float] = DEFAULT_SHARES) -> List[Dict]:
     scale = resolve_scale(scale)
     base = ScenarioConfig(transport="dctcp", tlt=True, scale=scale)
-    rows: List[Dict] = []
-    for share in shares:
-        if share <= 0:
-            config = replace(base, enable_incast=False)
-        else:
-            config = replace(base, fg_share=share)
-        row = run_averaged(config, seeds)
+    rows = run_grid(
+        [replace(base, fg_share=share) if share > 0 else replace(base, enable_incast=False)
+         for share in shares],
+        seeds)
+    for row, share in zip(rows, shares):
         row["fg_share"] = share
-        rows.append(row)
     return rows
-
-
-def main(scale="small") -> None:
-    print_table(run(scale), COLUMNS,
-                "Figure 10: fraction of important packets vs foreground share")
-
-
-if __name__ == "__main__":
-    main()

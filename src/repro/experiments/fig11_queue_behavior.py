@@ -11,8 +11,8 @@ import statistics
 from dataclasses import replace
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import print_table, resolve_scale
-from repro.experiments.scenarios import ScenarioConfig, run_scenario
+from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.scenarios import ScenarioConfig, ScenarioResult
 from repro.sim.units import KB
 
 DEFAULT_THRESHOLDS = tuple(k * KB for k in (100, 200, 400, 700))
@@ -20,57 +20,43 @@ DEFAULT_THRESHOLDS = tuple(k * KB for k in (100, 200, 400, 700))
 COLUMNS_A = ["threshold_kB", "important_fraction", "important_loss_rate"]
 COLUMNS_B = ["scheme", "max_queue_kB", "max_red_queue_kB", "median_queue_kB"]
 
+TABLES = {
+    "fraction": ("Figure 11a: important fraction vs threshold", COLUMNS_A),
+    "queues": ("Figure 11b: queue occupancy with/without TLT", COLUMNS_B),
+}
 
-def run_fraction(scale="small", seed: int = 1,
-                 thresholds: Sequence[int] = DEFAULT_THRESHOLDS) -> List[Dict]:
-    """Panel (a): fraction of important packets by threshold (fg 5%)."""
+
+def fraction_metrics(result: ScenarioResult) -> Dict[str, float]:
+    """Reducer for panel (a): how much of the traffic is important."""
+    return {
+        "important_fraction": result.stats.important_fraction_bytes(),
+        "important_loss_rate": result.stats.important_loss_rate(),
+    }
+
+
+def queue_metrics(result: ScenarioResult) -> Dict[str, float]:
+    """Reducer for panel (b): the fabric's queue occupancy."""
+    switches = result.net.switches
+    return {
+        "max_queue_kB": max(s.max_queue_occupancy() for s in switches) / KB,
+        "max_red_queue_kB": max(s.max_red_occupancy() for s in switches) / KB,
+        # Mean of the middle pair, not the percentile lerp.
+        "median_queue_kB": statistics.median(result.queue_samples or [0]) / KB,
+    }
+
+
+def run(scale="small", seeds: Sequence[int] = (1,),
+        thresholds: Sequence[int] = DEFAULT_THRESHOLDS) -> Dict[str, List[Dict]]:
     scale = resolve_scale(scale)
-    base = ScenarioConfig(transport="dctcp", tlt=True, scale=scale, seed=seed)
-    rows = []
-    for k in thresholds:
-        result = run_scenario(replace(base, color_threshold_bytes=k))
-        rows.append(
-            {
-                "threshold_kB": k // KB,
-                "important_fraction": result.stats.important_fraction_bytes(),
-                "important_loss_rate": result.stats.important_loss_rate(),
-            }
-        )
-    return rows
-
-
-def run_queues(scale="small", seed: int = 1) -> List[Dict]:
-    """Panel (b): queue occupancy with and without TLT (DCTCP)."""
-    scale = resolve_scale(scale)
-    rows = []
-    for name, tlt in (("dctcp", False), ("dctcp+tlt", True)):
-        config = ScenarioConfig(transport="dctcp", tlt=tlt, scale=scale, seed=seed)
-        result = run_scenario(config)
-        max_queue = max(s.max_queue_occupancy() for s in result.net.switches)
-        max_red = max(s.max_red_occupancy() for s in result.net.switches)
-        rows.append(
-            {
-                "scheme": name,
-                "max_queue_kB": max_queue / KB,
-                "max_red_queue_kB": max_red / KB,
-                # Mean of the middle pair, not the percentile lerp.
-                "median_queue_kB": statistics.median(result.queue_samples or [0]) / KB,
-            }
-        )
-    return rows
-
-
-def run(scale="small", seed: int = 1) -> Dict[str, List[Dict]]:
-    return {"fraction": run_fraction(scale, seed), "queues": run_queues(scale, seed)}
-
-
-def main(scale="small") -> None:
-    results = run(scale)
-    print_table(results["fraction"], COLUMNS_A,
-                "Figure 11a: important fraction vs threshold")
-    print_table(results["queues"], COLUMNS_B,
-                "Figure 11b: queue occupancy with/without TLT")
-
-
-if __name__ == "__main__":
-    main()
+    # Panel (a): fraction of important packets by threshold (fg 5%).
+    base = ScenarioConfig(transport="dctcp", tlt=True, scale=scale)
+    fraction = run_grid([replace(base, color_threshold_bytes=k) for k in thresholds], seeds,
+                        fraction_metrics)
+    for row, k in zip(fraction, thresholds):
+        row["threshold_kB"] = k // KB
+    # Panel (b): queue occupancy with and without TLT (DCTCP).
+    schemes = {"dctcp": replace(base, tlt=False), "dctcp+tlt": base}
+    queues = run_grid(list(schemes.values()), seeds, queue_metrics)
+    for row, name in zip(queues, schemes):
+        row["scheme"] = name
+    return {"fraction": fraction, "queues": queues}

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.apps.webtier import WebTier
-from repro.experiments.common import print_table
+from repro.experiments.common import average
 from repro.experiments.scenarios import attach_auditor, finish_run, run_control
 from repro.experiments.testbed import build_testbed, maybe_tlt, testbed_transport_config
 from repro.sim.units import MILLIS
@@ -20,6 +20,8 @@ from repro.sim.units import MILLIS
 DEFAULT_REQUEST_COUNTS = (8, 24, 60, 120, 180)
 
 COLUMNS = ["transport", "tlt", "requests", "p99_ms", "max_ms", "timeouts"]
+
+TABLES = {"": ("Figure 12: cache (Redis) incast response times", COLUMNS)}
 
 
 def run_one(transport: str, tlt: bool, requests: int, bursts: int = 3, seed: int = 1) -> Dict:
@@ -37,9 +39,6 @@ def run_one(transport: str, tlt: bool, requests: int, bursts: int = 3, seed: int
     finish_run(net, control, auditor)
     summary = tier.result.summary()
     return {
-        "transport": transport,
-        "tlt": tlt,
-        "requests": requests,
         "p99_ms": summary["p99"] / 1e6,
         "max_ms": summary["max"] / 1e6,
         "timeouts": float(net.stats.timeouts),
@@ -47,20 +46,15 @@ def run_one(transport: str, tlt: bool, requests: int, bursts: int = 3, seed: int
     }
 
 
-def run(scale="small", request_counts: Sequence[int] = DEFAULT_REQUEST_COUNTS,
+def run(scale="small", seeds: Sequence[int] = (1,),
+        request_counts: Sequence[int] = DEFAULT_REQUEST_COUNTS,
         bursts: int = 3, transports=("tcp", "dctcp")) -> List[Dict]:
     rows: List[Dict] = []
     for transport in transports:
         for tlt in (False, True):
             for requests in request_counts:
-                rows.append(run_one(transport, tlt, requests, bursts))
+                row = average([run_one(transport, tlt, requests, bursts, seed)
+                               for seed in seeds])
+                row.update(transport=transport, tlt=tlt, requests=requests)
+                rows.append(row)
     return rows
-
-
-def main(scale="small") -> None:
-    print_table(run(scale), COLUMNS,
-                "Figure 12: cache (Redis) incast response times")
-
-
-if __name__ == "__main__":
-    main()

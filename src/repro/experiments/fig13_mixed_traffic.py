@@ -8,11 +8,11 @@ costing the background flow only ~5.6% goodput.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from repro.apps.kvstore import KvClient, KvServer
 from repro.apps.rpc import RpcNode
-from repro.experiments.common import print_table
+from repro.experiments.common import average
 from repro.experiments.scenarios import attach_auditor, finish_run, run_control
 from repro.experiments.testbed import build_testbed, maybe_tlt, testbed_transport_config
 from repro.stats.percentile import percentile
@@ -20,6 +20,8 @@ from repro.transport.base import FlowSpec
 from repro.transport.registry import create_flow
 
 COLUMNS = ["scheme", "fg_p99_ms", "bg_goodput_gbps", "timeouts"]
+
+TABLES = {"": ("Figure 13: mixed cache + background traffic (DCTCP)", COLUMNS)}
 
 NUM_SERVERS = 8
 NUM_SETS = 152
@@ -67,7 +69,6 @@ def run_one(transport: str = "dctcp", tlt: bool = False, seed: int = 1,
     fg_times = [t for c in clients for t in c.response_times]
     bg_end = bg_done.get("end", net.engine.now)
     return {
-        "scheme": f"{transport}+tlt" if tlt else transport,
         "fg_p99_ms": percentile(fg_times, 99) / 1e6,
         "bg_goodput_gbps": BG_SIZE * 8 / max(bg_end, 1) if bg_end else 0.0,
         "timeouts": float(net.stats.timeouts),
@@ -75,14 +76,10 @@ def run_one(transport: str = "dctcp", tlt: bool = False, seed: int = 1,
     }
 
 
-def run(scale="small", transport: str = "dctcp") -> List[Dict]:
-    return [run_one(transport, False), run_one(transport, True)]
-
-
-def main(scale="small") -> None:
-    print_table(run(scale), COLUMNS,
-                "Figure 13: mixed cache + background traffic (DCTCP)")
-
-
-if __name__ == "__main__":
-    main()
+def run(scale="small", seeds: Sequence[int] = (1,), transport: str = "dctcp") -> List[Dict]:
+    rows: List[Dict] = []
+    for tlt in (False, True):
+        row = average([run_one(transport, tlt, seed) for seed in seeds])
+        row["scheme"] = f"{transport}+tlt" if tlt else transport
+        rows.append(row)
+    return rows

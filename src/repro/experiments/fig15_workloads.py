@@ -16,13 +16,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import print_table, resolve_scale, run_averaged
+from repro.experiments.common import resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.schemes import roce_schemes, tcp_schemes
 
 WORKLOADS = ("web_search", "web_server", "cache_follower")
 
 COLUMNS = ["workload", "load", "transport", "scheme", "fg_p999_ms", "bg_avg_ms"]
+
+TABLES = {"": ("Figure 15: 99.9% foreground FCT across workloads", COLUMNS)}
 
 
 def _schemes_for(transport: str, base: ScenarioConfig, full: bool) -> Dict[str, ScenarioConfig]:
@@ -47,26 +49,19 @@ def run(
     full_schemes: bool = False,
 ) -> List[Dict]:
     scale = resolve_scale(scale)
-    rows: List[Dict] = []
+    grid = []
     for workload in workloads:
         for load in loads:
             for transport in transports:
                 base = ScenarioConfig(
                     transport=transport, scale=scale, workload=workload, load=load
                 )
-                for name, config in _schemes_for(transport, base, full_schemes).items():
-                    row = run_averaged(config, seeds)
-                    row.update(
-                        workload=workload, load=load, transport=transport, scheme=name
-                    )
-                    rows.append(row)
+                grid += [
+                    (dict(workload=workload, load=load, transport=transport, scheme=name),
+                     config)
+                    for name, config in _schemes_for(transport, base, full_schemes).items()
+                ]
+    rows = run_grid([config for _labels, config in grid], seeds)
+    for row, (labels, _config) in zip(rows, grid):
+        row.update(labels)
     return rows
-
-
-def main(scale="small") -> None:
-    print_table(run(scale), COLUMNS,
-                "Figure 15: 99.9% foreground FCT across workloads")
-
-
-if __name__ == "__main__":
-    main()

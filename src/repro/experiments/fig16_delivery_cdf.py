@@ -7,36 +7,33 @@ acknowledged, including retransmissions. The paper: TLT cuts the
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
-from repro.experiments.common import print_table, resolve_scale
-from repro.experiments.scenarios import ScenarioConfig, run_scenario
+from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.scenarios import ScenarioConfig, ScenarioResult
 from repro.stats.percentile import percentiles
 
 PERCENTILES = (50, 90, 99, 99.9)
 
 COLUMNS = ["scheme"] + [f"p{p}_us" for p in PERCENTILES]
 
+TABLES = {"": ("Figure 16: segment delivery time CDF (DCTCP)", COLUMNS)}
 
-def run(scale="small", seed: int = 1, load: float = 0.3) -> List[Dict]:
+
+def delivery_metrics(result: ScenarioResult) -> Dict[str, float]:
+    """Reducer: percentiles of the run's segment delivery times."""
+    samples = [ns / 1e3 for ns in result.stats.delivery_samples]
+    return dict(zip(COLUMNS[1:], percentiles(samples, PERCENTILES)))
+
+
+def run(scale="small", seeds: Sequence[int] = (1,), load: float = 0.3) -> List[Dict]:
     scale = resolve_scale(scale)
-    rows: List[Dict] = []
-    for name, tlt in (("dctcp", False), ("dctcp+tlt", True)):
-        config = ScenarioConfig(
-            transport="dctcp", tlt=tlt, scale=scale, seed=seed, load=load,
-            incast_flow_size=16_000,
-        )
-        result = run_scenario(config)
-        samples = [ns / 1e3 for ns in result.stats.delivery_samples]
-        row: Dict = {"scheme": name}
-        row.update(zip(COLUMNS[1:], percentiles(samples, PERCENTILES)))
-        rows.append(row)
+    schemes = {
+        name: ScenarioConfig(transport="dctcp", tlt=tlt, scale=scale, load=load,
+                             incast_flow_size=16_000)
+        for name, tlt in (("dctcp", False), ("dctcp+tlt", True))
+    }
+    rows = run_grid(list(schemes.values()), seeds, delivery_metrics)
+    for row, name in zip(rows, schemes):
+        row["scheme"] = name
     return rows
-
-
-def main(scale="small") -> None:
-    print_table(run(scale), COLUMNS, "Figure 16: segment delivery time CDF (DCTCP)")
-
-
-if __name__ == "__main__":
-    main()

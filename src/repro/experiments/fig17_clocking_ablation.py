@@ -11,10 +11,13 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.core.config import ClockingPolicy, TltConfig
-from repro.experiments.common import print_table, resolve_scale, run_averaged
+from repro.experiments.common import resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 
 COLUMNS = ["policy", "fg_p99_ms", "fg_p999_ms", "clocking_kB", "pause_per_1k"]
+
+TABLES = {"": ("Figure 17: important ACK-clocking policy ablation (DCTCP+TLT+PFC)",
+               COLUMNS)}
 
 
 def clocking_metrics(result):
@@ -27,23 +30,12 @@ def clocking_metrics(result):
 
 def run(scale="small", seeds: Sequence[int] = (1,)) -> List[Dict]:
     scale = resolve_scale(scale)
-    rows: List[Dict] = []
-    for policy in (ClockingPolicy.ALWAYS_MTU, ClockingPolicy.ALWAYS_1B,
-                   ClockingPolicy.ADAPTIVE):
-        config = ScenarioConfig(
-            transport="dctcp", tlt=True, pfc=True, scale=scale,
-            tlt_config=TltConfig(clocking=policy),
-        )
-        row = run_averaged(config, seeds, metrics=clocking_metrics)
+    policies = (ClockingPolicy.ALWAYS_MTU, ClockingPolicy.ALWAYS_1B, ClockingPolicy.ADAPTIVE)
+    rows = run_grid(
+        [ScenarioConfig(transport="dctcp", tlt=True, pfc=True, scale=scale,
+                        tlt_config=TltConfig(clocking=policy))
+         for policy in policies],
+        seeds, clocking_metrics)
+    for row, policy in zip(rows, policies):
         row["policy"] = policy.value
-        rows.append(row)
     return rows
-
-
-def main(scale="small") -> None:
-    print_table(run(scale), COLUMNS,
-                "Figure 17: important ACK-clocking policy ablation (DCTCP+TLT+PFC)")
-
-
-if __name__ == "__main__":
-    main()

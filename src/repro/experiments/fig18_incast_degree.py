@@ -8,15 +8,16 @@ lower 99.9% foreground FCT at high degrees.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import print_table, resolve_scale, run_averaged
+from repro.experiments.common import resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 
 DEFAULT_DEGREES = (2, 4, 6, 8, 10)
 
 COLUMNS = ["transport", "tlt", "degree", "fg_p99_ms", "fg_p999_ms", "bg_avg_ms"]
+
+TABLES = {"": ("Figure 18: FCT vs incast degree", COLUMNS)}
 
 
 def run(scale="small", seeds: Sequence[int] = (1,),
@@ -27,23 +28,13 @@ def run(scale="small", seeds: Sequence[int] = (1,),
     # topology 16 kB keeps the high-degree bursts past the buffer knee
     # (same burst-volume/buffer ratio — see DESIGN.md §6).
     scale = resolve_scale(scale)
-    rows: List[Dict] = []
-    for transport in transports:
-        for tlt in (False, True):
-            base = ScenarioConfig(
-                transport=transport, tlt=tlt, scale=scale,
-                incast_flow_size=flow_size,
-            )
-            for degree in degrees:
-                row = run_averaged(replace(base, incast_flows_per_sender=degree), seeds)
-                row.update(transport=transport, tlt=tlt, degree=degree)
-                rows.append(row)
+    grid = [(transport, tlt, degree)
+            for transport in transports for tlt in (False, True) for degree in degrees]
+    rows = run_grid(
+        [ScenarioConfig(transport=transport, tlt=tlt, scale=scale,
+                        incast_flow_size=flow_size, incast_flows_per_sender=degree)
+         for transport, tlt, degree in grid],
+        seeds)
+    for row, (transport, tlt, degree) in zip(rows, grid):
+        row.update(transport=transport, tlt=tlt, degree=degree)
     return rows
-
-
-def main(scale="small") -> None:
-    print_table(run(scale), COLUMNS, "Figure 18: FCT vs incast degree")
-
-
-if __name__ == "__main__":
-    main()

@@ -2,8 +2,9 @@
 
 Every run ends in :func:`repro.experiments.scenarios.finish_run`, the
 only caller of :func:`build`, which appends the result to :data:`LOG`;
-``run_jobs`` appends what pool workers and cache hits send back, the
-sharded coordinator overlays :func:`cost` and a ``shard`` section on its
+``run_jobs`` appends what pool workers and cache hits send back,
+``run_grid`` notes the ``attempts`` each of its runs took, the sharded
+coordinator overlays :func:`cost` and a ``shard`` section on its
 workers' manifests, and the CLI clears the log before an experiment and
 prints a footer from :func:`summarize` after it. Every field and where
 it is written: docs/API.md, "Run manifest".
@@ -70,10 +71,14 @@ def build(net, control, config=None, run_id: Optional[str] = None,
     return manifest
 
 
-def summarize(experiment: str, manifests: Iterable[Dict], code: str) -> Dict:
+def summarize(experiment: str, manifests: Iterable[Dict], code: str,
+              elapsed_s: float, jobs: int) -> Dict:
     """One experiment's document: totals over its runs (a cached run
     counts with the cost of the run that produced it) and the manifests
-    themselves; ``code`` stamps the ones executed here."""
+    themselves; ``code`` stamps the ones executed here. ``elapsed_s`` is
+    the wall clock around the whole experiment with ``jobs`` workers, to
+    set against ``wall_s``, the sum over its runs; ``retries`` sums the
+    extra ``attempts`` ``run_grid`` noted on the runs that needed them."""
     runs = [m if "code" in m else {**m, "code": code} for m in manifests]
     wall_s = sum(m["wall_s"] for m in runs)
     events = sum(m["events"] for m in runs)
@@ -86,6 +91,9 @@ def summarize(experiment: str, manifests: Iterable[Dict], code: str) -> Dict:
         "code": "+".join(sorted({m["code"] for m in runs})) or code,
         "events": events,
         "wall_s": round(wall_s, 6),
+        "elapsed_s": round(elapsed_s, 6),
+        "jobs": jobs,
+        "retries": sum(m.get("attempts", 1) - 1 for m in runs),
         "cpu_s": round(sum(m["cpu_s"] for m in runs), 6),
         "events_per_s": round(events / wall_s) if wall_s > 0 else 0,
         "peak_rss_mb": max((m["peak_rss_mb"] for m in runs), default=0.0),

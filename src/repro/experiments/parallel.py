@@ -22,7 +22,7 @@ execute what changed.
 
 The module-level :class:`ExecutionContext` carries the defaults
 (``--jobs``, ``--no-cache``, ``--timeout`` from the CLI); library code
-such as :func:`repro.experiments.common.run_averaged` picks them up
+such as :func:`repro.experiments.common.run_grid` picks them up
 without every experiment module having to thread parameters through.
 """
 
@@ -171,8 +171,8 @@ def metrics_reference(fn: Optional[Callable]) -> Optional[str]:
     """Importable ``module:qualname`` for ``fn``, or None.
 
     Lambdas, closures and anything that does not round-trip through an
-    import cannot run in a worker process; callers fall back to serial
-    in-process execution for those.
+    import cannot run in a worker process, nor be fingerprinted for the
+    cache; :func:`repro.experiments.common.run_grid` refuses them.
     """
     if fn is None:
         return None
@@ -339,7 +339,12 @@ def run_jobs(jobs: Sequence[Job], *, jobs_n: Optional[int] = None,
             # logged each manifest in this process already.
             executed = [_execute_inline(job) for job in pending]
         else:
-            executed = _run_pool(pending, slots, timeout_s, retries)
+            # The pool hands results back in completion order; log them
+            # in submission order, as the inline path does, so the log is
+            # the same at any worker count.
+            position = {job.index: n for n, job in enumerate(pending)}
+            executed = sorted(_run_pool(pending, slots, timeout_s, retries),
+                              key=lambda res: position[res.index])
             LOG.extend(res.manifest for res in executed if res.ok)
         seeds = {job.index: job.seed for job in pending}
         for res in executed:

@@ -7,28 +7,36 @@ Usage::
     tlt-experiment fig05 --scale small --seeds 5 --jobs 4
     tlt-experiment all --scale tiny --jobs 2 --csv out/
 
-``--jobs N`` fans seeded runs out over N worker processes (results are
-bit-identical to a serial run), ``--seeds N`` averages seeds 1..N on
-modules that support seed averaging, and completed runs are served
-from the on-disk result cache (disable with ``--no-cache``; see
-``repro.experiments.cache``). Every experiment ends with a footer line
-summarising its runs' manifests (:mod:`repro.experiments.manifest`);
-``--csv DIR`` also writes that document as ``DIR/<id>.manifest.json``,
-and ``--profile`` writes it with a per-callback ``callbacks`` section
-as ``profile_<id>.json`` beside a cProfile ``profile_<id>.pstats``.
+A registry module is ``run(scale, seeds=<its default>)`` returning rows,
+or ``{part: rows}``, and ``TABLES``: ``{part: (title, columns)}``, ``""``
+naming the only table of a module that returns plain rows. The CLI
+prints every table and, with ``--csv DIR``, writes all of each part's
+columns as ``DIR/<id>[_<part>].csv``.
+
+``--jobs N`` fans all of an experiment's runs out over N worker
+processes (results are bit-identical to a serial run), ``--seeds N``
+averages seeds 1..N in place of the module's default seeds, and
+completed runs are served from the on-disk result cache (disable with
+``--no-cache``; see ``repro.experiments.cache``). Every experiment ends
+with a footer line summarising its runs' manifests
+(:mod:`repro.experiments.manifest`); ``--csv DIR`` also writes that
+document as ``DIR/<id>.manifest.json``, and ``--profile`` writes it
+with a per-callback ``callbacks`` section as ``profile_<id>.json``
+beside a cProfile ``profile_<id>.pstats``.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
-import inspect
 import os
 import sys
+import time
 from typing import Dict
 
 from repro.experiments import manifest, parallel
 from repro.experiments.cache import code_version
+from repro.experiments.common import print_table
 from repro.experiments.export import rows_to_csv, write_json
 from repro.sim.backend import set_attribution
 
@@ -62,34 +70,6 @@ EXPERIMENTS: Dict[str, str] = {
 }
 
 
-def _call_run(module, scale: str, seeds_n: int):
-    """Invoke ``module.run`` with seeds 1..N when the module supports it."""
-    kwargs = {"scale": scale}
-    if seeds_n > 1:
-        parameters = inspect.signature(module.run).parameters
-        if "seeds" in parameters:
-            kwargs["seeds"] = tuple(range(1, seeds_n + 1))
-        else:
-            print(f"note: {module.__name__} runs single-seed; --seeds ignored",
-                  file=sys.stderr)
-    return module.run(**kwargs)
-
-
-def _print_rows(module, result) -> None:
-    """Generic table print for the --seeds path (module.main only takes
-    a scale, so curated printing is bypassed when seeds are requested)."""
-    from repro.experiments.common import print_table
-
-    parts = result if isinstance(result, dict) else {"": result}
-    for part, rows in parts.items():
-        if not rows:
-            continue
-        columns = getattr(module, "COLUMNS", None)
-        if not columns or any(c not in rows[0] for c in columns):
-            columns = list(rows[0].keys())
-        print_table(rows, columns, part)
-
-
 def _callbacks(table: Dict, top: int = 25) -> Dict:
     """The ``callbacks`` section of ``profile_<id>.json``: the engine's
     per-callback attribution table, heaviest first, and the share of its
@@ -109,8 +89,10 @@ def _callbacks(table: Dict, top: int = 25) -> Dict:
 def _footer(doc: Dict) -> str:
     """The line an experiment ends with, from its manifest document."""
     runs = f"{doc['runs']} run{'s' * (doc['runs'] != 1)} ({doc['cached_runs']} cached)"
+    retries = f", {doc['retries']} retried" if doc["retries"] else ""
     return (f"[{doc['experiment']}: {runs}, {doc['backend']}, {doc['events']:,} events, "
             f"{doc['events_per_s']:,} ev/s, {doc['wall_s']:.1f} s sim wall, "
+            f"{doc['elapsed_s']:.1f} s elapsed at --jobs {doc['jobs']}{retries}, "
             f"peak {doc['peak_rss_mb']:.0f} MB, {doc['code']}]")
 
 
@@ -119,20 +101,17 @@ def _run_one(name: str, args) -> None:
     manifest.LOG.clear()
 
     def execute() -> None:
-        if args.csv or (args.seeds or 1) > 1:
-            result = _call_run(module, args.scale, args.seeds or 1)
+        seeds = {"seeds": tuple(range(1, args.seeds + 1))} if args.seeds else {}
+        result = module.run(args.scale, **seeds)
+        parts = result if isinstance(result, dict) else {"": result}
+        for part, (title, columns) in module.TABLES.items():
+            print_table(parts[part], columns, title)
             if args.csv:
-                parts = result if isinstance(result, dict) else {None: result}
-                for part, rows in parts.items():
-                    suffix = f"_{part}" if part else ""
-                    path = rows_to_csv(rows, f"{args.csv}/{name}{suffix}.csv")
-                    print(f"wrote {path}")
-            else:
-                _print_rows(module, result)
-        else:
-            module.main(scale=args.scale)
+                suffix = f"_{part}" if part else ""
+                print("wrote", rows_to_csv(parts[part], f"{args.csv}/{name}{suffix}.csv"))
 
     table: Dict = {}
+    started = time.perf_counter()
     if args.profile:
         import cProfile
 
@@ -144,7 +123,8 @@ def _run_one(name: str, args) -> None:
             set_attribution(None)
     else:
         execute()
-    doc = manifest.summarize(name, manifest.LOG, code_version())
+    doc = manifest.summarize(name, manifest.LOG, code_version(),
+                             time.perf_counter() - started, parallel.get_context().jobs)
     if args.profile:
         base = os.path.join(args.profile_dir, f"profile_{name}")
         print("wrote", write_json({**doc, "callbacks": _callbacks(table)}, f"{base}.json"))
@@ -165,10 +145,13 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", default="small",
                         help="tiny | small | medium | paper (default: small)")
     parser.add_argument("--seeds", type=int, default=None, metavar="N",
-                        help="average seeds 1..N on modules that support it (default: 1)")
+                        help="average every row over seeds 1..N (default: the "
+                             "module's own seeds, 1 for the paper's figures)")
     parser.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
-                        help="run up to N (scenario, seed) jobs in parallel worker "
-                             "processes (default: $TLT_JOBS or 1)")
+                        help="run up to N of an experiment's (scenario, seed) runs "
+                             "at a time in worker processes; a module hands all "
+                             "the runs of a table to the job runner in one call "
+                             "(default: $TLT_JOBS or 1)")
     parser.add_argument("--no-cache", action="store_true",
                         help="always execute; do not read or write the result cache")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",

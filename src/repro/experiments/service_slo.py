@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import print_table, resolve_scale, run_averaged
+from repro.experiments.common import resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig, ScenarioResult
 
 #: Ladder rung 1 (requests/second); rungs are ×1/2/4/8 this.
@@ -54,6 +54,13 @@ COLUMNS = [
 SUMMARY_COLUMNS = [
     "mode", "slo_capacity_krps", "break_krps", "capacity_ratio", "gate_2x",
 ]
+
+TABLES = {
+    "base": (f"Service SLO ladder: dctcp baseline (p99 target {SLO_P99_MS} ms)", COLUMNS),
+    "tlt": (f"Service SLO ladder: dctcp+TLT (p99 target {SLO_P99_MS} ms)", COLUMNS),
+    "summary": ("SLO capacity: highest arrival rate holding the p99 target",
+                SUMMARY_COLUMNS),
+}
 
 
 def service_spec(rate_rps: float, hosts: int) -> Dict:
@@ -110,15 +117,12 @@ def _config(scale, rate_rps: float, *, tlt: bool) -> ScenarioConfig:
 
 
 def _ladder(scale, seeds: Sequence[int], *, tlt: bool) -> List[Dict]:
-    rows = []
-    for mult in RATE_MULTIPLIERS:
-        rate = BASE_RATE_RPS * mult
-        row = run_averaged(_config(scale, rate, tlt=tlt), seeds,
-                           metrics=service_row)
+    rates = [BASE_RATE_RPS * mult for mult in RATE_MULTIPLIERS]
+    rows = run_grid([_config(scale, rate, tlt=tlt) for rate in rates], seeds, service_row)
+    for row, rate in zip(rows, rates):
         # A rung only counts as held when *every* seed met the SLO.
         row["slo_met"] = float(row["slo_met"] >= 1.0)
         row["rate_krps"] = rate / 1e3
-        rows.append(row)
     return rows
 
 
@@ -161,17 +165,3 @@ def run(scale="tiny", seeds: Sequence[int] = (1, 2, 3)) -> Dict[str, List[Dict]]
          "gate_2x": gate},
     ]
     return {"base": base_rows, "tlt": tlt_rows, "summary": summary}
-
-
-def main(scale="tiny") -> None:
-    result = run(scale)
-    print_table(result["base"], COLUMNS,
-                f"Service SLO ladder: dctcp baseline (p99 target {SLO_P99_MS} ms)")
-    print_table(result["tlt"], COLUMNS,
-                f"Service SLO ladder: dctcp+TLT (p99 target {SLO_P99_MS} ms)")
-    print_table(result["summary"], SUMMARY_COLUMNS,
-                "SLO capacity: highest arrival rate holding the p99 target")
-
-
-if __name__ == "__main__":
-    main()

@@ -9,10 +9,9 @@ churn (more foreground traffic).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import print_table, resolve_scale, run_averaged
+from repro.experiments.common import resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 from repro.sim.units import KB
 
@@ -22,6 +21,8 @@ DEFAULT_SHARES = (0.05, 0.10)
 COLUMNS = ["transport", "fg_share", "threshold_kB", "important_loss_rate",
            "timeouts_per_1k"]
 
+TABLES = {"": ("Table 1: important packet loss rate", COLUMNS)}
+
 
 def run(scale="small", seeds: Sequence[int] = (1,),
         thresholds: Sequence[int] = DEFAULT_THRESHOLDS,
@@ -29,26 +30,18 @@ def run(scale="small", seeds: Sequence[int] = (1,),
         transports=("dctcp", "tcp"),
         include_stress: bool = True) -> List[Dict]:
     scale = resolve_scale(scale)
-    rows: List[Dict] = []
-    for transport in transports:
-        base = ScenarioConfig(transport=transport, tlt=True, scale=scale)
-        grid = [(share, k) for share in shares for k in thresholds]
-        if include_stress:
-            # Beyond the paper's grid: a threshold near the dynamic-
-            # threshold ceiling plus heavy churn, where green packets
-            # finally start to drop (the mechanism's limit, §4.2).
-            grid += [(0.10, 1000 * KB), (0.20, 1000 * KB)]
-        for share, k in grid:
-            config = replace(base, fg_share=share, color_threshold_bytes=k)
-            row = run_averaged(config, seeds)
-            row.update(transport=transport, fg_share=share, threshold_kB=k // KB)
-            rows.append(row)
+    points = [(share, k) for share in shares for k in thresholds]
+    if include_stress:
+        # Beyond the paper's grid: a threshold near the dynamic-
+        # threshold ceiling plus heavy churn, where green packets
+        # finally start to drop (the mechanism's limit, §4.2).
+        points += [(0.10, 1000 * KB), (0.20, 1000 * KB)]
+    grid = [(transport, share, k) for transport in transports for share, k in points]
+    rows = run_grid(
+        [ScenarioConfig(transport=transport, tlt=True, scale=scale, fg_share=share,
+                        color_threshold_bytes=k)
+         for transport, share, k in grid],
+        seeds)
+    for row, (transport, share, k) in zip(rows, grid):
+        row.update(transport=transport, fg_share=share, threshold_kB=k // KB)
     return rows
-
-
-def main(scale="small") -> None:
-    print_table(run(scale), COLUMNS, "Table 1: important packet loss rate")
-
-
-if __name__ == "__main__":
-    main()

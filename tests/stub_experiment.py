@@ -1,13 +1,13 @@
 """Stub experiment module for CLI tests (registered via monkeypatch).
 
 Mirrors the contract of a real figure module — ``run(scale, seeds)``
-returning rows, ``main(scale)`` printing them, a ``COLUMNS`` constant —
-without running any simulation, so CLI plumbing tests stay fast.
+returning rows and a ``TABLES`` declaration — without running any
+simulation, so CLI plumbing tests stay fast.
 """
 
 from typing import Dict, List, Sequence
 
-COLUMNS = ["scheme", "value"]
+TABLES = {"": ("stub experiment", ["scheme", "value"])}
 
 #: Arguments of the last run() call, for assertions.
 LAST_CALL: Dict = {}
@@ -17,9 +17,3 @@ def run(scale="small", seeds: Sequence[int] = (1,)) -> List[Dict]:
     LAST_CALL.clear()
     LAST_CALL.update({"scale": scale, "seeds": tuple(seeds)})
     return [{"scheme": "stub", "value": 1.0 * len(tuple(seeds))}]
-
-
-def main(scale="small") -> None:
-    from repro.experiments.common import print_table
-
-    print_table(run(scale), COLUMNS, "stub experiment")

@@ -11,7 +11,7 @@ from repro.experiments.cache import (
     encode_value,
     fingerprint,
 )
-from repro.experiments.common import run_averaged
+from repro.experiments.common import run_grid
 from repro.experiments.parallel import execution
 from repro.experiments.scale import Scale
 from repro.experiments.scenarios import ScenarioConfig
@@ -104,27 +104,27 @@ def test_cache_clear(tmp_path):
     assert len(cache) == 0
 
 
-# -- end-to-end through run_averaged -----------------------------------------
+# -- end-to-end through run_grid ---------------------------------------------
 
 
 def test_second_run_served_from_cache(tmp_path, monkeypatch):
     cache_dir = str(tmp_path / "cache")
     with execution(jobs=1, use_cache=True, cache_dir=cache_dir):
-        first = run_averaged(config(), seeds=(1, 2))
+        first = run_grid([config()], (1, 2))
 
     def boom(cfg):
         raise AssertionError("cache miss: run_scenario should not execute")
 
     monkeypatch.setattr("repro.experiments.parallel.run_scenario", boom)
     with execution(jobs=1, use_cache=True, cache_dir=cache_dir):
-        second = run_averaged(config(), seeds=(1, 2))
+        second = run_grid([config()], (1, 2))
     assert second == first
 
 
 def test_config_change_invalidates_cache(tmp_path, monkeypatch):
     cache_dir = str(tmp_path / "cache")
     with execution(jobs=1, use_cache=True, cache_dir=cache_dir):
-        run_averaged(config(), seeds=(1,))
+        run_grid([config()], (1,))
 
     def boom(cfg):
         raise AssertionError("executed")
@@ -132,14 +132,14 @@ def test_config_change_invalidates_cache(tmp_path, monkeypatch):
     monkeypatch.setattr("repro.experiments.parallel.run_scenario", boom)
     with execution(jobs=1, use_cache=True, cache_dir=cache_dir):
         # Identical config: cache hit, boom never fires.
-        run_averaged(config(), seeds=(1,))
+        run_grid([config()], (1,))
         # Any config change misses the cache and would execute.
         with pytest.raises(RuntimeError, match="every seed failed"):
-            run_averaged(config(load=0.45), seeds=(1,))
+            run_grid([config(load=0.45)], (1,))
 
 
 def test_no_cache_context_skips_cache_entirely(tmp_path):
     cache_dir = tmp_path / "cache"
     with execution(jobs=1, use_cache=False, cache_dir=str(cache_dir)):
-        run_averaged(config(), seeds=(1,))
+        run_grid([config()], (1,))
     assert not cache_dir.exists()

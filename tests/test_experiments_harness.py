@@ -1,14 +1,20 @@
 """Tests for the experiment harness (tables, averaging, CLI, registry)."""
 
 import importlib
+import inspect
+import statistics
 import sys
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments.common import format_table, resolve_scale, run_averaged
+from repro.experiments.common import format_table, resolve_scale, run_grid
+from repro.experiments.parallel import execution
 from repro.experiments.runner import EXPERIMENTS, main
 from repro.experiments.scale import SCALES, Scale
-from repro.experiments.scenarios import ScenarioConfig
+from repro.experiments.scenarios import ScenarioConfig, run_scenario
+
+from tests.test_experiment_modules import MICRO
 
 
 def test_format_table_alignment_and_rounding():
@@ -34,11 +40,24 @@ def test_resolve_scale_accepts_names_and_objects():
 
 
 def test_run_averaged_reports_mean_and_std():
-    fast = Scale("fast", 1, 2, 2, 6, 1, 2)
-    config = ScenarioConfig(transport="dctcp", scale=fast)
-    row = run_averaged(config, seeds=(1, 2))
-    assert "fg_p99_ms" in row
-    assert "fg_p99_ms_std" in row
+    # Differential: the grid's rows against run_scenario called directly
+    # and averaged by hand, inline and through the pool.
+    configs = [ScenarioConfig(transport="dctcp", scale=MICRO),
+               ScenarioConfig(transport="dctcp", tlt=True, scale=MICRO)]
+    seeds = (1, 2)
+    by_hand = []
+    for config in configs:
+        samples = [run_scenario(replace(config, seed=seed)).summary_row() for seed in seeds]
+        row = {}
+        for key in samples[0]:
+            values = [sample[key] for sample in samples]
+            row[key] = statistics.fmean(values)
+            row[key + "_std"] = statistics.stdev(values)
+        by_hand.append(row)
+    assert by_hand[0]["bg_avg_ms_std"] > 0  # seeds actually differ
+    for jobs in (1, 2):
+        with execution(jobs=jobs):
+            assert run_grid(configs, seeds) == by_hand
 
 
 def test_registry_covers_every_figure_and_table():
@@ -47,11 +66,18 @@ def test_registry_covers_every_figure_and_table():
     assert "table1" in EXPERIMENTS
 
 
-def test_every_experiment_module_importable_with_run_and_main():
+def test_every_experiment_module_importable_with_run_and_tables():
+    # The module contract: run(scale, seeds=<default>) and TABLES; the
+    # CLI is the only thing that prints (the columns are checked against
+    # real rows in tests/test_experiment_modules.py).
     for module_name in EXPERIMENTS.values():
         module = importlib.import_module(module_name)
-        assert hasattr(module, "run")
-        assert hasattr(module, "main")
+        parameters = inspect.signature(module.run).parameters
+        assert list(parameters)[:2] == ["scale", "seeds"], module_name
+        assert len(parameters["seeds"].default) >= 1, module_name
+        assert module.TABLES and not hasattr(module, "main"), module_name
+        for title, columns in module.TABLES.values():
+            assert title and columns, module_name
 
 
 def test_cli_list():
@@ -90,20 +116,40 @@ def test_cli_seeds_passed_to_module_run(monkeypatch, capsys):
     assert "stub" in out and "4" in out  # value column = seed count
 
 
-def test_cli_seeds_ignored_on_single_seed_modules(monkeypatch, capsys):
+def test_cli_seeds_reach_every_registry_module(monkeypatch, capsys):
+    calls = {}
+    for name, module_name in EXPERIMENTS.items():
+        module = importlib.import_module(module_name)
+
+        def run(*args, _name=name, _module=module,
+                _signature=inspect.signature(module.run), **kwargs):
+            # Binds as the real run() would: a module without ``seeds`` fails here.
+            calls[_name] = _signature.bind(*args, **kwargs).arguments
+            return [] if "" in _module.TABLES else {part: [] for part in _module.TABLES}
+
+        monkeypatch.setattr(module, "run", run)
+    assert main(["all", "--scale", "tiny", "--seeds", "2"]) == 0
+    assert {name: call["seeds"] for name, call in calls.items()} == \
+        {name: (1, 2) for name in EXPERIMENTS}
+    assert all(call["scale"] == "tiny" for call in calls.values())
+    captured = capsys.readouterr()
+    assert "ignored" not in captured.out + captured.err
+
+
+def test_cli_prints_and_writes_every_part_from_tables(monkeypatch, tmp_path, capsys):
     import types
 
-    module = types.ModuleType("tests._single_seed_stub")
-
-    def run(scale="small", seed: int = 1):
-        return [{"v": 1.0}]
-
-    module.run = run
-    module.main = lambda scale="small": None
-    monkeypatch.setitem(sys.modules, "tests._single_seed_stub", module)
-    monkeypatch.setitem(EXPERIMENTS, "sstub", "tests._single_seed_stub")
-    assert main(["sstub", "--seeds", "3"]) == 0
-    assert "single-seed" in capsys.readouterr().err
+    module = types.ModuleType("tests._two_part_stub")
+    module.TABLES = {"a": ("Panel A", ["x"]), "b": ("Panel B", ["y"])}
+    module.run = lambda scale, seeds=(1,): {"a": [{"x": 1.0, "extra": 2.0}], "b": [{"y": 3.0}]}
+    monkeypatch.setitem(sys.modules, "tests._two_part_stub", module)
+    monkeypatch.setitem(EXPERIMENTS, "two", "tests._two_part_stub")
+    assert main(["two", "--csv", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "Panel A" in out and "Panel B" in out and "extra" not in out.split("wrote")[0]
+    # The CSV carries every column, not just the printed ones.
+    assert (tmp_path / "two_a.csv").read_text().splitlines()[0] == "x,extra"
+    assert (tmp_path / "two_b.csv").read_text().splitlines() == ["y", "3.0"]
 
 
 def test_cli_footer_names_runs_cached_runs_and_backend(monkeypatch, capsys):
@@ -113,7 +159,7 @@ def test_cli_footer_names_runs_cached_runs_and_backend(monkeypatch, capsys):
     assert main(["stub", "--scale", "tiny"]) == 0
     footer = capsys.readouterr().out.strip().splitlines()[-1]
     assert footer.startswith(f"[stub: 0 runs (0 cached), {current_backend()}, ")
-    assert footer.endswith("]")
+    assert " s elapsed at --jobs 1, " in footer and footer.endswith("]")
 
 
 def test_cli_csv_writes_the_manifest_document_beside_the_rows(monkeypatch, tmp_path):
@@ -126,7 +172,15 @@ def test_cli_csv_writes_the_manifest_document_beside_the_rows(monkeypatch, tmp_p
     assert (tmp_path / "stub.csv").exists()
     doc = json.loads((tmp_path / "stub.manifest.json").read_text())
     assert doc["schema"] == SCHEMA and doc["experiment"] == "stub"
-    assert doc["runs"] == doc["cached_runs"] == 0 and doc["manifests"] == []
+    assert doc["runs"] == doc["cached_runs"] == doc["retries"] == 0 and doc["manifests"] == []
+    assert doc["jobs"] == 1 and doc["elapsed_s"] >= 0
+
+    from tests.test_telemetry import _load_checker
+
+    checker = _load_checker()
+    assert not checker.check_dir(str(tmp_path))[2]
+    (tmp_path / "stub.manifest.json").write_text(json.dumps({**doc, "retries": 1}))
+    assert any("retries" in error for error in checker.check_dir(str(tmp_path))[2])
     assert doc["code"] and doc["backend"]
 
 

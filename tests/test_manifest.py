@@ -185,15 +185,17 @@ def test_summarize_counts_cached_runs_with_their_producing_cost():
            "peak_rss_mb": 40.0}
     hit = {**run, "backend": "pure", "cached": True, "code": "git-abc1234",
            "peak_rss_mb": 55.0}
-    doc = run_manifest.summarize("figXX", [run, hit], "git-def5678")
+    doc = run_manifest.summarize("figXX", [run, hit], "git-def5678", 2.5, 2)
     assert (doc["runs"], doc["cached_runs"], doc["events"]) == (2, 1, 6_000_000)
     assert doc["backend"] == "compiled+pure"
     assert doc["code"] == "git-abc1234+git-def5678"
     assert doc["events_per_s"] == 1_500_000 and doc["peak_rss_mb"] == 55.0
     assert doc["manifests"][0]["code"] == "git-def5678"  # executed here: stamped now
+    assert (doc["elapsed_s"], doc["jobs"], doc["retries"]) == (2.5, 2, 0)
     assert _footer(doc) == (
         "[figXX: 2 runs (1 cached), compiled+pure, 6,000,000 events, 1,500,000 ev/s, "
-        "4.0 s sim wall, peak 55 MB, git-abc1234+git-def5678]")
+        "4.0 s sim wall, 2.5 s elapsed at --jobs 2, peak 55 MB, git-abc1234+git-def5678]")
+    assert ", 1 retried, peak" in _footer({**doc, "retries": 1})
 
 
 def test_the_log_is_bounded():

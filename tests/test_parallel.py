@@ -2,14 +2,15 @@
 
 Covers the tentpole guarantees: parallel output is bit-identical to
 serial, results come back in submission order, worker crashes/hangs
-are retried once and then reported as failed rows, and non-importable
-metrics reducers fall back to serial in-process execution.
+are retried once and then reported as failed rows, and a grid of runs
+is one job-runner call whose reducer must be importable.
 """
 
 import pytest
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.common import run_averaged
+from repro.experiments.common import run_grid
+from repro.experiments.manifest import LOG, summarize
 from repro.experiments.parallel import (
     ExecutionContext,
     Job,
@@ -40,11 +41,11 @@ def fast_config(**overrides) -> ScenarioConfig:
 def test_parallel_rows_bit_identical_to_serial():
     config = fast_config()
     with execution(jobs=1, use_cache=False):
-        serial = run_averaged(config, seeds=(1, 2, 3))
+        serial = run_grid([config], (1, 2, 3))
     with execution(jobs=4, use_cache=False):
-        parallel_row = run_averaged(config, seeds=(1, 2, 3))
-    assert parallel_row == serial
-    assert serial["bg_avg_ms_std"] > 0  # seeds actually differ
+        parallel_rows = run_grid([config], (1, 2, 3))
+    assert parallel_rows == serial
+    assert serial[0]["bg_avg_ms_std"] > 0  # seeds actually differ
 
 
 def test_run_jobs_returns_submission_order():
@@ -52,6 +53,16 @@ def test_run_jobs_returns_submission_order():
     results = run_jobs(jobs, jobs_n=3, use_cache=False)
     assert [r.index for r in results] == [0, 1, 2]
     assert all(r.ok and not r.cached and r.manifest["events"] > 0 for r in results)
+
+
+def test_pool_manifests_are_logged_in_submission_order():
+    # Seed 1's worker outlives seed 2's, so the pool hands seed 2 back first.
+    jobs = [Job(i, fast_config(), seed, metrics="tests.util:slow_on_seed1_metrics")
+            for i, seed in enumerate((1, 2))]
+    LOG.clear()
+    results = run_jobs(jobs, jobs_n=2, use_cache=False)
+    assert [m["seed"] for m in LOG] == [1, 2]
+    assert [r.manifest for r in results] == list(LOG)
 
 
 def test_run_jobs_rejects_duplicate_indices():
@@ -111,32 +122,52 @@ def test_serial_inline_failure_does_not_kill_sweep():
     assert results[1].ok
 
 
-# -- run_averaged integration ------------------------------------------------
+# -- run_grid integration ------------------------------------------------------
 
 
 def test_run_averaged_partial_failure_averages_survivors(capsys):
-    row = run_averaged(fast_config(), seeds=(1, 2),
-                       metrics=util.fail_on_seed2_metrics, jobs=2)
-    assert row["fg_p99_ms_std"] == 0.0  # only seed 1 survived
-    assert "seed 2" in capsys.readouterr().err
+    with execution(jobs=2):
+        rows = run_grid([fast_config(), fast_config(tlt=True)], (1, 2),
+                        util.fail_on_seed2_metrics)
+    assert [row["fg_p99_ms_std"] for row in rows] == [0.0, 0.0]  # only seed 1 survived
+    err = capsys.readouterr().err
+    assert "point 0 (tcp): averaging over 1/2 seeds (seed 2" in err
+    assert "point 1 (tcp+tlt): averaging over 1/2 seeds (seed 2" in err
 
 
 def test_run_averaged_raises_when_every_seed_fails():
-    with pytest.raises(RuntimeError, match="every seed failed"):
-        run_averaged(fast_config(), seeds=(1, 2),
-                     metrics=util.crashing_metrics, jobs=2)
+    with execution(jobs=2), \
+            pytest.raises(RuntimeError, match=r"point 0 \(tcp\): every seed failed"):
+        run_grid([fast_config()], (1, 2), util.crashing_metrics)
 
 
-def test_run_averaged_lambda_metrics_falls_back_to_serial():
-    row = run_averaged(fast_config(), seeds=(1,), metrics=lambda r: {"x": 2.0})
-    assert row == {"x": 2.0, "x_std": 0.0}
+def test_run_grid_lambda_metrics_is_a_type_error():
+    with pytest.raises(TypeError, match="not importable"):
+        run_grid([fast_config()], (1,), lambda r: {"x": 2.0})
 
 
 def test_run_averaged_std_always_emitted_for_single_seed():
-    row = run_averaged(fast_config(), seeds=(1,))
+    [row] = run_grid([fast_config()], (1,))
     assert row["fg_p99_ms_std"] == 0.0
     assert set(k for k in row if k.endswith("_std")) == \
         set(k + "_std" for k in row if not k.endswith("_std"))
+
+
+def test_run_grid_without_seeds_runs_each_config_under_its_own():
+    configs = [fast_config(seed=2), fast_config(seed=3)]
+    assert run_grid(configs, None) == \
+        [row for seed in (2, 3) for row in run_grid([fast_config()], (seed,))]
+
+
+def test_run_grid_notes_attempts_and_the_document_sums_retries(tmp_path, monkeypatch):
+    monkeypatch.setenv("TLT_TEST_FLAKY", str(tmp_path / "first-attempt"))
+    LOG.clear()
+    with execution(jobs=2):
+        run_grid([fast_config()], (1,), util.flaky_once_metrics)
+        run_grid([fast_config()], (2,))
+    assert [m["attempts"] for m in LOG] == [2, 1]
+    doc = summarize("figXX", LOG, "git-abc1234", elapsed_s=1.5, jobs=2)
+    assert (doc["runs"], doc["retries"], doc["jobs"], doc["elapsed_s"]) == (2, 1, 2, 1.5)
 
 
 # -- metrics references & context --------------------------------------------

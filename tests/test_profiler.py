@@ -35,8 +35,13 @@ def profile_cli(body, tmp_path, monkeypatch) -> dict:
     """``tlt-experiment unit --profile`` with ``body`` as the experiment;
     returns the parsed ``profile_unit.json``."""
     module = types.ModuleType("tests._profiled_stub")
-    module.run = lambda scale="small": []
-    module.main = lambda scale="small": body()
+
+    def run(scale="small", seeds=(1,)):
+        body()
+        return []
+
+    module.run = run
+    module.TABLES = {"": ("unit", ["n"])}
     monkeypatch.setitem(sys.modules, module.__name__, module)
     monkeypatch.setitem(EXPERIMENTS, "unit", module.__name__)
     with execution():  # --profile forces --jobs 1 --no-cache: not on later tests

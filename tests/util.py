@@ -132,6 +132,15 @@ def fail_on_seed2_metrics(result):
     return result.summary_row()
 
 
+def slow_on_seed1_metrics(result):
+    """Seed 1 finishes last — exercises completion order != submission order."""
+    import time
+
+    if result.config.seed == 1:
+        time.sleep(0.5)
+    return result.summary_row()
+
+
 def run_flow(
     net: Network,
     transport: str,

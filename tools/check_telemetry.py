@@ -14,8 +14,11 @@ additionally checked for deterministic (seed, t, run, i) ordering,
 every ``flight_*.json`` dump is checked for the snapshot schema, every
 ``manifest_*.json`` for the run-manifest schema (the one ``SCHEMA``
 constant, required keys, ``events > 0``, ``events_per_s == events /
-wall_s`` within rounding) and every ``run_*.prom`` for the ``tlt_run_*``
-families that mirror it.
+wall_s`` within rounding), every ``run_*.prom`` for the ``tlt_run_*``
+families that mirror it, and every ``<id>.manifest.json`` (the
+experiment document ``tlt-experiment --csv`` writes) for its totals:
+``runs``/``cached_runs``/``retries`` against the manifests it lists,
+``jobs >= 1``, ``elapsed_s >= 0``.
 ``--expect-flight`` fails unless at least one flight dump is present —
 used by CI's faulted telemetry smoke run. Exit status 0 = clean.
 
@@ -48,6 +51,10 @@ MANIFEST_FIELDS = COST_FIELDS + (
     "run_id", "transport", "tlt", "seed", "scale", "topology", "backend",
     "shards", "audit", "faults", "telemetry", "checkpoint", "python", "code",
     "sim_ns", "flows", "incomplete")
+#: What ``manifest.summarize`` writes around the per-run list.
+DOCUMENT_FIELDS = COST_FIELDS + (
+    "experiment", "runs", "cached_runs", "backend", "code", "elapsed_s", "jobs",
+    "retries", "manifests")
 RUN_FAMILIES = ("tlt_run_wall_seconds", "tlt_run_cpu_seconds",
                 "tlt_run_events_total", "tlt_run_peak_rss_bytes", "tlt_run_info")
 
@@ -162,20 +169,29 @@ def check_flight(path: str) -> List[str]:
     return errors
 
 
-def check_manifest(path: str) -> List[str]:
-    """Validate one ``manifest_<run_id>.json``."""
+def _load_manifest(path: str, fields: Tuple[str, ...]) -> Tuple[Dict, List[str]]:
+    """A manifest document with the schema constant and ``fields``, or
+    ({}, why not)."""
     name = os.path.basename(path)
     try:
         with open(path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
+            document = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        return [f"{name}: unreadable ({exc})"]
-    if manifest.get("schema") != SCHEMA:
-        return [f"{name}: schema != {SCHEMA}"]
-    missing = [field for field in MANIFEST_FIELDS if field not in manifest]
+        return {}, [f"{name}: unreadable ({exc})"]
+    if document.get("schema") != SCHEMA:
+        return {}, [f"{name}: schema != {SCHEMA}"]
+    missing = [field for field in fields if field not in document]
     if missing:
-        return [f"{name}: missing fields {missing}"]
-    errors: List[str] = []
+        return {}, [f"{name}: missing fields {missing}"]
+    return document, []
+
+
+def check_manifest(path: str) -> List[str]:
+    """Validate one ``manifest_<run_id>.json``."""
+    name = os.path.basename(path)
+    manifest, errors = _load_manifest(path, MANIFEST_FIELDS)
+    if errors:
+        return errors
     if name != f"manifest_{manifest['run_id']}.json":
         errors.append(f"{name}: run_id {manifest['run_id']!r} names another file")
     if not manifest["events"] > 0 or not manifest["wall_s"] > 0:
@@ -184,6 +200,25 @@ def check_manifest(path: str) -> List[str]:
             > 0.5 + 1e-3 * manifest["events_per_s"]:
         errors.append(f"{name}: events_per_s != events / wall_s")
     return errors
+
+
+def check_document(path: str) -> Tuple[int, List[str]]:
+    """Validate one experiment document, ``<id>.manifest.json``; returns
+    (run manifests listed, errors)."""
+    name = os.path.basename(path)
+    doc, errors = _load_manifest(path, DOCUMENT_FIELDS)
+    if errors:
+        return 0, errors
+    runs = doc["manifests"]
+    if doc["runs"] != len(runs):
+        errors.append(f"{name}: runs != len(manifests)")
+    if doc["cached_runs"] != sum(1 for run in runs if run.get("cached")):
+        errors.append(f"{name}: cached_runs != the manifests marked cached")
+    if doc["retries"] != sum(run.get("attempts", 1) - 1 for run in runs):
+        errors.append(f"{name}: retries != the manifests' attempts beyond the first")
+    if not doc["jobs"] >= 1 or not doc["elapsed_s"] >= 0:
+        errors.append(f"{name}: jobs must be >= 1 and elapsed_s >= 0")
+    return len(runs), errors
 
 
 def check_prom(path: str) -> List[str]:
@@ -197,7 +232,8 @@ def check_prom(path: str) -> List[str]:
 def check_dir(out_dir: str) -> Tuple[Dict[str, int], int, List[str]]:
     """Validate a telemetry output directory.
 
-    Returns (records per jsonl file, flight-dump count, errors).
+    Returns (records per jsonl file and runs per experiment document,
+    flight-dump count, errors).
     """
     errors: List[str] = []
     counts: Dict[str, int] = {}
@@ -213,6 +249,9 @@ def check_dir(out_dir: str) -> Tuple[Dict[str, int], int, List[str]]:
             errors.extend(check_flight(path))
         elif name.startswith("manifest_") and name.endswith(".json"):
             errors.extend(check_manifest(path))
+        elif name.endswith(".manifest.json"):
+            counts[name], errs = check_document(path)
+            errors.extend(errs)
         elif name.startswith("run_") and name.endswith(".prom"):
             errors.extend(check_prom(path))
     return counts, flights, errors
