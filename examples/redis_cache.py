@@ -9,25 +9,21 @@ and multi-millisecond response tails. Run:
     python examples/redis_cache.py
 """
 
-from repro.apps.webtier import WebTier
-from repro.experiments.testbed import build_testbed, maybe_tlt, testbed_transport_config
-from repro.sim.units import MILLIS
+from repro.experiments.fig12_redis_incast import RequestBursts
+from repro.experiments.scenarios import run_scenario
+from repro.experiments.testbed import paper_testbed
 
 
 def run_tier(transport: str, tlt: bool, requests: int) -> None:
-    net = build_testbed(num_hosts=10, transport=transport, tlt=tlt)
-    tier = WebTier(
-        net, transport, testbed_transport_config(), maybe_tlt(tlt),
-        num_web_servers=8, value_size=32_000,
-    )
-    tier.issue_requests(requests)
-    net.engine.run(until=500 * MILLIS)
-    summary = tier.result.summary()
+    # The testbed is a ScenarioConfig; the web tier is the run's workload.
+    workload = RequestBursts(requests, bursts=1)
+    result = run_scenario(paper_testbed(transport=transport, tlt=tlt), workload)
+    summary = workload.tier.result.summary()
     label = f"{transport}+tlt" if tlt else transport
     print(
         f"{label:10s} {requests:4d} requests: "
         f"p99 = {summary['p99'] / 1e6:7.3f} ms  max = {summary['max'] / 1e6:7.3f} ms  "
-        f"timeouts = {net.stats.timeouts}"
+        f"timeouts = {result.stats.timeouts}"
     )
 
 

@@ -36,6 +36,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.experiments.common import average, resolve_scale, run_grid
 from repro.experiments.fig13_mixed_traffic import run_one as fig13_run_one
 from repro.experiments.scenarios import ScenarioConfig
+from repro.experiments.testbed import paper_testbed
 
 COLUMNS = [
     "policy", "fig5_p99_ms", "fig9_p99_ms", "fig13_p99_ms",
@@ -73,7 +74,8 @@ def run(scale="small", seeds: Sequence[int] = (1, 2)) -> List[Dict]:
     averaged = run_grid(configs, seeds)
     rows: List[Dict] = []
     for (label, spec), fig5, fig9 in zip(POLICY_SPECS, averaged[0::2], averaged[1::2]):
-        fig13 = average([fig13_run_one("dctcp", True, seed=seed, admission=spec)
+        fig13 = average([fig13_run_one(paper_testbed(transport="dctcp", tlt=True, seed=seed,
+                                               admission=spec))
                          for seed in seeds])
         rows.append({
             "policy": label,

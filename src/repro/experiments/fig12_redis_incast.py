@@ -9,12 +9,13 @@ response time.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.apps.webtier import WebTier
 from repro.experiments.common import average
-from repro.experiments.scenarios import attach_auditor, finish_run, run_control
-from repro.experiments.testbed import build_testbed, maybe_tlt, testbed_transport_config
+from repro.experiments.scenarios import run_scenario
+from repro.experiments.testbed import endpoint_settings, paper_testbed
 from repro.sim.units import MILLIS
 
 DEFAULT_REQUEST_COUNTS = (8, 24, 60, 120, 180)
@@ -24,24 +25,32 @@ COLUMNS = ["transport", "tlt", "requests", "p99_ms", "max_ms", "timeouts"]
 TABLES = {"": ("Figure 12: cache (Redis) incast response times", COLUMNS)}
 
 
+@dataclass
+class RequestBursts:
+    """Workload: ``bursts`` bursts of ``requests`` HTTP requests, 100 ms
+    apart, from host 0 over web servers 1..8 into cache node 9 (the
+    paper averages 12 runs). ``tier`` is set when it runs."""
+
+    requests: int
+    bursts: int
+
+    def __call__(self, config, net, create):
+        self.tier = WebTier(net, *endpoint_settings(config),
+                            num_web_servers=8, value_size=32_000)
+        for burst in range(self.bursts):
+            net.engine.schedule_at(burst * 100 * MILLIS, self.tier.issue_requests,
+                                   self.requests)
+        return (self.bursts - 1) * 100 * MILLIS, 0
+
+
 def run_one(transport: str, tlt: bool, requests: int, bursts: int = 3, seed: int = 1) -> Dict:
-    net = build_testbed(num_hosts=10, transport=transport, tlt=tlt, seed=seed)
-    control = run_control()
-    auditor = attach_auditor(net, control)
-    tier = WebTier(
-        net, transport, testbed_transport_config(), maybe_tlt(tlt),
-        num_web_servers=8, value_size=32_000,
-    )
-    # Several widely spaced bursts (the paper averages 12 runs).
-    for burst in range(bursts):
-        net.engine.schedule_at(burst * 100 * MILLIS, tier.issue_requests, requests)
-    net.engine.run(until=(bursts + 1) * 100 * MILLIS)
-    finish_run(net, control, auditor)
-    summary = tier.result.summary()
+    workload = RequestBursts(requests, bursts)
+    result = run_scenario(paper_testbed(transport=transport, tlt=tlt, seed=seed), workload)
+    summary = workload.tier.result.summary()
     return {
         "p99_ms": summary["p99"] / 1e6,
         "max_ms": summary["max"] / 1e6,
-        "timeouts": float(net.stats.timeouts),
+        "timeouts": float(result.stats.timeouts),
         "answered": summary["count"],
     }
 

@@ -8,16 +8,16 @@ costing the background flow only ~5.6% goodput.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.apps.kvstore import KvClient, KvServer
 from repro.apps.rpc import RpcNode
 from repro.experiments.common import average
-from repro.experiments.scenarios import attach_auditor, finish_run, run_control
-from repro.experiments.testbed import build_testbed, maybe_tlt, testbed_transport_config
+from repro.experiments.scenarios import ScenarioConfig, run_scenario
+from repro.experiments.testbed import endpoint_settings, paper_testbed
 from repro.stats.percentile import percentile
 from repro.transport.base import FlowSpec
-from repro.transport.registry import create_flow
 
 COLUMNS = ["scheme", "fg_p99_ms", "bg_goodput_gbps", "timeouts"]
 
@@ -27,51 +27,47 @@ NUM_SERVERS = 8
 NUM_SETS = 152
 VALUE_SIZE = 32_000
 BG_SIZE = 8_000_000
+#: The foreground burst starts once the bg flow is in steady state.
+BURST_NS = 200_000
 
 
-def run_one(transport: str = "dctcp", tlt: bool = False, seed: int = 1,
-            admission=None) -> Dict:
-    # Hosts: 0 = bg sender, 1..8 = web servers, 9 = cache node.
-    net = build_testbed(num_hosts=10, transport=transport, tlt=tlt, seed=seed,
-                        admission=admission)
-    control = run_control()
-    auditor = attach_auditor(net, control)
-    tconfig = testbed_transport_config()
-    tlt_cfg = maybe_tlt(tlt)
+@dataclass
+class CacheWithBackground:
+    """Workload: host 0 sends the bg flow to cache node 9 while web
+    servers 1..8 SET into it. ``clients`` and ``bg_end`` (when the bg
+    flow completed) are set when it runs."""
 
-    bg_done = {}
+    def __call__(self, config, net, create):
+        self.bg_end = None
 
-    def bg_completed(record):
-        bg_done["end"] = net.engine.now
+        def bg_completed(record) -> None:
+            self.bg_end = net.engine.now
 
-    bg_spec = FlowSpec(
-        flow_id=net.new_flow_id(), src=0, dst=9, size=BG_SIZE,
-        start_ns=0, group="bg", on_complete_rx=bg_completed,
-    )
-    create_flow(transport, net, bg_spec, tconfig, tlt_cfg)
+        create(FlowSpec(flow_id=net.new_flow_id(), src=0, dst=9, size=BG_SIZE,
+                        start_ns=0, group="bg", on_complete_rx=bg_completed))
+        settings = endpoint_settings(config)
+        cache = KvServer(RpcNode(net, 9, *settings))
+        self.clients = [KvClient(RpcNode(net, i + 1, *settings), cache)
+                        for i in range(NUM_SERVERS)]
 
-    cache = KvServer(RpcNode(net, 9, transport, tconfig, tlt_cfg))
-    clients = [
-        KvClient(RpcNode(net, i + 1, transport, tconfig, tlt_cfg), cache)
-        for i in range(NUM_SERVERS)
-    ]
-    # Start the foreground burst once the bg flow is in steady state.
-    start_ns = 200_000
+        def burst() -> None:
+            for i in range(NUM_SETS):
+                self.clients[i % NUM_SERVERS].set(f"key-{i}", VALUE_SIZE)
 
-    def burst() -> None:
-        for i in range(NUM_SETS):
-            clients[i % NUM_SERVERS].set(f"key-{i}", VALUE_SIZE)
+        net.engine.schedule_at(BURST_NS, burst)
+        return BURST_NS, 1
 
-    net.engine.schedule_at(start_ns, burst)
-    net.engine.run(until=2_000_000_000)
-    finish_run(net, control, auditor)
 
-    fg_times = [t for c in clients for t in c.response_times]
-    bg_end = bg_done.get("end", net.engine.now)
+def run_one(config: ScenarioConfig) -> Dict:
+    """One point on a :func:`~repro.experiments.testbed.paper_testbed` config."""
+    workload = CacheWithBackground()
+    result = run_scenario(config, workload)
+    fg_times = [t for c in workload.clients for t in c.response_times]
+    bg_end = workload.bg_end or result.duration_ns
     return {
         "fg_p99_ms": percentile(fg_times, 99) / 1e6,
         "bg_goodput_gbps": BG_SIZE * 8 / max(bg_end, 1) if bg_end else 0.0,
-        "timeouts": float(net.stats.timeouts),
+        "timeouts": float(result.stats.timeouts),
         "answered": len(fg_times),
     }
 
@@ -79,7 +75,8 @@ def run_one(transport: str = "dctcp", tlt: bool = False, seed: int = 1,
 def run(scale="small", seeds: Sequence[int] = (1,), transport: str = "dctcp") -> List[Dict]:
     rows: List[Dict] = []
     for tlt in (False, True):
-        row = average([run_one(transport, tlt, seed) for seed in seeds])
+        row = average([run_one(paper_testbed(transport=transport, tlt=tlt, seed=seed))
+                       for seed in seeds])
         row["scheme"] = f"{transport}+tlt" if tlt else transport
         rows.append(row)
     return rows

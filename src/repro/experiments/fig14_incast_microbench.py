@@ -9,13 +9,15 @@ FCT CDF at 100 concurrent flows.
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.apps.kvstore import KvClient, KvServer
 from repro.apps.rpc import RpcNode
 from repro.experiments.common import average
-from repro.experiments.scenarios import attach_auditor, finish_run, run_control
-from repro.experiments.testbed import build_testbed, maybe_tlt, testbed_transport_config
+from repro.experiments.scenarios import run_scenario
+from repro.experiments.testbed import endpoint_settings, paper_testbed
 from repro.sim.units import MICROS, MILLIS
 from repro.stats.percentile import percentile, percentiles
 
@@ -34,42 +36,43 @@ TABLES = {
 }
 
 
+@dataclass
+class IncastGets:
+    """Workload: ``runs`` bursts, 100 ms apart, of ``flows`` concurrent
+    32 kB GETs from client host 0 over servers 1..8. ``clients`` is set
+    when it runs."""
+
+    flows: int
+    runs: int
+
+    def __call__(self, config, net, create):
+        settings = endpoint_settings(config)
+        client_node = RpcNode(net, 0, *settings)
+        servers = [KvServer(RpcNode(net, i + 1, *settings)) for i in range(NUM_SERVERS)]
+        for server in servers:
+            server.store["blob"] = RESPONSE_SIZE  # preload the value
+        self.clients = [KvClient(client_node, server) for server in servers]
+        for r in range(self.runs):
+            net.engine.schedule_at(r * 100 * MILLIS, self.burst)
+        return (self.runs - 1) * 100 * MILLIS, 0
+
+    def burst(self) -> None:
+        for i in range(self.flows):
+            self.clients[i % NUM_SERVERS].get("blob")
+
+
 def response_times(transport: str, scheme: str, flows: int, seed: int,
                    runs: int) -> Tuple[List[int], int]:
     """Drive one point; returns every response time (ns) and the RTO count."""
-    tlt = scheme == "tlt"
     rto_min = 200 * MICROS if scheme == "rto200us" else 4 * MILLIS
-    net = build_testbed(num_hosts=NUM_SERVERS + 1, transport=transport, tlt=tlt, seed=seed)
-    control = run_control()
-    auditor = attach_auditor(net, control)
-    tconfig = testbed_transport_config(rto_min_ns=rto_min)
-    tlt_cfg = maybe_tlt(tlt)
-
-    client_node = RpcNode(net, 0, transport, tconfig, tlt_cfg)
-    servers = [
-        KvServer(RpcNode(net, i + 1, transport, tconfig, tlt_cfg))
-        for i in range(NUM_SERVERS)
-    ]
-    for server in servers:
-        server.store["blob"] = RESPONSE_SIZE  # preload the value
-    clients = [KvClient(client_node, server) for server in servers]
-
-    def burst() -> None:
-        for i in range(flows):
-            clients[i % NUM_SERVERS].get("blob")
-
-    for r in range(runs):
-        net.engine.schedule_at(r * 100 * MILLIS, burst)
-    net.engine.run(until=(runs + 1) * 100 * MILLIS)
-    finish_run(net, control, auditor)
-
-    return [t for c in clients for t in c.response_times], net.stats.timeouts
+    config = paper_testbed(NUM_SERVERS + 1, transport=transport, tlt=scheme == "tlt",
+                     seed=seed, rto_min_ns=rto_min)
+    workload = IncastGets(flows, runs)
+    result = run_scenario(config, workload)
+    return [t for c in workload.clients for t in c.response_times], result.stats.timeouts
 
 
-def run_one(transport: str, scheme: str, flows: int, seed: int = 1,
-            runs: int = 3) -> Dict:
-    """One sweep point's metrics."""
-    times, timeouts = response_times(transport, scheme, flows, seed, runs)
+def _sweep_row(times: List[int], timeouts: int) -> Dict:
     return {
         "p99_ms": percentile(times, 99) / 1e6,
         "max_ms": max(times) / 1e6 if times else 0.0,
@@ -78,9 +81,7 @@ def run_one(transport: str, scheme: str, flows: int, seed: int = 1,
     }
 
 
-def cdf_one(transport: str, scheme: str, flows: int, seed: int = 1) -> Dict:
-    """One CDF point: percentiles of the response times (ms)."""
-    times, _timeouts = response_times(transport, scheme, flows, seed, runs=3)
+def _cdf_row(times: List[int]) -> Dict:
     return dict(zip(CDF_COLUMNS, percentiles([t / 1e6 for t in times], CDF_POINTS)))
 
 
@@ -89,18 +90,21 @@ def run(scale="small", seeds: Sequence[int] = (1,),
         transports=("tcp", "dctcp"), runs: int = 3,
         cdf_flows: int = 100, cdf_transport: str = "tcp") -> Dict[str, List[Dict]]:
     """``sweep``: panels (a)/(b), tail response time by fan-in; ``cdf``:
-    panel (c), the FCT CDF at one fan-in."""
+    panel (c), the FCT CDF at one fan-in over 3 bursts, read off the
+    sweep's point when it ran that one (simulated otherwise)."""
+    point = functools.lru_cache(maxsize=None)(response_times)
     sweep: List[Dict] = []
     for transport in transports:
         for scheme in SCHEMES:
             for flows in flow_counts:
-                row = average([run_one(transport, scheme, flows, seed, runs)
+                row = average([_sweep_row(*point(transport, scheme, flows, seed, runs))
                                for seed in seeds])
                 row.update(transport=transport, scheme=scheme, flows=flows)
                 sweep.append(row)
     cdf: List[Dict] = []
     for scheme in SCHEMES:
-        row = average([cdf_one(cdf_transport, scheme, cdf_flows, seed) for seed in seeds])
+        row = average([_cdf_row(point(cdf_transport, scheme, cdf_flows, seed, 3)[0])
+                       for seed in seeds])
         row["scheme"] = scheme
         cdf.append(row)
     return {"sweep": sweep, "cdf": cdf}

@@ -45,18 +45,14 @@ def cost(started: tuple, events: int) -> Dict:
     }
 
 
-def build(net, control, config=None, run_id: Optional[str] = None,
-          shard: Optional[int] = None) -> Dict:
-    """One finished run's manifest, read off ``net`` and the resolved run
-    ``control``. Identity fields need a ``ScenarioConfig``; ``shards`` is
-    what ran, not what was asked for (``shard``, a worker's index, marks
-    one part of a sharded run)."""
-    manifest: Dict = {"schema": SCHEMA}
-    if config is not None:
-        manifest.update(
-            run_id=run_id, transport=config.transport, tlt=config.tlt,
-            seed=config.seed, scale=config.scale.name, topology=config.topology)
-    manifest.update(
+def build(net, control, config, run_id: str, shard: Optional[int] = None) -> Dict:
+    """One finished run's manifest, read off ``net``, its ``config`` and the
+    resolved run ``control``. ``shards`` is what ran, not what was asked
+    for (``shard``, a worker's index, marks one part of a sharded run)."""
+    return dict(
+        schema=SCHEMA,
+        run_id=run_id, transport=config.transport, tlt=config.tlt,
+        seed=config.seed, scale=config.scale.name, topology=config.topology,
         backend=current_backend(),
         shards=control.shards if shard is not None else 1,
         audit=control.audit,
@@ -68,7 +64,6 @@ def build(net, control, config=None, run_id: Optional[str] = None,
         flows=net.stats.flow_count(),
         incomplete=net.stats.incomplete_flows(),
         **cost(net.started, net.engine.events_processed))
-    return manifest
 
 
 def summarize(experiment: str, manifests: Iterable[Dict], code: str,

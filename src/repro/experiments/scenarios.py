@@ -20,6 +20,7 @@ Paper defaults encoded here:
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -358,14 +359,28 @@ def make_transport_config(config: ScenarioConfig) -> TransportConfig:
     return resolve_config(config.transport, tconfig)
 
 
-def _telemetry_run_id(config: ScenarioConfig) -> str:
+def _workload_encoding(traffic) -> str:
+    """A custom workload's canonical encoding; a function, closure or
+    lambda has none (its repr holds a memory address): a ``TypeError``."""
+    blob = json.dumps(encode_value(traffic), sort_keys=True)
+    if not dataclasses.is_dataclass(traffic) or " at 0x" in blob:
+        raise TypeError(f"traffic {traffic!r} has no canonical encoding: make it a "
+                        "module-level dataclass whose fields are the point's parameters")
+    return blob
+
+
+def _telemetry_run_id(config: ScenarioConfig, traffic=None) -> str:
     """Stable per-(config, seed) identifier for telemetry file names.
 
     Derived from the same canonical config encoding the result cache
     uses (telemetry itself stripped — it must not name its own files),
-    so parallel workers and reruns agree without coordination.
+    so parallel workers and reruns agree without coordination. A custom
+    workload's encoding is folded in too: points that differ only in
+    their workload are different runs.
     """
     blob = json.dumps(encode_value(replace(config, telemetry=None)), sort_keys=True)
+    if traffic is not None:
+        blob += _workload_encoding(traffic)
     digest = hashlib.sha256(blob.encode()).hexdigest()[:8]
     tag = f"{config.transport}_tlt" if config.tlt else config.transport
     return f"{tag}_s{config.seed}_{digest}"
@@ -384,17 +399,15 @@ class RunControl:
     checkpoint: Optional[Dict] = None  # {"dir": str, "at_ns": Optional[int]}
 
 
-def run_control(config: Optional[ScenarioConfig] = None) -> RunControl:
+def run_control(config: ScenarioConfig) -> RunControl:
     """Resolve run control: explicit config field > ``TLT_*`` variable > off.
 
     The one place the six variables are read (the CLI sets them so that
     pool workers and the figure modules, which build their own configs,
     see them); harnesses and shard worker processes receive the result.
-    ``config=None`` is the environment alone, for the modules that
-    build their own network.
     """
     def said(name: str, variable: str):
-        value = getattr(config, name, None)
+        value = getattr(config, name)
         return value if value is not None else os.environ.get(variable) or None
 
     try:
@@ -404,7 +417,7 @@ def run_control(config: Optional[ScenarioConfig] = None) -> RunControl:
     audit = said("audit", "TLT_AUDIT")
     if isinstance(audit, str):  # the variable: on unless "0"
         audit = audit != "0"
-    faults, faults_file = getattr(config, "faults", None), os.environ.get("TLT_FAULTS")
+    faults, faults_file = config.faults, os.environ.get("TLT_FAULTS")
     if faults is not None:
         faults = FaultSchedule.from_spec(faults).to_spec()
     elif faults_file:  # the variable names a spec file, not a spec
@@ -431,13 +444,13 @@ def run_control(config: Optional[ScenarioConfig] = None) -> RunControl:
 
 # -- the run harness ---------------------------------------------------------------
 #
-# run_scenario, run_service, the shard worker and the figure modules
-# that build their own network all assemble a run from these functions,
-# in this order, which is behaviour (the auditor's first tick and every
-# fault event draw an engine ``seq``; ``events_processed`` is in every
-# pin): network -> attach_auditor -> install_faults -> transport config
-# -> schedule_traffic -> queue sampler -> attach_telemetry ->
-# gc.collect() -> drive -> finish_run.
+# run_scenario, run_service and the shard worker assemble a run from
+# these functions, in this order, which is behaviour (the auditor's first
+# tick and every fault event draw an engine ``seq``; ``events_processed``
+# is in every pin): network -> attach_auditor -> install_faults ->
+# transport config -> traffic -> queue sampler -> attach_telemetry ->
+# gc.collect() -> drive -> finish_run. An experiment with a workload of
+# its own hands it to run_scenario as ``traffic``.
 
 
 def attach_auditor(net: Network, control: RunControl) -> Optional[Auditor]:
@@ -500,19 +513,20 @@ def schedule_traffic(config: ScenarioConfig, net: Network, create) -> Tuple[int,
 
 def attach_telemetry(config: ScenarioConfig, net: Network, control: RunControl,
                      active, faults: Optional[FaultController] = None,
-                     run_id_suffix: str = ""):
+                     run_id_suffix: str = "", traffic=None):
     """The run's :class:`repro.telemetry.Telemetry`, installed, or None.
 
     ``active`` is the harness's own liveness rule, so telemetry never
     extends a run; its samplers only read state, so every simulation
-    observable stays bit-identical.
+    observable stays bit-identical. ``traffic`` is a custom workload,
+    named in the run id.
     """
     if control.telemetry is None:
         return None
     from repro.telemetry import Telemetry
 
     telemetry = Telemetry(net, control.telemetry, scenario=config,
-                          run_id=_telemetry_run_id(config) + run_id_suffix)
+                          run_id=_telemetry_run_id(config, traffic) + run_id_suffix)
     telemetry.install(active=active)
     if faults is not None:
         telemetry.attach_faults(faults)
@@ -522,12 +536,13 @@ def attach_telemetry(config: ScenarioConfig, net: Network, control: RunControl,
 def finish_run(net: Network, control: RunControl, auditor: Optional[Auditor] = None,
                telemetry=None, error: Optional[BaseException] = None, *,
                config: Optional[ScenarioConfig] = None,
-               shard: Optional[int] = None) -> Optional[Dict]:
+               shard: Optional[int] = None, traffic=None) -> Optional[Dict]:
     """End a run: the auditor's final check, then the run's manifest
     (built here and nowhere else; logged unless this is one ``shard`` of
     a run, whose coordinator logs the merged one), then telemetry
     closed, which writes it beside its streams. A run that ``error``
-    already ended gets neither check nor manifest. An :class:`AuditError`,
+    already ended gets neither check nor manifest and needs no ``config``;
+    ``traffic``, a custom workload, is named in its run id. An :class:`AuditError`,
     from either, is first snapshotted by the flight recorder (sample
     window + audit trace); the caller re-raises what it passed in."""
     manifest = None
@@ -535,9 +550,9 @@ def finish_run(net: Network, control: RunControl, auditor: Optional[Auditor] = N
         if error is None:
             if auditor is not None:
                 auditor.final_check()
-            run_id = None
-            if config is not None:  # one digest, shared with the telemetry files
-                run_id = telemetry.run_id if telemetry is not None else _telemetry_run_id(config)
+            # One digest, shared with the telemetry files.
+            run_id = (telemetry.run_id if telemetry is not None
+                      else _telemetry_run_id(config, traffic))
             manifest = run_manifest.build(net, control, config, run_id, shard)
             if shard is None:
                 run_manifest.LOG.append(manifest)
@@ -552,18 +567,21 @@ def finish_run(net: Network, control: RunControl, auditor: Optional[Auditor] = N
     return manifest
 
 
-def drain(net: Network, horizon_ns: int, hard_cap_ns: int) -> None:
-    """Run to the horizon, then in 50 ms steps while flows are
-    incomplete, events remain and the hard cap is not reached."""
-    engine = net.engine
-    engine.run(until=horizon_ns)
-    while net.stats.incomplete_flows() and engine.now < hard_cap_ns and engine.pending:
-        engine.run(until=min(engine.now + 50 * MILLIS, hard_cap_ns))
+def run_scenario(config: ScenarioConfig, traffic=None) -> ScenarioResult:
+    """Build, run and measure one scenario.
 
-
-def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Build, run and measure one scenario."""
+    ``traffic(config, net, create)`` is the workload (None:
+    :func:`schedule_traffic`); ``create(spec)`` opens one flow of the run.
+    A custom one is a dataclass whose fields, the point's parameters, are
+    folded into the run id; it runs on one engine (the shard workers
+    schedule only the standard mix) and never with ``service``.
+    """
     control = run_control(config)
+    if traffic is not None:
+        _workload_encoding(traffic)
+        if config.service is not None:
+            raise ValueError("a service scenario's workload is its request "
+                             "stream: it takes no custom traffic")
     if config.service is not None:
         # Service runs replace the whole traffic layer (open-loop
         # request stream instead of background+incast), so they take
@@ -571,7 +589,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         from repro.service.run import run_service
 
         return run_service(config, control)
-    if control.shards > 1 and config.topology == "leaf_spine":
+    if traffic is None and control.shards > 1 and config.topology == "leaf_spine":
         from repro.sim.sharding import run_scenario_sharded
 
         return run_scenario_sharded(config, control)
@@ -584,7 +602,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     def create(spec: FlowSpec) -> None:
         create_flow(config.transport, net, spec, tconfig, tlt_cfg)
 
-    end_of_traffic, _flows = schedule_traffic(config, net, create)
+    end_of_traffic, _flows = (traffic or schedule_traffic)(config, net, create)
     horizon = end_of_traffic + config.drain_ns
 
     # Periodic queue-length sampling (Fig 11). Runs until the traffic
@@ -605,7 +623,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     telemetry = attach_telemetry(
         config, net, control,
         lambda: net.engine.now < end_of_traffic or bool(net.stats.incomplete_flows()),
-        faults,
+        faults, traffic=traffic,
     )
     # One full collection before the run; the engine switches the
     # collector off while it runs. It frees the previous run's network
@@ -614,11 +632,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     # sub-run's CPU (docs/PERFORMANCE.md, "Memory"). Without it
     # back-to-back runs in one process hold two runs' graphs at the peak.
     gc.collect()
+    engine = net.engine
+    hard_cap = config.hard_cap_ns or (horizon + 10 * config.drain_ns)
     try:
-        drain(net, horizon, config.hard_cap_ns or (horizon + 10 * config.drain_ns))
+        # To the horizon, then in 50 ms steps while flows are incomplete,
+        # events remain and the hard cap is not reached.
+        engine.run(until=horizon)
+        while net.stats.incomplete_flows() and engine.now < hard_cap and engine.pending:
+            engine.run(until=min(engine.now + 50 * MILLIS, hard_cap))
     except BaseException as error:
         finish_run(net, control, auditor, telemetry, error)
         raise
-    manifest = finish_run(net, control, auditor, telemetry, config=config)
-    return ScenarioResult(config, net, net.engine.now, queue_samples, auditor,
+    manifest = finish_run(net, control, auditor, telemetry, config=config, traffic=traffic)
+    return ScenarioResult(config, net, engine.now, queue_samples, auditor,
                           faults, telemetry, manifest=manifest)

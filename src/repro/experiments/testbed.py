@@ -1,4 +1,4 @@
-"""Shared setup for the emulated-testbed experiments (§7.3-§7.4).
+"""The emulated testbed of the §7.3-§7.4 experiments, as a scenario.
 
 The paper's testbed: 9-10 servers on a 40 GbE Tomahawk ToR (16 MB
 shared buffer, dynamic allocation giving a single busy port up to
@@ -6,61 +6,35 @@ shared buffer, dynamic allocation giving a single busy port up to
 ECN marking at 200 kB. We reproduce that as a star topology whose
 per-port buffer share (375 kB x 10 ports, α=1) yields the same ~1.8 MB
 single-port ceiling.
+
+:func:`paper_testbed` says only what differs from a fabric scenario: one
+switch, 2 µs links and K = 270 kB. ECN K = 200 kB, 375 kB per port,
+α = 1, INT for HPCC and the 8 µs base RTT are what
+:func:`~repro.experiments.scenarios.build_network` and
+:func:`~repro.experiments.scenarios.make_transport_config` derive for it.
+The testbed figures hand their application workload to
+:func:`~repro.experiments.scenarios.run_scenario` as ``traffic``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.config import TltConfig
-from repro.net.topology import Network, TopologyParams, star
-from repro.sim.units import GBPS, KB, MICROS, MILLIS
-from repro.switchsim.ecn import StepEcn
-from repro.switchsim.pfc import PfcConfig
-from repro.switchsim.switch import SwitchConfig
-from repro.transport.base import TransportConfig
-
-#: Testbed parameters (§6).
-TESTBED_COLOR_THRESHOLD = 270 * KB
-TESTBED_ECN_K = 200 * KB
-TESTBED_LINK_DELAY_NS = 2 * MICROS  # ~8 us base RTT through one switch
+from repro.experiments.scale import Scale
+from repro.experiments.scenarios import ScenarioConfig, make_transport_config
+from repro.sim.units import KB, MICROS
 
 
-def build_testbed(
-    num_hosts: int = 10,
-    transport: str = "dctcp",
-    tlt: bool = False,
-    pfc: bool = False,
-    color_threshold: int = TESTBED_COLOR_THRESHOLD,
-    seed: int = 1,
-    admission=None,
-) -> Network:
-    """A star 'testbed' with paper switch settings.
-
-    ``admission`` selects the ToR's admission policy (a spec for
-    :func:`repro.switchsim.policy.make_policy`; None = the default
-    Choudhury–Hahne + static-K).
-    """
-    config = SwitchConfig(
-        buffer_bytes=num_hosts * 375 * KB,
-        color_threshold_bytes=color_threshold if tlt else None,
-        ecn=StepEcn(TESTBED_ECN_K) if transport == "dctcp" else None,
-        pfc=PfcConfig(enabled=pfc),
-        int_enabled=(transport == "hpcc"),
-        admission=admission,
-    )
-    params = TopologyParams(
-        link_rate_bps=40 * GBPS,
-        host_link_delay_ns=TESTBED_LINK_DELAY_NS,
-        fabric_link_delay_ns=TESTBED_LINK_DELAY_NS,
-        switch_config=config,
-    )
-    return star(num_hosts=num_hosts, params=params, seed=seed)
+def paper_testbed(hosts: int = 10, **fields) -> ScenarioConfig:
+    """``hosts`` servers on the testbed ToR; ``fields`` are the point's own
+    (transport, tlt, seed, rto_min_ns, admission, ...)."""
+    scale = Scale("testbed", num_spines=0, num_tors=1, hosts_per_tor=hosts,
+                  bg_flows=0, incast_events=0, incast_flows_per_sender=0)
+    return ScenarioConfig(topology="star", scale=scale, link_delay_ns=2 * MICROS,
+                          color_threshold_bytes=270 * KB, **fields)
 
 
-def testbed_transport_config(rto_min_ns: int = 4 * MILLIS) -> TransportConfig:
-    return TransportConfig(base_rtt_ns=4 * TESTBED_LINK_DELAY_NS, rto_min_ns=rto_min_ns)
-
-
-def maybe_tlt(tlt: bool) -> Optional[TltConfig]:
-    return TltConfig() if tlt else None
+def endpoint_settings(config: ScenarioConfig) -> tuple:
+    """``(transport, transport config, TLT config or None)`` of ``config``'s
+    flows: what an application endpoint (``RpcNode``, ``WebTier``) takes to
+    open them as ``run_scenario``'s ``create`` would."""
+    return (config.transport, make_transport_config(config),
+            config.tlt_config if config.tlt else None)

@@ -27,7 +27,7 @@ import random
 from typing import Callable, Optional
 
 from repro.net.node import Device, Interceptor
-from repro.net.packet import Color, Packet, recycle
+from repro.net.packet import Packet, recycle
 from repro.sim.rng import derive_seed
 
 
@@ -170,13 +170,7 @@ class FaultInjector(Interceptor):
         self.selector = selector
         self.stats = stats
         self.corrupted = 0
-        self.corrupted_green = 0
         device.add_interceptor(self)
-
-    @property
-    def probability(self) -> Optional[float]:
-        """Flat loss rate, when the model is Bernoulli (compat shim)."""
-        return getattr(self.model, "probability", None)
 
     def detach(self) -> None:
         self.device.remove_interceptor(self)
@@ -186,8 +180,6 @@ class FaultInjector(Interceptor):
             self.rng
         ):
             self.corrupted += 1
-            if packet.color == Color.GREEN:
-                self.corrupted_green += 1
             stats = self.stats
             if stats is not None:
                 stats.count_fault_drop(packet)

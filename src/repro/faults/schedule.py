@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from repro.faults.models import FaultInjector, make_model
 from repro.net.node import Device, Interceptor
@@ -79,6 +79,9 @@ FAULT_KINDS = (
     "switch_up",
     "pfc_storm",
 )
+
+#: Kinds whose target is a device; the rest name a ``device:port_no``.
+DEVICE_KINDS = frozenset({"corruption_on", "corruption_off", "switch_down", "switch_up"})
 
 #: Default PFC pause quantum for storms: 65535 quanta of 512 bit-times
 #: at 40 Gbps ≈ 839 µs on real hardware; we refresh at half-quantum.
@@ -267,6 +270,17 @@ class FaultController:
         self._devices: Dict[str, Device] = {
             d.name: d for d in list(net.switches) + list(net.hosts)
         }
+        # Every target resolved now, not when its event fires: a spec
+        # written for another topology fails before the run starts.
+        missing = []
+        for event in schedule.events:
+            try:
+                (self._device if event.kind in DEVICE_KINDS else self._port)(event.target)
+            except ValueError as error:
+                missing.append(str(error))
+        if missing:
+            raise ValueError("; ".join(dict.fromkeys(missing))
+                             + f" (devices: {', '.join(self._devices)})")
 
     # -- arming ------------------------------------------------------------------
 

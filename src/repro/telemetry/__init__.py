@@ -42,7 +42,6 @@ from repro.telemetry.samplers import (
     BufferOccupancySampler,
     FlowStateSampler,
     LinkLoadSampler,
-    LinkUtilization,
     PfcStateSampler,
     PathChurnSampler,
     PolicySampler,
@@ -62,7 +61,6 @@ __all__ = [
     "Histogram",
     "JsonlWriter",
     "LinkLoadSampler",
-    "LinkUtilization",
     "MetricsRegistry",
     "PfcStateSampler",
     "PathChurnSampler",

@@ -17,7 +17,7 @@ Prometheus-compatible toolchain can scrape a run's final state.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 class _NullMetric:
@@ -277,8 +277,3 @@ class MetricsRegistry:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_prometheus())
         return path
-
-
-def get_metric(registry: Optional[MetricsRegistry]):
-    """``registry`` or the null registry — for optional-telemetry call sites."""
-    return registry if registry is not None else MetricsRegistry(enabled=False)

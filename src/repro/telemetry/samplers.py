@@ -11,11 +11,8 @@ telemetry on.
 Lifecycle: a sampler re-arms itself each tick until its ``active``
 predicate says the run is over (scenario runs pass "traffic window
 still open or stragglers remain" — the same predicate the Fig-11 queue
-sampler uses, so telemetry never extends a run), until an optional
-``duration_ns`` elapses, or until :meth:`Sampler.stop`.
-
-:class:`LinkUtilization` predates the framework and keeps its original
-standalone API.
+sampler uses, so telemetry never extends a run), or until
+:meth:`Sampler.stop`.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ class Sampler:
         engine: Engine,
         interval_ns: int,
         emit: Optional[EmitFn] = None,
-        duration_ns: Optional[int] = None,
         active: Optional[Callable[[], bool]] = None,
         start: bool = True,
     ):
@@ -53,11 +49,9 @@ class Sampler:
         self.engine = engine
         self.interval_ns = interval_ns
         self.emit = emit if emit is not None else _null_emit
-        self._stop_at = engine.now + duration_ns if duration_ns is not None else None
         self._active = active
         self._event = None
         self._stopped = False
-        self.ticks = 0
         if start:
             self.start()
 
@@ -74,11 +68,7 @@ class Sampler:
         self._event = None
         if self._stopped:
             return
-        self.ticks += 1
         self.sample()
-        if self._stop_at is not None and self.engine.now >= self._stop_at:
-            self._stopped = True
-            return
         if self._active is not None and not self._active():
             self._stopped = True
             return
@@ -371,66 +361,6 @@ class LinkLoadSampler(Sampler):
                 "util": round(util, 6),
             })
             self._g_util.labels(port.owner.name, port.port_no).set(util)
-
-
-class LinkUtilization(Sampler):
-    """Periodic utilization sampling of one port (standalone API).
-
-    Predates the sampler framework and was rebased on it (timer wheel
-    instead of the event heap; same firing order by the engine's
-    contract). Kept for callers that want an in-memory series for one
-    port rather than a telemetry stream.
-    """
-
-    stream = "link"
-
-    def __init__(
-        self,
-        engine: Engine,
-        port,
-        interval_ns: int = 100_000,
-        duration_ns: Optional[int] = None,
-        emit: Optional[EmitFn] = None,
-    ):
-        """Sample ``port`` every ``interval_ns``.
-
-        Without ``duration_ns`` the sampler keeps the event queue alive
-        until :meth:`stop` is called — bound the engine with
-        ``run(until=...)`` or pass a duration.
-        """
-        if interval_ns <= 0:
-            raise ValueError("interval must be positive")
-        self.port = port
-        self.samples: List[float] = []
-        self._last_bytes = port.tx_bytes
-        self._capacity_bytes = port.rate_bps * interval_ns / 8 / 1e9
-        super().__init__(engine, interval_ns, emit, duration_ns=duration_ns)
-
-    def sample(self) -> None:
-        sent = self.port.tx_bytes - self._last_bytes
-        self._last_bytes = self.port.tx_bytes
-        util = min(sent / self._capacity_bytes, 1.0)
-        self.samples.append(util)
-        self.emit(self.stream, {
-            "device": self.port.owner.name, "port": self.port.port_no,
-            "util": round(util, 6),
-        })
-
-    @property
-    def mean(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(self.samples) / len(self.samples)
-
-    @property
-    def peak(self) -> float:
-        return max(self.samples, default=0.0)
-
-    def busy_fraction(self, threshold: float = 0.9) -> float:
-        """Fraction of sampling windows above ``threshold`` utilization."""
-        if not self.samples:
-            return 0.0
-        return sum(1 for s in self.samples if s >= threshold) / len(self.samples)
 
 
 class ServiceLatencySampler(Sampler):

@@ -3,7 +3,10 @@
 Each module's ``run()`` must produce structurally valid rows at a
 minimal scale (the benchmarks exercise them at full scale)."""
 
+import copy
 import importlib
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -77,61 +80,131 @@ def test_fig13_rows():
 
 
 def _bespoke_point(module: str):
-    """One cheap point of a module that builds its own network."""
+    """One cheap point of a module that hands its own workload to run_scenario."""
     from repro.experiments import (
         ext_corruption,
         ext_incremental,
         fig12_redis_incast,
         fig13_mixed_traffic,
-        fig14_incast_microbench,
+        fig14_incast_microbench as fig14,
     )
+    from repro.experiments.testbed import paper_testbed
 
     return {
         "fig12": lambda: fig12_redis_incast.run_one("dctcp", True, 8, bursts=1),
-        "fig13": lambda: fig13_mixed_traffic.run_one(),
-        "fig14": lambda: fig14_incast_microbench.run_one("tcp", "tlt", 8, runs=1),
+        "fig13": lambda: fig13_mixed_traffic.run_one(paper_testbed()),
+        "fig14": lambda: fig14._sweep_row(*fig14.response_times("tcp", "tlt", 8, 1, runs=1)),
         "ext-incremental": lambda: ext_incremental._run("isolated", MICRO),
         "ext-corruption": lambda: ext_corruption._run(1e-3, MICRO),
     }[module]
 
 
-@pytest.mark.parametrize("audit", ["1", "0"])
+#: One MICRO-scale row per module above, captured while each still
+#: assembled its own run: handing the workload to run_scenario moved no
+#: number.
+PINNED_ROWS = {
+    "fig12": {"p99_ms": 0.069796, "max_ms": 0.069838, "timeouts": 0.0, "answered": 8},
+    "fig13": {"fg_p99_ms": 4.234969980000001, "bg_goodput_gbps": 25.72489953220878,
+              "timeouts": 35.0, "answered": 152},
+    "fig14": {"p99_ms": 0.061293400000000005, "max_ms": 0.061334, "timeouts": 0.0,
+              "answered": 8},
+    "ext-incremental": {"tlt_fg_p99_ms": 0.021962, "legacy_fg_p99_ms": 0.047396,
+                        "tlt_timeouts": 0.0, "legacy_timeouts": 0.0, "drops_red": 0.0},
+    "ext-corruption": {"fg_p99_ms": 0.0475385, "timeouts_per_1k": 0.0,
+                       "corrupted_green": 0.0, "incomplete": 0.0},
+}
+
+
+@pytest.mark.parametrize("module", list(PINNED_ROWS))
+def test_workload_modules_keep_their_pinned_rows(module):
+    assert _bespoke_point(module)() == PINNED_ROWS[module]
+
+
+WORKLOAD_MODULES = ["fig12", "fig13", "fig14", "ext-incremental", "ext-corruption"]
+
+#: Corruption on the testbed's one switch, for the three star modules.
+STAR_FAULTS = {"events": [{"time_ns": 0, "kind": "corruption_on", "target": "tor0",
+                           "params": {"model": "bernoulli", "rate": 0.01}}]}
+
+#: module, audit, faults, telemetry; the audit-only ids are the original ones.
+CONTROLS = [(module, audit, faults, telemetry)
+            for module in WORKLOAD_MODULES for audit in ("1", "0")
+            for faults in (False, True) for telemetry in (False, True)]
+
+
 @pytest.mark.parametrize(
-    "module", ["fig12", "fig13", "fig14", "ext-incremental", "ext-corruption"])
-def test_bespoke_modules_audit_every_network(module, audit, monkeypatch, tmp_path):
-    # These modules build their own networks, so --audit reaches them
-    # only if they attach the shared auditor themselves: the one every
-    # other run gets, with the dump path of the CI artifact upload,
-    # final-checked once per network.
+    "module, audit, faults, telemetry", CONTROLS,
+    ids=["-".join([m, a] + ["faults"] * f + ["telemetry"] * t) for m, a, f, t in CONTROLS])
+def test_bespoke_modules_audit_every_network(module, audit, faults, telemetry,
+                                             monkeypatch, tmp_path):
+    # Run control reaches these modules' runs as it reaches every other:
+    # --audit (the shared auditor, with the dump path of the CI artifact
+    # upload, final-checked once per network), --faults (the spec of the
+    # environment, unless the module's config says its own, as
+    # ext-corruption's does) and --telemetry (one stream per run, named
+    # by a run id no other run shares); the manifest names the run.
     from repro.audit import Auditor
+    from repro.experiments.manifest import LOG
+    from repro.faults.schedule import FaultController
     from repro.net.topology import Network
 
     dump = str(tmp_path / "audit_dump.json")
     monkeypatch.setenv("TLT_AUDIT", audit)
     monkeypatch.setenv("TLT_AUDIT_DUMP", dump)
-    networks, installed, final_checked = [], [], []
+    if faults:
+        spec = tmp_path / "faults.json"
+        if module.startswith("fig"):
+            spec.write_text(json.dumps(STAR_FAULTS))
+        else:
+            spec.write_text((Path(__file__).parents[1] / "examples/faults_smoke.json").read_text())
+        monkeypatch.setenv("TLT_FAULTS", str(spec))
+    else:
+        monkeypatch.delenv("TLT_FAULTS", raising=False)
+    tele = tmp_path / "tele"
+    if telemetry:
+        monkeypatch.setenv("TLT_TELEMETRY", str(tele))
+    else:
+        monkeypatch.delenv("TLT_TELEMETRY", raising=False)
+    networks, installed, final_checked, controllers = [], [], [], []
 
     def recording(cls, name, record):
         original = getattr(cls, name)
 
-        def wrapper(self, *args):
+        def wrapper(self, *args, **kwargs):
             record.append(self)
-            return original(self, *args)
+            return original(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, name, wrapper)
 
     recording(Network, "__init__", networks)
     recording(Auditor, "install", installed)
     recording(Auditor, "final_check", final_checked)
+    recording(FaultController, "__init__", controllers)
+    LOG.clear()
     assert _bespoke_point(module)()
-    assert networks
+    assert networks and len(LOG) == len(networks)
+    assert all(m["run_id"] and m["transport"] in ("tcp", "dctcp") and m["seed"] == 1
+               for m in LOG)
     if audit == "0":
         assert installed == final_checked == []
-        return
-    assert [auditor.net for auditor in installed] == networks
-    assert final_checked == installed
-    assert all(auditor.config.dump_path == dump for auditor in installed)
-    assert all(auditor.checks_run >= 2 for auditor in installed)
+    else:
+        assert [auditor.net for auditor in installed] == networks
+        assert final_checked == installed
+        assert all(auditor.config.dump_path == dump for auditor in installed)
+        assert all(auditor.checks_run >= 2 for auditor in installed)
+    if faults or module == "ext-corruption":
+        assert [controller.net for controller in controllers] == networks
+        assert all(m["faults"] for m in LOG)
+    else:
+        assert controllers == []
+    if faults and module != "ext-corruption":
+        assert all(net.stats.drops_fault > 0 for net in networks)
+    streams = sorted(path.name for path in tele.glob("run_*.jsonl"))
+    if telemetry:
+        assert streams == sorted(f"run_{m['run_id']}.jsonl" for m in LOG)
+        assert len(set(streams)) == len(networks)
+    else:
+        assert streams == []
 
 
 def test_fig16_rows():
@@ -184,9 +257,9 @@ def test_fig12_single_point():
 def test_fig14_single_point():
     from repro.experiments import fig14_incast_microbench as exp
 
-    row = exp.run_one("dctcp", "tlt", flows=8, runs=1)
-    assert row["answered"] == 8
-    assert row["p99_ms"] > 0
+    times, timeouts = exp.response_times("dctcp", "tlt", 8, seed=1, runs=1)
+    assert len(times) == 8 and timeouts == 0
+    assert exp._sweep_row(times, timeouts)["p99_ms"] > 0
 
 
 # -- every registry module, with the runs themselves stubbed ------------------
@@ -211,8 +284,7 @@ def _point_functions(module: str):
     return {
         "fig12": {"run_one": _bespoke_point("fig12")},
         "fig13": {"run_one": _bespoke_point("fig13")},
-        "fig14": {"run_one": _bespoke_point("fig14"),
-                  "cdf_one": lambda: fig14.cdf_one("tcp", "tlt", 8)},
+        "fig14": {"response_times": lambda: fig14.response_times("tcp", "tlt", 8, 1, runs=1)},
         "ext-incremental": {"_run": _bespoke_point("ext-incremental")},
         "ext-corruption": {"_run": _bespoke_point("ext-corruption")},
         "ext-policies": {"fig13_run_one": _bespoke_point("fig13")},
@@ -252,7 +324,8 @@ def test_module_runs_one_grid_per_panel_and_fills_its_tables(name, real_results,
     monkeypatch.setattr(common, "run_jobs", run_jobs)
     for function, real_call in _point_functions(name).items():
         point = real_call()
-        monkeypatch.setattr(module, function, lambda *args, _point=point, **kwargs: dict(_point))
+        monkeypatch.setattr(module, function,
+                            lambda *args, _point=point, **kwargs: copy.deepcopy(_point))
     manifest = {**real_results[False].manifest, "shards": 2,
                 "shard": {"windows": 3, "messages": 5, "cpu_s": [0.1, 0.2]}}
     monkeypatch.setattr(ext_shard_scale, "run_scenario", lambda config: SimpleNamespace(

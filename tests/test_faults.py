@@ -208,20 +208,21 @@ def test_schedule_rejects_bad_events():
 def test_controller_rejects_unknown_targets():
     from repro.faults import FaultSchedule
 
+    # Resolved when the controller is built, before any event is armed.
     net = small_star()
-    FaultSchedule.from_spec({"events": [
-        {"time_ns": 10, "kind": "corruption_on", "target": "nosuch",
-         "params": {"rate": 0.1}},
-    ]}).install(net)
-    with pytest.raises(ValueError):
-        net.engine.run(until=1_000)
+    with pytest.raises(ValueError, match="'nosuch': no such device"):
+        FaultSchedule.from_spec({"events": [
+            {"time_ns": 10, "kind": "corruption_on", "target": "nosuch",
+             "params": {"rate": 0.1}},
+        ]}).install(net)
+    assert not net.engine.pending
 
     net2 = small_star()
-    FaultSchedule.from_spec({"events": [
-        {"time_ns": 10, "kind": "link_down", "target": "tor0"},
-    ]}).install(net2)
-    with pytest.raises(ValueError):
-        net2.engine.run(until=1_000)
+    with pytest.raises(ValueError, match="'tor0': expected 'device:port_no'"):
+        FaultSchedule.from_spec({"events": [
+            {"time_ns": 10, "kind": "link_down", "target": "tor0"},
+        ]}).install(net2)
+    assert not net2.engine.pending
 
 
 def test_corruption_window_opens_and_closes():

@@ -149,10 +149,6 @@ def test_run_control_precedence(fields, env, read, expected, monkeypatch, tmp_pa
             run_control(config)
         return
     assert read(run_control(config)) == expected
-    if not fields:
-        # Without a config (the modules that build their own network)
-        # the environment alone decides, the same way.
-        assert read(run_control()) == expected
 
 
 # -- one copy: a source guard ----------------------------------------------------
@@ -210,3 +206,19 @@ def test_the_harness_is_one_copy(callee, package, where):
         return getattr(function, "id", getattr(function, "attr", None)) == callee
 
     assert _functions_with(calls) == [where]
+
+
+def test_experiments_assemble_runs_only_through_run_scenario():
+    # A figure module hands its workload to run_scenario; it never wires
+    # an observer, a fault or the end of a run itself.
+    harness = {"attach_auditor", "install_faults", "attach_telemetry", "finish_run",
+               "FaultInjector"}
+
+    def names_the_harness(node, path):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) \
+            or getattr(node, "name", None)
+        return (path.startswith("experiments/") and path != "experiments/scenarios.py"
+                and isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+                and name in harness)
+
+    assert _functions_with(names_the_harness) == []

@@ -154,3 +154,72 @@ def test_flows_share_one_config_and_never_write_it(monkeypatch, transport):
     assert len(endpoints) == result.stats.flow_count()
     assert all(ep.config is shared for ep in endpoints)
     assert not any(isinstance(ep, ReliableSender) for ep in endpoints)
+
+
+# -- a workload of the caller's own: run_scenario(config, traffic) ---------------
+
+
+@pytest.fixture
+def networks(monkeypatch):
+    """Every network built from here on."""
+    from repro.net.topology import Network
+
+    built = []
+    init = Network.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Network, "__init__", record)
+    return built
+
+
+def test_a_workload_without_a_canonical_encoding_is_refused(networks):
+    from repro.experiments.scenarios import schedule_traffic
+
+    def closure(config, net, create):
+        return 0, 0
+
+    for traffic in (closure, lambda config, net, create: (0, 0), schedule_traffic):
+        with pytest.raises(TypeError, match="no canonical encoding"):
+            run_scenario(fast_config(), traffic)
+    assert networks == []
+
+
+def test_points_that_differ_only_in_their_workload_are_different_runs():
+    from repro.experiments import fig14_incast_microbench as fig14
+    from repro.experiments.testbed import paper_testbed
+
+    config = paper_testbed(9, transport="tcp", tlt=True)
+    run_ids = [run_scenario(config, fig14.IncastGets(flows, runs=1)).manifest["run_id"]
+               for flows in (8, 16)]
+    assert len(set(run_ids)) == 2
+    assert run_ids[0].startswith("tcp_tlt_s1_")
+
+
+def test_a_workload_runs_on_one_engine_and_never_with_a_service(networks, monkeypatch):
+    from repro.experiments.ext_corruption import IncastOnly
+
+    monkeypatch.setenv("TLT_SHARD_INLINE", "1")
+    result = run_scenario(fast_config(shards=2), IncastOnly())
+    assert result.manifest["shards"] == 1 and "shard" not in result.manifest
+    assert len(networks) == 1
+    service = {"requests": 4, "rate_rps": 20_000.0,
+               "tiers": [{"name": "cache", "servers": 1, "fanout": 1, "service_ns": 2_000}]}
+    with pytest.raises(ValueError, match="takes no custom traffic"):
+        run_scenario(fast_config(service=service), IncastOnly())
+    assert len(networks) == 1
+
+
+def test_fault_targets_are_checked_before_the_run_starts(networks):
+    import json
+    from pathlib import Path
+
+    from repro.experiments.scale import TINY
+
+    spec = json.loads((Path(__file__).parents[1] / "examples/faults_smoke.json").read_text())
+    with pytest.raises(ValueError, match=r"'tor1': no such device.*devices: tor0, host0"):
+        run_scenario(ScenarioConfig(topology="star", scale=TINY, faults=spec))
+    [net] = networks
+    assert net.engine.events_processed == 0

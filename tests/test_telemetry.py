@@ -12,9 +12,7 @@ from repro.experiments.scale import TINY
 from repro.experiments.scenarios import ScenarioConfig, run_scenario
 from repro.telemetry import (
     NULL_METRIC,
-    LinkUtilization,
     MetricsRegistry,
-    Sampler,
     Telemetry,
     TelemetryConfig,
     merge_streams,
@@ -106,10 +104,6 @@ def test_labels_arity_checked():
 
 
 def test_sampler_interval_validation():
-    assert issubclass(LinkUtilization, Sampler)
-    net = small_star()
-    with pytest.raises(ValueError):
-        LinkUtilization(net.engine, net.hosts[0].ports[0], interval_ns=0)
     with pytest.raises(ValueError):
         TelemetryConfig.from_spec({"interval_ns": -5})
 
