@@ -8,14 +8,14 @@ RTO_min, and TLT. Run:
     python examples/incast_microbenchmark.py
 """
 
-from repro.experiments.fig14_incast_microbench import run_one
+from repro.experiments.fig14_incast_microbench import response_times, sweep_row
 
 
 def main() -> None:
     print(f"{'scheme':10s} {'flows':>6s} {'p99 (ms)':>10s} {'max (ms)':>10s} {'timeouts':>9s}")
     for flows in (16, 64, 128):
         for scheme in ("rto4ms", "rto200us", "tlt"):
-            row = run_one("dctcp", scheme, flows, runs=2)
+            row = sweep_row(*response_times("dctcp", scheme, flows, seed=1, runs=2))
             print(
                 f"{scheme:10s} {flows:6d} {row['p99_ms']:10.3f} "
                 f"{row['max_ms']:10.3f} {row['timeouts']:9.0f}"

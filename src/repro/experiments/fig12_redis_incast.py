@@ -14,8 +14,8 @@ from typing import Dict, List, Sequence
 
 from repro.apps.webtier import WebTier
 from repro.experiments.common import average
-from repro.experiments.scenarios import run_scenario
-from repro.experiments.testbed import endpoint_settings, paper_testbed
+from repro.experiments.scenarios import endpoint_settings, run_scenario
+from repro.experiments.testbed import paper_testbed
 from repro.sim.units import MILLIS
 
 DEFAULT_REQUEST_COUNTS = (8, 24, 60, 120, 180)

@@ -14,8 +14,8 @@ from typing import Dict, List, Sequence
 from repro.apps.kvstore import KvClient, KvServer
 from repro.apps.rpc import RpcNode
 from repro.experiments.common import average
-from repro.experiments.scenarios import ScenarioConfig, run_scenario
-from repro.experiments.testbed import endpoint_settings, paper_testbed
+from repro.experiments.scenarios import ScenarioConfig, endpoint_settings, run_scenario
+from repro.experiments.testbed import paper_testbed
 from repro.stats.percentile import percentile
 from repro.transport.base import FlowSpec
 

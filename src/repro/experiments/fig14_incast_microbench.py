@@ -16,8 +16,8 @@ from typing import Dict, List, Sequence, Tuple
 from repro.apps.kvstore import KvClient, KvServer
 from repro.apps.rpc import RpcNode
 from repro.experiments.common import average
-from repro.experiments.scenarios import run_scenario
-from repro.experiments.testbed import endpoint_settings, paper_testbed
+from repro.experiments.scenarios import endpoint_settings, run_scenario
+from repro.experiments.testbed import paper_testbed
 from repro.sim.units import MICROS, MILLIS
 from repro.stats.percentile import percentile, percentiles
 
@@ -66,13 +66,14 @@ def response_times(transport: str, scheme: str, flows: int, seed: int,
     """Drive one point; returns every response time (ns) and the RTO count."""
     rto_min = 200 * MICROS if scheme == "rto200us" else 4 * MILLIS
     config = paper_testbed(NUM_SERVERS + 1, transport=transport, tlt=scheme == "tlt",
-                     seed=seed, rto_min_ns=rto_min)
+                           seed=seed, rto_min_ns=rto_min)
     workload = IncastGets(flows, runs)
     result = run_scenario(config, workload)
     return [t for c in workload.clients for t in c.response_times], result.stats.timeouts
 
 
-def _sweep_row(times: List[int], timeouts: int) -> Dict:
+def sweep_row(times: List[int], timeouts: int) -> Dict:
+    """One sweep point's metrics from its :func:`response_times`."""
     return {
         "p99_ms": percentile(times, 99) / 1e6,
         "max_ms": max(times) / 1e6 if times else 0.0,
@@ -97,7 +98,7 @@ def run(scale="small", seeds: Sequence[int] = (1,),
     for transport in transports:
         for scheme in SCHEMES:
             for flows in flow_counts:
-                row = average([_sweep_row(*point(transport, scheme, flows, seed, runs))
+                row = average([sweep_row(*point(transport, scheme, flows, seed, runs))
                                for seed in seeds])
                 row.update(transport=transport, scheme=scheme, flows=flows)
                 sweep.append(row)

@@ -359,14 +359,12 @@ def make_transport_config(config: ScenarioConfig) -> TransportConfig:
     return resolve_config(config.transport, tconfig)
 
 
-def _workload_encoding(traffic) -> str:
-    """A custom workload's canonical encoding; a function, closure or
-    lambda has none (its repr holds a memory address): a ``TypeError``."""
-    blob = json.dumps(encode_value(traffic), sort_keys=True)
-    if not dataclasses.is_dataclass(traffic) or " at 0x" in blob:
-        raise TypeError(f"traffic {traffic!r} has no canonical encoding: make it a "
-                        "module-level dataclass whose fields are the point's parameters")
-    return blob
+def endpoint_settings(config: ScenarioConfig) -> tuple:
+    """``(transport, transport config, TLT config or None)`` of ``config``'s
+    flows: what ``run_scenario``'s ``create`` opens each flow with, and
+    what an application endpoint (``RpcNode``, ``WebTier``) takes."""
+    return (config.transport, make_transport_config(config),
+            config.tlt_config if config.tlt else None)
 
 
 def _telemetry_run_id(config: ScenarioConfig, traffic=None) -> str:
@@ -376,11 +374,16 @@ def _telemetry_run_id(config: ScenarioConfig, traffic=None) -> str:
     uses (telemetry itself stripped — it must not name its own files),
     so parallel workers and reruns agree without coordination. A custom
     workload's encoding is folded in too: points that differ only in
-    their workload are different runs.
+    their workload are different runs. A function, closure or lambda
+    has none (its repr holds a memory address): a ``TypeError``.
     """
     blob = json.dumps(encode_value(replace(config, telemetry=None)), sort_keys=True)
     if traffic is not None:
-        blob += _workload_encoding(traffic)
+        workload = json.dumps(encode_value(traffic), sort_keys=True)
+        if not dataclasses.is_dataclass(traffic) or " at 0x" in workload:
+            raise TypeError(f"traffic {traffic!r} has no canonical encoding: make it a "
+                            "module-level dataclass whose fields are the point's parameters")
+        blob += workload
     digest = hashlib.sha256(blob.encode()).hexdigest()[:8]
     tag = f"{config.transport}_tlt" if config.tlt else config.transport
     return f"{tag}_s{config.seed}_{digest}"
@@ -513,20 +516,19 @@ def schedule_traffic(config: ScenarioConfig, net: Network, create) -> Tuple[int,
 
 def attach_telemetry(config: ScenarioConfig, net: Network, control: RunControl,
                      active, faults: Optional[FaultController] = None,
-                     run_id_suffix: str = "", traffic=None):
+                     run_id_suffix: str = "", run_id: Optional[str] = None):
     """The run's :class:`repro.telemetry.Telemetry`, installed, or None.
 
     ``active`` is the harness's own liveness rule, so telemetry never
     extends a run; its samplers only read state, so every simulation
-    observable stays bit-identical. ``traffic`` is a custom workload,
-    named in the run id.
+    observable stays bit-identical. ``run_id`` defaults to the config's.
     """
     if control.telemetry is None:
         return None
     from repro.telemetry import Telemetry
 
     telemetry = Telemetry(net, control.telemetry, scenario=config,
-                          run_id=_telemetry_run_id(config, traffic) + run_id_suffix)
+                          run_id=(run_id or _telemetry_run_id(config)) + run_id_suffix)
     telemetry.install(active=active)
     if faults is not None:
         telemetry.attach_faults(faults)
@@ -536,13 +538,13 @@ def attach_telemetry(config: ScenarioConfig, net: Network, control: RunControl,
 def finish_run(net: Network, control: RunControl, auditor: Optional[Auditor] = None,
                telemetry=None, error: Optional[BaseException] = None, *,
                config: Optional[ScenarioConfig] = None,
-               shard: Optional[int] = None, traffic=None) -> Optional[Dict]:
+               shard: Optional[int] = None, run_id: Optional[str] = None) -> Optional[Dict]:
     """End a run: the auditor's final check, then the run's manifest
     (built here and nowhere else; logged unless this is one ``shard`` of
     a run, whose coordinator logs the merged one), then telemetry
     closed, which writes it beside its streams. A run that ``error``
     already ended gets neither check nor manifest and needs no ``config``;
-    ``traffic``, a custom workload, is named in its run id. An :class:`AuditError`,
+    ``run_id`` defaults to the config's. An :class:`AuditError`,
     from either, is first snapshotted by the flight recorder (sample
     window + audit trace); the caller re-raises what it passed in."""
     manifest = None
@@ -551,8 +553,10 @@ def finish_run(net: Network, control: RunControl, auditor: Optional[Auditor] = N
             if auditor is not None:
                 auditor.final_check()
             # One digest, shared with the telemetry files.
-            run_id = (telemetry.run_id if telemetry is not None
-                      else _telemetry_run_id(config, traffic))
+            if telemetry is not None:
+                run_id = telemetry.run_id
+            elif run_id is None:
+                run_id = _telemetry_run_id(config)
             manifest = run_manifest.build(net, control, config, run_id, shard)
             if shard is None:
                 run_manifest.LOG.append(manifest)
@@ -577,11 +581,12 @@ def run_scenario(config: ScenarioConfig, traffic=None) -> ScenarioResult:
     schedule only the standard mix) and never with ``service``.
     """
     control = run_control(config)
+    run_id = None  # the config's, unless a custom workload names the run
     if traffic is not None:
-        _workload_encoding(traffic)
         if config.service is not None:
             raise ValueError("a service scenario's workload is its request "
                              "stream: it takes no custom traffic")
+        run_id = _telemetry_run_id(config, traffic)
     if config.service is not None:
         # Service runs replace the whole traffic layer (open-loop
         # request stream instead of background+incast), so they take
@@ -596,11 +601,10 @@ def run_scenario(config: ScenarioConfig, traffic=None) -> ScenarioResult:
     net = build_network(config)
     auditor = attach_auditor(net, control)
     faults = install_faults(net, control)
-    tconfig = make_transport_config(config)
-    tlt_cfg = config.tlt_config if config.tlt else None
+    transport, tconfig, tlt_cfg = endpoint_settings(config)
 
     def create(spec: FlowSpec) -> None:
-        create_flow(config.transport, net, spec, tconfig, tlt_cfg)
+        create_flow(transport, net, spec, tconfig, tlt_cfg)
 
     end_of_traffic, _flows = (traffic or schedule_traffic)(config, net, create)
     horizon = end_of_traffic + config.drain_ns
@@ -623,7 +627,7 @@ def run_scenario(config: ScenarioConfig, traffic=None) -> ScenarioResult:
     telemetry = attach_telemetry(
         config, net, control,
         lambda: net.engine.now < end_of_traffic or bool(net.stats.incomplete_flows()),
-        faults, traffic=traffic,
+        faults, run_id=run_id,
     )
     # One full collection before the run; the engine switches the
     # collector off while it runs. It frees the previous run's network
@@ -643,6 +647,6 @@ def run_scenario(config: ScenarioConfig, traffic=None) -> ScenarioResult:
     except BaseException as error:
         finish_run(net, control, auditor, telemetry, error)
         raise
-    manifest = finish_run(net, control, auditor, telemetry, config=config, traffic=traffic)
+    manifest = finish_run(net, control, auditor, telemetry, config=config, run_id=run_id)
     return ScenarioResult(config, net, engine.now, queue_samples, auditor,
                           faults, telemetry, manifest=manifest)

@@ -19,7 +19,7 @@ The testbed figures hand their application workload to
 from __future__ import annotations
 
 from repro.experiments.scale import Scale
-from repro.experiments.scenarios import ScenarioConfig, make_transport_config
+from repro.experiments.scenarios import ScenarioConfig
 from repro.sim.units import KB, MICROS
 
 
@@ -30,11 +30,3 @@ def paper_testbed(hosts: int = 10, **fields) -> ScenarioConfig:
                   bg_flows=0, incast_events=0, incast_flows_per_sender=0)
     return ScenarioConfig(topology="star", scale=scale, link_delay_ns=2 * MICROS,
                           color_threshold_bytes=270 * KB, **fields)
-
-
-def endpoint_settings(config: ScenarioConfig) -> tuple:
-    """``(transport, transport config, TLT config or None)`` of ``config``'s
-    flows: what an application endpoint (``RpcNode``, ``WebTier``) takes to
-    open them as ``run_scenario``'s ``create`` would."""
-    return (config.transport, make_transport_config(config),
-            config.tlt_config if config.tlt else None)

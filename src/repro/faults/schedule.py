@@ -67,21 +67,19 @@ from repro.net.node import Device, Interceptor
 from repro.net.packet import Packet, recycle
 from repro.net.routing import capacity_weight
 
-#: Recognized event kinds.
-FAULT_KINDS = (
-    "corruption_on",
-    "corruption_off",
-    "link_down",
-    "link_up",
-    "link_degrade",
-    "link_restore",
-    "switch_down",
-    "switch_up",
-    "pfc_storm",
-)
-
-#: Kinds whose target is a device; the rest name a ``device:port_no``.
-DEVICE_KINDS = frozenset({"corruption_on", "corruption_off", "switch_down", "switch_up"})
+#: Recognized event kinds, each with what its target names: a device
+#: (``tor0``) or one of its ports (``tor0:4``).
+FAULT_KINDS = {
+    "corruption_on": "device",
+    "corruption_off": "device",
+    "link_down": "port",
+    "link_up": "port",
+    "link_degrade": "port",
+    "link_restore": "port",
+    "switch_down": "device",
+    "switch_up": "device",
+    "pfc_storm": "port",
+}
 
 #: Default PFC pause quantum for storms: 65535 quanta of 512 bit-times
 #: at 40 Gbps ≈ 839 µs on real hardware; we refresh at half-quantum.
@@ -100,7 +98,7 @@ class FaultEvent:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(
-                f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
+                f"unknown fault kind {self.kind!r}; expected one of {tuple(FAULT_KINDS)}"
             )
         if self.time_ns < 0:
             raise ValueError(f"fault event time must be >= 0, got {self.time_ns}")
@@ -275,7 +273,7 @@ class FaultController:
         missing = []
         for event in schedule.events:
             try:
-                (self._device if event.kind in DEVICE_KINDS else self._port)(event.target)
+                self._target(event)
             except ValueError as error:
                 missing.append(str(error))
         if missing:
@@ -297,6 +295,12 @@ class FaultController:
             self.on_apply(event)
 
     # -- target resolution -------------------------------------------------------
+
+    def _target(self, event: FaultEvent):
+        """The device or port ``event`` acts on (its kind says which)."""
+        if FAULT_KINDS[event.kind] == "device":
+            return self._device(event.target)
+        return self._port(event.target)
 
     def _device(self, name: str) -> Device:
         try:
@@ -333,7 +337,7 @@ class FaultController:
     # -- corruption --------------------------------------------------------------
 
     def _ev_corruption_on(self, event: FaultEvent) -> None:
-        device = self._device(event.target)
+        device = self._target(event)
         old = self.injectors.pop(device.name, None)
         if old is not None:
             old.detach()
@@ -345,7 +349,7 @@ class FaultController:
         )
 
     def _ev_corruption_off(self, event: FaultEvent) -> None:
-        injector = self.injectors.pop(event.target, None)
+        injector = self.injectors.pop(self._target(event).name, None)
         if injector is not None:
             injector.detach()
 
@@ -386,13 +390,13 @@ class FaultController:
         port.set_link_state(True)
 
     def _ev_link_down(self, event: FaultEvent) -> None:
-        port = self._port(event.target)
+        port = self._target(event)
         self._take_port_down(port)
         if port.peer is not None:
             self._take_port_down(port.peer)
 
     def _ev_link_up(self, event: FaultEvent) -> None:
-        port = self._port(event.target)
+        port = self._target(event)
         self._bring_port_up(port)
         if port.peer is not None:
             self._bring_port_up(port.peer)
@@ -412,7 +416,7 @@ class FaultController:
             fib.set_port_weight(port.port_no, capacity_weight(rate_bps))
 
     def _ev_link_degrade(self, event: FaultEvent) -> None:
-        port = self._port(event.target)
+        port = self._target(event)
         factor = float(event.params.get("factor", 0.5))
         if not 0.0 < factor <= 1.0:
             raise ValueError(f"link_degrade factor must be in (0, 1], got {factor}")
@@ -424,7 +428,7 @@ class FaultController:
             self._set_port_rate(end, max(1, int(pristine * factor)))
 
     def _ev_link_restore(self, event: FaultEvent) -> None:
-        port = self._port(event.target)
+        port = self._target(event)
         for end in self._link_endpoints(port):
             pristine = self._degraded.pop((end.owner.name, end.port_no), None)
             if pristine is not None:
@@ -433,7 +437,7 @@ class FaultController:
     # -- switch failure ----------------------------------------------------------
 
     def _ev_switch_down(self, event: FaultEvent) -> None:
-        switch = self._device(event.target)
+        switch = self._target(event)
         self._blackhole(switch).drop_all = True
         for port in switch.ports:
             port.set_link_state(False)
@@ -441,7 +445,7 @@ class FaultController:
                 self._take_port_down(port.peer)
 
     def _ev_switch_up(self, event: FaultEvent) -> None:
-        switch = self._device(event.target)
+        switch = self._target(event)
         bh = self.blackholes.get(switch.name)
         if bh is not None:
             bh.drop_all = False
@@ -454,7 +458,7 @@ class FaultController:
     # -- PFC storm ---------------------------------------------------------------
 
     def _ev_pfc_storm(self, event: FaultEvent) -> None:
-        port = self._port(event.target)
+        port = self._target(event)
         duration = int(event.params.get("duration_ns", DEFAULT_STORM_PAUSE_NS))
         quantum = int(event.params.get("pause_ns", DEFAULT_STORM_PAUSE_NS))
         self._storm_tick(port, self.engine.now + duration, quantum)

@@ -93,7 +93,7 @@ def _bespoke_point(module: str):
     return {
         "fig12": lambda: fig12_redis_incast.run_one("dctcp", True, 8, bursts=1),
         "fig13": lambda: fig13_mixed_traffic.run_one(paper_testbed()),
-        "fig14": lambda: fig14._sweep_row(*fig14.response_times("tcp", "tlt", 8, 1, runs=1)),
+        "fig14": lambda: fig14.sweep_row(*fig14.response_times("tcp", "tlt", 8, 1, runs=1)),
         "ext-incremental": lambda: ext_incremental._run("isolated", MICRO),
         "ext-corruption": lambda: ext_corruption._run(1e-3, MICRO),
     }[module]
@@ -259,7 +259,7 @@ def test_fig14_single_point():
 
     times, timeouts = exp.response_times("dctcp", "tlt", 8, seed=1, runs=1)
     assert len(times) == 8 and timeouts == 0
-    assert exp._sweep_row(times, timeouts)["p99_ms"] > 0
+    assert exp.sweep_row(times, timeouts)["p99_ms"] > 0
 
 
 # -- every registry module, with the runs themselves stubbed ------------------
