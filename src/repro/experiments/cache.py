@@ -3,7 +3,7 @@
 A job is identified by the SHA-256 fingerprint of its fully resolved
 :class:`~repro.experiments.scenarios.ScenarioConfig` (every field,
 recursively, including nested dataclasses and enums), the seed, the
-metrics function used to reduce the run, and the code version. Results
+metrics function, the code version and any workload of its own. Results
 are stored as one small JSON artifact per key, so re-running an
 experiment — locally or in CI — only executes the (scenario, seed)
 pairs whose configuration or code actually changed.
@@ -101,8 +101,9 @@ def encode_value(value: Any) -> Any:
 
 
 def fingerprint(config: Any, seed: int, metrics: Optional[str] = None,
-                version: Optional[str] = None) -> str:
-    """Content hash of (config, seed, metrics reducer, code version)."""
+                version: Optional[str] = None, traffic: Optional[str] = None) -> str:
+    """Content hash of (config, seed, metrics reducer, code version) and a
+    run's own workload's encoding, if any (a plain run's key is unchanged)."""
     payload = {
         "schema": CACHE_SCHEMA,
         "code": version if version is not None else code_version(),
@@ -110,6 +111,8 @@ def fingerprint(config: Any, seed: int, metrics: Optional[str] = None,
         "seed": int(seed),
         "metrics": metrics,
     }
+    if traffic is not None:
+        payload["traffic"] = traffic
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import statistics
 import sys
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.parallel import Job, metrics_reference, run_jobs
 from repro.experiments.scale import SCALES, Scale
@@ -30,32 +30,38 @@ def average(samples: Sequence[Dict[str, float]]) -> Dict[str, float]:
 
 
 def run_grid(
-    configs: Sequence[ScenarioConfig],
+    points: Sequence[Union[ScenarioConfig, Tuple[ScenarioConfig, object]]],
     seeds: Optional[Sequence[int]],
     metrics: Optional[Callable[[ScenarioResult], Dict[str, float]]] = None,
 ) -> List[Dict[str, float]]:
-    """Run every config once per seed and return one :func:`average` row
-    per config, in the order given. The paper averages five seeded runs.
+    """Run every point once per seed and return one :func:`average` row
+    per point, in the order given. The paper averages five seeded runs.
 
-    The whole grid is **one** :func:`run_jobs` call, so ``--jobs`` fans
-    all of an experiment's runs out at once, finished ones are served
-    from the on-disk cache, and rows are bit-identical at any worker
-    count. ``seeds=None`` runs each config once, under its own seed.
-    ``metrics`` runs inside the worker and is part of the cache key, so
-    it must be importable by name (a lambda or closure is a
-    ``TypeError``). A failed seed is dropped from its point's average
-    with a warning; a point that lost every seed raises.
+    A point is a config or a ``(config, traffic)`` pair, ``traffic``
+    being the run's own workload. The grid is **one** :func:`run_jobs`
+    call that submits equal cache keys once, so ``--jobs`` fans all of
+    an experiment's runs out at once, finished ones come from the
+    on-disk cache, and rows are bit-identical at any worker count.
+    ``seeds=None`` runs each point under its config's seed. ``metrics``
+    runs in the worker and, like a workload, is in the cache key: a
+    lambda or closure is a ``TypeError`` before any run. A failed seed
+    is dropped from its point's average with a warning; a point that
+    lost every seed raises.
     """
     metrics_ref = metrics_reference(metrics)
     if metrics is not None and metrics_ref is None:
         raise TypeError(f"metrics reducer {metrics!r} is not importable by name")
-    grid = [(point, seed) for point, config in enumerate(configs)
+    points = [point if isinstance(point, tuple) else (point, None) for point in points]
+    grid = [(point, seed) for point, (config, _traffic) in enumerate(points)
             for seed in (seeds or (config.seed,))]
-    results = run_jobs([Job(index, configs[point], seed, metrics_ref)
-                        for index, (point, seed) in enumerate(grid)])
-    samples: List[List[Dict]] = [[] for _ in configs]
-    failures: List[List[str]] = [[] for _ in configs]
-    for (point, seed), res in zip(grid, results):
+    jobs = [Job(index, points[point][0], seed, metrics_ref, points[point][1])
+            for index, (point, seed) in enumerate(grid)]
+    first: Dict[str, int] = {}  # cache key -> index of the job that runs it
+    runs = [first.setdefault(job.cache_key(), job.index) for job in jobs]
+    done = {res.index: res for res in run_jobs([jobs[i] for i in sorted(set(runs))])}
+    samples: List[List[Dict]] = [[] for _ in points]
+    failures: List[List[str]] = [[] for _ in points]
+    for (point, seed), res in zip(grid, (done[i] for i in runs)):
         if res.manifest is not None:
             # The one logged for this run: manifest.summarize sums the retries.
             res.manifest["attempts"] = res.attempts
@@ -63,9 +69,10 @@ def run_grid(
             samples[point].append(res.row)
         else:
             failures[point].append(f"seed {seed}: {res.error}")
-    for point, config in enumerate(configs):
+    for point, (config, traffic) in enumerate(points):
         if failures[point]:
-            where = f"point {point} ({config.transport}{'+tlt' if config.tlt else ''})"
+            workload = "" if traffic is None else f", {traffic!r}"
+            where = f"point {point} ({config.transport}{'+tlt' if config.tlt else ''}{workload})"
             detail = "; ".join(failures[point])
             if not samples[point]:
                 raise RuntimeError(f"{where}: every seed failed: {detail}")

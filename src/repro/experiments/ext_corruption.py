@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import average, resolve_scale
+from repro.experiments.common import resolve_scale, run_grid
 from repro.experiments.ext_faults import corruption_spec
-from repro.experiments.scenarios import ScenarioConfig, run_scenario
+from repro.experiments.scenarios import ScenarioConfig, ScenarioResult
 from repro.sim.units import KB
 from repro.workload.incast import IncastTraffic
 
@@ -43,14 +43,9 @@ class IncastOnly:
         return incast.specs[-1].start_ns, len(incast.specs)
 
 
-def _run(rate: float, scale, seed: int = 1) -> Dict:
-    # Corruption on every switch, each drawing from a stream derived
-    # from the scenario seed and the switch name: different seeds
-    # corrupt different packet sets (so --seeds sweeps measure real
-    # variance), the same seed is bit-reproducible.
-    config = ScenarioConfig(transport="dctcp", tlt=True, scale=scale, seed=seed,
-                            faults=corruption_spec(scale, rate))
-    stats = run_scenario(config, IncastOnly()).stats
+def corruption_metrics(result: ScenarioResult) -> Dict:
+    """Reducer: the incast's tail, timeouts and corrupted green packets."""
+    stats = result.stats
     return {
         "fg_p99_ms": stats.fct_summary("fg")["p99"] / 1e6,
         "timeouts_per_1k": stats.timeouts_per_1k_flows(),
@@ -62,9 +57,13 @@ def _run(rate: float, scale, seed: int = 1) -> Dict:
 def run(scale="small", seeds: Sequence[int] = (1,),
         rates: Sequence[float] = DEFAULT_RATES) -> List[Dict]:
     scale = resolve_scale(scale)
-    rows: List[Dict] = []
-    for rate in rates:
-        row = average([_run(rate, scale, seed) for seed in seeds])
+    # Corruption on every switch, each drawing from a stream derived
+    # from the scenario seed and the switch name: different seeds
+    # corrupt different packet sets (so --seeds sweeps measure real
+    # variance), the same seed is bit-reproducible.
+    rows = run_grid([(ScenarioConfig(transport="dctcp", tlt=True, scale=scale,
+                                     faults=corruption_spec(scale, rate)), IncastOnly())
+                     for rate in rates], seeds, corruption_metrics)
+    for row, rate in zip(rows, rates):
         row["corruption_rate"] = rate
-        rows.append(row)
     return rows

@@ -22,12 +22,8 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence
 
 from repro.core.config import TltConfig
-from repro.experiments.common import average, resolve_scale
-from repro.experiments.scenarios import (
-    ScenarioConfig,
-    make_transport_config,
-    run_scenario,
-)
+from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.scenarios import ScenarioConfig, ScenarioResult, make_transport_config
 from repro.net.packet import Color
 from repro.sim.units import KB
 from repro.switchsim.queue import EgressQueue
@@ -105,10 +101,9 @@ class MixedDeployment:
         return background.end_of_arrivals_ns, len(background.specs) + len(incast.specs)
 
 
-def _run(deployment: str, scale, seed: int = 1) -> Dict:
-    config = ScenarioConfig(transport="dctcp", tlt=True, scale=scale, seed=seed)
-    workload = MixedDeployment(deployment)
-    stats = run_scenario(config, workload).stats
+def deployment_metrics(result: ScenarioResult) -> Dict:
+    """Reducer: foreground tail and timeouts of the TLT and legacy halves."""
+    stats = result.stats
 
     def group_stats(flow_ids: List[int]):
         records = [stats.flows[f] for f in flow_ids]
@@ -119,8 +114,8 @@ def _run(deployment: str, scale, seed: int = 1) -> Dict:
         p99 = fg[int(0.99 * (len(fg) - 1))] / 1e6 if fg else 0.0
         return p99, timeouts
 
-    tlt_p99, tlt_to = group_stats(workload.tlt_flows)
-    legacy_p99, legacy_to = group_stats(workload.legacy_flows)
+    tlt_p99, tlt_to = group_stats(result.traffic.tlt_flows)
+    legacy_p99, legacy_to = group_stats(result.traffic.legacy_flows)
     return {
         "tlt_fg_p99_ms": tlt_p99,
         "legacy_fg_p99_ms": legacy_p99,
@@ -131,10 +126,10 @@ def _run(deployment: str, scale, seed: int = 1) -> Dict:
 
 
 def run(scale="small", seeds: Sequence[int] = (1,)) -> List[Dict]:
-    scale = resolve_scale(scale)
-    rows: List[Dict] = []
-    for deployment in ("no-tlt", "shared-bad", "isolated"):
-        row = average([_run(deployment, scale, seed) for seed in seeds])
+    config = ScenarioConfig(transport="dctcp", tlt=True, scale=resolve_scale(scale))
+    deployments = ("no-tlt", "shared-bad", "isolated")
+    rows = run_grid([(config, MixedDeployment(deployment)) for deployment in deployments],
+                    seeds, deployment_metrics)
+    for row, deployment in zip(rows, deployments):
         row["deployment"] = deployment
-        rows.append(row)
     return rows

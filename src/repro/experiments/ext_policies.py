@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments.common import average, resolve_scale, run_grid
-from repro.experiments.fig13_mixed_traffic import run_one as fig13_run_one
+from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.fig13_mixed_traffic import CacheWithBackground, mixed_metrics
 from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.testbed import paper_testbed
 
@@ -72,11 +72,12 @@ def run(scale="small", seeds: Sequence[int] = (1, 2)) -> List[Dict]:
         fig5 = ScenarioConfig(transport="dctcp", tlt=True, scale=scale, admission=spec)
         configs += [fig5, replace(fig5, load=FIG9_LOAD)]
     averaged = run_grid(configs, seeds)
+    # The Fig 13 column, reduced as fig13 reduces it: its own grid.
+    testbed = run_grid([(paper_testbed(transport="dctcp", tlt=True, admission=spec),
+                         CacheWithBackground()) for _label, spec in POLICY_SPECS],
+                       seeds, mixed_metrics)
     rows: List[Dict] = []
-    for (label, spec), fig5, fig9 in zip(POLICY_SPECS, averaged[0::2], averaged[1::2]):
-        fig13 = average([fig13_run_one(paper_testbed(transport="dctcp", tlt=True, seed=seed,
-                                               admission=spec))
-                         for seed in seeds])
+    for (label, _), fig5, fig9, fig13 in zip(POLICY_SPECS, averaged[0::2], averaged[1::2], testbed):
         rows.append({
             "policy": label,
             "fig5_p99_ms": fig5["fg_p99_ms"],

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.apps.webtier import WebTier
-from repro.experiments.common import average
-from repro.experiments.scenarios import endpoint_settings, run_scenario
+from repro.experiments.common import run_grid
+from repro.experiments.scenarios import ScenarioResult, endpoint_settings
 from repro.experiments.testbed import paper_testbed
 from repro.sim.units import MILLIS
 
@@ -43,10 +43,9 @@ class RequestBursts:
         return (self.bursts - 1) * 100 * MILLIS, 0
 
 
-def run_one(transport: str, tlt: bool, requests: int, bursts: int = 3, seed: int = 1) -> Dict:
-    workload = RequestBursts(requests, bursts)
-    result = run_scenario(paper_testbed(transport=transport, tlt=tlt, seed=seed), workload)
-    summary = workload.tier.result.summary()
+def burst_metrics(result: ScenarioResult) -> Dict:
+    """Reducer: the response times of one point's requests."""
+    summary = result.traffic.tier.result.summary()
     return {
         "p99_ms": summary["p99"] / 1e6,
         "max_ms": summary["max"] / 1e6,
@@ -58,12 +57,11 @@ def run_one(transport: str, tlt: bool, requests: int, bursts: int = 3, seed: int
 def run(scale="small", seeds: Sequence[int] = (1,),
         request_counts: Sequence[int] = DEFAULT_REQUEST_COUNTS,
         bursts: int = 3, transports=("tcp", "dctcp")) -> List[Dict]:
-    rows: List[Dict] = []
-    for transport in transports:
-        for tlt in (False, True):
-            for requests in request_counts:
-                row = average([run_one(transport, tlt, requests, bursts, seed)
-                               for seed in seeds])
-                row.update(transport=transport, tlt=tlt, requests=requests)
-                rows.append(row)
+    labels = [(transport, tlt, requests) for transport in transports
+              for tlt in (False, True) for requests in request_counts]
+    rows = run_grid([(paper_testbed(transport=transport, tlt=tlt),
+                      RequestBursts(requests, bursts)) for transport, tlt, requests in labels],
+                    seeds, burst_metrics)
+    for row, (transport, tlt, requests) in zip(rows, labels):
+        row.update(transport=transport, tlt=tlt, requests=requests)
     return rows

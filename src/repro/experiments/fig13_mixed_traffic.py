@@ -13,8 +13,8 @@ from typing import Dict, List, Sequence
 
 from repro.apps.kvstore import KvClient, KvServer
 from repro.apps.rpc import RpcNode
-from repro.experiments.common import average
-from repro.experiments.scenarios import ScenarioConfig, endpoint_settings, run_scenario
+from repro.experiments.common import run_grid
+from repro.experiments.scenarios import ScenarioResult, endpoint_settings
 from repro.experiments.testbed import paper_testbed
 from repro.stats.percentile import percentile
 from repro.transport.base import FlowSpec
@@ -58,10 +58,9 @@ class CacheWithBackground:
         return BURST_NS, 1
 
 
-def run_one(config: ScenarioConfig) -> Dict:
-    """One point on a :func:`~repro.experiments.testbed.paper_testbed` config."""
-    workload = CacheWithBackground()
-    result = run_scenario(config, workload)
+def mixed_metrics(result: ScenarioResult) -> Dict:
+    """Reducer: the foreground SETs' tail and the bg flow's goodput."""
+    workload = result.traffic
     fg_times = [t for c in workload.clients for t in c.response_times]
     bg_end = workload.bg_end or result.duration_ns
     return {
@@ -73,10 +72,8 @@ def run_one(config: ScenarioConfig) -> Dict:
 
 
 def run(scale="small", seeds: Sequence[int] = (1,), transport: str = "dctcp") -> List[Dict]:
-    rows: List[Dict] = []
-    for tlt in (False, True):
-        row = average([run_one(paper_testbed(transport=transport, tlt=tlt, seed=seed))
-                       for seed in seeds])
-        row["scheme"] = f"{transport}+tlt" if tlt else transport
-        rows.append(row)
+    rows = run_grid([(paper_testbed(transport=transport, tlt=tlt), CacheWithBackground())
+                     for tlt in (False, True)], seeds, mixed_metrics)
+    for row, scheme in zip(rows, (transport, f"{transport}+tlt")):
+        row["scheme"] = scheme
     return rows

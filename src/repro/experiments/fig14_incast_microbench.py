@@ -9,14 +9,13 @@ FCT CDF at 100 concurrent flows.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.apps.kvstore import KvClient, KvServer
 from repro.apps.rpc import RpcNode
-from repro.experiments.common import average
-from repro.experiments.scenarios import endpoint_settings, run_scenario
+from repro.experiments.common import run_grid
+from repro.experiments.scenarios import ScenarioConfig, ScenarioResult, endpoint_settings
 from repro.experiments.testbed import paper_testbed
 from repro.sim.units import MICROS, MILLIS
 from repro.stats.percentile import percentile, percentiles
@@ -61,29 +60,23 @@ class IncastGets:
             self.clients[i % NUM_SERVERS].get("blob")
 
 
-def response_times(transport: str, scheme: str, flows: int, seed: int,
-                   runs: int) -> Tuple[List[int], int]:
-    """Drive one point; returns every response time (ns) and the RTO count."""
-    rto_min = 200 * MICROS if scheme == "rto200us" else 4 * MILLIS
-    config = paper_testbed(NUM_SERVERS + 1, transport=transport, tlt=scheme == "tlt",
-                           seed=seed, rto_min_ns=rto_min)
-    workload = IncastGets(flows, runs)
-    result = run_scenario(config, workload)
-    return [t for c in workload.clients for t in c.response_times], result.stats.timeouts
+def scheme_config(transport: str, scheme: str) -> ScenarioConfig:
+    """The testbed config of one ``transport`` × ``scheme`` point."""
+    return paper_testbed(NUM_SERVERS + 1, transport=transport, tlt=scheme == "tlt",
+                         rto_min_ns=200 * MICROS if scheme == "rto200us" else 4 * MILLIS)
 
 
-def sweep_row(times: List[int], timeouts: int) -> Dict:
-    """One sweep point's metrics from its :func:`response_times`."""
+def incast_metrics(result: ScenarioResult) -> Dict:
+    """Reducer: one point's metrics for both panels, panel (c)'s as ``cdf_*``."""
+    times = [t for c in result.traffic.clients for t in c.response_times]
+    cdf = percentiles([t / 1e6 for t in times], CDF_POINTS)
     return {
         "p99_ms": percentile(times, 99) / 1e6,
         "max_ms": max(times) / 1e6 if times else 0.0,
-        "timeouts": float(timeouts),
+        "timeouts": float(result.stats.timeouts),
         "answered": len(times),
+        **{f"cdf_{column}": value for column, value in zip(CDF_COLUMNS, cdf)},
     }
-
-
-def _cdf_row(times: List[int]) -> Dict:
-    return dict(zip(CDF_COLUMNS, percentiles([t / 1e6 for t in times], CDF_POINTS)))
 
 
 def run(scale="small", seeds: Sequence[int] = (1,),
@@ -91,21 +84,17 @@ def run(scale="small", seeds: Sequence[int] = (1,),
         transports=("tcp", "dctcp"), runs: int = 3,
         cdf_flows: int = 100, cdf_transport: str = "tcp") -> Dict[str, List[Dict]]:
     """``sweep``: panels (a)/(b), tail response time by fan-in; ``cdf``:
-    panel (c), the FCT CDF at one fan-in over 3 bursts, read off the
-    sweep's point when it ran that one (simulated otherwise)."""
-    point = functools.lru_cache(maxsize=None)(response_times)
-    sweep: List[Dict] = []
-    for transport in transports:
-        for scheme in SCHEMES:
-            for flows in flow_counts:
-                row = average([sweep_row(*point(transport, scheme, flows, seed, runs))
-                               for seed in seeds])
-                row.update(transport=transport, scheme=scheme, flows=flows)
-                sweep.append(row)
-    cdf: List[Dict] = []
-    for scheme in SCHEMES:
-        row = average([_cdf_row(point(cdf_transport, scheme, cdf_flows, seed, 3)[0])
-                       for seed in seeds])
-        row["scheme"] = scheme
-        cdf.append(row)
+    panel (c), the FCT CDF at one fan-in over 3 bursts. Where the sweep
+    has that point, the grid runs it once for both panels."""
+    labels = [(transport, scheme, flows) for transport in transports
+              for scheme in SCHEMES for flows in flow_counts]
+    rows = run_grid([(scheme_config(transport, scheme), IncastGets(flows, runs))
+                     for transport, scheme, flows in labels]
+                    + [(scheme_config(cdf_transport, scheme), IncastGets(cdf_flows, 3))
+                       for scheme in SCHEMES], seeds, incast_metrics)
+    sweep = [{**{key: value for key, value in row.items() if not key.startswith("cdf_")},
+              "transport": transport, "scheme": scheme, "flows": flows}
+             for row, (transport, scheme, flows) in zip(rows, labels)]
+    cdf = [{**{key[4:]: value for key, value in row.items() if key.startswith("cdf_")},
+            "scheme": scheme} for row, scheme in zip(rows[len(labels):], SCHEMES)]
     return {"sweep": sweep, "cdf": cdf}

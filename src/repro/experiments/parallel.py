@@ -45,6 +45,7 @@ from repro.experiments.manifest import LOG
 from repro.experiments.scenarios import (
     ScenarioConfig,
     ScenarioResult,
+    encode_workload,
     run_control,
     run_scenario,
 )
@@ -111,6 +112,7 @@ class Job:
     config: ScenarioConfig
     seed: int
     metrics: Optional[str] = None  # "module:qualname" reducer reference
+    traffic: Optional[object] = None  # run_scenario's workload; None: the standard mix
 
     def cache_key(self) -> str:
         # What the key leaves out is how a run is executed or watched,
@@ -131,7 +133,8 @@ class Job:
             self.config, seed=self.seed, faults=run_control(self.config).faults,
             telemetry=None, shards=None, checkpoint=None,
         )
-        return fingerprint(config, self.seed, self.metrics)
+        traffic = None if self.traffic is None else encode_workload(self.traffic)
+        return fingerprint(config, self.seed, self.metrics, traffic=traffic)
 
 
 @dataclass
@@ -192,8 +195,10 @@ def metrics_reference(fn: Optional[Callable]) -> Optional[str]:
 
 
 def _execute_raw(job: Job) -> Tuple[Dict, Dict]:
-    """Run one job in the current process; returns (row, manifest)."""
-    result = run_scenario(replace(job.config, seed=job.seed))
+    """Run one job in the current process; returns (row, manifest). A fresh
+    copy of the workload runs, so the apps it builds die with the run."""
+    traffic = None if job.traffic is None else replace(job.traffic)
+    result = run_scenario(replace(job.config, seed=job.seed), traffic)
     return resolve_metrics(job.metrics)(result), result.manifest
 
 

@@ -245,6 +245,8 @@ class ScenarioResult:
     service: Optional[object] = None
     #: What ran and what it cost: the manifest :func:`finish_run` returned.
     manifest: Optional[Dict] = None
+    #: The run's custom workload, after it ran (with the apps it built), or None.
+    traffic: Optional[object] = None
 
     @property
     def stats(self):
@@ -367,23 +369,28 @@ def endpoint_settings(config: ScenarioConfig) -> tuple:
             config.tlt_config if config.tlt else None)
 
 
+def encode_workload(traffic) -> str:
+    """A custom workload's canonical encoding, folded into its run id and
+    cache key. A function, closure or lambda has none (its repr holds a
+    memory address): a ``TypeError``."""
+    workload = json.dumps(encode_value(traffic), sort_keys=True)
+    if not dataclasses.is_dataclass(traffic) or " at 0x" in workload:
+        raise TypeError(f"traffic {traffic!r} has no canonical encoding: make it a "
+                        "module-level dataclass whose fields are the point's parameters")
+    return workload
+
+
 def _telemetry_run_id(config: ScenarioConfig, traffic=None) -> str:
     """Stable per-(config, seed) identifier for telemetry file names.
 
     Derived from the same canonical config encoding the result cache
     uses (telemetry itself stripped — it must not name its own files),
-    so parallel workers and reruns agree without coordination. A custom
-    workload's encoding is folded in too: points that differ only in
-    their workload are different runs. A function, closure or lambda
-    has none (its repr holds a memory address): a ``TypeError``.
+    and :func:`encode_workload` of a custom workload, so parallel
+    workers and reruns agree without coordination.
     """
     blob = json.dumps(encode_value(replace(config, telemetry=None)), sort_keys=True)
     if traffic is not None:
-        workload = json.dumps(encode_value(traffic), sort_keys=True)
-        if not dataclasses.is_dataclass(traffic) or " at 0x" in workload:
-            raise TypeError(f"traffic {traffic!r} has no canonical encoding: make it a "
-                            "module-level dataclass whose fields are the point's parameters")
-        blob += workload
+        blob += encode_workload(traffic)
     digest = hashlib.sha256(blob.encode()).hexdigest()[:8]
     tag = f"{config.transport}_tlt" if config.tlt else config.transport
     return f"{tag}_s{config.seed}_{digest}"
@@ -453,7 +460,7 @@ def run_control(config: ScenarioConfig) -> RunControl:
 # is in every pin): network -> attach_auditor -> install_faults ->
 # transport config -> traffic -> queue sampler -> attach_telemetry ->
 # gc.collect() -> drive -> finish_run. An experiment with a workload of
-# its own hands it to run_scenario as ``traffic``.
+# its own hands run_grid ``(config, traffic)`` points.
 
 
 def attach_auditor(net: Network, control: RunControl) -> Optional[Auditor]:
@@ -649,4 +656,4 @@ def run_scenario(config: ScenarioConfig, traffic=None) -> ScenarioResult:
         raise
     manifest = finish_run(net, control, auditor, telemetry, config=config, run_id=run_id)
     return ScenarioResult(config, net, engine.now, queue_samples, auditor,
-                          faults, telemetry, manifest=manifest)
+                          faults, telemetry, manifest=manifest, traffic=traffic)

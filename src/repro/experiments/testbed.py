@@ -12,8 +12,7 @@ switch, 2 µs links and K = 270 kB. ECN K = 200 kB, 375 kB per port,
 α = 1, INT for HPCC and the 8 µs base RTT are what
 :func:`~repro.experiments.scenarios.build_network` and
 :func:`~repro.experiments.scenarios.make_transport_config` derive for it.
-The testbed figures hand their application workload to
-:func:`~repro.experiments.scenarios.run_scenario` as ``traffic``.
+The testbed figures pair it with an application workload in their grids.
 """
 
 from __future__ import annotations

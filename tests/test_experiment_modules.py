@@ -3,15 +3,22 @@
 Each module's ``run()`` must produce structurally valid rows at a
 minimal scale (the benchmarks exercise them at full scale)."""
 
-import copy
 import importlib
 import json
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from repro.experiments.parallel import JobResult, resolve_metrics
+from repro.experiments.common import run_grid
+from repro.experiments.parallel import (
+    Job,
+    JobResult,
+    metrics_reference,
+    resolve_metrics,
+    run_jobs,
+)
 from repro.experiments.runner import EXPERIMENTS
 from repro.experiments.scale import Scale
 from repro.experiments.scenarios import ScenarioConfig, run_scenario
@@ -79,29 +86,46 @@ def test_fig13_rows():
     assert all(r["answered"] == 152 for r in rows)
 
 
-def _bespoke_point(module: str):
-    """One cheap point of a module that hands its own workload to run_scenario."""
+def _bespoke_job(module: str) -> Job:
+    """One cheap point of a module with a workload of its own, as a job."""
     from repro.experiments import (
         ext_corruption,
         ext_incremental,
-        fig12_redis_incast,
-        fig13_mixed_traffic,
+        fig12_redis_incast as fig12,
+        fig13_mixed_traffic as fig13,
         fig14_incast_microbench as fig14,
     )
+    from repro.experiments.ext_faults import corruption_spec
     from repro.experiments.testbed import paper_testbed
 
-    return {
-        "fig12": lambda: fig12_redis_incast.run_one("dctcp", True, 8, bursts=1),
-        "fig13": lambda: fig13_mixed_traffic.run_one(paper_testbed()),
-        "fig14": lambda: fig14.sweep_row(*fig14.response_times("tcp", "tlt", 8, 1, runs=1)),
-        "ext-incremental": lambda: ext_incremental._run("isolated", MICRO),
-        "ext-corruption": lambda: ext_corruption._run(1e-3, MICRO),
+    fabric = ScenarioConfig(transport="dctcp", tlt=True, scale=MICRO)
+    config, reducer, traffic = {
+        "fig12": (paper_testbed(transport="dctcp", tlt=True), fig12.burst_metrics,
+                  fig12.RequestBursts(8, bursts=1)),
+        "fig13": (paper_testbed(), fig13.mixed_metrics, fig13.CacheWithBackground()),
+        "fig14": (fig14.scheme_config("tcp", "tlt"), fig14.incast_metrics,
+                  fig14.IncastGets(8, runs=1)),
+        "ext-incremental": (fabric, ext_incremental.deployment_metrics,
+                            ext_incremental.MixedDeployment("isolated")),
+        "ext-corruption": (replace(fabric, faults=corruption_spec(MICRO, 1e-3)),
+                           ext_corruption.corruption_metrics, ext_corruption.IncastOnly()),
     }[module]
+    return Job(0, config, 1, metrics_reference(reducer), traffic)
 
+
+def _bespoke_point(module: str, jobs: int = 1):
+    """That point's row, through the job runner (``jobs`` > 1: a pool worker)."""
+    [result] = run_jobs([_bespoke_job(module)], jobs_n=jobs, use_cache=False)
+    assert result.ok, result.error
+    return result.row
+
+
+#: fig14's reducer also carries panel (c)'s columns.
+CDF_KEYS = {f"cdf_p{p}_ms" for p in (50, 90, 96, 99, 100)}
 
 #: One MICRO-scale row per module above, captured while each still
-#: assembled its own run: handing the workload to run_scenario moved no
-#: number.
+#: assembled its own run: handing the workload to run_scenario, and then
+#: the job to the job runner, moved no number.
 PINNED_ROWS = {
     "fig12": {"p99_ms": 0.069796, "max_ms": 0.069838, "timeouts": 0.0, "answered": 8},
     "fig13": {"fg_p99_ms": 4.234969980000001, "bg_goodput_gbps": 25.72489953220878,
@@ -117,7 +141,9 @@ PINNED_ROWS = {
 
 @pytest.mark.parametrize("module", list(PINNED_ROWS))
 def test_workload_modules_keep_their_pinned_rows(module):
-    assert _bespoke_point(module)() == PINNED_ROWS[module]
+    row = _bespoke_point(module)
+    assert {key: row[key] for key in PINNED_ROWS[module]} == PINNED_ROWS[module]
+    assert set(row) - set(PINNED_ROWS[module]) == (CDF_KEYS if module == "fig14" else set())
 
 
 WORKLOAD_MODULES = ["fig12", "fig13", "fig14", "ext-incremental", "ext-corruption"]
@@ -126,23 +152,27 @@ WORKLOAD_MODULES = ["fig12", "fig13", "fig14", "ext-incremental", "ext-corruptio
 STAR_FAULTS = {"events": [{"time_ns": 0, "kind": "corruption_on", "target": "tor0",
                            "params": {"model": "bernoulli", "rate": 0.01}}]}
 
-#: module, audit, faults, telemetry; the audit-only ids are the original ones.
-CONTROLS = [(module, audit, faults, telemetry)
+#: module, audit, faults, telemetry, jobs; the audit-only ids are the
+#: original ones, and one case runs in a pool worker.
+CONTROLS = [(module, audit, faults, telemetry, 1)
             for module in WORKLOAD_MODULES for audit in ("1", "0")
             for faults in (False, True) for telemetry in (False, True)]
+CONTROLS.append(("fig14", "1", True, True, 2))
 
 
 @pytest.mark.parametrize(
-    "module, audit, faults, telemetry", CONTROLS,
-    ids=["-".join([m, a] + ["faults"] * f + ["telemetry"] * t) for m, a, f, t in CONTROLS])
-def test_bespoke_modules_audit_every_network(module, audit, faults, telemetry,
+    "module, audit, faults, telemetry, jobs", CONTROLS,
+    ids=["-".join([m, a] + ["faults"] * f + ["telemetry"] * t + ["jobs2"] * (j > 1))
+         for m, a, f, t, j in CONTROLS])
+def test_bespoke_modules_audit_every_network(module, audit, faults, telemetry, jobs,
                                              monkeypatch, tmp_path):
     # Run control reaches these modules' runs as it reaches every other:
     # --audit (the shared auditor, with the dump path of the CI artifact
     # upload, final-checked once per network), --faults (the spec of the
     # environment, unless the module's config says its own, as
     # ext-corruption's does) and --telemetry (one stream per run, named
-    # by a run id no other run shares); the manifest names the run.
+    # by a run id no other run shares); the manifest names the run. A
+    # pool worker's run is seen through what it sends back and writes.
     from repro.audit import Auditor
     from repro.experiments.manifest import LOG
     from repro.faults.schedule import FaultController
@@ -181,10 +211,17 @@ def test_bespoke_modules_audit_every_network(module, audit, faults, telemetry,
     recording(Auditor, "final_check", final_checked)
     recording(FaultController, "__init__", controllers)
     LOG.clear()
-    assert _bespoke_point(module)()
-    assert networks and len(LOG) == len(networks)
+    assert _bespoke_point(module, jobs)
     assert all(m["run_id"] and m["transport"] in ("tcp", "dctcp") and m["seed"] == 1
                for m in LOG)
+    streams = sorted(path.name for path in tele.glob("run_*.jsonl"))
+    if jobs > 1:
+        [manifest] = LOG
+        assert networks == []  # built in the worker, not here
+        assert manifest["audit"] and manifest["faults"] and manifest["telemetry"]
+        assert streams == [f"run_{manifest['run_id']}.jsonl"]
+        return
+    assert networks and len(LOG) == len(networks)
     if audit == "0":
         assert installed == final_checked == []
     else:
@@ -199,7 +236,6 @@ def test_bespoke_modules_audit_every_network(module, audit, faults, telemetry,
         assert controllers == []
     if faults and module != "ext-corruption":
         assert all(net.stats.drops_fault > 0 for net in networks)
-    streams = sorted(path.name for path in tele.glob("run_*.jsonl"))
     if telemetry:
         assert streams == sorted(f"run_{m['run_id']}.jsonl" for m in LOG)
         assert len(set(streams)) == len(networks)
@@ -248,8 +284,10 @@ def test_ext_corruption_rows():
 
 def test_fig12_single_point():
     from repro.experiments import fig12_redis_incast as exp
+    from repro.experiments.testbed import paper_testbed
 
-    row = exp.run_one("dctcp", tlt=True, requests=8, bursts=1)
+    [row] = run_grid([(paper_testbed(transport="dctcp", tlt=True), exp.RequestBursts(8, 1))],
+                     (1,), exp.burst_metrics)
     assert row["answered"] == 8
     assert row["timeouts"] == 0
 
@@ -257,43 +295,34 @@ def test_fig12_single_point():
 def test_fig14_single_point():
     from repro.experiments import fig14_incast_microbench as exp
 
-    times, timeouts = exp.response_times("dctcp", "tlt", 8, seed=1, runs=1)
-    assert len(times) == 8 and timeouts == 0
-    assert exp.sweep_row(times, timeouts)["p99_ms"] > 0
+    [row] = run_grid([(exp.scheme_config("dctcp", "tlt"), exp.IncastGets(8, runs=1))],
+                     (1,), exp.incast_metrics)
+    assert row["answered"] == 8 and row["timeouts"] == 0
+    assert row["p99_ms"] > 0 and row["cdf_p100_ms"] == row["max_ms"]
 
 
 # -- every registry module, with the runs themselves stubbed ------------------
 
-#: Points per ``run_grid`` call of every module that goes through the
-#: job runner, one call per panel (ext-faults' chaos panel is one point
-#: with a schedule per seed).
+#: Jobs per ``run_grid`` call of every module that goes through the job
+#: runner (its points, but once per cache key: fig14's CDF panel's three
+#: points are sweep points, so its 45 points are 42 jobs), one call per
+#: panel or reducer (ext-faults' chaos panel is one point with a schedule
+#: per seed).
 GRIDS = {
     "fig01": [1], "fig02": [2], "fig05": [12], "fig06": [14], "fig07": [12],
-    "fig08": [10], "fig09": [24], "fig10": [6], "fig11": [4, 2], "fig15": [30],
-    "fig16": [2], "fig17": [3], "fig18": [20], "table1": [16],
-    "ext-periodic-n": [5], "ext-faults": [6, 1], "ext-multipath": [6, 6],
-    "ext-policies": [10], "service-slo": [4, 4],
+    "fig08": [10], "fig09": [24], "fig10": [6], "fig11": [4, 2], "fig12": [20],
+    "fig13": [2], "fig14": [42], "fig15": [30], "fig16": [2], "fig17": [3], "fig18": [20],
+    "table1": [16], "ext-incremental": [3], "ext-periodic-n": [5], "ext-corruption": [5],
+    "ext-faults": [6, 1], "ext-multipath": [6, 6], "ext-policies": [10, 5],
+    "service-slo": [4, 4],
 }
-
-
-def _point_functions(module: str):
-    """The per-point function(s) of a module that keeps its own run loop,
-    each with one cheap real call of it."""
-    from repro.experiments import fig14_incast_microbench as fig14
-
-    return {
-        "fig12": {"run_one": _bespoke_point("fig12")},
-        "fig13": {"run_one": _bespoke_point("fig13")},
-        "fig14": {"response_times": lambda: fig14.response_times("tcp", "tlt", 8, 1, runs=1)},
-        "ext-incremental": {"_run": _bespoke_point("ext-incremental")},
-        "ext-corruption": {"_run": _bespoke_point("ext-corruption")},
-        "ext-policies": {"fig13_run_one": _bespoke_point("fig13")},
-    }.get(module, {})
 
 
 @pytest.fixture(scope="module")
 def real_results():
-    """One real run of each kind, for reducers to be applied to."""
+    """One real run of each kind, for reducers to be applied to: the
+    standard mix, a service run and, added on first use, one run per
+    workload class (the first job that carries it)."""
     from repro.experiments.service_slo import service_spec
 
     plain = ScenarioConfig(transport="dctcp", tlt=True, scale=MICRO, audit=False)
@@ -310,22 +339,26 @@ def test_module_runs_one_grid_per_panel_and_fills_its_tables(name, real_results,
     module = importlib.import_module(EXPERIMENTS[name])
     calls = []
 
+    def result_for(job):
+        if job.traffic is None:
+            return real_results[job.config.service is not None]
+        kind = type(job.traffic)
+        if kind not in real_results:
+            real_results[kind] = run_scenario(replace(job.config, seed=job.seed),
+                                              replace(job.traffic))
+        return real_results[kind]
+
     def run_jobs(jobs):
         # A real row of the job's reducer, without the job's simulation
         # (and with timeouts: fig02's ratio is over a non-zero baseline).
         calls.append(jobs)
-        rows = [resolve_metrics(job.metrics)(real_results[job.config.service is not None])
-                for job in jobs]
+        rows = [resolve_metrics(job.metrics)(result_for(job)) for job in jobs]
         for row in rows:
             if "timeouts_per_1k" in row:
                 row["timeouts_per_1k"] = 1.0
         return [JobResult(job.index, row=row) for job, row in zip(jobs, rows)]
 
     monkeypatch.setattr(common, "run_jobs", run_jobs)
-    for function, real_call in _point_functions(name).items():
-        point = real_call()
-        monkeypatch.setattr(module, function,
-                            lambda *args, _point=point, **kwargs: copy.deepcopy(_point))
     manifest = {**real_results[False].manifest, "shards": 2,
                 "shard": {"windows": 3, "messages": 5, "cpu_s": [0.1, 0.2]}}
     monkeypatch.setattr(ext_shard_scale, "run_scenario", lambda config: SimpleNamespace(

@@ -1,6 +1,8 @@
 """The run manifest (repro.experiments.manifest): every run, through
 whichever harness, ends in ``finish_run`` and gets one."""
 
+import functools
+
 import pytest
 
 from repro.experiments import manifest as run_manifest
@@ -50,7 +52,7 @@ HARNESSES = {
     "service": lambda: run_scenario(
         _config(service=SERVICE, enable_background=False, enable_incast=False)),
     "sharded": lambda: run_scenario(_config(shards=2)),
-    **{name: _bespoke_point(name)
+    **{name: functools.partial(_bespoke_point, name)
        for name in ("fig12", "fig13", "fig14", "ext-incremental", "ext-corruption")},
 }
 

@@ -6,6 +6,8 @@ are retried once and then reported as failed rows, and a grid of runs
 is one job-runner call whose reducer must be importable.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.cache import ResultCache
@@ -157,6 +159,60 @@ def test_run_grid_without_seeds_runs_each_config_under_its_own():
     configs = [fast_config(seed=2), fast_config(seed=3)]
     assert run_grid(configs, None) == \
         [row for seed in (2, 3) for row in run_grid([fast_config()], (seed,))]
+
+
+def test_run_grid_submits_equal_cache_keys_once():
+    LOG.clear()
+    rows = run_grid([fast_config(), fast_config(tlt=True), fast_config()], (1,))
+    assert len(LOG) == 2 and rows[0] == rows[2] != rows[1]
+
+
+# -- a job's own workload ------------------------------------------------------
+
+
+def _incast_job(flows: int = 8) -> Job:
+    from repro.experiments.fig14_incast_microbench import (
+        IncastGets,
+        incast_metrics,
+        scheme_config,
+    )
+
+    return Job(0, scheme_config("tcp", "tlt"), 1, metrics_reference(incast_metrics),
+               IncastGets(flows, runs=1))
+
+
+def test_points_that_differ_only_in_their_workload_have_different_keys():
+    plain = replace(_incast_job(), traffic=None)
+    keys = [job.cache_key() for job in (plain, _incast_job(8), _incast_job(16), _incast_job(8))]
+    assert len(set(keys)) == 3 and keys[1] == keys[3]
+
+
+def test_a_workload_without_a_canonical_encoding_is_refused_before_any_run(monkeypatch):
+    from repro.experiments import common
+
+    submitted = []
+    monkeypatch.setattr(common, "run_jobs", submitted.append)
+    LOG.clear()
+    with pytest.raises(TypeError, match="no canonical encoding"):
+        run_grid([fast_config(), (fast_config(), lambda config, net, create: (0, 0))], (1,))
+    assert submitted == [] and len(LOG) == 0
+
+
+def test_running_a_job_never_mutates_its_workload():
+    # The inline path runs in this process: a workload that kept the
+    # apps it built would keep the run's network alive past the run.
+    job = _incast_job()
+    before = dict(vars(job.traffic))
+    [result] = run_jobs([job], jobs_n=1, use_cache=False)
+    assert result.ok and result.row["answered"] == 8
+    assert vars(job.traffic) == before
+
+
+def test_run_grid_failure_names_the_workload():
+    job = _incast_job()
+    with pytest.raises(RuntimeError, match=r"point 0 \(tcp\+tlt, IncastGets\(flows=8, "
+                                           r"runs=1\)\): every seed failed"):
+        run_grid([(job.config, job.traffic)], (1,), util.crashing_metrics)
 
 
 def test_run_grid_notes_attempts_and_the_document_sums_retries(tmp_path, monkeypatch):

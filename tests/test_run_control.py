@@ -222,3 +222,18 @@ def test_experiments_assemble_runs_only_through_run_scenario():
                 and name in harness)
 
     assert _functions_with(names_the_harness) == []
+
+
+def test_experiments_reach_their_runs_only_through_the_job_runner():
+    # A module hands run_grid its points, a workload of its own included;
+    # ext-shard-scale, which times its runs, is the one that calls
+    # run_scenario itself (the package re-exports it).
+    def names_run_scenario(node, path):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) \
+            or getattr(node, "name", None)
+        return (path.startswith("experiments/") and name == "run_scenario"
+                and isinstance(node, (ast.Name, ast.Attribute, ast.alias, ast.FunctionDef)))
+
+    assert {found.partition(":")[0] for found in _functions_with(names_run_scenario)} == {
+        "experiments/__init__.py", "experiments/scenarios.py", "experiments/parallel.py",
+        "experiments/ext_shard_scale.py"}
