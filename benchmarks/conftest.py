@@ -1,33 +1,21 @@
-"""Benchmark configuration.
+"""Micro-benchmark configuration.
 
-Each benchmark regenerates one figure/table of the paper at the
-``small`` scale (see ``repro.experiments.scale``) and prints the rows,
-so ``pytest benchmarks/ --benchmark-only`` reproduces the evaluation.
-Set ``TLT_BENCH_SCALE=tiny`` for a quick pass or ``medium``/``paper``
-for larger runs, and ``TLT_BENCH_JOBS=N`` to fan seeded runs out over
-N worker processes (see ``repro.experiments.parallel``).
-
-The on-disk result cache is disabled while benchmarking — a cache hit
-would report artifact-read time as simulation time — unless
-``TLT_BENCH_CACHE=1`` explicitly opts in.
+The simulator micro-benchmarks here are regression tripwires, gated in
+CI by ``tools/check_bench_regression.py`` on events/sec. The paper's
+figures are regenerated, and their claims checked, by
+``tlt-experiment all`` (``repro.experiments.runner``).
 """
 
 import os
 
 import pytest
 
-from repro.experiments import parallel
 from repro.sim import backend as backend_mod
-
-
-@pytest.fixture(scope="session")
-def bench_scale() -> str:
-    return os.environ.get("TLT_BENCH_SCALE", "small")
 
 
 @pytest.fixture(autouse=True, scope="session")
 def bench_execution():
-    """Benchmark-wide execution context: optional parallelism, no cache.
+    """Benchmark-wide execution context.
 
     The runtime invariant auditor is switched off explicitly: audited
     switches run the hooked data-path variants, and a benchmark taken
@@ -58,11 +46,7 @@ def bench_execution():
     requested = prev_backend or "pure"
     backend_mod.set_backend(requested)  # loud ValueError/RuntimeError
     try:
-        with parallel.execution(
-            jobs=max(1, int(os.environ.get("TLT_BENCH_JOBS", "1"))),
-            use_cache=os.environ.get("TLT_BENCH_CACHE", "0") == "1",
-        ):
-            yield
+        yield
     finally:
         backend_mod.set_backend(None)
         if prev_audit is None:
@@ -99,10 +83,3 @@ def record_events():
             benchmark.extra_info["events"] = int(events)
 
     return _record
-
-
-def run_and_print(benchmark, fn, printer, *args, **kwargs):
-    """Run ``fn`` once under pytest-benchmark and print its rows."""
-    result = benchmark.pedantic(fn, args=args, kwargs=kwargs, iterations=1, rounds=1)
-    printer(result)
-    return result

@@ -1,10 +1,10 @@
 """Experiment harness: one module per figure/table of the paper.
 
 Every registry module exposes ``run(scale, seeds=...)`` returning
-result rows and ``TABLES``, the titles and columns the CLI
-(:mod:`repro.experiments.runner`) prints them under; benchmarks in
-``benchmarks/`` call the same ``run`` so
-``pytest benchmarks/ --benchmark-only`` regenerates the evaluation.
+result rows, ``TABLES``, the titles and columns the CLI
+(:mod:`repro.experiments.runner`) prints them under, and ``CLAIMS``, the
+paper's claims about those rows, which the CLI checks after the run;
+``tlt-experiment all`` regenerates the evaluation.
 """
 
 from repro.experiments.scenarios import ScenarioConfig, ScenarioResult, run_scenario

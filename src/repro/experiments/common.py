@@ -1,4 +1,5 @@
-"""Shared experiment plumbing: the seed-averaged grid of runs and table printing."""
+"""Shared experiment plumbing: the seed-averaged grid of runs, the
+paper's claims checked on its rows, and table printing."""
 
 from __future__ import annotations
 
@@ -80,6 +81,65 @@ def run_grid(
                   f"{len(samples[point]) + len(failures[point])} seeds ({detail})",
                   file=sys.stderr)
     return [average(point_samples) for point_samples in samples]
+
+
+# -- the paper's claims ------------------------------------------------------------
+#
+# Every registry module declares ``CLAIMS``: ``{name: (paper_statement,
+# predicate)}``, where ``predicate(result)`` takes what the module's
+# ``run()`` returned and gives ``(holds, measured)``, ``measured`` a
+# number or a short text of the numbers compared. ``{}`` claims nothing.
+
+
+def pick(rows: Iterable[Dict], **labels) -> Dict:
+    """The one row whose columns equal ``labels``; a ``LookupError``
+    naming them when no row or several rows match."""
+    matches = [row for row in rows
+               if all(key in row and row[key] == value for key, value in labels.items())]
+    if len(matches) != 1:
+        raise LookupError(f"{len(matches)} rows match {labels}, expected 1")
+    return matches[0]
+
+
+def vs(value: float, reference: float) -> str:
+    """``measured`` text of a claim comparing two numbers."""
+    return f"{value:.3g} vs {reference:.3g}"
+
+
+def at_most(pairs: Dict[str, Tuple[float, float]], factor: float = 1.0) -> Tuple[bool, str]:
+    """``(holds, measured)`` of "every ``value <= factor * reference``"
+    over ``pairs``, ``{label: (value, reference)}``."""
+    return (all(value <= factor * reference for value, reference in pairs.values()),
+            ", ".join(f"{label} {vs(*pair)}" for label, pair in pairs.items()))
+
+
+def all_zero(values: Dict[str, float]) -> Tuple[bool, str]:
+    """``(holds, measured)`` of "every one of ``values`` is 0"."""
+    return (all(value == 0 for value in values.values()),
+            ", ".join(f"{label} {value:.3g}" for label, value in values.items()))
+
+
+def tail_no_worse(tails: Dict[str, Tuple[float, float, float]]) -> Tuple[bool, str]:
+    """``(holds, measured)`` of the §5 "no worse" tie rule over ``tails``,
+    ``{label: (p99 FCT, reference p99 FCT, the reference's seed-to-seed
+    std)}`` in ms: a tail is worse only when it exceeds the reference by
+    more than that std, 5 % of it and 0.1 ms. Where both stacks are
+    fault-RTO-bound the tail is noise in either direction, and a gap
+    smaller than half an RTO_min cannot be a timeout, only jitter."""
+    return (all(ms <= ref + max(std, 0.05 * ref, 0.1) for ms, ref, std in tails.values()),
+            ", ".join(f"{label} {vs(ms, ref)}" for label, (ms, ref, _std) in tails.items()))
+
+
+def check_claims(module, result) -> List[Dict]:
+    """Judge ``module.CLAIMS`` on ``result``, what its ``run()`` returned:
+    one ``{claim, paper, measured, verdict}`` per claim, in order. A
+    predicate that names a missing row or column raises."""
+    checked = []
+    for name, (paper, predicate) in module.CLAIMS.items():
+        holds, measured = predicate(result)
+        checked.append({"claim": name, "paper": paper, "measured": measured,
+                        "verdict": "✔" if holds else "✘"})
+    return checked
 
 
 def format_table(rows: Iterable[Dict], columns: Sequence[str], title: str = "") -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.common import all_zero, at_most, resolve_scale, run_grid
 from repro.experiments.ext_faults import corruption_spec
 from repro.experiments.scenarios import ScenarioConfig, ScenarioResult
 from repro.sim.units import KB
@@ -67,3 +67,14 @@ def run(scale="small", seeds: Sequence[int] = (1,),
     for row, rate in zip(rows, rates):
         row["corruption_rate"] = rate
     return rows
+
+
+CLAIMS = {
+    "flows-complete": (
+        "The fallback is graceful: every flow completes at every corruption rate",
+        lambda rows: all_zero({f"{r['corruption_rate']:g}": r["incomplete"] for r in rows})),
+    "timeouts-return": (
+        "TLT does not handle non-congestion loss: heavy corruption brings timeouts back",
+        lambda rows: at_most({"timeouts_per_1k clean vs heaviest": (
+            rows[0]["timeouts_per_1k"], rows[-1]["timeouts_per_1k"])})),
+}

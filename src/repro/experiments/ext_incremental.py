@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence
 
 from repro.core.config import TltConfig
-from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.common import at_most, pick, resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig, ScenarioResult, make_transport_config
 from repro.net.packet import Color
 from repro.sim.units import KB
@@ -133,3 +133,13 @@ def run(scale="small", seeds: Sequence[int] = (1,)) -> List[Dict]:
     for row, deployment in zip(rows, deployments):
         row["deployment"] = deployment
     return rows
+
+
+CLAIMS = {
+    "isolated-legacy-timeouts-no-more": (
+        "Legacy traffic must not share a colored queue (§5.3): isolation hurts it no more "
+        "than the misconfigured shared queue",
+        lambda rows: at_most({"legacy_timeouts": (
+            pick(rows, deployment="isolated")["legacy_timeouts"],
+            pick(rows, deployment="shared-bad")["legacy_timeouts"])})),
+}

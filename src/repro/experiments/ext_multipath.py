@@ -16,11 +16,12 @@ Two parts:
 - **churn** — TLT per selection mode on the *symmetric* vs the
   *asymmetric* fat-tree, both running the same flap schedule (two
   overlapping edge-uplink down windows + a mid-run core degrade, the
-  shapes from the PR 4 fault subsystem). Gate (the §5 claim under
-  churn): foreground p99 on the asymmetric fabric is no worse than on
-  the symmetric one within :func:`_no_worse`'s documented tolerance —
-  the multipath layer absorbs the capacity skew instead of letting the
-  degraded paths grow an RTO-bound tail.
+  shapes of :mod:`repro.faults`). The claim (§5 under churn):
+  foreground p99 on the asymmetric fabric is no worse than on the
+  symmetric one within the tolerance of
+  :func:`repro.experiments.common.tail_no_worse` — the multipath layer
+  absorbs the capacity skew instead of letting the degraded paths grow
+  an RTO-bound tail.
 
 Run under ``--audit`` this doubles as a property check: flowlet/wcmp
 re-picks during flap windows must never enqueue on a down port (the
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.common import resolve_scale, run_grid, tail_no_worse
 from repro.experiments.scenarios import ScenarioConfig
 from repro.sim.units import MICROS
 
@@ -51,7 +52,7 @@ COLUMNS = [
 ]
 CHURN_COLUMNS = [
     "mode", "fct_sym_ms", "fct_asym_ms", "timeouts_per_1k", "flowlets",
-    "reroutes", "incomplete", "no_worse",
+    "reroutes", "incomplete",
 ]
 
 TABLES = {
@@ -79,30 +80,6 @@ def flap_spec() -> Dict:
     }
 
 
-#: Absolute slack (ms) for declaring the symmetric-vs-asymmetric FCT
-#: comparison a tie (same rationale as ext_faults: a sub-RTO gap is
-#: tail jitter, not a multipath failure).
-FCT_TIE_MS = 0.1
-
-
-def _fct_ms(row: Dict) -> float:
-    """Comparison metric: p99 foreground FCT, the paper's headline."""
-    return row["fg_p99_ms"]
-
-
-def _no_worse(sym: Dict, asym: Dict) -> float:
-    """1.0 when the asymmetric fabric's tail is no worse than the
-    symmetric one's under the same flap schedule.
-
-    Documented tolerance: the asymmetric run only counts as *worse*
-    when it exceeds the symmetric run by more than the symmetric run's
-    own seed-to-seed deviation, and never over a 5% relative or a
-    sub-timeout (0.1 ms) absolute gap — the slack model shared with
-    :func:`repro.experiments.ext_faults._no_worse`."""
-    slack = max(sym.get("fg_p99_ms_std", 0.0), 0.05 * _fct_ms(sym), FCT_TIE_MS)
-    return float(_fct_ms(asym) <= _fct_ms(sym) + slack)
-
-
 def _config(scale, mode: str, *, tlt: bool, asym: bool, faults=None) -> ScenarioConfig:
     return ScenarioConfig(
         transport="dctcp", tlt=tlt, scale=scale, topology="fat_tree",
@@ -115,15 +92,16 @@ def _config(scale, mode: str, *, tlt: bool, asym: bool, faults=None) -> Scenario
 def run(scale="small", seeds: Sequence[int] = (1, 2, 3)) -> Dict[str, List[Dict]]:
     scale = resolve_scale(scale)
 
-    # Per mode, the baseline then TLT on the asymmetric fabric.
+    # Per mode, the baseline then TLT on the asymmetric fabric; the FCT
+    # compared is the p99 foreground FCT, the paper's headline.
     averaged = run_grid(
         [_config(scale, mode, tlt=tlt, asym=True) for mode in MODES for tlt in (False, True)],
         seeds)
     mode_rows = [
         {
             "mode": mode,
-            "fct_base_ms": _fct_ms(base),
-            "fct_tlt_ms": _fct_ms(tlt),
+            "fct_base_ms": base["fg_p99_ms"],
+            "fct_tlt_ms": tlt["fg_p99_ms"],
             "timeouts_base": base["timeouts_per_1k"],
             "timeouts_tlt": tlt["timeouts_per_1k"],
             "flowlets": tlt["flowlets"],
@@ -141,14 +119,24 @@ def run(scale="small", seeds: Sequence[int] = (1, 2, 3)) -> Dict[str, List[Dict]
     churn_rows = [
         {
             "mode": mode,
-            "fct_sym_ms": _fct_ms(sym),
-            "fct_asym_ms": _fct_ms(asym),
+            "fct_sym_ms": sym["fg_p99_ms"],
+            "fct_asym_ms": asym["fg_p99_ms"],
             "timeouts_per_1k": asym["timeouts_per_1k"],
             "flowlets": asym["flowlets"],
             "reroutes": asym["reroutes"],
             "incomplete": asym["incomplete"],
-            "no_worse": _no_worse(sym, asym),
+            "fct_sym_ms_std": sym["fg_p99_ms_std"],  # the tie rule's slack
         }
         for mode, sym, asym in zip(MODES, averaged[0::2], averaged[1::2])
     ]
     return {"modes": mode_rows, "churn": churn_rows}
+
+
+CLAIMS = {
+    "asym-no-worse-under-flaps": (
+        "§5 under churn: with the same flaps, the asymmetric fabric's fg p99 is no worse "
+        "than the symmetric one's, every selection mode",
+        lambda result: tail_no_worse({
+            r["mode"]: (r["fct_asym_ms"], r["fct_sym_ms"], r["fct_sym_ms_std"])
+            for r in result["churn"]})),
+}

@@ -13,7 +13,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import TltConfig
-from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.common import at_most, pick, resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 
 DEFAULT_NS: Sequence[Optional[int]] = (None, 48, 96, 192, 384)
@@ -32,3 +32,12 @@ def run(scale="small", seeds: Sequence[int] = (1,),
     for row, n in zip(rows, ns):
         row["periodic_n"] = "off" if n is None else n
     return rows
+
+
+CLAIMS = {
+    "smaller-n-marks-more": (
+        "One mark every N packets: a smaller N marks more packets important",
+        lambda rows: at_most({"important_fraction N=384 vs 48": (
+            pick(rows, periodic_n=384)["important_fraction"],
+            pick(rows, periodic_n=48)["important_fraction"])})),
+}

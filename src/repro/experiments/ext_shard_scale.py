@@ -84,3 +84,8 @@ def run(scale="small", seeds: Sequence[int] = (1,),
     if single["wall_s"] and sharded["wall_s"]:
         sharded["speedup"] = round(single["wall_s"] / sharded["wall_s"], 2)
     return [single, sharded]
+
+
+#: None checked: a simulator benchmark, not a figure (``run`` itself
+#: raises when the sharded run diverges).
+CLAIMS: Dict = {}

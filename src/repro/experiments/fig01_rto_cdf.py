@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.common import at_most, pick, resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig, ScenarioResult
 from repro.sim.units import MICROS
 from repro.stats.percentile import percentiles
@@ -58,3 +58,12 @@ def run(scale="small", seeds: Sequence[int] = (1,)) -> List[Dict]:
         row = rows.setdefault((group, metric), {"group": group, "metric": metric})
         row[column] = value
     return list(rows.values())
+
+
+CLAIMS = {
+    "rto-above-rtt": (
+        "Estimated RTOs sit far above typical RTTs, even with RTO_min = 200 us",
+        lambda rows: at_most({"bg RTT p50 vs RTO p90 (us)": (
+            pick(rows, group="bg", metric="rtt_us")["p50"],
+            pick(rows, group="bg", metric="rto_us")["p90"])})),
+}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.common import pick, resolve_scale, run_grid, vs
 from repro.experiments.scenarios import ScenarioConfig
 from repro.sim.units import MICROS
 
@@ -34,3 +34,15 @@ def run(scale="small", seeds: Sequence[int] = (1,)) -> List[Dict]:
             rows[1]["timeouts_per_1k"] / rows[0]["timeouts_per_1k"]
         )
     return rows
+
+
+def _fixed_rto_fires_more(rows: List[Dict]):
+    fixed = pick(rows, scheme="fixed_160us")["timeouts_per_1k"]
+    base = pick(rows, scheme="baseline_4ms")["timeouts_per_1k"]
+    return fixed > base, f"timeouts_per_1k {vs(fixed, base)}"
+
+
+CLAIMS = {
+    "fixed-rto-fires-more": ("A fixed 160 us RTO fires far more timeouts than the "
+                             "4 ms RTO_min (51x)", _fixed_rto_fires_more),
+}

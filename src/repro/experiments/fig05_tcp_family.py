@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.common import all_zero, at_most, pick, resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.schemes import tcp_schemes
 
@@ -32,3 +32,16 @@ def run(scale="small", seeds: Sequence[int] = (1,), transports=("dctcp", "tcp"))
     for row, (labels, _config) in zip(rows, grid):
         row.update(labels)
     return rows
+
+
+CLAIMS = {
+    "tlt-no-more-timeouts": (
+        "TLT (virtually) eliminates timeouts versus the 4 ms baseline",
+        lambda rows: at_most({t: (pick(rows, transport=t, scheme="tlt")["timeouts_per_1k"],
+                                  pick(rows, transport=t, scheme="baseline")["timeouts_per_1k"])
+                              for t in ("dctcp", "tcp")})),
+    "tlt-flows-complete": (
+        "Every TLT flow completes",
+        lambda rows: all_zero({t: pick(rows, transport=t, scheme="tlt")["incomplete"]
+                               for t in ("dctcp", "tcp")})),
+}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.common import at_most, pick, resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.schemes import roce_schemes
 
@@ -33,3 +33,12 @@ def run(scale="small", seeds: Sequence[int] = (1,), transports=TRANSPORTS) -> Li
     for row, (labels, _config) in zip(rows, grid):
         row.update(labels)
     return rows
+
+
+CLAIMS = {
+    "tlt-no-more-timeouts": (
+        "TLT removes the RoCE transports' timeouts without PFC",
+        lambda rows: at_most({t: (pick(rows, transport=t, scheme="tlt")["timeouts_per_1k"],
+                                  pick(rows, transport=t, scheme="baseline")["timeouts_per_1k"])
+                              for t in TRANSPORTS})),
+}

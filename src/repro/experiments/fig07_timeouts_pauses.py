@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.common import all_zero, at_most, pick, resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 from repro.sim.units import MICROS
 
@@ -41,3 +41,16 @@ def run(scale="small", seeds: Sequence[int] = (1,), transports=("dctcp", "tcp"))
     for row, (labels, _config) in zip(rows, grid):
         row.update(labels)
     return rows
+
+
+CLAIMS = {
+    "tlt-no-timeouts": (
+        "TLT virtually eliminates timeouts",
+        lambda rows: all_zero({t: pick(rows, transport=t, scheme="tlt")["timeouts_per_1k"]
+                               for t in ("dctcp", "tcp")})),
+    "tlt-no-more-pauses": (
+        "Under PFC, TLT cuts PAUSE frames (-27.7 % for DCTCP)",
+        lambda rows: at_most({t: (pick(rows, transport=t, scheme="tlt+pfc")["pause_per_1k"],
+                                  pick(rows, transport=t, scheme="pfc")["pause_per_1k"])
+                              for t in ("dctcp", "tcp")})),
+}

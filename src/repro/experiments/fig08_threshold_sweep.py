@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.common import at_most, resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 from repro.sim.units import KB
 
@@ -32,3 +32,16 @@ def run(scale="small", seeds: Sequence[int] = (1,),
     for row, (pfc, k) in zip(rows, grid):
         row.update(pfc=pfc, threshold_kB=k // KB)
     return rows
+
+
+def _largest_k_bg_fct(rows: List[Dict]):
+    no_pfc = [r for r in rows if not r["pfc"]]
+    return at_most({"bg_avg_ms": (no_pfc[-1]["bg_avg_ms"], no_pfc[0]["bg_avg_ms"])},
+                   factor=1.5)
+
+
+CLAIMS = {
+    "largest-k-bg-fct-within-1.5x": ("A larger K leaves more room for red packets: "
+                                     "background FCT does not get worse as K grows (Fig 8a)",
+                                     _largest_k_bg_fct),
+}

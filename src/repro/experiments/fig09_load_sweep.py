@@ -34,3 +34,7 @@ def run(scale="small", seeds: Sequence[int] = (1,),
     for row, (transport, tlt, load) in zip(rows, grid):
         row.update(transport=transport, tlt=tlt, load=load)
     return rows
+
+
+#: None checked: the load crossover is read off the table.
+CLAIMS: Dict = {}

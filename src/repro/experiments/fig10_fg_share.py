@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.common import resolve_scale, run_grid, vs
 from repro.experiments.scenarios import ScenarioConfig
 
 DEFAULT_SHARES = (0.0, 0.02, 0.05, 0.10, 0.15, 0.20)
@@ -31,3 +31,17 @@ def run(scale="small", seeds: Sequence[int] = (1,),
     for row, share in zip(rows, shares):
         row["fg_share"] = share
     return rows
+
+
+def _fraction_grows(rows: List[Dict]):
+    most, none = rows[-1]["important_fraction"], rows[0]["important_fraction"]
+    return most > none, f"important_fraction {vs(most, none)}"
+
+
+CLAIMS = {
+    "fraction-grows-with-fg": ("More foreground traffic, more important packets",
+                               _fraction_grows),
+    "bg-only-fraction-below-0.15": (
+        "Background-only traffic marks a small fraction important (3.29 %)",
+        lambda rows: (rows[0]["important_fraction"] < 0.15, rows[0]["important_fraction"])),
+}

@@ -11,7 +11,7 @@ import statistics
 from dataclasses import replace
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.common import at_most, pick, resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig, ScenarioResult
 from repro.sim.units import KB
 
@@ -60,3 +60,16 @@ def run(scale="small", seeds: Sequence[int] = (1,),
     for row, name in zip(queues, schemes):
         row["scheme"] = name
     return {"fraction": fraction, "queues": queues}
+
+
+CLAIMS = {
+    "red-queue-under-400kB": (
+        "TLT caps the red queue at the 400 kB threshold",
+        lambda result: at_most({"max_red_queue_kB": (
+            pick(result["queues"], scheme="dctcp+tlt")["max_red_queue_kB"], 400)})),
+    "tlt-max-queue-no-higher": (
+        "TLT keeps the total maximum queue below DCTCP's (-23.1 %)",
+        lambda result: at_most({"max_queue_kB": (
+            pick(result["queues"], scheme="dctcp+tlt")["max_queue_kB"],
+            pick(result["queues"], scheme="dctcp")["max_queue_kB"])})),
+}

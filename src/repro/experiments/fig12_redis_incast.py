@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.apps.webtier import WebTier
-from repro.experiments.common import run_grid
+from repro.experiments.common import all_zero, pick, run_grid
 from repro.experiments.scenarios import ScenarioResult, endpoint_settings
 from repro.experiments.testbed import paper_testbed
 from repro.sim.units import MILLIS
@@ -65,3 +65,14 @@ def run(scale="small", seeds: Sequence[int] = (1,),
     for row, (transport, tlt, requests) in zip(rows, labels):
         row.update(transport=transport, tlt=tlt, requests=requests)
     return rows
+
+
+CLAIMS = {
+    "every-point-answered": (
+        "Requests are answered at every fan-in",
+        lambda rows: (all(r["answered"] > 0 for r in rows), min(r["answered"] for r in rows))),
+    "tlt-no-timeouts-at-180": (
+        "(DC)TCP+TLT stays timeout-free at the highest fan-in (-91.7 % max response time)",
+        lambda rows: all_zero({t: pick(rows, transport=t, tlt=True, requests=180)["timeouts"]
+                               for t in ("tcp", "dctcp")})),
+}

@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence
 
 from repro.apps.kvstore import KvClient, KvServer
 from repro.apps.rpc import RpcNode
-from repro.experiments.common import run_grid
+from repro.experiments.common import at_most, run_grid, vs
 from repro.experiments.scenarios import ScenarioResult, endpoint_settings
 from repro.experiments.testbed import paper_testbed
 from repro.stats.percentile import percentile
@@ -77,3 +77,24 @@ def run(scale="small", seeds: Sequence[int] = (1,), transport: str = "dctcp") ->
     for row, scheme in zip(rows, (transport, f"{transport}+tlt")):
         row["scheme"] = scheme
     return rows
+
+
+def _all_sets_answered(rows: List[Dict]):
+    base, tlt = rows
+    return (base["answered"] == tlt["answered"] == NUM_SETS,
+            f"answered {vs(tlt['answered'], base['answered'])}")
+
+
+def _bg_goodput_over_half(rows: List[Dict]):
+    base, tlt = (row["bg_goodput_gbps"] for row in rows)
+    return tlt > 0.5 * base, f"bg_goodput_gbps {vs(tlt, base)}"
+
+
+CLAIMS = {
+    "all-sets-answered": ("All 152 foreground SETs are answered", _all_sets_answered),
+    "tlt-fg-tail-no-higher": (
+        "TLT cuts the foreground 99%-ile (11.3 -> 3.39 ms, -71.2 %)",
+        lambda rows: at_most({"fg_p99_ms": (rows[1]["fg_p99_ms"], rows[0]["fg_p99_ms"])})),
+    "bg-goodput-over-half": ("TLT costs the background flow little goodput (-5.58 %)",
+                             _bg_goodput_over_half),
+}

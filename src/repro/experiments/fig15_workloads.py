@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.common import at_most, pick, resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.schemes import roce_schemes, tcp_schemes
 
@@ -65,3 +65,13 @@ def run(
     for row, (labels, _config) in zip(rows, grid):
         row.update(labels)
     return rows
+
+
+CLAIMS = {
+    "tlt-tail-within-1.5x": (
+        "For (DC)TCP and IRN, TLT beats the baseline's foreground tail in every workload",
+        lambda rows: at_most(
+            {f"{w}/{t}": (pick(rows, workload=w, transport=t, scheme="tlt")["fg_p999_ms"],
+                          pick(rows, workload=w, transport=t, scheme="baseline")["fg_p999_ms"])
+             for w in WORKLOADS for t in ("dctcp", "irn")}, factor=1.5)),
+}

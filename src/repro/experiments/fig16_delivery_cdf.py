@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.common import at_most, pick, resolve_scale, run_grid, vs
 from repro.experiments.scenarios import ScenarioConfig, ScenarioResult
 from repro.stats.percentile import percentiles
 
@@ -37,3 +37,19 @@ def run(scale="small", seeds: Sequence[int] = (1,), load: float = 0.3) -> List[D
     for row, name in zip(rows, schemes):
         row["scheme"] = name
     return rows
+
+
+def _delivery_tail(rows: List[Dict]):
+    tlt = pick(rows, scheme="dctcp+tlt")["p99.9_us"]
+    base = pick(rows, scheme="dctcp")["p99.9_us"]
+    if base > 2_000:  # the baseline tail is timeout-dominated
+        return tlt < base, f"p99.9_us {vs(tlt, base)}"
+    # Light congestion: TLT's proactive red drops may add a little.
+    return at_most({"p99.9_us": (tlt, base)}, factor=2.0)
+
+
+CLAIMS = {
+    "tlt-delivery-tail": ("TLT cuts the segment delivery time tail (-57.6 % at p99.9) "
+                          "when it is timeout-dominated (within 2x of it under 2 ms)",
+                          _delivery_tail),
+}

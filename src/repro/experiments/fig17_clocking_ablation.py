@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.core.config import ClockingPolicy, TltConfig
-from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.common import at_most, pick, resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 
 COLUMNS = ["policy", "fg_p99_ms", "fg_p999_ms", "clocking_kB", "pause_per_1k"]
@@ -39,3 +39,16 @@ def run(scale="small", seeds: Sequence[int] = (1,)) -> List[Dict]:
     for row, policy in zip(rows, policies):
         row["policy"] = policy.value
     return rows
+
+
+CLAIMS = {
+    "adaptive-clocking-bytes-no-more-than-mtu": (
+        "Adaptive clocking uses far less clocking bandwidth than 1-MTU clocking (6.9x)",
+        lambda rows: at_most({"clocking_kB": (pick(rows, policy="adaptive")["clocking_kB"],
+                                              pick(rows, policy="mtu")["clocking_kB"])})),
+    "adaptive-tail-within-1.5x-of-1b": (
+        "Adaptive clocking recovers faster than 1-byte clocking at the tail",
+        lambda rows: at_most({"fg_p999_ms": (pick(rows, policy="adaptive")["fg_p999_ms"],
+                                             pick(rows, policy="1b")["fg_p999_ms"])},
+                             factor=1.5)),
+}

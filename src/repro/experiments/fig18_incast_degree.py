@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.common import at_most, pick, resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 
 DEFAULT_DEGREES = (2, 4, 6, 8, 10)
@@ -38,3 +38,12 @@ def run(scale="small", seeds: Sequence[int] = (1,),
     for row, (transport, tlt, degree) in zip(rows, grid):
         row.update(transport=transport, tlt=tlt, degree=degree)
     return rows
+
+
+CLAIMS = {
+    "tlt-tail-no-higher-at-degree-10": (
+        "TLT's win grows with the incast degree (-67.0 % TCP, -78.9 % HPCC fg p99.9)",
+        lambda rows: at_most({t: (pick(rows, transport=t, tlt=True, degree=10)["fg_p999_ms"],
+                                  pick(rows, transport=t, tlt=False, degree=10)["fg_p999_ms"])
+                              for t in ("tcp", "hpcc")})),
+}

@@ -8,10 +8,12 @@ Usage::
     tlt-experiment all --scale tiny --jobs 2 --csv out/
 
 A registry module is ``run(scale, seeds=<its default>)`` returning rows,
-or ``{part: rows}``, and ``TABLES``: ``{part: (title, columns)}``, ``""``
-naming the only table of a module that returns plain rows. The CLI
-prints every table and, with ``--csv DIR``, writes all of each part's
-columns as ``DIR/<id>[_<part>].csv``.
+or ``{part: rows}``, ``TABLES``: ``{part: (title, columns)}``, ``""``
+naming the only table of a module that returns plain rows, and
+``CLAIMS``, the paper's claims about them
+(:func:`repro.experiments.common.check_claims`). The CLI prints every
+table and the verdict of every claim under them and, with ``--csv DIR``,
+writes all of each part's columns as ``DIR/<id>[_<part>].csv``.
 
 ``--jobs N`` fans all of an experiment's runs out over N worker
 processes (results are bit-identical to a serial run), ``--seeds N``
@@ -20,7 +22,8 @@ completed runs are served from the on-disk result cache (disable with
 ``--no-cache``; see ``repro.experiments.cache``). Every experiment ends
 with a footer line summarising its runs' manifests
 (:mod:`repro.experiments.manifest`); ``--csv DIR`` also writes that
-document as ``DIR/<id>.manifest.json``, and ``--profile`` writes it
+document, with a ``claims`` list of the verdicts, as
+``DIR/<id>.manifest.json``, and ``--profile`` writes it
 with a per-callback ``callbacks`` section as ``profile_<id>.json``
 beside a cProfile ``profile_<id>.pstats``.
 """
@@ -32,11 +35,11 @@ import importlib
 import os
 import sys
 import time
-from typing import Dict
+from typing import Dict, List
 
 from repro.experiments import manifest, parallel
 from repro.experiments.cache import code_version
-from repro.experiments.common import print_table
+from repro.experiments.common import check_claims, print_table
 from repro.experiments.export import rows_to_csv, write_json
 from repro.sim.backend import set_attribution
 
@@ -100,7 +103,7 @@ def _run_one(name: str, args) -> None:
     module = importlib.import_module(EXPERIMENTS[name])
     manifest.LOG.clear()
 
-    def execute() -> None:
+    def execute() -> List[Dict]:
         seeds = {"seeds": tuple(range(1, args.seeds + 1))} if args.seeds else {}
         result = module.run(args.scale, **seeds)
         parts = result if isinstance(result, dict) else {"": result}
@@ -109,6 +112,11 @@ def _run_one(name: str, args) -> None:
             if args.csv:
                 suffix = f"_{part}" if part else ""
                 print("wrote", rows_to_csv(parts[part], f"{args.csv}/{name}{suffix}.csv"))
+        claims = check_claims(module, result)
+        if claims:
+            print_table(claims, ["claim", "verdict", "measured", "paper"],
+                        f"{name}: the paper's claims")
+        return claims
 
     table: Dict = {}
     started = time.perf_counter()
@@ -118,13 +126,14 @@ def _run_one(name: str, args) -> None:
         profile = cProfile.Profile()
         set_attribution(table)
         try:
-            profile.runcall(execute)
+            claims = profile.runcall(execute)
         finally:
             set_attribution(None)
     else:
-        execute()
-    doc = manifest.summarize(name, manifest.LOG, code_version(),
-                             time.perf_counter() - started, parallel.get_context().jobs)
+        claims = execute()
+    doc = {**manifest.summarize(name, manifest.LOG, code_version(),
+                                time.perf_counter() - started, parallel.get_context().jobs),
+           "claims": claims}
     if args.profile:
         base = os.path.join(args.profile_dir, f"profile_{name}")
         print("wrote", write_json({**doc, "callbacks": _callbacks(table)}, f"{base}.json"))

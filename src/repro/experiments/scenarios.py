@@ -349,6 +349,11 @@ def build_network(config: ScenarioConfig) -> Network:
 
 
 def make_transport_config(config: ScenarioConfig) -> TransportConfig:
+    if config.family == "roce" and (config.tlp or config.fixed_rto_ns is not None):
+        # The PSN senders run their variant's own fixed RTO and no TLP.
+        field = "tlp" if config.tlp else "fixed_rto_ns"
+        raise ValueError(f"ScenarioConfig.{field}={getattr(config, field)!r} has no effect on "
+                         f"the roce family ({config.transport!r}): it is tcp-family only")
     tconfig = TransportConfig(
         rto_min_ns=config.rto_min_ns,
         fixed_rto_ns=config.fixed_rto_ns,
@@ -420,10 +425,11 @@ def run_control(config: ScenarioConfig) -> RunControl:
         value = getattr(config, name)
         return value if value is not None else os.environ.get(variable) or None
 
+    shards = said("shards", "TLT_SHARDS") or 1
     try:
-        shards = max(1, int(said("shards", "TLT_SHARDS") or 1))
-    except ValueError:  # a malformed TLT_SHARDS
-        shards = 1
+        shards = max(1, int(shards))
+    except ValueError:
+        raise ValueError(f"shards (TLT_SHARDS) must be an integer, got {shards!r}") from None
     audit = said("audit", "TLT_AUDIT")
     if isinstance(audit, str):  # the variable: on unless "0"
         audit = audit != "0"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import resolve_scale, run_grid
+from repro.experiments.common import pick, resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
 from repro.sim.units import KB
 
@@ -45,3 +45,15 @@ def run(scale="small", seeds: Sequence[int] = (1,),
     for row, (transport, share, k) in zip(rows, grid):
         row.update(transport=transport, fg_share=share, threshold_kB=k // KB)
     return rows
+
+
+def _no_important_loss_at_400(rows: List[Dict]):
+    rate = pick(rows, transport="dctcp", threshold_kB=400, fg_share=0.05)["important_loss_rate"]
+    return rate < 1e-4, rate
+
+
+CLAIMS = {
+    "dctcp-no-important-loss-at-400kB-5pct": (
+        "DCTCP+TLT loses no important packet at K = 400 kB with 5 % foreground",
+        _no_important_loss_at_400),
+}

@@ -6,15 +6,13 @@ Both families inherit one reliable-delivery core,
 TCP family (byte-stream, window-based):
   - :mod:`repro.transport.tcp` — TCP NewReno with SACK and dup-ACK
     threshold 1 (early retransmit),
-  - :mod:`repro.transport.dctcp` — DCTCP,
-  - :mod:`repro.transport.tlp` — Tail Loss Probe add-on.
+  - :mod:`repro.transport.dctcp` — DCTCP.
 
 RoCE family (packet-sequence):
   - :mod:`repro.transport.roce` — the shared PSN base (go-back-N or
     selective retransmission, CNP plumbing, rate pacing, window caps),
   - :mod:`repro.transport.dcqcn` — DCQCN rate control (vanilla and
     +SACK variants),
-  - :mod:`repro.transport.irn` — IRN (BDP window + selective retx),
   - :mod:`repro.transport.hpcc` — HPCC (INT-based window control).
 
 Use :func:`repro.transport.registry.create_flow` to instantiate a

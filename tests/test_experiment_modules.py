@@ -1,7 +1,8 @@
 """Micro-scale smoke tests for the experiment modules.
 
 Each module's ``run()`` must produce structurally valid rows at a
-minimal scale (the benchmarks exercise them at full scale)."""
+minimal scale, and each of its ``CLAIMS`` a verdict on them
+(``tlt-experiment all`` runs them at full scale)."""
 
 import importlib
 import json
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.experiments.common import run_grid
+from repro.experiments.common import check_claims, pick, run_grid
 from repro.experiments.parallel import (
     Job,
     JobResult,
@@ -375,3 +376,19 @@ def test_module_runs_one_grid_per_panel_and_fills_its_tables(name, real_results,
         assert parts[part], (name, part)
         present = {key for row in parts[part] for key in row}
         assert set(columns) <= present, (name, part, set(columns) - present)
+    # Every claim finds its rows and columns: a typo in a label or a
+    # column name raises here, without a simulation.
+    claims = check_claims(module, result)
+    assert [c["claim"] for c in claims] == list(module.CLAIMS)
+    assert all(c["verdict"] in ("✔", "✘") for c in claims), claims
+
+
+def test_pick_wants_exactly_one_row():
+    rows = [{"transport": "tcp", "tlt": False}, {"transport": "tcp", "tlt": True}]
+    assert pick(rows, transport="tcp", tlt=True) is rows[1]
+    with pytest.raises(LookupError, match="transport.*dctcp"):
+        pick(rows, transport="dctcp")
+    with pytest.raises(LookupError, match="2 rows match"):
+        pick(rows, transport="tcp")
+    with pytest.raises(LookupError):
+        pick(rows, scheme="tlt")  # no row has the column

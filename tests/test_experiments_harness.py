@@ -76,6 +76,7 @@ def test_every_experiment_module_importable_with_run_and_tables():
         assert list(parameters)[:2] == ["scale", "seeds"], module_name
         assert len(parameters["seeds"].default) >= 1, module_name
         assert module.TABLES and not hasattr(module, "main"), module_name
+        assert isinstance(module.CLAIMS, dict), module_name
         for title, columns in module.TABLES.values():
             assert title and columns, module_name
 
@@ -128,6 +129,7 @@ def test_cli_seeds_reach_every_registry_module(monkeypatch, capsys):
             return [] if "" in _module.TABLES else {part: [] for part in _module.TABLES}
 
         monkeypatch.setattr(module, "run", run)
+        monkeypatch.setattr(module, "CLAIMS", {})  # no rows to judge
     assert main(["all", "--scale", "tiny", "--seeds", "2"]) == 0
     assert {name: call["seeds"] for name, call in calls.items()} == \
         {name: (1, 2) for name in EXPERIMENTS}
@@ -141,6 +143,7 @@ def test_cli_prints_and_writes_every_part_from_tables(monkeypatch, tmp_path, cap
 
     module = types.ModuleType("tests._two_part_stub")
     module.TABLES = {"a": ("Panel A", ["x"]), "b": ("Panel B", ["y"])}
+    module.CLAIMS = {}
     module.run = lambda scale, seeds=(1,): {"a": [{"x": 1.0, "extra": 2.0}], "b": [{"y": 3.0}]}
     monkeypatch.setitem(sys.modules, "tests._two_part_stub", module)
     monkeypatch.setitem(EXPERIMENTS, "two", "tests._two_part_stub")
@@ -162,7 +165,7 @@ def test_cli_footer_names_runs_cached_runs_and_backend(monkeypatch, capsys):
     assert " s elapsed at --jobs 1, " in footer and footer.endswith("]")
 
 
-def test_cli_csv_writes_the_manifest_document_beside_the_rows(monkeypatch, tmp_path):
+def test_cli_csv_writes_the_manifest_document_beside_the_rows(monkeypatch, tmp_path, capsys):
     import json
 
     from repro.experiments.manifest import SCHEMA
@@ -174,6 +177,18 @@ def test_cli_csv_writes_the_manifest_document_beside_the_rows(monkeypatch, tmp_p
     assert doc["schema"] == SCHEMA and doc["experiment"] == "stub"
     assert doc["runs"] == doc["cached_runs"] == doc["retries"] == 0 and doc["manifests"] == []
     assert doc["jobs"] == 1 and doc["elapsed_s"] >= 0
+    # The claims: a table under the module's, and a list in the document.
+    assert doc["claims"] == [
+        {"claim": "one-seed", "paper": "The stub averages one seed", "measured": 1.0,
+         "verdict": "✔"},
+        {"claim": "two-seeds", "paper": "The stub averages two seeds", "measured": "one seed",
+         "verdict": "✘"},
+    ]
+    out = capsys.readouterr().out
+    table = out[out.index("stub: the paper's claims"):].splitlines()
+    assert table[1].split() == ["claim", "verdict", "measured", "paper"]
+    assert table[3].split()[:3] == ["one-seed", "✔", "1"]
+    assert table[4].split()[:4] == ["two-seeds", "✘", "one", "seed"]
 
     from tests.test_telemetry import _load_checker
 

@@ -42,6 +42,7 @@ def profile_cli(body, tmp_path, monkeypatch) -> dict:
 
     module.run = run
     module.TABLES = {"": ("unit", ["n"])}
+    module.CLAIMS = {}
     monkeypatch.setitem(sys.modules, module.__name__, module)
     monkeypatch.setitem(EXPERIMENTS, "unit", module.__name__)
     with execution():  # --profile forces --jobs 1 --no-cache: not on later tests

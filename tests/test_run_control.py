@@ -99,7 +99,7 @@ PRECEDENCE = [
     ("nothing-said", {}, {}, lambda c: c, RunControl()),
     ("shards-env", {}, {"TLT_SHARDS": "4"}, lambda c: c.shards, 4),
     ("shards-field-beats-env", {"shards": 2}, {"TLT_SHARDS": "4"}, lambda c: c.shards, 2),
-    ("shards-env-malformed", {}, {"TLT_SHARDS": "many"}, lambda c: c.shards, 1),
+    ("shards-env-malformed", {}, {"TLT_SHARDS": "many"}, lambda c: c.shards, ValueError),
     ("shards-env-empty", {}, {"TLT_SHARDS": ""}, lambda c: c.shards, 1),
     ("shards-at-least-one", {"shards": 0}, {}, lambda c: c.shards, 1),
     ("audit-env-1", {}, {"TLT_AUDIT": "1"}, lambda c: c.audit, True),

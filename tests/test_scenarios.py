@@ -3,7 +3,12 @@
 import pytest
 
 from repro.experiments.scale import SCALES, Scale
-from repro.experiments.scenarios import ScenarioConfig, build_network, run_scenario
+from repro.experiments.scenarios import (
+    ScenarioConfig,
+    build_network,
+    make_transport_config,
+    run_scenario,
+)
 
 FAST = Scale("fast", num_spines=1, num_tors=2, hosts_per_tor=2,
              bg_flows=8, incast_events=1, incast_flows_per_sender=2)
@@ -40,6 +45,15 @@ def test_family_resolution():
     assert fast_config(transport="hpcc").family == "roce"
     with pytest.raises(ValueError):
         _ = fast_config(transport="quic").family
+
+
+@pytest.mark.parametrize("transport", ["hpcc", "irn", "dcqcn", "dcqcn-sack"])
+@pytest.mark.parametrize("field, value", [("tlp", True), ("fixed_rto_ns", 160_000)])
+def test_tcp_only_recovery_knobs_are_refused_for_roce(transport, field, value):
+    # The PSN senders read neither: a run would silently ignore the knob.
+    with pytest.raises(ValueError, match=rf"{field}=.*roce family \('{transport}'\)"):
+        make_transport_config(fast_config(transport=transport, **{field: value}))
+    make_transport_config(fast_config(transport="dctcp", **{field: value}))
 
 
 def test_link_delay_defaults_by_family():
