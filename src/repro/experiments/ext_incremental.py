@@ -26,7 +26,6 @@ from repro.experiments.common import at_most, pick, resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig, ScenarioResult, make_transport_config
 from repro.net.packet import Color
 from repro.sim.units import KB
-from repro.switchsim.queue import EgressQueue
 from repro.transport.base import FlowSpec
 from repro.transport.registry import create_flow
 from repro.workload.background import BackgroundTraffic
@@ -53,15 +52,9 @@ class MixedDeployment:
         for switch in net.switches:
             if deployment == "isolated":
                 # Two classes; color-aware dropping on class 0 only.
-                switch.config.num_traffic_classes = 2
-                switch.config.color_classes = (0,)
-                # Rebuild queues with two classes per existing port.
-                switch._port_queues = [
-                    [EgressQueue(p), EgressQueue(p)] for p in range(len(switch.ports))
-                ]
-                switch._rr = [0] * len(switch.ports)
+                switch.reconfigure(num_traffic_classes=2, color_classes=(0,))
             elif deployment == "no-tlt":
-                switch.config.color_threshold_bytes = None
+                switch.reconfigure(color_threshold_bytes=None)
 
         tconfig = make_transport_config(config)
         tlt_tconfig = legacy_tconfig = tconfig

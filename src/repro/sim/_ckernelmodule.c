@@ -35,14 +35,25 @@
  * unique (time, seq) int pairs.  The pinned fingerprints in
  * tests/test_determinism.py gate this bit-for-bit.
  *
- * Mutable-attribute rules (why some things are cached and others are
- * re-read per call): objects assigned once in __init__/finalize before
- * optimize_network runs (fib, fib._routes, buffer, stats, ports, pfc,
- * config object, host.nic.queue, host.endpoints, port._inflight) are
- * cached; attributes experiments reassign after build
- * (switch._port_queues, switch._rr -- see ext_incremental.py -- plus
- * switch.ecn, switch.audit, switch._drop and every config *field*) are
- * fetched on every call.
+ * Where a value is read: never through PyObject_GetAttr per packet.
+ *   - Bound in a kernel's __init__, what is fixed once the network is built:
+ *     the device's engine, FIB (fib._routes; fib.lookup, pfc.on_admit and
+ *     on_release called by vectorcall), buffer, stats, ports, PFC engine,
+ *     NIC queue, endpoint table and in-flight FIFO; a switch's _port_queues,
+ *     _rr, ECN scheme (StepEcn's k_bytes, else its bound should_mark) and
+ *     config fields. SwitchConfig is frozen; Switch.reconfigure replaces a
+ *     switch's config and builds its kernel anew. Deque methods are the
+ *     module's method descriptors, called by vectorcall.
+ *   - Read from the object's own attributes (inst_peek: its inline values
+ *     or instance dict) or the module dict, what Python rebinds mid-run:
+ *     owner.receive/poll (interceptors, the auditor), host.send,
+ *     switch.audit/_drop, _pool_enabled, NetStats counters, the fields of a
+ *     FlowSpec or TransportConfig and a TLT controller's state. Kernel
+ *     __init__ (import, for the classes) checks that the type holds no data
+ *     descriptor of those names, so that is where Python looks first.
+ *   - Read from __slots__ at offsets resolved at import: packets, ports,
+ *     queues, buffers, scoreboard entries, RTO estimators; small ints
+ *     straight from their digits (ll_read_fast).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -51,12 +62,15 @@
 #include <time.h>
 
 /* ll_read_fast reads Py_SIZE(v) and v->ob_digit[], CPython 3.11's int
- * layout; 3.12 replaced it (long_value.lv_tag) and no 3.12 interpreter
- * has been there to test a port on. A best-effort install then falls back
- * to the pure backend with this message. */
+ * layout, and inst_peek 3.11's inline instance values; 3.12 replaced both
+ * and no 3.12 interpreter has been there to test a port on. A best-effort
+ * install then falls back to the pure backend with this message. */
 #if PY_VERSION_HEX >= 0x030C0000
-#error "repro.sim._ckernel supports CPython up to 3.11 (PyLongObject layout); use the pure backend"
+#error "repro.sim._ckernel supports CPython up to 3.11 (object layouts); use the pure backend"
 #endif
+#define Py_BUILD_CORE
+#include "internal/pycore_dict.h"  /* PyDictKeysObject, for inst_peek */
+#undef Py_BUILD_CORE
 
 #define NEVER_LL (1LL << 62)
 #define COMPACT_MIN_DEAD_C 64
@@ -70,8 +84,11 @@ static PyObject *SimulationErrorObj;  /* repro.sim.engine.SimulationError */
 static PyObject *TimerWheelCls;       /* repro.sim.timerwheel.TimerWheel */
 static PyObject *StepEcnCls;          /* repro.switchsim.ecn.StepEcn */
 static PyObject *IntRecordCls;        /* repro.net.packet.IntRecord */
-static PyObject *PacketModule;        /* repro.net.packet (for _pool_enabled) */
+static PyObject *PortCls;             /* repro.net.link.Port */
+static PyObject *PacketModuleDict;    /* vars(repro.net.packet), for _pool_enabled */
 static PyObject *PacketPool;          /* repro.net.packet._POOL (cleared in place) */
+static PyObject *DequeAppend, *DequePopleft, *DequeAppendleft;  /* deque's methods */
+static PyTypeObject *FlowSpecCls, *TransportConfigCls;
 static PyObject *GcGetThreshold, *GcSetThreshold, *GcEnable, *GcDisable, *GcIsEnabled;
 static PyObject *GcRunThresholds;     /* (100000, 20, 20) */
 static PyObject *EmptyTuple;
@@ -129,17 +146,16 @@ static Py_ssize_t F_retx_bytes, F_tx_bytes;            /* FlowRecord */
 
 /* Interned attribute-name strings. */
 static PyObject *s_kick, *s_flush, *s_add, *s_receive, *s_receive_pause,
-    *s_poll, *s_append, *s_popleft, *s_port_queues, *s_rr, *s_ecn,
+    *s_poll, *s_port_queues, *s_rr, *s_ecn,
     *s_color_threshold_bytes, *s_color_classes, *s_int_enabled, *s_k_bytes,
     *s_should_mark, *s_ecn_marks, *s_on_packet, *s_add_int_record,
     *s_qualname, *s_live, *s_pool_enabled, *s_fib, *s_routes, *s_lookup,
     *s_buffer, *s_stats, *s_ports, *s_drop_m, *s_config, *s_pfc,
     *s_on_admit, *s_on_release, *s_engine, *s_nic, *s_queue_attr,
     *s_endpoints, *s_port_attr, *s_color_str, *s_pool_str, *s_dynamic_str,
-    *s_kw_seq, *s_kw_payload, *s_kw_ack, *s_kw_size,
     *s_tlt_rx, *s_done, *s_spec, *s_state, *s_traffic_class,
     *s_plain_color, *s_size_attr, *s_src_attr, *s_dst_attr,
-    *s_flow_id_attr, *s_host_attr, *s_send_attr;
+    *s_flow_id_attr, *s_host_attr, *s_send_attr, *s_switch_id;
 
 /* Sender-path attribute and method names: sn_<name>. */
 #define SENDER_NAMES(X)                                                      \
@@ -188,97 +204,10 @@ static Py_ssize_t B_capacity, B_alpha, B_used, B_peak_used;
 
 #define GETSLOT(obj, off) (*(PyObject **)((char *)(obj) + (off)))
 
-static int
-slot_ll(PyObject *obj, Py_ssize_t off, long long *out)
-{
-    PyObject *v = GETSLOT(obj, off);
-    if (v == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "unset slot");
-        return -1;
-    }
-    long long r = PyLong_AsLongLong(v);
-    if (r == -1 && PyErr_Occurred())
-        return -1;
-    *out = r;
-    return 0;
-}
-
-static int
-slot_store_ll(PyObject *obj, Py_ssize_t off, long long v)
-{
-    PyObject *nv = PyLong_FromLongLong(v);
-    if (nv == NULL)
-        return -1;
-    PyObject *old = GETSLOT(obj, off);
-    GETSLOT(obj, off) = nv;
-    Py_XDECREF(old);
-    return 0;
-}
-
-static int
-slot_truth(PyObject *obj, Py_ssize_t off)
-{
-    PyObject *v = GETSLOT(obj, off);
-    if (v == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "unset slot");
-        return -1;
-    }
-    return PyObject_IsTrue(v);
-}
-
-static inline void
-slot_store_obj(PyObject *obj, Py_ssize_t off, PyObject *v)
-{
-    Py_INCREF(v);
-    PyObject *old = GETSLOT(obj, off);
-    GETSLOT(obj, off) = v;
-    Py_XDECREF(old);
-}
-
-static int
-slot_store_bool(PyObject *obj, Py_ssize_t off, int truth)
-{
-    PyObject *nv = truth ? Py_True : Py_False;
-    Py_INCREF(nv);
-    PyObject *old = GETSLOT(obj, off);
-    GETSLOT(obj, off) = nv;
-    Py_XDECREF(old);
-    return 0;
-}
-
-static long long
-monotonic_ns(void)
-{
-    struct timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return (long long)ts.tv_sec * 1000000000LL + ts.tv_nsec;
-}
-
-/* ceil(size_bytes * 8 * 1e9 / rate_bps) -- mirrors units.tx_time_ns. */
-static long long
-c_tx_time_ns(long long size_bytes, long long rate_bps)
-{
-    if (rate_bps <= 0) {
-        PyErr_Format(PyExc_ValueError, "rate must be positive, got %lld", rate_bps);
-        return -1;
-    }
-    long long num = size_bytes * 8LL * 1000000000LL;
-    return (num + rate_bps - 1) / rate_bps;
-}
-
-/* ---------------------------------------------------------------------------
- * Heap primitives on a PyList of (time, seq, ...) tuples.
- *
- * Ordering is identical to Python heapq's tuple comparison: heap keys
- * are unique (time, seq) integer pairs, so lexicographic tuple compare
- * never reaches element 2 and equals the numeric compare used here.
- * ------------------------------------------------------------------------- */
-
 /* Read a non-negative PyLong that fits in 62 bits straight from its
- * digits (times and sequence numbers in this simulator are always in
- * that range). Returns 1 and fills *out on success, 0 when the value
- * needs the generic compare (not an exact int, negative, or huge).
- * Never raises: callers fall back to PyObject_RichCompareBool. */
+ * digits (times, sequence numbers, sizes and counters in this simulator
+ * are always in that range). Returns 1 and fills *out on success, 0 when
+ * the value is not an exact int, negative, or huge. Never raises. */
 static inline int
 ll_read_fast(PyObject *o, long long *out)
 {
@@ -331,23 +260,122 @@ slot_fast(PyObject *obj, Py_ssize_t off, long long *out)
     return v != NULL && ll_read_fast(v, out);
 }
 
+/* An int: from its digits, else through the conversion (which raises). */
+static int
+as_ll(PyObject *v, long long *out)
+{
+    if (ll_read_fast(v, out))
+        return 0;
+    *out = PyLong_AsLongLong(v);
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+static int
+slot_ll(PyObject *obj, Py_ssize_t off, long long *out)
+{
+    PyObject *v = GETSLOT(obj, off);
+    if (v != NULL)
+        return as_ll(v, out);
+    PyErr_SetString(PyExc_AttributeError, "unset slot");
+    return -1;
+}
+
+static int
+slot_store_ll(PyObject *obj, Py_ssize_t off, long long v)
+{
+    PyObject *nv = PyLong_FromLongLong(v);
+    if (nv == NULL)
+        return -1;
+    PyObject *old = GETSLOT(obj, off);
+    GETSLOT(obj, off) = nv;
+    Py_XDECREF(old);
+    return 0;
+}
+
+/* bool(v), the two bools told apart by pointer. */
+static inline int
+truth(PyObject *v)
+{
+    return v == Py_True ? 1 : v == Py_False ? 0 : PyObject_IsTrue(v);
+}
+
+static int
+slot_truth(PyObject *obj, Py_ssize_t off)
+{
+    PyObject *v = GETSLOT(obj, off);
+    if (v == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "unset slot");
+        return -1;
+    }
+    return truth(v);
+}
+
+static inline void
+slot_store_obj(PyObject *obj, Py_ssize_t off, PyObject *v)
+{
+    Py_INCREF(v);
+    PyObject *old = GETSLOT(obj, off);
+    GETSLOT(obj, off) = v;
+    Py_XDECREF(old);
+}
+
+static int
+slot_store_bool(PyObject *obj, Py_ssize_t off, int truth)
+{
+    PyObject *nv = truth ? Py_True : Py_False;
+    Py_INCREF(nv);
+    PyObject *old = GETSLOT(obj, off);
+    GETSLOT(obj, off) = nv;
+    Py_XDECREF(old);
+    return 0;
+}
+
+static long long
+monotonic_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (long long)ts.tv_sec * 1000000000LL + ts.tv_nsec;
+}
+
+/* ceil(size_bytes * 8 * 1e9 / rate_bps) -- mirrors units.tx_time_ns. */
+static long long
+c_tx_time_ns(long long size_bytes, long long rate_bps)
+{
+    if (rate_bps <= 0) {
+        PyErr_Format(PyExc_ValueError, "rate must be positive, got %lld", rate_bps);
+        return -1;
+    }
+    long long num = size_bytes * 8LL * 1000000000LL;
+    return (num + rate_bps - 1) / rate_bps;
+}
+
+/* ---------------------------------------------------------------------------
+ * Heap primitives on a PyList of (time, seq, ...) tuples.
+ *
+ * Ordering is identical to Python heapq's tuple comparison: heap keys
+ * are unique (time, seq) integer pairs, so lexicographic tuple compare
+ * never reaches element 2 and equals the numeric compare used here.
+ * ------------------------------------------------------------------------- */
+
+/* a < b; raises for an entry that is not a (time, seq, ...) tuple of
+ * small non-negative ints (nothing pushes one). */
 static int
 entry_lt(PyObject *a, PyObject *b)
 {
+    long long va, vb, sa, sb;
     if (PyTuple_CheckExact(a) && PyTuple_CheckExact(b) &&
-        PyTuple_GET_SIZE(a) >= 2 && PyTuple_GET_SIZE(b) >= 2) {
-        long long va, vb;
-        if (ll_read_fast(PyTuple_GET_ITEM(a, 0), &va) &&
-            ll_read_fast(PyTuple_GET_ITEM(b, 0), &vb)) {
-            if (va != vb)
-                return va < vb;
-            long long sa, sb;
-            if (ll_read_fast(PyTuple_GET_ITEM(a, 1), &sa) &&
-                ll_read_fast(PyTuple_GET_ITEM(b, 1), &sb))
-                return sa < sb;
-        }
+        PyTuple_GET_SIZE(a) >= 2 && PyTuple_GET_SIZE(b) >= 2 &&
+        ll_read_fast(PyTuple_GET_ITEM(a, 0), &va) &&
+        ll_read_fast(PyTuple_GET_ITEM(b, 0), &vb)) {
+        if (va != vb)
+            return va < vb;
+        if (ll_read_fast(PyTuple_GET_ITEM(a, 1), &sa) &&
+            ll_read_fast(PyTuple_GET_ITEM(b, 1), &sb))
+            return sa < sb;
     }
-    return PyObject_RichCompareBool(a, b, Py_LT);
+    PyErr_SetString(PyExc_TypeError, "CEngine heap entries are (time, seq, ...) small-int tuples");
+    return -1;
 }
 
 static int
@@ -755,7 +783,8 @@ cengine_wheel_flush(CEngineObject *self, long long limit)
     PyObject *lo = PyLong_FromLongLong(limit);
     if (lo == NULL)
         return -1;
-    PyObject *r = PyObject_CallMethodObjArgs(self->wheel, s_flush, lo, NULL);
+    PyObject *args[2] = {self->wheel, lo};
+    PyObject *r = PyObject_VectorcallMethod(s_flush, args, 2, NULL);
     Py_DECREF(lo);
     if (r == NULL)
         return -1;
@@ -815,28 +844,16 @@ cengine_peek_internal(CEngineObject *self, long long *out, int *have)
     return 0;
 }
 
-/* fn(*fargs) through the vectorcall fast path when fargs is a real
- * tuple (heap entries always carry one). Small arg counts go through
- * a stack buffer with PY_VECTORCALL_ARGUMENTS_OFFSET so bound-method
- * callees can prepend self without reallocating. */
+/* fn(*fargs) by vectorcall over the tuple's items: heap entries carry
+ * an args tuple (raises for anything else). */
 static inline PyObject *
 call_with_tuple(PyObject *fn, PyObject *fargs)
 {
-    if (PyTuple_CheckExact(fargs)) {
-        Py_ssize_t na = PyTuple_GET_SIZE(fargs);
-        if (na < 8) {
-            PyObject *buf[9];
-            buf[0] = NULL;
-            for (Py_ssize_t i = 0; i < na; i++)
-                buf[i + 1] = PyTuple_GET_ITEM(fargs, i);
-            return PyObject_Vectorcall(
-                fn, buf + 1, (size_t)na | PY_VECTORCALL_ARGUMENTS_OFFSET,
-                NULL);
-        }
-        return PyObject_Vectorcall(
-            fn, &((PyTupleObject *)fargs)->ob_item[0], (size_t)na, NULL);
+    if (!PyTuple_Check(fargs)) {
+        PyErr_SetString(PyExc_TypeError, "CEngine heap entry args must be a tuple");
+        return NULL;
     }
-    return PyObject_Call(fn, fargs, NULL);
+    return PyObject_Vectorcall(fn, &PyTuple_GET_ITEM(fargs, 0), PyTuple_GET_SIZE(fargs), NULL);
 }
 
 /* One event dispatch, with optional attribution. Returns -1 on error. */
@@ -1245,7 +1262,8 @@ cengine_schedule_timer_common(CEngineObject *self, long long time,
     CEventObject *ev = cevent_make(time, seq, fn, fargs, (PyObject *)self);
     if (ev == NULL)
         return NULL;
-    PyObject *r = PyObject_CallMethodObjArgs(self->wheel, s_add, (PyObject *)ev, NULL);
+    PyObject *args[2] = {self->wheel, (PyObject *)ev};
+    PyObject *r = PyObject_VectorcallMethod(s_add, args, 2, NULL);
     if (r == NULL) {
         Py_DECREF(ev);
         return NULL;
@@ -1502,9 +1520,8 @@ typedef struct {
     PyObject *port;              /* exact repro.net.link.Port */
     CEngineObject *engine;
     PyObject *inflight;          /* port._inflight deque */
-    PyObject *in_append, *in_popleft;
     PyObject *tx_done_m, *drain_m;
-    long long rate_bps, delay_ns;
+    long long delay_ns;
 } PortKernelObject;
 
 typedef struct {
@@ -1517,9 +1534,13 @@ typedef struct {
     PyObject *buffer;
     PyObject *stats;
     PyObject *ports;             /* device.ports list */
-    PyObject *config;            /* config object; fields read per call */
-    PyObject *pfc;               /* PfcEngine or None */
+    PyObject *port_queues, *rr;  /* _port_queues (a list of class queues per port), _rr */
     PyObject *pfc_on_admit, *pfc_on_release;  /* bound, or NULL when no PFC */
+    PyObject *should_mark;       /* bound ecn.should_mark; NULL for StepEcn or no ECN */
+    long long ecn_k;             /* StepEcn's k_bytes, -1 otherwise */
+    long long color_k;           /* config.color_threshold_bytes, -1 for None */
+    PyObject *color_classes;     /* config.color_classes */
+    int int_enabled;             /* config.int_enabled */
     PyObject *receive_m, *poll_m;
 } SwitchKernelObject;
 
@@ -1528,7 +1549,6 @@ typedef struct {
     PyObject *host;
     CEngineObject *engine;
     PyObject *nicqueue;          /* host.nic.queue deque */
-    PyObject *nq_append, *nq_popleft;
     PyObject *endpoints;         /* host.endpoints dict (mutated in place) */
     PyObject *port;              /* host.port */
     PyObject *send_m, *poll_m, *sink_m;
@@ -1540,7 +1560,6 @@ static PyTypeObject SwitchKernelType;
 static PyTypeObject HostKernelType;
 
 static int dict_add(PyObject *d, PyObject *name, long long delta);
-static int attr_ll(PyObject *obj, PyObject *name, long long *out);
 static int c_switch_receive(SwitchKernelObject *sk, PyObject *packet, PyObject *in_port);
 static PyObject *c_switch_poll(SwitchKernelObject *sk, PyObject *port);
 static int c_host_send(HostKernelObject *hk, PyObject *packet);
@@ -1685,27 +1704,175 @@ static PyTypeObject KernelMethodType = {
 
 /* -- shared kernel helpers -------------------------------------------------- */
 
+/* deque.append(item) / appendleft(item) and deque.popleft(), through the
+ * method descriptors (which raise for anything but a deque). */
+static int
+deque_push(PyObject *method, PyObject *dq, PyObject *item)
+{
+    PyObject *args[2] = {dq, item};
+    PyObject *r = PyObject_Vectorcall(method, args, 2, NULL);
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
+}
+
+static inline PyObject *
+deque_popleft(PyObject *dq)
+{
+    return PyObject_Vectorcall(DequePopleft, &dq, 1, NULL);
+}
+
+static inline Py_ssize_t
+deque_len(PyObject *dq)
+{
+    return Py_IS_TYPE(dq, DequeCls) ? Py_SIZE(dq) : PyObject_Size(dq);
+}
+
+/* The instance dict of obj (made from its inline values on first use),
+ * NULL without an error when it has none. */
+static inline PyObject *
+inst_dict(PyObject *obj)
+{
+    PyObject **dictptr = _PyObject_GetDictPtr(obj);
+    return dictptr == NULL ? NULL : *dictptr;
+}
+
+/* The instance attribute `name` of obj, borrowed; NULL without an error
+ * when there is none. 3.11 keeps an object's attributes in an inline
+ * values array, indexed like its class's shared keys, until its __dict__
+ * is asked for: read there without making the dict, else in the dict.
+ * Where a name is among a class's keys is remembered per class version
+ * and key count (shared keys only grow, at the end). */
+static PyObject *
+inst_peek(PyObject *obj, PyObject *name)
+{
+    static struct { PyTypeObject *tp; unsigned int tag; PyObject *name; Py_ssize_t n, ix; } memo[64];
+    PyTypeObject *tp = Py_TYPE(obj);
+    PyDictValues *values = PyType_HasFeature(tp, Py_TPFLAGS_MANAGED_DICT)
+                               ? ((PyDictValues **)obj)[-4] : NULL;
+    PyDictKeysObject *keys = values == NULL ? NULL : ((PyHeapTypeObject *)tp)->ht_cached_keys;
+    if (keys == NULL) {
+        PyObject *d = inst_dict(obj);  /* there is no values array to make it from */
+        return d == NULL ? NULL : PyDict_GetItemWithError(d, name);
+    }
+    PyDictUnicodeEntry *entries = DK_UNICODE_ENTRIES(keys);
+    unsigned int tag = PyType_HasFeature(tp, Py_TPFLAGS_VALID_VERSION_TAG) ? tp->tp_version_tag : 0;
+    int slot = (int)((((uintptr_t)tp ^ (uintptr_t)name) >> 4) & 63);
+    Py_ssize_t n = keys->dk_nentries, ix = memo[slot].ix;
+    if (tag == 0 || memo[slot].tp != tp || memo[slot].tag != tag || memo[slot].name != name ||
+        memo[slot].n != n || (ix >= 0 && entries[ix].me_key != name)) {
+        Py_hash_t hash = ((PyASCIIObject *)name)->hash;
+        for (ix = n - 1; ix >= 0; ix--) {
+            PyObject *key = entries[ix].me_key;
+            if (key == name || (((PyASCIIObject *)key)->hash == hash && _PyUnicode_EQ(key, name)))
+                break;
+        }
+        if (tag != 0) {
+            memo[slot].tp = tp;
+            memo[slot].tag = tag;
+            memo[slot].name = name;
+            memo[slot].n = n;
+            memo[slot].ix = ix;
+        }
+    }
+    return ix < 0 ? NULL : values->values[ix];
+}
+
+/* obj.name where obj's type holds no data descriptor of `name` (see
+ * dict_attrs): the instance's own, where Python looks first, then the
+ * attribute protocol. New reference. */
+static PyObject *
+inst_get(PyObject *obj, PyObject *name)
+{
+    PyObject *v = inst_peek(obj, name);
+    if (v != NULL)
+        return Py_NewRef(v);
+    return PyErr_Occurred() ? NULL : PyObject_GetAttr(obj, name);
+}
+
+/* A field of a FlowSpec or TransportConfig (their classes are checked at
+ * import), the attribute protocol for any other object. New reference. */
+static PyObject *
+field_get(PyObject *obj, PyObject *name)
+{
+    return Py_IS_TYPE(obj, FlowSpecCls) || Py_IS_TYPE(obj, TransportConfigCls)
+               ? inst_get(obj, name) : PyObject_GetAttr(obj, name);
+}
+
+/* Whether obj.name is the plain function `fn` of obj's type: no instance
+ * attribute shadows it. */
+static int
+method_is(PyObject *obj, PyObject *name, PyObject *fn)
+{
+    return _PyType_Lookup(Py_TYPE(obj), name) == fn && inst_peek(obj, name) == NULL;
+}
+
+/* Raise unless `tp` holds no data descriptor of any of the NULL-terminated
+ * names: the kernels read those from the instance's own (inst_peek). */
+static int
+dict_attrs(PyTypeObject *tp, ...)
+{
+    va_list names;
+    PyObject *name, *descr;
+    va_start(names, tp);
+    while ((name = va_arg(names, PyObject *)) != NULL &&
+           ((descr = _PyType_Lookup(tp, name)) == NULL || Py_TYPE(descr)->tp_descr_set == NULL))
+        ;
+    va_end(names);
+    if (name != NULL)
+        PyErr_Format(PyExc_TypeError, "compiled backend: %.100s.%U is a data descriptor",
+                     tp->tp_name, name);
+    return name == NULL ? 0 : -1;
+}
+
+/* obj.name(a, b), result dropped; a or both may be NULL. */
+static int
+call_method(PyObject *obj, PyObject *name, PyObject *a, PyObject *b)
+{
+    PyObject *args[3] = {obj, a, b};
+    PyObject *r = PyObject_VectorcallMethod(name, args, 1 + (a != NULL) + (b != NULL), NULL);
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
+}
+
+/* field_get(obj, name) as a small non-negative int; raises when it is not. */
+static int
+attr_ll(PyObject *obj, PyObject *name, long long *out)
+{
+    PyObject *v = field_get(obj, name);
+    if (v == NULL)
+        return -1;
+    int ok = ll_read_fast(v, out);
+    Py_DECREF(v);
+    if (!ok)
+        PyErr_Format(PyExc_TypeError, "compiled backend: %U is not a small int", name);
+    return ok ? 0 : -1;
+}
+
+/* bool(field_get(obj, name)), -1 on error. */
+static int
+attr_truth(PyObject *obj, PyObject *name)
+{
+    PyObject *v = field_get(obj, name);
+    int is_true = v == NULL ? -1 : truth(v);
+    Py_XDECREF(v);
+    return is_true;
+}
+
 /* owner.poll(port) with direct dispatch when the owner is kernel-bound.
  * Returns a new reference (packet or None). */
 static PyObject *
 c_owner_poll(PyObject *owner, PyObject *port)
 {
-    PyObject *pollfn = PyObject_GetAttr(owner, s_poll);
+    PyObject *pollfn = inst_get(owner, s_poll), *res;
+    KernelMethodObject *km = (KernelMethodObject *)pollfn;
     if (pollfn == NULL)
         return NULL;
-    PyObject *res;
-    if (Py_TYPE(pollfn) == &KernelMethodType) {
-        KernelMethodObject *km = (KernelMethodObject *)pollfn;
-        if (km->which == KM_SWITCH_POLL)
-            res = c_switch_poll((SwitchKernelObject *)km->kernel, port);
-        else if (km->which == KM_HOST_POLL)
-            res = c_host_poll((HostKernelObject *)km->kernel, port);
-        else
-            res = PyObject_CallFunctionObjArgs(pollfn, port, NULL);
-    }
-    else {
-        res = PyObject_CallFunctionObjArgs(pollfn, port, NULL);
-    }
+    if (Py_IS_TYPE(pollfn, &KernelMethodType) && km->which == KM_SWITCH_POLL)
+        res = c_switch_poll((SwitchKernelObject *)km->kernel, port);
+    else if (Py_IS_TYPE(pollfn, &KernelMethodType) && km->which == KM_HOST_POLL)
+        res = c_host_poll((HostKernelObject *)km->kernel, port);
+    else
+        res = PyObject_CallOneArg(pollfn, port);
     Py_DECREF(pollfn);
     return res;
 }
@@ -1721,11 +1888,7 @@ c_try_kick(PyObject *port)
         ((KernelMethodObject *)cb)->which == KM_PORT_TX_DONE) {
         return pk_kick((PortKernelObject *)((KernelMethodObject *)cb)->kernel);
     }
-    PyObject *r = PyObject_CallMethodObjArgs(port, s_kick, NULL);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return 0;
+    return call_method(port, s_kick, NULL, NULL);
 }
 
 /* Deliver one in-flight frame to the peer's owner, resolving
@@ -1739,42 +1902,23 @@ c_deliver_frame(PyObject *peer, long long kind, PyObject *payload)
         PyErr_SetString(PyExc_AttributeError, "port has no owner");
         return -1;
     }
-    Py_INCREF(peer_owner);
-    int status = 0;
-    if (kind == 0) {  /* FRAME_PACKET */
-        PyObject *recv = PyObject_GetAttr(peer_owner, s_receive);
-        if (recv == NULL) {
-            Py_DECREF(peer_owner);
-            return -1;
-        }
-        if (Py_TYPE(recv) == &KernelMethodType) {
-            KernelMethodObject *km = (KernelMethodObject *)recv;
-            if (km->which == KM_SWITCH_RECEIVE)
-                status = c_switch_receive((SwitchKernelObject *)km->kernel,
-                                          payload, peer);
-            else if (km->which == KM_HOST_SINK)
-                status = c_host_sink((HostKernelObject *)km->kernel,
-                                     payload, peer);
-            else {
-                PyObject *r = PyObject_CallFunctionObjArgs(recv, payload, peer, NULL);
-                status = (r == NULL) ? -1 : 0;
-                Py_XDECREF(r);
-            }
-        }
-        else {
-            PyObject *r = PyObject_CallFunctionObjArgs(recv, payload, peer, NULL);
-            status = (r == NULL) ? -1 : 0;
-            Py_XDECREF(r);
-        }
-        Py_DECREF(recv);
-    }
-    else {  /* FRAME_PAUSE */
-        PyObject *r = PyObject_CallMethodObjArgs(peer_owner, s_receive_pause,
-                                                 payload, peer, NULL);
-        status = (r == NULL) ? -1 : 0;
+    /* FRAME_PACKET (0) or FRAME_PAUSE */
+    PyObject *recv = inst_get(peer_owner, kind == 0 ? s_receive : s_receive_pause);
+    KernelMethodObject *km = (KernelMethodObject *)recv;
+    int status;
+    if (recv == NULL)
+        return -1;
+    if (kind == 0 && Py_IS_TYPE(recv, &KernelMethodType) && km->which == KM_SWITCH_RECEIVE)
+        status = c_switch_receive((SwitchKernelObject *)km->kernel, payload, peer);
+    else if (kind == 0 && Py_IS_TYPE(recv, &KernelMethodType) && km->which == KM_HOST_SINK)
+        status = c_host_sink((HostKernelObject *)km->kernel, payload, peer);
+    else {
+        PyObject *args[2] = {payload, peer};
+        PyObject *r = PyObject_Vectorcall(recv, args, 2, NULL);
+        status = r == NULL ? -1 : 0;
         Py_XDECREF(r);
     }
-    Py_DECREF(peer_owner);
+    Py_DECREF(recv);
     return status;
 }
 
@@ -1850,7 +1994,7 @@ pk_kick(PortKernelObject *pk)
 
 /* Port._tx_done(packet): serialization finished — enqueue the frame on
  * the in-flight FIFO (arming the drain when the FIFO was empty) and
- * immediately try the next packet (inlined kick, busy known False). */
+ * immediately try the next packet (kick, busy known False). */
 static int
 c_port_tx_done(PortKernelObject *pk, PyObject *packet)
 {
@@ -1858,145 +2002,81 @@ c_port_tx_done(PortKernelObject *pk, PyObject *packet)
     CEngineObject *eng = pk->engine;
     PyObject *pd = GETSLOT(port, P_peer_deliver);
     if (pd != NULL && pd != Py_None) {
-        long long seq;
+        long long seq, arrival = eng->now + pk->delay_ns;
         if (slot_ll(port, P_wire_seq, &seq) < 0)
             return -1;
-        if (slot_store_ll(port, P_wire_seq, seq + 1) < 0)
-            return -1;
-        long long arrival = eng->now + pk->delay_ns;
-        Py_ssize_t n = PyObject_Size(pk->inflight);
-        if (n < 0)
-            return -1;
-        if (n == 0) {
-            if (heap_push_anon(eng->queue, arrival, seq, pk->drain_m, EmptyTuple) < 0)
-                return -1;
-        }
-        PyObject *ao = PyLong_FromLongLong(arrival);
-        if (ao == NULL)
-            return -1;
-        PyObject *so = PyLong_FromLongLong(seq);
-        if (so == NULL) {
-            Py_DECREF(ao);
-            return -1;
-        }
-        PyObject *rec = PyTuple_Pack(4, ao, so, LLZero, packet);
-        Py_DECREF(ao);
+        PyObject *so = Py_NewRef(GETSLOT(port, P_wire_seq)), *ao = PyLong_FromLongLong(arrival);
+        PyObject *rec = ao == NULL ? NULL : PyTuple_Pack(4, ao, so, LLZero, packet);
         Py_DECREF(so);
-        if (rec == NULL)
+        Py_XDECREF(ao);
+        if (rec == NULL || slot_store_ll(port, P_wire_seq, seq + 1) < 0 ||
+            (Py_SIZE(pk->inflight) == 0 &&
+             heap_push_anon(eng->queue, arrival, seq, pk->drain_m, EmptyTuple) < 0) ||
+            deque_push(DequeAppend, pk->inflight, rec) < 0) {
+            Py_XDECREF(rec);
             return -1;
-        PyObject *r = PyObject_CallFunctionObjArgs(pk->in_append, rec, NULL);
+        }
         Py_DECREF(rec);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
     }
     if (slot_store_bool(port, P_busy, 0) < 0)
         return -1;
-    int paused = slot_truth(port, P_paused);
-    if (paused)
-        return paused < 0 ? -1 : 0;
-    int down = slot_truth(port, P_down);
-    if (down)
-        return down < 0 ? -1 : 0;
-    PyObject *owner = GETSLOT(port, P_owner);
-    if (owner == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "port has no owner");
-        return -1;
-    }
-    PyObject *next = c_owner_poll(owner, port);
-    if (next == NULL)
-        return -1;
-    if (next == Py_None) {
-        Py_DECREF(next);
-        return 0;
-    }
-    int r = pk_transmit(pk, next);
-    Py_DECREF(next);
-    return r;
+    return pk_kick(pk);
 }
 
 /* Port._drain(): deliver this port's due in-flight frame. Mirrors the
  * pure method: pop the head, re-arm the next head *before* dispatching;
  * a same-ns burst is handed to the pure method whole. */
 static PyObject *PortDrainFn;         /* Port._drain */
-static PyObject *s_appendleft;
 
 static int
 c_port_drain(PortKernelObject *pk)
 {
-    CEngineObject *eng = pk->engine;
-    PyObject *head = PyObject_CallNoArgs(pk->in_popleft);
-    if (head == NULL)
-        return -1;
-    if (!PyTuple_CheckExact(head) || PyTuple_GET_SIZE(head) != 4) {
-        Py_DECREF(head);
-        PyErr_SetString(PyExc_TypeError, "corrupt in-flight entry");
-        return -1;
-    }
-    long long arrival = PyLong_AsLongLong(PyTuple_GET_ITEM(head, 0));
-    if (arrival == -1 && PyErr_Occurred()) {
-        Py_DECREF(head);
-        return -1;
-    }
-    Py_ssize_t n = PyObject_Size(pk->inflight);
-    if (n < 0) {
-        Py_DECREF(head);
-        return -1;
-    }
-    PyObject *peer = GETSLOT(pk->port, P_peer);
+    PyObject *peer = GETSLOT(pk->port, P_peer), *head, *nxt = NULL;
+    long long arrival, next_arrival = -1, kind;
+    int status = -1;
     if (peer == NULL || peer == Py_None) {
-        Py_DECREF(head);
         PyErr_SetString(PyExc_AttributeError, "port has no peer");
         return -1;
     }
+    if ((head = deque_popleft(pk->inflight)) == NULL)
+        return -1;
     Py_INCREF(peer);
-    if (n > 0) {
-        PyObject *nxt = PySequence_GetItem(pk->inflight, 0);
-        if (nxt == NULL)
-            goto fail_head;
-        long long na = PyLong_AsLongLong(PyTuple_GET_ITEM(nxt, 0));
-        if (na == -1 && PyErr_Occurred()) {
-            Py_DECREF(nxt);
-            goto fail_head;
-        }
-        if (na == arrival) {
-            /* Same-ns burst (only a PFC frame can share an arrival ns with
-             * data: serialization separates the rest; none in 290 000
-             * drains of roce-leafspine): the pure method's, on the FIFO
-             * as it was. */
-            Py_DECREF(nxt);
-            PyObject *r = PyObject_CallMethodObjArgs(pk->inflight, s_appendleft, head, NULL);
-            Py_SETREF(r, r == NULL ? NULL : PyObject_CallOneArg(PortDrainFn, pk->port));
-            Py_XDECREF(r);
-            Py_DECREF(head);
-            Py_DECREF(peer);
-            return r == NULL ? -1 : 0;
-        }
+    if (!PyTuple_CheckExact(head) || PyTuple_GET_SIZE(head) != 4) {
+        PyErr_SetString(PyExc_TypeError, "corrupt in-flight entry");
+        goto done;
+    }
+    if (as_ll(PyTuple_GET_ITEM(head, 0), &arrival) < 0 ||
+        (Py_SIZE(pk->inflight) > 0 &&
+         ((nxt = PySequence_GetItem(pk->inflight, 0)) == NULL ||
+          as_ll(PyTuple_GET_ITEM(nxt, 0), &next_arrival) < 0)))
+        goto done;
+    if (next_arrival == arrival) {
+        /* Same-ns burst (only a PFC frame can share an arrival ns with
+         * data: serialization separates the rest; none in 290 000
+         * drains of roce-leafspine): the pure method's, on the FIFO
+         * as it was. */
+        PyObject *r = deque_push(DequeAppendleft, pk->inflight, head) < 0
+                          ? NULL : PyObject_CallOneArg(PortDrainFn, pk->port);
+        status = r == NULL ? -1 : 0;
+        Py_XDECREF(r);
+        goto done;
+    }
+    if (nxt != NULL) {
         /* Spaced frames: re-arm the next head, then deliver this one. */
-        PyObject *entry = PyTuple_Pack(4, PyTuple_GET_ITEM(nxt, 0),
-                                       PyTuple_GET_ITEM(nxt, 1),
+        PyObject *entry = PyTuple_Pack(4, PyTuple_GET_ITEM(nxt, 0), PyTuple_GET_ITEM(nxt, 1),
                                        pk->drain_m, EmptyTuple);
-        Py_DECREF(nxt);
-        if (entry == NULL)
-            goto fail_head;
-        int pr = heap_push(eng->queue, entry);
-        Py_DECREF(entry);
-        if (pr < 0)
-            goto fail_head;
+        int pushed = entry == NULL ? -1 : heap_push(pk->engine->queue, entry);
+        Py_XDECREF(entry);
+        if (pushed < 0)
+            goto done;
     }
-    {
-        long long kind = PyLong_AsLongLong(PyTuple_GET_ITEM(head, 2));
-        if (kind == -1 && PyErr_Occurred())
-            goto fail_head;
-        int r = c_deliver_frame(peer, kind, PyTuple_GET_ITEM(head, 3));
-        Py_DECREF(head);
-        Py_DECREF(peer);
-        return r;
-    }
-fail_head:
-    Py_XDECREF(head);
+    if (as_ll(PyTuple_GET_ITEM(head, 2), &kind) == 0)
+        status = c_deliver_frame(peer, kind, PyTuple_GET_ITEM(head, 3));
+done:
+    Py_XDECREF(nxt);
+    Py_DECREF(head);
     Py_DECREF(peer);
-    return -1;
+    return status;
 }
 
 static int
@@ -2005,8 +2085,6 @@ pk_traverse(PortKernelObject *self, visitproc visit, void *arg)
     Py_VISIT(self->port);
     Py_VISIT((PyObject *)self->engine);
     Py_VISIT(self->inflight);
-    Py_VISIT(self->in_append);
-    Py_VISIT(self->in_popleft);
     Py_VISIT(self->tx_done_m);
     Py_VISIT(self->drain_m);
     return 0;
@@ -2018,8 +2096,6 @@ pk_clear(PortKernelObject *self)
     Py_CLEAR(self->port);
     Py_CLEAR(self->engine);
     Py_CLEAR(self->inflight);
-    Py_CLEAR(self->in_append);
-    Py_CLEAR(self->in_popleft);
     Py_CLEAR(self->tx_done_m);
     Py_CLEAR(self->drain_m);
     return 0;
@@ -2033,26 +2109,35 @@ pk_dealloc(PortKernelObject *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
+/* Raise unless the type of the owner of `port` (if any) lets the kernels
+ * read its receive path from the owner's own attributes. */
+static int
+owner_attrs(PyObject *port)
+{
+    PyObject *owner = port == Py_None ? NULL : GETSLOT(port, P_owner);
+    return owner == NULL ? 0 : dict_attrs(Py_TYPE(owner), s_receive, s_poll, s_receive_pause, NULL);
+}
+
 static int
 pk_init(PortKernelObject *self, PyObject *args, PyObject *kwargs)
 {
     PyObject *port;
-    if (!PyArg_ParseTuple(args, "O:PortKernel", &port))
+    if (!PyArg_ParseTuple(args, "O!:PortKernel", (PyTypeObject *)PortCls, &port))
         return -1;
-    PyObject *engine = GETSLOT(port, P_engine);
+    PyObject *engine = GETSLOT(port, P_engine), *inflight = GETSLOT(port, P_inflight);
+    PyObject *peer = GETSLOT(port, P_peer);
     if (engine == NULL || !CEngine_CheckExact(engine)) {
         PyErr_SetString(PyExc_TypeError,
                         "PortKernel requires a port driven by a CEngine");
         return -1;
     }
-    PyObject *inflight = GETSLOT(port, P_inflight);
-    if (inflight == NULL) {
-        PyErr_SetString(PyExc_TypeError, "port has no in-flight FIFO");
+    if (inflight == NULL || !Py_IS_TYPE(inflight, DequeCls)) {
+        PyErr_SetString(PyExc_TypeError, "port has no in-flight deque");
         return -1;
     }
-    long long rate, delay;
-    if (slot_ll(port, P_rate_bps, &rate) < 0 ||
-        slot_ll(port, P_delay_ns, &delay) < 0)
+    long long delay;
+    if (slot_ll(port, P_delay_ns, &delay) < 0 || owner_attrs(port) < 0 ||
+        (peer != NULL && owner_attrs(peer) < 0))
         return -1;
     Py_INCREF(port);
     Py_XSETREF(self->port, port);
@@ -2060,17 +2145,8 @@ pk_init(PortKernelObject *self, PyObject *args, PyObject *kwargs)
     Py_XSETREF(self->engine, (CEngineObject *)engine);
     Py_INCREF(inflight);
     Py_XSETREF(self->inflight, inflight);
-    self->rate_bps = rate;
     self->delay_ns = delay;
-    PyObject *m = PyObject_GetAttr(inflight, s_append);
-    if (m == NULL)
-        return -1;
-    Py_XSETREF(self->in_append, m);
-    m = PyObject_GetAttr(inflight, s_popleft);
-    if (m == NULL)
-        return -1;
-    Py_XSETREF(self->in_popleft, m);
-    m = km_new_internal((PyObject *)self, KM_PORT_TX_DONE, "PortKernel.tx_done");
+    PyObject *m = km_new_internal((PyObject *)self, KM_PORT_TX_DONE, "PortKernel.tx_done");
     if (m == NULL)
         return -1;
     Py_XSETREF(self->tx_done_m, m);
@@ -2104,7 +2180,6 @@ static PyTypeObject PortKernelType = {
 
 /* -- SwitchKernel ---------------------------------------------------------- */
 
-static PyObject *PortCls;             /* repro.net.link.Port */
 static PyObject *SwitchDropFn;        /* Switch._drop */
 static PyObject *CountDropFn;         /* NetStats.count_drop */
 static PyObject *s_audit, *s_count_drop, *s_drop_bytes;
@@ -2144,37 +2219,46 @@ sw_call_pure(PyObject *sw, PyObject *name, PyObject *a, PyObject *b)
     return r;
 }
 
-/* recycle(packet), open-coded; _pool_enabled is re-read per call
- * (tests toggle it via set_pooling). */
+/* recycle(packet), open-coded; _pool_enabled is read from the module
+ * dict per call (set_pooling rebinds it). */
 static int
 c_recycle(PyObject *packet)
 {
     int pooled = slot_truth(packet, K_pooled);
     if (pooled)
         return pooled < 0 ? -1 : 0;
-    PyObject *pe = PyObject_GetAttr(PacketModule, s_pool_enabled);
-    if (pe == NULL)
-        return -1;
-    int enabled = PyObject_IsTrue(pe);
-    Py_DECREF(pe);
-    if (enabled <= 0)
-        return enabled;
+    PyObject *enabled = PyDict_GetItemWithError(PacketModuleDict, s_pool_enabled);
+    int on = enabled == NULL ? -1 : truth(enabled);
+    if (on < 0 && !PyErr_Occurred())
+        PyErr_SetString(PyExc_NameError, "repro.net.packet._pool_enabled");
+    if (on <= 0)
+        return on;
     slot_store_bool(packet, K_pooled, 1);
-    return PyList_GET_SIZE(PacketPool) < POOL_MAX_C ? PyList_Append(PacketPool, packet) : 0;
+    return PyList_GET_SIZE(PacketPool) < POOL_MAX_C ? list_append_fast(PacketPool, packet) : 0;
 }
 
-/* obj.name += 1 through the attribute protocol (a Switch keeps its
- * inline values). */
-static int
-attr_incr(PyObject *obj, PyObject *name)
+/* The class queues of switch port `no` (an item of _port_queues); a new
+ * reference. */
+static PyObject *
+sk_port_queues(SwitchKernelObject *sk, long long no)
 {
+    PyObject *pq = no >= 0 && no < PyList_GET_SIZE(sk->port_queues)
+                       ? PyList_GET_ITEM(sk->port_queues, no) : NULL;
+    if (pq != NULL && PyList_CheckExact(pq) && PyList_GET_SIZE(pq) > 0)
+        return Py_NewRef(pq);
+    PyErr_Format(PyExc_IndexError, "switch port %lld has no class queues", no);
+    return NULL;
+}
+
+/* packet.color == Color.RED, the two members told apart by pointer. */
+static int
+packet_red(PyObject *packet)
+{
+    PyObject *color = GETSLOT(packet, K_color);
     long long v;
-    if (attr_ll(obj, name, &v) < 0)
-        return -1;
-    PyObject *nv = PyLong_FromLongLong(v + 1);
-    int rc = nv == NULL ? -1 : PyObject_SetAttr(obj, name, nv);
-    Py_XDECREF(nv);
-    return rc;
+    if (color == ColorREDObj || color == ColorGREENObj)
+        return color == ColorREDObj;
+    return slot_ll(packet, K_color, &v) < 0 ? -1 : v == COLOR_RED;
 }
 
 /* self._drop(packet, reason, queue[, port_occupancy]), resolved at the
@@ -2186,27 +2270,22 @@ static int
 c_switch_drop(SwitchKernelObject *sk, PyObject *packet, PyObject *reason, PyObject *queue,
               PyObject *occupancy, long long size, int red)
 {
-    PyObject *stats = sk->stats, **counters = NULL;
-    PyObject *audit = PyObject_GetAttr(sk->sw, s_audit);
-    PyObject *drop = audit == NULL ? NULL : PyObject_GetAttr(sk->sw, s_drop_m);
-    Py_XDECREF(audit);
-    if (drop == NULL)
-        return -1;
-    int stock = audit == Py_None && PyMethod_Check(drop) && PyMethod_GET_SELF(drop) == sk->sw &&
-                PyMethod_GET_FUNCTION(drop) == SwitchDropFn && Py_TYPE(stats) == NetStatsCls &&
-                _PyType_Lookup(NetStatsCls, s_count_drop) == CountDropFn &&
-                (counters = _PyObject_GetDictPtr(stats)) != NULL && *counters != NULL &&
-                PyDict_GetItemWithError(*counters, s_count_drop) == NULL;
-    PyObject *r = stock ? Py_NewRef(Py_None) : PyObject_CallFunctionObjArgs(
-        drop, packet, reason, queue, occupancy, NULL);
-    Py_DECREF(drop);
-    Py_XDECREF(r);
-    if (!stock)
+    PyObject *stats = sk->stats, *swd = NULL, *counters = NULL;
+    int stock = inst_peek(sk->sw, s_audit) == Py_None && method_is(sk->sw, s_drop_m, SwitchDropFn) &&
+                Py_TYPE(stats) == NetStatsCls && method_is(stats, s_count_drop, CountDropFn) &&
+                (counters = inst_dict(stats)) != NULL && (swd = inst_dict(sk->sw)) != NULL;
+    if (!stock) {
+        PyObject *drop = PyErr_Occurred() ? NULL : PyObject_GetAttr(sk->sw, s_drop_m);
+        PyObject *r = drop == NULL ? NULL : PyObject_CallFunctionObjArgs(
+            drop, packet, reason, queue, occupancy, NULL);
+        Py_XDECREF(drop);
+        Py_XDECREF(r);
         return r == NULL ? -1 : 0;
+    }
     PyObject *const *names = s_drops[red];  /* drops_<color>, _data, _ctrl */
     int ctrl = GETSLOT(packet, K_kind) != KindDATAObj;
-    if (dict_add(*counters, s_drop_bytes, size) < 0 || dict_add(*counters, names[0], 1) < 0 ||
-        dict_add(*counters, names[1 + ctrl], 1) < 0 || attr_incr(sk->sw, names[0]) < 0)
+    if (dict_add(counters, s_drop_bytes, size) < 0 || dict_add(counters, names[0], 1) < 0 ||
+        dict_add(counters, names[1 + ctrl], 1) < 0 || dict_add(swd, names[0], 1) < 0)
         return -1;
     return c_recycle(packet);
 }
@@ -2236,56 +2315,32 @@ c_switch_receive(SwitchKernelObject *sk, PyObject *packet, PyObject *in_port)
         return -1;
     }
     long long egress;
-    if (PyTuple_CheckExact(routes) && PyTuple_GET_SIZE(routes) == 1) {
-        egress = PyLong_AsLongLong(PyTuple_GET_ITEM(routes, 0));
-        if (egress == -1 && PyErr_Occurred())
-            return -1;
-    }
+    PyObject *eo, *owned = NULL;
+    if (PyTuple_CheckExact(routes) && PyTuple_GET_SIZE(routes) == 1)
+        eo = PyTuple_GET_ITEM(routes, 0);
     else if (sk->ecmp_switch_id >= 0 && PyTuple_CheckExact(routes) &&
              PyTuple_GET_SIZE(routes) > 1) {
         long long flow_id;
         if (slot_ll(packet, K_flow_id, &flow_id) < 0)
             return -1;
-        egress = PyLong_AsLongLong(PyTuple_GET_ITEM(routes, ecmp_index_static(
-            flow_id, sk->ecmp_switch_id, PyTuple_GET_SIZE(routes))));
-        if (egress == -1 && PyErr_Occurred())
-            return -1;
+        eo = PyTuple_GET_ITEM(routes, ecmp_index_static(
+            flow_id, sk->ecmp_switch_id, PyTuple_GET_SIZE(routes)));
     }
     else {
-        PyObject *fid = GETSLOT(packet, K_flow_id);
-        if (fid == NULL) {
+        PyObject *args[2] = {dst, GETSLOT(packet, K_flow_id)};
+        if (args[1] == NULL) {
             PyErr_SetString(PyExc_AttributeError, "packet has no flow_id");
             return -1;
         }
-        PyObject *eo = PyObject_CallFunctionObjArgs(sk->fib_lookup, dst, fid, NULL);
-        if (eo == NULL)
-            return -1;
-        egress = PyLong_AsLongLong(eo);
-        Py_DECREF(eo);
-        if (egress == -1 && PyErr_Occurred())
-            return -1;
+        eo = owned = PyObject_Vectorcall(sk->fib_lookup, args, 2, NULL);
     }
-
-    /* Per-call: _port_queues and config fields are reassigned/mutated
-     * by the incremental-deployment experiments after build. */
-    PyObject *pq_all = PyObject_GetAttr(sk->sw, s_port_queues);
-    if (pq_all == NULL)
-        return -1;
-    PyObject *pq = PySequence_GetItem(pq_all, (Py_ssize_t)egress);
-    Py_DECREF(pq_all);
-    if (pq == NULL)
-        return -1;
-    PyObject *pqf = PySequence_Fast(pq, "port queues must be a sequence");
-    Py_DECREF(pq);
+    int routed = eo != NULL && as_ll(eo, &egress) == 0;
+    Py_XDECREF(owned);
+    PyObject *pqf = routed ? sk_port_queues(sk, egress) : NULL;
     if (pqf == NULL)
         return -1;
-    Py_ssize_t nclasses = PySequence_Fast_GET_SIZE(pqf);
+    Py_ssize_t nclasses = PyList_GET_SIZE(pqf);
     PyObject **qarr = PySequence_Fast_ITEMS(pqf);
-    if (nclasses < 1) {
-        Py_DECREF(pqf);
-        PyErr_SetString(PyExc_IndexError, "switch port has no queues");
-        return -1;
-    }
     long long tclass = 0;
     PyObject *queue;
     if (nclasses == 1)
@@ -2297,53 +2352,31 @@ c_switch_receive(SwitchKernelObject *sk, PyObject *packet, PyObject *in_port)
             tclass = 0;
         queue = qarr[tclass];
     }
-    long long size, color;
-    if (slot_ll(packet, K_size, &size) < 0 ||
-        slot_ll(packet, K_color, &color) < 0)
+    long long size;
+    int red = packet_red(packet);
+    if (red < 0 || slot_ll(packet, K_size, &size) < 0)
         goto fail;
 
     /* 1. Color-aware dropping of unimportant packets. */
-    {
-        PyObject *kobj = PyObject_GetAttr(sk->config, s_color_threshold_bytes);
-        if (kobj == NULL)
+    if (sk->color_k >= 0 && red) {
+        long long redb;
+        if (slot_ll(queue, Q_red_bytes, &redb) < 0)
             goto fail;
-        if (kobj != Py_None && color == COLOR_RED) {
-            long long k = PyLong_AsLongLong(kobj);
-            if (k == -1 && PyErr_Occurred()) {
-                Py_DECREF(kobj);
-                goto fail;
+        if (redb + size > sk->color_k) {
+            int in_cc = 1;
+            if (sk->color_classes != Py_None) {
+                PyObject *tco = PyLong_FromLongLong(tclass);
+                in_cc = (tco == NULL) ? -1 : PySequence_Contains(sk->color_classes, tco);
+                Py_XDECREF(tco);
             }
-            long long redb;
-            if (slot_ll(queue, Q_red_bytes, &redb) < 0) {
-                Py_DECREF(kobj);
+            if (in_cc < 0)
                 goto fail;
-            }
-            if (redb + size > k) {
-                PyObject *cc = PyObject_GetAttr(sk->config, s_color_classes);
-                if (cc == NULL) {
-                    Py_DECREF(kobj);
-                    goto fail;
-                }
-                int in_cc = 1;
-                if (cc != Py_None) {
-                    PyObject *tco = PyLong_FromLongLong(tclass);
-                    in_cc = (tco == NULL) ? -1 : PySequence_Contains(cc, tco);
-                    Py_XDECREF(tco);
-                }
-                Py_DECREF(cc);
-                if (in_cc < 0) {
-                    Py_DECREF(kobj);
-                    goto fail;
-                }
-                if (in_cc) {
-                    Py_DECREF(kobj);
-                    int rc = c_switch_drop(sk, packet, s_color_str, queue, NULL, size, 1);
-                    Py_DECREF(pqf);
-                    return rc;
-                }
+            if (in_cc) {
+                int rc = c_switch_drop(sk, packet, s_color_str, queue, NULL, size, 1);
+                Py_DECREF(pqf);
+                return rc;
             }
         }
-        Py_DECREF(kobj);
     }
 
     /* 2. Dynamic-threshold admission. */
@@ -2368,7 +2401,7 @@ c_switch_receive(SwitchKernelObject *sk, PyObject *packet, PyObject *in_port)
         PyObject *reason = NULL;
         if (used + size > cap)
             reason = s_pool_str;
-        else if (sk->pfc == Py_None) {
+        else if (sk->pfc_on_admit == NULL) {
             PyObject *alpha = GETSLOT(sk->buffer, B_alpha);
             if (alpha == NULL) {
                 PyErr_SetString(PyExc_AttributeError, "buffer has no alpha");
@@ -2384,7 +2417,7 @@ c_switch_receive(SwitchKernelObject *sk, PyObject *packet, PyObject *in_port)
             PyObject *occo = PyLong_FromLongLong(port_occ);
             if (occo == NULL)
                 goto fail;
-            int rc = c_switch_drop(sk, packet, reason, queue, occo, size, color == COLOR_RED);
+            int rc = c_switch_drop(sk, packet, reason, queue, occo, size, red);
             Py_DECREF(occo);
             Py_DECREF(pqf);
             return rc;
@@ -2413,33 +2446,26 @@ c_switch_receive(SwitchKernelObject *sk, PyObject *packet, PyObject *in_port)
         }
         Py_INCREF(ipno);
         PyObject *pair = PyTuple_Pack(2, packet, ipno);
-        if (pair == NULL) {
-            Py_DECREF(ipno);
-            goto fail;
-        }
-        PyObject *r = PyObject_CallMethodObjArgs(qd, s_append, pair, NULL);
-        Py_DECREF(pair);
-        if (r == NULL) {
-            Py_DECREF(ipno);
-            goto fail;
-        }
-        Py_DECREF(r);
+        int pushed = pair == NULL ? -1 : deque_push(DequeAppend, qd, pair);
+        Py_XDECREF(pair);
+        if (pushed < 0)
+            goto fail_ipno;
         long long occ;
         if (slot_ll(queue, Q_occupancy, &occ) < 0)
             goto fail_ipno;
         occ += size;
         if (slot_store_ll(queue, Q_occupancy, occ) < 0)
             goto fail_ipno;
-        if (color == COLOR_RED) {
-            long long red, maxred;
-            if (slot_ll(queue, Q_red_bytes, &red) < 0)
+        if (red) {
+            long long redq, maxred;
+            if (slot_ll(queue, Q_red_bytes, &redq) < 0)
                 goto fail_ipno;
-            red += size;
-            if (slot_store_ll(queue, Q_red_bytes, red) < 0)
+            redq += size;
+            if (slot_store_ll(queue, Q_red_bytes, redq) < 0)
                 goto fail_ipno;
             if (slot_ll(queue, Q_max_red_bytes, &maxred) < 0)
                 goto fail_ipno;
-            if (red > maxred && slot_store_ll(queue, Q_max_red_bytes, red) < 0)
+            if (redq > maxred && slot_store_ll(queue, Q_max_red_bytes, redq) < 0)
                 goto fail_ipno;
         }
         long long maxocc;
@@ -2448,98 +2474,33 @@ c_switch_receive(SwitchKernelObject *sk, PyObject *packet, PyObject *in_port)
         if (occ > maxocc && slot_store_ll(queue, Q_max_occupancy, occ) < 0)
             goto fail_ipno;
 
-        /* 3. ECN marking on the post-enqueue queue length. */
-        {
-            PyObject *ecn = PyObject_GetAttr(sk->sw, s_ecn);
-            if (ecn == NULL)
+        /* 3. ECN marking on the post-enqueue queue length: StepEcn's
+         * threshold, else the scheme's should_mark. */
+        if (sk->ecn_k >= 0 || sk->should_mark != NULL) {
+            int capable = slot_truth(packet, K_ecn_capable);
+            int mark = capable > 0 ? slot_truth(packet, K_ce) : 0;
+            if (capable < 0 || mark < 0)
                 goto fail_ipno;
-            if (ecn != Py_None) {
-                int cap_ = slot_truth(packet, K_ecn_capable);
-                if (cap_ < 0) {
-                    Py_DECREF(ecn);
+            if (capable && !mark) {
+                if (sk->ecn_k >= 0)
+                    mark = occ > sk->ecn_k;
+                else {
+                    PyObject *occo = PyLong_FromLongLong(occ);
+                    PyObject *m = occo == NULL ? NULL : PyObject_CallOneArg(sk->should_mark, occo);
+                    mark = m == NULL ? -1 : truth(m);
+                    Py_XDECREF(occo);
+                    Py_XDECREF(m);
+                }
+                if (mark < 0 || (mark && (slot_store_bool(packet, K_ce, 1) < 0 ||
+                                          dict_add(inst_dict(sk->stats), s_ecn_marks, 1) < 0)))
                     goto fail_ipno;
-                }
-                if (cap_) {
-                    int ce = slot_truth(packet, K_ce);
-                    if (ce < 0) {
-                        Py_DECREF(ecn);
-                        goto fail_ipno;
-                    }
-                    if (!ce) {
-                        int mark;
-                        if ((PyObject *)Py_TYPE(ecn) == StepEcnCls) {
-                            PyObject *kb = PyObject_GetAttr(ecn, s_k_bytes);
-                            if (kb == NULL) {
-                                Py_DECREF(ecn);
-                                goto fail_ipno;
-                            }
-                            long long kbv = PyLong_AsLongLong(kb);
-                            Py_DECREF(kb);
-                            if (kbv == -1 && PyErr_Occurred()) {
-                                Py_DECREF(ecn);
-                                goto fail_ipno;
-                            }
-                            mark = occ > kbv;
-                        }
-                        else {
-                            PyObject *occo = PyLong_FromLongLong(occ);
-                            if (occo == NULL) {
-                                Py_DECREF(ecn);
-                                goto fail_ipno;
-                            }
-                            PyObject *m = PyObject_CallMethodObjArgs(
-                                ecn, s_should_mark, occo, NULL);
-                            Py_DECREF(occo);
-                            if (m == NULL) {
-                                Py_DECREF(ecn);
-                                goto fail_ipno;
-                            }
-                            mark = PyObject_IsTrue(m);
-                            Py_DECREF(m);
-                            if (mark < 0) {
-                                Py_DECREF(ecn);
-                                goto fail_ipno;
-                            }
-                        }
-                        if (mark) {
-                            if (slot_store_bool(packet, K_ce, 1) < 0) {
-                                Py_DECREF(ecn);
-                                goto fail_ipno;
-                            }
-                            PyObject *em = PyObject_GetAttr(sk->stats, s_ecn_marks);
-                            if (em == NULL) {
-                                Py_DECREF(ecn);
-                                goto fail_ipno;
-                            }
-                            long long emv = PyLong_AsLongLong(em);
-                            Py_DECREF(em);
-                            if (emv == -1 && PyErr_Occurred()) {
-                                Py_DECREF(ecn);
-                                goto fail_ipno;
-                            }
-                            PyObject *nem = PyLong_FromLongLong(emv + 1);
-                            if (nem == NULL ||
-                                PyObject_SetAttr(sk->stats, s_ecn_marks, nem) < 0) {
-                                Py_XDECREF(nem);
-                                Py_DECREF(ecn);
-                                goto fail_ipno;
-                            }
-                            Py_DECREF(nem);
-                        }
-                    }
-                }
             }
-            Py_DECREF(ecn);
         }
 
-        /* 4. PFC ingress accounting. */
-        if (sk->pfc != Py_None) {
-            PyObject *so = PyLong_FromLongLong(size);
-            if (so == NULL)
-                goto fail_ipno;
-            PyObject *r2 = PyObject_CallFunctionObjArgs(sk->pfc_on_admit,
-                                                        ipno, so, NULL);
-            Py_DECREF(so);
+        /* 4. PFC ingress accounting: pfc.on_admit(in_port.port_no, packet.size). */
+        if (sk->pfc_on_admit != NULL) {
+            PyObject *pargs[2] = {ipno, GETSLOT(packet, K_size)};
+            PyObject *r2 = PyObject_Vectorcall(sk->pfc_on_admit, pargs, 2, NULL);
             if (r2 == NULL)
                 goto fail_ipno;
             Py_DECREF(r2);
@@ -2552,16 +2513,16 @@ c_switch_receive(SwitchKernelObject *sk, PyObject *packet, PyObject *in_port)
     }
 kick:
     {
-        PyObject *port = PySequence_GetItem(sk->ports, (Py_ssize_t)egress);
-        if (port == NULL)
-            goto fail;
-        int busy = slot_truth(port, P_busy);
-        int paused = busy < 0 ? -1 : slot_truth(port, P_paused);
-        if (paused < 0) {
-            Py_DECREF(port);
+        PyObject *port = egress < PyList_GET_SIZE(sk->ports) ? PyList_GET_ITEM(sk->ports, egress)
+                                                             : NULL;
+        if (port == NULL) {
+            PyErr_SetString(PyExc_IndexError, "egress port out of range");
             goto fail;
         }
-        if (!busy && !paused && c_try_kick(port) < 0) {
+        Py_INCREF(port);
+        int busy = slot_truth(port, P_busy);
+        int paused = busy < 0 ? -1 : slot_truth(port, P_paused);
+        if (paused < 0 || (!busy && !paused && c_try_kick(port) < 0)) {
             Py_DECREF(port);
             goto fail;
         }
@@ -2574,6 +2535,34 @@ fail:
     return -1;
 }
 
+/* EgressQueue.pop from `queue` when it holds an entry: *entry is the
+ * popped (packet, ingress) pair (a new reference), else NULL. */
+static int
+sk_queue_pop(PyObject *queue, PyObject **entry)
+{
+    PyObject *qd = GETSLOT(queue, Q_items);
+    long long psize, v;
+    int red;
+    *entry = NULL;
+    if (qd == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "queue has no items");
+        return -1;
+    }
+    if (deque_len(qd) <= 0)
+        return PyErr_Occurred() ? -1 : 0;
+    if ((*entry = deque_popleft(qd)) == NULL)
+        return -1;
+    PyObject *pkt = PyTuple_GET_ITEM(*entry, 0);
+    if ((red = packet_red(pkt)) < 0 || slot_ll(pkt, K_size, &psize) < 0 ||
+        slot_ll(queue, Q_occupancy, &v) < 0 || slot_store_ll(queue, Q_occupancy, v - psize) < 0 ||
+        slot_ll(queue, Q_dequeued_bytes, &v) < 0 ||
+        slot_store_ll(queue, Q_dequeued_bytes, v + psize) < 0 ||
+        (red && (slot_ll(queue, Q_red_bytes, &v) < 0 ||
+                 slot_store_ll(queue, Q_red_bytes, v - psize) < 0)))
+        return -1;
+    return 0;
+}
+
 static PyObject *
 c_switch_poll(SwitchKernelObject *sk, PyObject *port)
 {
@@ -2584,129 +2573,37 @@ c_switch_poll(SwitchKernelObject *sk, PyObject *port)
     long long pno;
     if (slot_ll(port, P_port_no, &pno) < 0)
         return NULL;
-    PyObject *pq_all = PyObject_GetAttr(sk->sw, s_port_queues);
-    if (pq_all == NULL)
-        return NULL;
-    PyObject *pq = PySequence_GetItem(pq_all, (Py_ssize_t)pno);
-    Py_DECREF(pq_all);
-    if (pq == NULL)
-        return NULL;
-    PyObject *pqf = PySequence_Fast(pq, "port queues must be a sequence");
-    Py_DECREF(pq);
+    PyObject *pqf = sk_port_queues(sk, pno);
     if (pqf == NULL)
         return NULL;
-    Py_ssize_t nclasses = PySequence_Fast_GET_SIZE(pqf);
+    Py_ssize_t nclasses = PyList_GET_SIZE(pqf);
     PyObject **qarr = PySequence_Fast_ITEMS(pqf);
-    if (nclasses < 1) {
-        Py_DECREF(pqf);
-        PyErr_SetString(PyExc_IndexError, "switch port has no queues");
-        return NULL;
-    }
 
     PyObject *entry = NULL;
     if (nclasses == 1) {
-        /* EgressQueue.pop, open-coded. */
-        PyObject *queue = qarr[0];
-        PyObject *qd = GETSLOT(queue, Q_items);
-        if (qd == NULL) {
-            PyErr_SetString(PyExc_AttributeError, "queue has no items");
+        if (sk_queue_pop(qarr[0], &entry) < 0)
             goto fail;
-        }
-        Py_ssize_t qn = PyObject_Size(qd);
-        if (qn < 0)
-            goto fail;
-        if (qn == 0) {
-            Py_DECREF(pqf);
-            Py_RETURN_NONE;
-        }
-        entry = PyObject_CallMethodObjArgs(qd, s_popleft, NULL);
-        if (entry == NULL)
-            goto fail;
-        PyObject *pkt = PyTuple_GET_ITEM(entry, 0);
-        long long psize, pcolor, v;
-        if (slot_ll(pkt, K_size, &psize) < 0 ||
-            slot_ll(pkt, K_color, &pcolor) < 0)
-            goto fail;
-        if (slot_ll(queue, Q_occupancy, &v) < 0 ||
-            slot_store_ll(queue, Q_occupancy, v - psize) < 0)
-            goto fail;
-        if (slot_ll(queue, Q_dequeued_bytes, &v) < 0 ||
-            slot_store_ll(queue, Q_dequeued_bytes, v + psize) < 0)
-            goto fail;
-        if (pcolor == COLOR_RED) {
-            if (slot_ll(queue, Q_red_bytes, &v) < 0 ||
-                slot_store_ll(queue, Q_red_bytes, v - psize) < 0)
-                goto fail;
-        }
     }
     else {
-        /* Round-robin over the per-class queues. */
-        PyObject *rr = PyObject_GetAttr(sk->sw, s_rr);
-        if (rr == NULL)
-            goto fail;
-        PyObject *so = PySequence_GetItem(rr, (Py_ssize_t)pno);
-        if (so == NULL) {
-            Py_DECREF(rr);
+        /* Round-robin over the per-class queues from _rr[port_no]. */
+        long long start;
+        if (pno >= PyList_GET_SIZE(sk->rr)) {
+            PyErr_SetString(PyExc_IndexError, "_rr index out of range");
             goto fail;
         }
-        long long start = PyLong_AsLongLong(so);
-        Py_DECREF(so);
-        if (start == -1 && PyErr_Occurred()) {
-            Py_DECREF(rr);
+        if (as_ll(PyList_GET_ITEM(sk->rr, pno), &start) < 0)
             goto fail;
-        }
         for (Py_ssize_t offset = 0; offset < nclasses; offset++) {
             Py_ssize_t idx = (Py_ssize_t)((start + offset) % nclasses);
-            PyObject *queue = qarr[idx];
-            PyObject *qd = GETSLOT(queue, Q_items);
-            if (qd == NULL) {
-                PyErr_SetString(PyExc_AttributeError, "queue has no items");
-                Py_DECREF(rr);
+            if (sk_queue_pop(qarr[idx], &entry) < 0)
                 goto fail;
-            }
-            Py_ssize_t qn = PyObject_Size(qd);
-            if (qn < 0) {
-                Py_DECREF(rr);
-                goto fail;
-            }
-            if (qn == 0)
+            if (entry == NULL)
                 continue;
-            entry = PyObject_CallMethodObjArgs(qd, s_popleft, NULL);
-            if (entry == NULL) {
-                Py_DECREF(rr);
-                goto fail;
-            }
-            PyObject *pkt = PyTuple_GET_ITEM(entry, 0);
-            long long psize, pcolor, v;
-            if (slot_ll(pkt, K_size, &psize) < 0 ||
-                slot_ll(pkt, K_color, &pcolor) < 0 ||
-                slot_ll(queue, Q_occupancy, &v) < 0 ||
-                slot_store_ll(queue, Q_occupancy, v - psize) < 0 ||
-                slot_ll(queue, Q_dequeued_bytes, &v) < 0 ||
-                slot_store_ll(queue, Q_dequeued_bytes, v + psize) < 0) {
-                Py_DECREF(rr);
-                goto fail;
-            }
-            if (pcolor == COLOR_RED &&
-                (slot_ll(queue, Q_red_bytes, &v) < 0 ||
-                 slot_store_ll(queue, Q_red_bytes, v - psize) < 0)) {
-                Py_DECREF(rr);
-                goto fail;
-            }
             PyObject *nv = PyLong_FromLongLong((idx + 1) % nclasses);
-            if (nv == NULL) {
-                Py_DECREF(rr);
+            if (nv == NULL || PyList_SetItem(sk->rr, pno, nv) < 0)  /* steals nv */
                 goto fail;
-            }
-            int sr = PySequence_SetItem(rr, (Py_ssize_t)pno, nv);
-            Py_DECREF(nv);
-            if (sr < 0) {
-                Py_DECREF(rr);
-                goto fail;
-            }
             break;
         }
-        Py_DECREF(rr);
     }
     if (entry == NULL) {
         Py_DECREF(pqf);
@@ -2734,27 +2631,17 @@ c_switch_poll(SwitchKernelObject *sk, PyObject *port)
             PyErr_SetString(PyExc_AssertionError, "shared buffer under-run");
             goto fail_pkt;
         }
-        if (sk->pfc != Py_None) {
-            PyObject *so = PyLong_FromLongLong(psize);
-            if (so == NULL)
-                goto fail_pkt;
-            PyObject *r = PyObject_CallFunctionObjArgs(sk->pfc_on_release,
-                                                       ingress, so, NULL);
-            Py_DECREF(so);
+        /* pfc.on_release(ingress_no, packet.size) */
+        if (sk->pfc_on_release != NULL) {
+            PyObject *pargs[2] = {ingress, GETSLOT(packet, K_size)};
+            PyObject *r = PyObject_Vectorcall(sk->pfc_on_release, pargs, 2, NULL);
             if (r == NULL)
                 goto fail_pkt;
             Py_DECREF(r);
         }
 
         /* INT (HPCC) record at dequeue time. */
-        PyObject *ie = PyObject_GetAttr(sk->config, s_int_enabled);
-        if (ie == NULL)
-            goto fail_pkt;
-        int int_on = PyObject_IsTrue(ie);
-        Py_DECREF(ie);
-        if (int_on < 0)
-            goto fail_pkt;
-        if (int_on) {
+        if (sk->int_enabled) {
             long long kind;
             if (slot_ll(packet, K_kind, &kind) < 0)
                 goto fail_pkt;
@@ -2783,14 +2670,10 @@ c_switch_poll(SwitchKernelObject *sk, PyObject *port)
                                                              qo, txb, no, rb, NULL);
                 Py_DECREF(qo);
                 Py_DECREF(no);
-                if (rec == NULL)
+                int added = rec == NULL ? -1 : call_method(packet, s_add_int_record, rec, NULL);
+                Py_XDECREF(rec);
+                if (added < 0)
                     goto fail_pkt;
-                PyObject *r = PyObject_CallMethodObjArgs(packet, s_add_int_record,
-                                                         rec, NULL);
-                Py_DECREF(rec);
-                if (r == NULL)
-                    goto fail_pkt;
-                Py_DECREF(r);
             }
         }
         Py_DECREF(ingress);
@@ -2817,10 +2700,12 @@ sk_traverse(SwitchKernelObject *self, visitproc visit, void *arg)
     Py_VISIT(self->buffer);
     Py_VISIT(self->stats);
     Py_VISIT(self->ports);
-    Py_VISIT(self->config);
-    Py_VISIT(self->pfc);
+    Py_VISIT(self->port_queues);
+    Py_VISIT(self->rr);
     Py_VISIT(self->pfc_on_admit);
     Py_VISIT(self->pfc_on_release);
+    Py_VISIT(self->should_mark);
+    Py_VISIT(self->color_classes);
     Py_VISIT(self->receive_m);
     Py_VISIT(self->poll_m);
     return 0;
@@ -2836,10 +2721,12 @@ sk_clear(SwitchKernelObject *self)
     Py_CLEAR(self->buffer);
     Py_CLEAR(self->stats);
     Py_CLEAR(self->ports);
-    Py_CLEAR(self->config);
-    Py_CLEAR(self->pfc);
+    Py_CLEAR(self->port_queues);
+    Py_CLEAR(self->rr);
     Py_CLEAR(self->pfc_on_admit);
     Py_CLEAR(self->pfc_on_release);
+    Py_CLEAR(self->should_mark);
+    Py_CLEAR(self->color_classes);
     Py_CLEAR(self->receive_m);
     Py_CLEAR(self->poll_m);
     return 0;
@@ -2851,6 +2738,49 @@ sk_dealloc(SwitchKernelObject *self)
     PyObject_GC_UnTrack(self);
     sk_clear(self);
     Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* getattr(obj, name) into *field (replacing what it held). */
+static int
+bind_attr(PyObject **field, PyObject *obj, PyObject *name)
+{
+    PyObject *v = PyObject_GetAttr(obj, name);
+    if (v == NULL)
+        return -1;
+    Py_XSETREF(*field, v);
+    return 0;
+}
+
+/* The switch's ECN scheme and config fields, as sk_init binds them. */
+static int
+sk_bind_config(SwitchKernelObject *self, PyObject *sw)
+{
+    PyObject *ecn = PyObject_GetAttr(sw, s_ecn), *config = NULL, *k = NULL;
+    int rc = -1;
+    self->ecn_k = -1;
+    if (ecn == NULL ||
+        ((PyObject *)Py_TYPE(ecn) == StepEcnCls
+             ? ((k = PyObject_GetAttr(ecn, s_k_bytes)) == NULL || as_ll(k, &self->ecn_k) < 0)
+             : ecn != Py_None && bind_attr(&self->should_mark, ecn, s_should_mark) < 0))
+        goto done;
+    Py_CLEAR(k);
+    if ((config = PyObject_GetAttr(sw, s_config)) == NULL ||
+        bind_attr(&self->color_classes, config, s_color_classes) < 0 ||
+        (k = PyObject_GetAttr(config, s_color_threshold_bytes)) == NULL ||
+        (self->int_enabled = attr_truth(config, s_int_enabled)) < 0)
+        goto done;
+    self->color_k = -1;
+    if (k != Py_None && !ll_read_fast(k, &self->color_k)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "compiled backend: color_threshold_bytes must be None or an int >= 0");
+        goto done;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(ecn);
+    Py_XDECREF(config);
+    Py_XDECREF(k);
+    return rc;
 }
 
 static int
@@ -2875,37 +2805,25 @@ sk_init(SwitchKernelObject *self, PyObject *args, PyObject *kwargs)
     PyObject *fib = PyObject_GetAttr(sw, s_fib);
     if (fib == NULL)
         return -1;
-    PyObject *routes = PyObject_GetAttr(fib, s_routes);
-    if (routes == NULL) {
+    if (bind_attr(&self->routes, fib, s_routes) < 0 ||
+        bind_attr(&self->fib_lookup, fib, s_lookup) < 0) {
         Py_DECREF(fib);
         return -1;
     }
-    if (!PyDict_CheckExact(routes)) {
-        Py_DECREF(routes);
+    if (!PyDict_CheckExact(self->routes)) {
         Py_DECREF(fib);
         PyErr_SetString(PyExc_TypeError, "fib._routes must be a dict");
         return -1;
     }
-    Py_XSETREF(self->routes, routes);
-    PyObject *lookup = PyObject_GetAttr(fib, s_lookup);
-    if (lookup == NULL) {
-        Py_DECREF(fib);
-        return -1;
-    }
-    Py_XSETREF(self->fib_lookup, lookup);
     /* The static hash is open-coded only for an exact Fib whose lookup
      * nobody replaced; every other selector keeps the call. */
     self->ecmp_switch_id = -1;
-    if (Py_IS_TYPE(fib, (PyTypeObject *)FibCls) && PyMethod_Check(lookup) &&
-        PyMethod_GET_FUNCTION(lookup) == FibLookupFn) {
-        PyObject *sid = PyObject_GetAttrString(fib, "switch_id");
-        if (sid == NULL) {
-            Py_DECREF(fib);
-            return -1;
-        }
-        self->ecmp_switch_id = PyLong_AsLongLong(sid);
-        Py_DECREF(sid);
-        if (self->ecmp_switch_id == -1 && PyErr_Occurred()) {
+    if (Py_IS_TYPE(fib, (PyTypeObject *)FibCls) && PyMethod_Check(self->fib_lookup) &&
+        PyMethod_GET_FUNCTION(self->fib_lookup) == FibLookupFn) {
+        PyObject *sid = PyObject_GetAttr(fib, s_switch_id);
+        int rc = sid == NULL ? -1 : as_ll(sid, &self->ecmp_switch_id);
+        Py_XDECREF(sid);
+        if (rc < 0) {
             Py_DECREF(fib);
             return -1;
         }
@@ -2913,29 +2831,28 @@ sk_init(SwitchKernelObject *self, PyObject *args, PyObject *kwargs)
     Py_DECREF(fib);
 
     PyObject *o;
-    if ((o = PyObject_GetAttr(sw, s_buffer)) == NULL)
+    if (bind_attr(&self->buffer, sw, s_buffer) < 0 || bind_attr(&self->stats, sw, s_stats) < 0 ||
+        bind_attr(&self->ports, sw, s_ports) < 0 ||
+        bind_attr(&self->port_queues, sw, s_port_queues) < 0 ||
+        bind_attr(&self->rr, sw, s_rr) < 0 || sk_bind_config(self, sw) < 0 ||
+        dict_attrs(Py_TYPE(sw), s_receive, s_poll, s_audit, s_drop_m, s_drops[0][0],
+                   s_drops[1][0], NULL) < 0 ||
+        dict_attrs(Py_TYPE(self->stats), s_ecn_marks, NULL) < 0 ||
+        (o = PyObject_GetAttr(sw, s_pfc)) == NULL)
         return -1;
-    Py_XSETREF(self->buffer, o);
-    if ((o = PyObject_GetAttr(sw, s_stats)) == NULL)
+    if (!PyList_CheckExact(self->ports) || !PyList_CheckExact(self->port_queues) ||
+        !PyList_CheckExact(self->rr) || inst_dict(self->stats) == NULL) {
+        Py_DECREF(o);
+        PyErr_SetString(PyExc_TypeError, "SwitchKernel needs lists of ports, _port_queues "
+                        "and _rr, and stats with an instance dict");
         return -1;
-    Py_XSETREF(self->stats, o);
-    if ((o = PyObject_GetAttr(sw, s_ports)) == NULL)
-        return -1;
-    Py_XSETREF(self->ports, o);
-    if ((o = PyObject_GetAttr(sw, s_config)) == NULL)
-        return -1;
-    Py_XSETREF(self->config, o);
-    if ((o = PyObject_GetAttr(sw, s_pfc)) == NULL)
-        return -1;
-    Py_XSETREF(self->pfc, o);
-    if (self->pfc != Py_None) {
-        if ((o = PyObject_GetAttr(self->pfc, s_on_admit)) == NULL)
-            return -1;
-        Py_XSETREF(self->pfc_on_admit, o);
-        if ((o = PyObject_GetAttr(self->pfc, s_on_release)) == NULL)
-            return -1;
-        Py_XSETREF(self->pfc_on_release, o);
     }
+    if (o != Py_None && (bind_attr(&self->pfc_on_admit, o, s_on_admit) < 0 ||
+                         bind_attr(&self->pfc_on_release, o, s_on_release) < 0)) {
+        Py_DECREF(o);
+        return -1;
+    }
+    Py_DECREF(o);
     if ((o = km_new_internal((PyObject *)self, KM_SWITCH_RECEIVE,
                              "SwitchKernel.receive")) == NULL)
         return -1;
@@ -2973,10 +2890,8 @@ static PyTypeObject SwitchKernelType = {
 static int
 c_host_send(HostKernelObject *hk, PyObject *packet)
 {
-    PyObject *r = PyObject_CallFunctionObjArgs(hk->nq_append, packet, NULL);
-    if (r == NULL)
+    if (deque_push(DequeAppend, hk->nicqueue, packet) < 0)
         return -1;
-    Py_DECREF(r);
     PyObject *port = hk->port;
     int busy = slot_truth(port, P_busy);
     if (busy)
@@ -2991,11 +2906,8 @@ static PyObject *
 c_host_poll(HostKernelObject *hk, PyObject *port)
 {
     (void)port;
-    Py_ssize_t n = PyObject_Size(hk->nicqueue);
-    if (n < 0)
-        return NULL;
-    if (n > 0)
-        return PyObject_CallNoArgs(hk->nq_popleft);
+    if (Py_SIZE(hk->nicqueue) > 0)
+        return deque_popleft(hk->nicqueue);
     Py_RETURN_NONE;
 }
 
@@ -3009,23 +2921,9 @@ kernel_sends_for(HostKernelObject *hk, PyObject *host)
 {
     if (host != hk->host)
         return 0;
-    PyObject *send = PyObject_GetAttr(host, s_send_attr);
+    PyObject *send = inst_get(host, s_send_attr);
     Py_XDECREF(send);
     return send == NULL ? -1 : send == hk->send_m;
-}
-
-/* getattr(obj, name) as a small non-negative int; raises when it is not. */
-static int
-attr_ll(PyObject *obj, PyObject *name, long long *out)
-{
-    PyObject *v = PyObject_GetAttr(obj, name);
-    if (v == NULL)
-        return -1;
-    int ok = ll_read_fast(v, out);
-    Py_DECREF(v);
-    if (!ok)
-        PyErr_Format(PyExc_TypeError, "compiled backend: %U is not a small int", name);
-    return ok ? 0 : -1;
 }
 
 /* The completion edge of ByteStreamReceiver.on_packet: done, the record's
@@ -3035,7 +2933,7 @@ attr_ll(PyObject *obj, PyObject *name, long long *out)
 static int
 c_receiver_complete(HostKernelObject *hk, PyObject *d, PyObject *spec, PyObject *flows)
 {
-    PyObject *fid = PyObject_GetAttr(spec, s_flow_id_attr);
+    PyObject *fid = field_get(spec, s_flow_id_attr);
     PyObject *record = NULL, *now = NULL, *callback = NULL, *r = NULL;
     if (fid == NULL || PyDict_SetItem(d, s_done, Py_True) < 0)
         goto out;
@@ -3049,7 +2947,7 @@ c_receiver_complete(HostKernelObject *hk, PyObject *d, PyObject *spec, PyObject 
         ((now = PyLong_FromLongLong(hk->engine->now)) == NULL ||
          PyObject_SetAttr(record, sn_end_rx_ns, now) < 0))
         goto out;
-    if ((callback = PyObject_GetAttr(spec, sn_on_complete_rx)) != NULL)
+    if ((callback = field_get(spec, sn_on_complete_rx)) != NULL)
         r = callback == Py_None ? Py_NewRef(Py_None) : PyObject_CallOneArg(callback, record);
 out:
     Py_XDECREF(fid);
@@ -3074,9 +2972,8 @@ c_receiver_ack(HostKernelObject *hk, PyObject *packet, PyObject **held, Py_ssize
     }
     Py_ssize_t n = PyList_GET_SIZE(intervals);
     /* alloc_packet(flow_id, dst, src, ACK, 0, 0, rcv_nxt) */
-    PyObject *aargs[7] = {PyObject_GetAttr(spec, s_flow_id_attr),
-                          PyObject_GetAttr(spec, s_dst_attr),
-                          PyObject_GetAttr(spec, s_src_attr),
+    PyObject *aargs[7] = {field_get(spec, s_flow_id_attr), field_get(spec, s_dst_attr),
+                          field_get(spec, s_src_attr),
                           KindACKObj, LLZero, LLZero, GETSLOT(buffer, R_rcv_nxt)};
     PyObject *ack = (aargs[0] == NULL || aargs[1] == NULL || aargs[2] == NULL)
                         ? NULL : mod_alloc_packet(NULL, aargs, 7, NULL);
@@ -3108,7 +3005,7 @@ c_receiver_ack(HostKernelObject *hk, PyObject *packet, PyObject **held, Py_ssize
     }
     slot_store_obj(ack, K_ecn_echo, GETSLOT(packet, K_ce));
     slot_store_obj(ack, K_ts_echo, GETSLOT(packet, K_ts_sent));
-    PyObject *tc = PyObject_GetAttr(config, s_traffic_class);
+    PyObject *tc = field_get(config, s_traffic_class);
     if (tc == NULL)
         goto fail;
     slot_store_obj(ack, K_tclass, tc);
@@ -3117,18 +3014,20 @@ c_receiver_ack(HostKernelObject *hk, PyObject *packet, PyObject **held, Py_ssize
     slot_store_obj(ack, K_mark, MarkCONTROLObj);
     if (tlt_rx != Py_None) {
         /* TltWindowReceiver.mark_ack + apply_acl (echo marks are green). */
-        PyObject *state = PyObject_GetAttr(tlt_rx, s_state);
+        PyObject *state = inst_peek(tlt_rx, s_state);
         PyObject *echo = state == RecvIMPORTANTObj  ? MarkIMPECHOObj
                          : state == RecvIMPCLOCKObj ? MarkIMPCLOCKECHOObj
                                                     : NULL;
-        Py_XDECREF(state);
         if (echo != NULL)
             slot_store_obj(ack, K_mark, echo);
         if (state == NULL ||
-            (echo != NULL && PyObject_SetAttr(tlt_rx, s_state, RecvIDLEObj) < 0))
+            (echo != NULL && PyObject_SetAttr(tlt_rx, s_state, RecvIDLEObj) < 0)) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_AttributeError, "compiled receiver path: no tlt_rx.state");
             goto fail;
+        }
     } else {
-        PyObject *pc = PyObject_GetAttr(config, s_plain_color);
+        PyObject *pc = field_get(config, s_plain_color);
         if (pc == NULL)
             goto fail;
         if (pc != Py_None) {
@@ -3182,7 +3081,8 @@ c_receiver_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
     if (tlt_rx == NULL || buffer == NULL || done == NULL || spec == NULL ||
         config == NULL || rhost == NULL)
         return PyErr_Occurred() ? -1 : 0;
-    if ((tlt_rx != Py_None && Py_TYPE(tlt_rx) != (PyTypeObject *)TltWindowReceiverCls) ||
+    if ((tlt_rx != Py_None && (Py_TYPE(tlt_rx) != (PyTypeObject *)TltWindowReceiverCls ||
+                               inst_peek(tlt_rx, s_state) == NULL)) ||
         Py_TYPE(buffer) != (PyTypeObject *)ReceiverBufferCls)
         return 0;
     int own_send = kernel_sends_for(hk, rhost);  /* the ACK leaves through it */
@@ -3234,7 +3134,7 @@ c_receiver_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
     /* The completion edge: done, the record, the callback. Its own
      * conditions first: the stock `record` property over a plain dict of
      * flows, and this host's clock. */
-    int completes = PyObject_IsTrue(done);
+    int completes = truth(done);
     PyObject *stats, *flows = NULL;
     long long spec_size;
     if (completes < 0)
@@ -3320,17 +3220,33 @@ out:
  * (below) cannot run. Sender state lives in the instance dict and is read
  * from it again after every call that can run transport code. */
 
-/* Whether `tp` resolves every CoreNames[i] to the function captured at
- * import. Asked per packet (each lookup is a hit in the interpreter's
- * method cache): a verdict kept any longer than the type's version tag
- * would leave a class monkeypatched mid-run on the C path. */
+/* Which captured name sets `tp` resolves to the functions captured at
+ * import: STOCK_CORE (CoreNames), STOCK_BURST (BurstNames but start),
+ * STOCK_START. Kept per type while its version tag holds: an assignment
+ * to the type or a base (a class monkeypatched mid-run) clears the tag,
+ * and the next packet asks again. */
+enum { STOCK_CORE = 1, STOCK_BURST = 2, STOCK_START = 4 };
+
 static int
-sender_type_is_stock(PyTypeObject *tp)
+type_stock(PyTypeObject *tp)
 {
+    static struct { PyTypeObject *tp; unsigned int tag; int mask; } seen[4];
+    int slot = (int)(((uintptr_t)tp >> 4) & 3), mask = STOCK_CORE | STOCK_BURST | STOCK_START;
+    if (seen[slot].tp == tp && seen[slot].tag == tp->tp_version_tag &&
+        PyType_HasFeature(tp, Py_TPFLAGS_VALID_VERSION_TAG))
+        return seen[slot].mask;
     for (int i = 0; i < N_CORE; i++)
         if (_PyType_Lookup(tp, CoreNames[i]) != CoreFns[i])
-            return 0;
-    return 1;
+            mask &= ~STOCK_CORE;
+    for (int i = 0; i < N_BURST; i++)
+        if (_PyType_Lookup(tp, BurstNames[i]) != BurstFns[i])
+            mask &= i < N_BURST - 1 ? ~STOCK_BURST : ~STOCK_START;
+    if (PyType_HasFeature(tp, Py_TPFLAGS_VALID_VERSION_TAG)) {
+        seen[slot].tp = tp;
+        seen[slot].tag = tp->tp_version_tag;
+        seen[slot].mask = mask;
+    }
+    return mask;
 }
 
 /* Small non-negative int from an instance dict (the keys are interned
@@ -3343,8 +3259,7 @@ dict_ll(PyObject *d, PyObject *name, long long *out, int strict)
     if (v != NULL && ll_read_fast(v, out))
         return 1;
     if (strict)
-        PyErr_Format(PyExc_TypeError,
-                     "compiled ACK path: sender.%U is missing or not a small int", name);
+        PyErr_Format(PyExc_TypeError, "compiled backend: %U is missing or not a small int", name);
     return 0;
 }
 
@@ -3353,7 +3268,7 @@ dict_truth(PyObject *d, PyObject *name)
 {
     PyObject *v = PyDict_GetItemWithError(d, name);
     if (v != NULL)
-        return PyObject_IsTrue(v);
+        return truth(v);
     PyErr_Format(PyExc_AttributeError, "compiled ACK path: sender has no %U", name);
     return -1;
 }
@@ -3373,15 +3288,6 @@ dict_add(PyObject *d, PyObject *name, long long delta)
 {
     long long v;
     return dict_ll(d, name, &v, 1) ? dict_set_ll(d, name, v + delta) : -1;
-}
-
-/* obj.name(a, b), result dropped; a or both may be NULL. */
-static int
-call_method(PyObject *obj, PyObject *name, PyObject *a, PyObject *b)
-{
-    PyObject *r = PyObject_CallMethodObjArgs(obj, name, a, b, NULL);
-    Py_XDECREF(r);
-    return r == NULL ? -1 : 0;
 }
 
 /* rto.on_rtt_sample(rtt): RtoEstimator.on_rtt_sample inlined for the two
@@ -3420,6 +3326,16 @@ c_rtt_sample(PyObject *rto, long long rtt)
     slot_store_obj(rto, T_backoff_count, LLZero);
     slot_store_obj(rto, T_current, GETSLOT(rto, T_base_rto));
     return 0;
+}
+
+/* rto.<name>, the slot at `off` of a stock estimator; getattr otherwise. */
+static int
+rto_ll(PyObject *rto, Py_ssize_t off, PyObject *name, long long *out)
+{
+    PyTypeObject *tp = Py_TYPE(rto);
+    if ((tp == RtoEstimatorCls || tp == FixedRtoCls) && slot_fast(rto, off, out))
+        return 0;
+    return attr_ll(rto, name, out);
 }
 
 /* adder(value) for the sender's bound _add_rtt_sample and
@@ -3471,7 +3387,7 @@ entry_load(PyObject *entry, EntryView *ev)
     }
     for (int i = 0; ok && i < EF_COUNT; i++) {
         PyObject *v = GETSLOT(entry, EntryFlagOff[i]);
-        ok = v != NULL && (ev->f[i] = PyObject_IsTrue(v)) >= 0;
+        ok = v != NULL && (ev->f[i] = truth(v)) >= 0;
     }
     if (!ok && !PyErr_Occurred())
         PyErr_SetString(PyExc_TypeError,
@@ -3502,7 +3418,8 @@ sb_load(Scoreboard *sb, PyObject *d, int strict)
     sb->lost_queue = PyDict_GetItemWithError(d, sn_lost_queue);
     sb->add_delivery = PyDict_GetItemWithError(d, sn__add_delivery_sample);
     if (sb->entries == NULL || !PyList_CheckExact(sb->entries) || sb->retx == NULL ||
-        !PyDict_CheckExact(sb->retx) || sb->lost_queue == NULL || sb->add_delivery == NULL) {
+        !PyDict_CheckExact(sb->retx) || sb->lost_queue == NULL ||
+        !Py_IS_TYPE(sb->lost_queue, DequeCls) || sb->add_delivery == NULL) {
         if (strict)
             PyErr_SetString(PyExc_TypeError,
                             "compiled ACK path: a callback replaced the scoreboard");
@@ -3560,7 +3477,7 @@ sb_mark_lost(Scoreboard *sb, PyObject *entry, const EntryView *ev)
 {
     ENTRY_SET(entry, EF_LOST, 1);
     if (sb_leave_pipe(sb, entry, ev) < 0 ||
-        call_method(sb->lost_queue, s_append, entry, NULL) < 0 ||
+        deque_push(DequeAppend, sb->lost_queue, entry) < 0 ||
         (sb->marked == NULL && (sb->marked = PyList_New(0)) == NULL))
         return -1;
     return PyList_Append(sb->marked, entry);
@@ -3636,7 +3553,7 @@ static int
 c_restart_rto(HostKernelObject *hk, PyObject *ep, PyObject *d, PyObject *rto, long long now)
 {
     long long current;
-    if (attr_ll(rto, sn_current, &current) < 0 ||
+    if (rto_ll(rto, T_current, sn_current, &current) < 0 ||
         dict_set_ll(d, sn__rto_deadline, now + current) < 0)
         return -1;
     if (PyDict_GetItemWithError(d, sn__rto_event) != Py_None)
@@ -3662,27 +3579,14 @@ c_restart_rto(HostKernelObject *hk, PyObject *ep, PyObject *d, PyObject *rto, lo
  * makes it. Per packet the order is _transmit's: _record_tx, retx_bytes,
  * alloc, fields, tx_bytes, mark, host.send, _restart_rto, _arm_pto. */
 
-/* Whether `tp` resolves names[i] to fns[i] and the instance dict `d`
- * shadows none of them. */
+/* Whether no name of names[0:n] is in the instance dict `d`. */
 static int
-methods_are_stock(PyTypeObject *tp, PyObject *d, PyObject *const *names,
-                  PyObject *const *fns, int n)
+dict_lacks(PyObject *d, PyObject *const *names, int n)
 {
     for (int i = 0; i < n; i++)
-        if (_PyType_Lookup(tp, names[i]) != fns[i] ||
-            PyDict_GetItemWithError(d, names[i]) != NULL)
+        if (PyDict_GetItemWithError(d, names[i]) != NULL)
             return 0;
     return 1;
-}
-
-/* bool(obj.name), -1 on error. */
-static int
-attr_truth(PyObject *obj, PyObject *name)
-{
-    PyObject *v = PyObject_GetAttr(obj, name);
-    int truth = v == NULL ? -1 : PyObject_IsTrue(v);
-    Py_XDECREF(v);
-    return truth;
 }
 
 /* slot += delta on an int slot (FlowRecord.tx_bytes / retx_bytes). */
@@ -3765,7 +3669,7 @@ burst_peek(Burst *b)
     Scoreboard *sb = &b->sb;
     Py_CLEAR(b->own[BO_HEAD]);
     for (;;) {
-        Py_ssize_t queued = PyObject_Size(sb->lost_queue);
+        Py_ssize_t queued = deque_len(sb->lost_queue);
         if (queued <= 0) {
             if (queued < 0)
                 return -1;
@@ -3782,8 +3686,9 @@ burst_peek(Burst *b)
             return 0;
         }
         Py_DECREF(entry);
-        if (call_method(sb->lost_queue, s_popleft, NULL, NULL) < 0)
+        if ((entry = deque_popleft(sb->lost_queue)) == NULL)
             return -1;
+        Py_DECREF(entry);
     }
     long long remaining = b->spec_size - b->snd_nxt;
     b->size = remaining <= 0 ? 0 : b->mss < remaining ? b->mss : remaining;
@@ -3797,10 +3702,11 @@ burst_peek(Burst *b)
 static int
 burst_mark(Burst *b, PyObject *packet, long long payload)
 {
-    PyObject *tlt = b->own[BO_TLT], *state = PyObject_GetAttr(tlt, s_state);
-    if (state == NULL)
+    PyObject *tlt = b->own[BO_TLT], *state = inst_peek(tlt, s_state);
+    if (state == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "compiled send path: the controller lost its state");
         return -1;
-    Py_DECREF(state);  /* an enum member: the class keeps it */
+    }
     int important = state == SendIMPORTANTObj && !b->allowed;
     if (important) {  /* green from the allocator already */
         slot_store_obj(packet, K_mark, MarkIMPDATAObj);
@@ -3823,8 +3729,10 @@ burst_transmit(HostKernelObject *hk, Burst *b)
     EntryView ev = b->hev;
     if (seg != NULL) {
         b->own[BO_HEAD] = NULL;  /* the reference is `seg` now */
-        if (call_method(sb->lost_queue, s_popleft, NULL, NULL) < 0)
+        PyObject *popped = deque_popleft(sb->lost_queue);
+        if (popped == NULL)
             goto fail;
+        Py_DECREF(popped);
     } else {
         /* seg = Entry(snd_nxt, snd_nxt + size, size); entries.append(seg);
          * self.snd_nxt = seg.end */
@@ -3908,33 +3816,25 @@ burst_prepare(HostKernelObject *hk, Burst *b, PyObject *spec, int starting)
     own[BO_TLT] = Py_NewRef(tlt);
     if (tlt != Py_None) {
         /* an exact TltWindowSender of this sender, marking with the stock
-         * mark_data; its four attributes stay inline values */
-        if (Py_TYPE(tlt) != TltWindowSenderCls)
+         * mark_data */
+        PyObject *stats;
+        if (!Py_IS_TYPE(tlt, TltWindowSenderCls) || !method_is(tlt, sn_mark_data, TltMarkDataFn) ||
+            inst_peek(tlt, sn_sender) != ep || inst_peek(tlt, s_state) == NULL ||
+            (stats = inst_peek(tlt, s_stats)) == NULL || !Py_IS_TYPE(stats, NetStatsCls) ||
+            (b->counters = inst_dict(stats)) == NULL)
             return 0;
-        PyObject *mark = PyObject_GetAttr(tlt, sn_mark_data);
-        PyObject *owner = mark == NULL ? NULL : PyObject_GetAttr(tlt, sn_sender);
-        int stock = owner == ep && PyMethod_Check(mark) && PyMethod_GET_SELF(mark) == tlt &&
-                    PyMethod_GET_FUNCTION(mark) == TltMarkDataFn;
-        Py_XDECREF(mark);
-        Py_XDECREF(owner);
-        if (owner == NULL || (own[BO_STATS] = PyObject_GetAttr(tlt, s_stats)) == NULL)
-            return -1;
-        PyObject **statsdict = Py_TYPE(own[BO_STATS]) == NetStatsCls
-                                   ? _PyObject_GetDictPtr(own[BO_STATS]) : NULL;
-        if (!stock || statsdict == NULL || *statsdict == NULL)
-            return 0;
-        b->counters = *statsdict;
+        own[BO_STATS] = Py_NewRef(stats);
     }
     int handshake = starting ? attr_truth(config, sn_handshake) : 0;
     if (handshake)
         return handshake < 0 ? -1 : 0;  /* start() sends the SYN */
     if ((b->tlp = attr_truth(config, sn_tlp_enabled)) < 0 ||
-        (own[BO_ECN] = PyObject_GetAttr(config, s_ecn)) == NULL ||
-        (own[BO_TCLASS] = PyObject_GetAttr(config, s_traffic_class)) == NULL ||
-        (own[BO_PLAIN] = PyObject_GetAttr(config, s_plain_color)) == NULL ||
-        (own[BO_FLOW_ID] = PyObject_GetAttr(spec, s_flow_id_attr)) == NULL ||
-        (own[BO_SRC] = PyObject_GetAttr(spec, s_src_attr)) == NULL ||
-        (own[BO_DST] = PyObject_GetAttr(spec, s_dst_attr)) == NULL ||
+        (own[BO_ECN] = field_get(config, s_ecn)) == NULL ||
+        (own[BO_TCLASS] = field_get(config, s_traffic_class)) == NULL ||
+        (own[BO_PLAIN] = field_get(config, s_plain_color)) == NULL ||
+        (own[BO_FLOW_ID] = field_get(spec, s_flow_id_attr)) == NULL ||
+        (own[BO_SRC] = field_get(spec, s_src_attr)) == NULL ||
+        (own[BO_DST] = field_get(spec, s_dst_attr)) == NULL ||
         (own[BO_NOW] = PyLong_FromLongLong(b->sb.now)) == NULL)
         return -1;
     return 1;
@@ -3946,7 +3846,8 @@ burst_prepare(HostKernelObject *hk, Burst *b, PyObject *spec, int starting)
 static int
 c_sender_burst(HostKernelObject *hk, PyObject *ep, PyObject *d, int starting)
 {
-    if (!methods_are_stock(Py_TYPE(ep), d, BurstNames, BurstFns, N_BURST - !starting))
+    int stock = starting ? STOCK_BURST | STOCK_START : STOCK_BURST;
+    if ((type_stock(Py_TYPE(ep)) & stock) != stock || !dict_lacks(d, BurstNames, N_BURST - !starting))
         return 0;
     PyObject *started = PyDict_GetItemWithError(d, sn_started);
     PyObject *established = PyDict_GetItemWithError(d, sn_established);
@@ -3958,17 +3859,17 @@ c_sender_burst(HostKernelObject *hk, PyObject *ep, PyObject *d, int starting)
     if (started == NULL || established == NULL || completed == NULL || spec == NULL ||
         PyDict_GetItemWithError(d, s_engine) != (PyObject *)hk->engine)
         return 0;
-    int is_started = PyObject_IsTrue(started), is_completed = PyObject_IsTrue(completed);
-    int is_established = starting ? 1 : PyObject_IsTrue(established);
+    int is_started = truth(started), is_completed = truth(completed);
+    int is_established = starting ? 1 : truth(established);
     if (is_started < 0 || is_completed < 0 || is_established < 0)
         return -1;
     if (starting ? is_started : (!is_started || !is_established || is_completed))
         return !starting;  /* try_send returns 0; a second start() is Python's */
-    if (!sb_load(&b.sb, d, 0) || Py_TYPE(b.sb.lost_queue) != DequeCls ||
+    if (!sb_load(&b.sb, d, 0) ||
         !dict_ll(d, sn_cwnd, &b.cwnd, 0) || !dict_ll(d, sn_mss, &b.mss, 0) ||
         !dict_ll(d, sn_snd_nxt, &b.snd_nxt, 0))
         return 0;
-    if ((size = PyObject_GetAttr(spec, s_size_attr)) == NULL)
+    if ((size = field_get(spec, s_size_attr)) == NULL)
         return -1;
     int sized = ll_read_fast(size, &b.spec_size);
     Py_DECREF(size);
@@ -3977,7 +3878,7 @@ c_sender_burst(HostKernelObject *hk, PyObject *ep, PyObject *d, int starting)
     b.sb.now = hk->engine->now;
     /* Most ACKs open no window: with an empty lost queue that is known
      * already, and nothing would change. */
-    if (!starting && PyObject_Size(b.sb.lost_queue) == 0) {
+    if (!starting && Py_SIZE(b.sb.lost_queue) == 0) {
         long long left = b.spec_size - b.snd_nxt;
         if (left <= 0 || b.sb.pipe + (b.mss < left ? b.mss : left) > b.cwnd)
             return 1;
@@ -4033,21 +3934,11 @@ c_sender_start(PyObject *ep)
 static int
 c_tlt_after_ack(PyObject *tlt)
 {
-    PyObject *after = PyObject_GetAttr(tlt, sn_after_ack), *state = NULL;
-    if (after == NULL)
-        return -1;
-    int stock = PyMethod_Check(after) && PyMethod_GET_SELF(after) == tlt &&
-                PyMethod_GET_FUNCTION(after) == TltAfterAckFn;
-    if (stock && (state = PyObject_GetAttr(tlt, s_state)) == NULL) {
-        Py_DECREF(after);
-        return -1;
-    }
-    Py_XDECREF(state);
-    PyObject *r = (stock && state != SendIMPORTANTObj) ? Py_NewRef(Py_None)
-                                                       : PyObject_CallNoArgs(after);
-    Py_DECREF(after);
-    Py_XDECREF(r);
-    return r == NULL ? -1 : 0;
+    PyObject *state;
+    if (Py_IS_TYPE(tlt, TltWindowSenderCls) && method_is(tlt, sn_after_ack, TltAfterAckFn) &&
+        (state = inst_peek(tlt, s_state)) != NULL && state != SendIMPORTANTObj)
+        return 0;
+    return call_method(tlt, sn_after_ack, NULL, NULL);
 }
 
 /* An ACK for a stock byte-stream sender (see the section comment).
@@ -4060,7 +3951,7 @@ c_sender_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
 {
     /* Type before instance dict: asking for the dict materializes it,
      * and endpoints of other families keep their inline attributes. */
-    if (!sender_type_is_stock(Py_TYPE(ep)))
+    if (!(type_stock(Py_TYPE(ep)) & STOCK_CORE))
         return 0;
     PyObject **dictptr = _PyObject_GetDictPtr(ep);
     if (dictptr == NULL || *dictptr == NULL || !PyDict_CheckExact(*dictptr))
@@ -4078,7 +3969,8 @@ c_sender_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
     PyObject *sack = GETSLOT(packet, K_sack), *ecn_echo = GETSLOT(packet, K_ecn_echo);
     Scoreboard sb;
     long long ack, ts_echo, snd_una, snd_nxt, dupacks, stride, scan_hint, highest;
-    if (completed == NULL || tlt == NULL || rto == NULL || config == NULL || spec == NULL ||
+    /* a completed sender's on_packet returns at once: Python's */
+    if (completed != Py_False || tlt == NULL || rto == NULL || config == NULL || spec == NULL ||
         PyDict_GetItemWithError(d, s_engine) != (PyObject *)hk->engine ||
         !sb_load(&sb, d, 0) || !slot_fast(packet, K_ack, &ack) ||
         !slot_fast(packet, K_ts_echo, &ts_echo) || !dict_ll(d, sn_snd_una, &snd_una, 0) ||
@@ -4098,26 +3990,15 @@ c_sender_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
             !ll_read_fast(PyTuple_GET_ITEM(block, 1), &hi))
             return 0;
     }
-    int status = PyObject_IsTrue(completed);
-    if (status != 0)
-        return status;  /* completed: on_packet returns at once */
     /* The TLT controller's first look must be the stock one: it leaves
      * the sender alone unless it returns None, so what was read above
      * still holds after it. */
-    PyObject *tlt_on_ack = NULL;
-    if (tlt != Py_None) {
-        if ((tlt_on_ack = PyObject_GetAttr(tlt, sn_on_ack)) == NULL)
-            return -1;
-        if (!PyMethod_Check(tlt_on_ack) || PyMethod_GET_SELF(tlt_on_ack) != tlt ||
-            PyMethod_GET_FUNCTION(tlt_on_ack) != TltOnAckFn) {
-            Py_DECREF(tlt_on_ack);
-            return 0;
-        }
-    }
+    if (tlt != Py_None && !method_is(tlt, sn_on_ack, TltOnAckFn))
+        return 0;
 
     /* -- eligibility established; the packet is ours ----------------------- */
 
-    status = -1;
+    int status = -1;
     sb.marked = NULL;
     sb.now = hk->engine->now;
     for (int i = 0; i < 4; i++)
@@ -4126,8 +4007,9 @@ c_sender_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
     PyObject *entry;
 
     long long echo_ts = -1;
-    if (tlt_on_ack != NULL) {
-        PyObject *r = PyObject_CallOneArg(tlt_on_ack, packet);
+    if (tlt != Py_None) {
+        PyObject *args[2] = {tlt, packet};
+        PyObject *r = PyObject_Vectorcall(TltOnAckFn, args, 2, NULL);
         if (r == NULL)
             goto done;
         /* None: an Important Clock Echo suppressed below snd_una.
@@ -4229,9 +4111,9 @@ c_sender_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
     }
 
     /* cc_on_ack(newly_acked, packet.ecn_echo and config.ecn) */
-    int echoed = PyObject_IsTrue(ecn_echo);
+    int echoed = truth(ecn_echo);
     PyObject *newly = echoed < 0 ? NULL : PyLong_FromLongLong(newly_acked);
-    PyObject *ecn = newly == NULL ? NULL : echoed ? PyObject_GetAttr(config, s_ecn)
+    PyObject *ecn = newly == NULL ? NULL : echoed ? field_get(config, s_ecn)
                                                   : Py_NewRef(ecn_echo);
     int rc = ecn == NULL ? -1 : call_method(ep, sn_cc_on_ack, newly, ecn);
     Py_XDECREF(newly);
@@ -4274,7 +4156,7 @@ c_sender_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
         attr_ll(config, sn_dupack_threshold, &threshold) < 0)
         goto done;
     if ((dupacks >= threshold || sacked_bytes) &&
-        (attr_ll(rto, sn_srtt, &srtt) < 0 ||  /* _srtt() */
+        (rto_ll(rto, T_srtt, sn_srtt, &srtt) < 0 ||  /* _srtt() */
          (srtt == 0 && attr_ll(config, sn_base_rtt_ns, &srtt) < 0) ||
          !sb_load(&sb, d, 1) || sb_detect_losses(&sb, ep, srtt, dupacks >= threshold) < 0))
         goto done;
@@ -4294,7 +4176,6 @@ handled:
     status = 1;
 done:
     Py_XDECREF(sb.marked);
-    Py_XDECREF(tlt_on_ack);
     for (int i = 0; i < 4; i++)
         Py_DECREF(held[i]);
     return status;
@@ -4339,8 +4220,6 @@ hk_traverse(HostKernelObject *self, visitproc visit, void *arg)
     Py_VISIT(self->host);
     Py_VISIT((PyObject *)self->engine);
     Py_VISIT(self->nicqueue);
-    Py_VISIT(self->nq_append);
-    Py_VISIT(self->nq_popleft);
     Py_VISIT(self->endpoints);
     Py_VISIT(self->port);
     Py_VISIT(self->send_m);
@@ -4355,8 +4234,6 @@ hk_clear(HostKernelObject *self)
     Py_CLEAR(self->host);
     Py_CLEAR(self->engine);
     Py_CLEAR(self->nicqueue);
-    Py_CLEAR(self->nq_append);
-    Py_CLEAR(self->nq_popleft);
     Py_CLEAR(self->endpoints);
     Py_CLEAR(self->port);
     Py_CLEAR(self->send_m);
@@ -4392,43 +4269,20 @@ hk_init(HostKernelObject *self, PyObject *args, PyObject *kwargs)
     Py_INCREF(host);
     Py_XSETREF(self->host, host);
 
-    PyObject *nic = PyObject_GetAttr(host, s_nic);
-    if (nic == NULL)
+    PyObject *nic = PyObject_GetAttr(host, s_nic), *m;
+    int bound = nic != NULL && bind_attr(&self->nicqueue, nic, s_queue_attr) == 0 &&
+                bind_attr(&self->endpoints, host, s_endpoints) == 0 &&
+                bind_attr(&self->port, host, s_port_attr) == 0 &&
+                dict_attrs(Py_TYPE(host), s_send_attr, s_receive, s_poll, NULL) == 0;
+    Py_XDECREF(nic);
+    if (!bound)
         return -1;
-    PyObject *q = PyObject_GetAttr(nic, s_queue_attr);
-    Py_DECREF(nic);
-    if (q == NULL)
-        return -1;
-    Py_XSETREF(self->nicqueue, q);
-    PyObject *m = PyObject_GetAttr(q, s_append);
-    if (m == NULL)
-        return -1;
-    Py_XSETREF(self->nq_append, m);
-    m = PyObject_GetAttr(q, s_popleft);
-    if (m == NULL)
-        return -1;
-    Py_XSETREF(self->nq_popleft, m);
-
-    PyObject *eps = PyObject_GetAttr(host, s_endpoints);
-    if (eps == NULL)
-        return -1;
-    if (!PyDict_CheckExact(eps)) {
-        Py_DECREF(eps);
-        PyErr_SetString(PyExc_TypeError, "host.endpoints must be a dict");
+    if (!Py_IS_TYPE(self->nicqueue, DequeCls) || !PyDict_CheckExact(self->endpoints) ||
+        !PyObject_TypeCheck(self->port, (PyTypeObject *)PortCls)) {
+        PyErr_SetString(PyExc_TypeError, "HostKernel requires a deque NIC queue, "
+                        "a dict of endpoints and an attached Port");
         return -1;
     }
-    Py_XSETREF(self->endpoints, eps);
-
-    PyObject *port = PyObject_GetAttr(host, s_port_attr);
-    if (port == NULL)
-        return -1;
-    if (!PyObject_TypeCheck(port, (PyTypeObject *)PortCls)) {
-        Py_DECREF(port);
-        PyErr_SetString(PyExc_TypeError,
-                        "HostKernel requires a host with an attached Port");
-        return -1;
-    }
-    Py_XSETREF(self->port, port);
 
     if ((m = km_new_internal((PyObject *)self, KM_HOST_SEND,
                              "HostKernel.send")) == NULL)
@@ -4487,82 +4341,40 @@ mod_set_attribution(PyObject *Py_UNUSED(module), PyObject *arg)
 
 /* Pool-aware Packet allocator, mirroring repro.net.packet.alloc_packet.
  *
- * The fast path handles exactly the call shapes the transports use:
- * positional (flow_id, src, dst, kind, [seq, [payload, [ack, [size]]]])
- * plus any of seq/payload/ack/size by keyword. Anything else — unknown
- * keyword, non-PacketKind kind when the size must be derived, oversized
- * payload — defers to the original Python function, which also remains
- * the source of truth for error messages (duplicate arguments etc.). */
+ * The fast path handles the call shape the transports use, positional
+ * (flow_id, src, dst, kind, [seq, [payload, [ack]]]). Anything else --
+ * keywords, a size, a non-PacketKind kind, an oversized payload -- goes
+ * to the original Python function, which also remains the source of
+ * truth for error messages. */
 static PyObject *
 mod_alloc_packet(PyObject *Py_UNUSED(module), PyObject *const *args,
                  Py_ssize_t nargs, PyObject *kwnames)
 {
-    PyObject *a[8];
-    Py_ssize_t i;
-
-    if (nargs < 4 || nargs > 8)
+    PyObject *a[7] = {NULL, NULL, NULL, NULL, LLZero, LLZero, LLZero};  /* seq, payload, ack */
+    long long payload;
+    if (nargs < 4 || nargs > 7 || kwnames != NULL || Py_TYPE(args[3]) != Py_TYPE(KindDATAObj))
         return PyObject_Vectorcall(AllocPacketPy, args, nargs, kwnames);
-    a[4] = LLZero;      /* seq */
-    a[5] = LLZero;      /* payload */
-    a[6] = LLZero;      /* ack */
-    a[7] = NULL;        /* size=None */
-    for (i = 0; i < nargs; i++)
+    for (Py_ssize_t i = 0; i < nargs; i++)
         a[i] = args[i];
-    if (kwnames != NULL) {
-        Py_ssize_t nkw = PyTuple_GET_SIZE(kwnames);
-        for (i = 0; i < nkw; i++) {
-            PyObject *name = PyTuple_GET_ITEM(kwnames, i);
-            Py_ssize_t pos;
-            if (name == s_kw_seq)
-                pos = 4;
-            else if (name == s_kw_payload)
-                pos = 5;
-            else if (name == s_kw_ack)
-                pos = 6;
-            else if (name == s_kw_size)
-                pos = 7;
-            else  /* unknown or non-interned keyword */
-                return PyObject_Vectorcall(AllocPacketPy, args, nargs, kwnames);
-            if (pos < nargs)  /* duplicates a positional: let Python raise */
-                return PyObject_Vectorcall(AllocPacketPy, args, nargs, kwnames);
-            a[pos] = args[nargs + i];
-        }
-    }
 
-    /* Resolve the wire size exactly as Packet.__init__ does. Identity
-     * checks against the cached PacketKind members are sound because
-     * enum members are singletons; any other kind type falls back. */
+    /* The wire size, as Packet.__init__ derives it (enum members are
+     * singletons). */
     PyObject *size;
-    int size_owned = 0;
-    if (a[7] != NULL && a[7] != Py_None) {
-        size = a[7];
-    } else {
-        PyObject *kind = a[3];
-        if (Py_TYPE(kind) != Py_TYPE(KindDATAObj))
+    if (a[3] == KindDATAObj) {
+        if (!ll_read_fast(a[5], &payload))
             return PyObject_Vectorcall(AllocPacketPy, args, nargs, kwnames);
-        if (kind == KindDATAObj) {
-            long long payload;
-            if (!ll_read_fast(a[5], &payload))
-                return PyObject_Vectorcall(AllocPacketPy, args, nargs, kwnames);
-            size = PyLong_FromLongLong(payload + HeaderBytesLL);
-            if (size == NULL)
-                return NULL;
-            size_owned = 1;
-        } else if (kind == KindCNPObj) {
-            size = CnpBytesObj;
-        } else {
-            size = AckBytesObj;
-        }
-    }
+        if ((size = PyLong_FromLongLong(payload + HeaderBytesLL)) == NULL)
+            return NULL;
+    } else
+        size = Py_NewRef(a[3] == KindCNPObj ? CnpBytesObj : AckBytesObj);
 
     Py_ssize_t n = PyList_GET_SIZE(PacketPool);
-    if (n > 0) {
-        PyObject *pkt = PyList_GET_ITEM(PacketPool, n - 1);
-        if (Py_TYPE(pkt) != (PyTypeObject *)PacketCls) {
-            if (size_owned)
-                Py_DECREF(size);
-            return PyObject_Vectorcall(AllocPacketPy, args, nargs, kwnames);
-        }
+    PyObject *pkt = n > 0 ? PyList_GET_ITEM(PacketPool, n - 1) : NULL;
+    if (pkt != NULL && Py_TYPE(pkt) != (PyTypeObject *)PacketCls) {
+        Py_DECREF(size);
+        return PyObject_Vectorcall(AllocPacketPy, args, nargs, kwnames);
+    }
+    if (pkt != NULL) {
         /* Steal the tail reference (list keeps its allocation). */
         Py_SET_SIZE(PacketPool, n - 1);
         slot_store_obj(pkt, K_flow_id, a[0]);
@@ -4586,20 +4398,13 @@ mod_alloc_packet(PyObject *Py_UNUSED(module), PyObject *const *args,
         slot_store_obj(pkt, K_int_records, Py_None);
         slot_store_obj(pkt, K_int_echo, Py_None);
         slot_store_obj(pkt, K_pooled, Py_False);
-        if (size_owned)
-            Py_DECREF(size);
-        return pkt;
+    } else {
+        /* Pool miss: a fresh Packet, the size passed so that __init__
+         * skips deriving it. */
+        PyObject *stack[8] = {a[0], a[1], a[2], a[3], a[4], a[5], a[6], size};
+        pkt = PyObject_Vectorcall(PacketCls, stack, 8, NULL);
     }
-
-    /* Pool miss: fresh Packet, size passed through so __init__ skips
-     * re-deriving it. a[] is already in constructor positional order. */
-    PyObject *stack[8];
-    for (i = 0; i < 7; i++)
-        stack[i] = a[i];
-    stack[7] = size;
-    PyObject *pkt = PyObject_Vectorcall(PacketCls, stack, 8, NULL);
-    if (size_owned)
-        Py_DECREF(size);
+    Py_DECREF(size);
     return pkt;
 }
 
@@ -4674,8 +4479,10 @@ PyInit__ckernel(void)
         return NULL;
     if ((IntRecordCls = import_attr("repro.net.packet", "IntRecord")) == NULL)
         return NULL;
-    if ((PacketModule = PyImport_ImportModule("repro.net.packet")) == NULL)
+    PyObject *PacketModule = PyImport_ImportModule("repro.net.packet");
+    if (PacketModule == NULL)
         return NULL;
+    PacketModuleDict = Py_NewRef(PyModule_GetDict(PacketModule));
     if ((PacketPool = PyObject_GetAttrString(PacketModule, "_POOL")) == NULL)
         return NULL;
     if (!PyList_CheckExact(PacketPool)) {
@@ -4688,7 +4495,6 @@ PyInit__ckernel(void)
         PyErr_SetString(PyExc_TypeError, "repro.net.link.Port must be a class");
         return NULL;
     }
-    INTERN(s_appendleft, "appendleft");
     if ((PortDrainFn = PyObject_GetAttrString(PortCls, "_drain")) == NULL)
         return NULL;
     if ((FibCls = import_attr("repro.net.routing", "Fib")) == NULL ||
@@ -4718,8 +4524,6 @@ PyInit__ckernel(void)
     INTERN(s_receive, "receive");
     INTERN(s_receive_pause, "receive_pause");
     INTERN(s_poll, "poll");
-    INTERN(s_append, "append");
-    INTERN(s_popleft, "popleft");
     INTERN(s_port_queues, "_port_queues");
     INTERN(s_rr, "_rr");
     INTERN(s_ecn, "ecn");
@@ -4755,10 +4559,6 @@ PyInit__ckernel(void)
     INTERN(s_dynamic_str, "dynamic");
     INTERN(s_receive_name, "_receive");
     INTERN(s_poll_name, "_poll");
-    INTERN(s_kw_seq, "seq");
-    INTERN(s_kw_payload, "payload");
-    INTERN(s_kw_ack, "ack");
-    INTERN(s_kw_size, "size");
     INTERN(s_tlt_rx, "tlt_rx");
     INTERN(s_done, "done");
     INTERN(s_spec, "spec");
@@ -4771,6 +4571,7 @@ PyInit__ckernel(void)
     INTERN(s_flow_id_attr, "flow_id");
     INTERN(s_host_attr, "host");
     INTERN(s_send_attr, "send");
+    INTERN(s_switch_id, "switch_id");
 #define X(n) INTERN(sn_##n, #n);
     SENDER_NAMES(X)
 #undef X
@@ -4987,6 +4788,21 @@ PyInit__ckernel(void)
         return NULL;
     TransportBaseDict = Py_NewRef(PyModule_GetDict(cls));
     Py_DECREF(cls);
+    /* Deque methods, and the classes whose instances the kernels read
+     * through their dicts (dict_attrs). */
+    if ((DequeAppend = PyObject_GetAttrString((PyObject *)DequeCls, "append")) == NULL ||
+        (DequePopleft = PyObject_GetAttrString((PyObject *)DequeCls, "popleft")) == NULL ||
+        (DequeAppendleft = PyObject_GetAttrString((PyObject *)DequeCls, "appendleft")) == NULL ||
+        (FlowSpecCls = (PyTypeObject *)import_attr("repro.transport.base", "FlowSpec")) == NULL ||
+        (TransportConfigCls = (PyTypeObject *)import_attr("repro.transport.base",
+                                                          "TransportConfig")) == NULL ||
+        dict_attrs(FlowSpecCls, s_flow_id_attr, s_src_attr, s_dst_attr, s_size_attr,
+                   sn_on_complete_rx, NULL) < 0 ||
+        dict_attrs(TransportConfigCls, s_ecn, s_traffic_class, s_plain_color, sn_dupack_threshold,
+                   sn_base_rtt_ns, sn_tlp_enabled, sn_handshake, NULL) < 0 ||
+        dict_attrs(TltWindowSenderCls, s_state, sn_sender, s_stats, NULL) < 0 ||
+        dict_attrs((PyTypeObject *)TltWindowReceiverCls, s_state, NULL) < 0)
+        return NULL;
 
     /* Collaborators for the switch's open-coded drop. */
     static const char *const drop_names[2][3] = {

@@ -28,7 +28,7 @@ never red-dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 from repro.net.link import Port
@@ -44,9 +44,13 @@ from repro.switchsim.policy import make_policy
 from repro.switchsim.queue import EgressQueue
 
 
-@dataclass
+@dataclass(frozen=True)
 class SwitchConfig:
     """Per-switch configuration.
+
+    Frozen: the compiled switch kernel binds its fields when it is built,
+    so a switch's config changes only through :meth:`Switch.reconfigure`,
+    which replaces it and builds the kernel anew.
 
     One ``SwitchConfig`` instance is typically shared by every switch
     of a topology, so anything holding per-switch *state* must be a
@@ -88,6 +92,12 @@ class SwitchConfig:
     admission: Optional[object] = None
     #: Path-selection spec (see repro.net.routing.make_fib).
     path_selection: Optional[object] = None
+
+
+#: The SwitchConfig fields Switch.reconfigure may change: the ones the data
+#: path reads per packet. The others were consumed at construction.
+RECONFIGURABLE = frozenset({"color_threshold_bytes", "color_classes", "num_traffic_classes",
+                            "int_enabled"})
 
 
 class Switch(Device):
@@ -166,6 +176,31 @@ class Switch(Device):
 
     def queue_for(self, port_no: int, tclass: int = 0) -> EgressQueue:
         return self._port_queues[port_no][tclass]
+
+    def reconfigure(self, **changes) -> None:
+        """Give this switch ``dataclasses.replace(self.config, **changes)``
+        before it carries traffic (§5.3's incremental deployment sets
+        traffic classes and color-aware classes this way).
+
+        Only :data:`RECONFIGURABLE` fields may change. The egress queues
+        are rebuilt empty, ``num_traffic_classes`` per port, and a compiled
+        kernel, which binds the config's fields, is built anew. Other
+        switches sharing the old config keep it.
+        """
+        fixed = sorted(set(changes) - RECONFIGURABLE)
+        if fixed:
+            raise ValueError(f"SwitchConfig fields {fixed} are fixed at construction")
+        if self.buffer.used:
+            raise RuntimeError(f"{self.name}: cannot reconfigure with packets queued")
+        self.config = self.policy.config = replace(self.config, **changes)
+        self._port_queues = [
+            [EgressQueue(port.port_no) for _ in range(self.config.num_traffic_classes)]
+            for port in self.ports
+        ]
+        self._rr = [0] * len(self.ports)
+        if self._kernel is not None:
+            self._kernel = type(self._kernel)(self)
+            self._bind_data_path()
 
     def set_auditor(self, auditor) -> None:
         """Attach (or detach, with ``None``) the runtime auditor.

@@ -482,8 +482,7 @@ class ByteStreamSender(ReliableSender):
         """Important ACK-clocking, 1-byte flavor: resend the first
         unacked byte (minimal footprint, §5.1)."""
         packet = alloc_packet(
-            self.spec.flow_id, self.spec.src, self.spec.dst, PacketKind.DATA,
-            seq=self.snd_una, payload=1,
+            self.spec.flow_id, self.spec.src, self.spec.dst, PacketKind.DATA, self.snd_una, 1
         )
         packet.ecn_capable = self.config.ecn
         packet.ts_sent = self.engine.now

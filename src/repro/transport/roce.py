@@ -443,7 +443,7 @@ class RoceReceiver:
 
     def _make_ack(self, data_packet: Packet, ack_psn: int) -> Packet:
         ack = alloc_packet(
-            self.spec.flow_id, self.spec.dst, self.spec.src, PacketKind.ACK, ack=ack_psn
+            self.spec.flow_id, self.spec.dst, self.spec.src, PacketKind.ACK, 0, 0, ack_psn
         )
         ack.ts_echo = data_packet.ts_sent
         ack.tclass = self.config.traffic_class
@@ -463,7 +463,7 @@ class RoceReceiver:
 
     def _send_nack(self, expected: int) -> None:
         nack = alloc_packet(
-            self.spec.flow_id, self.spec.dst, self.spec.src, PacketKind.NACK, ack=expected
+            self.spec.flow_id, self.spec.dst, self.spec.src, PacketKind.NACK, 0, 0, expected
         )
         nack.color = Color.GREEN
         nack.mark = TltMark.CONTROL

@@ -147,6 +147,27 @@ def test_workload_modules_keep_their_pinned_rows(module):
     assert set(row) - set(PINNED_ROWS[module]) == (CDF_KEYS if module == "fig14" else set())
 
 
+def test_ext_incremental_rows_are_the_same_on_both_backends(monkeypatch):
+    """ext-incremental changes every switch after build through
+    Switch.reconfigure, which builds the compiled kernel anew: its three
+    deployments give the same rows on the compiled kernels as on pure."""
+    from repro.experiments import ext_incremental
+    from repro.sim import backend
+
+    if not backend.compiled_available():
+        pytest.skip("compiled backend not built")
+    monkeypatch.setenv("TLT_AUDIT", "0")  # an auditor would unbind the switch kernels
+    rows = {}
+    for name in ("pure", "compiled"):
+        backend.set_backend(name)
+        try:
+            rows[name] = ext_incremental.run("tiny")
+        finally:
+            backend.set_backend(None)
+    assert rows["compiled"] == rows["pure"]
+    assert len({row["drops_red"] for row in rows["pure"]}) == 3  # three distinct switch setups
+
+
 WORKLOAD_MODULES = ["fig12", "fig13", "fig14", "ext-incremental", "ext-corruption"]
 
 #: Corruption on the testbed's one switch, for the three star modules.

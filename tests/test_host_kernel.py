@@ -42,7 +42,7 @@ from repro.transport.base import (
 )
 from repro.transport.dctcp import DctcpReceiver, DctcpSender
 from repro.transport.registry import resolve_config
-from repro.transport.reliable import Entry
+from repro.transport.reliable import Entry, ReliableSender
 from repro.transport.rto import RtoEstimator
 from tests.test_policy import _parity_net, _switch_counters
 from tests.util import DropFilter, small_star
@@ -335,6 +335,20 @@ def test_class_patched_mid_run_gets_python(monkeypatch):
                         lambda self: seen.append(self.snd_una) or original(self))
     assert python_calls(SENDER_ON_PACKET, lambda: world.ack(2 * MSS)) == 1
     assert seen == [2 * MSS]
+    monkeypatch.undo()
+    assert python_calls(SENDER_ON_PACKET, lambda: world.ack(3 * MSS)) == 0
+
+
+def test_base_class_patched_mid_run_gets_python(monkeypatch):
+    """The kernel keeps its verdict on a sender class while the class's
+    version tag holds. Patching ReliableSender, two classes above the
+    sender's, clears the tag of every class below it: the next ACK is
+    Python's, and the one after the undo is C's again."""
+    world = World("compiled", True)
+    assert python_calls(SENDER_ON_PACKET, lambda: (world.ack(MSS), world.ack(MSS))) == 0
+    original = ReliableSender._detect_losses
+    monkeypatch.setattr(ReliableSender, "_detect_losses", lambda self: original(self))
+    assert python_calls(SENDER_ON_PACKET, lambda: world.ack(2 * MSS)) == 1
     monkeypatch.undo()
     assert python_calls(SENDER_ON_PACKET, lambda: world.ack(3 * MSS)) == 0
 

@@ -13,6 +13,7 @@ from repro.audit import Auditor
 from repro.faults import FaultInjector
 from repro.net.node import Interceptor
 from repro.net.packet import Packet, PacketKind
+from repro.transport.base import FlowSpec, TransportConfig
 from tests.util import PacketTap, run_flow, small_star
 
 
@@ -214,3 +215,44 @@ def test_in_flight_packet_hits_interceptor_installed_after_send():
     switch.add_interceptor(sink)  # installed AFTER the send
     net.engine.run(until=1_000_000)
     assert sink.eaten == 1
+
+
+
+def _tap_host_mid_flight(name):
+    """Start a flow 0 -> 1, tap host 1 while frames are on the wire toward
+    it, and run to the end: the frames in flight at the tap, and what the
+    tap saw."""
+    from repro.sim import backend
+    from repro.transport.registry import create_flow
+
+    backend.set_backend(name)
+    try:
+        net = small_star()
+    finally:
+        backend.set_backend(None)
+    receiver = net.hosts[1]
+    wire = receiver.port.peer._inflight  # switch -> host 1
+    spec = FlowSpec(flow_id=net.new_flow_id(), src=0, dst=1, size=40_000, group="fg")
+    create_flow("dctcp", net, spec, TransportConfig(base_rtt_ns=4_000), None)
+    while not wire:
+        net.engine.step()
+    in_flight = [(frame[3].kind, frame[3].seq) for frame in wire]
+    seen = []
+    PacketTap(receiver, lambda packet: seen.append((packet.kind, packet.seq)))
+    net.engine.run()
+    assert net.stats.flows[spec.flow_id].fct_ns is not None
+    return in_flight, seen
+
+
+def test_interceptor_installed_on_a_host_mid_flight_sees_the_frames_in_flight():
+    """The compiled port kernel reads ``owner.receive`` from the host's own
+    attributes at every delivery, as ``Port._drain`` does: frames already
+    on the wire toward a host when an interceptor is installed on it pass
+    through the interceptor, on both backends alike."""
+    from repro.sim import backend
+
+    if not backend.compiled_available():
+        pytest.skip("compiled backend not built")
+    in_flight, seen = _tap_host_mid_flight("compiled")
+    assert in_flight and seen[:len(in_flight)] == in_flight
+    assert (in_flight, seen) == _tap_host_mid_flight("pure")

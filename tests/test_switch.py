@@ -1,7 +1,12 @@
 """Tests for the switch: admission, color-aware dropping, ECN, INT."""
 
+import dataclasses
+
+import pytest
+
 from repro.net.packet import Color, Packet, PacketKind
 from repro.net.topology import star, TopologyParams
+from repro.sim import backend
 from repro.sim.units import GBPS
 from repro.switchsim.ecn import StepEcn
 from repro.switchsim.switch import SwitchConfig
@@ -141,3 +146,55 @@ def test_max_queue_occupancy_tracked():
         net.host(0).send(_data(9, 0, 2, seq=i))
     net.engine.run()
     assert net.switches[0].max_queue_occupancy() > 0
+
+
+def test_switch_config_is_frozen():
+    """The compiled kernel binds the config's fields when it is built:
+    nothing may change them behind it."""
+    switch = make_star(color_threshold_bytes=3_000).switches[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        switch.config.color_threshold_bytes = None
+
+
+def _red_burst(net):
+    """Twenty red packets from two hosts into one egress."""
+    for i in range(10):
+        net.host(0).send(_data(9, 0, 2, color=Color.RED, seq=i))
+        net.host(1).send(_data(8, 1, 2, color=Color.RED, seq=i))
+    net.engine.run()
+    return net.stats.drops_red
+
+
+@pytest.mark.parametrize("name", ["pure", "compiled"])
+def test_reconfigure_gives_one_switch_a_new_config_queues_and_kernel(name):
+    if name == "compiled" and not backend.compiled_available():
+        pytest.skip("compiled backend not built")
+    backend.set_backend(name)
+    try:
+        net = make_star(buffer_bytes=100_000, color_threshold_bytes=3_000)
+    finally:
+        backend.set_backend(None)
+    switch = net.switches[0]
+    shared, kernel = switch.config, switch._kernel
+    assert (kernel is not None) == (name == "compiled")
+    switch.reconfigure(color_threshold_bytes=None, num_traffic_classes=2)
+    assert shared.color_threshold_bytes == 3_000 and switch.config is not shared
+    assert switch.config.color_threshold_bytes is None and switch.policy.config is switch.config
+    assert [len(queues) for queues in switch._port_queues] == [2] * len(switch.ports)
+    if kernel is not None:  # the new kernel is the one bound, and reads the new K
+        assert switch._kernel is not kernel and switch.receive == switch._kernel.receive
+    assert _red_burst(net) == 0
+    with pytest.raises(ValueError, match="buffer_bytes"):
+        switch.reconfigure(buffer_bytes=1)
+
+
+def test_reconfigure_refuses_a_switch_with_packets_queued():
+    net = make_star(buffer_bytes=100_000)
+    switch = net.switches[0]
+    switch.ports[2].busy = True  # block egress so the packets stay queued
+    net.host(0).send(_data(9, 0, 2))
+    net.host(1).send(_data(8, 1, 2))
+    net.engine.run()
+    assert switch.buffer.used
+    with pytest.raises(RuntimeError, match="queued"):
+        switch.reconfigure(color_threshold_bytes=None)
