@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence
 
 from repro.experiments.common import at_most, pick, resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig, ScenarioResult
-from repro.sim.units import MICROS
+from repro.experiments.schemes import RTO_200US
 from repro.stats.percentile import percentiles
 
 PERCENTILES = (10, 25, 50, 75, 90, 99)
@@ -49,7 +49,7 @@ def run(scale="small", seeds: Sequence[int] = (1,)) -> List[Dict]:
     config = ScenarioConfig(
         transport="dctcp",
         scale=resolve_scale(scale),
-        rto_min_ns=200 * MICROS,
+        recovery=RTO_200US,
     )
     [averaged] = run_grid([config], seeds, cdf_metrics)
     rows: Dict[tuple, Dict] = {}

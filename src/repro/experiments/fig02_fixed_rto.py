@@ -24,7 +24,7 @@ def run(scale="small", seeds: Sequence[int] = (1,)) -> List[Dict]:
     base = ScenarioConfig(transport="dctcp", scale=resolve_scale(scale), fg_share=0.15)
     variants = {
         "baseline_4ms": base,
-        "fixed_160us": replace(base, fixed_rto_ns=160 * MICROS),
+        "fixed_160us": replace(base, recovery={"name": "fixed-rto", "rto_ns": 160 * MICROS}),
     }
     rows = run_grid(list(variants.values()), seeds)
     for row, name in zip(rows, variants):

@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence
 
 from repro.experiments.common import all_zero, at_most, pick, resolve_scale, run_grid
 from repro.experiments.scenarios import ScenarioConfig
-from repro.sim.units import MICROS
+from repro.experiments.schemes import RTO_200US
 
 COLUMNS = ["transport", "scheme", "timeouts_per_1k", "pause_per_1k",
            "pause_fraction", "important_loss_rate"]
@@ -29,8 +29,8 @@ def run(scale="small", seeds: Sequence[int] = (1,), transports=("dctcp", "tcp"))
         base = ScenarioConfig(transport=transport, scale=scale)
         variants = {
             "baseline": base,  # timeout panel (a)
-            "tlp": replace(base, tlp=True),
-            "rto200us": replace(base, rto_min_ns=200 * MICROS),
+            "tlp": replace(base, recovery="tlp"),
+            "rto200us": replace(base, recovery=RTO_200US),
             "tlt": replace(base, tlt=True),
             "pfc": replace(base, pfc=True),  # pause panels (b), (c)
             "tlt+pfc": replace(base, tlt=True, pfc=True),

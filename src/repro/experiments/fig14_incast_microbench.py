@@ -16,8 +16,9 @@ from repro.apps.kvstore import KvClient, KvServer
 from repro.apps.rpc import RpcNode
 from repro.experiments.common import all_zero, at_most, pick, run_grid, vs
 from repro.experiments.scenarios import ScenarioConfig, ScenarioResult, endpoint_settings
+from repro.experiments.schemes import RTO_200US
 from repro.experiments.testbed import paper_testbed
-from repro.sim.units import MICROS, MILLIS
+from repro.sim.units import MILLIS
 from repro.stats.percentile import percentile, percentiles
 
 DEFAULT_FLOW_COUNTS = (8, 16, 40, 80, 100, 120, 160)
@@ -63,7 +64,7 @@ class IncastGets:
 def scheme_config(transport: str, scheme: str) -> ScenarioConfig:
     """The testbed config of one ``transport`` × ``scheme`` point."""
     return paper_testbed(NUM_SERVERS + 1, transport=transport, tlt=scheme == "tlt",
-                         rto_min_ns=200 * MICROS if scheme == "rto200us" else 4 * MILLIS)
+                         recovery=RTO_200US if scheme == "rto200us" else None)
 
 
 def incast_metrics(result: ScenarioResult) -> Dict:

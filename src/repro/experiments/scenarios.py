@@ -48,6 +48,7 @@ from repro.switchsim.ecn import RedEcn, StepEcn
 from repro.switchsim.pfc import PfcConfig
 from repro.switchsim.switch import SwitchConfig
 from repro.transport.base import FlowSpec, TransportConfig
+from repro.transport.recovery import resolve_recovery
 from repro.transport.registry import create_flow, resolve_config
 from repro.experiments.scale import SMALL, Scale
 from repro.workload.background import BackgroundTraffic
@@ -134,11 +135,9 @@ class ScenarioConfig:
     dcqcn_kmax: int = 200 * KB
     dcqcn_pmax: float = 0.01
 
-    # Transport.
-    rto_min_ns: int = 4 * MILLIS
-    fixed_rto_ns: Optional[int] = None
-    tlp: bool = False
-    transport_overrides: Dict = field(default_factory=dict)
+    #: Host loss-recovery spec of every flow (:mod:`repro.transport.recovery`;
+    #: ``None`` = the transport's default RTO). Folded into cache keys.
+    recovery: Optional[object] = None
 
     # Workload.
     workload: str = "web_search"
@@ -349,20 +348,8 @@ def build_network(config: ScenarioConfig) -> Network:
 
 
 def make_transport_config(config: ScenarioConfig) -> TransportConfig:
-    if config.family == "roce" and (config.tlp or config.fixed_rto_ns is not None):
-        # The PSN senders run their variant's own fixed RTO and no TLP.
-        field = "tlp" if config.tlp else "fixed_rto_ns"
-        raise ValueError(f"ScenarioConfig.{field}={getattr(config, field)!r} has no effect on "
-                         f"the roce family ({config.transport!r}): it is tcp-family only")
-    tconfig = TransportConfig(
-        rto_min_ns=config.rto_min_ns,
-        fixed_rto_ns=config.fixed_rto_ns,
-        tlp_enabled=config.tlp,
-        base_rtt_ns=config.base_rtt_ns,
-        link_rate_bps=config.link_rate_bps,
-    )
-    if config.transport_overrides:
-        tconfig = replace(tconfig, **config.transport_overrides)
+    tconfig = TransportConfig(recovery=resolve_recovery(config.recovery, config.transport),
+                              base_rtt_ns=config.base_rtt_ns, link_rate_bps=config.link_rate_bps)
     return resolve_config(config.transport, tconfig)
 
 

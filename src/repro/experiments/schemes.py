@@ -9,14 +9,17 @@ from repro.core.config import TltConfig
 from repro.experiments.scenarios import ScenarioConfig
 from repro.sim.units import MICROS
 
+#: The reduced-RTO_min scheme of Figs 1, 5, 7 and 14.
+RTO_200US = {"name": "rto", "min_ns": 200 * MICROS}
+
 
 def tcp_schemes(base: ScenarioConfig) -> Dict[str, ScenarioConfig]:
     """The paper's loss-recovery variants for TCP/DCTCP (Fig 5)."""
     return {
         "baseline": base,
         "baseline+pfc": replace(base, pfc=True),
-        "tlp": replace(base, tlp=True),
-        "rto200us": replace(base, rto_min_ns=200 * MICROS),
+        "tlp": replace(base, recovery="tlp"),
+        "rto200us": replace(base, recovery=RTO_200US),
         "tlt": replace(base, tlt=True),
         "tlt+pfc": replace(base, tlt=True, pfc=True),
     }

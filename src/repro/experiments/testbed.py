@@ -24,7 +24,7 @@ from repro.sim.units import KB, MICROS
 
 def paper_testbed(hosts: int = 10, **fields) -> ScenarioConfig:
     """``hosts`` servers on the testbed ToR; ``fields`` are the point's own
-    (transport, tlt, seed, rto_min_ns, admission, ...)."""
+    (transport, tlt, seed, recovery, admission, ...)."""
     scale = Scale("testbed", num_spines=0, num_tors=1, hosts_per_tor=hosts,
                   bg_flows=0, incast_events=0, incast_flows_per_sender=0)
     return ScenarioConfig(topology="star", scale=scale, link_delay_ns=2 * MICROS,

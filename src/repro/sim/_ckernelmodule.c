@@ -125,7 +125,7 @@ static PyObject *CoreNames[N_CORE], *CoreFns[N_CORE];
 static PyObject *TltOnAckFn;          /* TltWindowSender.on_ack */
 static PyObject *RtoSampleFn;         /* RtoEstimator.on_rtt_sample */
 static PyObject *ReservoirAddFn;      /* Reservoir.add */
-static PyTypeObject *EntryCls, *RtoEstimatorCls, *FixedRtoCls, *ReservoirCls;
+static PyTypeObject *EntryCls, *RtoEstimatorCls, *ReservoirCls;
 
 /* Send path (c_sender_burst): a second name set, asked where a burst
  * begins. start() is the last one, asked only of a flow's start event. */
@@ -166,9 +166,9 @@ static PyObject *s_kick, *s_flush, *s_add, *s_receive, *s_receive_pause,
     X(_add_delivery_sample) X(_probe_outstanding) X(_rto_deadline)           \
     X(_rto_event) X(_rto_fire) X(_ca_acc) X(on_ack) X(after_ack)             \
     X(cc_on_ack) X(_on_loss_detected) X(_complete) X(try_send)               \
-    X(on_rtt_sample) X(current) X(srtt) X(dupack_threshold) X(base_rtt_ns)   \
+    X(on_rtt_sample) X(current) X(srtt) X(recovery) X(base_rtt_ns)           \
     X(started) X(established) X(record) X(_arm_pto) X(mark_data) X(sender)   \
-    X(tlp_enabled) X(handshake) X(green_data_packets) X(green_data_bytes)    \
+    X(tlp) X(handshake) X(green_data_packets) X(green_data_bytes)            \
     X(red_data_packets) X(red_data_bytes) X(end_rx_ns) X(on_complete_rx) X(flows)
 #define X(n) static PyObject *sn_##n;
 SENDER_NAMES(X)
@@ -3290,15 +3290,14 @@ dict_add(PyObject *d, PyObject *name, long long delta)
     return dict_ll(d, name, &v, 1) ? dict_set_ll(d, name, v + delta) : -1;
 }
 
-/* rto.on_rtt_sample(rtt): RtoEstimator.on_rtt_sample inlined for the two
- * stock estimator types, the call for anything else. */
+/* rto.on_rtt_sample(rtt): RtoEstimator.on_rtt_sample inlined for the
+ * stock estimator, the call for anything else. */
 static int
 c_rtt_sample(PyObject *rto, long long rtt)
 {
     long long srtt, rttvar, granularity, rto_min, base_max;
     PyTypeObject *tp = Py_TYPE(rto);
-    if ((tp != RtoEstimatorCls && tp != FixedRtoCls) ||
-        _PyType_Lookup(tp, sn_on_rtt_sample) != RtoSampleFn ||
+    if (tp != RtoEstimatorCls || _PyType_Lookup(tp, sn_on_rtt_sample) != RtoSampleFn ||
         !slot_fast(rto, T_srtt, &srtt) || !slot_fast(rto, T_rttvar, &rttvar) ||
         !slot_fast(rto, T_granularity, &granularity) ||
         !slot_fast(rto, T_rto_min, &rto_min) || !slot_fast(rto, T_base_max, &base_max)) {
@@ -3312,7 +3311,7 @@ c_rtt_sample(PyObject *rto, long long rtt)
     if (srtt == 0) {
         srtt = rtt;
         rttvar = rtt / 2;
-    } else {  /* C division rounds toward zero, as _div_rtz does */
+    } else {  /* C division rounds toward zero, as on_rtt_sample does */
         long long delta = srtt > rtt ? srtt - rtt : rtt - srtt;
         rttvar += (delta - rttvar) / 4;
         srtt += (rtt - srtt) / 8;
@@ -3332,8 +3331,7 @@ c_rtt_sample(PyObject *rto, long long rtt)
 static int
 rto_ll(PyObject *rto, Py_ssize_t off, PyObject *name, long long *out)
 {
-    PyTypeObject *tp = Py_TYPE(rto);
-    if ((tp == RtoEstimatorCls || tp == FixedRtoCls) && slot_fast(rto, off, out))
+    if (Py_IS_TYPE(rto, RtoEstimatorCls) && slot_fast(rto, off, out))
         return 0;
     return attr_ll(rto, name, out);
 }
@@ -3497,7 +3495,7 @@ sb_on_loss(Scoreboard *sb, PyObject *ep)
 }
 
 /* _detect_losses(), on a freshly loaded scoreboard; `dup_rule` is
- * `self.dupacks >= self.config.dupack_threshold`. */
+ * `self.dupacks >= DUPACK_THRESHOLD` (1). */
 static int
 sb_detect_losses(Scoreboard *sb, PyObject *ep, long long srtt, int dup_rule)
 {
@@ -3651,7 +3649,7 @@ typedef struct {
     PyObject *ep, *own[BO_COUNT];
     PyObject *counters;      /* tlt.stats.__dict__, borrowed from own[BO_STATS] */
     long long cwnd, mss, spec_size, snd_nxt;
-    int tlp;                 /* config.tlp_enabled */
+    int tlp;                 /* config.recovery.tlp */
     /* burst_peek: own[BO_HEAD] (view in `hev`) or `size` bytes of new data */
     EntryView hev;
     long long size;
@@ -3828,8 +3826,10 @@ burst_prepare(HostKernelObject *hk, Burst *b, PyObject *spec, int starting)
     int handshake = starting ? attr_truth(config, sn_handshake) : 0;
     if (handshake)
         return handshake < 0 ? -1 : 0;  /* start() sends the SYN */
-    if ((b->tlp = attr_truth(config, sn_tlp_enabled)) < 0 ||
-        (own[BO_ECN] = field_get(config, s_ecn)) == NULL ||
+    PyObject *recovery = field_get(config, sn_recovery);
+    b->tlp = recovery == NULL ? -1 : attr_truth(recovery, sn_tlp);
+    Py_XDECREF(recovery);
+    if (b->tlp < 0 || (own[BO_ECN] = field_get(config, s_ecn)) == NULL ||
         (own[BO_TCLASS] = field_get(config, s_traffic_class)) == NULL ||
         (own[BO_PLAIN] = field_get(config, s_plain_color)) == NULL ||
         (own[BO_FLOW_ID] = field_get(spec, s_flow_id_attr)) == NULL ||
@@ -4150,15 +4150,13 @@ c_sender_on_packet(HostKernelObject *hk, PyObject *ep, PyObject *packet)
             goto done;
     }
 
-    /* Loss detection: dup-ACK threshold or SACK holes. */
-    long long threshold, size, srtt;
+    /* Loss detection: dup-ACK threshold (DUPACK_THRESHOLD, 1) or SACK holes. */
+    long long size, srtt;
     if (!dict_ll(d, sn_dupacks, &dupacks, 1) ||
-        attr_ll(config, sn_dupack_threshold, &threshold) < 0)
-        goto done;
-    if ((dupacks >= threshold || sacked_bytes) &&
-        (rto_ll(rto, T_srtt, sn_srtt, &srtt) < 0 ||  /* _srtt() */
-         (srtt == 0 && attr_ll(config, sn_base_rtt_ns, &srtt) < 0) ||
-         !sb_load(&sb, d, 1) || sb_detect_losses(&sb, ep, srtt, dupacks >= threshold) < 0))
+        ((dupacks >= 1 || sacked_bytes) &&
+         (rto_ll(rto, T_srtt, sn_srtt, &srtt) < 0 ||  /* _srtt() */
+          (srtt == 0 && attr_ll(config, sn_base_rtt_ns, &srtt) < 0) ||
+          !sb_load(&sb, d, 1) || sb_detect_losses(&sb, ep, srtt, dupacks >= 1) < 0)))
         goto done;
 
     if (!dict_ll(d, sn_snd_una, &snd_una, 1) || attr_ll(spec, s_size_attr, &size) < 0)
@@ -4726,10 +4724,7 @@ PyInit__ckernel(void)
     for (int i = 0; i < EF_COUNT; i++)
         if (resolve_slot(cls, EntryFlagNames[i], &EntryFlagOff[i]) < 0)
             return NULL;
-    if ((cls = import_attr("repro.transport.rto", "FixedRto")) == NULL)
-        return NULL;
-    FixedRtoCls = (PyTypeObject *)cls;
-    if ((cls = import_attr("repro.transport.rto", "RtoEstimator")) == NULL)
+    if ((cls = import_attr("repro.transport.recovery", "RtoEstimator")) == NULL)
         return NULL;
     RtoEstimatorCls = (PyTypeObject *)cls;
     if ((RtoSampleFn = PyObject_GetAttr(cls, sn_on_rtt_sample)) == NULL ||
@@ -4798,8 +4793,8 @@ PyInit__ckernel(void)
                                                           "TransportConfig")) == NULL ||
         dict_attrs(FlowSpecCls, s_flow_id_attr, s_src_attr, s_dst_attr, s_size_attr,
                    sn_on_complete_rx, NULL) < 0 ||
-        dict_attrs(TransportConfigCls, s_ecn, s_traffic_class, s_plain_color, sn_dupack_threshold,
-                   sn_base_rtt_ns, sn_tlp_enabled, sn_handshake, NULL) < 0 ||
+        dict_attrs(TransportConfigCls, s_ecn, s_traffic_class, s_plain_color, sn_recovery,
+                   sn_base_rtt_ns, sn_handshake, NULL) < 0 ||
         dict_attrs(TltWindowSenderCls, s_state, sn_sender, s_stats, NULL) < 0 ||
         dict_attrs((PyTypeObject *)TltWindowReceiverCls, s_state, NULL) < 0)
         return NULL;

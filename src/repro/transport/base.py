@@ -20,10 +20,10 @@ from typing import Callable, List, Optional
 
 from repro.net.node import Host
 from repro.net.packet import Color, Packet, PacketKind, TltMark, alloc_packet
-from repro.sim.units import MICROS, MILLIS
+from repro.sim.units import MICROS
 from repro.stats.collector import FlowRecord, NetStats
+from repro.transport.recovery import DUPACK_THRESHOLD, TLP_PTO_MIN_NS
 from repro.transport.reliable import Entry, ReliableSender
-from repro.transport.rto import FixedRto, RtoEstimator
 from repro.transport.sack import ReceiverBuffer
 
 
@@ -55,14 +55,11 @@ class TransportConfig:
 
     mss: int = 1460
     init_cwnd_segments: int = 10
-    rto_min_ns: int = 4 * MILLIS
-    rto_max_ns: int = 1_000 * MILLIS
-    fixed_rto_ns: Optional[int] = None  # static RTO (e.g. the 160 us strawman)
-    dupack_threshold: int = 1
+    # Loss recovery: a spec (repro.transport.recovery), replaced by the
+    # run's one resolved Recovery in resolve_config.
+    recovery: object = None
     ecn: bool = False  # sender sets ECT, reacts to echoes (DCTCP)
     dctcp_g: float = 1.0 / 16.0
-    tlp_enabled: bool = False
-    tlp_pto_min_ns: int = 10 * MICROS
     # Model the 3-way handshake and FIN teardown. SYN/SYN-ACK/FIN are
     # control packets — always important/green under TLT (§5). Off by
     # default: the paper's benchmarks pre-establish connections.
@@ -99,11 +96,6 @@ class TransportConfig:
     cnp_interval_ns: int = 50 * MICROS
     min_rate_bps: int = 40_000_000
     link_rate_bps: int = 40_000_000_000
-
-    def make_rto(self) -> RtoEstimator:
-        if self.fixed_rto_ns is not None:
-            return FixedRto(self.fixed_rto_ns, self.rto_max_ns)
-        return RtoEstimator(self.rto_min_ns, self.rto_max_ns)
 
 
 class ByteStreamReceiver:
@@ -193,7 +185,7 @@ class ByteStreamSender(ReliableSender):
         stats: NetStats,
     ):
         mss = config.mss
-        super().__init__(host, spec, config, stats, stride=mss, rto=config.make_rto())
+        super().__init__(host, spec, config, stats, stride=mss)
         self.mss = mss
         self.snd_una = 0
         self.snd_nxt = 0
@@ -318,7 +310,7 @@ class ByteStreamSender(ReliableSender):
         self.host.send(packet)
         if self._rto_deadline is None:
             self._restart_rto()
-        if config.tlp_enabled and not self._probe_outstanding:
+        if config.recovery.tlp and not self._probe_outstanding:
             self._arm_pto()
 
     def _is_last_allowed(self) -> bool:
@@ -402,7 +394,7 @@ class ByteStreamSender(ReliableSender):
 
         # Loss detection: dup-ACK threshold (1 = early retransmit) or
         # SACK holes below the highest SACKed sequence.
-        if self.dupacks >= config.dupack_threshold or sacked_bytes:
+        if self.dupacks >= DUPACK_THRESHOLD or sacked_bytes:
             self._detect_losses()
 
         if self.snd_una >= self.spec.size:
@@ -444,7 +436,7 @@ class ByteStreamSender(ReliableSender):
     def _arm_pto(self) -> None:
         """(Re)arm the probe timer; :meth:`_transmit` calls it while
         TLP is on and no probe is outstanding."""
-        pto = max(2 * self._srtt(), self.config.tlp_pto_min_ns)
+        pto = max(2 * self._srtt(), TLP_PTO_MIN_NS)
         pto = min(pto, self.rto.current)
         if self._pto_event is not None:
             self._pto_event.cancel()

@@ -36,11 +36,12 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
+from repro.transport.recovery import DUPACK_THRESHOLD
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Host
     from repro.stats.collector import NetStats
     from repro.transport.base import FlowSpec, TransportConfig
-    from repro.transport.rto import RtoEstimator
 
 
 class Entry:
@@ -102,7 +103,6 @@ class ReliableSender:
         config: "TransportConfig",
         stats: "NetStats",
         stride: int,
-        rto: "RtoEstimator",
     ):
         self.host = host
         self.spec = spec
@@ -132,7 +132,7 @@ class ReliableSender:
         # (= retransmission) order, a pure function of simulation state.
         self._retx_inflight: Dict[Entry, None] = {}
 
-        self.rto = rto
+        self.rto = config.recovery.estimator()  # the run's resolved recovery spec
         self._rto_deadline: Optional[int] = None
         self._rto_event = None
 
@@ -300,7 +300,7 @@ class ReliableSender:
             idx += 1
         self._scan_hint = idx
 
-        if self.dupacks >= self.config.dupack_threshold and head < n:
+        if self.dupacks >= DUPACK_THRESHOLD and head < n:
             entry = entries[head]
             if not (entry.acked or entry.sacked or entry.lost):
                 if entry.retx_count == 0 or entry.last_tx_ns + srtt <= now:

@@ -44,11 +44,12 @@ def test_fingerprint_sees_nested_dataclasses_and_enums():
     assert fingerprint(adaptive, 1) != fingerprint(mtu, 1)
 
 
-def test_fingerprint_sees_transport_overrides_dict():
-    a = config(transport_overrides={"rto_min_ns": 1})
-    b = config(transport_overrides={"rto_min_ns": 2})
+def test_fingerprint_sees_recovery_params():
+    a = config(recovery={"name": "rto", "min_ns": 200_000})
+    b = config(recovery={"name": "rto", "min_ns": 100_000})
     assert fingerprint(a, 1) != fingerprint(b, 1)
-    assert fingerprint(a, 1) == fingerprint(config(transport_overrides={"rto_min_ns": 1}), 1)
+    assert fingerprint(a, 1) == fingerprint(config(recovery={"min_ns": 200_000, "name": "rto"}), 1)
+    assert fingerprint(config(recovery="tlp"), 1) != fingerprint(config(), 1)
 
 
 def test_encode_value_canonicalises():

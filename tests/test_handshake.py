@@ -67,7 +67,7 @@ def test_syn_loss_retransmitted():
     net = small_star()
     drop = DropFilter(net.switches[0])
     drop.drop_once(lambda p: p.kind == PacketKind.SYN)
-    config = hs_config(rto_min_ns=1 * MILLIS)
+    config = hs_config(recovery={"name": "rto", "min_ns": 1 * MILLIS})
     _, _, record = run_flow(net, "tcp", size=5_000, config=config)
     assert record.completed
     assert record.timeouts == 1
@@ -78,7 +78,7 @@ def test_syn_ack_loss_retransmitted():
     net = small_star()
     drop = DropFilter(net.switches[0])
     drop.drop_once(lambda p: p.kind == PacketKind.SYN_ACK)
-    config = hs_config(rto_min_ns=1 * MILLIS)
+    config = hs_config(recovery={"name": "rto", "min_ns": 1 * MILLIS})
     _, _, record = run_flow(net, "tcp", size=5_000, config=config)
     assert record.completed
     assert record.timeouts >= 1
@@ -90,7 +90,7 @@ def test_duplicate_syn_ack_harmless():
     # Drop the first SYN *after* the switch: receiver never sees it.
     # Instead exercise the idempotent path: let both a retransmitted
     # SYN and its duplicate SYN-ACK arrive.
-    config = hs_config(rto_min_ns=1 * MILLIS)
+    config = hs_config(recovery={"name": "rto", "min_ns": 1 * MILLIS})
     sender, receiver, record = run_flow(net, "tcp", size=5_000, config=config)
     # Manually inject an extra (stale) SYN at the receiver.
     from repro.net.packet import Packet

@@ -43,7 +43,7 @@ from repro.transport.base import (
 from repro.transport.dctcp import DctcpReceiver, DctcpSender
 from repro.transport.registry import resolve_config
 from repro.transport.reliable import Entry, ReliableSender
-from repro.transport.rto import RtoEstimator
+from repro.transport.recovery import RtoEstimator
 from tests.test_policy import _parity_net, _switch_counters
 from tests.util import DropFilter, small_star
 
@@ -192,9 +192,9 @@ ack_step = st.tuples(
 )
 
 
-def play_acks(backend_name, tlt, tlp, steps, size=40 * MSS + 7, plain_color=None):
+def play_acks(backend_name, tlt, recovery, steps, size=40 * MSS + 7, plain_color=None):
     world = World(backend_name, tlt, size=size,
-                  config=TransportConfig(tlp_enabled=tlp, plain_color=plain_color))
+                  config=TransportConfig(recovery=recovery, plain_color=plain_color))
     sender = world.sender
     states = [world.sender_state()]
     for dt, shape, distance, blocks, mark, age, ecn in steps:
@@ -221,15 +221,22 @@ def play_acks(backend_name, tlt, tlp, steps, size=40 * MSS + 7, plain_color=None
 SIZES = (1, WINDOW, WINDOW + 1, 40 * MSS + 7, 40 * MSS + 7)
 
 
-@pytest.mark.parametrize("tlt,tlp", [(False, False), (True, False), (False, True), (True, True)])
+#: Every recovery spec the registry has (repro.transport.recovery).
+RECOVERY_SPECS = {"default": None, "tlp": "tlp", "rto200us": {"name": "rto", "min_ns": 200_000},
+                  "fixed160us": {"name": "fixed-rto", "rto_ns": 160_000}}
+
+
+@pytest.mark.parametrize("tlt", [False, True])
+@pytest.mark.parametrize("recovery", list(RECOVERY_SPECS.values()), ids=list(RECOVERY_SPECS))
 @settings(max_examples=150, deadline=None)
 @given(st.lists(ack_step, min_size=1, max_size=40), st.sampled_from(SIZES), st.booleans())
-def test_ack_stream_leaves_the_same_sender_on_both_backends(tlt, tlp, steps, size, red):
-    """State after the start burst (the first entry) and after every ACK.
-    ``red``: a non-TLT flow stamped ``plain_color`` RED (§5.3 legacy traffic)."""
+def test_ack_stream_leaves_the_same_sender_on_both_backends(tlt, recovery, steps, size, red):
+    """State after the start burst (the first entry) and after every ACK,
+    under each recovery spec. ``red``: a non-TLT flow stamped
+    ``plain_color`` RED (§5.3 legacy traffic)."""
     plain_color = Color.RED if red and not tlt else None
-    expected = play_acks("pure", tlt, tlp, steps, size, plain_color)
-    got = play_acks("compiled", tlt, tlp, steps, size, plain_color)
+    expected = play_acks("pure", tlt, recovery, steps, size, plain_color)
+    got = play_acks("compiled", tlt, recovery, steps, size, plain_color)
     for step, (want, have) in enumerate(zip(expected, got)):
         for key in want:
             assert have[key] == want[key], f"after step {step}: {key}"

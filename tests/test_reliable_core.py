@@ -19,7 +19,7 @@ from repro.sim.engine import Engine
 from repro.stats.collector import NetStats
 from repro.transport.base import FlowSpec, TransportConfig
 from repro.transport.reliable import Entry, ReliableSender
-from repro.transport.rto import FixedRto
+from repro.transport.recovery import resolve_recovery
 
 SRTT = 100  # config.base_rtt_ns: the core's SRTT until an RTT sample arrives
 RTO = 1_000
@@ -34,8 +34,9 @@ class Core(ReliableSender):
         engine = Engine()
         host = SimpleNamespace(engine=engine, register_endpoint=lambda flow_id, ep: None)
         spec = FlowSpec(flow_id=1, src=0, dst=1, size=1 << 40)
-        config = TransportConfig(base_rtt_ns=SRTT, dupack_threshold=1)
-        super().__init__(host, spec, config, NetStats(), stride, FixedRto(RTO))
+        recovery = resolve_recovery({"name": "fixed-rto", "rto_ns": RTO}, "tcp")
+        config = TransportConfig(base_rtt_ns=SRTT, recovery=recovery)
+        super().__init__(host, spec, config, NetStats(), stride)
         self.loss_rounds = []
         self.timeouts = 0
         self.transmitted = []

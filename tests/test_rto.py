@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.units import MICROS, MILLIS
-from repro.transport.rto import FixedRto, RtoEstimator
+from repro.transport.recovery import RtoEstimator, resolve_recovery
+
+
+def fixed_rto(rto_ns, **bounds):
+    """A static RTO: the base clamped to ``[rto_ns, rto_ns]``."""
+    return RtoEstimator(rto_ns, base_max=rto_ns, **bounds)
 
 
 def test_first_sample_initializes_srtt_and_rttvar():
@@ -111,16 +116,18 @@ def test_invalid_bounds_rejected():
         RtoEstimator(rto_min=0)
     with pytest.raises(ValueError):
         RtoEstimator(rto_min=10, rto_max=5)
+    with pytest.raises(ValueError):
+        RtoEstimator(rto_min=10, base_max=5)
 
 
 def test_fixed_rto_ignores_samples():
-    rto = FixedRto(160 * MICROS)
+    rto = resolve_recovery({"name": "fixed-rto", "rto_ns": 160 * MICROS}, "dctcp").estimator()
     rto.on_rtt_sample(50 * MILLIS)
     assert rto.base_rto == 160 * MICROS
 
 
 def test_fixed_rto_still_backs_off():
-    rto = FixedRto(160 * MICROS)
+    rto = fixed_rto(160 * MICROS)
     rto.backoff()
     assert rto.current == 320 * MICROS
 
@@ -134,7 +141,7 @@ def test_cached_rto_equals_recomputed_formula(fixed, ops):
     """``base_rto``/``current`` are attributes rewritten where their
     inputs change; after any sample/backoff sequence they must equal
     the formulas they used to be computed from on every read."""
-    rto = (FixedRto(160 * MICROS, rto_max=20 * MILLIS) if fixed
+    rto = (fixed_rto(160 * MICROS, rto_max=20 * MILLIS) if fixed
            else RtoEstimator(rto_min=1 * MILLIS, rto_max=20 * MILLIS))
 
     def recomputed_base():

@@ -4,6 +4,12 @@ part of a run's identity except where the cache key says so.
 The cache key and the telemetry run id are identity: a refactor of how
 run control is read must leave both byte-identical, so they are pinned
 here (captured at e55a876, before ``run_control`` existed).
+
+Re-pinned once, when the four loose recovery fields of
+``ScenarioConfig`` (``rto_min_ns``, ``fixed_rto_ns``, ``tlp``,
+``transport_overrides``) became the one ``recovery`` spec: the key
+encodes the field set, so every key and run id moved together. The
+shards, telemetry and checkpoint keys still equal the plain key.
 """
 
 import ast
@@ -28,28 +34,28 @@ FAULTS = {"events": [{"time_ns": 1_000, "kind": "link_down", "target": "tor0:0"}
 
 #: Shards, telemetry and a checkpoint are how a run is executed or
 #: watched, not what it simulates: they share the plain run's key.
-PLAIN_KEY = "38dc212b241a61a594e2e36d8a1c05811de3c28d2d9628b46ab19bec0fc17a07"
+PLAIN_KEY = "219d0e172665887efa5adac8792e996a601cabae7bd58abe6fa9dc030fbdd1f5"
 
 #: field values -> (Job.cache_key(), _telemetry_run_id()).
 IDENTITY_PINS = {
-    "plain": ({}, PLAIN_KEY, "dctcp_tlt_s3_dc03355b"),
-    "shards": ({"shards": 2}, PLAIN_KEY, "dctcp_tlt_s3_7fed5311"),
+    "plain": ({}, PLAIN_KEY, "dctcp_tlt_s3_5ea857da"),
+    "shards": ({"shards": 2}, PLAIN_KEY, "dctcp_tlt_s3_ed54e40a"),
     "audit": (
         {"audit": True},
-        "efd9f657f792b8824878ba73b88dcb31b8b1cf320abe1e25f30255c77e6ed6fc",
-        "dctcp_tlt_s3_59a934c5",
+        "78f3cfedaa241824d20158d9d21c50bf4344ab665c868048d17f3b1bfb96d958",
+        "dctcp_tlt_s3_90dae87b",
     ),
     "faults": (
         {"faults": FAULTS},
-        "df3d998f58ffd7a6ea651b8a5c53073496c906cfc867e9bf28c858a8a509bf53",
-        "dctcp_tlt_s3_b594ca36",
+        "1cea5551cf0a8cf226ab62e011411806190b80c4778f3447bfee274425d8710f",
+        "dctcp_tlt_s3_8ba5e2b3",
     ),
     "telemetry": (
         {"telemetry": {"out_dir": "/tmp/tele", "interval_ns": 50_000}},
         PLAIN_KEY,
-        "dctcp_tlt_s3_dc03355b",
+        "dctcp_tlt_s3_5ea857da",
     ),
-    "checkpoint": ({"checkpoint": "/tmp/ck"}, PLAIN_KEY, "dctcp_tlt_s3_434e7de1"),
+    "checkpoint": ({"checkpoint": "/tmp/ck"}, PLAIN_KEY, "dctcp_tlt_s3_c87aec31"),
 }
 
 

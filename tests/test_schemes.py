@@ -11,8 +11,8 @@ def test_tcp_schemes_complete_set():
         "baseline", "baseline+pfc", "tlp", "rto200us", "tlt", "tlt+pfc",
     }
     assert schemes["baseline+pfc"].pfc
-    assert schemes["tlp"].tlp
-    assert schemes["rto200us"].rto_min_ns == 200 * MICROS
+    assert schemes["tlp"].recovery == "tlp"
+    assert schemes["rto200us"].recovery == {"name": "rto", "min_ns": 200 * MICROS}
     assert schemes["tlt"].tlt and not schemes["tlt"].pfc
     assert schemes["tlt+pfc"].tlt and schemes["tlt+pfc"].pfc
 
@@ -20,7 +20,7 @@ def test_tcp_schemes_complete_set():
 def test_tcp_schemes_do_not_mutate_base():
     base = ScenarioConfig(transport="tcp")
     tcp_schemes(base)
-    assert not base.pfc and not base.tlt and not base.tlp
+    assert not base.pfc and not base.tlt and base.recovery is None
 
 
 def test_roce_schemes_irn_skips_pfc():

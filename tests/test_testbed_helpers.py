@@ -45,4 +45,4 @@ def test_testbed_transport_settings_rtt():
     assert config.base_rtt_ns == 8_000
     tconfig = make_transport_config(config)
     assert tconfig.base_rtt_ns == 8_000
-    assert tconfig.rto_min_ns == 4_000_000
+    assert tconfig.recovery.rto_ns == 4_000_000 and not tconfig.recovery.fixed

@@ -7,7 +7,7 @@ from tests.util import DropFilter, run_flow, small_star
 
 
 def tlp_config(**kw):
-    kw.setdefault("tlp_enabled", True)
+    kw.setdefault("recovery", "tlp")
     kw.setdefault("base_rtt_ns", 4_000)
     return TransportConfig(**kw)
 
