@@ -1,9 +1,10 @@
 """Protocol tests for rate-based TLT (§5.2, Fig 4)."""
 
 from repro.core.config import TltConfig
-from repro.net.packet import Color, PacketKind, TltMark
+from repro.net.packet import Color, Packet, PacketKind, TltMark
 from repro.sim.units import MILLIS
-from repro.transport.base import TransportConfig
+from repro.transport.base import FlowSpec, TransportConfig
+from repro.transport.registry import create_flow
 
 from tests.util import DropFilter, PacketTap, run_flow, small_star
 
@@ -129,3 +130,27 @@ def test_vanilla_dcqcn_tail_loss_with_tlt_uses_nack_not_timeout():
     assert record.completed
     assert record.timeouts == 0
     assert record.fct_ns < 4 * MILLIS
+
+
+def test_retx_round_starts_at_the_head_the_dup_ack_rule_marks_after_sack_holes():
+    """§5's first/last-packet rule: a fast-retransmit round whose head is
+    marked by the dup-ACK rule after the SACK holes of the same pass
+    starts at that head, not at the first hole."""
+    net = small_star()
+    DropFilter(net.switches[0]).add(lambda packet: True)  # no ACK comes back
+    spec = FlowSpec(flow_id=net.new_flow_id(), src=0, dst=1, size=100_000)
+    sender, _ = create_flow("dcqcn-sack", net, spec, cfg(), TltConfig())
+    net.engine.run(until=2_000)  # PSNs 0..8 are out
+    sender._transmit(sender.entries[0])  # the head goes out again ...
+    net.engine.run(until=net.engine.now + 5_000)  # ... and ages past SRTT
+    rounds = []
+    on_retx_round = sender.tlt_rate.on_retx_round
+    sender.tlt_rate.on_retx_round = lambda first, last: (
+        rounds.append((first, last)), on_retx_round(first, last))
+    # A duplicate ACK SACKing PSNs 3-4: PSNs 1 and 2 are holes (rule 1),
+    # the aged head PSN 0 falls to the dup-ACK rule (rule 2).
+    ack = Packet(spec.flow_id, 1, 0, PacketKind.ACK, 0, 0, 0)
+    ack.sack = ((3, 5),)
+    sender.on_packet(ack)
+    assert [entry.start for entry in sender.lost_queue] == [1, 2, 0]
+    assert rounds == [(0, 2)]
