@@ -24,6 +24,12 @@ from repro.net.packet import Color, Packet, TltMark
 from repro.stats.collector import NetStats
 
 
+# Per-packet constants as module globals (no enum attribute lookups).
+_IMPORTANT_DATA = TltMark.IMPORTANT_DATA
+_GREEN = Color.GREEN
+_RED = Color.RED
+
+
 class TltRateSender:
     """Sender-side rate-based TLT controller."""
 
@@ -34,24 +40,24 @@ class TltRateSender:
         self.round_edges: Set[int] = set()
         sender.tlt_rate = self
 
-    def mark_data(self, packet: Packet, psn: int, is_retx: bool) -> None:
+    def mark_data(self, packet: Packet, psn: int) -> None:
         """Decide the mark for an outgoing data packet."""
         periodic_n = self.config.periodic_n
         if psn == self.sender.npkts - 1:
-            packet.mark = TltMark.IMPORTANT_DATA  # last packet of the message
+            packet.mark = _IMPORTANT_DATA  # last packet of the message
         elif psn in self.round_edges:
-            packet.mark = TltMark.IMPORTANT_DATA  # edge of a retransmission round
+            packet.mark = _IMPORTANT_DATA  # edge of a retransmission round
             self.round_edges.discard(psn)
         elif periodic_n and (psn + 1) % periodic_n == 0:
-            packet.mark = TltMark.IMPORTANT_DATA  # periodic marking for long flows
+            packet.mark = _IMPORTANT_DATA  # periodic marking for long flows
         # apply_acl, open-coded: once per data transmission.
         stats = self.stats
         if packet.mark in _GREEN_MARKS:
-            packet.color = Color.GREEN
+            packet.color = _GREEN
             stats.green_data_packets += 1
             stats.green_data_bytes += packet.payload
         else:
-            packet.color = Color.RED
+            packet.color = _RED
             stats.red_data_packets += 1
             stats.red_data_bytes += packet.payload
 
