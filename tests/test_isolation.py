@@ -1,12 +1,14 @@
 """Tests for traffic-class isolation (incremental deployment, §5.3)."""
 
+import random
 
 from repro.core.config import TltConfig
 from repro.net.packet import Color, Packet, PacketKind
+from repro.switchsim.ecn import RedEcn
 from repro.transport.base import FlowSpec, TransportConfig
 from repro.transport.registry import create_flow
 
-from tests.util import PacketTap, small_star
+from tests.util import DropFilter, PacketTap, small_star
 
 
 def _data(flow, src, dst, tclass=0, color=Color.GREEN, seq=0):
@@ -117,3 +119,22 @@ def test_tlt_and_legacy_coexist_with_isolation():
         create_flow("dctcp", net, spec, legacy_cfg)
     net.engine.run(until=5_000_000_000)
     assert net.stats.incomplete_flows() == 0
+
+
+def test_roce_flow_sends_every_packet_kind_in_its_class():
+    """DCQCN data, ACKs, NACKs and CNPs all carry the flow's class."""
+    net = small_star(num_traffic_classes=2, buffer_bytes=500_000,
+                     ecn=RedEcn(2_000, 10_000, 1.0, random.Random(3)))
+    switch = net.switches[0]
+    seen = []
+    PacketTap(switch, lambda packet: seen.append((packet.kind, packet.tclass)))
+    DropFilter(switch).drop_seq_once(5)  # one gap: a go-back-N NACK
+    config = TransportConfig(base_rtt_ns=4_000, traffic_class=1)
+    for src in (0, 1):  # two senders into one port: CE marks, CNPs
+        spec = FlowSpec(flow_id=net.new_flow_id(), src=src, dst=2, size=200_000)
+        create_flow("dcqcn", net, spec, config)
+    net.engine.run()
+    assert net.stats.incomplete_flows() == 0
+    kinds = {kind for kind, _ in seen}
+    assert {PacketKind.DATA, PacketKind.ACK, PacketKind.NACK, PacketKind.CNP} <= kinds
+    assert {tclass for _, tclass in seen} == {1}
