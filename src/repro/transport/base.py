@@ -89,8 +89,7 @@ class TransportConfig:
     dcqcn_rate_ai_bps: int = 40_000_000  # 40 Mbps additive increase
     dcqcn_rate_hai_bps: int = 400_000_000
     dcqcn_g: float = 1.0 / 256.0
-    dcqcn_alpha_timer_ns: int = 55 * MICROS
-    dcqcn_rate_timer_ns: int = 55 * MICROS
+    dcqcn_timer_ns: int = 55 * MICROS  # α decay + rate increase period
     dcqcn_byte_counter: int = 10 * 1_000_000
     dcqcn_fr_stages: int = 5
     cnp_interval_ns: int = 50 * MICROS

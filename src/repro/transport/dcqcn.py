@@ -6,25 +6,32 @@ module is the sender-side rate machine:
 
 - **cut** on CNP: ``Rt = Rc; Rc = Rc·(1-α/2); α = (1-g)·α + g``;
 - **α decay** every 55 µs without a CNP: ``α = (1-g)·α``;
-- **increase** events from a 55 µs timer and a byte counter, moving
-  through fast recovery → additive increase → hyper increase stages.
+- **increase** events from the same 55 µs timer and a byte counter,
+  moving through fast recovery → additive increase → hyper increase
+  stages.
+
+One timer drives both periodic steps: the paper's α timer and rate
+timer have the same period and are restarted together by every CNP, so
+each fire decays α and then takes a time-stage increase.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Optional
 
 from repro.sim.engine import Engine
 from repro.transport.base import TransportConfig
 
 
 class DcqcnRateControl:
-    """Per-flow DCQCN rate state machine."""
+    """Per-flow DCQCN rate state machine.
 
-    def __init__(self, engine: Engine, config: TransportConfig, on_rate_change: Optional[Callable[[], None]] = None):
+    ``rate_bps`` stays in ``[min_rate_bps, link_rate_bps]``: a cut is
+    floored at ``min_rate_bps`` and an increase moves ``rc`` halfway to
+    a target that is never below it. The sender paces by it unclamped.
+    """
+
+    def __init__(self, engine: Engine, config: TransportConfig):
         self.engine = engine
         self.config = config
-        self.on_rate_change = on_rate_change
         self.rc = float(config.link_rate_bps)  # current rate
         self.rt = float(config.link_rate_bps)  # target rate
         self.rate_bps = config.link_rate_bps  # int(rc): the sender paces every packet by it
@@ -32,8 +39,7 @@ class DcqcnRateControl:
         self.time_stage = 0
         self.byte_stage = 0
         self._bytes_since = 0
-        self._alpha_event = None
-        self._rate_event = None
+        self._timer = None
         self._active = False
 
     # -- lifecycle ---------------------------------------------------------------
@@ -42,16 +48,13 @@ class DcqcnRateControl:
         if self._active:
             return
         self._active = True
-        self._schedule_alpha_timer()
-        self._schedule_rate_timer()
+        self._restart_timer()
 
     def stop(self) -> None:
         self._active = False
-        for event in (self._alpha_event, self._rate_event):
-            if event is not None:
-                event.cancel()
-        self._alpha_event = None
-        self._rate_event = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     # -- congestion feedback ---------------------------------------------------
 
@@ -65,9 +68,7 @@ class DcqcnRateControl:
         self.time_stage = 0
         self.byte_stage = 0
         self._bytes_since = 0
-        self._schedule_alpha_timer(restart=True)
-        self._schedule_rate_timer(restart=True)
-        self._notify()
+        self._restart_timer()
 
     def on_bytes_sent(self, nbytes: int) -> None:
         """Feed the byte counter; may trigger an increase event."""
@@ -79,40 +80,21 @@ class DcqcnRateControl:
             self.byte_stage += 1
             self._increase()
 
-    # -- timers ---------------------------------------------------------------------
+    # -- the timer --------------------------------------------------------------------
 
-    def _schedule_alpha_timer(self, restart: bool = False) -> None:
-        if self._alpha_event is not None:
-            if not restart:
-                return
-            self._alpha_event.cancel()
-        self._alpha_event = self.engine.schedule_timer(
-            self.config.dcqcn_alpha_timer_ns, self._alpha_fire
-        )
+    def _restart_timer(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = self.engine.schedule_timer(self.config.dcqcn_timer_ns, self._timer_fire)
 
-    def _alpha_fire(self) -> None:
-        self._alpha_event = None
+    def _timer_fire(self) -> None:
+        self._timer = None
         if not self._active:
             return
-        self.alpha *= 1 - self.config.dcqcn_g
-        self._schedule_alpha_timer()
-
-    def _schedule_rate_timer(self, restart: bool = False) -> None:
-        if self._rate_event is not None:
-            if not restart:
-                return
-            self._rate_event.cancel()
-        self._rate_event = self.engine.schedule_timer(
-            self.config.dcqcn_rate_timer_ns, self._rate_fire
-        )
-
-    def _rate_fire(self) -> None:
-        self._rate_event = None
-        if not self._active:
-            return
+        self.alpha *= 1 - self.config.dcqcn_g  # α decay, then the time-stage increase
         self.time_stage += 1
         self._increase()
-        self._schedule_rate_timer()
+        self._restart_timer()
 
     # -- increase stages -----------------------------------------------------------
 
@@ -128,8 +110,3 @@ class DcqcnRateControl:
         self.rc = (self.rt + self.rc) / 2
         self.rc = min(self.rc, float(self.config.link_rate_bps))
         self.rate_bps = int(self.rc)
-        self._notify()
-
-    def _notify(self) -> None:
-        if self.on_rate_change is not None:
-            self.on_rate_change()

@@ -11,6 +11,7 @@ from repro.sim.engine import Engine
 from tests.util import DropFilter, PacketTap, run_flow, small_star
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 # Taps in this module retain Packet objects across the run.
 pytestmark = pytest.mark.usefixtures("no_packet_pool")
@@ -135,7 +136,7 @@ def test_dcqcn_rate_machine_cut_and_recover():
     assert after_cut == config.link_rate_bps * 0.5  # alpha=1 -> halved
     assert rc.alpha > 0.99
     # Five timer periods of fast recovery move Rc back toward Rt.
-    engine.run(until=6 * config.dcqcn_rate_timer_ns)
+    engine.run(until=6 * config.dcqcn_timer_ns)
     assert rc.rc > after_cut
     rc.stop()
 
@@ -157,9 +158,124 @@ def test_dcqcn_hyper_increase_reaches_line_rate():
     rc = DcqcnRateControl(engine, config)
     rc.start()
     rc.on_cnp()
-    engine.run(until=100 * config.dcqcn_rate_timer_ns)
+    engine.run(until=100 * config.dcqcn_timer_ns)
     assert rc.rc > 0.95 * config.link_rate_bps
     rc.stop()
+
+
+class TwoTimerDcqcn:
+    """Reference: DCQCN with its alpha timer and rate timer apart, as
+    Zhu et al. describe it. Same period, both restarted by a CNP."""
+
+    def __init__(self, engine, config):
+        self.engine, self.config = engine, config
+        self.rc = self.rt = float(config.link_rate_bps)
+        self.alpha = 1.0
+        self.time_stage = self.byte_stage = self._bytes_since = 0
+        self._events = {}
+
+    def _arm(self, name, fire):
+        if name in self._events:
+            self._events[name].cancel()
+        self._events[name] = self.engine.schedule_timer(self.config.dcqcn_timer_ns, fire)
+
+    def start(self):
+        self._arm("alpha", self._alpha_fire)
+        self._arm("rate", self._rate_fire)
+
+    def on_cnp(self):
+        g = self.config.dcqcn_g
+        self.rt = self.rc
+        self.rc = max(self.rc * (1 - self.alpha / 2), self.config.min_rate_bps)
+        self.alpha = (1 - g) * self.alpha + g
+        self.time_stage = self.byte_stage = self._bytes_since = 0
+        self.start()
+
+    def on_bytes_sent(self, nbytes):
+        self._bytes_since += nbytes
+        if self._bytes_since >= self.config.dcqcn_byte_counter:
+            self._bytes_since = 0
+            self.byte_stage += 1
+            self._increase()
+
+    def _alpha_fire(self):
+        self.alpha *= 1 - self.config.dcqcn_g
+        self._arm("alpha", self._alpha_fire)
+
+    def _rate_fire(self):
+        self.time_stage += 1
+        self._increase()
+        self._arm("rate", self._rate_fire)
+
+    def _increase(self):
+        f, link = self.config.dcqcn_fr_stages, float(self.config.link_rate_bps)
+        if self.time_stage >= f and self.byte_stage >= f:
+            self.rt += self.config.dcqcn_rate_hai_bps
+        elif self.time_stage >= f or self.byte_stage >= f:
+            self.rt += self.config.dcqcn_rate_ai_bps
+        self.rt = min(self.rt, link)
+        self.rc = min((self.rt + self.rc) / 2, link)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_dcqcn_timer_matches_two_timer_reference(seed):
+    """After every step of a random CNP/byte schedule the one-timer rate
+    machine holds exactly the reference's state."""
+    rng = random.Random(seed)
+    config = roce_config(dcqcn_byte_counter=rng.choice([3_000, 50_000, 10_000_000]))
+    engines = Engine(), Engine()
+    machine, reference = DcqcnRateControl(engines[0], config), TwoTimerDcqcn(engines[1], config)
+    machine.start()
+    reference.start()
+    now = deepest = 0
+    for _ in range(400):
+        now += rng.choice([0, 1, rng.randrange(3 * config.dcqcn_timer_ns),
+                           config.dcqcn_timer_ns])
+        for engine in engines:
+            engine.run(until=now)
+        if rng.random() < 0.3:
+            machine.on_cnp()
+            reference.on_cnp()
+        else:
+            nbytes = rng.randrange(1, 4_000)
+            machine.on_bytes_sent(nbytes)
+            reference.on_bytes_sent(nbytes)
+        for name in ("alpha", "rc", "rt", "time_stage", "byte_stage"):
+            assert getattr(machine, name) == getattr(reference, name), (name, now)
+        assert machine.rate_bps == int(reference.rc)
+        deepest = max(deepest, machine.time_stage)
+    assert deepest > config.dcqcn_fr_stages  # past fast recovery
+    machine.stop()
+
+
+@given(
+    min_rate=st.integers(1_000_000, 40_000_000_000),
+    link_extra=st.integers(0, 60_000_000_000),
+    byte_counter=st.sampled_from([1_500, 30_000, 10_000_000]),
+    g=st.sampled_from([1 / 256, 1 / 16, 0.5, 1.0]),
+    steps=st.lists(st.tuples(st.sampled_from(["cnp", "bytes", "time"]),
+                             st.integers(0, 200_000)), max_size=300),
+)
+@settings(max_examples=200, deadline=None)
+def test_dcqcn_rate_stays_between_min_and_line_rate(min_rate, link_extra, byte_counter, g,
+                                                     steps):
+    """The sender paces by ``rate_bps`` unclamped: under any interleaving
+    of CNPs, timer fires and sent bytes it stays in
+    ``[min_rate_bps, link_rate_bps]``."""
+    config = roce_config(min_rate_bps=min_rate, link_rate_bps=min_rate + link_extra,
+                         dcqcn_byte_counter=byte_counter, dcqcn_g=g)
+    engine = Engine()
+    machine = DcqcnRateControl(engine, config)
+    machine.start()
+    for action, amount in steps:
+        if action == "cnp":
+            machine.on_cnp()
+        elif action == "bytes":
+            machine.on_bytes_sent(amount)
+        else:
+            engine.run(until=engine.now + amount)  # 0-3.6 timer periods
+        assert config.min_rate_bps <= machine.rate_bps <= config.link_rate_bps
+        assert config.min_rate_bps <= machine.rc <= config.link_rate_bps
 
 
 def test_hpcc_window_shrinks_under_congestion():
