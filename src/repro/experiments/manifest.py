@@ -24,7 +24,8 @@ from repro.sim.backend import current_backend
 #: ``profile_<id>.json``); tools/check_telemetry.py checks it.
 SCHEMA = 1
 #: What a run cost; the other fields say what it was.
-COST_FIELDS = ("wall_s", "cpu_s", "events", "events_per_s", "peak_rss_mb")
+COST_FIELDS = ("wall_s", "cpu_s", "events", "events_per_s", "peak_rss_mb",
+               "collect_s", "collected")
 #: Finished runs of this process, oldest dropped first.
 LOG: deque = deque(maxlen=4096)
 
@@ -63,6 +64,7 @@ def build(net, control, config, run_id: str, shard: Optional[int] = None) -> Dic
         sim_ns=net.engine.now,
         flows=net.stats.flow_count(),
         incomplete=net.stats.incomplete_flows(),
+        collect_s=round(net.collect_s, 6), collected=net.collected,
         **cost(net.started, net.engine.events_processed))
 
 
@@ -73,7 +75,8 @@ def summarize(experiment: str, manifests: Iterable[Dict], code: str,
     themselves; ``code`` stamps the ones executed here. ``elapsed_s`` is
     the wall clock around the whole experiment with ``jobs`` workers, to
     set against ``wall_s``, the sum over its runs; ``retries`` sums the
-    extra ``attempts`` ``run_grid`` noted on the runs that needed them."""
+    extra ``attempts`` ``run_grid`` noted on the runs that needed them,
+    ``collect_s`` and ``collected`` the runs' pre-run collections."""
     runs = [m if "code" in m else {**m, "code": code} for m in manifests]
     wall_s = sum(m["wall_s"] for m in runs)
     events = sum(m["events"] for m in runs)
@@ -92,5 +95,9 @@ def summarize(experiment: str, manifests: Iterable[Dict], code: str,
         "cpu_s": round(sum(m["cpu_s"] for m in runs), 6),
         "events_per_s": round(events / wall_s) if wall_s > 0 else 0,
         "peak_rss_mb": max((m["peak_rss_mb"] for m in runs), default=0.0),
+        # 0 for a cache hit whose manifest predates the two fields (a
+        # non-git install keys its cache by package version, not code).
+        "collect_s": round(sum(m.get("collect_s", 0.0) for m in runs), 6),
+        "collected": sum(m.get("collected", 0) for m in runs),
         "manifests": runs,
     }

@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 import random
+import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
@@ -42,6 +43,7 @@ from repro.net.topology import (
     leaf_spine,
     star,
 )
+from repro.sim.engine import freeze_program
 from repro.sim.rng import derive_seed
 from repro.sim.units import GBPS, KB, MICROS, MILLIS
 from repro.switchsim.ecn import RedEcn, StepEcn
@@ -447,13 +449,15 @@ def run_control(config: ScenarioConfig) -> RunControl:
 
 # -- the run harness ---------------------------------------------------------------
 #
-# run_scenario, run_service and the shard worker assemble a run from
-# these functions, in this order, which is behaviour (the auditor's first
-# tick and every fault event draw an engine ``seq``; ``events_processed``
-# is in every pin): network -> attach_auditor -> install_faults ->
-# transport config -> traffic -> queue sampler -> attach_telemetry ->
-# gc.collect() -> drive -> finish_run. An experiment with a workload of
-# its own hands run_grid ``(config, traffic)`` points.
+# run_scenario and resume_service first freeze the imported program, once
+# per process (freeze_program). run_scenario, run_service and the shard
+# worker then assemble a run from these functions, in this order, which
+# is behaviour (the auditor's first tick and every fault event draw an
+# engine ``seq``; ``events_processed`` is in every pin): network ->
+# attach_auditor -> install_faults -> transport config -> traffic ->
+# queue sampler -> attach_telemetry -> collect -> drive -> finish_run.
+# An experiment with a workload of its own hands run_grid
+# ``(config, traffic)`` points.
 
 
 def attach_auditor(net: Network, control: RunControl) -> Optional[Auditor]:
@@ -535,6 +539,23 @@ def attach_telemetry(config: ScenarioConfig, net: Network, control: RunControl,
     return telemetry
 
 
+def collect(net: Network) -> None:
+    """One full collection before the run; the engine switches the
+    collector off while it runs. It frees the previous run's network and
+    receivers (finished senders are gone by reference count) and walks
+    this run's, built by now; the imported program is frozen
+    (:func:`repro.sim.engine.freeze_program`) and not walked. Per
+    benchmark sub-run on compiled: 0.5-9.8 k objects freed in a median
+    1.6-7.6 ms, 1-5 % of the sub-run's CPU (docs/PERFORMANCE.md, "The
+    frozen program"). Without it back-to-back runs in one process hold
+    two runs' graphs at the peak. Its host seconds and the objects it
+    freed go into the run's manifest as ``collect_s`` and
+    ``collected``."""
+    started = time.perf_counter()
+    net.collected = gc.collect()
+    net.collect_s = time.perf_counter() - started
+
+
 def finish_run(net: Network, control: RunControl, auditor: Optional[Auditor] = None,
                telemetry=None, error: Optional[BaseException] = None, *,
                config: Optional[ScenarioConfig] = None,
@@ -580,6 +601,14 @@ def run_scenario(config: ScenarioConfig, traffic=None) -> ScenarioResult:
     folded into the run id; it runs on one engine (the shard workers
     schedule only the standard mix) and never with ``service``.
     """
+    # Here and not in _run_scenario, whose closure cells (net,
+    # sample_queues) exist from its entry: the freeze would keep the
+    # first run's network for the life of the process.
+    freeze_program()
+    return _run_scenario(config, traffic)
+
+
+def _run_scenario(config: ScenarioConfig, traffic) -> ScenarioResult:
     control = run_control(config)
     run_id = None  # the config's, unless a custom workload names the run
     if traffic is not None:
@@ -629,13 +658,7 @@ def run_scenario(config: ScenarioConfig, traffic=None) -> ScenarioResult:
         lambda: net.engine.now < end_of_traffic or bool(net.stats.incomplete_flows()),
         faults, run_id=run_id,
     )
-    # One full collection before the run; the engine switches the
-    # collector off while it runs. It frees the previous run's network
-    # and receivers (finished senders are gone by reference count):
-    # 1.7-9.2 k objects in 7-12 ms, 4-12 % of a compiled benchmark
-    # sub-run's CPU (docs/PERFORMANCE.md, "Memory"). Without it
-    # back-to-back runs in one process hold two runs' graphs at the peak.
-    gc.collect()
+    collect(net)
     engine = net.engine
     hard_cap = config.hard_cap_ns or (horizon + 10 * config.drain_ns)
     try:

@@ -50,9 +50,12 @@ class Network:
 
     def stamp(self) -> None:
         """Start the clocks of the run manifest (construction; again by
-        ``checkpoint.load``: a resumed run reports its own cost)."""
+        ``checkpoint.load``: a resumed run reports its own cost). The
+        pre-run collection (``scenarios.collect``) fills in its own."""
         self.started = (time.perf_counter(), time.process_time(),
                         self.engine.events_processed)
+        self.collect_s = 0.0
+        self.collected = 0
 
     def new_flow_id(self) -> int:
         flow_id = self._next_flow_id

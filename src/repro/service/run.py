@@ -29,7 +29,6 @@ network is built, when a checkpoint is requested.
 
 from __future__ import annotations
 
-import gc
 import os
 from typing import Callable, Dict, Optional
 
@@ -40,6 +39,7 @@ from repro.experiments.scenarios import (
     attach_auditor,
     attach_telemetry,
     build_network,
+    collect,
     finish_run,
     install_faults,
     make_transport_config,
@@ -49,6 +49,7 @@ from repro.service.slo import render_slo_report, slo_report
 from repro.service.spec import ServiceSpec
 from repro.sim import checkpoint as ckpt
 from repro.sim.backend import create_engine
+from repro.sim.engine import freeze_program
 from repro.sim.units import MILLIS
 
 #: Engine-drive window between completion checks.
@@ -63,9 +64,7 @@ def _run_out(config, control, net, emulator, auditor, faults, telemetry,
     the observers; reduce. The second half of a fresh run and all of a
     resumed one."""
     engine = net.engine
-    # Frees the previous run's cyclic garbage before this one grows
-    # (see run_scenario); the engine runs with the collector off.
-    gc.collect()
+    collect(net)
     try:
         if save is not None and engine.now < checkpoint_at_ns and not emulator.finished:
             engine.run(until=min(checkpoint_at_ns, hard_cap_ns))
@@ -171,6 +170,7 @@ def resume_service(path: str, expect_key: Optional[str] = None) -> ScenarioResul
     The returned result's :func:`service_fingerprint` equals the
     uninterrupted run's bit-for-bit (the determinism gate).
     """
+    freeze_program()  # before the load: the frame holds no run state yet
     payload = ckpt.load(path, expect_key=expect_key)
     extra = payload["state"]["extra"]
     # The auditor was restored with the network, still installed; the

@@ -51,6 +51,22 @@ class SimulationError(RuntimeError):
 #: anyway and are swept by the caller's collector afterwards.
 _GC_RUN_THRESHOLDS = (100_000, 20, 20)
 
+
+def freeze_program() -> None:
+    """Once per process: one full collection, then ``gc.freeze()``.
+
+    Everything still alive then (the imported program: modules,
+    classes, functions, their tables) moves to the permanent generation,
+    so the full collection before each run walks only what runs
+    allocated. Call it first thing in a run entry point, from a frame
+    that holds no run state: whatever is reachable at the freeze stays
+    uncollected for the life of the process, a cycle included.
+    """
+    if not gc.get_freeze_count():
+        gc.collect()
+        gc.freeze()
+
+
 #: When not ``None``, ``Engine.run`` attributes wall time per event
 #: callback into this table as ``{qualname: [calls, total_ns]}``. Set
 #: via :func:`repro.sim.backend.set_attribution` (``tlt-experiment --profile``).

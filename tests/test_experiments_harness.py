@@ -196,6 +196,8 @@ def test_cli_csv_writes_the_manifest_document_beside_the_rows(monkeypatch, tmp_p
     assert not checker.check_dir(str(tmp_path))[2]
     (tmp_path / "stub.manifest.json").write_text(json.dumps({**doc, "retries": 1}))
     assert any("retries" in error for error in checker.check_dir(str(tmp_path))[2])
+    (tmp_path / "stub.manifest.json").write_text(json.dumps({**doc, "collect_s": -1.0}))
+    assert any("collect_s" in error for error in checker.check_dir(str(tmp_path))[2])
     assert doc["code"] and doc["backend"]
 
 

@@ -9,6 +9,10 @@ receiver stays registered and keeps ACKing late duplicates.
 from __future__ import annotations
 
 import gc
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from collections import deque
@@ -154,3 +158,62 @@ def test_back_to_back_compiled_runs_hold_memory_flat(monkeypatch):
         tracemalloc.stop()
         backend.set_backend(None)
     assert held[-1] - held[4] < 2_000, held
+
+
+#: One fresh interpreter per backend: the freeze happens once per process.
+FRESH_PROCESS = """
+import gc, json, sys, weakref
+from repro.experiments.scale import TINY
+from repro.experiments.scenarios import ScenarioConfig, run_scenario
+from repro.sim import backend
+from tests.test_lifetime import service_config
+
+backend.set_backend(sys.argv[1])
+# Made before the first run, so frozen with the program: alive to the end.
+plain = ScenarioConfig(transport="dctcp", tlt=True, scale=TINY, seed=3, audit=False,
+                       shards=1, enable_background=False)
+service = service_config(100)
+frozen = [gc.get_freeze_count()]
+
+
+def run(config):
+    result = run_scenario(config)
+    frozen.append(gc.get_freeze_count())
+    return result
+
+
+plain_1 = weakref.ref(run(plain).net)
+run(plain)
+alive = {"plain": plain_1() is not None}
+run(plain)
+service_1 = weakref.ref(run(service).net)
+result = run(service)
+alive["service"] = service_1() is not None
+flows = result.stats.flow_count()
+gc.collect()
+del result
+print(json.dumps({"frozen": frozen, "alive": alive, "per_flow": gc.collect() / flows}))
+"""
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_the_first_run_freezes_the_program_and_no_run_with_it(backend_name):
+    """``run_scenario`` freezes what the process holds before its first
+    run (the imported program) and never again; the freeze catches no
+    run's state, so each run's network is freed by the next run's
+    collection, plain or service; and the counted gate above holds in a
+    process whose program is frozen."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {key: value for key, value in os.environ.items() if not key.startswith("TLT_")}
+    env["PYTHONPATH"] = os.pathsep.join((os.path.join(root, "src"), root))
+    done = subprocess.run([sys.executable, "-c", FRESH_PROCESS, backend_name], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    before, first, second, third, *service = report["frozen"]
+    assert before == 0 and first > 0 and second == third == first, report["frozen"]
+    # The service modules' first run lets a few frozen objects go by
+    # reference count (ABC caches); a second freeze would add thousands.
+    assert max(service) <= first, report["frozen"]
+    assert report["alive"] == {"plain": False, "service": False}
+    assert report["per_flow"] <= 9

@@ -277,6 +277,10 @@ def test_telemetry_writes_and_mirrors_the_run_manifest(tmp_path):
         json.dump({**result.manifest, "code": "x", "events_per_s": 1}, handle)
     assert any("events_per_s" in error for error in checker.check_dir(out)[2])
     with open(path, "w") as handle:
+        json.dump({**result.manifest, "code": "x",
+                   "collect_s": result.manifest["wall_s"] + 1}, handle)
+    assert any("collect_s" in error for error in checker.check_dir(out)[2])
+    with open(path, "w") as handle:
         json.dump({"schema": checker.SCHEMA}, handle)
     assert any("missing fields" in error for error in checker.check_dir(out)[2])
     with open(os.path.join(out, f"run_{run_id}.prom"), "w") as handle:
