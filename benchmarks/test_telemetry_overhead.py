@@ -7,7 +7,8 @@ Two runs of the same incast kernel as
   acceptance criteria gate (< 2% vs baseline; the only residual cost is
   the ``stats.on_rto_fire is not None`` check off the hot path);
 - **10 µs**: a full :class:`repro.telemetry.Telemetry` attachment
-  (every sampler + streaming JSONL) at an aggressive 10 µs cadence —
+  (every sampler + streaming JSONL, then the end-of-run report and
+  ``.prom`` snapshot) at an aggressive 10 µs cadence —
   the price of watching a run, reported side by side so regressions in
   sampler cost show up in CI's benchmark artifact.
 
@@ -52,13 +53,10 @@ def test_incast_telemetry_off(benchmark, record_events):
 
 
 def test_incast_telemetry_10us(benchmark, record_events, tmp_path):
-    """The same kernel with every sampler armed at 10 µs + JSONL on."""
+    """The same kernel with every sampler armed at 10 µs, JSONL, report and .prom."""
     from repro.telemetry import Telemetry, TelemetryConfig
 
-    config = TelemetryConfig(
-        out_dir=str(tmp_path), interval_ns=10_000,
-        prometheus=False, report=False,
-    )
+    config = TelemetryConfig(out_dir=str(tmp_path), interval_ns=10_000)
 
     def run_incast():
         net = _incast_net()

@@ -3,8 +3,8 @@
 :class:`TelemetryConfig` is the JSON-able spec carried on
 ``ScenarioConfig(telemetry=...)`` (or pointed at by the
 ``TLT_TELEMETRY`` environment variable, which names an output
-directory); :class:`Telemetry` owns one run's registry, samplers,
-exporters and flight recorder.
+directory); :class:`Telemetry` owns one run's samplers, exporters
+and flight recorder, and writes the end-of-run ``.prom`` snapshot.
 
 Determinism contract: samplers are ordinary engine events, so a run
 with telemetry attached processes *more* events than one without — but
@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.units import MICROS
-from repro.telemetry.exporters import JsonlWriter, export_csv
+from repro.telemetry.exporters import JsonlWriter
 from repro.telemetry.recorder import FlightRecorder
-from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.report import render_html, render_report
+from repro.telemetry.report import render_report
 from repro.telemetry.samplers import (
     BufferOccupancySampler,
     FlowStateSampler,
@@ -38,46 +37,21 @@ from repro.telemetry.samplers import (
     QueueDepthSampler,
 )
 
+#: One Prometheus family: ``(name, type, help, [(labels, value), ...])``.
+Family = Tuple[str, str, str, List[Tuple[Dict, object]]]
+
+#: Per-stream in-memory retention for the report.
+MEMORY_SAMPLES = 200_000
+
 
 @dataclass
 class TelemetryConfig:
-    """What to sample, how often, and which exporters to write."""
+    """Where a run's telemetry goes and how often it samples."""
 
     #: Output directory for every artifact of the run.
     out_dir: str = "telemetry"
-    #: Base sampling cadence (sim time). Queue/buffer/PFC samplers use
-    #: it directly; flow and link samplers default to it too but can be
-    #: slowed independently (they touch more state per tick).
+    #: Sampling cadence (sim time) of every sampler.
     interval_ns: int = 20 * MICROS
-    flow_interval_ns: Optional[int] = None
-    link_interval_ns: Optional[int] = None
-
-    # Sampler toggles.
-    queues: bool = True
-    buffers: bool = True
-    pfc: bool = True
-    flows: bool = True
-    links: bool = True
-    policies: bool = True
-    paths: bool = True
-
-    # Exporter toggles.
-    jsonl: bool = True
-    csv: bool = False
-    prometheus: bool = True
-    report: bool = True
-    html: bool = False
-
-    #: Per-tick cap on sampled flows (see FlowStateSampler).
-    max_flows: int = 64
-    #: Flight-recorder retention and dump cap.
-    recorder_window: int = 2048
-    max_dumps: int = 8
-    #: In-memory per-stream retention for CSV/report rendering.
-    memory_samples: int = 200_000
-    #: Stable identifier for this run's files; scenario runs derive one
-    #: from (transport, seed, config hash) when unset.
-    run_id: Optional[str] = None
 
     @classmethod
     def from_spec(cls, spec) -> "TelemetryConfig":
@@ -115,35 +89,42 @@ def write_manifest(out_dir: str, manifest: Dict) -> str:
                       os.path.join(out_dir, f"manifest_{manifest['run_id']}.json"))
 
 
+def to_prometheus(families: List[Family]) -> str:
+    """Prometheus text exposition of ``families``, in name order."""
+    lines = []
+    for name, kind, help_text, series in sorted(families, key=lambda f: f[0]):
+        lines += [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"]
+        for labels, value in series:
+            text = ",".join(f'{label}="{_escape(label_value)}"'
+                            for label, label_value in labels.items())
+            value = int(value) if isinstance(value, float) and value.is_integer() else value
+            lines.append(f"{name}{{{text}}} {value!r}" if text else f"{name} {value!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _escape(value: object) -> str:
+    return str(value).replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
 class Telemetry:
-    """One run's telemetry: registry + samplers + exporters + recorder."""
+    """One run's telemetry: samplers + exporters + recorder."""
 
     def __init__(self, net, config=None, scenario=None, run_id: Optional[str] = None):
         self.net = net
         self.engine = net.engine
         self.config = TelemetryConfig.from_spec(config if config is not None else True)
         self.scenario = scenario
-        self.run_id = (
-            self.config.run_id or run_id or f"run_s{getattr(net.stats, 'seed', 0)}"
-        )
-        self.registry = MetricsRegistry(enabled=True)
+        self.run_id = run_id or f"run_s{getattr(net.stats, 'seed', 0)}"
         #: stream name -> list of retained records (bounded).
         self.samples: Dict[str, list] = {}
         self.samplers: list = []
         self.emitted = 0
         self.files: list = []
-        self.recorder = FlightRecorder(
-            self.config.out_dir,
-            self.run_id,
-            engine=self.engine,
-            window=self.config.recorder_window,
-            max_dumps=self.config.max_dumps,
-        )
+        self.recorder = FlightRecorder(self.config.out_dir, self.run_id, engine=self.engine)
         self.recorder.ring_provider = lambda: net.stats.audit_ring
         self._jsonl: Optional[JsonlWriter] = None
         self._installed = False
         self._finalized = False
-        self._summary: Optional[Dict] = None
 
     # -- sampling ----------------------------------------------------------------
 
@@ -161,11 +142,10 @@ class Telemetry:
         retained = self.samples.get(stream)
         if retained is None:
             retained = self.samples[stream] = []
-        if len(retained) < self.config.memory_samples:
+        if len(retained) < MEMORY_SAMPLES:
             retained.append(record)
         self.recorder.on_sample(record)
-        if self._jsonl is not None:
-            self._jsonl.write(record)
+        self._jsonl.write(record)
 
     def _auto_active(self) -> bool:
         """Default keep-sampling predicate for standalone use: continue
@@ -184,36 +164,16 @@ class Telemetry:
         if self._installed:
             return self
         self._installed = True
-        config = self.config
-        os.makedirs(config.out_dir, exist_ok=True)
-        if config.jsonl:
-            self._jsonl = JsonlWriter(
-                os.path.join(config.out_dir, f"run_{self.run_id}.jsonl")
-            )
+        out_dir, interval = self.config.out_dir, self.config.interval_ns
+        os.makedirs(out_dir, exist_ok=True)
+        self._jsonl = JsonlWriter(os.path.join(out_dir, f"run_{self.run_id}.jsonl"))
         act = active if active is not None else self._auto_active
-        common = dict(emit=self.emit, registry=self.registry, active=act)
-        if config.queues:
-            self.samplers.append(
-                QueueDepthSampler(self.net, config.interval_ns, **common))
-        if config.buffers:
-            self.samplers.append(
-                BufferOccupancySampler(self.net, config.interval_ns, **common))
-        if config.pfc:
-            self.samplers.append(
-                PfcStateSampler(self.net, config.interval_ns, **common))
-        if config.flows:
-            self.samplers.append(FlowStateSampler(
-                self.net, config.flow_interval_ns or config.interval_ns,
-                max_flows=config.max_flows, **common))
-        if config.links:
-            self.samplers.append(LinkLoadSampler(
-                self.net, config.link_interval_ns or config.interval_ns, **common))
-        if config.policies:
-            self.samplers.append(
-                PolicySampler(self.net, config.interval_ns, **common))
-        if config.paths:
-            self.samplers.append(
-                PathChurnSampler(self.net, config.interval_ns, **common))
+        self.samplers = [
+            cls(self.net, interval, self.emit, active=act)
+            for cls in (QueueDepthSampler, BufferOccupancySampler, PfcStateSampler,
+                        FlowStateSampler, LinkLoadSampler, PolicySampler,
+                        PathChurnSampler)
+        ]
         # RTO fires dump the flight recorder (rare: off the hot path).
         self.net.stats.on_rto_fire = self._on_rto_fire
         return self
@@ -242,85 +202,83 @@ class Telemetry:
 
     # -- teardown ----------------------------------------------------------------
 
-    def _snapshot_counters(self, manifest: Optional[Dict]) -> None:
-        """Mirror the run's headline NetStats totals, and what its manifest
-        says the simulator was and cost, into the registry for the ``.prom``."""
+    def _snapshot(self, manifest: Optional[Dict]) -> List[Family]:
+        """The ``.prom`` families, read at the end of the run: what its
+        ``manifest`` says the simulator was and cost, the headline
+        NetStats totals, and the path counters and live K of each switch."""
         stats = self.net.stats
+        scalars = [
+            ("tlt_timeouts_total", "counter", "RTO fires", stats.timeouts),
+            ("tlt_fast_retransmits_total", "counter", "Fast retransmits",
+             stats.fast_retransmits),
+            ("tlt_ecn_marks_total", "counter", "ECN marks", stats.ecn_marks),
+            ("tlt_pause_frames_total", "counter", "PFC pause frames", stats.pause_frames),
+            ("tlt_drops_green_total", "counter", "Green congestion drops", stats.drops_green),
+            ("tlt_drops_red_total", "counter", "Red congestion drops", stats.drops_red),
+            ("tlt_drops_fault_total", "counter", "Fault-injected drops", stats.drops_fault),
+            ("tlt_flows_incomplete", "gauge", "Flows not complete at end of run",
+             stats.incomplete_flows()),
+            ("tlt_telemetry_samples_total", "counter", "Telemetry records emitted",
+             self.emitted),
+        ]
         if manifest is not None:
-            gauge = self.registry.gauge
-            gauge("tlt_run_wall_seconds", "Run wall time").set(manifest["wall_s"])
-            gauge("tlt_run_cpu_seconds", "Run CPU time").set(manifest["cpu_s"])
-            gauge("tlt_run_peak_rss_bytes", "Process peak RSS").set(
-                int(manifest["peak_rss_mb"] * 1024 * 1024))
-            self.registry.counter(
-                "tlt_run_events_total", "Engine events processed",
-            ).set(manifest["events"])
-            gauge("tlt_run_info", "What produced this snapshot",
-                  ("backend", "shards", "audit")).labels(
-                manifest["backend"], manifest["shards"],
-                str(manifest["audit"]).lower()).set(1)
-        for name, help_text, value in (
-            ("tlt_timeouts_total", "RTO fires", stats.timeouts),
-            ("tlt_fast_retransmits_total", "Fast retransmits", stats.fast_retransmits),
-            ("tlt_ecn_marks_total", "ECN marks", stats.ecn_marks),
-            ("tlt_pause_frames_total", "PFC pause frames", stats.pause_frames),
-            ("tlt_drops_green_total", "Green congestion drops", stats.drops_green),
-            ("tlt_drops_red_total", "Red congestion drops", stats.drops_red),
-            ("tlt_drops_fault_total", "Fault-injected drops", stats.drops_fault),
-        ):
-            self.registry.counter(name, help_text).set(value)
-        self.registry.gauge(
-            "tlt_flows_incomplete", "Flows not complete at end of run",
-        ).set(stats.incomplete_flows())
-        self.registry.counter(
-            "tlt_telemetry_samples_total", "Telemetry records emitted",
-        ).set(self.emitted)
+            scalars += [
+                ("tlt_run_wall_seconds", "gauge", "Run wall time", manifest["wall_s"]),
+                ("tlt_run_cpu_seconds", "gauge", "Run CPU time", manifest["cpu_s"]),
+                ("tlt_run_peak_rss_bytes", "gauge", "Process peak RSS",
+                 int(manifest["peak_rss_mb"] * 1024 * 1024)),
+                ("tlt_run_events_total", "counter", "Engine events processed",
+                 manifest["events"]),
+            ]
+        families = [(name, kind, help_text, [({}, value)])
+                    for name, kind, help_text, value in scalars]
+        if manifest is not None:
+            families.append(("tlt_run_info", "gauge", "What produced this snapshot", [(
+                {"backend": manifest["backend"], "shards": manifest["shards"],
+                 "audit": str(manifest["audit"]).lower()}, 1)]))
+        switches = sorted(self.net.switches, key=lambda switch: switch.name)
+        multipath = [s for s in switches if s.fib.kind != "static-hash"]
+        live_k = [(s.name, s.policy.describe()["k"]) for s in switches]
+        families += [
+            ("tlt_path_flowlets_total", "counter", "Flowlets started at this switch",
+             [({"switch": s.name}, s.fib.flowlets) for s in multipath]),
+            ("tlt_path_reroutes_total", "counter",
+             "Flowlet re-hashes that changed the egress port",
+             [({"switch": s.name}, s.fib.reroutes) for s in multipath]),
+            ("tlt_policy_color_threshold_bytes", "gauge",
+             "Live color threshold K of the admission policy",
+             [({"switch": name}, k) for name, k in live_k if k is not None]),
+        ]
+        return [family for family in families if family[3]]
+
+    def _write(self, name: str, text: str) -> None:
+        path = os.path.join(self.config.out_dir, name)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        self.files.append(path)
 
     def finalize(self, manifest: Optional[Dict] = None) -> Dict:
         """Stop samplers, write the end-of-run artifacts (the run's
         ``manifest`` among them, when it finished), close streams."""
         if self._finalized:
-            return self._summary
+            return self.summary()
         self._finalized = True
         for sampler in self.samplers:
             sampler.stop()
         if self.net.stats.on_rto_fire is self._on_rto_fire:
             self.net.stats.on_rto_fire = None
-        config = self.config
         if self._jsonl is not None:
             self._jsonl.close()
             self.files.append(self._jsonl.path)
-        self._snapshot_counters(manifest)
         if manifest is not None:
-            self.files.append(write_manifest(config.out_dir, manifest))
-        if config.prometheus:
-            path = os.path.join(config.out_dir, f"run_{self.run_id}.prom")
-            self.files.append(self.registry.write_prometheus(path))
-        if config.csv:
-            self.files.extend(export_csv(self.samples, config.out_dir, self.run_id))
-        if config.report or config.html:
-            text = render_report(self)
-            if config.report:
-                path = os.path.join(config.out_dir, f"report_{self.run_id}.txt")
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                self.files.append(path)
-            if config.html:
-                path = os.path.join(config.out_dir, f"report_{self.run_id}.html")
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(render_html(text, title=f"TLT run {self.run_id}"))
-                self.files.append(path)
-        self._summary = {
-            "run": self.run_id,
-            "emitted": self.emitted,
-            "streams": {s: len(rows) for s, rows in sorted(self.samples.items())},
-            "files": list(self.files),
-            "recorder": self.recorder.summary(),
-        }
-        return self._summary
+            self.files.append(write_manifest(self.config.out_dir, manifest))
+        self._write(f"run_{self.run_id}.prom", to_prometheus(self._snapshot(manifest)))
+        self._write(f"report_{self.run_id}.txt", render_report(self))
+        return self.summary()
 
     def summary(self) -> Dict:
-        return self._summary if self._summary is not None else {
+        """What the run emitted and wrote (complete once finalized)."""
+        return {
             "run": self.run_id,
             "emitted": self.emitted,
             "streams": {s: len(rows) for s, rows in sorted(self.samples.items())},

@@ -1,9 +1,9 @@
-"""Telemetry exporters: streaming JSONL, CSV, Prometheus, stream merge.
+"""Telemetry exporters: streaming JSONL and the stream merge.
 
 One telemetry record is one flat JSON object::
 
     {"t": <sim ns>, "i": <emit seq>, "run": "<run id>", "seed": <int>,
-     "stream": "queue" | "buffer" | "pfc" | "flow" | "link", ...fields}
+     "stream": "queue" | "buffer" | "pfc" | "flow" | "link" | ..., ...fields}
 
 ``t`` is sim time (never wall-clock) and ``i`` is the per-run emission
 sequence number, so any set of per-worker streams can be merged into
@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Tuple
-
-from repro.experiments.export import rows_to_csv
+from typing import Dict, List, Optional, Tuple
 
 #: Schema version stamped on flight-recorder dumps and checked by
 #: ``tools/check_telemetry.py``.
@@ -51,21 +49,6 @@ class JsonlWriter:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-
-def export_csv(
-    samples: Dict[str, Iterable[Dict]], out_dir: str, run_id: str
-) -> List[str]:
-    """One CSV per stream (``telemetry_<run>_<stream>.csv``); reuses
-    :func:`repro.experiments.export.rows_to_csv` column inference."""
-    paths = []
-    for stream in sorted(samples):
-        rows = list(samples[stream])
-        if not rows:
-            continue
-        path = os.path.join(out_dir, f"telemetry_{run_id}_{stream}.csv")
-        paths.append(rows_to_csv(rows, path))
-    return paths
 
 
 def merge_streams(

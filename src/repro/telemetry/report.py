@@ -4,8 +4,8 @@ Renders the in-memory sample window of a :class:`repro.telemetry.Telemetry`
 into a plain-text report — per-queue green/red occupancy sparklines
 against the color threshold K, shared-buffer timelines, FCT CDFs
 (reusing :func:`repro.stats.ascii.ascii_cdf`) and the run's headline
-counters. The HTML variant wraps the same text in a minimal page so CI
-can publish it as an artifact.
+counters. :func:`render_html` wraps a text report in a minimal page
+(the service SLO report's HTML form).
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def render_report(telemetry, width: int = 64, max_queues: int = 8) -> str:
 
 
 def render_html(text: str, title: str = "TLT telemetry report") -> str:
-    """Wrap the ASCII report in a minimal self-contained HTML page."""
+    """Wrap an ASCII report in a minimal self-contained HTML page."""
     escaped = (
         text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     )

@@ -25,6 +25,9 @@ from repro.transport.reliable import ReliableSender
 #: ``emit(stream, row)`` — receives one flat dict per sampled series.
 EmitFn = Callable[[str, Dict], None]
 
+#: Per-tick cap on sampled flows (see FlowStateSampler).
+MAX_FLOWS = 64
+
 
 def _null_emit(stream: str, row: Dict) -> None:
     pass
@@ -94,35 +97,28 @@ class QueueDepthSampler(Sampler):
 
     stream = "queue"
 
-    def __init__(self, net, interval_ns: int, emit: EmitFn, registry, **kwargs):
+    def __init__(self, net, interval_ns: int, emit: EmitFn, **kwargs):
         self._switches = list(net.switches)
-        self._g_occ = registry.gauge(
-            "tlt_queue_occupancy_bytes",
-            "Egress queue occupancy by color",
-            ("switch", "port", "tclass", "color"),
-        )
-        self._h_depth = registry.histogram(
-            "tlt_queue_depth_bytes", "Distribution of sampled non-empty queue depths",
-        )
         super().__init__(net.engine, interval_ns, emit, **kwargs)
 
     def sample(self) -> None:
         emit = self.emit
         for switch in self._switches:
-            k = switch.config.color_threshold_bytes
+            config = switch.config
+            # The K the switch admits against, as Switch._receive reads it.
+            policy = None if config.admission is None else switch.policy
             for port_no, port_queues in enumerate(switch._port_queues):
                 for tclass, queue in enumerate(port_queues):
                     occ = queue.occupancy
                     if not occ:
                         continue
                     red = queue.red_bytes
+                    k = (config.color_threshold_bytes if policy is None
+                         else policy.color_threshold(queue))
                     emit(self.stream, {
                         "switch": switch.name, "port": port_no, "tclass": tclass,
                         "occ": occ, "red": red, "green": occ - red, "k": k,
                     })
-                    self._g_occ.labels(switch.name, port_no, tclass, "green").set(occ - red)
-                    self._g_occ.labels(switch.name, port_no, tclass, "red").set(red)
-                    self._h_depth.observe(occ)
 
 
 class BufferOccupancySampler(Sampler):
@@ -130,11 +126,8 @@ class BufferOccupancySampler(Sampler):
 
     stream = "buffer"
 
-    def __init__(self, net, interval_ns: int, emit: EmitFn, registry, **kwargs):
+    def __init__(self, net, interval_ns: int, emit: EmitFn, **kwargs):
         self._switches = list(net.switches)
-        self._g_used = registry.gauge(
-            "tlt_buffer_used_bytes", "Shared buffer occupancy", ("switch",),
-        )
         super().__init__(net.engine, interval_ns, emit, **kwargs)
 
     def sample(self) -> None:
@@ -146,7 +139,6 @@ class BufferOccupancySampler(Sampler):
                 "switch": switch.name, "used": buf.used,
                 "capacity": buf.capacity, "peak": buf.peak_used,
             })
-            self._g_used.labels(switch.name).set(buf.used)
 
 
 class PfcStateSampler(Sampler):
@@ -159,27 +151,21 @@ class PfcStateSampler(Sampler):
 
     stream = "pfc"
 
-    def __init__(self, net, interval_ns: int, emit: EmitFn, registry, **kwargs):
+    def __init__(self, net, interval_ns: int, emit: EmitFn, **kwargs):
         self._devices = list(net.switches) + list(net.hosts)
-        self._g_paused = registry.gauge(
-            "tlt_pfc_paused_ports", "Ports currently paused by PFC", ("device",),
-        )
         super().__init__(net.engine, interval_ns, emit, **kwargs)
 
     def sample(self) -> None:
         for device in self._devices:
-            paused_count = 0
             pfc = getattr(device, "pfc", None)
             for port in device.ports:
                 asserted = pfc.asserted[port.port_no] if pfc else False
                 if not (port.paused or asserted):
                     continue
-                paused_count += port.paused
                 self.emit(self.stream, {
                     "device": device.name, "port": port.port_no,
                     "paused": int(port.paused), "asserted": int(asserted),
                 })
-            self._g_paused.labels(device.name).set(paused_count)
 
 
 class FlowStateSampler(Sampler):
@@ -189,23 +175,15 @@ class FlowStateSampler(Sampler):
     each host's endpoint demux table; the family-specific columns are
     duck-typed: the TCP byte-stream family exposes ``cwnd``; the RoCE
     family exposes ``rate_ctrl`` (DCQCN) or ``hpcc.window``. Completed
-    flows stop being sampled. At most ``max_flows`` senders are sampled
+    flows stop being sampled. At most :data:`MAX_FLOWS` senders are sampled
     per tick (deterministic host-then-flow order) to bound the per-tick
     cost at large scale.
     """
 
     stream = "flow"
 
-    def __init__(self, net, interval_ns: int, emit: EmitFn, registry,
-                 max_flows: int = 64, **kwargs):
+    def __init__(self, net, interval_ns: int, emit: EmitFn, **kwargs):
         self._hosts = list(net.hosts)
-        self.max_flows = max_flows
-        self._g_active = registry.gauge(
-            "tlt_active_flows", "Senders with unacked data in flight",
-        )
-        self._c_sampled = registry.counter(
-            "tlt_flow_samples_total", "Per-flow telemetry rows emitted",
-        )
         super().__init__(net.engine, interval_ns, emit, **kwargs)
 
     @staticmethod
@@ -241,19 +219,15 @@ class FlowStateSampler(Sampler):
 
     def sample(self) -> None:
         emitted = 0
-        active = 0
         for host in self._hosts:
             # One receiver per flow ever received stays in the table:
             # pick the live senders first, then order those few.
             live = [endpoint for endpoint in host.endpoints.values()
                     if isinstance(endpoint, ReliableSender) and not endpoint.completed]
             live.sort(key=lambda sender: sender.spec.flow_id)
-            active += len(live)
-            for sender in live[:self.max_flows - emitted]:
+            for sender in live[:MAX_FLOWS - emitted]:
                 emitted += 1
                 self.emit(self.stream, self._row(sender))
-        self._g_active.set(active)
-        self._c_sampled.inc(emitted)
 
 
 class PolicySampler(Sampler):
@@ -267,12 +241,8 @@ class PolicySampler(Sampler):
 
     stream = "policy"
 
-    def __init__(self, net, interval_ns: int, emit: EmitFn, registry, **kwargs):
+    def __init__(self, net, interval_ns: int, emit: EmitFn, **kwargs):
         self._switches = list(net.switches)
-        self._g_k = registry.gauge(
-            "tlt_policy_color_threshold_bytes",
-            "Live color threshold K of the admission policy", ("switch",),
-        )
         super().__init__(net.engine, interval_ns, emit, **kwargs)
 
     def sample(self) -> None:
@@ -284,9 +254,6 @@ class PolicySampler(Sampler):
             row = {"switch": switch.name}
             row.update(state)
             self.emit(self.stream, row)
-            k = state.get("k")
-            if k is not None:
-                self._g_k.labels(switch.name).set(k)
 
 
 class PathChurnSampler(Sampler):
@@ -302,18 +269,10 @@ class PathChurnSampler(Sampler):
 
     stream = "path"
 
-    def __init__(self, net, interval_ns: int, emit: EmitFn, registry, **kwargs):
+    def __init__(self, net, interval_ns: int, emit: EmitFn, **kwargs):
         self._switches = [
-            switch for switch in net.switches
-            if getattr(switch.fib, "kind", "static-hash") != "static-hash"
+            switch for switch in net.switches if switch.fib.kind != "static-hash"
         ]
-        self._g_flowlets = registry.gauge(
-            "tlt_path_flowlets_total", "Flowlets started at this switch", ("switch",),
-        )
-        self._g_reroutes = registry.gauge(
-            "tlt_path_reroutes_total",
-            "Flowlet re-hashes that changed the egress port", ("switch",),
-        )
         super().__init__(net.engine, interval_ns, emit, **kwargs)
 
     def sample(self) -> None:
@@ -323,16 +282,18 @@ class PathChurnSampler(Sampler):
                 "switch": switch.name, "selection": fib.kind,
                 "flowlets": fib.flowlets, "reroutes": fib.reroutes,
             })
-            self._g_flowlets.labels(switch.name).set(fib.flowlets)
-            self._g_reroutes.labels(switch.name).set(fib.reroutes)
 
 
 class LinkLoadSampler(Sampler):
-    """Utilization of every connected port, from tx_bytes deltas."""
+    """Utilization of every connected port, from tx_bytes deltas.
+
+    The capacity of an interval is read off the port's live line rate at
+    each tick, so a ``link_degrade`` fault rescales it.
+    """
 
     stream = "link"
 
-    def __init__(self, net, interval_ns: int, emit: EmitFn, registry, **kwargs):
+    def __init__(self, net, interval_ns: int, emit: EmitFn, **kwargs):
         self._ports = [
             port
             for device in list(net.switches) + list(net.hosts)
@@ -340,27 +301,20 @@ class LinkLoadSampler(Sampler):
             if port.peer is not None
         ]
         self._last: List[int] = [port.tx_bytes for port in self._ports]
-        self._capacity: List[float] = [
-            port.rate_bps * interval_ns / 8 / 1e9 for port in self._ports
-        ]
-        self._g_util = registry.gauge(
-            "tlt_link_utilization", "Per-port TX utilization over the last interval",
-            ("device", "port"),
-        )
         super().__init__(net.engine, interval_ns, emit, **kwargs)
 
     def sample(self) -> None:
+        interval_ns = self.interval_ns
         for i, port in enumerate(self._ports):
             sent = port.tx_bytes - self._last[i]
             if not sent:
                 continue
             self._last[i] = port.tx_bytes
-            util = min(sent / self._capacity[i], 1.0)
+            util = min(sent / (port.rate_bps * interval_ns / 8 / 1e9), 1.0)
             self.emit(self.stream, {
                 "device": port.owner.name, "port": port.port_no,
                 "util": round(util, 6),
             })
-            self._g_util.labels(port.owner.name, port.port_no).set(util)
 
 
 class ServiceLatencySampler(Sampler):

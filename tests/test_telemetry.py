@@ -1,21 +1,21 @@
-"""Tests for repro.telemetry: registry, samplers, exporters, recorder,
-scenario wiring, and the determinism/caching contracts."""
+"""Tests for repro.telemetry: samplers, exporters, the end-of-run
+snapshot, recorder, scenario wiring, and the determinism/caching
+contracts."""
 
 import importlib.util
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.experiments.scale import TINY
 from repro.experiments.scenarios import ScenarioConfig, run_scenario
 from repro.telemetry import (
-    NULL_METRIC,
-    MetricsRegistry,
     Telemetry,
     TelemetryConfig,
     merge_streams,
+    to_prometheus,
 )
 from repro.telemetry.recorder import FlightRecorder
 
@@ -33,71 +33,23 @@ def _load_checker():
     return module
 
 
-# -- metrics registry ---------------------------------------------------------
-
-
-def test_counter_gauge_histogram_basics():
-    registry = MetricsRegistry()
-    c = registry.counter("c_total", "a counter")
-    c.inc()
-    c.inc(2)
-    assert c.value == 3
-    g = registry.gauge("g", "a gauge", ("device",))
-    g.labels("tor0").set(5)
-    g.labels("tor0").dec()
-    g.labels("tor1").set(7)
-    assert g.labels("tor0").value == 4
-    h = registry.histogram("h_bytes", "sizes", buckets=(10, 100))
-    for v in (5, 50, 500):
-        h.observe(v)
-    child = h.labels()
-    assert child.count == 3 and child.sum == 555
-    assert child.cumulative() == [(10.0, 1), (100.0, 2), (float("inf"), 3)]
-
-
-def test_registry_disabled_path_is_null_singleton():
-    registry = MetricsRegistry(enabled=False)
-    metric = registry.counter("anything", "ignored", ("a", "b"))
-    assert metric is NULL_METRIC
-    assert metric.labels("x", "y") is NULL_METRIC
-    metric.inc()
-    metric.observe(4)
-    metric.set(9)
-    assert metric.value == 0.0
-    assert registry.collect() == []
-    assert registry.to_prometheus() == ""
-
-
-def test_registry_rejects_shape_conflicts():
-    registry = MetricsRegistry()
-    registry.counter("m", "first", ("a",))
-    with pytest.raises(ValueError):
-        registry.gauge("m", "same name, different kind", ("a",))
-    with pytest.raises(ValueError):
-        registry.counter("m", "same kind, different labels", ("a", "b"))
-    # Same shape: create-or-get returns the existing family.
-    assert registry.counter("m", labelnames=("a",)) is registry.counter("m", labelnames=("a",))
+# -- the end-of-run snapshot ---------------------------------------------------
 
 
 def test_prometheus_exposition_format():
-    registry = MetricsRegistry()
-    registry.counter("tlt_x_total", "help text").inc(5)
-    registry.gauge("tlt_g", "g", ("switch",)).labels('to"r0').set(1.5)
-    registry.histogram("tlt_h", "h", buckets=(1.0,)).observe(0.5)
-    text = registry.to_prometheus()
-    assert "# HELP tlt_x_total help text" in text
-    assert "# TYPE tlt_x_total counter" in text
-    assert "tlt_x_total 5" in text
-    assert 'tlt_g{switch="to\\"r0"} 1.5' in text
-    assert 'tlt_h_bucket{le="+Inf"} 1' in text
-    assert "tlt_h_count 1" in text
-
-
-def test_labels_arity_checked():
-    registry = MetricsRegistry()
-    gauge = registry.gauge("g", "g", ("a", "b"))
-    with pytest.raises(ValueError):
-        gauge.labels("only-one")
+    text = to_prometheus([
+        ("tlt_x_total", "counter", "help text", [({}, 5)]),
+        ("tlt_g", "gauge", "g", [({"switch": 'to"r0'}, 1.5), ({"switch": "tor1"}, 2.0)]),
+    ])
+    assert text == (
+        "# HELP tlt_g g\n"
+        "# TYPE tlt_g gauge\n"
+        'tlt_g{switch="to\\"r0"} 1.5\n'
+        'tlt_g{switch="tor1"} 2\n'
+        "# HELP tlt_x_total help text\n"
+        "# TYPE tlt_x_total counter\n"
+        "tlt_x_total 5\n"
+    )
 
 
 # -- samplers -----------------------------------------------------------------
@@ -108,13 +60,19 @@ def test_sampler_interval_validation():
         TelemetryConfig.from_spec({"interval_ns": -5})
 
 
+def test_config_is_out_dir_and_interval_only():
+    assert [f.name for f in fields(TelemetryConfig)] == ["out_dir", "interval_ns"]
+    for option in ("csv", "html", "queues", "flow_interval_ns", "max_flows", "run_id"):
+        with pytest.raises(ValueError, match="unknown telemetry option"):
+            TelemetryConfig.from_spec({option: True})
+
+
 def test_telemetry_samplers_stop_when_engine_drains(tmp_path):
     """The auto-active predicate: samplers stop re-arming once the only
     pending events are their own, so telemetry never wedges a run."""
     net = small_star()
     telemetry = Telemetry(
-        net, TelemetryConfig(out_dir=str(tmp_path), interval_ns=10_000,
-                             report=False, prometheus=False)
+        net, TelemetryConfig(out_dir=str(tmp_path), interval_ns=10_000)
     ).install()
     _, _, record = run_flow(net, "dctcp", size=200_000)
     assert record.completed
@@ -134,8 +92,7 @@ def test_flow_sampler_reads_sender_state(tmp_path):
     for transport in ("dctcp", "irn"):
         net = small_star()
         telemetry = Telemetry(
-            net, TelemetryConfig(out_dir=str(tmp_path / transport), interval_ns=5_000,
-                                 report=False, prometheus=False, jsonl=False)
+            net, TelemetryConfig(out_dir=str(tmp_path / transport), interval_ns=5_000)
         ).install()
         injector = FaultInjector(net.switches[0], 0.02, stats=net.stats)
         run_flow(net, transport, size=500_000)
@@ -168,9 +125,7 @@ def test_flow_sampler_tick_touches_only_live_senders(monkeypatch):
     net.engine.run(until=net.engine.now + 20_000)
 
     rows, touched = [], []
-    registry = MetricsRegistry()
-    sampler = FlowStateSampler(net, 1_000, lambda stream, row: rows.append(row), registry,
-                               start=False)
+    sampler = FlowStateSampler(net, 1_000, lambda stream, row: rows.append(row), start=False)
     build = FlowStateSampler._row
     monkeypatch.setattr(FlowStateSampler, "_row",
                         staticmethod(lambda sender: touched.append(sender) or build(sender)))
@@ -178,8 +133,6 @@ def test_flow_sampler_tick_touches_only_live_senders(monkeypatch):
     assert len(touched) == 3
     assert [row["flow"] for row in rows] == sorted(live)
     assert all(row["inflight"] > 0 and row["rto_armed"] == 1 for row in rows)
-    assert registry.gauge("tlt_active_flows", "").value == 3
-    assert registry.counter("tlt_flow_samples_total", "").value == 3
 
 
 # -- flight recorder ----------------------------------------------------------
@@ -209,8 +162,7 @@ def test_rto_fire_triggers_flight_dump(tmp_path):
 
     net = small_star()
     telemetry = Telemetry(
-        net, TelemetryConfig(out_dir=str(tmp_path), interval_ns=10_000,
-                             report=False, prometheus=False)
+        net, TelemetryConfig(out_dir=str(tmp_path), interval_ns=10_000)
     ).install()
     FaultInjector(net.switches[0], 1.0, stats=net.stats)  # kill everything
     run_flow(net, "tcp", size=20_000, until=100_000_000)
@@ -231,8 +183,7 @@ def _tiny_config(**kwargs):
 
 def test_scenario_run_produces_schema_valid_telemetry(tmp_path):
     out = str(tmp_path / "tele")
-    result = run_scenario(_tiny_config(telemetry={"out_dir": out, "csv": True,
-                                                  "html": True}))
+    result = run_scenario(_tiny_config(telemetry={"out_dir": out}))
     telemetry = result.telemetry
     assert telemetry is not None
     summary = telemetry.summary()
@@ -286,6 +237,104 @@ def test_telemetry_writes_and_mirrors_the_run_manifest(tmp_path):
     with open(os.path.join(out, f"run_{run_id}.prom"), "w") as handle:
         handle.write("# nothing\n")
     assert any("tlt_run_info" in error for error in checker.check_dir(out)[2])
+
+
+def _prom_series(text):
+    """``{series: value}`` and ``{family: type}`` of a ``.prom`` text."""
+    series, types = {}, {}
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, name, kind = line.split(" ")
+            types[name] = kind
+        elif not line.startswith("#"):
+            key, value = line.rsplit(" ", 1)
+            series[key] = float(value)
+    return series, types
+
+
+@pytest.mark.parametrize("path_selection", [None, "flowlet"])
+def test_snapshot_holds_the_end_of_run_values(tmp_path, path_selection):
+    """Every series of the ``.prom`` is a value read at the end of the
+    run: the manifest, the NetStats totals, the switches' path counters
+    and live K. Nothing a sampler saw last is left in it."""
+    out = str(tmp_path / "tele")
+    result = run_scenario(ScenarioConfig(
+        transport="dctcp", tlt=True, scale=replace(TINY, num_spines=2), seed=3, audit=False,
+        path_selection=path_selection, telemetry={"out_dir": out}))
+    stats, manifest, run_id = result.net.stats, result.manifest, result.telemetry.run_id
+    expected = {
+        "tlt_timeouts_total": stats.timeouts,
+        "tlt_fast_retransmits_total": stats.fast_retransmits,
+        "tlt_ecn_marks_total": stats.ecn_marks,
+        "tlt_pause_frames_total": stats.pause_frames,
+        "tlt_drops_green_total": stats.drops_green,
+        "tlt_drops_red_total": stats.drops_red,
+        "tlt_drops_fault_total": stats.drops_fault,
+        "tlt_flows_incomplete": stats.incomplete_flows(),
+        "tlt_telemetry_samples_total": result.telemetry.emitted,
+        "tlt_run_wall_seconds": manifest["wall_s"],
+        "tlt_run_cpu_seconds": manifest["cpu_s"],
+        "tlt_run_peak_rss_bytes": int(manifest["peak_rss_mb"] * 1024 * 1024),
+        "tlt_run_events_total": manifest["events"],
+        f'tlt_run_info{{backend="{manifest["backend"]}",shards="1",audit="false"}}': 1,
+    }
+    for switch in result.net.switches:
+        expected[f'tlt_policy_color_threshold_bytes{{switch="{switch.name}"}}'] = \
+            switch.policy.describe()["k"]
+        if path_selection is not None:
+            expected[f'tlt_path_flowlets_total{{switch="{switch.name}"}}'] = \
+                switch.fib.flowlets
+            expected[f'tlt_path_reroutes_total{{switch="{switch.name}"}}'] = \
+                switch.fib.reroutes
+    with open(os.path.join(out, f"run_{run_id}.prom")) as handle:
+        series, types = _prom_series(handle.read())
+    assert series == expected
+    assert set(types) == {key.partition("{")[0] for key in expected}
+    if path_selection is not None:
+        assert types["tlt_path_flowlets_total"] == types["tlt_path_reroutes_total"] == "counter"
+        assert any(switch.fib.flowlets for switch in result.net.switches)
+
+
+def test_checker_matches_snapshot_samples_to_the_stream(tmp_path):
+    """``tlt_telemetry_samples_total`` must count the run's JSONL records:
+    the checker notices when either file is edited."""
+    out = str(tmp_path / "tele")
+    run_id = run_scenario(_tiny_config(audit=False, telemetry={"out_dir": out})).telemetry.run_id
+    checker = _load_checker()
+    assert not checker.check_dir(out)[2]
+    stream = os.path.join(out, f"run_{run_id}.jsonl")
+    prom = os.path.join(out, f"run_{run_id}.prom")
+    with open(stream) as handle:
+        lines = handle.readlines()
+    with open(stream, "w") as handle:
+        handle.writelines(lines[:-1])
+    assert any("tlt_telemetry_samples_total" in error for error in checker.check_dir(out)[2])
+    with open(stream, "w") as handle:
+        handle.writelines(lines)
+    assert not checker.check_dir(out)[2]
+    with open(prom) as handle:
+        text = handle.read()
+    with open(prom, "w") as handle:
+        handle.write(text.replace(f"tlt_telemetry_samples_total {len(lines)}\n",
+                                  f"tlt_telemetry_samples_total {len(lines) + 1}\n"))
+    assert any("tlt_telemetry_samples_total" in error for error in checker.check_dir(out)[2])
+
+
+def test_queue_rows_carry_the_live_k(tmp_path):
+    """Under adaptive-K, the ``queue`` stream's ``k`` is the K the switch
+    admits against: the ``policy`` row of the same switch and tick."""
+    from repro.experiments.fig13_mixed_traffic import CacheWithBackground
+    from repro.experiments.testbed import paper_testbed
+
+    config = paper_testbed(transport="dctcp", tlt=True, admission="adaptive-k", seed=1,
+                           telemetry={"out_dir": str(tmp_path)})
+    samples = run_scenario(config, CacheWithBackground()).telemetry.samples
+    policy_k = {(row["t"], row["switch"]): row["k"] for row in samples["policy"]}
+    assert len(set(policy_k.values())) > 1  # K was retuned during the run
+    assert samples["queue"]
+    for row in samples["queue"]:
+        assert row["k"] == policy_k[row["t"], row["switch"]]
+    assert len({row["k"] for row in samples["queue"]}) > 1
 
 
 def test_sharded_telemetry_writes_each_shards_manifest_and_the_merged_one(

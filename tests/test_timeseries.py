@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.telemetry import LinkLoadSampler, MetricsRegistry
+from repro.faults import FaultController, FaultSchedule
+from repro.telemetry import LinkLoadSampler
 from repro.transport.base import FlowSpec, TransportConfig
 from repro.transport.registry import create_flow
 
@@ -17,7 +18,7 @@ def _host0_series(net, interval_ns, **kwargs):
         if row["device"] == net.host(0).name:
             series.append(row["util"])
 
-    return LinkLoadSampler(net, interval_ns, emit, MetricsRegistry(), **kwargs), series
+    return LinkLoadSampler(net, interval_ns, emit, **kwargs), series
 
 
 def _send(net, size):
@@ -56,7 +57,7 @@ def test_stop_halts_sampling():
 def test_interval_validation():
     net = small_star()
     with pytest.raises(ValueError):
-        LinkLoadSampler(net, 0, lambda stream, row: None, MetricsRegistry())
+        LinkLoadSampler(net, 0, lambda stream, row: None)
 
 
 def test_utilization_capped_at_one():
@@ -67,3 +68,27 @@ def test_utilization_capped_at_one():
     net.engine.run()
     assert series
     assert all(0.0 < util <= 1.0 for util in series)
+
+
+def test_utilization_follows_a_degraded_link_rate():
+    """A saturated link reads about 1.0 before and after ``link_degrade``
+    cuts its rate to a quarter: each tick divides by the live rate."""
+    net = small_star()
+    FaultController(net, FaultSchedule.from_spec({"events": [
+        {"time_ns": 100_000, "kind": "link_degrade", "target": f"{net.host(0).name}:0",
+         "params": {"factor": 0.25}},
+    ]})).install()
+    sampled = []
+
+    def emit(stream, row):
+        if row["device"] == net.host(0).name:
+            sampled.append((net.engine.now, row["util"]))
+
+    LinkLoadSampler(net, 10_000, emit, active=lambda: bool(net.stats.incomplete_flows()))
+    _send(net, 2_000_000)
+    net.engine.run()
+    before = [util for t, util in sampled if 20_000 <= t <= 100_000]
+    after = [util for t, util in sampled if t >= 120_000][:-1]  # the last tick is partial
+    assert before and after
+    assert min(before) > 0.9
+    assert min(after) > 0.9

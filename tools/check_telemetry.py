@@ -15,7 +15,9 @@ every ``flight_*.json`` dump is checked for the snapshot schema, every
 ``manifest_*.json`` for the run-manifest schema (the one ``SCHEMA``
 constant, required keys, ``events > 0``, ``events_per_s == events /
 wall_s`` within rounding, ``0 <= collect_s <= wall_s``), every
-``run_*.prom`` for the ``tlt_run_*`` families that mirror it, and every ``<id>.manifest.json`` (the
+``run_*.prom`` for the ``tlt_run_*`` families that mirror it and for a
+``tlt_telemetry_samples_total`` equal to the record count of the
+run's ``run_*.jsonl``, and every ``<id>.manifest.json`` (the
 experiment document ``tlt-experiment --csv`` writes) for its totals:
 ``runs``/``cached_runs``/``retries`` against the manifests it lists,
 ``jobs >= 1``, ``elapsed_s >= 0``, and ``0 <= collect_s <= wall_s``
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Dict, List, Tuple
 
@@ -234,11 +237,25 @@ def check_document(path: str) -> Tuple[int, List[str]]:
 
 
 def check_prom(path: str) -> List[str]:
-    """The ``.prom`` snapshot must say what produced it."""
+    """The ``.prom`` snapshot must say what produced it and count the
+    records of the stream beside it."""
+    name = os.path.basename(path)
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    return [f"{os.path.basename(path)}: no {family} family"
-            for family in RUN_FAMILIES if f"\n{family}" not in text]
+    errors = [f"{name}: no {family} family"
+              for family in RUN_FAMILIES if f"\n{family}" not in text]
+    samples = re.search(r"^tlt_telemetry_samples_total (\d+)$", text, re.MULTILINE)
+    stream = path[:-len(".prom")] + ".jsonl"
+    try:
+        with open(stream, encoding="utf-8") as handle:
+            records = sum(1 for line in handle if line.strip())
+    except OSError:
+        records = None
+    if samples is None or int(samples.group(1)) != records:
+        errors.append(f"{name}: tlt_telemetry_samples_total "
+                      f"{samples and samples.group(1)} != {records} records in "
+                      f"{os.path.basename(stream)}")
+    return errors
 
 
 def check_dir(out_dir: str) -> Tuple[Dict[str, int], int, List[str]]:
