@@ -48,14 +48,14 @@ def cost(started: tuple, events: int) -> Dict:
 
 def build(net, control, config, run_id: str, shard: Optional[int] = None) -> Dict:
     """One finished run's manifest, read off ``net``, its ``config`` and the
-    resolved run ``control``. ``shards`` is what ran, not what was asked
-    for (``shard``, a worker's index, marks one part of a sharded run)."""
+    resolved run ``control`` (``shard``, a worker's index, marks one part
+    of a sharded run)."""
     return dict(
         schema=SCHEMA,
         run_id=run_id, transport=config.transport, tlt=config.tlt,
         seed=config.seed, scale=config.scale.name, topology=config.topology,
         backend=current_backend(),
-        shards=control.shards if shard is not None else 1,
+        shards=control.shards,
         audit=control.audit,
         faults=control.faults is not None,
         telemetry=control.telemetry is not None,

@@ -45,6 +45,7 @@ from repro.experiments.manifest import LOG
 from repro.experiments.scenarios import (
     ScenarioConfig,
     ScenarioResult,
+    check_modes,
     encode_workload,
     run_control,
     run_scenario,
@@ -117,18 +118,13 @@ class Job:
     def cache_key(self) -> str:
         # What the key leaves out is how a run is executed or watched,
         # never what it simulates (the rule and the table: docs/API.md,
-        # "Run control"):
-        # - the fault schedule is folded in *resolved*: a spec that
-        #   arrives via the TLT_FAULTS file is invisible to the config
-        #   dataclass, and stale hits across different fault specs would
-        #   silently mix chaos runs with clean ones;
-        # - telemetry is an observation: attaching samplers changes no
-        #   simulation observable, so a telemetry run and a plain run
-        #   share one entry. Corollary: a cache hit re-simulates nothing
-        #   and emits no telemetry (--no-cache forces fresh streams);
-        # - a sharded run is bit-identical to the single-core run, and a
-        #   checkpointed run continues bit-identically after restore,
-        #   both by contract: execution strategy, not identity.
+        # "Run control"). The fault schedule is folded in *resolved*: a
+        # spec from the TLT_FAULTS file is invisible to the config, and
+        # stale hits would mix chaos runs with clean ones. Telemetry,
+        # shards and a checkpoint are left out, bit-identical by
+        # contract: a cache hit re-simulates nothing and emits no
+        # telemetry (--no-cache forces fresh streams). Which modes
+        # combine is checked by run_jobs before it reads the key.
         config = replace(
             self.config, seed=self.seed, faults=run_control(self.config).faults,
             telemetry=None, shards=None, checkpoint=None,
@@ -326,6 +322,8 @@ def run_jobs(jobs: Sequence[Job], *, jobs_n: Optional[int] = None,
         if job.index in seen:
             raise ValueError(f"duplicate job index {job.index}")
         seen.add(job.index)
+        # Before the cache: a cached plain run must not serve a refused one.
+        check_modes(job.config, run_control(job.config), job.traffic)
         if use_cache:
             key = keys[job.index] = job.cache_key()
             artifact = cache.get(key)

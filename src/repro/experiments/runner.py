@@ -41,6 +41,7 @@ from repro.experiments import manifest, parallel
 from repro.experiments.cache import code_version
 from repro.experiments.common import check_claims, print_table
 from repro.experiments.export import rows_to_csv, write_json
+from repro.experiments.scenarios import UnsupportedModeError
 from repro.sim.backend import set_attribution
 
 EXPERIMENTS: Dict[str, str] = {
@@ -196,19 +197,20 @@ def main(argv=None) -> int:
                              "telemetry — combine with --no-cache for fresh "
                              "streams)")
     parser.add_argument("--checkpoint", default=None, metavar="DIR",
-                        help="service runs only: save a mid-run simulation "
-                             "checkpoint into DIR at the arrival-span "
-                             "midpoint (pure backend; resume with "
-                             "repro.service.resume_service; excluded from "
-                             "cache keys like --telemetry/--shards, so "
-                             "combine with --no-cache to force execution)")
+                        help="save a mid-run checkpoint of every service run "
+                             "into DIR at the arrival-span midpoint (resume with "
+                             "repro.service.resume_service); with a non-service "
+                             "run, --telemetry, --faults or the compiled backend "
+                             "refused before any run; excluded from cache keys, "
+                             "so combine with --no-cache to force execution")
     parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="split every leaf-spine run across N shard worker "
-                             "processes synchronized by conservative lookahead "
-                             "(bit-identical results by contract; excluded from "
-                             "cache keys, so combine with --no-cache to force "
-                             "sharded execution; orthogonal to --jobs, which "
-                             "parallelizes across runs)")
+                        help="split every run across N shard worker processes "
+                             "synchronized by conservative lookahead (bit-identical "
+                             "by contract; excluded from cache keys, so combine "
+                             "with --no-cache; orthogonal to --jobs); N > 1 with "
+                             "a service, a custom workload, a topology other than "
+                             "leaf_spine or adaptive-k admission is refused "
+                             "before any run")
     parser.add_argument("--csv", default=None, metavar="DIR",
                         help="also write the result rows as CSV files, and the "
                              "experiment's manifest document as "
@@ -269,7 +271,11 @@ def main(argv=None) -> int:
         return 2
 
     for name in names:
-        _run_one(name, args)
+        try:
+            _run_one(name, args)
+        except UnsupportedModeError as exc:  # refused before any run
+            print(f"{name}: {exc}", file=sys.stderr)
+            return 2
 
     if args.telemetry:
         # Deterministic merge of per-worker streams by (seed, sim time).

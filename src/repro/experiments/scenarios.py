@@ -43,11 +43,13 @@ from repro.net.topology import (
     leaf_spine,
     star,
 )
+from repro.sim.backend import current_backend
 from repro.sim.engine import freeze_program
 from repro.sim.rng import derive_seed
 from repro.sim.units import GBPS, KB, MICROS, MILLIS
 from repro.switchsim.ecn import RedEcn, StepEcn
 from repro.switchsim.pfc import PfcConfig
+from repro.switchsim.policy import make_policy
 from repro.switchsim.switch import SwitchConfig
 from repro.transport.base import FlowSpec, TransportConfig
 from repro.transport.recovery import resolve_recovery
@@ -64,6 +66,12 @@ ROCE_FAMILY = frozenset({"dcqcn", "dcqcn-sack", "irn", "hpcc"})
 
 #: Per-port share of shared buffer (4.5 MB / 12 ports in the paper).
 BUFFER_PER_PORT = 375 * KB
+#: Fat-tree arity of ``topology="fat_tree"`` (k pods, k^3/4 hosts).
+FAT_TREE_K = 4
+#: DCTCP step-marking threshold.
+DCTCP_K_BYTES = 200 * KB
+#: DCQCN RED marking: K_min, K_max and P_max.
+DCQCN_KMIN, DCQCN_KMAX, DCQCN_PMAX = 5 * KB, 200 * KB, 0.01
 
 
 @dataclass(frozen=True)
@@ -105,12 +113,6 @@ class ScenarioConfig:
     scale: Scale = SMALL
     link_rate_bps: int = 40 * GBPS
     link_delay_ns: Optional[int] = None  # default: 10 us TCP / 1 us RoCE
-    #: Fat-tree arity (k pods, k^3/4 hosts); only used when
-    #: ``topology == "fat_tree"``.
-    fat_tree_k: int = 4
-    #: Per-spine rate factors for an asymmetric leaf-spine (see
-    #: :func:`repro.net.topology.leaf_spine`); None = symmetric.
-    spine_rate_factors: Optional[tuple] = None
     #: Per-core rate factors for an asymmetric fat-tree (see
     #: :func:`repro.net.topology.fat_tree`); None = symmetric.
     core_rate_factors: Optional[tuple] = None
@@ -132,10 +134,6 @@ class ScenarioConfig:
     #: multipath selector — see :func:`repro.net.routing.make_fib`).
     #: Part of the result identity, so it is folded into cache keys.
     path_selection: Optional[object] = None
-    ecn_k_bytes: int = 200 * KB  # DCTCP step threshold
-    dcqcn_kmin: int = 5 * KB
-    dcqcn_kmax: int = 200 * KB
-    dcqcn_pmax: float = 0.01
 
     #: Host loss-recovery spec of every flow (:mod:`repro.transport.recovery`;
     #: ``None`` = the transport's default RTO). Folded into cache keys.
@@ -154,7 +152,6 @@ class ScenarioConfig:
 
     seed: int = 1
     drain_ns: int = 100 * MILLIS
-    hard_cap_ns: Optional[int] = None
     queue_sample_interval_ns: int = 20 * MICROS
     #: Service-emulator spec (:class:`repro.service.ServiceSpec` dict
     #: form). When set, :func:`run_scenario` dispatches to
@@ -170,7 +167,8 @@ class ScenarioConfig:
     # (which also reaches pool workers), else off. Results are
     # bit-identical by contract with any of them, so only ``audit``
     # (as a field) and the resolved ``faults`` are in result-cache
-    # keys; the table is in docs/API.md, "Run control".
+    # keys; the table is in docs/API.md, "Run control", and which
+    # combine is MODE_CONFLICTS.
     #: Split the fabric across this many conservative-lookahead shard
     #: workers (:mod:`repro.sim.sharding`).
     shards: Optional[int] = None
@@ -185,7 +183,7 @@ class ScenarioConfig:
     telemetry: Optional[Dict] = None
     #: Checkpoint spec: ``{"dir": path, "at_ns": sim-time}`` (``at_ns``
     #: optional — defaults to the midpoint of the arrival span), or just
-    #: a directory string. Pure backend only; service runs only.
+    #: a directory string.
     checkpoint: Optional[object] = None
 
     # -- derived ----------------------------------------------------------------
@@ -301,19 +299,16 @@ def build_network(config: ScenarioConfig) -> Network:
     if config.topology == "leaf_spine":
         ports = scale.hosts_per_tor + scale.num_spines
     elif config.topology == "fat_tree":
-        ports = config.fat_tree_k
+        ports = FAT_TREE_K
     else:
         ports = scale.num_hosts
     ecn = None
     ecn_factory = None
     if config.transport == "dctcp":
         # Stateless step marking: one shared scheme object is fine.
-        ecn = StepEcn(config.ecn_k_bytes)
+        ecn = StepEcn(DCTCP_K_BYTES)
     elif config.transport in ("dcqcn", "dcqcn-sack", "irn"):
-        ecn_factory = EcnStreamFactory(
-            config.dcqcn_kmin, config.dcqcn_kmax, config.dcqcn_pmax,
-            config.seed,
-        )
+        ecn_factory = EcnStreamFactory(DCQCN_KMIN, DCQCN_KMAX, DCQCN_PMAX, config.seed)
 
     switch_config = SwitchConfig(
         buffer_bytes=ports * config.buffer_per_port,
@@ -334,12 +329,11 @@ def build_network(config: ScenarioConfig) -> Network:
     )
     if config.topology == "leaf_spine":
         return leaf_spine(
-            scale.num_spines, scale.num_tors, scale.hosts_per_tor, params,
-            config.seed, spine_rate_factors=config.spine_rate_factors,
+            scale.num_spines, scale.num_tors, scale.hosts_per_tor, params, config.seed,
         )
     if config.topology == "fat_tree":
         return fat_tree(
-            config.fat_tree_k, params, config.seed,
+            FAT_TREE_K, params, config.seed,
             core_rate_factors=config.core_rate_factors,
         )
     if config.topology == "star":
@@ -445,6 +439,53 @@ def run_control(config: ScenarioConfig) -> RunControl:
         shards, bool(audit), os.environ.get("TLT_AUDIT_DUMP") or None,
         faults, telemetry, checkpoint,
     )
+
+
+class UnsupportedModeError(ValueError):
+    """A run in two modes that do not combine (a row of :data:`MODE_CONFLICTS`)."""
+
+
+def run_modes(config: ScenarioConfig, control: RunControl, traffic=None,
+              backend: str = "pure") -> set:
+    """The modes a run is in, by the names :data:`MODE_CONFLICTS` uses."""
+    return {mode for mode, on in (
+        ("checkpoint", control.checkpoint is not None),
+        ("service", config.service is not None),
+        ("non-service run", config.service is None),
+        ("telemetry", control.telemetry is not None),
+        ("faults", control.faults is not None),
+        ("compiled backend", backend == "compiled"),
+        ("custom traffic", traffic is not None),
+        ("shards > 1", control.shards > 1),
+        ("topology other than leaf_spine", config.topology != "leaf_spine"),
+        ("admission controller", make_policy(config.admission).arms_controller),
+    ) if on}
+
+
+#: The run modes that do not combine, ``(mode, mode, why)``: the one
+#: place this is decided. Every other pair gives one fingerprint
+#: (``tests/test_run_modes.py`` runs each pair).
+MODE_CONFLICTS = (
+    ("checkpoint", "non-service run", "only a service run pauses to save one"),
+    ("checkpoint", "telemetry", "the JSONL stream holds open file handles that cannot pickle"),
+    ("checkpoint", "faults", "fault interceptors are closures that cannot pickle"),
+    ("checkpoint", "compiled backend", "its C state cannot pickle: run with TLT_BACKEND=pure"),
+    ("custom traffic", "service", "a service run's workload is its request stream"),
+    ("shards > 1", "service", "a service run drives its own loop on one engine"),
+    ("shards > 1", "custom traffic", "the shard workers schedule only the standard mix"),
+    ("shards > 1", "topology other than leaf_spine", "the shard plan partitions a leaf-spine"),
+    ("shards > 1", "admission controller", "its ticks would count once per shard replica"),
+)
+
+
+def check_modes(config: ScenarioConfig, control: RunControl, traffic=None) -> None:
+    """One :class:`UnsupportedModeError` naming each pair of modes of the
+    run, on the active backend, that do not combine, and why."""
+    modes = run_modes(config, control, traffic, current_backend())
+    conflicts = [f"{first} and {second} do not combine: {why}"
+                 for first, second, why in MODE_CONFLICTS if first in modes and second in modes]
+    if conflicts:
+        raise UnsupportedModeError("; ".join(conflicts))
 
 
 # -- the run harness ---------------------------------------------------------------
@@ -598,8 +639,9 @@ def run_scenario(config: ScenarioConfig, traffic=None) -> ScenarioResult:
     ``traffic(config, net, create)`` is the workload (None:
     :func:`schedule_traffic`); ``create(spec)`` opens one flow of the run.
     A custom one is a dataclass whose fields, the point's parameters, are
-    folded into the run id; it runs on one engine (the shard workers
-    schedule only the standard mix) and never with ``service``.
+    folded into the run id. A run in two modes that do not combine
+    (:data:`MODE_CONFLICTS`) is an :class:`UnsupportedModeError` before
+    anything is built.
     """
     # Here and not in _run_scenario, whose closure cells (net,
     # sample_queues) exist from its entry: the freeze would keep the
@@ -610,20 +652,16 @@ def run_scenario(config: ScenarioConfig, traffic=None) -> ScenarioResult:
 
 def _run_scenario(config: ScenarioConfig, traffic) -> ScenarioResult:
     control = run_control(config)
-    run_id = None  # the config's, unless a custom workload names the run
-    if traffic is not None:
-        if config.service is not None:
-            raise ValueError("a service scenario's workload is its request "
-                             "stream: it takes no custom traffic")
-        run_id = _telemetry_run_id(config, traffic)
+    check_modes(config, control, traffic)
+    run_id = None if traffic is None else _telemetry_run_id(config, traffic)  # None: the config's
     if config.service is not None:
         # Service runs replace the whole traffic layer (open-loop
         # request stream instead of background+incast), so they take
-        # their own drive loop; sharding does not apply to them.
+        # their own drive loop.
         from repro.service.run import run_service
 
         return run_service(config, control)
-    if traffic is None and control.shards > 1 and config.topology == "leaf_spine":
+    if control.shards > 1:
         from repro.sim.sharding import run_scenario_sharded
 
         return run_scenario_sharded(config, control)
@@ -660,7 +698,7 @@ def _run_scenario(config: ScenarioConfig, traffic) -> ScenarioResult:
     )
     collect(net)
     engine = net.engine
-    hard_cap = config.hard_cap_ns or (horizon + 10 * config.drain_ns)
+    hard_cap = horizon + 10 * config.drain_ns
     try:
         # To the horizon, then in 50 ms steps while flows are incomplete,
         # events remain and the hard cap is not reached.

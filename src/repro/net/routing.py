@@ -139,9 +139,6 @@ class Fib:
             return ports[0]
         return ports[ecmp_index(flow_id, self.switch_id, len(ports))]
 
-    def has_route(self, dst_host: int) -> bool:
-        return dst_host in self._routes
-
     def candidates(self, dst_host: int) -> Tuple[int, ...]:
         return self._routes[dst_host]
 

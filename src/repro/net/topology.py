@@ -91,9 +91,6 @@ class Network:
                     total += self.engine.now - port._pause_started
         return total
 
-    def link_count(self) -> int:
-        return sum(len(d.ports) for d in self.switches) // 1
-
     def avg_pause_fraction(self, duration_ns: int) -> float:
         """Average fraction of time a link was blocked by PAUSE."""
         ports = [p for d in list(self.switches) + list(self.hosts) for p in d.ports]

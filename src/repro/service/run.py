@@ -21,15 +21,13 @@ midpoint of the arrival span — pickles the whole simulation
 picks the file up and runs to completion. The resumed run's
 :func:`service_fingerprint` is **bit-for-bit equal** to the
 uninterrupted run's — the gate ``tools/check_service_checkpoint.py``
-and ``tests/test_checkpoint.py`` enforce. Telemetry (open file
-handles), fault schedules (interceptor closures) and the compiled
-backend's engine cannot pickle and are refused up front, before the
-network is built, when a checkpoint is requested.
+and ``tests/test_run_modes.py`` enforce.
 """
 
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.experiments.parallel import Job
@@ -40,15 +38,14 @@ from repro.experiments.scenarios import (
     attach_telemetry,
     build_network,
     collect,
+    endpoint_settings,
     finish_run,
     install_faults,
-    make_transport_config,
 )
 from repro.service.emulator import ServiceEmulator
 from repro.service.slo import render_slo_report, slo_report
 from repro.service.spec import ServiceSpec
 from repro.sim import checkpoint as ckpt
-from repro.sim.backend import create_engine
 from repro.sim.engine import freeze_program
 from repro.sim.units import MILLIS
 
@@ -114,28 +111,11 @@ def run_service(config, control) -> ScenarioResult:
     run ``control`` (:func:`repro.experiments.scenarios.run_scenario`
     dispatches here)."""
     spec = ServiceSpec.from_spec(config.service)
-    checkpoint_spec = control.checkpoint
-    if checkpoint_spec is not None:
-        if control.telemetry is not None:
-            raise ckpt.CheckpointError(
-                "checkpointing a telemetry-attached run is unsupported: the "
-                "JSONL stream holds open file handles that cannot pickle")
-        if control.faults is not None:
-            raise ckpt.CheckpointError(
-                "checkpointing a faulted run is unsupported: fault "
-                "interceptors are closures that cannot pickle")
-        # The engine this run would be built on: refused now, with
-        # the text of the save, not after simulating up to it.
-        ckpt.require_pure_engine(create_engine())
-
     net = build_network(config)
     auditor = attach_auditor(net, control)
     faults = install_faults(net, control)
 
-    tconfig = make_transport_config(config)
-    tlt_cfg = config.tlt_config if config.tlt else None
-    emulator = ServiceEmulator(net, spec, config.transport, tconfig, tlt_cfg,
-                               seed=config.seed)
+    emulator = ServiceEmulator(net, spec, *endpoint_settings(config), seed=config.seed)
     emulator.start()
 
     telemetry = attach_telemetry(config, net, control, emulator.active, faults)
@@ -147,18 +127,15 @@ def run_service(config, control) -> ScenarioResult:
             active=emulator.active))
 
     span = int(spec.requests / spec.rate_rps * 1e9)  # expected arrival span
-    hard_cap = config.hard_cap_ns or (3 * span + 10 * config.drain_ns)
+    hard_cap = 3 * span + 10 * config.drain_ns
     checkpoint_at = save = None
-    if checkpoint_spec is not None:
-        path = ckpt.default_path(checkpoint_spec["dir"])
+    if control.checkpoint is not None:
+        checkpoint_at = control.checkpoint["at_ns"] or span // 2
         # The run's identity: the cache key, run control stripped.
-        key = Job(0, config, config.seed).cache_key()
-        extra = {"emulator": emulator, "config": config, "auditor": auditor,
-                 "hard_cap_ns": hard_cap}
-        checkpoint_at = checkpoint_spec["at_ns"] or span // 2
-
-        def save() -> None:
-            ckpt.save(path, net, extra=extra, key=key)
+        save = partial(ckpt.save, ckpt.default_path(control.checkpoint["dir"]), net,
+                       extra={"emulator": emulator, "config": config, "auditor": auditor,
+                              "hard_cap_ns": hard_cap},
+                       key=Job(0, config, config.seed).cache_key())
 
     return _run_out(config, control, net, emulator, auditor, faults, telemetry,
                     hard_cap, checkpoint_at, save)
@@ -174,7 +151,7 @@ def resume_service(path: str, expect_key: Optional[str] = None) -> ScenarioResul
     payload = ckpt.load(path, expect_key=expect_key)
     extra = payload["state"]["extra"]
     # The auditor was restored with the network, still installed; the
-    # rest of run control cannot be checkpointed (run_service refuses).
+    # rest of run control cannot be checkpointed (scenarios.MODE_CONFLICTS).
     auditor = extra.get("auditor")
     return _run_out(extra["config"], RunControl(audit=auditor is not None),
                     payload["state"]["net"], extra["emulator"], auditor,

@@ -13,23 +13,19 @@ the contract the determinism-fingerprint gate
 (``tools/check_service_checkpoint.py``, ``tests/test_checkpoint.py``)
 enforces.
 
-Restrictions (enforced with clear errors, documented in
-``docs/SERVICE.md``):
-
-- **pure backend only** — the compiled backend's ``CEngine`` and
-  per-device C kernels hold process-local state that cannot pickle.
-  Fingerprints are bit-identical across backends, so a pure-backend
-  restore still reproduces a compiled uninterrupted run's fingerprint;
-- every callback reachable from the engine heap must be a module-level
-  function, bound method or picklable callable class — **no closures
-  or lambdas**. The scenario/service run paths honor this (see e.g.
-  ``EcnStreamFactory`` in ``repro.experiments.scenarios``); telemetry
-  (open file handles) and fault schedules (interceptor closures) are
-  refused up front rather than failing deep inside pickle.
+Restrictions (``docs/SERVICE.md``): the pure backend only (the
+compiled kernels hold C state), and every callback reachable from the
+engine heap a module-level function, bound method or picklable callable
+class, **no closure or lambda** (see ``EcnStreamFactory`` in
+``repro.experiments.scenarios``). ``run_scenario`` refuses a checkpoint
+with the compiled backend, telemetry (open file handles) or faults
+(interceptor closures) up front (``scenarios.MODE_CONFLICTS``);
+:func:`save` checks the engine again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import tempfile
@@ -93,10 +89,8 @@ def save(path: str, net, extra: Optional[Dict[str, Any]] = None,
             handle.write(blob)
         os.replace(tmp_path, path)
     except OSError:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp_path)
-        except OSError:
-            pass
         raise
     return path
 

@@ -64,9 +64,10 @@ Every transport family shards exactly, including the RoCE RED/ECN
 family: each switch owns a name-seeded ECN RNG stream
 (``derive_seed(seed, "ecn.<switch>")`` in ``build_network``), so every
 replica derives the same streams and only the owning shard draws from
-them — no cross-shard RNG interleaving exists to replay. Known limits
-(documented in docs/PERFORMANCE.md): audited or telemetry-attached
-runs add per-shard observer events to the merged event count.
+them — no cross-shard RNG interleaving exists to replay. Audited or
+telemetry-attached runs add per-shard observer events to the merged
+event count (docs/PERFORMANCE.md); what cannot shard is refused by
+``repro.experiments.scenarios.MODE_CONFLICTS``.
 
 Workers default to one OS process per shard (fork-preferring, same
 policy as the experiment pool). When sharding is requested *inside* a
@@ -93,9 +94,9 @@ from repro.experiments.scenarios import (
     attach_auditor,
     attach_telemetry,
     build_network,
+    endpoint_settings,
     finish_run,
     install_faults,
-    make_transport_config,
     schedule_traffic,
 )
 from repro.net.link import Port
@@ -290,10 +291,6 @@ class _ShardWorker:
 
     def setup(self) -> Dict:
         config = self.config
-        if config.topology != "leaf_spine":
-            raise ValueError(
-                f"sharding requires a leaf_spine topology, got {config.topology!r}"
-            )
         from repro.sim import backend as backend_mod
 
         if self.backend is not None:
@@ -339,8 +336,7 @@ class _ShardWorker:
         self.auditor = attach_auditor(net, self.control)
         self.fault_controller = install_faults(net, self.control, self._arm_faults)
 
-        tconfig = make_transport_config(config)
-        tlt_cfg = config.tlt_config if config.tlt else None
+        transport, tconfig, tlt_cfg = endpoint_settings(config)
         host_owner = plan.host_owner
 
         def create(spec) -> None:
@@ -353,7 +349,7 @@ class _ShardWorker:
                 if host_owner(spec.dst) != mine:
                     return
             spec.on_complete_rx = self._flow_completed
-            sender, _receiver = create_flow(config.transport, net, spec, tconfig, tlt_cfg)
+            sender, _receiver = create_flow(transport, net, spec, tconfig, tlt_cfg)
             if not src_local:
                 # Receiver-only shard: keep the receiver (and an inert
                 # FlowRecord for its end_rx_ns) but never let the
@@ -395,7 +391,7 @@ class _ShardWorker:
             "lookahead": lookahead,
             "end_of_traffic": end_of_traffic,
             "horizon": horizon,
-            "hard_cap": config.hard_cap_ns or (horizon + 10 * config.drain_ns),
+            "hard_cap": horizon + 10 * config.drain_ns,
             "flows": total_flows,
             "interval": config.queue_sample_interval_ns,
             "next": engine.peek_time(),
@@ -816,8 +812,6 @@ def run_scenario_sharded(config, control):
     ``run_scenario(config)`` on a single engine.
     """
     num_shards = control.shards
-    if num_shards < 2:
-        raise ValueError(f"run_scenario_sharded needs >= 2 shards, got {num_shards}")
     from repro.sim import backend as backend_mod
 
     started = (time.perf_counter(), time.process_time(), 0)  # as Network.stamp

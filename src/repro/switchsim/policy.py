@@ -56,6 +56,9 @@ class AdmissionPolicy:
 
     #: Registry name; also stamped on telemetry rows.
     name = "policy"
+    #: Whether :meth:`on_finalize` arms a controller whose ticks are
+    #: engine events (a sharded run refuses such a policy).
+    arms_controller = False
 
     def __init__(self) -> None:
         self.switch = None
@@ -232,6 +235,7 @@ class AdaptiveK(ChoudhuryHahne):
     """
 
     name = "adaptive-k"
+    arms_controller = True
 
     def __init__(self, interval_ns: int = 100_000, increase: float = 1.25,
                  decrease: float = 0.8, green_target_fraction: float = 0.25) -> None:
@@ -265,25 +269,14 @@ class AdaptiveK(ChoudhuryHahne):
         if self.k is None or self._sampler is not None:
             return
         # Lazy import: switchsim must stay importable without telemetry.
-        from repro.telemetry.samplers import Sampler
-
-        policy = self
-
-        class _Controller(Sampler):
-            stream = "policy"
-
-            def sample(self) -> None:
-                policy._retune()
+        from repro.telemetry.samplers import PolicyController
 
         # Liveness mirrors the scenario samplers: flow records exist
         # from schedule time, so the controller rides along exactly
         # while the run has work and stops itself on the first tick
         # after the last flow completes.
-        stats = self.switch.stats
-        self._sampler = _Controller(
-            self.switch.engine, self.interval_ns,
-            active=lambda: bool(stats.incomplete_flows()),
-        )
+        self._sampler = PolicyController(self, self.switch.engine, self.interval_ns,
+                                         active=self.switch.stats.incomplete_flows)
 
     def _retune(self) -> None:
         green_peak = 0

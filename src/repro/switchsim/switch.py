@@ -398,9 +398,6 @@ class Switch(Device):
         # The switch is the packet's terminal point: recycle it.
         recycle(packet)
 
-    def total_queued_bytes(self) -> int:
-        return self.buffer.used
-
     def max_queue_occupancy(self) -> int:
         return max((q.max_occupancy for q in self.queues), default=0)
 

@@ -87,6 +87,18 @@ class Sampler:
         raise NotImplementedError
 
 
+class PolicyController(Sampler):
+    """An admission policy's controller (``AdaptiveK``): ``policy._retune()``
+    each tick; module-level, so a checkpoint of its run pickles."""
+
+    def __init__(self, policy, *args, **kwargs):
+        self.policy = policy
+        super().__init__(*args, **kwargs)
+
+    def sample(self) -> None:
+        self.policy._retune()
+
+
 class QueueDepthSampler(Sampler):
     """Per-egress-queue depth, split green vs red against threshold K.
 

@@ -81,9 +81,6 @@ class ReceiverBuffer:
             blocks.insert(0, recent)
         return tuple(blocks[:max_blocks])
 
-    def holes_exist(self) -> bool:
-        return bool(self.intervals)
-
     def received_total(self) -> int:
         """Total distinct sequence units received."""
         return self.rcv_nxt + sum(hi - lo for lo, hi in self.intervals)

@@ -20,8 +20,9 @@ from repro.sim.checkpoint import CheckpointError, default_path
 def _pure_backend():
     """Checkpointing is pure-backend-only by contract; pin the backend
     so this module stays green when TLT_BACKEND=compiled (the compiled
-    CI job runs the whole tier-1 suite).
-    test_compiled_backend_refused re-forces compiled inside its body."""
+    CI job runs the whole tier-1 suite). The refusals of checkpoint x
+    compiled/telemetry/faults are rows of the mode table, run by
+    tests/test_run_modes.py."""
     from repro.sim import backend
 
     backend.set_backend("pure")
@@ -94,48 +95,6 @@ def test_ecn_stream_factory_matches_closure_semantics():
     draws = [a1.rng.random() for _ in range(4)]
     assert [a2.rng.random() for _ in range(4)] == draws
     assert [b.rng.random() for _ in range(4)] != draws
-
-
-def test_compiled_backend_refused(tmp_path, monkeypatch):
-    from repro.sim import backend
-
-    if not backend.compiled_available():
-        pytest.skip("compiled backend not built")
-    monkeypatch.setenv("TLT_BACKEND", "compiled")
-    backend.set_backend("compiled")
-    try:
-        from repro.experiments import scenarios
-
-        # Refused next to checkpoint x telemetry/faults, not at the
-        # save: no network is built, so no event is processed.
-        def no_network(config):
-            raise AssertionError("network built before the refusal")
-
-        monkeypatch.setattr(scenarios, "build_network", no_network)
-        with pytest.raises(CheckpointError, match="pure backend"):
-            scenarios.run_scenario(_config(checkpoint=str(tmp_path)))
-    finally:
-        monkeypatch.delenv("TLT_BACKEND")
-        backend.set_backend(None)
-
-
-def test_checkpoint_with_telemetry_refused(tmp_path):
-    from repro.experiments.scenarios import run_scenario
-
-    config = _config(checkpoint=str(tmp_path / "ck"),
-                     telemetry=str(tmp_path / "tele"))
-    with pytest.raises(CheckpointError, match="telemetry"):
-        run_scenario(config)
-
-
-def test_checkpoint_with_faults_refused(tmp_path):
-    from repro.experiments.scenarios import run_scenario
-
-    faults = {"events": [
-        {"time_ns": 1_000, "kind": "link_down", "target": "tor0:0"}]}
-    config = _config(checkpoint=str(tmp_path), faults=faults)
-    with pytest.raises(CheckpointError, match="fault"):
-        run_scenario(config)
 
 
 def test_checkpoint_restore_reproduces_uninterrupted_run(tmp_path):

@@ -43,7 +43,11 @@ def fingerprint(config: ScenarioConfig) -> dict:
     """A deep metrics digest of one scenario run: event counts, every
     loss/mark/pause counter, and order-sensitive sums of the timing
     samples (FCT, RTT, delivery, queue depth)."""
-    result = run_scenario(config)
+    return digest(run_scenario(config))
+
+
+def digest(result) -> dict:
+    """:func:`fingerprint` of a finished run."""
     stats = result.stats
     return {
         "duration_ns": result.duration_ns,

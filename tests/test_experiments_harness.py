@@ -93,6 +93,15 @@ def test_cli_rejects_bad_seed_count():
     assert main(["fig05", "--seeds", "0"]) == 2
 
 
+def test_cli_ends_on_a_refused_mode_pair_with_one_line(monkeypatch, capsys):
+    monkeypatch.setenv("TLT_SHARDS", "1")  # main sets it; restored after
+    # fig12 runs its own workload on the testbed star: neither can shard.
+    assert main(["fig12", "--scale", "tiny", "--no-cache", "--shards", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("fig12: shards > 1 and custom traffic do not combine")
+
+
 def test_cli_flags_configure_execution_context(monkeypatch):
     from repro.experiments.parallel import get_context
     from tests import stub_experiment

@@ -12,7 +12,7 @@ from repro.experiments.manifest import COST_FIELDS, LOG, SCHEMA
 from repro.experiments.parallel import Job, run_jobs
 from repro.experiments.runner import _footer
 from repro.experiments.scale import Scale
-from repro.experiments.scenarios import ScenarioConfig, run_scenario
+from repro.experiments.scenarios import ScenarioConfig, UnsupportedModeError, run_scenario
 from repro.sim import backend as backend_mod
 
 from tests.test_experiment_modules import _bespoke_point
@@ -177,9 +177,9 @@ def test_identity_fields_are_equal_across_shard_counts(monkeypatch):
     differing = {"shards", "shard"}
     assert {k: v for k, v in _identity(sharded).items() if k not in differing} == \
         {k: v for k, v in _identity(single).items() if k not in differing}
-    # A request that cannot be honoured runs single-process, and says so.
-    fallback = run_scenario(_config(topology="fat_tree")).manifest
-    assert fallback["shards"] == 1 and "shard" not in fallback
+    # A request that cannot be honoured is refused, not run on one engine.
+    with pytest.raises(UnsupportedModeError, match="topology other than leaf_spine"):
+        run_scenario(_config(topology="fat_tree"))
 
 
 # -- the experiment document and its footer ----------------------------------

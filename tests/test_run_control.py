@@ -10,6 +10,16 @@ Re-pinned once, when the four loose recovery fields of
 ``transport_overrides``) became the one ``recovery`` spec: the key
 encodes the field set, so every key and run id moved together. The
 shards, telemetry and checkpoint keys still equal the plain key.
+
+Re-pinned a second time when seven config fields nothing set
+(``fat_tree_k``, ``spine_rate_factors``, ``ecn_k_bytes``,
+``dcqcn_kmin``, ``dcqcn_kmax``, ``dcqcn_pmax``, ``hard_cap_ns``) became
+module constants, for the same reason. Old -> new: the plain key
+``219d0e17…`` -> ``331565d4…``, audit ``78f3cfed…`` -> ``44cd5866…``,
+faults ``1cea5551…`` -> ``f8efeb2a…``; run ids (``dctcp_tlt_s3_``)
+plain and telemetry ``5ea857da`` -> ``0c525c9e``, shards ``ed54e40a``
+-> ``fa2b84e1``, audit ``90dae87b`` -> ``c9677c26``, faults
+``8ba5e2b3`` -> ``574d39cf``, checkpoint ``c87aec31`` -> ``e2ccb9e6``.
 """
 
 import ast
@@ -34,28 +44,28 @@ FAULTS = {"events": [{"time_ns": 1_000, "kind": "link_down", "target": "tor0:0"}
 
 #: Shards, telemetry and a checkpoint are how a run is executed or
 #: watched, not what it simulates: they share the plain run's key.
-PLAIN_KEY = "219d0e172665887efa5adac8792e996a601cabae7bd58abe6fa9dc030fbdd1f5"
+PLAIN_KEY = "331565d4c21b975e02d3d242c5fa1ccdee593a1eb49e6201bb1c54100e961fe4"
 
 #: field values -> (Job.cache_key(), _telemetry_run_id()).
 IDENTITY_PINS = {
-    "plain": ({}, PLAIN_KEY, "dctcp_tlt_s3_5ea857da"),
-    "shards": ({"shards": 2}, PLAIN_KEY, "dctcp_tlt_s3_ed54e40a"),
+    "plain": ({}, PLAIN_KEY, "dctcp_tlt_s3_0c525c9e"),
+    "shards": ({"shards": 2}, PLAIN_KEY, "dctcp_tlt_s3_fa2b84e1"),
     "audit": (
         {"audit": True},
-        "78f3cfedaa241824d20158d9d21c50bf4344ab665c868048d17f3b1bfb96d958",
-        "dctcp_tlt_s3_90dae87b",
+        "44cd5866d0d7d06da186600a0ed1a37c2b1ded55bcf129c762c64cabdd33f292",
+        "dctcp_tlt_s3_c9677c26",
     ),
     "faults": (
         {"faults": FAULTS},
-        "1cea5551cf0a8cf226ab62e011411806190b80c4778f3447bfee274425d8710f",
-        "dctcp_tlt_s3_8ba5e2b3",
+        "f8efeb2abb20ce1a5a32d7c42b76956f7172b032992ab5882779c054f1633935",
+        "dctcp_tlt_s3_574d39cf",
     ),
     "telemetry": (
         {"telemetry": {"out_dir": "/tmp/tele", "interval_ns": 50_000}},
         PLAIN_KEY,
-        "dctcp_tlt_s3_5ea857da",
+        "dctcp_tlt_s3_0c525c9e",
     ),
-    "checkpoint": ({"checkpoint": "/tmp/ck"}, PLAIN_KEY, "dctcp_tlt_s3_c87aec31"),
+    "checkpoint": ({"checkpoint": "/tmp/ck"}, PLAIN_KEY, "dctcp_tlt_s3_e2ccb9e6"),
 }
 
 
@@ -243,3 +253,22 @@ def test_experiments_reach_their_runs_only_through_the_job_runner():
     assert {found.partition(":")[0] for found in _functions_with(names_run_scenario)} == {
         "experiments/__init__.py", "experiments/scenarios.py", "experiments/parallel.py",
         "experiments/ext_shard_scale.py"}
+
+
+def _calls(callee):
+    def match(node, path):
+        function = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and \
+            getattr(function, "id", getattr(function, "attr", None)) == callee
+    return match
+
+
+def test_mode_conflicts_are_refused_only_by_the_table():
+    # Which run modes combine is decided in one place; a harness that
+    # refuses a mode itself, or a checkpoint refusal before the save,
+    # would be a second copy of the table.
+    assert _functions_with(_calls("UnsupportedModeError")) == [
+        "experiments/scenarios.py:check_modes"]
+    assert _functions_with(_calls("require_pure_engine")) == ["sim/checkpoint.py:save"]
+    assert {found.partition(":")[0] for found in _functions_with(_calls("CheckpointError"))} \
+        == {"sim/checkpoint.py"}

@@ -225,16 +225,16 @@ def test_points_that_differ_only_in_their_workload_are_different_runs():
 
 def test_a_workload_runs_on_one_engine_and_never_with_a_service(networks, monkeypatch):
     from repro.experiments.ext_corruption import IncastOnly
+    from repro.experiments.scenarios import UnsupportedModeError
 
     monkeypatch.setenv("TLT_SHARD_INLINE", "1")
-    result = run_scenario(fast_config(shards=2), IncastOnly())
-    assert result.manifest["shards"] == 1 and "shard" not in result.manifest
-    assert len(networks) == 1
+    with pytest.raises(UnsupportedModeError, match="shards > 1 and custom traffic"):
+        run_scenario(fast_config(shards=2), IncastOnly())
     service = {"requests": 4, "rate_rps": 20_000.0,
                "tiers": [{"name": "cache", "servers": 1, "fanout": 1, "service_ns": 2_000}]}
-    with pytest.raises(ValueError, match="takes no custom traffic"):
+    with pytest.raises(UnsupportedModeError, match="custom traffic and service"):
         run_scenario(fast_config(service=service), IncastOnly())
-    assert len(networks) == 1
+    assert networks == []
 
 
 def test_fault_targets_are_checked_before_the_run_starts(networks):
