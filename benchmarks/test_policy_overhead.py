@@ -26,8 +26,7 @@ def _run_incast(admission):
             color_threshold_bytes=100_000,
             admission=admission,
         ),
-        host_link_delay_ns=1_000,
-        fabric_link_delay_ns=1_000,
+        link_delay_ns=1_000,
     )
     net = star(num_hosts=9, params=params)
     config = TransportConfig(base_rtt_ns=4_000)

@@ -20,8 +20,7 @@ def _star(num_hosts=4, **switch_kwargs):
     switch_kwargs.setdefault("buffer_bytes", 1_000_000)
     params = TopologyParams(
         switch_config=SwitchConfig(**switch_kwargs),
-        host_link_delay_ns=1_000,
-        fabric_link_delay_ns=1_000,
+        link_delay_ns=1_000,
     )
     return star(num_hosts=num_hosts, params=params)
 

@@ -28,8 +28,7 @@ def _incast_net():
     params = TopologyParams(
         switch_config=SwitchConfig(buffer_bytes=1_000_000,
                                    color_threshold_bytes=100_000),
-        host_link_delay_ns=1_000,
-        fabric_link_delay_ns=1_000,
+        link_delay_ns=1_000,
     )
     net = star(num_hosts=9, params=params)
     config = TransportConfig(base_rtt_ns=4_000)

@@ -28,8 +28,7 @@ def run(tlt: bool) -> None:
     )
     params = TopologyParams(
         link_rate_bps=40 * GBPS,
-        host_link_delay_ns=2 * MICROS,
-        fabric_link_delay_ns=2 * MICROS,
+        link_delay_ns=2 * MICROS,
         switch_config=switch_config,
     )
     # 7 senders on the left, 2 receivers on the right (testbed §7.4).

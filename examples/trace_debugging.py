@@ -19,7 +19,7 @@ from repro.transport.registry import create_flow
 
 def main() -> None:
     params = TopologyParams(
-        host_link_delay_ns=1_000,
+        link_delay_ns=1_000,
         switch_config=SwitchConfig(buffer_bytes=500_000, color_threshold_bytes=100_000),
     )
     net = star(num_hosts=9, params=params)

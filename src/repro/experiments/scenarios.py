@@ -38,7 +38,6 @@ from repro.faults.schedule import FaultController, FaultSchedule
 from repro.net.topology import (
     Network,
     TopologyParams,
-    dumbbell,
     fat_tree,
     leaf_spine,
     star,
@@ -109,7 +108,7 @@ class ScenarioConfig:
     pfc: bool = False
 
     # Topology.
-    topology: str = "leaf_spine"  # "leaf_spine" | "fat_tree" | "star" | "dumbbell"
+    topology: str = "leaf_spine"  # "leaf_spine" | "fat_tree" | "star"
     scale: Scale = SMALL
     link_rate_bps: int = 40 * GBPS
     link_delay_ns: Optional[int] = None  # default: 10 us TCP / 1 us RoCE
@@ -204,8 +203,9 @@ class ScenarioConfig:
 
     @property
     def base_rtt_ns(self) -> int:
-        # Four hops each way in the leaf-spine (host-ToR-spine-ToR-host);
-        # six in the fat-tree (host-edge-agg-core-agg-edge-host).
+        # Four hops each way in the leaf-spine (host-ToR-spine-ToR-host),
+        # six in the fat-tree (host-edge-agg-core-agg-edge-host), two in
+        # the star (host-switch-host).
         if self.topology == "fat_tree":
             hops = 6
         elif self.topology == "leaf_spine":
@@ -323,8 +323,7 @@ def build_network(config: ScenarioConfig) -> Network:
     )
     params = TopologyParams(
         link_rate_bps=config.link_rate_bps,
-        host_link_delay_ns=config.resolved_link_delay_ns,
-        fabric_link_delay_ns=config.resolved_link_delay_ns,
+        link_delay_ns=config.resolved_link_delay_ns,
         switch_config=switch_config,
     )
     if config.topology == "leaf_spine":
@@ -338,8 +337,6 @@ def build_network(config: ScenarioConfig) -> Network:
         )
     if config.topology == "star":
         return star(scale.num_hosts, params, config.seed)
-    if config.topology == "dumbbell":
-        return dumbbell(scale.num_hosts - 2, 2, params, config.seed)
     raise ValueError(f"unknown topology {config.topology!r}")
 
 
@@ -368,8 +365,9 @@ def encode_workload(traffic) -> str:
     return workload
 
 
-def _telemetry_run_id(config: ScenarioConfig, traffic=None) -> str:
-    """Stable per-(config, seed) identifier for telemetry file names.
+def scenario_run_id(config: ScenarioConfig, traffic=None) -> str:
+    """Stable per-(config, seed) identifier: the manifest's ``run_id``,
+    which names the run's telemetry files and its checkpoint.
 
     Derived from the same canonical config encoding the result cache
     uses (telemetry itself stripped — it must not name its own files),
@@ -573,7 +571,7 @@ def attach_telemetry(config: ScenarioConfig, net: Network, control: RunControl,
     from repro.telemetry import Telemetry
 
     telemetry = Telemetry(net, control.telemetry, scenario=config,
-                          run_id=(run_id or _telemetry_run_id(config)) + run_id_suffix)
+                          run_id=(run_id or scenario_run_id(config)) + run_id_suffix)
     telemetry.install(active=active)
     if faults is not None:
         telemetry.attach_faults(faults)
@@ -618,7 +616,7 @@ def finish_run(net: Network, control: RunControl, auditor: Optional[Auditor] = N
             if telemetry is not None:
                 run_id = telemetry.run_id
             elif run_id is None:
-                run_id = _telemetry_run_id(config)
+                run_id = scenario_run_id(config)
             manifest = run_manifest.build(net, control, config, run_id, shard)
             if shard is None:
                 run_manifest.LOG.append(manifest)
@@ -653,7 +651,7 @@ def run_scenario(config: ScenarioConfig, traffic=None) -> ScenarioResult:
 def _run_scenario(config: ScenarioConfig, traffic) -> ScenarioResult:
     control = run_control(config)
     check_modes(config, control, traffic)
-    run_id = None if traffic is None else _telemetry_run_id(config, traffic)  # None: the config's
+    run_id = None if traffic is None else scenario_run_id(config, traffic)  # None: the config's
     if config.service is not None:
         # Service runs replace the whole traffic layer (open-loop
         # request stream instead of background+incast), so they take

@@ -3,6 +3,12 @@
 Every builder returns a :class:`Network` — the container for the
 engine, stats collector, hosts and switches of one simulation run.
 
+A builder checks its arguments and lists its switches and links; one
+private builder (:func:`_build`) makes the devices and ports from those
+lists and computes the routes: every switch routes each host over all
+of its shortest-path (fewest-hop) next hops, in ascending port order —
+ECMP wherever the fabric has equal-cost paths, one candidate elsewhere.
+
 ``leaf_spine`` and ``fat_tree`` take optional per-spine / per-core rate
 factors to build *asymmetric* fabrics (one thin path among equals — the
 regime where static-hash ECMP overloads the degraded link and weighted
@@ -14,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.net.link import connect
 from repro.net.node import Host
@@ -31,8 +37,7 @@ class TopologyParams:
     """Shared knobs for the builders (paper defaults)."""
 
     link_rate_bps: int = 40 * GBPS
-    host_link_delay_ns: int = 10 * MICROS  # 1 us for the RoCE experiments
-    fabric_link_delay_ns: int = 10 * MICROS
+    link_delay_ns: int = 10 * MICROS  # 1 us for the RoCE experiments
     switch_config: SwitchConfig = field(default_factory=SwitchConfig)
 
 
@@ -67,10 +72,7 @@ class Network:
 
     def device(self, name: str):
         """Look up any device (host or switch) by name."""
-        for device in self.switches:
-            if device.name == name:
-                return device
-        for device in self.hosts:
+        for device in self.switches + self.hosts:
             if device.name == name:
                 return device
         raise KeyError(f"no device named {name!r}")
@@ -99,19 +101,89 @@ class Network:
         return self.total_paused_ns() / (len(ports) * duration_ns)
 
 
-def _new_network(seed: int) -> Network:
-    """Fresh network on whatever engine the active backend provides
-    (:mod:`repro.sim.backend`); pure :class:`Engine` by default."""
-    return Network(create_engine(), NetStats(seed=seed), RngRegistry(seed))
+#: One full-duplex link ``(a, b, rate_bps, delay_ns)``. An end is a host
+#: id or a switch name; ``a``'s port is created before ``b``'s.
+Link = Tuple[Union[int, str], Union[int, str], int, int]
 
 
-def _rate_factor(factors: Optional[Sequence[float]], index: int, what: str) -> float:
+def _build(params: TopologyParams, seed: int, num_hosts: int, switches: Sequence[str],
+           links: Sequence[Link], finalize: Optional[Sequence[str]] = None) -> Network:
+    """Build the network the lists describe on the active backend's engine.
+
+    Hosts ``0..num_hosts-1`` and the ``switches`` (names, in switch-id
+    order) come first, then one port per link end in link order: a
+    port's construction rank sets its wire-sequence band
+    (:class:`repro.net.link.Port`), so the order of ``links`` is part of
+    every fingerprint. Routes follow (:func:`_install_routes`); the
+    switches are finalized in ``finalize`` order (default: ``switches``)
+    and the compiled kernels are bound last.
+    """
+    net = Network(create_engine(), NetStats(seed=seed), RngRegistry(seed))
+    net.hosts.extend(Host(net.engine, host_id) for host_id in range(num_hosts))
+    net.switches.extend(Switch(net.engine, switch_id, params.switch_config, net.stats, name=name)
+                        for switch_id, name in enumerate(switches))
+    by_name = {switch.name: switch for switch in net.switches}
+    for a, b, rate_bps, delay_ns in links:
+        connect(*[net.hosts[end].attach_port(rate_bps, delay_ns) if isinstance(end, int)
+                  else by_name[end].add_port(rate_bps, delay_ns) for end in (a, b)])
+    _install_routes(net.hosts, net.switches)
+    for name in finalize or switches:
+        by_name[name].finalize()
+    optimize_network(net)
+    return net
+
+
+def _install_routes(hosts: Sequence[Host], switches: Sequence[Switch]) -> None:
+    """Route every host at every switch over all of the switch's
+    shortest-path next hops, ascending by port.
+
+    A host hangs off one switch, so the next hops toward it are those
+    toward that switch: one search per such switch, shared by its hosts.
+    """
+    fabric = {switch: [(port.port_no, port.peer.owner) for port in switch.ports
+                       if isinstance(port.peer.owner, Switch)] for switch in switches}
+    toward: Dict[Switch, Dict[Switch, Tuple[int, ...]]] = {}
+    for host in hosts:
+        edge_port = host.port.peer
+        edge = edge_port.owner
+        if edge not in toward:
+            toward[edge] = _next_hops(edge, fabric)
+        for switch in switches:
+            ports = (edge_port.port_no,) if switch is edge else toward[edge][switch]
+            switch.fib.add_route(host.host_id, ports)
+
+
+def _next_hops(target: Switch, fabric: Dict[Switch, list]) -> Dict[Switch, Tuple[int, ...]]:
+    """``{switch: ports}`` for every switch but ``target``: its ports onto
+    a neighbour one hop nearer ``target`` (``fabric``: every switch's
+    ``(port, neighbour switch)`` pairs), ascending."""
+    distance = {target: 0}
+    frontier = [target]
+    while frontier:
+        reached = []
+        for switch in frontier:
+            for _, peer in fabric[switch]:
+                if peer not in distance:
+                    distance[peer] = distance[switch] + 1
+                    reached.append(peer)
+        frontier = reached
+    return {switch: tuple(port_no for port_no, peer in links
+                          if distance[peer] == distance[switch] - 1)
+            for switch, links in fabric.items() if switch is not target}
+
+
+def _plane_rates(rate_bps: int, factors: Optional[Sequence[float]], count: int,
+                 what: str) -> List[int]:
+    """The link rate through each of ``count`` spines or cores: ``rate_bps``
+    scaled by that plane's factor in ``(0, 1]`` (``None``: unscaled)."""
     if factors is None:
-        return 1.0
-    factor = float(factors[index])
-    if not 0.0 < factor <= 1.0:
-        raise ValueError(f"{what} rate factor must be in (0, 1], got {factor}")
-    return factor
+        return [rate_bps] * count
+    if len(factors) != count:
+        raise ValueError(f"{what}_rate_factors needs {count} entries, got {len(factors)}")
+    for factor in map(float, factors):
+        if not 0.0 < factor <= 1.0:
+            raise ValueError(f"{what} rate factor must be in (0, 1], got {factor}")
+    return [max(1, int(rate_bps * float(factor))) for factor in factors]
 
 
 def leaf_spine(
@@ -126,76 +198,24 @@ def leaf_spine(
 
     The paper's simulation uses 4 spines x 12 ToRs x 8 hosts (96 hosts,
     2:1 oversubscription); the defaults here are a scaled-down version
-    with the same per-link rates and delays.
+    with the same per-link rates and delays. ToR ``t`` serves hosts
+    ``t*hosts_per_tor..`` on ports ``0..hosts_per_tor-1`` and reaches
+    spine ``s`` on port ``hosts_per_tor + s``; spine ports are per ToR.
 
     ``spine_rate_factors`` (one entry per spine, each in ``(0, 1]``)
     scales every ToR<->spine link through that spine — an asymmetric
     fabric where one spine plane runs thin.
     """
     params = params or TopologyParams()
-    if spine_rate_factors is not None and len(spine_rate_factors) != num_spines:
-        raise ValueError(
-            f"spine_rate_factors needs {num_spines} entries, "
-            f"got {len(spine_rate_factors)}"
-        )
-    net = _new_network(seed)
-    engine = net.engine
-
-    for tor_idx in range(num_tors):
-        for local in range(hosts_per_tor):
-            host = Host(engine, tor_idx * hosts_per_tor + local)
-            net.hosts.append(host)
-
-    tors = []
-    for tor_idx in range(num_tors):
-        tor = Switch(engine, tor_idx, params.switch_config, net.stats, name=f"tor{tor_idx}")
-        tors.append(tor)
-        net.switches.append(tor)
-    spines = []
-    for spine_idx in range(num_spines):
-        spine = Switch(
-            engine,
-            num_tors + spine_idx,
-            params.switch_config,
-            net.stats,
-            name=f"spine{spine_idx}",
-        )
-        spines.append(spine)
-        net.switches.append(spine)
-
-    # Host <-> ToR links.
-    for tor_idx, tor in enumerate(tors):
-        for local in range(hosts_per_tor):
-            host = net.hosts[tor_idx * hosts_per_tor + local]
-            hport = host.attach_port(params.link_rate_bps, params.host_link_delay_ns)
-            tport = tor.add_port(params.link_rate_bps, params.host_link_delay_ns)
-            connect(hport, tport)
-
-    # ToR <-> spine links (full bipartite mesh).
-    for tor in tors:
-        for spine_idx, spine in enumerate(spines):
-            factor = _rate_factor(spine_rate_factors, spine_idx, "spine")
-            rate = max(1, int(params.link_rate_bps * factor))
-            tport = tor.add_port(rate, params.fabric_link_delay_ns)
-            sport = spine.add_port(rate, params.fabric_link_delay_ns)
-            connect(tport, sport)
-
-    # FIBs.
-    for tor_idx, tor in enumerate(tors):
-        uplinks = list(range(hosts_per_tor, hosts_per_tor + num_spines))
-        for host in net.hosts:
-            if host.host_id // hosts_per_tor == tor_idx:
-                tor.fib.add_route(host.host_id, [host.host_id % hosts_per_tor])
-            else:
-                tor.fib.add_route(host.host_id, uplinks)
-        tor.finalize()
-    for spine in spines:
-        for host in net.hosts:
-            spine.fib.add_route(host.host_id, [host.host_id // hosts_per_tor])
-        spine.finalize()
-
-    optimize_network(net)
-    return net
+    rate, delay = params.link_rate_bps, params.link_delay_ns
+    uplink_rates = _plane_rates(rate, spine_rate_factors, num_spines, "spine")
+    tors = [f"tor{t}" for t in range(num_tors)]
+    spines = [f"spine{s}" for s in range(num_spines)]
+    num_hosts = num_tors * hosts_per_tor
+    links = [(host, tors[host // hosts_per_tor], rate, delay) for host in range(num_hosts)]
+    links += [(tor, spine, uplink_rate, delay)
+              for tor in tors for spine, uplink_rate in zip(spines, uplink_rates)]
+    return _build(params, seed, num_hosts, tors + spines, links)
 
 
 def fat_tree(
@@ -220,9 +240,9 @@ def fat_tree(
       per pod.
 
     Multipath is everywhere: an inter-pod flow sees ``half`` candidate
-    aggs at its edge and ``half`` candidate cores at its agg. The FIBs
-    encode exactly that: local routes are single-candidate, everything
-    else fans over all uplinks.
+    aggs at its edge and ``half`` candidate cores at its agg; a route
+    down the tree has one. Switches are finalized pod by pod (edges,
+    then aggs), cores last.
 
     ``core_rate_factors`` (one entry per core, each in ``(0, 1]``)
     scales every agg<->core link of that core — the classic asymmetric
@@ -231,87 +251,20 @@ def fat_tree(
     if k < 2 or k % 2:
         raise ValueError(f"fat-tree k must be even and >= 2, got {k}")
     half = k // 2
-    num_cores = half * half
-    if core_rate_factors is not None and len(core_rate_factors) != num_cores:
-        raise ValueError(
-            f"core_rate_factors needs {num_cores} entries, "
-            f"got {len(core_rate_factors)}"
-        )
     params = params or TopologyParams()
-    net = _new_network(seed)
-    engine = net.engine
-
-    for host_id in range(k * half * half):
-        net.hosts.append(Host(engine, host_id))
-
-    def new_switch(name: str) -> Switch:
-        switch = Switch(
-            engine, len(net.switches), params.switch_config, net.stats, name=name
-        )
-        net.switches.append(switch)
-        return switch
-
-    edges = [[new_switch(f"edge{p}_{e}") for e in range(half)] for p in range(k)]
-    aggs = [[new_switch(f"agg{p}_{a}") for a in range(half)] for p in range(k)]
-    cores = [new_switch(f"core{c}") for c in range(num_cores)]
-
-    # Host <-> edge links (ports 0..half-1 on the edge switch).
-    for p in range(k):
-        for e, edge in enumerate(edges[p]):
-            for h in range(half):
-                host = net.hosts[p * half * half + e * half + h]
-                hport = host.attach_port(params.link_rate_bps, params.host_link_delay_ns)
-                eport = edge.add_port(params.link_rate_bps, params.host_link_delay_ns)
-                connect(hport, eport)
-
-    # Edge <-> agg links (full bipartite within the pod; edge ports
-    # half..k-1, agg ports 0..half-1 indexed by edge).
-    for p in range(k):
-        for a, agg in enumerate(aggs[p]):
-            for edge in edges[p]:
-                eport = edge.add_port(params.link_rate_bps, params.fabric_link_delay_ns)
-                aport = agg.add_port(params.link_rate_bps, params.fabric_link_delay_ns)
-                connect(eport, aport)
-
-    # Agg <-> core links: agg ``a`` owns cores a*half..(a+1)*half-1;
-    # core ports are indexed by pod.
-    for c, core in enumerate(cores):
-        a = c // half
-        factor = _rate_factor(core_rate_factors, c, "core")
-        rate = max(1, int(params.link_rate_bps * factor))
-        for p in range(k):
-            aport = aggs[p][a].add_port(rate, params.fabric_link_delay_ns)
-            cport = core.add_port(rate, params.fabric_link_delay_ns)
-            connect(aport, cport)
-
-    # FIBs.
-    uplinks = list(range(half, k))
-    for p in range(k):
-        for e, edge in enumerate(edges[p]):
-            first_local = p * half * half + e * half
-            for host in net.hosts:
-                if first_local <= host.host_id < first_local + half:
-                    edge.fib.add_route(host.host_id, [host.host_id - first_local])
-                else:
-                    edge.fib.add_route(host.host_id, uplinks)
-            edge.finalize()
-        for agg in aggs[p]:
-            for host in net.hosts:
-                if host.host_id // (half * half) == p:
-                    # Down to the edge that owns the host.
-                    agg.fib.add_route(
-                        host.host_id, [(host.host_id // half) % half]
-                    )
-                else:
-                    agg.fib.add_route(host.host_id, uplinks)
-            agg.finalize()
-    for core in cores:
-        for host in net.hosts:
-            core.fib.add_route(host.host_id, [host.host_id // (half * half)])
-        core.finalize()
-
-    optimize_network(net)
-    return net
+    rate, delay = params.link_rate_bps, params.link_delay_ns
+    core_rates = _plane_rates(rate, core_rate_factors, half * half, "core")
+    edges = [[f"edge{p}_{e}" for e in range(half)] for p in range(k)]
+    aggs = [[f"agg{p}_{a}" for a in range(half)] for p in range(k)]
+    cores = [f"core{c}" for c in range(half * half)]
+    all_edges = sum(edges, [])
+    num_hosts = k * half * half
+    links = [(host, all_edges[host // half], rate, delay) for host in range(num_hosts)]
+    links += [(edge, agg, rate, delay) for p in range(k) for agg in aggs[p] for edge in edges[p]]
+    links += [(aggs[p][c // half], core, core_rates[c], delay)
+              for c, core in enumerate(cores) for p in range(k)]
+    pod_major = [name for p in range(k) for name in edges[p] + aggs[p]] + cores
+    return _build(params, seed, num_hosts, all_edges + sum(aggs, []) + cores, links, pod_major)
 
 
 def star(
@@ -321,19 +274,9 @@ def star(
 ) -> Network:
     """All hosts on one switch — the testbed microbenchmark topology."""
     params = params or TopologyParams()
-    net = _new_network(seed)
-    switch = Switch(net.engine, 0, params.switch_config, net.stats, name="tor0")
-    net.switches.append(switch)
-    for host_id in range(num_hosts):
-        host = Host(net.engine, host_id)
-        net.hosts.append(host)
-        hport = host.attach_port(params.link_rate_bps, params.host_link_delay_ns)
-        sport = switch.add_port(params.link_rate_bps, params.host_link_delay_ns)
-        connect(hport, sport)
-        switch.fib.add_route(host_id, [host_id])
-    switch.finalize()
-    optimize_network(net)
-    return net
+    links = [(host, "tor0", params.link_rate_bps, params.link_delay_ns)
+             for host in range(num_hosts)]
+    return _build(params, seed, num_hosts, ["tor0"], links)
 
 
 def dumbbell(
@@ -344,32 +287,9 @@ def dumbbell(
 ) -> Network:
     """Two switches joined by one inter-switch link (testbed §7.4)."""
     params = params or TopologyParams()
-    net = _new_network(seed)
-    sw_left = Switch(net.engine, 0, params.switch_config, net.stats, name="swL")
-    sw_right = Switch(net.engine, 1, params.switch_config, net.stats, name="swR")
-    net.switches.extend([sw_left, sw_right])
-
-    for host_id in range(left_hosts + right_hosts):
-        host = Host(net.engine, host_id)
-        net.hosts.append(host)
-        switch = sw_left if host_id < left_hosts else sw_right
-        hport = host.attach_port(params.link_rate_bps, params.host_link_delay_ns)
-        sport = switch.add_port(params.link_rate_bps, params.host_link_delay_ns)
-        connect(hport, sport)
-
-    # Inter-switch trunk.
-    lport = sw_left.add_port(params.link_rate_bps, params.fabric_link_delay_ns)
-    rport = sw_right.add_port(params.link_rate_bps, params.fabric_link_delay_ns)
-    connect(lport, rport)
-
-    for host in net.hosts:
-        if host.host_id < left_hosts:
-            sw_left.fib.add_route(host.host_id, [host.host_id])
-            sw_right.fib.add_route(host.host_id, [right_hosts])
-        else:
-            sw_left.fib.add_route(host.host_id, [left_hosts])
-            sw_right.fib.add_route(host.host_id, [host.host_id - left_hosts])
-    sw_left.finalize()
-    sw_right.finalize()
-    optimize_network(net)
-    return net
+    rate, delay = params.link_rate_bps, params.link_delay_ns
+    num_hosts = left_hosts + right_hosts
+    links = [(host, "swL" if host < left_hosts else "swR", rate, delay)
+             for host in range(num_hosts)]
+    links.append(("swL", "swR", rate, delay))  # the trunk
+    return _build(params, seed, num_hosts, ["swL", "swR"], links)

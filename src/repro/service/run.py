@@ -18,10 +18,11 @@ Checkpointing: with a checkpoint in the run control it receives
 at a quiescent sim-time boundary — ``at_ns``, defaulting to the
 midpoint of the arrival span — pickles the whole simulation
 (:mod:`repro.sim.checkpoint`) and continues; :func:`resume_service`
-picks the file up and runs to completion. The resumed run's
+picks the file up (``checkpoint_<run_id>.pkl`` in the directory, the
+run's manifest ``run_id``) and runs to completion. The resumed run's
 :func:`service_fingerprint` is **bit-for-bit equal** to the
-uninterrupted run's — the gate ``tools/check_service_checkpoint.py``
-and ``tests/test_run_modes.py`` enforce.
+uninterrupted run's — the gate ``tests/test_checkpoint.py`` and
+``tests/test_run_modes.py`` enforce.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.experiments.scenarios import (
     endpoint_settings,
     finish_run,
     install_faults,
+    scenario_run_id,
 )
 from repro.service.emulator import ServiceEmulator
 from repro.service.slo import render_slo_report, slo_report
@@ -131,8 +133,9 @@ def run_service(config, control) -> ScenarioResult:
     checkpoint_at = save = None
     if control.checkpoint is not None:
         checkpoint_at = control.checkpoint["at_ns"] or span // 2
+        path = ckpt.run_path(control.checkpoint["dir"], scenario_run_id(config))
         # The run's identity: the cache key, run control stripped.
-        save = partial(ckpt.save, ckpt.default_path(control.checkpoint["dir"]), net,
+        save = partial(ckpt.save, path, net,
                        extra={"emulator": emulator, "config": config, "auditor": auditor,
                               "hard_cap_ns": hard_cap},
                        key=Job(0, config, config.seed).cache_key())

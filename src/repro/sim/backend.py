@@ -21,8 +21,8 @@ per burst it sends — exist in two implementations behind this module:
     the raw ``(time, seq, fn, args)`` / ``(time, seq, Event)`` tuple
     heap layout, the ``WIRE_SEQ_BASE`` wire ordering, the
     events-processed count — so fingerprints are bit-identical across
-    backends (CI-gated). When the build is absent the selection falls
-    back to ``pure`` with a one-time warning.
+    backends (CI-gated). Asking for it when the build is absent is an
+    error, from the environment as from :func:`set_backend`.
 
 Selection: ``TLT_BACKEND=pure|compiled`` in the environment, or
 :func:`set_backend` for programmatic control (tests, shard workers —
@@ -35,7 +35,6 @@ compiled kernels (a no-op on ``pure``).
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Optional
 
 from repro.net.link import Port
@@ -47,9 +46,6 @@ BACKENDS = ("pure", "compiled")
 
 #: Programmatic override (takes precedence over the environment).
 _forced: Optional[str] = None
-
-#: Only warn once per process about a missing compiled build.
-_warned_fallback = False
 
 _ckernel = None
 _ckernel_checked = False
@@ -77,18 +73,8 @@ def available_backends() -> tuple:
     return BACKENDS if compiled_available() else ("pure",)
 
 
-def set_backend(name: Optional[str]) -> None:
-    """Force a backend for this process (``None`` restores env selection).
-
-    Raises :class:`ValueError` for unknown names and
-    :class:`RuntimeError` when ``compiled`` is requested but the
-    extension is not built — explicit requests fail loudly; only the
-    environment-variable path falls back silently (with a warning).
-    """
-    global _forced
-    if name is None:
-        _forced = None
-        return
+def _checked(name: str) -> str:
+    """``name`` if it is a usable backend, else the error that says why."""
     if name not in BACKENDS:
         raise ValueError(f"unknown backend {name!r}; expected one of {BACKENDS}")
     if name == "compiled" and not compiled_available():
@@ -97,36 +83,27 @@ def set_backend(name: Optional[str]) -> None:
             "(run `python setup.py build_ext --inplace` or install with the "
             "[compiled] extra)"
         )
-    _forced = name
+    return name
+
+
+def set_backend(name: Optional[str]) -> None:
+    """Force a backend for this process (``None`` restores env selection).
+
+    Raises :class:`ValueError` for unknown names and
+    :class:`RuntimeError` when ``compiled`` is requested but the
+    extension is not built.
+    """
+    global _forced
+    _forced = None if name is None else _checked(name)
 
 
 def current_backend() -> str:
-    """Resolve the active backend name (with graceful env fallback)."""
-    global _warned_fallback
+    """Resolve the active backend name: :func:`set_backend`'s, else
+    ``TLT_BACKEND``'s (default ``pure``), which fails as ``set_backend``
+    would — an unusable request never runs on another backend."""
     if _forced is not None:
         return _forced
-    requested = os.environ.get("TLT_BACKEND", "") or "pure"
-    if requested not in BACKENDS:
-        if not _warned_fallback:
-            _warned_fallback = True
-            warnings.warn(
-                f"TLT_BACKEND={requested!r} is not a known backend "
-                f"{BACKENDS}; using pure",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return "pure"
-    if requested == "compiled" and not compiled_available():
-        if not _warned_fallback:
-            _warned_fallback = True
-            warnings.warn(
-                "TLT_BACKEND=compiled but repro.sim._ckernel is not built; "
-                "falling back to the pure-Python backend",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return "pure"
-    return requested
+    return _checked(os.environ.get("TLT_BACKEND", "") or "pure")
 
 
 def set_attribution(table: Optional[dict]) -> None:
@@ -142,7 +119,7 @@ def set_attribution(table: Optional[dict]) -> None:
 
 def create_engine():
     """Engine factory: the single construction point for production
-    engines (``repro.net.topology._new_network`` and benchmarks)."""
+    engines (``repro.net.topology._build`` and benchmarks)."""
     if current_backend() == "compiled":
         return _compiled_module().CEngine()
     return Engine()

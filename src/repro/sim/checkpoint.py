@@ -9,9 +9,8 @@ sim-time boundary (between events, right after ``engine.run(until=t)``
 returns). Pickling the whole graph in one pass preserves every shared
 reference through the pickle memo, so a restored run continues
 **bit-identically**: same event order, same RNG draws, same counters —
-the contract the determinism-fingerprint gate
-(``tools/check_service_checkpoint.py``, ``tests/test_checkpoint.py``)
-enforces.
+the contract ``tests/test_checkpoint.py`` and ``tests/test_run_modes.py``
+enforce.
 
 Restrictions (``docs/SERVICE.md``): the pure backend only (the
 compiled kernels hold C state), and every callback reachable from the
@@ -35,9 +34,6 @@ from repro.version import __version__
 
 #: On-disk payload schema; bump on layout changes.
 CHECKPOINT_SCHEMA = 1
-
-#: Default checkpoint file name inside a checkpoint directory.
-CHECKPOINT_FILE = "checkpoint.pkl"
 
 
 class CheckpointError(RuntimeError):
@@ -120,6 +116,8 @@ def load(path: str, expect_key: Optional[str] = None) -> Dict[str, Any]:
     return payload
 
 
-def default_path(directory: str) -> str:
-    """The canonical checkpoint file inside ``directory``."""
-    return os.path.join(directory, CHECKPOINT_FILE)
+def run_path(directory: str, run_id: str) -> str:
+    """The checkpoint file of run ``run_id`` (its manifest's) inside
+    ``directory``: one file per run, so the runs of a grid sharing one
+    directory never replace each other's."""
+    return os.path.join(directory, f"checkpoint_{run_id}.pkl")

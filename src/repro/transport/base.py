@@ -59,7 +59,6 @@ class TransportConfig:
     # run's one resolved Recovery in resolve_config.
     recovery: object = None
     ecn: bool = False  # sender sets ECT, reacts to echoes (DCTCP)
-    dctcp_g: float = 1.0 / 16.0
     # Model the 3-way handshake and FIN teardown. SYN/SYN-ACK/FIN are
     # control packets — always important/green under TLT (§5). Off by
     # default: the paper's benchmarks pre-establish connections.
@@ -77,22 +76,11 @@ class TransportConfig:
     # and are classified unimportant by a TLT-configured ACL — the
     # §5.3 misdeployment the incremental-deployment experiment shows.
     plain_color: Optional[object] = None
-    # RoCE family additions.
-    packet_payload: int = 1000
-    window_cap_bytes: Optional[int] = None
-    # HPCC parameters.
-    hpcc_eta: float = 0.95
-    hpcc_max_stage: int = 5
-    hpcc_wai_bytes: int = 1000  # additive increase per adjustment
+    # RoCE family additions (the fixed DCQCN, HPCC and packet-size
+    # constants live beside their readers in repro.transport).
     base_rtt_ns: int = 80 * MICROS
-    # DCQCN parameters.
-    dcqcn_rate_ai_bps: int = 40_000_000  # 40 Mbps additive increase
-    dcqcn_rate_hai_bps: int = 400_000_000
     dcqcn_g: float = 1.0 / 256.0
-    dcqcn_timer_ns: int = 55 * MICROS  # α decay + rate increase period
     dcqcn_byte_counter: int = 10 * 1_000_000
-    dcqcn_fr_stages: int = 5
-    cnp_interval_ns: int = 50 * MICROS
     min_rate_bps: int = 40_000_000
     link_rate_bps: int = 40_000_000_000
 

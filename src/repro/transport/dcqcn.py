@@ -18,7 +18,16 @@ each fire decays α and then takes a time-stage increase.
 from __future__ import annotations
 
 from repro.sim.engine import Engine
+from repro.sim.units import MICROS
 from repro.transport.base import TransportConfig
+
+#: Period of the one timer: α decay, then a time-stage rate increase.
+DCQCN_TIMER_NS = 55 * MICROS
+#: Additive and hyper increase of the target rate.
+DCQCN_RATE_AI_BPS = 40_000_000
+DCQCN_RATE_HAI_BPS = 400_000_000
+#: Fast-recovery stages before additive increase.
+DCQCN_FR_STAGES = 5
 
 
 class DcqcnRateControl:
@@ -85,7 +94,7 @@ class DcqcnRateControl:
     def _restart_timer(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
-        self._timer = self.engine.schedule_timer(self.config.dcqcn_timer_ns, self._timer_fire)
+        self._timer = self.engine.schedule_timer(DCQCN_TIMER_NS, self._timer_fire)
 
     def _timer_fire(self) -> None:
         self._timer = None
@@ -99,13 +108,13 @@ class DcqcnRateControl:
     # -- increase stages -----------------------------------------------------------
 
     def _increase(self) -> None:
-        f = self.config.dcqcn_fr_stages
+        f = DCQCN_FR_STAGES
         if self.time_stage < f and self.byte_stage < f:
             pass  # fast recovery: move Rc halfway to Rt, target unchanged
         elif self.time_stage >= f and self.byte_stage >= f:
-            self.rt += self.config.dcqcn_rate_hai_bps  # hyper increase
+            self.rt += DCQCN_RATE_HAI_BPS  # hyper increase
         else:
-            self.rt += self.config.dcqcn_rate_ai_bps  # additive increase
+            self.rt += DCQCN_RATE_AI_BPS  # additive increase
         self.rt = min(self.rt, float(self.config.link_rate_bps))
         self.rc = (self.rt + self.rc) / 2
         self.rc = min(self.rc, float(self.config.link_rate_bps))

@@ -18,6 +18,9 @@ from repro.transport.base import (
     TransportConfig,
 )
 
+#: EWMA gain of the marked fraction α (the DCTCP paper's g).
+DCTCP_G = 1.0 / 16.0
+
 
 class DctcpSender(ByteStreamSender):
     """DCTCP sender; requires ``config.ecn = True``."""
@@ -48,8 +51,7 @@ class DctcpSender(ByteStreamSender):
         if self.snd_una >= self._obs_window_end:
             if self._acked_total > 0:
                 fraction = self._acked_marked / self._acked_total
-                g = self.config.dctcp_g
-                self.alpha = (1 - g) * self.alpha + g * fraction
+                self.alpha = (1 - DCTCP_G) * self.alpha + DCTCP_G * fraction
             self._acked_total = 0
             self._acked_marked = 0
             self._obs_window_end = self.snd_nxt

@@ -19,6 +19,13 @@ from typing import List, Optional
 from repro.net.packet import IntRecord, Packet
 from repro.transport.base import TransportConfig
 
+#: Target utilization ``eta``.
+HPCC_ETA = 0.95
+#: Additive steps before a multiplicative adjustment.
+HPCC_MAX_STAGE = 5
+#: Additive increase ``W_AI`` per adjustment (bytes).
+HPCC_WAI_BYTES = 1000
+
 
 class HpccController:
     """Per-flow HPCC window computation from echoed INT stacks."""
@@ -76,20 +83,18 @@ class HpccController:
         return self.u
 
     def _compute_window(self, u: float, update_wc: bool) -> None:
-        eta = self.config.hpcc_eta
-        w_ai = self.config.hpcc_wai_bytes
         # An idle path measures U ~ 0; clamp so the multiplicative
         # branch (taken after max_stage additive steps) grows the
         # window instead of dividing by zero.
         u = max(u, 0.01)
-        if u >= eta or self.inc_stage >= self.config.hpcc_max_stage:
-            new_w = self.reference_window / (u / eta) + w_ai
+        if u >= HPCC_ETA or self.inc_stage >= HPCC_MAX_STAGE:
+            new_w = self.reference_window / (u / HPCC_ETA) + HPCC_WAI_BYTES
             if update_wc:
                 self.inc_stage = 0
                 self.reference_window = new_w
         else:
-            new_w = self.reference_window + w_ai
+            new_w = self.reference_window + HPCC_WAI_BYTES
             if update_wc:
                 self.inc_stage += 1
                 self.reference_window = new_w
-        self.window = int(min(max(new_w, w_ai), self.max_window))
+        self.window = int(min(max(new_w, HPCC_WAI_BYTES), self.max_window))

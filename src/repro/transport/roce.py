@@ -29,7 +29,7 @@ from typing import List, Optional
 from repro.net.node import Host
 from repro.net.packet import Color, HEADER_BYTES, Packet, PacketKind, TltMark, alloc_packet
 from repro.net.topology import Network
-from repro.sim.units import tx_time_ns
+from repro.sim.units import MICROS, tx_time_ns
 from repro.stats.collector import FlowRecord, NetStats
 from repro.transport.base import FlowSpec, TransportConfig
 from repro.transport.dcqcn import DcqcnRateControl
@@ -46,6 +46,11 @@ _NACK = PacketKind.NACK
 _CNP = PacketKind.CNP
 _GREEN = Color.GREEN
 _CONTROL = TltMark.CONTROL
+
+#: Payload bytes per PSN.
+PACKET_PAYLOAD = 1000
+#: At most one CNP per flow per interval (DCQCN).
+CNP_INTERVAL_NS = 50 * MICROS
 
 
 class RoceSender(ReliableSender):
@@ -76,10 +81,9 @@ class RoceSender(ReliableSender):
         super().__init__(host, spec, config, stats, stride=1)
         self.recovery = recovery
 
-        payload = config.packet_payload
-        self.payload = payload
-        self.npkts = max(1, -(-spec.size // payload))
-        self._last_payload = spec.size - (self.npkts - 1) * payload
+        self.payload = PACKET_PAYLOAD
+        self.npkts = max(1, -(-spec.size // PACKET_PAYLOAD))
+        self._last_payload = spec.size - (self.npkts - 1) * PACKET_PAYLOAD
 
         self.snd_una = 0  # first unacked PSN
         self.snd_next = 0  # next new PSN
@@ -380,8 +384,7 @@ class RoceReceiver:
         self.stats = stats
         self.engine = host.engine
         self.recovery = recovery
-        payload = config.packet_payload
-        self.npkts = max(1, -(-spec.size // payload))
+        self.npkts = max(1, -(-spec.size // PACKET_PAYLOAD))
         self.buffer = ReceiverBuffer()
         self.rcv_nxt = 0  # go-back-N cumulative pointer
         self._nacked_at = -1
@@ -455,7 +458,7 @@ class RoceReceiver:
     def _maybe_cnp(self) -> None:
         """A CE-marked packet arrived: CNP, at most one per interval."""
         now = self.engine.now
-        if now - self._last_cnp_ns < self.config.cnp_interval_ns:
+        if now - self._last_cnp_ns < CNP_INTERVAL_NS:
             return
         self._last_cnp_ns = now
         cnp = alloc_packet(self.spec.flow_id, self.spec.dst, self.spec.src, _CNP)

@@ -2,18 +2,22 @@
 
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
+from repro.experiments.common import run_grid
 from repro.experiments.scale import TINY
 from repro.experiments.scenarios import (
     EcnStreamFactory,
     ScenarioConfig,
     build_network,
+    run_scenario,
+    scenario_run_id,
 )
 from repro.service.run import resume_service, service_fingerprint
 from repro.sim import checkpoint
-from repro.sim.checkpoint import CheckpointError, default_path
+from repro.sim.checkpoint import CheckpointError, run_path
 
 
 @pytest.fixture(autouse=True)
@@ -49,7 +53,7 @@ def _config(**overrides) -> ScenarioConfig:
 def test_save_load_round_trip(tmp_path):
     net = build_network(_config())
     net.engine.run(until=1_000)
-    path = default_path(str(tmp_path))
+    path = run_path(str(tmp_path), "r1")
     checkpoint.save(path, net, extra={"tag": 7}, key="k1")
     payload = checkpoint.load(path, expect_key="k1")
     restored = payload["state"]["net"]
@@ -61,7 +65,7 @@ def test_save_load_round_trip(tmp_path):
 
 def test_key_mismatch_rejected(tmp_path):
     net = build_network(_config())
-    path = default_path(str(tmp_path))
+    path = run_path(str(tmp_path), "r1")
     checkpoint.save(path, net, key="expected")
     with pytest.raises(CheckpointError, match="key"):
         checkpoint.load(path, expect_key="different")
@@ -97,28 +101,55 @@ def test_ecn_stream_factory_matches_closure_semantics():
     assert [b.rng.random() for _ in range(4)] != draws
 
 
-def test_checkpoint_restore_reproduces_uninterrupted_run(tmp_path):
-    """The PR's determinism gate: run A (uninterrupted), run B (same
-    config, checkpointed mid-run), run C (restored from B's file and
-    driven to completion) — all three fingerprints are bit-equal."""
-    from repro.experiments.scenarios import run_scenario
+#: A hedged two-tier service: the restore test's spec.
+HEDGED_SPEC = {
+    "requests": 150,
+    "rate_rps": 30_000.0,
+    "tiers": [
+        {"name": "cache", "servers": 4, "fanout": 2, "service_ns": 2_000},
+        {"name": "storage", "servers": 3, "fanout": 1,
+         "workload": "web_server", "max_bytes": 8_000, "service_ns": 10_000,
+         "hedge_ns": 2_000_000},
+    ],
+}
 
-    fp_a = service_fingerprint(run_scenario(_config()))
-    fp_b = service_fingerprint(
-        run_scenario(_config(checkpoint=str(tmp_path))))
-    path = default_path(str(tmp_path))
-    assert os.path.exists(path)
+
+@pytest.mark.parametrize("transport, tlt", [("dctcp", False), ("dctcp", True), ("dcqcn", False)],
+                         ids=["dctcp", "dctcp_tlt", "dcqcn"])
+def test_checkpoint_restore_reproduces_uninterrupted_run(transport, tlt, tmp_path):
+    """Run A (uninterrupted), run B (same config, checkpointed mid-run)
+    and run C (restored from B's file and driven to completion) are
+    bit-equal, audited (``tests/conftest.py``). dcqcn covers the
+    per-switch RED streams (``EcnStreamFactory``)."""
+    config = _config(transport=transport, tlt=tlt, service=HEDGED_SPEC)
+    fp_a = service_fingerprint(run_scenario(config))
+    checkpointed = replace(config, checkpoint=str(tmp_path))
+    fp_b = service_fingerprint(run_scenario(checkpointed))
+    path = run_path(str(tmp_path), scenario_run_id(checkpointed))
     fp_c = service_fingerprint(resume_service(path))
     assert fp_a == fp_b
     assert fp_a == fp_c
 
 
-def test_resume_checks_scenario_key(tmp_path):
-    from repro.experiments.scenarios import run_scenario
+def test_a_service_grid_keeps_one_checkpoint_per_run(tmp_path, monkeypatch):
+    """``--checkpoint DIR`` over a grid: each run saves its own file,
+    named by its run id, and each resumes to its own uninterrupted run."""
+    configs = [_config(seed=1), _config(seed=2)]
+    directory = str(tmp_path / "ck")
+    with monkeypatch.context() as patch:
+        patch.setenv("TLT_CHECKPOINT", directory)
+        run_grid(configs, None)
+    assert len(os.listdir(directory)) == 2
+    for config in configs:
+        resumed = resume_service(run_path(directory, scenario_run_id(config)))
+        assert service_fingerprint(resumed) == service_fingerprint(run_scenario(config))
 
-    run_scenario(_config(checkpoint=str(tmp_path)))
+
+def test_resume_checks_scenario_key(tmp_path):
+    config = _config(checkpoint=str(tmp_path))
+    run_scenario(config)
     with pytest.raises(CheckpointError, match="key"):
-        resume_service(default_path(str(tmp_path)), expect_key="wrong")
+        resume_service(run_path(str(tmp_path), scenario_run_id(config)), expect_key="wrong")
 
 
 def test_cache_key_excludes_checkpoint(tmp_path):

@@ -274,3 +274,18 @@ def test_compiled_events_are_built_by_the_engine_only():
     assert repr(event) == "<CEvent t=5 #0 print>"
     with pytest.raises(AttributeError):
         event.time = 6  # heap entries carry their own key: nothing re-times an event
+
+
+@pytest.mark.parametrize("name, error", [("bogus", ValueError), ("compiled", RuntimeError)])
+def test_an_unusable_backend_variable_fails_as_set_backend_does(name, error, monkeypatch):
+    """``TLT_BACKEND`` naming an unknown or unbuilt backend is refused,
+    with ``set_backend``'s error, instead of running on ``pure``."""
+    monkeypatch.setattr(backend, "compiled_available", lambda: False)
+    monkeypatch.setenv("TLT_BACKEND", name)
+    with pytest.raises(error) as refused:
+        backend.current_backend()
+    with pytest.raises(error) as forced:
+        backend.set_backend(name)
+    assert str(refused.value) == str(forced.value)
+    monkeypatch.setenv("TLT_BACKEND", "")
+    assert backend.current_backend() == "pure"

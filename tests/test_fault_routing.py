@@ -19,8 +19,7 @@ def _three_spine_net():
     """2 ToRs x 3 spines: tor0 uplinks are ports 2, 3, 4."""
     return leaf_spine(
         num_spines=3, num_tors=2, hosts_per_tor=2,
-        params=TopologyParams(host_link_delay_ns=1 * MICROS,
-                              fabric_link_delay_ns=1 * MICROS),
+        params=TopologyParams(link_delay_ns=1 * MICROS),
     )
 
 
@@ -83,8 +82,7 @@ def test_total_outage_heal_does_not_clobber_earlier_heal():
     candidate set back to the tuple saved mid-outage."""
     net = leaf_spine(
         num_spines=2, num_tors=2, hosts_per_tor=2,
-        params=TopologyParams(host_link_delay_ns=1 * MICROS,
-                              fabric_link_delay_ns=1 * MICROS),
+        params=TopologyParams(link_delay_ns=1 * MICROS),
     )
     controller = _controller(net)
     tor0 = net.device("tor0")

@@ -2,7 +2,7 @@
 
 from repro.net.packet import IntRecord, Packet, PacketKind
 from repro.transport.base import TransportConfig
-from repro.transport.hpcc import HpccController
+from repro.transport.hpcc import HPCC_WAI_BYTES, HpccController
 
 
 def make_controller(**kw):
@@ -56,7 +56,7 @@ def test_window_never_below_wai():
             snd_nxt=ack,
         )
         ts += 8_000
-    assert ctl.window >= ctl.config.hpcc_wai_bytes
+    assert ctl.window >= HPCC_WAI_BYTES
 
 
 def test_window_capped_at_bdp():

@@ -186,8 +186,7 @@ def test_ecmp_index_unchanged():
 
 
 def _params():
-    return TopologyParams(host_link_delay_ns=1 * MICROS,
-                          fabric_link_delay_ns=1 * MICROS)
+    return TopologyParams(link_delay_ns=1 * MICROS)
 
 
 def test_fat_tree_structure():

@@ -71,8 +71,7 @@ def test_hol_blocking_victim_flow():
     pauses a sender's ingress, stalling its unrelated flow to an idle
     destination (congestion spreading through HoL blocking)."""
     params = TopologyParams(
-        host_link_delay_ns=1_000,
-        fabric_link_delay_ns=1_000,
+        link_delay_ns=1_000,
         switch_config=SwitchConfig(buffer_bytes=150_000, pfc=PfcConfig(enabled=True)),
     )
     net = dumbbell(left_hosts=5, right_hosts=2, params=params)

@@ -8,7 +8,7 @@ from repro.switchsim.switch import SwitchConfig
 
 def pfc_net(xoff=10_000):
     params = TopologyParams(
-        host_link_delay_ns=1_000,
+        link_delay_ns=1_000,
         switch_config=SwitchConfig(
             buffer_bytes=1_000_000,
             pfc=PfcConfig(enabled=True, xoff_bytes=xoff),

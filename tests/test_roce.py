@@ -4,7 +4,13 @@ from repro.net.packet import PacketKind
 from repro.sim.units import MILLIS
 from repro.switchsim.ecn import RedEcn
 from repro.transport.base import FlowSpec, TransportConfig
-from repro.transport.dcqcn import DcqcnRateControl
+from repro.transport.dcqcn import (
+    DCQCN_FR_STAGES,
+    DCQCN_RATE_AI_BPS,
+    DCQCN_RATE_HAI_BPS,
+    DCQCN_TIMER_NS,
+    DcqcnRateControl,
+)
 from repro.transport.registry import create_flow
 from repro.sim.engine import Engine
 
@@ -136,7 +142,7 @@ def test_dcqcn_rate_machine_cut_and_recover():
     assert after_cut == config.link_rate_bps * 0.5  # alpha=1 -> halved
     assert rc.alpha > 0.99
     # Five timer periods of fast recovery move Rc back toward Rt.
-    engine.run(until=6 * config.dcqcn_timer_ns)
+    engine.run(until=6 * DCQCN_TIMER_NS)
     assert rc.rc > after_cut
     rc.stop()
 
@@ -158,7 +164,7 @@ def test_dcqcn_hyper_increase_reaches_line_rate():
     rc = DcqcnRateControl(engine, config)
     rc.start()
     rc.on_cnp()
-    engine.run(until=100 * config.dcqcn_timer_ns)
+    engine.run(until=100 * DCQCN_TIMER_NS)
     assert rc.rc > 0.95 * config.link_rate_bps
     rc.stop()
 
@@ -177,7 +183,7 @@ class TwoTimerDcqcn:
     def _arm(self, name, fire):
         if name in self._events:
             self._events[name].cancel()
-        self._events[name] = self.engine.schedule_timer(self.config.dcqcn_timer_ns, fire)
+        self._events[name] = self.engine.schedule_timer(DCQCN_TIMER_NS, fire)
 
     def start(self):
         self._arm("alpha", self._alpha_fire)
@@ -208,11 +214,11 @@ class TwoTimerDcqcn:
         self._arm("rate", self._rate_fire)
 
     def _increase(self):
-        f, link = self.config.dcqcn_fr_stages, float(self.config.link_rate_bps)
+        f, link = DCQCN_FR_STAGES, float(self.config.link_rate_bps)
         if self.time_stage >= f and self.byte_stage >= f:
-            self.rt += self.config.dcqcn_rate_hai_bps
+            self.rt += DCQCN_RATE_HAI_BPS
         elif self.time_stage >= f or self.byte_stage >= f:
-            self.rt += self.config.dcqcn_rate_ai_bps
+            self.rt += DCQCN_RATE_AI_BPS
         self.rt = min(self.rt, link)
         self.rc = min((self.rt + self.rc) / 2, link)
 
@@ -229,8 +235,8 @@ def test_one_dcqcn_timer_matches_two_timer_reference(seed):
     reference.start()
     now = deepest = 0
     for _ in range(400):
-        now += rng.choice([0, 1, rng.randrange(3 * config.dcqcn_timer_ns),
-                           config.dcqcn_timer_ns])
+        now += rng.choice([0, 1, rng.randrange(3 * DCQCN_TIMER_NS),
+                           DCQCN_TIMER_NS])
         for engine in engines:
             engine.run(until=now)
         if rng.random() < 0.3:
@@ -244,7 +250,7 @@ def test_one_dcqcn_timer_matches_two_timer_reference(seed):
             assert getattr(machine, name) == getattr(reference, name), (name, now)
         assert machine.rate_bps == int(reference.rc)
         deepest = max(deepest, machine.time_stage)
-    assert deepest > config.dcqcn_fr_stages  # past fast recovery
+    assert deepest > DCQCN_FR_STAGES  # past fast recovery
     machine.stop()
 
 

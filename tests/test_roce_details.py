@@ -53,8 +53,7 @@ def test_dcqcn_uses_static_4ms_rto():
 
 def test_hpcc_int_stack_has_one_record_per_switch_hop():
     params = TopologyParams(
-        host_link_delay_ns=1_000,
-        fabric_link_delay_ns=1_000,
+        link_delay_ns=1_000,
         switch_config=SwitchConfig(buffer_bytes=1_000_000, int_enabled=True),
     )
     net = leaf_spine(num_spines=1, num_tors=2, hosts_per_tor=2, params=params)
@@ -92,8 +91,7 @@ def test_dcqcn_tlt_pfc_combination_lossless_for_green():
 
 def test_roce_flows_over_leaf_spine_complete():
     params = TopologyParams(
-        host_link_delay_ns=1_000,
-        fabric_link_delay_ns=1_000,
+        link_delay_ns=1_000,
         switch_config=SwitchConfig(buffer_bytes=1_000_000, int_enabled=True),
     )
     net = leaf_spine(num_spines=2, num_tors=2, hosts_per_tor=2, params=params)

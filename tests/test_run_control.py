@@ -36,8 +36,8 @@ from repro.experiments.scale import TINY
 from repro.experiments.scenarios import (
     RunControl,
     ScenarioConfig,
-    _telemetry_run_id,
     run_control,
+    scenario_run_id,
 )
 
 FAULTS = {"events": [{"time_ns": 1_000, "kind": "link_down", "target": "tor0:0"}]}
@@ -46,7 +46,7 @@ FAULTS = {"events": [{"time_ns": 1_000, "kind": "link_down", "target": "tor0:0"}
 #: watched, not what it simulates: they share the plain run's key.
 PLAIN_KEY = "331565d4c21b975e02d3d242c5fa1ccdee593a1eb49e6201bb1c54100e961fe4"
 
-#: field values -> (Job.cache_key(), _telemetry_run_id()).
+#: field values -> (Job.cache_key(), scenario_run_id()).
 IDENTITY_PINS = {
     "plain": ({}, PLAIN_KEY, "dctcp_tlt_s3_0c525c9e"),
     "shards": ({"shards": 2}, PLAIN_KEY, "dctcp_tlt_s3_fa2b84e1"),
@@ -84,7 +84,7 @@ def test_cache_key_and_telemetry_run_id_are_pinned(name, pinned_code_version):
     fields, cache_key, run_id = IDENTITY_PINS[name]
     config = _config(**fields)
     assert Job(0, config, config.seed).cache_key() == cache_key
-    assert _telemetry_run_id(config) == run_id
+    assert scenario_run_id(config) == run_id
 
 
 def test_cache_key_folds_the_fault_file_of_the_environment(
@@ -96,7 +96,7 @@ def test_cache_key_folds_the_fault_file_of_the_environment(
     # The spec, not the path: the same key as the explicit field.
     assert Job(0, config, config.seed).cache_key() == IDENTITY_PINS["faults"][1]
     # An observation does not name its files after how it was asked for.
-    assert _telemetry_run_id(config) == IDENTITY_PINS["plain"][2]
+    assert scenario_run_id(config) == IDENTITY_PINS["plain"][2]
 
 
 # -- precedence: explicit config field > TLT_* variable > off --------------------

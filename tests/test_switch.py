@@ -14,7 +14,7 @@ from repro.switchsim.switch import SwitchConfig
 
 def make_star(num_hosts=3, **cfg_kwargs):
     config = SwitchConfig(**cfg_kwargs)
-    params = TopologyParams(switch_config=config, host_link_delay_ns=1000)
+    params = TopologyParams(switch_config=config, link_delay_ns=1000)
     return star(num_hosts=num_hosts, params=params)
 
 

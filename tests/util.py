@@ -16,8 +16,7 @@ def small_star(num_hosts: int = 4, delay_ns: int = 1_000, **switch_kwargs) -> Ne
     switch_kwargs.setdefault("buffer_bytes", 1_000_000)
     params = TopologyParams(
         switch_config=SwitchConfig(**switch_kwargs),
-        host_link_delay_ns=delay_ns,
-        fabric_link_delay_ns=delay_ns,
+        link_delay_ns=delay_ns,
     )
     return star(num_hosts=num_hosts, params=params)
 
