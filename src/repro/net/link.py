@@ -9,8 +9,9 @@ Delivery dispatches *through the receiving device at delivery time*:
 ``owner.receive`` is resolved when the packet lands, so an interceptor
 (or audit rebinding) installed while a packet is on the wire still sees
 it — capturing the bound receive method at schedule time would silently
-bypass anything installed mid-flight. Heap entries stay bare 4-tuples
-(the raw-tuple fast path of ``Engine.schedule_anon``).
+bypass anything installed mid-flight. Heap entries stay bare
+``(time, seq, fn, args)`` entries pushed through ``Engine._push`` (the
+layout of ``Engine.schedule_anon``).
 
 Batched delivery: frames a port puts on the wire are queued
 in a per-port in-flight FIFO ``(arrival_ns, wire_seq, kind, payload)``
@@ -48,7 +49,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
-from heapq import heappush
 
 from repro.sim.engine import WIRE_SEQ_BASE, Engine
 from repro.sim.units import tx_time_ns
@@ -91,7 +91,8 @@ class Port:
         "_inflight",
         "_tx_cb",
         "_drain_cb",
-        "_equeue",
+        "_epush",
+        "_eheap",
     )
 
     def __init__(self, engine: Engine, owner: "Device", port_no: int, rate_bps: int, delay_ns: int):
@@ -141,18 +142,17 @@ class Port:
         # can substitute a C kernel per port; repro.sim.sharding
         # rebinds it after retargeting a port to CutPort.
         self._tx_cb = self._tx_done
-        # The engine's heap list, cached: both engines bind it once at
-        # construction and compact it in place (the run loop aliases it
-        # the same way), so the list object is stable for the lifetime
-        # of the engine.
-        self._equeue = engine._queue
+        # The engine's heap push, bound once (Engine._pusher):
+        # push(heap, entry) is Engine._push(entry). Called through
+        # locals: a call straight off a slot is not specialised.
+        self._epush, self._eheap = engine._pusher
 
     # -- transmission ----------------------------------------------------------
 
     # The serialization/propagation events below push bare anonymous
-    # entries straight onto the engine heap (the documented layout of
-    # Engine.schedule_anon) instead of calling it: these two or three
-    # pushes per transmitted packet are the simulator's innermost loop.
+    # (time, seq, fn, args) entries through the engine's _push (the
+    # layout Engine.schedule_anon makes) instead of calling it: these two
+    # or three pushes per transmitted packet are the innermost loop.
 
     def kick(self) -> None:
         """Try to start transmitting the owner's next packet."""
@@ -167,22 +167,23 @@ class Port:
         engine = self.engine
         seq = engine._seq
         engine._seq = seq + 1
-        heappush(
-            self._equeue,
+        push, heap = self._epush, self._eheap
+        push(
+            heap,
             (engine.now + tx_time_ns(packet.size, self.rate_bps), seq, self._tx_cb, (packet,)),
         )
 
     def _tx_done(self, packet: "Packet") -> None:
         """Serialization finished: put the frame on the wire."""
         engine = self.engine
-        queue = self._equeue
+        push, heap = self._epush, self._eheap
         if self._peer_deliver is not None:
             seq = self.wire_seq
             self.wire_seq = seq + 1
             arrival = engine.now + self.delay_ns
             inflight = self._inflight
             if not inflight:
-                heappush(queue, (arrival, seq, self._drain_cb, _EMPTY))
+                push(heap, (arrival, seq, self._drain_cb, _EMPTY))
             inflight.append((arrival, seq, FRAME_PACKET, packet))
         self.busy = False
         # Inlined kick() — this runs once per transmitted packet.
@@ -196,8 +197,8 @@ class Port:
         self.tx_packets += 1
         seq = engine._seq
         engine._seq = seq + 1
-        heappush(
-            queue,
+        push(
+            heap,
             (engine.now + tx_time_ns(packet.size, self.rate_bps), seq, self._tx_cb, (packet,)),
         )
 
@@ -224,7 +225,8 @@ class Port:
                     due.append((entry[2], entry[3]))
                 if inflight:
                     nxt = inflight[0]
-                    heappush(self._equeue, (nxt[0], nxt[1], self._drain_cb, _EMPTY))
+                    push, heap = self._epush, self._eheap
+                    push(heap, (nxt[0], nxt[1], self._drain_cb, _EMPTY))
                 # Each frame is logically one delivery event:
                 # events_processed counts frames, not drain calls.
                 engine._events_processed += len(due) - 1
@@ -235,7 +237,8 @@ class Port:
                     else:
                         peer.owner.receive_pause(payload, peer)
                 return
-            heappush(self._equeue, (nxt[0], nxt[1], self._drain_cb, _EMPTY))
+            push, heap = self._epush, self._eheap
+            push(heap, (nxt[0], nxt[1], self._drain_cb, _EMPTY))
         peer = self.peer
         if kind == FRAME_PACKET:
             # Resolved here, at delivery time, so the packet traverses
@@ -277,7 +280,8 @@ class Port:
         arrival = self.engine.now + self.delay_ns
         inflight = self._inflight
         if not inflight:
-            heappush(self._equeue, (arrival, seq, self._drain_cb, _EMPTY))
+            push, heap = self._epush, self._eheap
+            push(heap, (arrival, seq, self._drain_cb, _EMPTY))
         inflight.append((arrival, seq, FRAME_PAUSE, duration_ns))
 
     def apply_pause(self, duration_ns: int) -> None:

@@ -3,11 +3,11 @@
  * Drop-in C implementations of the inner loops behind
  * ``repro.sim.backend``:
  *
- *   - CEngine  -- mirrors repro.sim.engine.Engine exactly: same raw
- *     (time, seq, Event) / (time, seq, fn, args) tuple heap layout on a
- *     real PyList (so link.py, the timer wheel and sharding can keep
- *     pushing entries with Python heapq), same GC-threshold dance, same
- *     end-of-run clock rule, same attribution hook.
+ *   - CEngine  -- mirrors repro.sim.engine.Engine exactly: same (time,
+ *     seq) event order, kept in a C array of entries (link.py, the timer
+ *     wheel and sharding push the pure engine's tuple layouts through
+ *     _push), same GC-threshold dance, same end-of-run clock rule, same
+ *     attribution hook.
  *   - CEvent   -- the cancellation handle (interops with TimerWheel);
  *     built by the engine only, read-only from Python but for in_wheel.
  *   - SwitchKernel / HostKernel / PortKernel -- per-instance kernels
@@ -30,9 +30,9 @@
  * Determinism contract: every arithmetic decision below transcribes the
  * pure-Python fast path statement by statement -- same comparison
  * order, same drop precedence, same integer/float mixing (all values
- * stay far below 2**53 so C doubles are exact) -- and the heap compare
- * is numerically identical to tuple comparison because heap keys are
- * unique (time, seq) int pairs.  The pinned fingerprints in
+ * stay far below 2**53 so C doubles are exact) -- and the heap orders
+ * entries by their unique (time, seq) pairs, as heapq orders the pure
+ * engine's tuples.  The pinned fingerprints in
  * tests/test_determinism.py gate this bit-for-bit.
  *
  * Where a value is read: never through PyObject_GetAttr per packet.
@@ -330,6 +330,21 @@ slot_store_bool(PyObject *obj, Py_ssize_t off, int truth)
     return 0;
 }
 
+/* append that reuses the list's spare capacity (borrows item). */
+static inline int
+list_append_fast(PyObject *list, PyObject *item)
+{
+    PyListObject *lp = (PyListObject *)list;
+    Py_ssize_t n = Py_SIZE(lp);
+    if (n < lp->allocated) {
+        Py_INCREF(item);
+        lp->ob_item[n] = item;
+        Py_SET_SIZE(lp, n + 1);
+        return 0;
+    }
+    return PyList_Append(list, item);
+}
+
 static long long
 monotonic_ns(void)
 {
@@ -351,178 +366,109 @@ c_tx_time_ns(long long size_bytes, long long rate_bps)
 }
 
 /* ---------------------------------------------------------------------------
- * Heap primitives on a PyList of (time, seq, ...) tuples.
+ * The event heap: a C array of {time, seq, fn, args} entries.
  *
- * Ordering is identical to Python heapq's tuple comparison: heap keys
- * are unique (time, seq) integer pairs, so lexicographic tuple compare
- * never reaches element 2 and equals the numeric compare used here.
+ * Ordered by the unique (time, seq) pair, the order heapq gives the pure
+ * engine's tuples. An entry owns fn and args; args == NULL marks an entry
+ * whose fn is a CEvent (schedule*, the timer wheel), any other is called
+ * as fn(*args) (schedule_anon, the ports). Nothing here calls Python: an
+ * entry leaves the array before its references are dropped.
  * ------------------------------------------------------------------------- */
 
-/* a < b; raises for an entry that is not a (time, seq, ...) tuple of
- * small non-negative ints (nothing pushes one). */
-static int
-entry_lt(PyObject *a, PyObject *b)
-{
-    long long va, vb, sa, sb;
-    if (PyTuple_CheckExact(a) && PyTuple_CheckExact(b) &&
-        PyTuple_GET_SIZE(a) >= 2 && PyTuple_GET_SIZE(b) >= 2 &&
-        ll_read_fast(PyTuple_GET_ITEM(a, 0), &va) &&
-        ll_read_fast(PyTuple_GET_ITEM(b, 0), &vb)) {
-        if (va != vb)
-            return va < vb;
-        if (ll_read_fast(PyTuple_GET_ITEM(a, 1), &sa) &&
-            ll_read_fast(PyTuple_GET_ITEM(b, 1), &sb))
-            return sa < sb;
-    }
-    PyErr_SetString(PyExc_TypeError, "CEngine heap entries are (time, seq, ...) small-int tuples");
-    return -1;
-}
+typedef struct {
+    long long time, seq;
+    PyObject *fn, *args;
+} HeapEntry;
 
-static int
-heap_siftdown(PyObject *heap, Py_ssize_t startpos, Py_ssize_t pos)
-{
-    PyObject *newitem = PyList_GET_ITEM(heap, pos);
-    Py_INCREF(newitem);
-    while (pos > startpos) {
-        Py_ssize_t parentpos = (pos - 1) >> 1;
-        PyObject *parent = PyList_GET_ITEM(heap, parentpos);
-        int lt = entry_lt(newitem, parent);
-        if (lt < 0) {
-            Py_DECREF(newitem);
-            return -1;
-        }
-        if (!lt)
-            break;
-        Py_INCREF(parent);
-        PyObject *old = PyList_GET_ITEM(heap, pos);
-        PyList_SET_ITEM(heap, pos, parent);
-        Py_DECREF(old);
-        pos = parentpos;
-    }
-    PyObject *old = PyList_GET_ITEM(heap, pos);
-    PyList_SET_ITEM(heap, pos, newitem);  /* steals our extra ref */
-    Py_DECREF(old);
-    return 0;
-}
+typedef struct {
+    HeapEntry *items;
+    Py_ssize_t len, cap;
+} EventHeap;
 
-static int
-heap_siftup(PyObject *heap, Py_ssize_t pos)
-{
-    Py_ssize_t endpos = PyList_GET_SIZE(heap);
-    Py_ssize_t startpos = pos;
-    PyObject *newitem = PyList_GET_ITEM(heap, pos);
-    Py_INCREF(newitem);
-    Py_ssize_t childpos = 2 * pos + 1;
-    while (childpos < endpos) {
-        Py_ssize_t rightpos = childpos + 1;
-        if (rightpos < endpos) {
-            int lt = entry_lt(PyList_GET_ITEM(heap, rightpos),
-                              PyList_GET_ITEM(heap, childpos));
-            if (lt < 0) {
-                Py_DECREF(newitem);
-                return -1;
-            }
-            if (lt)
-                childpos = rightpos;
-        }
-        PyObject *child = PyList_GET_ITEM(heap, childpos);
-        Py_INCREF(child);
-        PyObject *old = PyList_GET_ITEM(heap, pos);
-        PyList_SET_ITEM(heap, pos, child);
-        Py_DECREF(old);
-        pos = childpos;
-        childpos = 2 * pos + 1;
-    }
-    PyObject *old = PyList_GET_ITEM(heap, pos);
-    PyList_SET_ITEM(heap, pos, newitem);  /* steals our extra ref */
-    Py_DECREF(old);
-    return heap_siftdown(heap, startpos, pos);
-}
-
-/* append that reuses the list's spare capacity (borrows item). */
 static inline int
-list_append_fast(PyObject *list, PyObject *item)
+entry_lt(const HeapEntry *a, const HeapEntry *b)
 {
-    PyListObject *lp = (PyListObject *)list;
-    Py_ssize_t n = Py_SIZE(lp);
-    if (n < lp->allocated) {
-        Py_INCREF(item);
-        lp->ob_item[n] = item;
-        Py_SET_SIZE(lp, n + 1);
-        return 0;
-    }
-    return PyList_Append(list, item);
+    return a->time < b->time || (a->time == b->time && a->seq < b->seq);
 }
 
-/* heappush(heap, item): borrows item. */
+/* Put item in the hole at pos, moving it up past larger parents but not
+ * above start (heapq's _siftdown). */
+static inline void
+heap_place(HeapEntry *h, Py_ssize_t start, Py_ssize_t pos, HeapEntry item)
+{
+    while (pos > start) {
+        Py_ssize_t parent = (pos - 1) >> 1;
+        if (!entry_lt(&item, &h[parent]))
+            break;
+        h[pos] = h[parent];
+        pos = parent;
+    }
+    h[pos] = item;
+}
+
+/* Fill the hole at pos with item: the smaller child moves up to a leaf,
+ * then item is placed from there (heapq's _siftup). */
+static void
+heap_sift(HeapEntry *h, Py_ssize_t n, Py_ssize_t pos, HeapEntry item)
+{
+    Py_ssize_t start = pos, child = 2 * pos + 1;
+    while (child < n) {
+        if (child + 1 < n && entry_lt(&h[child + 1], &h[child]))
+            child++;
+        h[pos] = h[child];
+        pos = child;
+        child = 2 * pos + 1;
+    }
+    heap_place(h, start, pos, item);
+}
+
+/* Push an entry; takes new references to fn and args (NULL for a CEvent). */
 static int
-heap_push(PyObject *heap, PyObject *item)
+heap_push(EventHeap *heap, long long time, long long seq, PyObject *fn, PyObject *args)
 {
-    if (list_append_fast(heap, item) < 0)
-        return -1;
-    return heap_siftdown(heap, 0, PyList_GET_SIZE(heap) - 1);
-}
-
-/* heappop(heap): returns a new reference, NULL on error. */
-static PyObject *
-heap_pop(PyObject *heap)
-{
-    Py_ssize_t n = PyList_GET_SIZE(heap);
-    if (n == 0) {
-        PyErr_SetString(PyExc_IndexError, "index out of range");
-        return NULL;
-    }
-    /* Steal the tail slot directly instead of PyList_SetSlice: the
-     * list keeps its allocation (heap sizes are modest and re-grow
-     * constantly), and 0 <= ob_size <= allocated stays true. */
-    PyObject *lastelt = PyList_GET_ITEM(heap, n - 1);
-    Py_SET_SIZE(heap, n - 1);
-    if (n == 1)
-        return lastelt;
-    PyObject *returnitem = PyList_GET_ITEM(heap, 0);
-    Py_INCREF(returnitem);
-    PyObject *old = PyList_GET_ITEM(heap, 0);
-    PyList_SET_ITEM(heap, 0, lastelt);  /* steals lastelt */
-    Py_DECREF(old);
-    if (heap_siftup(heap, 0) < 0) {
-        Py_DECREF(returnitem);
-        return NULL;
-    }
-    return returnitem;
-}
-
-static int
-heap_heapify(PyObject *heap)
-{
-    Py_ssize_t n = PyList_GET_SIZE(heap);
-    for (Py_ssize_t i = n / 2 - 1; i >= 0; i--) {
-        if (heap_siftup(heap, i) < 0)
+    if (heap->len == heap->cap) {
+        Py_ssize_t cap = heap->cap ? 2 * heap->cap : 256;
+        HeapEntry *items = PyMem_Realloc(heap->items, cap * sizeof(HeapEntry));
+        if (items == NULL) {
+            PyErr_NoMemory();
             return -1;
+        }
+        heap->items = items;
+        heap->cap = cap;
     }
+    Py_INCREF(fn);
+    Py_XINCREF(args);
+    heap_place(heap->items, 0, heap->len++, (HeapEntry){time, seq, fn, args});
     return 0;
 }
 
-/* Push a freshly built (t, seq, fn, args) 4-tuple; borrows fn/args. */
-static int
-heap_push_anon(PyObject *heap, long long t, long long seq,
-               PyObject *fn, PyObject *args)
+/* Move the head of a non-empty heap to *out, which owns its references. */
+static void
+heap_pop(EventHeap *heap, HeapEntry *out)
 {
-    PyObject *to = PyLong_FromLongLong(t);
-    if (to == NULL)
-        return -1;
-    PyObject *so = PyLong_FromLongLong(seq);
-    if (so == NULL) {
-        Py_DECREF(to);
-        return -1;
-    }
-    PyObject *entry = PyTuple_Pack(4, to, so, fn, args);
-    Py_DECREF(to);
-    Py_DECREF(so);
-    if (entry == NULL)
-        return -1;
-    int r = heap_push(heap, entry);
-    Py_DECREF(entry);
-    return r;
+    HeapEntry *h = heap->items;
+    *out = h[0];
+    Py_ssize_t n = --heap->len;
+    if (n > 0)
+        heap_sift(h, n, 0, h[n]);
+}
+
+static inline void
+entry_release(HeapEntry *e)
+{
+    Py_DECREF(e->fn);
+    Py_XDECREF(e->args);
+}
+
+/* Empty the heap, detached before the first reference drops. */
+static void
+heap_release(EventHeap *heap)
+{
+    EventHeap old = *heap;
+    *heap = (EventHeap){NULL, 0, 0};
+    for (Py_ssize_t i = 0; i < old.len; i++)
+        entry_release(&old.items[i]);
+    PyMem_Free(old.items);
 }
 
 /* ---------------------------------------------------------------------------
@@ -555,7 +501,7 @@ static int c_sender_start(PyObject *ep);
 
 typedef struct {
     PyObject_HEAD
-    PyObject *queue;          /* PyList of heap tuples */
+    EventHeap heap;
     PyObject *wheel;          /* TimerWheel(self) */
     long long seq;
     long long now;
@@ -670,8 +616,9 @@ cevent_repr(CEventObject *self)
 }
 
 /* Read-only but for in_wheel, which the (Python) timer wheel flips;
- * heap entries are (time, seq, event) tuples, so nothing compares or
- * re-times an event. fn/args/engine read None once cleared. */
+ * heap entries carry their own (time, seq), so nothing compares or
+ * re-times an event. fn/args/engine read None once cleared (engine
+ * when the event fires). */
 static PyMemberDef cevent_members[] = {
     {"time", T_LONGLONG, offsetof(CEventObject, time), READONLY, NULL},
     {"seq", T_LONGLONG, offsetof(CEventObject, seq), READONLY, NULL},
@@ -707,48 +654,33 @@ static PyTypeObject CEventType = {
  * CEngine -- drop-in compiled Engine.
  * ------------------------------------------------------------------------- */
 
-/* The event of a (time, seq, event) heap entry. Only this engine's own
- * schedule calls and its timer wheel push such entries, so it is a
- * CEvent; anything else raises. */
-static CEventObject *
-heap_event(PyObject *entry)
-{
-    PyObject *ev = PyTuple_GET_ITEM(entry, 2);
-    if (CEvent_CheckExact(ev))
-        return (CEventObject *)ev;
-    PyErr_Format(PyExc_TypeError, "CEngine heap holds a %.100s where a CEvent belongs",
-                 Py_TYPE(ev)->tp_name);
-    return NULL;
-}
-
+/* Drop the cancelled entries. The kept ones are a heap again before the
+ * first dropped one is released: its finaliser may schedule. */
 static int
 cengine_compact(CEngineObject *self)
 {
-    PyObject *queue = self->queue;
-    Py_ssize_t n = PyList_GET_SIZE(queue);
-    PyObject *kept = PyList_New(0);
-    if (kept == NULL)
+    EventHeap *heap = &self->heap;
+    PyObject **dropped = PyMem_Malloc(heap->len * sizeof(PyObject *));
+    if (dropped == NULL) {
+        PyErr_NoMemory();
         return -1;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *e = PyList_GET_ITEM(queue, i);
-        int keep = 1;
-        if (PyTuple_CheckExact(e) && PyTuple_GET_SIZE(e) == 3) {
-            CEventObject *ev = heap_event(e);
-            if (ev == NULL)
-                goto fail;
-            keep = !ev->cancelled;
-        }
-        if (keep && PyList_Append(kept, e) < 0)
-            goto fail;
     }
-    if (PyList_SetSlice(queue, 0, n, kept) < 0)
-        goto fail;
-    Py_DECREF(kept);
+    Py_ssize_t kept = 0, ndropped = 0;
+    for (Py_ssize_t i = 0; i < heap->len; i++) {
+        HeapEntry *e = &heap->items[i];
+        if (e->args == NULL && ((CEventObject *)e->fn)->cancelled)
+            dropped[ndropped++] = e->fn;
+        else
+            heap->items[kept++] = *e;
+    }
+    heap->len = kept;
+    for (Py_ssize_t i = kept / 2 - 1; i >= 0; i--)
+        heap_sift(heap->items, kept, i, heap->items[i]);
     self->heap_dead = 0;
-    return heap_heapify(queue);
-fail:
-    Py_DECREF(kept);
-    return -1;
+    for (Py_ssize_t i = 0; i < ndropped; i++)
+        Py_DECREF(dropped[i]);
+    PyMem_Free(dropped);
+    return 0;
 }
 
 static int
@@ -771,7 +703,7 @@ cengine_note_cancel_internal(CEngineObject *self, CEventObject *event)
     }
     long long dead = self->heap_dead + 1;
     self->heap_dead = dead;
-    if (dead >= COMPACT_MIN_DEAD_C && dead * 2 > PyList_GET_SIZE(self->queue))
+    if (dead >= COMPACT_MIN_DEAD_C && dead * 2 > self->heap.len)
         return cengine_compact(self);
     return 0;
 }
@@ -796,63 +728,33 @@ cengine_wheel_flush(CEngineObject *self, long long limit)
 static int
 cengine_peek_internal(CEngineObject *self, long long *out, int *have)
 {
-    PyObject *queue = self->queue;
+    EventHeap *heap = &self->heap;
     for (;;) {
-        /* Drop cancelled 3-tuple heads. */
-        for (;;) {
-            if (PyList_GET_SIZE(queue) == 0)
-                break;
-            PyObject *head = PyList_GET_ITEM(queue, 0);
-            if (!(PyTuple_CheckExact(head) && PyTuple_GET_SIZE(head) == 3))
-                break;
-            CEventObject *ev = heap_event(head);
-            if (ev == NULL)
-                return -1;
-            if (!ev->cancelled)
-                break;
-            PyObject *popped = heap_pop(queue);
-            if (popped == NULL)
-                return -1;
-            Py_DECREF(popped);
+        while (heap->len > 0 && heap->items[0].args == NULL &&
+               ((CEventObject *)heap->items[0].fn)->cancelled) {
+            HeapEntry e;
+            heap_pop(heap, &e);
             self->heap_dead -= 1;
+            entry_release(&e);
         }
         long long wmin = self->wheel_min;
-        long long head_time = 0;
-        int have_head = PyList_GET_SIZE(queue) > 0;
-        if (have_head) {
-            head_time = PyLong_AsLongLong(
-                PyTuple_GET_ITEM(PyList_GET_ITEM(queue, 0), 0));
-            if (head_time == -1 && PyErr_Occurred())
-                return -1;
-        }
-        if (wmin == NEVER_LL || (have_head && head_time < wmin))
+        if (wmin == NEVER_LL || (heap->len > 0 && heap->items[0].time < wmin))
             break;
-        if (cengine_wheel_flush(self, have_head ? head_time : wmin) < 0)
+        /* A wheel slot may hold the earliest live event. */
+        if (cengine_wheel_flush(self, heap->len > 0 ? heap->items[0].time : wmin) < 0)
             return -1;
     }
-    if (PyList_GET_SIZE(queue) > 0) {
-        long long t = PyLong_AsLongLong(
-            PyTuple_GET_ITEM(PyList_GET_ITEM(queue, 0), 0));
-        if (t == -1 && PyErr_Occurred())
-            return -1;
-        *out = t;
-        *have = 1;
-    }
-    else {
-        *have = 0;
-    }
+    *have = heap->len > 0;
+    if (*have)
+        *out = heap->items[0].time;
     return 0;
 }
 
-/* fn(*fargs) by vectorcall over the tuple's items: heap entries carry
- * an args tuple (raises for anything else). */
+/* fn(*fargs) by vectorcall over the tuple's items (every heap entry and
+ * CEvent carries an args tuple: _push checks). */
 static inline PyObject *
 call_with_tuple(PyObject *fn, PyObject *fargs)
 {
-    if (!PyTuple_Check(fargs)) {
-        PyErr_SetString(PyExc_TypeError, "CEngine heap entry args must be a tuple");
-        return NULL;
-    }
     return PyObject_Vectorcall(fn, &PyTuple_GET_ITEM(fargs, 0), PyTuple_GET_SIZE(fargs), NULL);
 }
 
@@ -943,7 +845,7 @@ cengine_run_common(CEngineObject *self, int until_given, long long until,
     }
     self->running = 1;
     long long processed = 0;
-    PyObject *queue = self->queue;
+    EventHeap *heap = &self->heap;
     PyObject *attr = gc_dance ? Attribution : NULL;
     long long horizon = until_given ? until : NEVER_LL;
     PyObject *gc_prev = NULL;
@@ -982,63 +884,35 @@ cengine_run_common(CEngineObject *self, int until_given, long long until,
     }
 
     while (status == 0) {
-        if (PyList_GET_SIZE(queue) > 0) {
-            PyObject *entry = heap_pop(queue);
-            if (entry == NULL) {
-                status = -1;
-                break;
-            }
-            long long time;
-            if (!ll_read_fast(PyTuple_GET_ITEM(entry, 0), &time)) {
-                time = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, 0));
-                if (time == -1 && PyErr_Occurred()) {
-                    Py_DECREF(entry);
-                    status = -1;
-                    break;
-                }
-            }
+        if (heap->len > 0) {
+            /* The head stays in place until it runs: a due wheel slot or
+             * the horizon leave it there. */
+            long long time = heap->items[0].time;
             if (self->wheel_min <= time) {
-                if (heap_push(queue, entry) < 0) {
-                    Py_DECREF(entry);
+                if (cengine_wheel_flush(self, time) < 0)
                     status = -1;
-                    break;
-                }
-                Py_DECREF(entry);
-                if (cengine_wheel_flush(self, time) < 0) {
-                    status = -1;
-                    break;
-                }
                 continue;
             }
-            if (time > horizon) {
-                if (heap_push(queue, entry) < 0)
-                    status = -1;
-                Py_DECREF(entry);
+            if (time > horizon)
                 break;
-            }
-            PyObject *fn, *fargs;
-            if (PyTuple_GET_SIZE(entry) == 4) {
-                fn = PyTuple_GET_ITEM(entry, 2);
-                fargs = PyTuple_GET_ITEM(entry, 3);
-            }
-            else {
-                CEventObject *ev = heap_event(entry);
-                if (ev == NULL) {
-                    Py_DECREF(entry);
-                    status = -1;
-                    break;
-                }
+            HeapEntry e;
+            heap_pop(heap, &e);
+            PyObject *fn = e.fn, *fargs = e.args;
+            if (fargs == NULL) {
+                CEventObject *ev = (CEventObject *)fn;
                 if (ev->cancelled) {
                     self->heap_dead -= 1;
-                    Py_DECREF(entry);
+                    Py_DECREF(ev);
                     continue;
                 }
+                /* Fired: a later cancel() has no heap entry to count. */
+                Py_CLEAR(ev->engine);
                 fn = ev->fn;
                 fargs = ev->args;
             }
             self->now = time;
             int r = cengine_dispatch(fn, fargs, attr);
-            Py_DECREF(entry);
+            entry_release(&e);
             if (r < 0) {
                 status = -1;
                 break;
@@ -1135,7 +1009,7 @@ cengine_step(CEngineObject *self, PyObject *Py_UNUSED(ignored))
 
 /* -- CEngine scheduling ---------------------------------------------------- */
 
-/* Push (time, seq, event) for a fresh CEvent; returns the event. */
+/* Push a fresh CEvent's entry; returns the event. */
 static PyObject *
 cengine_schedule_event(CEngineObject *self, long long time, PyObject *fn,
                        PyObject *fargs)
@@ -1145,18 +1019,7 @@ cengine_schedule_event(CEngineObject *self, long long time, PyObject *fn,
     CEventObject *ev = cevent_make(time, seq, fn, fargs, (PyObject *)self);
     if (ev == NULL)
         return NULL;
-    PyObject *to = PyLong_FromLongLong(time);
-    PyObject *so = to ? PyLong_FromLongLong(seq) : NULL;
-    PyObject *entry = so ? PyTuple_Pack(3, to, so, (PyObject *)ev) : NULL;
-    Py_XDECREF(to);
-    Py_XDECREF(so);
-    if (entry == NULL) {
-        Py_DECREF(ev);
-        return NULL;
-    }
-    int r = heap_push(self->queue, entry);
-    Py_DECREF(entry);
-    if (r < 0) {
+    if (heap_push(&self->heap, time, seq, (PyObject *)ev, NULL) < 0) {
         Py_DECREF(ev);
         return NULL;
     }
@@ -1246,7 +1109,7 @@ cengine_schedule_anon(CEngineObject *self, PyObject *const *args, Py_ssize_t nar
     PyObject *fargs = pack_rest(args, nargs, 2);
     if (fargs == NULL)
         return NULL;
-    int r = heap_push_anon(self->queue, self->now + delay, seq, args[1], fargs);
+    int r = heap_push(&self->heap, self->now + delay, seq, args[1], fargs);
     Py_DECREF(fargs);
     if (r < 0)
         return NULL;
@@ -1333,23 +1196,44 @@ cengine_peek_time(CEngineObject *self, PyObject *Py_UNUSED(ignored))
     return PyLong_FromLongLong(t);
 }
 
+/* _push(entry): the one way Python code adds a raw heap entry, the
+ * layouts the pure engine's heap holds. */
+static PyObject *
+cengine_push(CEngineObject *self, PyObject *entry)
+{
+    long long time, seq;
+    Py_ssize_t n = PyTuple_CheckExact(entry) ? PyTuple_GET_SIZE(entry) : 0;
+    if ((n == 3 || n == 4) && ll_read_fast(PyTuple_GET_ITEM(entry, 0), &time) &&
+        ll_read_fast(PyTuple_GET_ITEM(entry, 1), &seq) &&
+        (n == 3 ? CEvent_CheckExact(PyTuple_GET_ITEM(entry, 2))
+                : PyTuple_Check(PyTuple_GET_ITEM(entry, 3)))) {
+        if (heap_push(&self->heap, time, seq, PyTuple_GET_ITEM(entry, 2),
+                      n == 4 ? PyTuple_GET_ITEM(entry, 3) : NULL) < 0)
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    PyErr_SetString(PyExc_TypeError, "CEngine._push takes (time, seq, CEvent) or "
+                    "(time, seq, fn, args tuple), time and seq small non-negative ints");
+    return NULL;
+}
+
+/* _pusher: (CEngine._push, self), bound once by the pushers. */
+static PyObject *PushDescr;
+
+static PyObject *
+cengine_get_pusher(CEngineObject *self, void *closure)
+{
+    return PyTuple_Pack(2, PushDescr, (PyObject *)self);
+}
+
 /* -- CEngine lifecycle, getsets, type ------------------------------------- */
 
 static PyObject *
 cengine_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    CEngineObject *self = (CEngineObject *)type->tp_alloc(type, 0);
-    if (self == NULL)
-        return NULL;
-    self->queue = NULL;
-    self->wheel = NULL;
-    self->seq = 0;
-    self->now = 0;
-    self->events_processed = 0;
-    self->heap_dead = 0;
-    self->wheel_min = NEVER_LL;
-    self->port_rank = 0;
-    self->running = 0;
+    CEngineObject *self = (CEngineObject *)type->tp_alloc(type, 0);  /* zeroed */
+    if (self != NULL)
+        self->wheel_min = NEVER_LL;
     return (PyObject *)self;
 }
 
@@ -1360,10 +1244,7 @@ cengine_init(CEngineObject *self, PyObject *args, PyObject *kwds)
         PyErr_SetString(PyExc_TypeError, "CEngine() takes no arguments");
         return -1;
     }
-    PyObject *queue = PyList_New(0);
-    if (queue == NULL)
-        return -1;
-    Py_XSETREF(self->queue, queue);
+    heap_release(&self->heap);
     PyObject *wheel = PyObject_CallFunctionObjArgs(TimerWheelCls,
                                                    (PyObject *)self, NULL);
     if (wheel == NULL)
@@ -1382,7 +1263,10 @@ cengine_init(CEngineObject *self, PyObject *args, PyObject *kwds)
 static int
 cengine_traverse(CEngineObject *self, visitproc visit, void *arg)
 {
-    Py_VISIT(self->queue);
+    for (Py_ssize_t i = 0; i < self->heap.len; i++) {
+        Py_VISIT(self->heap.items[i].fn);
+        Py_VISIT(self->heap.items[i].args);
+    }
     Py_VISIT(self->wheel);
     return 0;
 }
@@ -1390,7 +1274,7 @@ cengine_traverse(CEngineObject *self, visitproc visit, void *arg)
 static int
 cengine_clear_gc(CEngineObject *self)
 {
-    Py_CLEAR(self->queue);
+    heap_release(&self->heap);
     Py_CLEAR(self->wheel);
     return 0;
 }
@@ -1413,7 +1297,7 @@ cengine_get_pending(CEngineObject *self, void *closure)
     Py_DECREF(live_o);
     if (wlive == -1 && PyErr_Occurred())
         return NULL;
-    long long live = PyList_GET_SIZE(self->queue) - self->heap_dead + wlive;
+    long long live = self->heap.len - self->heap_dead + wlive;
     return PyLong_FromLongLong(live > 0 ? live : 0);
 }
 
@@ -1427,12 +1311,13 @@ cengine_get_pending_total(CEngineObject *self, void *closure)
     Py_DECREF(tot);
     if (wt == -1 && PyErr_Occurred())
         return NULL;
-    return PyLong_FromLongLong(PyList_GET_SIZE(self->queue) + wt);
+    return PyLong_FromLongLong(self->heap.len + wt);
 }
 
 static PyGetSetDef cengine_getset[] = {
     {"pending", (getter)cengine_get_pending, NULL, NULL, NULL},
     {"pending_total", (getter)cengine_get_pending_total, NULL, NULL, NULL},
+    {"_pusher", (getter)cengine_get_pusher, NULL, NULL, NULL},
     {NULL},
 };
 
@@ -1448,7 +1333,6 @@ static PyMemberDef cengine_members[] = {
     ENGINE_LL("_heap_dead", heap_dead, 0),
     ENGINE_LL("_wheel_min", wheel_min, 0),
     ENGINE_LL("_port_rank", port_rank, 0),
-    {"_queue", T_OBJECT, offsetof(CEngineObject, queue), READONLY, NULL},
     {"_wheel", T_OBJECT, offsetof(CEngineObject, wheel), READONLY, NULL},
     {NULL},
 };
@@ -1459,7 +1343,7 @@ static PyMethodDef cengine_methods[] = {
     {"schedule_at", (PyCFunction)(void (*)(void))cengine_schedule_at, METH_FASTCALL,
      "Schedule fn(*args) at absolute simulated time."},
     {"schedule_anon", (PyCFunction)(void (*)(void))cengine_schedule_anon, METH_FASTCALL,
-     "Schedule fn(*args) with no cancellation handle (bare 4-tuple entry)."},
+     "Schedule fn(*args) with no cancellation handle."},
     {"schedule_timer", (PyCFunction)(void (*)(void))cengine_schedule_timer, METH_FASTCALL,
      "Schedule a coarse timer delay ns from now (timer wheel)."},
     {"schedule_timer_at", (PyCFunction)(void (*)(void))cengine_schedule_timer_at,
@@ -1472,6 +1356,8 @@ static PyMethodDef cengine_methods[] = {
      "Process exactly one (non-cancelled) event."},
     {"peek_time", (PyCFunction)cengine_peek_time, METH_NOARGS,
      "Timestamp of the next live event, or None when idle."},
+    {"_push", (PyCFunction)cengine_push, METH_O,
+     "Push a raw (time, seq, event) or (time, seq, fn, args) heap entry."},
     {NULL},
 };
 
@@ -1956,7 +1842,7 @@ pk_transmit(PortKernelObject *pk, PyObject *packet)
     PyObject *args = PyTuple_Pack(1, packet);
     if (args == NULL)
         return -1;
-    int r = heap_push_anon(eng->queue, eng->now + tt, seq, pk->tx_done_m, args);
+    int r = heap_push(&eng->heap, eng->now + tt, seq, pk->tx_done_m, args);
     Py_DECREF(args);
     return r;
 }
@@ -2011,7 +1897,7 @@ c_port_tx_done(PortKernelObject *pk, PyObject *packet)
         Py_XDECREF(ao);
         if (rec == NULL || slot_store_ll(port, P_wire_seq, seq + 1) < 0 ||
             (Py_SIZE(pk->inflight) == 0 &&
-             heap_push_anon(eng->queue, arrival, seq, pk->drain_m, EmptyTuple) < 0) ||
+             heap_push(&eng->heap, arrival, seq, pk->drain_m, EmptyTuple) < 0) ||
             deque_push(DequeAppend, pk->inflight, rec) < 0) {
             Py_XDECREF(rec);
             return -1;
@@ -2032,7 +1918,7 @@ static int
 c_port_drain(PortKernelObject *pk)
 {
     PyObject *peer = GETSLOT(pk->port, P_peer), *head, *nxt = NULL;
-    long long arrival, next_arrival = -1, kind;
+    long long arrival, next_arrival = -1, next_seq, kind;
     int status = -1;
     if (peer == NULL || peer == Py_None) {
         PyErr_SetString(PyExc_AttributeError, "port has no peer");
@@ -2048,7 +1934,8 @@ c_port_drain(PortKernelObject *pk)
     if (as_ll(PyTuple_GET_ITEM(head, 0), &arrival) < 0 ||
         (Py_SIZE(pk->inflight) > 0 &&
          ((nxt = PySequence_GetItem(pk->inflight, 0)) == NULL ||
-          as_ll(PyTuple_GET_ITEM(nxt, 0), &next_arrival) < 0)))
+          as_ll(PyTuple_GET_ITEM(nxt, 0), &next_arrival) < 0 ||
+          as_ll(PyTuple_GET_ITEM(nxt, 1), &next_seq) < 0)))
         goto done;
     if (next_arrival == arrival) {
         /* Same-ns burst (only a PFC frame can share an arrival ns with
@@ -2061,15 +1948,10 @@ c_port_drain(PortKernelObject *pk)
         Py_XDECREF(r);
         goto done;
     }
-    if (nxt != NULL) {
-        /* Spaced frames: re-arm the next head, then deliver this one. */
-        PyObject *entry = PyTuple_Pack(4, PyTuple_GET_ITEM(nxt, 0), PyTuple_GET_ITEM(nxt, 1),
-                                       pk->drain_m, EmptyTuple);
-        int pushed = entry == NULL ? -1 : heap_push(pk->engine->queue, entry);
-        Py_XDECREF(entry);
-        if (pushed < 0)
-            goto done;
-    }
+    /* Spaced frames: re-arm the next head, then deliver this one. */
+    if (nxt != NULL &&
+        heap_push(&pk->engine->heap, next_arrival, next_seq, pk->drain_m, EmptyTuple) < 0)
+        goto done;
     if (as_ll(PyTuple_GET_ITEM(head, 2), &kind) == 0)
         status = c_deliver_frame(peer, kind, PyTuple_GET_ITEM(head, 3));
 done:
@@ -4845,7 +4727,8 @@ PyInit__ckernel(void)
         PyType_Ready(&SwitchKernelType) < 0 ||
         PyType_Ready(&HostKernelType) < 0)
         return NULL;
-    /* Mirror Engine.COMPACT_MIN_DEAD (introspected by tests). */
+    /* Mirror Engine.COMPACT_MIN_DEAD (introspected by tests); keep the
+     * _push descriptor _pusher hands out. */
     {
         PyObject *v = PyLong_FromLong(COMPACT_MIN_DEAD_C);
         if (v == NULL)
@@ -4856,6 +4739,7 @@ PyInit__ckernel(void)
         }
         Py_DECREF(v);
         PyType_Modified(&CEngineType);
+        PushDescr = PyDict_GetItemString(CEngineType.tp_dict, "_push");
     }
 
     PyObject *module = PyModule_Create(&ckernel_module);

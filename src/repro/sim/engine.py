@@ -52,6 +52,10 @@ class SimulationError(RuntimeError):
 _GC_RUN_THRESHOLDS = (100_000, 20, 20)
 
 
+#: Set by the first :func:`freeze_program` call.
+_frozen = False
+
+
 def freeze_program() -> None:
     """Once per process: one full collection, then ``gc.freeze()``.
 
@@ -61,8 +65,12 @@ def freeze_program() -> None:
     allocated. Call it first thing in a run entry point, from a frame
     that holds no run state: whatever is reachable at the freeze stays
     uncollected for the life of the process, a cycle included.
+    A flag remembers the freeze: ``gc.get_freeze_count()`` walks the
+    whole permanent generation on every call.
     """
-    if not gc.get_freeze_count():
+    global _frozen
+    if not _frozen:
+        _frozen = True
         gc.collect()
         gc.freeze()
 
@@ -116,7 +124,8 @@ class Event:
         self.engine = engine
 
     def cancel(self) -> None:
-        """Revoke the event. Safe to call more than once or after firing."""
+        """Revoke the event. Safe to call more than once or after firing
+        (the run loop clears ``engine`` when the event fires)."""
         if self.cancelled:
             return
         self.cancelled = True
@@ -221,6 +230,19 @@ class Engine:
         self._wheel.add(event)
         return event
 
+    def _push(self, entry: tuple) -> None:
+        """Push a raw heap entry, ``(time, seq, event)`` or ``(time, seq,
+        fn, args)``: how the timer wheel, the ports and sharding add
+        events (``CEngine`` keeps the same entries in a C array)."""
+        heapq.heappush(self._queue, entry)
+
+    @property
+    def _pusher(self) -> tuple:
+        """``(push, target)`` with ``push(target, entry)`` doing
+        :meth:`_push`: bound once by a hot pusher, it is one direct
+        ``heappush`` call per entry here."""
+        return heapq.heappush, self._queue
+
     # -- cancellation bookkeeping ---------------------------------------------
 
     def _note_cancel(self, event: Event) -> None:
@@ -295,6 +317,7 @@ class Engine:
                         if event.cancelled:
                             self._heap_dead -= 1
                             continue
+                        event.engine = None  # fired: no heap entry to cancel
                         fn = event.fn
                         args = event.args
                     self.now = time
@@ -371,6 +394,7 @@ class Engine:
                         if event.cancelled:
                             self._heap_dead -= 1
                             continue
+                        event.engine = None  # fired: no heap entry to cancel
                         fn = event.fn
                         args = event.args
                     self.now = time

@@ -84,7 +84,6 @@ import multiprocessing as mp
 import os
 import time
 from bisect import bisect_left, insort
-from heapq import heappush
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.audit import AuditError
@@ -234,8 +233,9 @@ class CutPort(Port):
         self.tx_packets += 1
         seq = engine._seq
         engine._seq = seq + 1
-        heappush(
-            engine._queue,
+        push, heap = self._epush, self._eheap
+        push(
+            heap,
             (engine.now + tx_time_ns(packet.size, self.rate_bps), seq, self._tx_done, (packet,)),
         )
 
@@ -479,14 +479,14 @@ class _ShardWorker:
             self._stop_sampler()
         engine = self.engine
         cut_ports = self.cut_ports
-        queue = engine._queue
+        push, heap = engine._pusher
         for t, seq, cut_id, kind, payload in messages:
             port = cut_ports[cut_id]
             if kind == MSG_PACKET:
-                heappush(queue, (t, seq, port._peer_deliver, (packet_from_wire(payload),)))
+                push(heap, (t, seq, port._peer_deliver, (packet_from_wire(payload),)))
             else:
                 peer = port.peer
-                heappush(queue, (t, seq, peer.owner.receive_pause, (payload, peer)))
+                push(heap, (t, seq, peer.owner.receive_pause, (payload, peer)))
         try:
             engine.run_window(until)
         except BaseException as error:

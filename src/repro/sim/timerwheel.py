@@ -17,10 +17,10 @@ simulated time is about to reach it — at which point cancelled timers
 are simply dropped, having never touched the heap at all.
 
 Determinism: wheel timers carry ordinary engine sequence numbers and
-are pushed into the heap as the same ``(time, seq, event)`` tuples
-``schedule()`` uses, *before* the engine executes any event at or past
-the slot's start. Firing order is therefore bit-identical to a
-pure-heap schedule.
+are pushed into the heap (``engine._push``) as the ``(time, seq,
+event)`` entries ``schedule()`` makes, *before* the engine executes
+any event at or past the slot's start. Firing order is therefore
+bit-identical to a pure-heap schedule.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class TimerWheel:
     loop can test "is a wheel slot due?" with one int compare.
     """
 
-    __slots__ = ("engine", "live", "_levels")
+    __slots__ = ("engine", "live", "_levels", "_push", "_heap")
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
@@ -62,6 +62,9 @@ class TimerWheel:
         self.live = 0
         # Per level: (shift, {slot_idx: [Event, ...]}, min-heap of slot idx).
         self._levels = tuple((shift, {}, []) for shift in SHIFTS)
+        # The engine's heap push, bound once: push(heap, entry) (called
+        # through locals, see Port.__init__).
+        self._push, self._heap = engine._pusher
 
     def add(self, event: "Event", base: int = -1) -> None:
         """File ``event`` by its deadline.
@@ -85,7 +88,8 @@ class TimerWheel:
         shift, buckets, order = self._levels[level]
         idx = time >> shift
         if idx <= base >> shift:
-            heappush(engine._queue, (time, event.seq, event))
+            push, heap = self._push, self._heap
+            push(heap, (time, event.seq, event))
             return
         bucket = buckets.get(idx)
         if bucket is None:
@@ -109,7 +113,7 @@ class TimerWheel:
         dropped. Recomputes ``engine._wheel_min`` when done.
         """
         engine = self.engine
-        queue = engine._queue
+        push, heap = self._push, self._heap
         for level in (2, 1, 0):
             shift, buckets, order = self._levels[level]
             while order and (order[0] << shift) <= limit:
@@ -122,7 +126,7 @@ class TimerWheel:
                     if level:
                         self.add(event, base=limit)
                     else:
-                        heappush(queue, (event.time, event.seq, event))
+                        push(heap, (event.time, event.seq, event))
         wheel_min = NEVER
         for shift, _buckets, order in self._levels:
             if order:

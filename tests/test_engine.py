@@ -1,6 +1,8 @@
 """Tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import backend
 from repro.sim.engine import Engine, SimulationError
@@ -211,9 +213,9 @@ def test_heap_compaction_drops_dead_entries():
         event.cancel()
     # More than half of the heap went dead => it was compacted in place
     # (without compaction all 2*COMPACT_MIN_DEAD+1 entries would remain).
-    assert len(engine._queue) <= Engine.COMPACT_MIN_DEAD
+    assert engine.pending_total <= Engine.COMPACT_MIN_DEAD
     assert engine.pending == 1
-    assert engine.pending_total == len(engine._queue)
+    assert engine.peek_time() == 1_000_000
     engine.run()
     assert engine.now == 1_000_000
     assert not keeper.cancelled
@@ -235,6 +237,28 @@ def test_schedule_anon_rejects_past():
     engine = Engine()
     with pytest.raises(SimulationError):
         engine.schedule_anon(-1, lambda: None)
+
+
+def test_cancelling_a_fired_event_counts_no_dead_entry():
+    engine = Engine()
+    fired = []
+    event = engine.schedule(10, fired.append, 1)
+    engine.run()
+    event.cancel()
+    engine.schedule(10, fired.append, 2)
+    assert engine.pending == 1
+    engine.run()
+    assert fired == [1, 2]
+
+
+def test_an_event_cancelling_itself_counts_no_dead_entry():
+    engine = Engine()
+    events = []
+    events.append(engine.schedule(5, lambda: events[0].cancel()))
+    engine.schedule(10, lambda: None)
+    engine.run(until=7)
+    assert engine.pending == 1
+    assert engine.peek_time() == 10
 
 
 def test_gc_state_restored_after_run():
@@ -289,3 +313,107 @@ def test_an_unusable_backend_variable_fails_as_set_backend_does(name, error, mon
     assert str(refused.value) == str(forced.value)
     monkeypatch.setenv("TLT_BACKEND", "")
     assert backend.current_backend() == "pure"
+
+
+# -- the two engines, differentially ------------------------------------------
+
+_KINDS = ("schedule", "schedule_at", "schedule_anon", "schedule_timer", "schedule_timer_at")
+# Delays inside one wheel slot, across level-0 slots, and into levels 1 and 2.
+_DELAYS = st.one_of(st.integers(0, 40), st.integers(0, 1 << 20), st.integers(0, 1 << 26))
+# What a callback does when it fires: nothing, schedule one more event, or
+# cancel a handle (live, fired or cancelled already: any index).
+_ACTIONS = st.one_of(
+    st.none(),
+    st.tuples(st.just("add"), st.sampled_from(_KINDS), _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(0, 1 << 16)),
+)
+_STEPS = st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(_KINDS), _DELAYS, _ACTIONS),
+    st.tuples(st.just("cancel"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("storm"), st.integers(Engine.COMPACT_MIN_DEAD, 3 * Engine.COMPACT_MIN_DEAD),
+              st.sampled_from(("schedule", "schedule_timer")), _DELAYS),
+    st.tuples(st.just("run"), st.one_of(st.none(), st.integers(0, 1 << 27))),
+)
+
+
+def _play(engine, program):
+    """Run ``program`` on ``engine``; the observable state after each step."""
+    log, handles = [], []
+
+    def add(kind, delay, action):
+        when = engine.now + delay if kind.endswith("_at") else delay
+        handles.append(getattr(engine, kind)(when, fire, len(handles), action))
+
+    def act(action):
+        if action is None:
+            return
+        if action[0] == "add":
+            add(*action[1:], None)
+            return
+        cancellable = [h for h in handles if h is not None]
+        if cancellable:
+            cancellable[action[1] % len(cancellable)].cancel()
+
+    def fire(tag, action):
+        log.append((tag, engine.now))
+        act(action)
+
+    states = []
+    for step in program:
+        if step[0] == "add":
+            add(*step[1:])
+        elif step[0] == "storm":
+            _, count, kind, delay = step
+            for _ in range(count):
+                add(kind, delay, None)
+            for handle in handles[-count:]:
+                handle.cancel()
+        elif step[0] == "run":
+            engine.run(until=None if step[1] is None else engine.now + step[1])
+        else:
+            act(step)
+        states.append((len(log), engine.now, engine.pending, engine.pending_total,
+                       engine.peek_time()))
+    return log, states
+
+
+@pytest.mark.skipif(not backend.compiled_available(), reason="compiled backend not built")
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_STEPS, max_size=40))
+def test_the_compiled_engine_runs_any_program_as_the_pure_one_does(program):
+    """Firing order, clock, live and queued counts and the next event time
+    agree after every step: scheduling of each kind, cancels of live,
+    fired and cancelled events, callbacks that schedule or cancel, cancel
+    storms that compact the heap, and ``run`` to a horizon or to the end."""
+    expected = _play(Engine(), program)
+    assert _play(backend._compiled_module().CEngine(), program) == expected
+
+
+@pytest.mark.skipif(not backend.compiled_available(), reason="compiled backend not built")
+@pytest.mark.parametrize("entry", [
+    ("x",), (1, 2), (1, 2, print), (1, 2, print, [3]), (-1, 2, print, ()),
+    (1.0, 2, print, ()), [1, 2, print, ()], (1, 2, print, (), None),
+])
+def test_a_malformed_heap_entry_is_refused(entry):
+    engine = backend._compiled_module().CEngine()
+    push, target = engine._pusher
+    with pytest.raises(TypeError):
+        push(target, entry)
+    assert engine.pending_total == 0
+
+
+@pytest.mark.parametrize("make", [
+    Engine,
+    pytest.param(lambda: backend._compiled_module().CEngine(), marks=pytest.mark.skipif(
+        not backend.compiled_available(), reason="compiled backend not built")),
+])
+def test_pushed_entries_run_in_key_order(make):
+    engine, fired = make(), []
+    push, target = engine._pusher
+    engine.schedule(20, fired.append, "scheduled")  # seq 0
+    push(target, (20, 7, fired.append, ("late",)))
+    engine._push((20, 3, fired.append, ("early",)))
+    engine._push((10, 9, engine.schedule(0, fired.append, "event")))  # seq 1, twice
+    assert engine.pending_total == 5
+    engine.run()
+    assert fired == ["event", "event", "scheduled", "early", "late"]
