@@ -322,8 +322,10 @@ def run_jobs(jobs: Sequence[Job], *, jobs_n: Optional[int] = None,
         if job.index in seen:
             raise ValueError(f"duplicate job index {job.index}")
         seen.add(job.index)
-        # Before the cache: a cached plain run must not serve a refused one.
+        # Every job's specs and modes before any cache lookup: a bad spec is
+        # never a retried run, nor a refused mode served by a cached plain run.
         check_modes(job.config, run_control(job.config), job.traffic)
+    for job in jobs:
         if use_cache:
             key = keys[job.index] = job.cache_key()
             artifact = cache.get(key)

@@ -43,6 +43,7 @@ from repro.experiments.common import check_claims, print_table
 from repro.experiments.export import rows_to_csv, write_json
 from repro.experiments.scenarios import UnsupportedModeError
 from repro.sim.backend import set_attribution
+from repro.spec import SpecError
 
 EXPERIMENTS: Dict[str, str] = {
     "fig01": "repro.experiments.fig01_rto_cdf",
@@ -233,13 +234,6 @@ def main(argv=None) -> int:
     if args.audit:
         os.environ["TLT_AUDIT"] = "1"
     if args.faults:
-        from repro.faults.schedule import FaultSchedule
-
-        try:
-            FaultSchedule.load(args.faults)  # fail fast on a bad spec
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"--faults {args.faults}: {exc}", file=sys.stderr)
-            return 2
         os.environ["TLT_FAULTS"] = os.path.abspath(args.faults)
     if args.telemetry:
         os.environ["TLT_TELEMETRY"] = os.path.abspath(args.telemetry)
@@ -273,7 +267,7 @@ def main(argv=None) -> int:
     for name in names:
         try:
             _run_one(name, args)
-        except UnsupportedModeError as exc:  # refused before any run
+        except (UnsupportedModeError, SpecError) as exc:  # refused before any run
             print(f"{name}: {exc}", file=sys.stderr)
             return 2
 

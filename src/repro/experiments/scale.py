@@ -46,8 +46,8 @@ SMALL = Scale("small", num_spines=2, num_tors=4, hosts_per_tor=4,
 MEDIUM = Scale("medium", num_spines=2, num_tors=6, hosts_per_tor=6,
                bg_flows=400, incast_events=8, incast_flows_per_sender=4)
 
-#: The paper's topology (96 hosts, 10k background flows): estimated at
-#: ~215 M events per run (ROADMAP item 5), ~28 MEDIUM runs' worth.
+#: The paper's topology (96 hosts, 10k background flows): a dctcp+TLT run
+#: measured 156.4 M events (peak 471 MB, 582 s on compiled).
 PAPER = Scale("paper", num_spines=4, num_tors=12, hosts_per_tor=8,
               bg_flows=10_000, incast_events=50, incast_flows_per_sender=8)
 

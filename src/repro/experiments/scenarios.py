@@ -35,6 +35,7 @@ from repro.core.config import TltConfig
 from repro.experiments import manifest as run_manifest
 from repro.experiments.cache import encode_value
 from repro.faults.schedule import FaultController, FaultSchedule
+from repro.net.routing import path_spec
 from repro.net.topology import (
     Network,
     TopologyParams,
@@ -46,9 +47,10 @@ from repro.sim.backend import current_backend
 from repro.sim.engine import freeze_program
 from repro.sim.rng import derive_seed
 from repro.sim.units import GBPS, KB, MICROS, MILLIS
+from repro.spec import NonNegativeInt, build, within
 from repro.switchsim.ecn import RedEcn, StepEcn
 from repro.switchsim.pfc import PfcConfig
-from repro.switchsim.policy import make_policy
+from repro.switchsim.policy import admission_spec, make_policy
 from repro.switchsim.switch import SwitchConfig
 from repro.transport.base import FlowSpec, TransportConfig
 from repro.transport.recovery import resolve_recovery
@@ -120,22 +122,13 @@ class ScenarioConfig:
     buffer_per_port: int = BUFFER_PER_PORT
     color_threshold_bytes: Optional[int] = None  # default by family when tlt
     alpha: float = 1.0
-    #: Admission-policy spec for every switch (``None`` = the default
-    #: Choudhury–Hahne + static-K on the open-coded fast path; a name
-    #: or ``{"name": ..., params}`` dict selects a lab policy — see
-    #: :func:`repro.switchsim.policy.make_policy`). Part of the result
-    #: identity, so it is folded into result-cache keys like any other
-    #: field.
+    # The declarative specs (docs/API.md, "Specs"), each parsed by
+    # run_control before any network and folded into cache keys as given.
+    #: Every switch's admission policy (None: CH + static K, open-coded).
     admission: Optional[object] = None
-    #: Path-selection spec for every switch (``None`` = static-hash
-    #: ECMP, bit-identical to the pinned fingerprints; ``"flowlet"`` /
-    #: ``"wcmp"`` or a ``{"name": ..., params}`` dict select a
-    #: multipath selector — see :func:`repro.net.routing.make_fib`).
-    #: Part of the result identity, so it is folded into cache keys.
+    #: Every switch's path selector (None: static-hash ECMP).
     path_selection: Optional[object] = None
-
-    #: Host loss-recovery spec of every flow (:mod:`repro.transport.recovery`;
-    #: ``None`` = the transport's default RTO). Folded into cache keys.
+    #: Every flow's host loss recovery (None: the transport's default RTO).
     recovery: Optional[object] = None
 
     # Workload.
@@ -152,12 +145,8 @@ class ScenarioConfig:
     seed: int = 1
     drain_ns: int = 100 * MILLIS
     queue_sample_interval_ns: int = 20 * MICROS
-    #: Service-emulator spec (:class:`repro.service.ServiceSpec` dict
-    #: form). When set, :func:`run_scenario` dispatches to
-    #: :func:`repro.service.run.run_service`: the workload is the
-    #: open-loop multi-tier request stream instead of the
-    #: background+incast mix. Part of the result identity, folded into
-    #: cache keys like any other field.
+    #: Service spec: when set, the workload is the open-loop multi-tier
+    #: request stream (:func:`repro.service.run.run_service`), not the mix.
     service: Optional[Dict] = None
 
     # Run control: how the run is executed and watched, not what it
@@ -173,16 +162,11 @@ class ScenarioConfig:
     shards: Optional[int] = None
     #: Run with the runtime invariant auditor attached.
     audit: Optional[bool] = None
-    #: Fault-schedule spec (the :class:`repro.faults.FaultSchedule` JSON
-    #: form; ``TLT_FAULTS`` names a spec file).
+    #: Fault-schedule spec (``TLT_FAULTS`` names a spec file).
     faults: Optional[Dict] = None
-    #: Telemetry spec (:class:`repro.telemetry.TelemetryConfig` dict
-    #: form, or just an output-directory string). Samplers never
-    #: perturb the simulation.
+    #: Telemetry spec, or just an output directory.
     telemetry: Optional[Dict] = None
-    #: Checkpoint spec: ``{"dir": path, "at_ns": sim-time}`` (``at_ns``
-    #: optional — defaults to the midpoint of the arrival span), or just
-    #: a directory string.
+    #: Checkpoint spec, or just a directory (``at_ns`` None: mid-span).
     checkpoint: Optional[object] = None
 
     # -- derived ----------------------------------------------------------------
@@ -318,8 +302,8 @@ def build_network(config: ScenarioConfig) -> Network:
         ecn_factory=ecn_factory,
         pfc=PfcConfig(enabled=config.pfc),
         int_enabled=(config.transport == "hpcc"),
-        admission=config.admission,
-        path_selection=config.path_selection,
+        admission=admission_spec(config.admission),
+        path_selection=path_spec(config.path_selection),
     )
     params = TopologyParams(
         link_rate_bps=config.link_rate_bps,
@@ -395,9 +379,14 @@ class RunControl:
     checkpoint: Optional[Dict] = None  # {"dir": str, "at_ns": Optional[int]}
 
 
+def _checkpoint(dir: str, at_ns: Optional[NonNegativeInt] = None) -> Dict:
+    return {"dir": dir, "at_ns": at_ns}
+
+
 def run_control(config: ScenarioConfig) -> RunControl:
     """Resolve run control: explicit config field > ``TLT_*`` variable > off.
 
+    Every spec of the run is parsed here, a bad one a :class:`SpecError`.
     The one place the six variables are read (the CLI sets them so that
     pool workers and the figure modules, which build their own configs,
     see them); harnesses and shard worker processes receive the result.
@@ -425,14 +414,18 @@ def run_control(config: ScenarioConfig) -> RunControl:
 
         telemetry = TelemetryConfig.from_spec(telemetry).to_spec()
     checkpoint = said("checkpoint", "TLT_CHECKPOINT")
-    if isinstance(checkpoint, str):
-        checkpoint = {"dir": checkpoint, "at_ns": None}
-    elif isinstance(checkpoint, dict) and "dir" in checkpoint:
-        checkpoint = {"dir": checkpoint["dir"], "at_ns": checkpoint.get("at_ns")}
-    elif checkpoint is not None:
-        raise ValueError(
-            f"checkpoint spec must be a directory or {{'dir', 'at_ns'}} "
-            f"dict, got {checkpoint!r}")
+    if checkpoint is not None:
+        with within("checkpoint"):
+            checkpoint = build(_checkpoint, {"dir": checkpoint} if isinstance(checkpoint, str)
+                               else checkpoint, "checkpoint")
+    # The config's own specs too: a bad one fails before any network.
+    admission_spec(config.admission)
+    path_spec(config.path_selection)
+    resolve_recovery(config.recovery, config.transport)
+    if config.service is not None:
+        from repro.service.spec import ServiceSpec
+
+        ServiceSpec.from_spec(config.service)
     return RunControl(
         shards, bool(audit), os.environ.get("TLT_AUDIT_DUMP") or None,
         faults, telemetry, checkpoint,

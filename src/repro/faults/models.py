@@ -24,41 +24,42 @@ seed stays bit-reproducible.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 from repro.net.node import Device, Interceptor
 from repro.net.packet import Packet, recycle
 from repro.sim.rng import derive_seed
+from repro.spec import Named, Probability, check, named
 
 
 class LossModel:
-    """Decides, per observed packet, whether the wire eats it."""
+    """Decides, per observed packet, whether the wire eats it: a dataclass
+    of its spec params (``model`` names it), checked on construction."""
+
+    def __post_init__(self) -> None:
+        check(self)
 
     def sample(self, rng: random.Random) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def to_params(self) -> dict:  # pragma: no cover - interface
-        raise NotImplementedError
+    def to_params(self) -> dict:
+        return {"model": self.model,
+                **{each.name: getattr(self, each.name) for each in fields(self) if each.init}}
 
 
+@dataclass(eq=False)
 class BernoulliLoss(LossModel):
     """Independent per-packet corruption with a fixed probability."""
 
-    def __init__(self, probability: float):
-        if not 0 <= probability <= 1:
-            raise ValueError("loss probability must be within [0, 1]")
-        self.probability = probability
+    model = "bernoulli"
+    rate: Probability = 0.0
 
     def sample(self, rng: random.Random) -> bool:
-        return rng.random() < self.probability
-
-    def to_params(self) -> dict:
-        return {"model": "bernoulli", "rate": self.probability}
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"BernoulliLoss({self.probability})"
+        return rng.random() < self.rate
 
 
+@dataclass(eq=False)
 class GilbertElliottLoss(LossModel):
     """Two-state Markov (Gilbert–Elliott) bursty loss.
 
@@ -70,26 +71,12 @@ class GilbertElliottLoss(LossModel):
     term).
     """
 
-    def __init__(
-        self,
-        p_enter: float,
-        p_exit: float,
-        loss_good: float = 0.0,
-        loss_bad: float = 1.0,
-    ):
-        for name, p in (
-            ("p_enter", p_enter),
-            ("p_exit", p_exit),
-            ("loss_good", loss_good),
-            ("loss_bad", loss_bad),
-        ):
-            if not 0 <= p <= 1:
-                raise ValueError(f"{name} must be within [0, 1]")
-        self.p_enter = p_enter
-        self.p_exit = p_exit
-        self.loss_good = loss_good
-        self.loss_bad = loss_bad
-        self.bad = False  # current chain state
+    model = "gilbert_elliott"
+    p_enter: Probability = 0.0
+    p_exit: Probability = 1.0
+    loss_good: Probability = 0.0
+    loss_bad: Probability = 1.0
+    bad: bool = field(default=False, init=False)  # current chain state
 
     def sample(self, rng: random.Random) -> bool:
         if self.bad:
@@ -104,35 +91,19 @@ class GilbertElliottLoss(LossModel):
             return True
         return rng.random() < loss
 
-    def to_params(self) -> dict:
-        return {
-            "model": "gilbert_elliott",
-            "p_enter": self.p_enter,
-            "p_exit": self.p_exit,
-            "loss_good": self.loss_good,
-            "loss_bad": self.loss_bad,
-        }
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"GilbertElliottLoss(p_enter={self.p_enter}, p_exit={self.p_exit}, "
-            f"loss_bad={self.loss_bad})"
-        )
+#: Loss models by the ``model`` name of a ``corruption_on`` event's params.
+LOSS_MODELS = {model.model: model for model in (BernoulliLoss, GilbertElliottLoss)}
 
 
-def make_model(params: dict) -> LossModel:
-    """Build a loss model from declarative ``FaultEvent`` params."""
-    name = params.get("model", "bernoulli")
-    if name == "bernoulli":
-        return BernoulliLoss(float(params.get("rate", 0.0)))
-    if name == "gilbert_elliott":
-        return GilbertElliottLoss(
-            float(params.get("p_enter", 0.0)),
-            float(params.get("p_exit", 1.0)),
-            float(params.get("loss_good", 0.0)),
-            float(params.get("loss_bad", 1.0)),
-        )
-    raise ValueError(f"unknown loss model {name!r}")
+def model_spec(params) -> Named:
+    """The parsed loss model of ``corruption_on`` params (default bernoulli)."""
+    return named("", params, LOSS_MODELS, "loss model", key="model", default="bernoulli")
+
+
+def make_model(params) -> LossModel:
+    """A fresh loss model from declarative ``FaultEvent`` params."""
+    return model_spec(params).build()
 
 
 class FaultInjector(Interceptor):

@@ -7,65 +7,35 @@ JSON-able, diffable, cache-fingerprintable — and
 blackhole interceptors, withdrawn FIB routes and PFC-storm refresh
 ticks.
 
-Spec format (``--faults spec.json``)::
+Spec format (``--faults spec.json``; docs/API.md, "Specs")::
 
-    {"events": [
-      {"time_ns": 200000, "kind": "corruption_on", "target": "tor0",
-       "params": {"model": "bernoulli", "rate": 0.001}},
-      {"time_ns": 900000, "kind": "corruption_off", "target": "tor0"},
-      {"time_ns": 300000, "kind": "link_down", "target": "tor0:4"},
-      {"time_ns": 800000, "kind": "link_up",   "target": "tor0:4"},
-      {"time_ns": 100000, "kind": "switch_down", "target": "spine1"},
-      {"time_ns": 700000, "kind": "switch_up",   "target": "spine1"},
-      {"time_ns": 400000, "kind": "pfc_storm", "target": "tor1:0",
-       "params": {"duration_ns": 250000}}
-    ]}
+    {"events": [{"time_ns": 300000, "kind": "link_down", "target": "tor0:4"}]}
 
-Targets are device names (``tor0``, ``spine1``, ``host3``) or
-``device:port_no`` for link-scoped events. ``corruption_on`` params
-select a loss model (see :func:`repro.faults.models.make_model`);
-Gilbert–Elliott takes ``p_enter``/``p_exit``/``loss_bad``.
+Targets are device names (``tor0``) or ``device:port_no``. Each kind's
+``params`` are the arguments of its function below (``corruption_on``'s:
+a loss model of :data:`repro.faults.models.LOSS_MODELS`).
 
-Failure semantics:
-
-- **link_down** cuts both directions: neither endpoint starts new
-  transmissions, packets already serialized onto the wire are eaten at
-  the far end (a :class:`BlackholeInterceptor` on each endpoint drops
-  arrivals on the dead port), and each switch endpoint withdraws the
-  port from its FIB — ECMP re-spreads over surviving paths; destinations
-  with no surviving path are blackholed until ``link_up``.
-- **link_degrade** multiplies both directions' line rate by
-  ``params["factor"]`` (default 0.5) of the link's *pristine* rate —
-  brown-out, not blackout: an auto-negotiated fallback or a flapping
-  optic running at reduced speed. Switch endpoints re-derive the
-  port's path weight from the new capacity, so weighted selectors
-  (``wcmp``, weighted ``flowlet``) shift load off the thin path while
-  static-hash keeps overloading it. ``link_restore`` heals the rate
-  (and weight) back to pristine.
-- **switch_down** is link_down on every attached link plus a drop-all
-  blackhole at the switch itself (packets it still holds stay buffered
-  and drain on ``switch_up``, like a rebooted ASIC's dark period).
-- **pfc_storm** force-feeds a port PAUSE frames (the stuck-XOFF failure
-  mode PFC deployments fear), refreshed on the same half-quantum
-  cadence a real storm would arrive at, until the storm window closes —
-  after which the pause expires and transmission resumes.
-
-Every drop made by this layer is a *fault* drop: counted via
-``NetStats.count_fault_drop`` (never ``count_drop``), recorded in the
-audit ring as ``fault_drop``, and recycled to the packet pool — the §4
-green-drop faithfulness checker only ever sees congestion drops.
+Each kind's semantics are in docs/API.md ("Fault injection"): link_down
+cuts both directions and withdraws the port from each switch endpoint's
+FIB; link_degrade rescales the link's *pristine* rate and path weight;
+switch_down is link_down on every attached link plus a drop-all
+blackhole; pfc_storm force-feeds PAUSE frames until its window closes.
+Every drop made here is a *fault* drop (``NetStats.count_fault_drop``,
+``fault_drop`` in the audit ring): the §4 green-drop checker only ever
+sees congestion drops.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Set, Tuple
+from typing import Annotated, Any, Callable, Dict, List, Literal, Set, Tuple
 
-from repro.faults.models import FaultInjector, make_model
+from repro.faults.models import FaultInjector, model_spec
 from repro.net.node import Device, Interceptor
 from repro.net.packet import Packet, recycle
 from repro.net.routing import capacity_weight
+from repro.spec import Check, NonNegativeInt, PositiveInt, build, check, expected, within
 
 #: Recognized event kinds, each with what its target names: a device
 #: (``tor0``) or one of its ports (``tor0:4``).
@@ -86,22 +56,42 @@ FAULT_KINDS = {
 DEFAULT_STORM_PAUSE_NS = 65_535 * 512 * 1_000_000_000 // (40 * 10**9)
 
 
-@dataclass
-class FaultEvent:
-    """One timed fault action."""
+FaultKind = Literal[tuple(FAULT_KINDS)]
 
-    time_ns: int
-    kind: str
+
+def link_degrade(factor: Annotated[float, Check("a number in (0, 1]",
+                                                lambda v: 0 < v <= 1)] = 0.5) -> float:
+    """``link_degrade`` params: the share of the pristine rate left."""
+    return factor
+
+
+def pfc_storm(duration_ns: PositiveInt = DEFAULT_STORM_PAUSE_NS,
+              pause_ns: PositiveInt = DEFAULT_STORM_PAUSE_NS) -> Tuple[int, int]:
+    """``pfc_storm`` params: how long it lasts, and each PAUSE's length."""
+    return duration_ns, pause_ns
+
+
+def no_params() -> None:
+    """The params of every other kind (``corruption_on``'s are a loss model)."""
+
+
+@dataclass(frozen=True)
+class FaultEvent:
+    """One timed fault action; its ``params``, parsed, are its ``setting``."""
+
+    time_ns: NonNegativeInt
+    kind: FaultKind
     target: str = ""
     params: Dict = field(default_factory=dict)
+    setting: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(
-                f"unknown fault kind {self.kind!r}; expected one of {tuple(FAULT_KINDS)}"
-            )
-        if self.time_ns < 0:
-            raise ValueError(f"fault event time must be >= 0, got {self.time_ns}")
+        check(self)
+        with within("params"):
+            setting = (model_spec(self.params) if self.kind == "corruption_on" else build(
+                {"link_degrade": link_degrade, "pfc_storm": pfc_storm}.get(self.kind, no_params),
+                self.params, self.kind))
+        object.__setattr__(self, "setting", setting)
 
     def to_spec(self) -> Dict:
         spec: Dict = {"time_ns": self.time_ns, "kind": self.kind, "target": self.target}
@@ -109,24 +99,15 @@ class FaultEvent:
             spec["params"] = dict(self.params)
         return spec
 
-    @classmethod
-    def from_spec(cls, spec: Dict) -> "FaultEvent":
-        return cls(
-            time_ns=int(spec["time_ns"]),
-            kind=str(spec["kind"]),
-            target=str(spec.get("target", "")),
-            params=dict(spec.get("params", {})),
-        )
 
-
-@dataclass
+@dataclass(frozen=True)
 class FaultSchedule:
     """An ordered, declarative list of fault events."""
 
-    events: List[FaultEvent] = field(default_factory=list)
+    events: Tuple[FaultEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        self.events.sort(key=lambda e: e.time_ns)
+        object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda e: e.time_ns)))
 
     def to_spec(self) -> Dict:
         """Canonical JSON-able form (stable for cache fingerprints)."""
@@ -134,18 +115,19 @@ class FaultSchedule:
 
     @classmethod
     def from_spec(cls, spec) -> "FaultSchedule":
+        """Parse ``{"events": [...]}`` or the bare event list."""
         if isinstance(spec, FaultSchedule):
             return spec
-        if isinstance(spec, list):
-            events = spec
-        else:
-            events = spec.get("events", [])
-        return cls([FaultEvent.from_spec(e) for e in events])
+        with within("faults"):
+            return build(cls, {"events": spec} if isinstance(spec, list) else spec, "faults")
 
     @classmethod
     def load(cls, path: str) -> "FaultSchedule":
-        with open(path) as fh:
-            return cls.from_spec(json.load(fh))
+        try:
+            with open(path) as fh:
+                return cls.from_spec(json.load(fh))
+        except (OSError, json.JSONDecodeError) as error:
+            raise expected("faults", "a readable JSON spec file", f"{path} ({error})") from None
 
     def dump(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -343,7 +325,7 @@ class FaultController:
             old.detach()
         self.injectors[device.name] = FaultInjector(
             device,
-            model=make_model(event.params),
+            model=event.setting.build(),
             rng=self.net.rng.stream(f"fault.corruption.{device.name}"),
             stats=self.stats,
         )
@@ -417,9 +399,7 @@ class FaultController:
 
     def _ev_link_degrade(self, event: FaultEvent) -> None:
         port = self._target(event)
-        factor = float(event.params.get("factor", 0.5))
-        if not 0.0 < factor <= 1.0:
-            raise ValueError(f"link_degrade factor must be in (0, 1], got {factor}")
+        factor = event.setting
         for end in self._link_endpoints(port):
             key = (end.owner.name, end.port_no)
             # Repeated degrades rescale from the pristine rate, not the
@@ -459,8 +439,7 @@ class FaultController:
 
     def _ev_pfc_storm(self, event: FaultEvent) -> None:
         port = self._target(event)
-        duration = int(event.params.get("duration_ns", DEFAULT_STORM_PAUSE_NS))
-        quantum = int(event.params.get("pause_ns", DEFAULT_STORM_PAUSE_NS))
+        duration, quantum = event.setting
         self._storm_tick(port, self.engine.now + duration, quantum)
 
     def _storm_tick(self, port, end_ns: int, quantum: int) -> None:

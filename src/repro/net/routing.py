@@ -19,10 +19,8 @@ regimes the paper's single-path assumption rules out:
   capacity, see :func:`capacity_weight`), the standard answer to
   asymmetric fabrics where equal spreading overloads the thin path.
 
-Selectors are chosen per switch via a declarative *spec* (``None`` |
-name | ``{"name": ..., params}``) resolved by :func:`make_fib` — the
-same pattern as admission policies — never shared instances, because a
-FIB holds per-switch state.
+Each switch builds its own FIB (routes, flowlet table) from the
+``path_selection`` spec (docs/API.md, "Specs").
 
 Fault model: :meth:`Fib.disable_port` / :meth:`Fib.enable_port` keep a
 pristine copy of every affected route plus the set of currently-down
@@ -38,6 +36,7 @@ from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.units import GBPS
+from repro.spec import Named, PositiveInt, named
 
 
 class RoutingError(KeyError):
@@ -106,10 +105,10 @@ class Fib:
        mutation must happen *in place* — never reassign ``_routes``.
     """
 
-    #: Selector name, as accepted by :func:`make_fib`.
+    #: Selector name in a path-selection spec.
     kind = "static-hash"
 
-    def __init__(self, switch_id: int):
+    def __init__(self, switch_id: int, engine=None):
         self.switch_id = switch_id
         self._routes: Dict[int, Tuple[int, ...]] = {}
         #: Original candidate tuple of every route touched by an open
@@ -280,17 +279,13 @@ class FlowletFib(Fib):
     #: so inter-burst gaps actually open new flowlets.
     DEFAULT_IDLE_GAP_NS = 50_000
 
-    def __init__(self, switch_id: int, engine, idle_gap_ns: Optional[int] = None,
+    def __init__(self, switch_id: int, engine, idle_gap_ns: PositiveInt = DEFAULT_IDLE_GAP_NS,
                  weighted: bool = True):
         super().__init__(switch_id)
         if engine is None:
             raise ValueError("flowlet selection needs the engine clock")
         self.engine = engine
-        self.idle_gap_ns = (
-            int(idle_gap_ns) if idle_gap_ns is not None else self.DEFAULT_IDLE_GAP_NS
-        )
-        if self.idle_gap_ns <= 0:
-            raise ValueError("idle_gap_ns must be positive")
+        self.idle_gap_ns = idle_gap_ns
         self.weighted = weighted
         #: flow id -> [last packet time, chosen port, flowlet epoch].
         self._table: Dict[int, List[int]] = {}
@@ -335,46 +330,16 @@ class FlowletFib(Fib):
         return port
 
 
-#: Selector names accepted by :func:`make_fib`.
-SELECTION_KINDS = ("static-hash", "flowlet", "wcmp")
+#: Selectors by spec name; each is built as ``cls(switch_id, engine, **params)``.
+SELECTORS = {Fib.kind: Fib, FlowletFib.kind: FlowletFib, WcmpFib.kind: WcmpFib}
+
+
+def path_spec(spec) -> Optional[Named]:
+    """The parsed path-selection spec (``None``: static hash)."""
+    return named("path_selection", spec, SELECTORS, skip=("switch_id", "engine"))
 
 
 def make_fib(switch_id: int, spec, engine=None) -> Fib:
-    """Resolve a path-selection *spec* into a per-switch FIB instance.
-
-    ``spec`` is ``None`` (the default static hash), a selector name
-    from :data:`SELECTION_KINDS`, or ``{"name": ..., <params>}`` —
-    e.g. ``{"name": "flowlet", "idle_gap_ns": 100_000}``. Instances are
-    rejected: one ``SwitchConfig`` is shared fabric-wide and a FIB holds
-    per-switch state (routes, flowlet table).
-    """
-    if spec is None:
-        return Fib(switch_id)
-    if isinstance(spec, Fib):
-        raise TypeError(
-            "path_selection must be a spec (name or dict), not a Fib "
-            "instance — FIBs hold per-switch state"
-        )
-    if isinstance(spec, str):
-        name, params = spec, {}
-    elif isinstance(spec, dict):
-        params = dict(spec)
-        try:
-            name = params.pop("name")
-        except KeyError:
-            raise ValueError("path_selection dict spec needs a 'name' key") from None
-    else:
-        raise TypeError(f"bad path_selection spec: {spec!r}")
-    if name == "static-hash":
-        if params:
-            raise ValueError(f"static-hash takes no parameters, got {sorted(params)}")
-        return Fib(switch_id)
-    if name == "flowlet":
-        return FlowletFib(switch_id, engine, **params)
-    if name == "wcmp":
-        if params:
-            raise ValueError(f"wcmp takes no parameters, got {sorted(params)}")
-        return WcmpFib(switch_id)
-    raise ValueError(
-        f"unknown path selection {name!r}; expected one of {SELECTION_KINDS}"
-    )
+    """A fresh FIB for one switch from its (parsed) path-selection spec."""
+    parsed = path_spec(spec)
+    return Fib(switch_id) if parsed is None else parsed.build(switch_id, engine)

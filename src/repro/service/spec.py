@@ -1,21 +1,15 @@
-"""Tier-graph specification for the service emulator.
-
-The spec is plain JSON-able data (dicts/lists/scalars) so it can live
-in a :class:`~repro.experiments.scenarios.ScenarioConfig` field and
-fold into result-cache keys through the canonical encoder unchanged.
-``ServiceSpec.from_spec`` / ``to_spec`` round-trip it; see
-``docs/SERVICE.md`` for the format reference.
-"""
+"""Tier-graph specification for the service emulator: plain JSON-able
+data in ``ScenarioConfig.service``, parsed by ``ServiceSpec.from_spec``
+and round-tripped by ``to_spec`` (format: docs/SERVICE.md)."""
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Literal, Optional, Tuple
 
+from repro.spec import (NonNegativeInt, PositiveFloat, PositiveInt, SpecError, build, check,
+                        expected, within)
 from repro.workload.distributions import DISTRIBUTIONS
-
-#: Arrival processes the generator understands.
-ARRIVAL_PROCESSES = ("poisson", "lognormal")
 
 
 @dataclass(frozen=True)
@@ -25,38 +19,27 @@ class TierSpec:
     name: str
     #: Number of server endpoints (spread round-robin over the
     #: non-load-balancer hosts; tiers may share hosts at tiny scales).
-    servers: int = 2
+    servers: PositiveInt = 2
     #: Shards queried per request (distinct servers, sampled from the
     #: tier's seeded RNG stream). The slowest shard gates the request.
-    fanout: int = 1
+    fanout: PositiveInt = 1
     #: Reply-size distribution: a name from
     #: :data:`repro.workload.distributions.DISTRIBUTIONS`.
-    workload: str = "cache_follower"
+    workload: Literal[tuple(DISTRIBUTIONS)] = "cache_follower"
     #: Clamp on drawn reply sizes (the published CDFs reach tens of MB;
     #: interactive GETs do not). 0 disables the clamp.
-    max_bytes: int = 64_000
+    max_bytes: NonNegativeInt = 64_000
     #: Mean server-side service time (exponentially distributed, per
     #: server seeded RNG stream); 0 = reply immediately.
-    service_ns: int = 5_000
+    service_ns: NonNegativeInt = 5_000
     #: Hedge a shard op to one extra server if its reply is still
     #: outstanding after this long; None disables hedging.
-    hedge_ns: Optional[int] = None
+    hedge_ns: Optional[PositiveInt] = None
 
-    def validate(self) -> "TierSpec":
-        if self.servers < 1:
-            raise ValueError(f"tier {self.name!r}: servers must be >= 1")
-        if not 1 <= self.fanout <= self.servers:
-            raise ValueError(
-                f"tier {self.name!r}: fanout must be in [1, servers]")
-        if self.workload not in DISTRIBUTIONS:
-            raise ValueError(
-                f"tier {self.name!r}: unknown workload {self.workload!r} "
-                f"(have {sorted(DISTRIBUTIONS)})")
-        if self.service_ns < 0 or self.max_bytes < 0:
-            raise ValueError(f"tier {self.name!r}: negative size/time")
-        if self.hedge_ns is not None and self.hedge_ns <= 0:
-            raise ValueError(f"tier {self.name!r}: hedge_ns must be positive")
-        return self
+    def __post_init__(self) -> None:
+        check(self)
+        if self.fanout > self.servers:
+            raise expected("fanout", f"an int in [1, servers={self.servers}]", self.fanout)
 
 
 @dataclass(frozen=True)
@@ -64,19 +47,19 @@ class ServiceSpec:
     """The whole tier graph plus the open-loop arrival process."""
 
     #: Open-loop requests to generate.
-    requests: int = 1000
+    requests: PositiveInt = 1000
     #: Mean arrival rate, requests/second.
-    rate_rps: float = 10_000.0
+    rate_rps: PositiveFloat = 10_000.0
     #: Interarrival process: "poisson" (exponential gaps) or
     #: "lognormal" (heavy-tailed gaps, same mean, shape ``sigma``).
-    process: str = "poisson"
+    process: Literal["poisson", "lognormal"] = "poisson"
     #: Log-normal shape parameter (ignored for poisson).
     sigma: float = 1.0
     #: Load-balancer (front) tier: hosts that receive requests and fan
     #: them out. Also names the arrival RNG stream
     #: ``arrivals.<lb_name>``.
     lb_name: str = "lb"
-    lb_hosts: int = 1
+    lb_hosts: PositiveInt = 1
     #: Backend tiers, queried in parallel per request.
     tiers: Tuple[TierSpec, ...] = field(default_factory=tuple)
     #: p99 response-time SLO (ms) the report grades against.
@@ -85,41 +68,23 @@ class ServiceSpec:
     timeout_budget_per_1k: float = 1.0
     #: Retire completed FlowRecords on this period (O(1) stats memory);
     #: 0 disables retirement.
-    retire_interval_ns: int = 2_000_000
+    retire_interval_ns: NonNegativeInt = 2_000_000
 
-    def validate(self) -> "ServiceSpec":
-        if self.requests < 1:
-            raise ValueError("requests must be >= 1")
-        if self.rate_rps <= 0:
-            raise ValueError("rate_rps must be positive")
-        if self.process not in ARRIVAL_PROCESSES:
-            raise ValueError(
-                f"unknown arrival process {self.process!r} "
-                f"(have {ARRIVAL_PROCESSES})")
-        if self.lb_hosts < 1:
-            raise ValueError("lb_hosts must be >= 1")
+    def __post_init__(self) -> None:
+        check(self)
         if not self.tiers:
-            raise ValueError("need at least one backend tier")
+            raise expected("tiers", "at least one backend tier", self.tiers)
         names = [tier.name for tier in self.tiers] + [self.lb_name]
         if len(set(names)) != len(names):
-            raise ValueError(f"tier names must be unique: {names}")
-        for tier in self.tiers:
-            tier.validate()
-        return self
+            raise SpecError("tiers", f"expected tier names unique and not lb_name, got {names}")
 
     @classmethod
     def from_spec(cls, spec) -> "ServiceSpec":
         """Build from the JSON-able dict form (idempotent on instances)."""
         if isinstance(spec, ServiceSpec):
-            return spec.validate()
-        if not isinstance(spec, dict):
-            raise ValueError(f"service spec must be a dict, got {type(spec)}")
-        fields = dict(spec)
-        tiers = tuple(
-            tier if isinstance(tier, TierSpec) else TierSpec(**tier)
-            for tier in fields.pop("tiers", ())
-        )
-        return cls(tiers=tiers, **fields).validate()
+            return spec
+        with within("service"):
+            return build(cls, spec, "service")
 
     def to_spec(self) -> Dict:
         """Canonical JSON-able form (round-trips through from_spec)."""

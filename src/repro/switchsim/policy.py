@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Type
 
+from repro.spec import Named, PositiveInt, named
 from repro.switchsim.queue import EgressQueue
 
 
@@ -143,10 +144,8 @@ class BShare(AdmissionPolicy):
 
     name = "bshare"
 
-    def __init__(self, target_delay_ns: int = 100_000) -> None:
+    def __init__(self, target_delay_ns: PositiveInt = 100_000) -> None:
         super().__init__()
-        if target_delay_ns <= 0:
-            raise ValueError("target_delay_ns must be positive")
         self.target_delay_ns = target_delay_ns
         self._port_limit: List[int] = []
 
@@ -207,10 +206,8 @@ class TinyBuffer(AdmissionPolicy):
 
     name = "tiny-buffer"
 
-    def __init__(self, cap_bytes: int = 40_000) -> None:
+    def __init__(self, cap_bytes: PositiveInt = 40_000) -> None:
         super().__init__()
-        if cap_bytes <= 0:
-            raise ValueError("cap_bytes must be positive")
         self.cap_bytes = cap_bytes
 
     def _admit_lossy(self, queue: EgressQueue, port_occupancy: int,
@@ -237,11 +234,9 @@ class AdaptiveK(ChoudhuryHahne):
     name = "adaptive-k"
     arms_controller = True
 
-    def __init__(self, interval_ns: int = 100_000, increase: float = 1.25,
+    def __init__(self, interval_ns: PositiveInt = 100_000, increase: float = 1.25,
                  decrease: float = 0.8, green_target_fraction: float = 0.25) -> None:
         super().__init__()
-        if interval_ns <= 0:
-            raise ValueError("interval_ns must be positive")
         self.interval_ns = interval_ns
         self.increase = increase
         self.decrease = decrease
@@ -327,35 +322,13 @@ POLICIES: Dict[str, Type[AdmissionPolicy]] = {
 }
 
 
-def make_policy(spec) -> AdmissionPolicy:
-    """Instantiate the policy for one switch from a declarative spec.
+def admission_spec(spec) -> Optional[Named]:
+    """The parsed admission spec (``None``: the open-coded default)."""
+    return named("admission", spec, POLICIES, "admission policy")
 
-    ``None`` -> the default :class:`ChoudhuryHahne` (the switch decides
-    open-coded in that case and the auditor uses the instance as its
-    reference); a string -> the named
-    policy with default parameters; a dict -> ``{"name": ..., params}``.
-    A fresh instance is returned per call: policy state is always
-    per-switch even when many switches share one ``SwitchConfig``.
-    """
-    if spec is None:
-        return ChoudhuryHahne()
-    if isinstance(spec, AdmissionPolicy):
-        raise TypeError(
-            "admission must be a declarative spec (name or dict), not a "
-            "policy instance — instances hold per-switch state and would "
-            "be shared by every switch of the topology"
-        )
-    if isinstance(spec, str):
-        name, params = spec, {}
-    elif isinstance(spec, dict):
-        params = dict(spec)
-        name = params.pop("name", None)
-        if name is None:
-            raise ValueError("admission dict spec requires a 'name' key")
-    else:
-        raise TypeError(f"admission spec must be None/str/dict, got {type(spec).__name__}")
-    cls = POLICIES.get(name)
-    if cls is None:
-        raise ValueError(f"unknown admission policy {name!r}; "
-                         f"available: {sorted(POLICIES)}")
-    return cls(**params)
+
+def make_policy(spec) -> AdmissionPolicy:
+    """A fresh policy for one switch from its (parsed) spec; for ``None``
+    the auditor's reference, a :class:`ChoudhuryHahne`."""
+    parsed = admission_spec(spec)
+    return ChoudhuryHahne() if parsed is None else parsed.build()

@@ -62,18 +62,10 @@ class SwitchConfig:
       scenario builds use it to give every switch an independent
       name-seeded ``RedEcn`` RNG stream (identical across shard
       replicas, which is what makes the RoCE family shardable).
-    - ``admission`` is a policy *spec* (``None`` | name | dict — see
-      :func:`repro.switchsim.policy.make_policy`), never an instance.
-      ``None`` keeps the default Choudhury–Hahne + static-K decision
-      open-coded in the one admission pipeline; any explicit spec asks
-      the policy object for K and admit/drop instead. Everything after
-      admission (accounting, ECN, PFC) is shared.
-    - ``path_selection`` is likewise a *spec* (``None`` | name | dict —
-      see :func:`repro.net.routing.make_fib`), resolved into a fresh
-      per-switch FIB at construction: ``None`` keeps the default
-      static-hash ECMP (bit-identical lookups to the pre-selector
-      code), ``"flowlet"`` / ``"wcmp"`` install the multipath
-      selectors.
+    - ``admission`` and ``path_selection`` are specs (docs/API.md,
+      "Specs"), raw or parsed, never instances: each switch builds its
+      own policy and FIB from them. ``None`` keeps the Choudhury–Hahne
+      + static-K decision open-coded, and static-hash ECMP.
     """
 
     buffer_bytes: int = 4_500_000  # paper: 4.5 MB per simulated switch
@@ -88,9 +80,7 @@ class SwitchConfig:
     num_traffic_classes: int = 1
     #: Classes subject to color-aware dropping; None means all classes.
     color_classes: Optional[Tuple[int, ...]] = None
-    #: Admission-policy spec (see repro.switchsim.policy.make_policy).
     admission: Optional[object] = None
-    #: Path-selection spec (see repro.net.routing.make_fib).
     path_selection: Optional[object] = None
 
 

@@ -20,10 +20,11 @@ fresh streams).
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.units import MICROS
+from repro.spec import PositiveInt, build, within
 from repro.telemetry.exporters import JsonlWriter
 from repro.telemetry.recorder import FlightRecorder
 from repro.telemetry.report import render_report
@@ -44,35 +45,23 @@ Family = Tuple[str, str, str, List[Tuple[Dict, object]]]
 MEMORY_SAMPLES = 200_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class TelemetryConfig:
     """Where a run's telemetry goes and how often it samples."""
 
     #: Output directory for every artifact of the run.
     out_dir: str = "telemetry"
     #: Sampling cadence (sim time) of every sampler.
-    interval_ns: int = 20 * MICROS
+    interval_ns: PositiveInt = 20 * MICROS
 
     @classmethod
     def from_spec(cls, spec) -> "TelemetryConfig":
-        """Accept a TelemetryConfig, a dict spec, an out-dir string, or
-        ``True`` (all defaults)."""
+        """From a dict spec, an out-dir string or ``True`` (all defaults)."""
         if isinstance(spec, TelemetryConfig):
             return spec
-        if spec is True:
-            spec = {}
-        if isinstance(spec, str):
-            spec = {"out_dir": spec}
-        if not isinstance(spec, dict):
-            raise ValueError(f"telemetry spec must be dict/str/True, got {type(spec).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(spec) - known
-        if unknown:
-            raise ValueError(f"unknown telemetry option(s): {sorted(unknown)}")
-        config = cls(**spec)
-        if config.interval_ns <= 0:
-            raise ValueError("telemetry interval must be positive")
-        return config
+        spec = {} if spec is True else {"out_dir": spec} if isinstance(spec, str) else spec
+        with within("telemetry"):
+            return build(cls, spec, "telemetry")
 
     def to_spec(self) -> Dict:
         """Canonical JSON-able form (round-trips through from_spec)."""

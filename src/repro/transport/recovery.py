@@ -1,13 +1,11 @@
 """Host loss recovery: the run's ``recovery`` spec and the RTO estimator.
 
 Every sender does SACK, dup-ACK early retransmit and RACK-style aging of
-retransmissions. The spec, in the form ``admission`` takes, chooses the
-rest: ``None`` (RTO_min 4 ms for TCP/DCTCP, the variant's fixed RTO for
-RoCE), ``{"name": "rto", "min_ns": N}`` (the adaptive RTO), ``"tlp"``
-(the 4 ms adaptive RTO plus the tail loss probe) or ``{"name":
-"fixed-rto", "rto_ns": N}`` (§2.2's static RTO); ``"rto"`` and ``"tlp"``
-are tcp-family only. :func:`resolve_recovery` makes the one
-:class:`Recovery` all flows of a run share (in ``resolve_config``).
+retransmissions. The spec (docs/API.md, "Specs") chooses the rest: None
+(the transport's default RTO), ``rto`` (adaptive), ``tlp`` (plus the tail
+loss probe; both tcp-family only) or ``fixed-rto`` (§2.2's static RTO).
+:func:`resolve_recovery` makes the one :class:`Recovery` all flows of a
+run share (in ``resolve_config``).
 
 ``RTO = SRTT + max(G, 4 * RTTVAR)`` in integer nanoseconds, clamped to
 ``[rto_min, rto_max]``, SRTT/RTTVAR per RFC 6298 (gains 1/8 and 1/4),
@@ -17,9 +15,10 @@ with exponential backoff on consecutive timeouts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Annotated, Optional
 
 from repro.sim.units import MICROS, MILLIS
+from repro.spec import Check, named
 
 DUPACK_THRESHOLD = 1  # duplicate ACKs that mark the head lost (early retransmit)
 TLP_PTO_MIN_NS = 10 * MICROS  # floor of the probe timeout
@@ -104,29 +103,33 @@ class Recovery:
         return RtoEstimator(self.rto_ns, base_max=self.rto_ns if self.fixed else None)
 
 
+#: The RTO of a spec: positive, and within the backed-off ceiling.
+RtoNs = Annotated[int, Check(f"an int in [1, {RTO_MAX_NS}]", lambda v: 0 < v <= RTO_MAX_NS)]
+
+
+def _rto(transport: str, min_ns: RtoNs = RTO_MIN_NS) -> Recovery:
+    return Recovery(transport, min_ns)
+
+
+def _tlp(transport: str) -> Recovery:
+    return Recovery(transport, RTO_MIN_NS, tlp=True)
+
+
+def _fixed_rto(transport: str, rto_ns: RtoNs) -> Recovery:
+    return Recovery(transport, rto_ns, fixed=True)
+
+
 #: The registry: spec name -> ``build(transport, **params)``.
-RECOVERIES = {
-    "rto": lambda transport, min_ns=RTO_MIN_NS: Recovery(transport, min_ns),
-    "tlp": lambda transport: Recovery(transport, RTO_MIN_NS, tlp=True),
-    "fixed-rto": lambda transport, rto_ns: Recovery(transport, rto_ns, fixed=True),
-}
+RECOVERIES = {"rto": _rto, "tlp": _tlp, "fixed-rto": _fixed_rto}
 
 
 def resolve_recovery(spec, transport: str) -> Recovery:
     """The :class:`Recovery` that ``spec`` selects for ``transport``."""
-    if spec is None:
+    parsed = named("recovery", spec, RECOVERIES, skip=("transport",))
+    if parsed is None:
         roce_rto = ROCE_RTO_NS.get(transport)
         return Recovery(transport, roce_rto or RTO_MIN_NS, fixed=roce_rto is not None)
-    if isinstance(spec, str):
-        name, params = spec, {}
-    elif isinstance(spec, dict):
-        params = dict(spec)
-        name = params.pop("name", None)
-    else:
-        raise TypeError(f"recovery must be a declarative spec, not a {type(spec).__name__}")
-    if name not in RECOVERIES:
-        raise ValueError(f"unknown recovery {name!r}; available: {sorted(RECOVERIES)}")
-    if name in ("rto", "tlp") and transport in ROCE_RTO_NS:
+    if parsed.name in ("rto", "tlp") and transport in ROCE_RTO_NS:
         raise ValueError(f"recovery {spec!r} is tcp-family only: the {transport!r} sender "
                          f"runs a fixed RTO and no TLP")
-    return RECOVERIES[name](transport, **params)
+    return parsed.build(transport)

@@ -50,8 +50,10 @@ def resolve_config(name: str, config: Optional[TransportConfig] = None) -> Trans
     transports only ever read them."""
     config = config or TransportConfig()
     changes, recovery = {}, config.recovery
-    if not (isinstance(recovery, Recovery) and recovery.transport == name):
+    if not isinstance(recovery, Recovery):
         changes["recovery"] = resolve_recovery(recovery, name)
+    elif recovery.transport != name:
+        raise TypeError(f"recovery resolved for {recovery.transport!r}, not {name!r}")
     if name == "dctcp" and not config.ecn:
         changes["ecn"] = True
     return replace(config, **changes) if changes else config

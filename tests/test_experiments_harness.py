@@ -102,6 +102,17 @@ def test_cli_ends_on_a_refused_mode_pair_with_one_line(monkeypatch, capsys):
     assert err.startswith("fig12: shards > 1 and custom traffic do not combine")
 
 
+def test_cli_ends_on_a_malformed_spec_with_one_line(monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("TLT_FAULTS", "")  # main sets it; restored after
+    faults = tmp_path / "faults.json"
+    faults.write_text('{"events": [{"time_ns": "soon", "kind": "link_down", "target": "tor0:0"}]}')
+    assert main(["fig13", "--scale", "tiny", "--no-cache", "--faults", str(faults)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == ("fig13: faults.events[0].time_ns: expected a non-negative int, "
+                   "got 'soon'\n")
+
+
 def test_cli_flags_configure_execution_context(monkeypatch):
     from repro.experiments.parallel import get_context
     from tests import stub_experiment

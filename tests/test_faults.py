@@ -162,7 +162,7 @@ def test_make_model_dispatch_and_roundtrip():
     assert make_model(ge.to_params()).to_params() == ge.to_params()
     bern = make_model({"rate": 0.25})
     assert isinstance(bern, BernoulliLoss)
-    assert bern.probability == 0.25
+    assert bern.rate == 0.25
     with pytest.raises(ValueError):
         make_model({"model": "solar_flare"})
 

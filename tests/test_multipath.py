@@ -39,6 +39,7 @@ from repro.net.routing import (
     weighted_index,
 )
 from repro.net.topology import TopologyParams, fat_tree, leaf_spine
+from repro.spec import SpecError
 from repro.sim.units import GBPS, MICROS
 
 from tests.test_determinism import EXPECTED, fingerprint
@@ -72,7 +73,7 @@ def test_make_fib_dict_params():
 
 
 def test_make_fib_rejects_bad_specs():
-    with pytest.raises(TypeError, match="per-switch state"):
+    with pytest.raises(SpecError, match="declarative spec"):
         make_fib(1, Fib(0))
     with pytest.raises(ValueError, match="unknown path selection"):
         make_fib(1, "per-packet-spray")
@@ -82,7 +83,7 @@ def test_make_fib_rejects_bad_specs():
         make_fib(1, {"name": "static-hash", "idle_gap_ns": 1})
     with pytest.raises(ValueError, match="takes no parameters"):
         make_fib(1, {"name": "wcmp", "weighted": True})
-    with pytest.raises(TypeError):
+    with pytest.raises(SpecError):
         make_fib(1, 42)
     with pytest.raises(ValueError, match="engine clock"):
         make_fib(1, "flowlet")  # no engine

@@ -35,6 +35,7 @@ from repro.switchsim.policy import (
     TinyBuffer,
     make_policy,
 )
+from repro.spec import SpecError
 from repro.switchsim.queue import EgressQueue
 from tests.test_determinism import EXPECTED, fingerprint
 from tests.util import PacketTap, small_star
@@ -68,9 +69,9 @@ def test_make_policy_returns_fresh_instances():
 
 
 def test_make_policy_rejects_instances_and_bad_specs():
-    with pytest.raises(TypeError):
+    with pytest.raises(SpecError):
         make_policy(BShare())
-    with pytest.raises(TypeError):
+    with pytest.raises(SpecError):
         make_policy(42)
     with pytest.raises(ValueError):
         make_policy("no-such-policy")

@@ -12,6 +12,7 @@ from repro.experiments.scenarios import (
     make_transport_config,
 )
 from repro.sim.units import MICROS, MILLIS
+from repro.spec import SpecError
 from repro.transport.base import FlowSpec, TransportConfig
 from repro.transport.recovery import RECOVERIES, RTO_MAX_NS, Recovery, resolve_recovery
 from repro.transport.registry import create_flow, resolve_config
@@ -49,11 +50,11 @@ def test_the_estimator_follows_the_resolved_spec():
     assert fixed.base_rto == fixed.current == 160 * MICROS and fixed.rto_max == RTO_MAX_NS
 
 
-def test_an_instance_is_a_type_error():
+def test_an_instance_is_a_spec_error():
     resolved = resolve_recovery("tlp", "dctcp")
-    with pytest.raises(TypeError, match="declarative spec"):
+    with pytest.raises(SpecError, match="declarative spec"):
         resolve_recovery(resolved, "dctcp")
-    with pytest.raises(TypeError, match="declarative spec"):
+    with pytest.raises(SpecError, match="declarative spec"):
         make_transport_config(ScenarioConfig(recovery=resolved))
 
 
@@ -61,9 +62,9 @@ def test_unknown_name_lists_the_registry():
     with pytest.raises(ValueError, match=re.escape(f"unknown recovery 'rack'; available: "
                                                    f"{sorted(RECOVERIES)}")):
         resolve_recovery({"name": "rack"}, "dctcp")
-    with pytest.raises(ValueError, match="unknown recovery None"):
+    with pytest.raises(SpecError, match="recovery.name: .* got no 'name' key"):
         resolve_recovery({"min_ns": 1}, "dctcp")
-    with pytest.raises(TypeError):
+    with pytest.raises(SpecError, match="recovery.rto_ns"):
         resolve_recovery({"name": "fixed-rto"}, "dctcp")  # rto_ns is required
 
 
